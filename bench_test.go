@@ -421,9 +421,8 @@ func BenchmarkKMeans1D(b *testing.B) {
 // exist for.
 
 // BenchmarkKMeans1DLarge clusters the ~10^6 off-diagonal values of a
-// 1000-instance cost matrix into the paper's k=20. (k-1)*n exceeds the
-// choice-matrix cap, so this exercises the SMAWK layer fill with
-// Hirschberg O(n)-memory boundary recovery.
+// 1000-instance cost matrix into the paper's k=20. Binning the values into
+// log-γ buckets dominates; the DP then runs over about 900 buckets.
 func BenchmarkKMeans1DLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 1000*999)

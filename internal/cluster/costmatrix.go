@@ -7,43 +7,19 @@ import (
 	"cloudia/internal/par"
 )
 
-// RoundCostMatrix returns a copy of m whose off-diagonal costs are rounded to
-// the means of an optimal k-clustering of the original cost values. This is
-// the preprocessing step the paper applies before handing the matrix to the
-// CP or MIP solvers (Sect. 6.3.1): it shrinks the number of distinct cost
+// RoundCostMatrixPairs returns a copy of m whose off-diagonal costs are
+// rounded to the centers of a k-clustering of the original cost values, plus
+// the instance-pair order sorted ascending by rounded cost. This is the
+// preprocessing step the paper applies before handing the matrix to the CP
+// or MIP solvers (Sect. 6.3.1): it shrinks the number of distinct cost
 // values (and hence CP threshold iterations) at the price of objective
-// precision. k <= 0 disables clustering and returns m itself — rounded
-// matrices are shared immutable snapshots everywhere downstream, so the
-// disabled path is zero-copy; callers must not modify the result.
-func RoundCostMatrix(m *core.CostMatrix, k int) (*core.CostMatrix, error) {
-	if k <= 0 || m.Size() < 2 {
-		return m, nil
-	}
-	r, err := KMeans1D(m.OffDiagonal(), k)
-	if err != nil {
-		return nil, err
-	}
-	n := m.Size()
-	out := core.NewCostMatrix(n)
-	// Assign is a read-only binary search and each row writes only its own
-	// backing range, so rounding is row-parallel and bit-equal.
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				if i != j {
-					out.Set(i, j, r.Assign(m.At(i, j)))
-				}
-			}
-		}
-	})
-	return out, nil
-}
-
-// RoundCostMatrixPairs is RoundCostMatrix plus the instance-pair order sorted
-// ascending by rounded cost. Cluster assignment is monotone in the original
-// cost, so the pair order is derived from one sort of the original values and
-// shared with the rounded matrix; the CP solver's incremental threshold
-// graphs consume it directly instead of re-sorting m^2 pairs per solve.
+// precision. Cluster assignment is monotone in the original cost, so the
+// pair order is derived from one sort of the original values and shared with
+// the rounded matrix; the CP solver's incremental threshold graphs consume it
+// directly instead of re-sorting m^2 pairs per solve. k <= 0 disables
+// clustering and returns m itself — rounded matrices are shared immutable
+// snapshots everywhere downstream, so the disabled path is zero-copy;
+// callers must not modify the result.
 func RoundCostMatrixPairs(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, error) {
 	out, pairs, _, err := RoundCostMatrixPairsResult(m, k)
 	return out, pairs, err

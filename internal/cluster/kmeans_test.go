@@ -3,10 +3,14 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"cloudia/internal/cloud"
 	"cloudia/internal/core"
+	"cloudia/internal/topology"
 )
 
 func TestKMeansErrors(t *testing.T) {
@@ -15,6 +19,24 @@ func TestKMeansErrors(t *testing.T) {
 	}
 	if _, err := KMeans1D([]float64{1}, 0); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// Bucket indices are logarithms, so values without one are rejected rather
+// than binned; cost matrices already reject them at construction.
+func TestKMeansRejectsInvalidValues(t *testing.T) {
+	for _, bad := range []float64{-1, math.Copysign(1e-300, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := KMeans1D([]float64{1, bad, 2}, 2); err == nil {
+			t.Fatalf("value %g accepted", bad)
+		}
+	}
+	// Zero and sub-MinIndexable values share the zero bucket.
+	r, err := KMeans1D([]float64{0, 1e-12, 0, 5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Centers) != 2 || math.Abs(r.Centers[0]-1e-12/3) > 1e-24 || r.Centers[1] != 5 {
+		t.Fatalf("centers = %v, want the zero bucket's mean and 5", r.Centers)
 	}
 }
 
@@ -75,6 +97,36 @@ func TestKMeansDuplicatesWeighted(t *testing.T) {
 	}
 }
 
+// distinct returns the sorted distinct values of xs and their
+// multiplicities: the unquantized input the bucketed DP approximates.
+func distinct(xs []float64) ([]float64, []int) {
+	sorted := slices.Clone(xs)
+	sort.Float64s(sorted)
+	var vals []float64
+	var weights []int
+	for _, v := range sorted {
+		if len(vals) > 0 && vals[len(vals)-1] == v {
+			weights[len(weights)-1]++
+			continue
+		}
+		vals = append(vals, v)
+		weights = append(weights, 1)
+	}
+	return vals, weights
+}
+
+// exactSums is the prefix-sum form of the unquantized input: one "bucket"
+// per distinct value.
+func exactSums(xs []float64) *prefixSums {
+	vals, weights := distinct(xs)
+	ps := &prefixSums{pw: []float64{0}, pwv: []float64{0}, pwv2: []float64{0}}
+	for i, v := range vals {
+		w := float64(weights[i])
+		ps.push(w, w*v, w*v*v)
+	}
+	return ps
+}
+
 // bruteForce finds the optimal k-clustering cost by trying all contiguous
 // partitions of the sorted distinct values.
 func bruteForce(vals []float64, weights []int, k int) float64 {
@@ -115,6 +167,8 @@ func bruteForce(vals []float64, weights []int, k int) float64 {
 	return best
 }
 
+// Values on a 0.5 grid are far more than a bucket width apart, so every
+// distinct value has its own bucket and the bucketed DP is the exact one.
 func TestKMeansMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -128,12 +182,8 @@ func TestKMeansMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		vals, weights := distinctWeighted(xs)
-		kk := k
-		if kk > len(vals) {
-			kk = len(vals)
-		}
-		want := bruteForce(vals, weights, kk)
+		vals, weights := distinct(xs)
+		want := bruteForce(vals, weights, min(k, len(vals)))
 		return math.Abs(r.Cost-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -141,15 +191,12 @@ func TestKMeansMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// referenceDP is the textbook O(kn^2) layered DP over sorted distinct
-// values, kept as the specification the SMAWK + Hirschberg implementation
-// must match: dp[c][j] = min over i of dp[c-1][i-1] + intervalCost(i, j).
-func referenceDP(vals []float64, weights []int, k int) float64 {
-	n := len(vals)
-	if k > n {
-		k = n
-	}
-	ps := newPrefixSums(vals, weights)
+// referenceDP is the textbook O(kn^2) layered DP over the weighted input
+// ps, kept as the specification the Knuth-Yao-narrowed sweep must match:
+// dp[c][j] = min over i of dp[c-1][i-1] + cost(i, j).
+func referenceDP(ps *prefixSums, k int) float64 {
+	n := ps.len()
+	k = min(k, n)
 	prev := make([]float64, n)
 	curr := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -170,160 +217,37 @@ func referenceDP(vals []float64, weights []int, k int) float64 {
 	return prev[n-1]
 }
 
-// TestSMAWKHirschbergMatchesReferenceDP is the equal-cost property test for
-// the SMAWK layer fill and Hirschberg boundary recovery. KMeans1D routes
-// instances below choiceCap to the single-sweep engine, so this drives the
-// split path directly: the cost must match the plain DP and the boundaries
-// must reproduce exactly the reported cost.
-func TestSMAWKHirschbergMatchesReferenceDP(t *testing.T) {
-	f := func(seed int64, rawK uint8, dup bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(400)
-		k := 1 + int(rawK)%40
-		xs := make([]float64, n)
-		for i := range xs {
-			if dup {
-				xs[i] = math.Round(rng.Float64()*40) / 4 // induce duplicates
-			} else {
-				xs[i] = rng.Float64() * 100
-			}
-		}
-		vals, weights := distinctWeighted(xs)
-		if k > len(vals) {
-			k = len(vals)
-		}
-		ps := newPrefixSums(vals, weights)
-		boundaries := make([]int, k)
-		h := newHirschberg(ps, len(vals))
-		var got float64
-		switch {
-		case k == len(vals):
-			return true // no DP runs; covered elsewhere
-		case k == 1:
-			got = ps.cost(0, len(vals)-1)
-		default:
-			got = h.split(0, len(vals)-1, k, boundaries)
-		}
-		want := referenceDP(vals, weights, k)
-		if math.Abs(got-want) > 1e-6*(1+want) {
-			t.Logf("seed=%d n=%d k=%d: SMAWK cost %g, reference %g", seed, n, k, got, want)
-			return false
-		}
-		if k > 1 {
-			sum := 0.0
-			for c := range boundaries {
-				lo := boundaries[c]
-				hi := len(vals) - 1
-				if c+1 < len(boundaries) {
-					hi = boundaries[c+1] - 1
-				}
-				if lo > hi || (c == 0 && lo != 0) {
-					t.Logf("seed=%d n=%d k=%d: bad boundaries %v", seed, n, k, boundaries)
-					return false
-				}
-				sum += ps.cost(lo, hi)
-			}
-			if math.Abs(sum-got) > 1e-9*(1+got) {
-				t.Logf("seed=%d n=%d k=%d: boundary cost %g != reported %g", seed, n, k, sum, got)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHirschbergParallelMeet drives split() above parallelMin so the
-// concurrent forward/backward meet passes run (they never do at the
-// property tests' sizes), both pinning the parallel path's result against
-// the single-sweep engine and giving `go test -race` a real schedule to
-// check.
-func TestHirschbergParallelMeet(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	n := parallelMin + 513
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	const k = 8
-	vals, weights := distinctWeighted(xs)
-	ps := newPrefixSums(vals, weights)
-	h := newHirschberg(ps, len(vals))
-	boundaries := make([]int, k)
-	got := h.split(0, len(vals)-1, k, boundaries)
-
-	r, err := KMeans1D(xs, k) // routed to the single-sweep engine
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-r.Cost) > 1e-6*(1+r.Cost) {
-		t.Fatalf("parallel meet cost %g != single-sweep cost %g", got, r.Cost)
-	}
-	sum := 0.0
-	for c := range boundaries {
-		lo := boundaries[c]
-		hi := len(vals) - 1
-		if c+1 < k {
-			hi = boundaries[c+1] - 1
-		}
-		if lo > hi {
-			t.Fatalf("bad boundaries %v", boundaries)
-		}
-		sum += ps.cost(lo, hi)
-	}
-	if math.Abs(sum-got) > 1e-9*(1+got) {
-		t.Fatalf("boundary cost %g != reported %g", sum, got)
-	}
-}
-
-// TestKMeansMatchesReferenceDP is the equal-cost property test for the
-// single-sweep engine (Knuth-Yao-narrowed layer fill with direct
-// backtracking, the path KMeans1D takes below choiceCap): at sizes beyond
-// the brute-force test's reach, the optimal cost must match the plain DP,
-// and the reported boundaries must reproduce exactly the reported cost.
+// TestKMeansMatchesReferenceDP is the equal-cost property test of the
+// bucket DP: on the same weighted bucket input, KMeans1D's cost must match
+// the textbook DP. Narrow value ranges put many values in each bucket.
 func TestKMeansMatchesReferenceDP(t *testing.T) {
-	f := func(seed int64, rawK uint8, dup bool) bool {
+	f := func(seed int64, rawK uint8, narrow bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(300)
 		k := 1 + int(rawK)%40
+		lo, span := 0.0, 100.0
+		if narrow {
+			lo, span = 10, 0.4 // ~20 buckets
+		}
 		xs := make([]float64, n)
 		for i := range xs {
-			if dup {
-				xs[i] = math.Round(rng.Float64()*40) / 4 // induce duplicates
-			} else {
-				xs[i] = rng.Float64() * 100
-			}
+			xs[i] = lo + rng.Float64()*span
 		}
 		r, err := KMeans1D(xs, k)
 		if err != nil {
 			return false
 		}
-		vals, weights := distinctWeighted(xs)
-		want := referenceDP(vals, weights, k)
-		if math.Abs(r.Cost-want) > 1e-6*(1+want) {
-			t.Logf("seed=%d n=%d k=%d: cost %g, reference %g", seed, n, k, r.Cost, want)
+		ps, err := bin(xs, alpha)
+		if err != nil {
 			return false
 		}
-		// Boundaries must be a valid ascending partition whose segment costs
-		// sum to the reported cost.
-		ps := newPrefixSums(vals, weights)
-		sum := 0.0
-		for c := range r.Boundaries {
-			lo := r.Boundaries[c]
-			hi := len(vals) - 1
-			if c+1 < len(r.Boundaries) {
-				hi = r.Boundaries[c+1] - 1
-			}
-			if lo > hi || (c == 0 && lo != 0) {
-				t.Logf("seed=%d n=%d k=%d: bad boundaries %v", seed, n, k, r.Boundaries)
-				return false
-			}
-			sum += ps.cost(lo, hi)
+		want := referenceDP(ps, k)
+		if len(r.Centers) != min(k, ps.len()) || !sort.Float64sAreSorted(r.Centers) {
+			t.Logf("seed=%d n=%d k=%d: centers %v", seed, n, k, r.Centers)
+			return false
 		}
-		if math.Abs(sum-r.Cost) > 1e-9*(1+r.Cost) {
-			t.Logf("seed=%d n=%d k=%d: boundary cost %g != reported %g", seed, n, k, sum, r.Cost)
+		if math.Abs(r.Cost-want) > 1e-6*(1+want) {
+			t.Logf("seed=%d n=%d k=%d: cost %g, reference %g", seed, n, k, r.Cost, want)
 			return false
 		}
 		return true
@@ -333,11 +257,174 @@ func TestKMeansMatchesReferenceDP(t *testing.T) {
 	}
 }
 
-func TestRoundValues(t *testing.T) {
-	out, err := RoundValues([]float64{1, 1.2, 9.8, 10}, 2)
+// Values spaced wider than a bucket never share one, so on them the bucket
+// DP must reproduce the unquantized textbook DP's optimum exactly.
+func TestKMeansSeparatedValuesMatchExactDP(t *testing.T) {
+	f := func(seed int64, rawK uint8, dup bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(300)
+		k := 1 + int(rawK)%40
+		xs := make([]float64, n)
+		v := 0.5
+		for i := range xs {
+			if dup {
+				xs[i] = math.Round(rng.Float64()*40) / 4 // a 0.25 grid, with duplicates
+			} else {
+				v *= 1.01 + 0.2*rng.Float64() // ratio >= 1.01 > gamma
+				xs[i] = v
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		r, err := KMeans1D(xs, k)
+		if err != nil {
+			return false
+		}
+		want := referenceDP(exactSums(xs), k)
+		if math.Abs(r.Cost-want) > 1e-9*(1+want) {
+			t.Logf("seed=%d n=%d k=%d: bucket cost %g, exact %g", seed, n, k, r.Cost, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dcOptimum is the optimal k-clustering cost over ps by plain monotone
+// divide and conquer on two rolling layers: O(k n log n), fast enough for
+// the ~10^5 unquantized values of a 300-instance cost matrix.
+func dcOptimum(ps *prefixSums, k int) float64 {
+	n := ps.len()
+	prev, curr := make([]float64, n), make([]float64, n)
+	for j := range prev {
+		prev[j] = ps.cost(0, j)
+	}
+	var fill func(jlo, jhi, ilo, ihi int)
+	fill = func(jlo, jhi, ilo, ihi int) {
+		if jlo > jhi {
+			return
+		}
+		j := (jlo + jhi) / 2
+		best, bi := math.Inf(1), ilo
+		for i := ilo; i <= min(ihi, j); i++ {
+			if v := prev[i-1] + ps.cost(i, j); v < best {
+				best, bi = v, i
+			}
+		}
+		curr[j] = best
+		fill(jlo, j-1, ilo, bi)
+		fill(j+1, jhi, bi, ihi)
+	}
+	for c := 2; c <= k; c++ {
+		fill(c-1, n-1, c-1, n-1)
+		prev, curr = curr, prev
+	}
+	return prev[n-1]
+}
+
+// ec2Costs returns the off-diagonal costs of an EC2-profile mean RTT matrix
+// over n instances, each link perturbed by up to ±5% the way measured
+// matrices are, so nearly every value is distinct.
+func ec2Costs(t *testing.T, n int) []float64 {
+	t.Helper()
+	dc, err := topology.New(topology.EC2Profile(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prov, err := cloud.NewProvider(dc, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := prov.RunInstances(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	xs := cloud.MeanRTTMatrix(dc, inst).OffDiagonal()
+	for i := range xs {
+		xs[i] *= 0.95 + 0.1*rng.Float64()
+	}
+	return xs
+}
+
+// Quantization only snaps cluster boundaries to bucket edges; on realistic
+// latency matrices the cost it gives up against the unquantized optimum
+// stays under 0.5%.
+func TestKMeansNearUnquantizedOptimumEC2(t *testing.T) {
+	for _, n := range []int{150, 300} {
+		xs := ec2Costs(t, n)
+		exact := exactSums(xs)
+		for _, k := range []int{5, 10, 20, 40} {
+			r, err := KMeans1D(xs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := dcOptimum(exact, k)
+			ratio := r.Cost / opt
+			t.Logf("n=%d k=%d: %d values, bucketed cost / optimum = %.6f", n, k, exact.len(), ratio)
+			if ratio < 1-1e-9 || ratio > 1.005 {
+				t.Fatalf("n=%d k=%d: bucketed cost %g vs unquantized optimum %g (ratio %.6f)", n, k, r.Cost, opt, ratio)
+			}
+		}
+	}
+}
+
+// Inputs whose buckets would overflow the choice matrix are re-binned at
+// doubled alpha until they fit: 20,000 values over nine decades fill ~10^4
+// buckets at alpha, ~5,200 at 2*alpha — both too many for k=1000 — and
+// ~2,600 at 4*alpha.
+func TestKMeansCoarsensAlphaToFitChoiceCap(t *testing.T) {
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = 1e-3 * math.Pow(10, 9*float64(i)/float64(len(xs)-1))
+	}
+	const k = 1000
+	for _, a := range []float64{alpha, 2 * alpha} {
+		ps, err := bin(xs, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (k-1)*ps.len() <= choiceCap {
+			t.Fatalf("alpha %g: %d buckets already fit; the input no longer forces coarsening", a, ps.len())
+		}
+	}
+	ps, err := bin(xs, 4*alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (k-1)*ps.len() > choiceCap {
+		t.Fatalf("alpha %g: %d buckets still exceed the cap", 4*alpha, ps.len())
+	}
+	want := ps.fit(k)
+	r, err := KMeans1D(xs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.Centers, want.Centers) || r.Cost != want.Cost {
+		t.Fatal("KMeans1D does not cluster the first coarsening that fits")
+	}
+	if len(r.Centers) != k || !sort.Float64sAreSorted(r.Centers) {
+		t.Fatalf("got %d centers, want %d ascending", len(r.Centers), k)
+	}
+}
+
+// roundValues maps every value in xs to its center under KMeans1D.
+func roundValues(t *testing.T, xs []float64, k int) []float64 {
+	t.Helper()
+	r, err := KMeans1D(xs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = r.Assign(x)
+	}
+	return out
+}
+
+func TestRoundValues(t *testing.T) {
+	out := roundValues(t, []float64{1, 1.2, 9.8, 10}, 2)
 	if math.Abs(out[0]-1.1) > 1e-9 || math.Abs(out[3]-9.9) > 1e-9 {
 		t.Fatalf("rounded = %v", out)
 	}
@@ -355,7 +442,7 @@ func TestRoundCostMatrix(t *testing.T) {
 	m.Set(2, 0, 5.2)
 	m.Set(1, 2, 1.05)
 	m.Set(2, 1, 5.1)
-	out, err := RoundCostMatrix(m, 2)
+	out, pairs, err := RoundCostMatrixPairs(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +457,19 @@ func TestRoundCostMatrix(t *testing.T) {
 	if out.At(1, 1) != 0 {
 		t.Fatal("diagonal modified")
 	}
+	// The pair list carries the rounded costs, ascending.
+	for i, p := range pairs {
+		if p.Cost != out.At(int(p.From), int(p.To)) || (i > 0 && p.Cost < pairs[i-1].Cost) {
+			t.Fatalf("pair %d = %+v does not match the rounded matrix in order", i, p)
+		}
+	}
 }
 
 func TestRoundCostMatrixDisabled(t *testing.T) {
 	m := core.NewCostMatrix(2)
 	m.Set(0, 1, 3)
 	m.Set(1, 0, 4)
-	out, err := RoundCostMatrix(m, 0)
+	out, _, err := RoundCostMatrixPairs(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,10 +494,7 @@ func TestRoundValuesProperty(t *testing.T) {
 			lo = math.Min(lo, xs[i])
 			hi = math.Max(hi, xs[i])
 		}
-		out, err := RoundValues(xs, k)
-		if err != nil {
-			return false
-		}
+		out := roundValues(t, xs, k)
 		distinct := map[float64]struct{}{}
 		for _, v := range out {
 			distinct[v] = struct{}{}

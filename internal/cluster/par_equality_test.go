@@ -21,10 +21,6 @@ func TestRoundingBitEqualAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPlain, err := RoundCostMatrix(m, k)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, w := range []int{2, 3, 8} {
 		par.SetWorkers(w)
@@ -38,13 +34,9 @@ func TestRoundingBitEqualAcrossWorkers(t *testing.T) {
 		if !slices.Equal(gotRes.Centers, wantRes.Centers) {
 			t.Fatalf("workers=%d: k-means centers diverge from sequential", w)
 		}
-		gotPlain, err := RoundCostMatrix(m, k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if gotM.At(i, j) != wantM.At(i, j) || gotPlain.At(i, j) != wantPlain.At(i, j) {
+				if gotM.At(i, j) != wantM.At(i, j) {
 					t.Fatalf("workers=%d: rounded matrix diverges from sequential at (%d,%d)", w, i, j)
 				}
 			}
@@ -81,29 +73,6 @@ func TestPatchBitEqualAcrossWorkers(t *testing.T) {
 		}
 		if got := PatchSortedPairs(m1, pairs0, changed); !slices.Equal(got, wantPairs) {
 			t.Fatalf("workers=%d: PatchSortedPairs diverges from sequential", w)
-		}
-	}
-}
-
-// KMeans1D drives the dominant share of cold Prep time; its forward/backward
-// meet split must not change the fitted centers at any worker count.
-func TestKMeansBitEqualAcrossWorkers(t *testing.T) {
-	defer par.SetWorkers(0)
-	vals := randMatrix(90, 31).OffDiagonal() // > parallelMin values
-
-	par.SetWorkers(1)
-	want, err := KMeans1D(vals, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 8} {
-		par.SetWorkers(w)
-		got, err := KMeans1D(vals, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Centers, want.Centers) {
-			t.Fatalf("workers=%d: k-means centers diverge from sequential", w)
 		}
 	}
 }

@@ -95,3 +95,16 @@ func (m *MutableCostMatrix) Snapshot() (*CostMatrix, []int) {
 	m.epoch++
 	return out, rows
 }
+
+// Revert undoes the most recent Snapshot when nothing has been Set since:
+// rows (the changed rows that Snapshot reported) are restored from prev (the
+// snapshot before it), the dirty set stays empty, and the epoch counter
+// steps back. It is the rollback of a publish that its consumer failed to
+// commit; the fingerprint afterwards is prev's again.
+func (m *MutableCostMatrix) Revert(prev *CostMatrix, rows []int) {
+	for _, i := range rows {
+		copy(m.c[i*m.n:(i+1)*m.n], prev.Row(i))
+		m.hashDirty[i] = true
+	}
+	m.epoch--
+}

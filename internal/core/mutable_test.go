@@ -57,3 +57,33 @@ func TestMutableCostMatrixAt(t *testing.T) {
 		t.Fatalf("Size = %d", m.Size())
 	}
 }
+
+// Revert undoes one Snapshot: values, fingerprint, dirty set and epoch all
+// return to what the previous snapshot published.
+func TestMutableCostMatrixRevert(t *testing.T) {
+	m := NewMutableCostMatrix(3)
+	m.Set(0, 1, 2)
+	m.Set(2, 0, 4)
+	prev, _ := m.Snapshot()
+	fp := m.Fingerprint()
+
+	m.Set(0, 1, 5)
+	m.Set(1, 2, 6)
+	_, rows := m.Snapshot()
+	if m.Fingerprint() == fp {
+		t.Fatal("changed matrix kept its fingerprint")
+	}
+	m.Revert(prev, rows)
+	if m.At(0, 1) != 2 || m.At(1, 2) != 0 || m.At(2, 0) != 4 {
+		t.Fatal("Revert did not restore the previous snapshot's values")
+	}
+	if m.Fingerprint() != fp {
+		t.Fatal("Revert did not restore the fingerprint")
+	}
+	if got := m.ChangedRows(); len(got) != 0 {
+		t.Fatalf("rows %v dirty after Revert", got)
+	}
+	if m.Epoch() != 1 {
+		t.Fatalf("epoch = %d after Revert, want 1", m.Epoch())
+	}
+}

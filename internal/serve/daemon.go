@@ -392,7 +392,9 @@ func logRows(m *core.CostMatrix, changed []int, n int) []wal.RowDelta {
 // snapshot and retire the previous fingerprint from the cache. When
 // AppendEpoch returns, the epoch is as durable as the fsync policy
 // promises. Rows beyond the changed set cost nothing: a Set that does not
-// change a bit leaves the row clean and unlogged.
+// change a bit leaves the row clean and unlogged. If the WAL append fails,
+// the folded rows, the epoch counter and the fingerprints roll back to the
+// last committed snapshot, so memory never holds what the log does not.
 //
 // tail, when non-nil, posts the epoch's percentile-matrix rows in the same
 // durability unit: both matrices mutate under one WAL record, so replay can
@@ -462,6 +464,15 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 	}
 
 	if err := sess.log.Append(rec); err != nil {
+		// Nothing reached the log, so memory must not run ahead of it: put
+		// back the committed state the failed epoch changed.
+		sess.epoch--
+		sess.mm = revert(sess.mm, sess.snap, ep.ChangedRows)
+		if tail != nil {
+			if sess.tailMM = revert(sess.tailMM, sess.tailSnap, tm.ChangedRows); sess.tailMM == nil {
+				sess.tailPct = 0
+			}
+		}
 		return 0, 0, err
 	}
 
@@ -486,6 +497,17 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 		sess.sinceCompact = 0
 	}
 	return sess.epoch, sess.fp, nil
+}
+
+// revert rolls mm back over a publish whose changed rows were rows, to the
+// committed snapshot. Before the first committed epoch there is nothing to
+// return to, so the matrix itself is dropped.
+func revert(mm *core.MutableCostMatrix, committed *core.CostMatrix, rows []int) *core.MutableCostMatrix {
+	if committed == nil {
+		return nil
+	}
+	mm.Revert(committed, rows)
+	return mm
 }
 
 // AdviseRequest is one advise call against a tenant's current matrix.

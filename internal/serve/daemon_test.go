@@ -282,3 +282,80 @@ func TestDaemonAlienTenantDir(t *testing.T) {
 		t.Fatal("daemon opened over an undecodable tenant directory")
 	}
 }
+
+// TestDaemonAppendFailureRollsBack: when the WAL append of an epoch fails,
+// the tenant's memory must stay at its last committed epoch — matrices,
+// fingerprints and epoch counter — or the next epoch's changed rows would be
+// diffed against values the log never recorded.
+func TestDaemonAppendFailureRollsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	const n = 6
+	m := testMatrix(rng, n)
+	dir := t.TempDir()
+	d := openDaemon(t, DaemonConfig{Dir: dir})
+	epoch, fp, err := d.AppendEpoch("acme", n, fullRows(m), &TailUpdate{Pct: 99, Rows: tailRowsOf(m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := d.session("acme", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailFP := sess.tailFP
+	if sess.mm.Fingerprint() != fp || sess.tailMM.Fingerprint() != tailFP {
+		t.Fatal("committed fingerprints disagree with the matrices")
+	}
+
+	// Close the tenant's log, then post an epoch changing a mean and a tail row.
+	if err := sess.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mean := append([]float64(nil), m.Row(2)...)
+	mean[0] *= 2
+	tail := append([]float64(nil), tailRowsOf(m)[4].Values...)
+	tail[1] *= 3
+	if _, _, err := d.AppendEpoch("acme", n, []wal.RowDelta{{Row: 2, Values: mean}},
+		&TailUpdate{Pct: 99, Rows: []wal.RowDelta{{Row: 4, Values: tail}}}); err == nil {
+		t.Fatal("epoch acknowledged over a closed log")
+	}
+	check := func(what string, s *tenantSession) {
+		t.Helper()
+		if s.epoch != epoch || s.fp != fp || s.tailFP != tailFP {
+			t.Fatalf("%s: at epoch %d fp %016x tail %016x, want %d %016x %016x",
+				what, s.epoch, uint64(s.fp), uint64(s.tailFP), epoch, uint64(fp), uint64(tailFP))
+		}
+		if s.mm.Fingerprint() != fp || s.tailMM.Fingerprint() != tailFP {
+			t.Fatalf("%s: matrices ran ahead of the log", what)
+		}
+		if s.mm.At(2, 0) != m.At(2, 0) || len(s.mm.ChangedRows()) != 0 || len(s.tailMM.ChangedRows()) != 0 {
+			t.Fatalf("%s: failed epoch's rows left behind", what)
+		}
+	}
+	check("after the failed append", sess)
+
+	// A tenant whose very first epoch fails holds no matrix at all.
+	fresh, err := d.session("fresh", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.AppendEpoch("fresh", n, fullRows(m), &TailUpdate{Pct: 95, Rows: tailRowsOf(m)}); err == nil {
+		t.Fatal("first epoch acknowledged over a closed log")
+	}
+	if fresh.epoch != 0 || fresh.mm != nil || fresh.tailMM != nil || fresh.tailPct != 0 {
+		t.Fatal("failed first epoch left state behind")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := openDaemon(t, DaemonConfig{Dir: dir})
+	defer d2.Close()
+	re, err := d2.session("acme", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after reopen", re)
+}

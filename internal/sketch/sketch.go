@@ -41,10 +41,10 @@ import (
 // spreads of 10^3 span ~350 buckets at this alpha).
 const DefaultAlpha = 0.01
 
-// minIndexable is the smallest value the log-bucket index covers; values in
-// [0, minIndexable] (sub-nanosecond RTTs in this repo's millisecond unit)
+// MinIndexable is the smallest value the log-bucket index covers; values in
+// [0, MinIndexable] (sub-nanosecond RTTs in this repo's millisecond unit)
 // collapse into a dedicated zero bucket whose representative is 0.
-const minIndexable = 1e-9
+const MinIndexable = 1e-9
 
 // Sketch is a mergeable quantile summary of a stream of non-negative
 // values. The zero value is not usable; construct with New. A Sketch is not
@@ -56,7 +56,7 @@ type Sketch struct {
 	gamma    float64
 	logGamma float64 // cached log(gamma), the per-Add divisor
 
-	// zero counts values at or below minIndexable. Larger values live in
+	// zero counts values at or below MinIndexable. Larger values live in
 	// dense log-buckets: counts[i] counts values v with
 	// index(v) == offset + i, where index(v) = ceil(log_gamma(v)).
 	zero   int64
@@ -85,10 +85,11 @@ func (s *Sketch) Alpha() float64 { return s.alpha }
 // Count reports the number of recorded values.
 func (s *Sketch) Count() int64 { return s.total }
 
-// index maps a value above minIndexable to its log-bucket index. The
-// mapping is a pure function of (v, alpha): gamma^(i-1) < v <= gamma^i.
-func (s *Sketch) index(v float64) int {
-	return int(math.Ceil(math.Log(v) / s.logGamma))
+// Index maps a value above MinIndexable to its log-bucket index under the
+// bucket ratio gamma = (1+alpha)/(1-alpha), given as logGamma = log(gamma):
+// gamma^(i-1) < v <= gamma^i. The mapping is a pure function of (v, alpha).
+func Index(v, logGamma float64) int {
+	return int(math.Ceil(math.Log(v) / logGamma))
 }
 
 // representative returns the value every sample in bucket i reports as:
@@ -103,11 +104,11 @@ func (s *Sketch) representative(i int) float64 {
 // the log index with NaN.
 func (s *Sketch) Add(v float64) {
 	s.total++
-	if v <= minIndexable || math.IsNaN(v) {
+	if v <= MinIndexable || math.IsNaN(v) {
 		s.zero++
 		return
 	}
-	s.bump(s.index(v), 1)
+	s.bump(Index(v, s.logGamma), 1)
 }
 
 // bump adds n to the bucket at absolute index i, growing the dense count

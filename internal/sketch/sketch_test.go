@@ -69,7 +69,7 @@ func TestRepresentativeBound(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50000; i++ {
 		v := math.Pow(10, -6+12*r.Float64())
-		rep := s.representative(s.index(v))
+		rep := s.representative(Index(v, s.logGamma))
 		if math.Abs(rep-v) > s.alpha*v*(1+1e-12) {
 			t.Fatalf("value %g: representative %g off by %g > alpha*v %g",
 				v, rep, math.Abs(rep-v), s.alpha*v)
