@@ -8,7 +8,7 @@ GO ?= go
 # benchmarks are seconds-scale 1000-instance passes (3 iterations), and
 # micro benchmarks are ns-scale move evaluations (thousands).
 BENCH_PATTERN_MACRO ?= BenchmarkCPPerNodeBudget|BenchmarkCPThresholdDescent|BenchmarkCPSearchNode|BenchmarkCPTighten|BenchmarkDeltaEvalPortfolio|BenchmarkKMeans1D$$|BenchmarkPatchSortedPairs|BenchmarkWALReplay
-BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSkewedServe|BenchmarkSortedPairsRebuild
+BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkEpochDecode|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSkewedServe|BenchmarkSortedPairsRebuild
 BENCH_PATTERN_MICRO ?= BenchmarkDeltaEvalLL|BenchmarkDeltaEvalLP
 BENCH_PATTERN ?= $(BENCH_PATTERN_MACRO)|$(BENCH_PATTERN_HEAVY)|$(BENCH_PATTERN_MICRO)
 BENCH_OUT ?= BENCH_PR9.json
@@ -32,7 +32,7 @@ COVER_FLOORS ?= cloudia/internal/measure=90 cloudia/internal/solver=90 cloudia/i
 # go command re-execs the tool from package directories.
 VETTOOL ?= bin/cloudia-vet
 
-.PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test lint lint-fix
+.PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test fuzz lint lint-fix
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ test:
 # uninterrupted history and serve bit-equal advice.
 crash-test:
 	$(GO) test -run 'TestCrash' -count=1 -v ./internal/serve/
+
+# fuzz runs the differential fuzz target for the POST /v1/epoch decoder:
+# every input must be accepted or refused exactly as encoding/json would,
+# with bit-identical values on acceptance. Its seed corpus
+# (internal/serve/testdata/fuzz/FuzzEpochDecode) also runs in `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
 
 # bench runs the solver benchmarks and records them as JSON so the perf
 # trajectory is tracked across PRs (BENCH_PR<N>.json per PR). -p 1 keeps

@@ -375,6 +375,10 @@ func validateRows(what string, n int, rows []wal.RowDelta) error {
 	return nil
 }
 
+// maxEpochN caps the matrix size an epoch may claim, which sizes the n×n
+// matrices AppendEpoch allocates (128 MiB each at the cap).
+const maxEpochN = 4096
+
 // logRows converts a published changed-row set into WAL row deltas.
 func logRows(m *core.CostMatrix, changed []int, n int) []wal.RowDelta {
 	rows := make([]wal.RowDelta, 0, len(changed))
@@ -407,6 +411,9 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 	}
 	if n <= 0 {
 		return 0, 0, fmt.Errorf("serve: epoch with matrix size %d", n)
+	}
+	if n > maxEpochN {
+		return 0, 0, fmt.Errorf("serve: epoch with matrix size %d over the daemon's limit %d", n, maxEpochN)
 	}
 	if err := validateRows("epoch", n, rows); err != nil {
 		return 0, 0, err

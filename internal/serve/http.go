@@ -17,11 +17,23 @@ import (
 // HTTP/JSON front end over the Daemon: a thin, stateless translation layer
 // — all durable state and all scheduling live behind Daemon's Go API.
 //
-//	POST /v1/epoch    {"tenant","n","rows":[{"row","values"}]}
+//	POST /v1/epoch    {"tenant","n","rows":[{"row","values"}],
+//	                  "tail_pct","tail_rows"}
 //	POST /v1/advise   {"tenant","graph",...} — add "stream":true for
 //	                  one JSON line per solve round before the final advice
 //	GET  /v1/stats    daemon + per-tenant counters
 //	GET  /healthz     liveness
+//
+// An epoch body is decoded in one streaming pass (decodeEpoch) straight
+// into row deltas, never buffered whole. It takes keys in any order, with
+// encoding/json's rules: case-insensitive keys, the last duplicate wins,
+// unknown members are ignored. Syntax and type errors answer 400 naming
+// the byte offset; n, rows and values are checked afterwards, by
+// AppendEpoch. Both POST bodies are capped at maxBodyBytes (413, code
+// "too_large"), and an epoch's n at maxEpochN (400). The body cap holds
+// one dense epoch of about 1,850 instances (about 1,300 with tail rows),
+// at ~19 bytes per value; a larger matrix is posted as several epochs,
+// each carrying a subset of its rows.
 //
 // Transient admission rejections (ErrBusy, ErrOverBudget) map to 429 with
 // a Retry-After hint, so HTTP clients inherit the same retry-later
@@ -39,21 +51,9 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-type rowDeltaJSON struct {
-	Row    int       `json:"row"`
-	Values []float64 `json:"values"`
-}
-
-type epochRequest struct {
-	Tenant string         `json:"tenant"`
-	N      int            `json:"n"`
-	Rows   []rowDeltaJSON `json:"rows"`
-	// TailPct and TailRows post the epoch's percentile-matrix rows in the
-	// same durability unit as the mean rows (see Daemon.AppendEpoch);
-	// required before the tenant can be advised with a percentile metric.
-	TailPct  float64        `json:"tail_pct,omitempty"`
-	TailRows []rowDeltaJSON `json:"tail_rows,omitempty"`
-}
+// maxBodyBytes caps a POST body. It bounds what one request can make the
+// decoders allocate; a var only so tests can lower it.
+var maxBodyBytes int64 = 64 << 20
 
 type epochResponse struct {
 	Tenant      string `json:"tenant"`
@@ -62,23 +62,16 @@ type epochResponse struct {
 }
 
 func (d *Daemon) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	var req epochRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeEpoch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		httpError(w, fmt.Errorf("serve: bad epoch request: %w", err))
 		return
 	}
-	toDeltas := func(rows []rowDeltaJSON) []wal.RowDelta {
-		out := make([]wal.RowDelta, len(rows))
-		for i, rd := range rows {
-			out[i] = wal.RowDelta{Row: rd.Row, Values: rd.Values}
-		}
-		return out
-	}
 	var tail *TailUpdate
 	if req.TailPct != 0 || len(req.TailRows) > 0 {
-		tail = &TailUpdate{Pct: req.TailPct, Rows: toDeltas(req.TailRows)}
+		tail = &TailUpdate{Pct: req.TailPct, Rows: req.TailRows}
 	}
-	epoch, fp, err := d.AppendEpoch(req.Tenant, req.N, toDeltas(req.Rows), tail)
+	epoch, fp, err := d.AppendEpoch(req.Tenant, req.N, req.Rows, tail)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -129,7 +122,7 @@ type adviseResponse struct {
 
 func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	var jr adviseRequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&jr); err != nil {
 		httpError(w, fmt.Errorf("serve: bad advise request: %w", err))
 		return
 	}
@@ -276,13 +269,18 @@ type errorBody struct {
 }
 
 // httpError maps daemon errors onto HTTP status codes: transient admission
-// rejections become 429 with a Retry-After hint, unknown tenants 404,
-// everything else a 400 — the daemon never blames itself for a request it
-// validated and refused. The body is always a structured errorJSON.
+// rejections become 429 with a Retry-After hint, unknown tenants 404, a
+// body over the size limit 413, everything else a 400 — the daemon never
+// blames itself for a request it validated and refused. The body is always
+// a structured errorJSON.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	body := errorBody{Code: "bad_request", Message: err.Error()}
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
+		body.Code = "too_large"
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests

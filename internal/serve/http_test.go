@@ -8,16 +8,23 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"cloudia/internal/graphio"
 )
 
+// rawBody is a request body postJSON sends as is, for bodies that are not
+// valid JSON.
+type rawBody string
+
 func postJSON(t *testing.T, client *http.Client, url string, body any) *http.Response {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+	if raw, ok := body.(rawBody); ok {
+		buf.WriteString(string(raw))
+	} else if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := client.Post(url, "application/json", &buf)
@@ -161,27 +168,38 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp := postJSON(t, ts.Client(), ts.URL+"/v1/epoch", epochPayload(t, "acme", 8))
 	resp.Body.Close()
 
+	const badEpoch = "serve: bad epoch request: "
 	cases := []struct {
 		name    string
 		path    string
 		body    any
 		code    int
 		errCode string
+		prefix  string
 	}{
-		{"malformed epoch", "/v1/epoch", "not json", http.StatusBadRequest, "bad_request"},
-		{"invalid epoch", "/v1/epoch", map[string]any{"tenant": "acme", "n": 3}, http.StatusBadRequest, "bad_request"},
-		{"malformed advise", "/v1/advise", "not json", http.StatusBadRequest, "bad_request"},
-		{"advise without graph", "/v1/advise", map[string]any{"tenant": "acme"}, http.StatusBadRequest, "bad_request"},
-		{"advise bad graph", "/v1/advise", map[string]any{"tenant": "acme", "graph": map[string]any{"bogus": 1}}, http.StatusBadRequest, "bad_request"},
+		{"malformed epoch", "/v1/epoch", "not json", http.StatusBadRequest, "bad_request", badEpoch},
+		{"invalid epoch", "/v1/epoch", map[string]any{"tenant": "acme", "n": 3}, http.StatusBadRequest, "bad_request", "serve: tenant"},
+		{"truncated epoch", "/v1/epoch", rawBody(`{"tenant":"acme","n":8,"rows":[{"row":0,"values":[0,1`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch n as string", "/v1/epoch", rawBody(`{"tenant":"acme","n":"8"}`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch n as fraction", "/v1/epoch", rawBody(`{"tenant":"acme","n":8.5}`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch leading zero", "/v1/epoch", rawBody(`{"tenant":"acme","n":08}`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch bare decimal point", "/v1/epoch", rawBody(`{"tenant":"acme","n":1,"rows":[{"row":0,"values":[1.]}]}`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch NaN", "/v1/epoch", rawBody(`{"tenant":"acme","n":1,"rows":[{"row":0,"values":[NaN]}]}`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch Infinity", "/v1/epoch", rawBody(`{"tenant":"acme","n":1,"rows":[{"row":0,"values":[Infinity]}]}`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch unterminated string", "/v1/epoch", rawBody(`{"tenant":"acme`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"epoch bare bracket", "/v1/epoch", rawBody(`[`), http.StatusBadRequest, "bad_request", badEpoch},
+		{"malformed advise", "/v1/advise", "not json", http.StatusBadRequest, "bad_request", ""},
+		{"advise without graph", "/v1/advise", map[string]any{"tenant": "acme"}, http.StatusBadRequest, "bad_request", ""},
+		{"advise bad graph", "/v1/advise", map[string]any{"tenant": "acme", "graph": map[string]any{"bogus": 1}}, http.StatusBadRequest, "bad_request", ""},
 		{"advise bad objective", "/v1/advise", map[string]any{
 			"tenant": "acme", "graph": graphPayload(t, 2, 2), "objective": "shortest-selfie",
-		}, http.StatusBadRequest, "bad_request"},
+		}, http.StatusBadRequest, "bad_request", ""},
 		{"advise bad metric", "/v1/advise", map[string]any{
 			"tenant": "acme", "graph": graphPayload(t, 2, 2), "metric": "p42",
-		}, http.StatusBadRequest, "bad_request"},
+		}, http.StatusBadRequest, "bad_request", ""},
 		{"advise unknown tenant", "/v1/advise", map[string]any{
 			"tenant": "ghost", "graph": graphPayload(t, 2, 2),
-		}, http.StatusNotFound, "unknown_tenant"},
+		}, http.StatusNotFound, "unknown_tenant", ""},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)
@@ -195,6 +213,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 		}
 		if e.Error.Code != tc.errCode {
 			t.Errorf("%s: error code %q, want %q", tc.name, e.Error.Code, tc.errCode)
+		}
+		if !strings.HasPrefix(e.Error.Message, tc.prefix) {
+			t.Errorf("%s: message %q, want prefix %q", tc.name, e.Error.Message, tc.prefix)
 		}
 	}
 
@@ -224,5 +245,61 @@ func TestHTTPErrorMapping(t *testing.T) {
 	httpError(rec, fmt.Errorf("wrapped: %w", ErrClosed))
 	if e := decodeErr(rec); rec.Code != http.StatusServiceUnavailable || e.Code != "closed" || e.RetryAfterMS <= 0 {
 		t.Fatalf("ErrClosed mapped to %d, body %+v", rec.Code, e)
+	}
+}
+
+// TestHTTPBodyLimits checks the two caps on what one request can make the
+// daemon allocate: the matrix size an epoch may claim (400), and the body
+// size of both POST endpoints (413, code too_large).
+func TestHTTPBodyLimits(t *testing.T) {
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	limit := maxBodyBytes
+	defer func() { maxBodyBytes = limit }()
+	maxBodyBytes = 4 << 10
+	expect := func(name string, resp *http.Response, code int, errCode, message string) {
+		t.Helper()
+		var e errorJSON
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != code || e.Error.Code != errCode || !strings.Contains(e.Error.Message, message) {
+			t.Fatalf("%s: %d %+v, want %d %s containing %q", name, resp.StatusCode, e.Error, code, errCode, message)
+		}
+	}
+
+	// Within the limits, an epoch and an advise go through.
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/epoch", epochPayload(t, "acme", 8))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("small epoch status %d", resp.StatusCode)
+	}
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/advise", map[string]any{
+		"tenant": "acme", "graph": graphPayload(t, 2, 2), "solver": "cp", "budget_nodes": 100,
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("small advise status %d", resp.StatusCode)
+	}
+
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/epoch", epochPayload(t, "acme", 32))
+	expect("oversized epoch", resp, http.StatusRequestEntityTooLarge, "too_large", "serve: bad epoch request: ")
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/advise", map[string]any{
+		"tenant": "acme", "graph": graphPayload(t, 30, 30),
+	})
+	expect("oversized advise", resp, http.StatusRequestEntityTooLarge, "too_large", "serve: bad advise request: ")
+
+	// A one-row body claiming a 2^20-instance matrix, within the real body
+	// limit, is refused before the 2^40-cell matrix it names is allocated.
+	maxBodyBytes = limit
+	const huge = 1 << 20
+	row := strings.TrimSuffix(strings.Repeat("0,", huge), ",")
+	body := rawBody(`{"tenant":"greedy","n":` + strconv.Itoa(huge) + `,"rows":[{"row":0,"values":[` + row + `]}]}`)
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/epoch", body)
+	expect("n = 1<<20", resp, http.StatusBadRequest, "bad_request", "over the daemon's limit 4096")
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/epoch", rawBody(`{"tenant":"greedy","n":4097,"rows":[]}`))
+	expect("n = maxEpochN+1", resp, http.StatusBadRequest, "bad_request", "over the daemon's limit 4096")
+	if st := d.Stats(); len(st.Tenants) != 1 || st.Tenants[0].Tenant != "acme" {
+		t.Fatalf("refused epochs left tenants behind: %+v, want only acme", st.Tenants)
 	}
 }
