@@ -32,7 +32,7 @@ COVER_FLOORS ?= cloudia/internal/measure=90 cloudia/internal/solver=90 cloudia/i
 # go command re-execs the tool from package directories.
 VETTOOL ?= bin/cloudia-vet
 
-.PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test fuzz lint lint-fix
+.PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test fuzz lint lint-fix perf-check
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,12 @@ crash-test:
 # (internal/serve/testdata/fuzz/FuzzEpochDecode) also runs in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
+
+# perf-check vets and tests the cloudia-perf benchmark. It is a nested
+# module, so `go build ./...` at the root never compiles it; this target is
+# what catches a change to an exported name the benchmark uses.
+perf-check:
+	cd cmd/cloudia-perf && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the solver benchmarks and records them as JSON so the perf
 # trajectory is tracked across PRs (BENCH_PR<N>.json per PR). -p 1 keeps

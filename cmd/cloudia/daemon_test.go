@@ -44,7 +44,8 @@ func TestValidateFlagsDaemonCombos(t *testing.T) {
 		want string
 	}{
 		{"listen+serve", runConfig{listen: ":0", walDir: "w", servePath: "b.json"}, "-serve"},
-		{"listen+stream", runConfig{listen: ":0", walDir: "w", stream: true}, "-stream"},
+		{"listen+epochs", runConfig{listen: ":0", walDir: "w", epochMS: 20}, "-epoch-ms"},
+		{"negative epoch period", runConfig{epochMS: -1}, "-epoch-ms"},
 		{"listen without wal dir", runConfig{listen: ":0"}, "-wal-dir"},
 		{"listen bad fsync", runConfig{listen: ":0", walDir: "w", fsync: "sometimes"}, "fsync"},
 	}

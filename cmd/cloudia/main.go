@@ -4,11 +4,17 @@
 // searches for an optimized deployment plan, terminates the extra
 // instances, and prints the plan.
 //
+// With -epoch-ms N > 0 the measurement is streamed instead: its running
+// estimate is published as a matrix epoch every N virtual ms, and a
+// warm-started solver round runs against each epoch. The default, 0,
+// advises once on the final epoch.
+//
 // Usage examples:
 //
 //	cloudia -template mesh2d -rows 10 -cols 10 -objective longest-link
 //	cloudia -template tree -mids 5 -leaves 45 -objective longest-path -solver mip
 //	cloudia -graph app.json -objective longest-link -overalloc 0.2 -json
+//	cloudia -template mesh2d -rows 4 -cols 4 -metric p99 -epoch-ms 40
 //
 // The JSON graph format is {"nodes": N, "edges": [[from,to], ...]}.
 package main
@@ -55,8 +61,7 @@ func main() {
 		occupancy = flag.Float64("occupancy", 0.6, "pre-existing datacenter occupancy [0,1)")
 		seed      = flag.Int64("seed", 42, "random seed")
 		asJSON    = flag.Bool("json", false, "emit the full report as JSON")
-		stream    = flag.Bool("stream", false, "stream measurement into incremental advising (warm-started rounds per matrix epoch)")
-		epochMS   = flag.Float64("epoch-ms", 0, "streaming epoch period in virtual ms (0 = measurement budget / 8)")
+		epochMS   = flag.Float64("epoch-ms", 0, "stream the measurement into warm-started solver rounds, one matrix epoch per this many virtual ms (0 = advise once on the final epoch)")
 		servePath = flag.String("serve", "", "serve a JSON batch of tenant jobs through the sharded multi-tenant advisor (path to batch file)")
 		listen    = flag.String("listen", "", "run the durable serve daemon on this address (e.g. :8080)")
 		walDir    = flag.String("wal-dir", "cloudia-wal", "write-ahead log directory for -listen")
@@ -77,7 +82,7 @@ func main() {
 		scheme: *scheme, solver: *solverFlg, clusterK: *clusterK,
 		budgetMS: *budgetMS, profile: *profile, occupancy: *occupancy,
 		seed: *seed, asJSON: *asJSON,
-		stream: *stream, epochMS: *epochMS,
+		epochMS:   *epochMS,
 		servePath: *servePath,
 		listen:    *listen, walDir: *walDir, fsync: *fsync, shards: *shards,
 		pprof: *pprofFlag,
@@ -99,7 +104,6 @@ type runConfig struct {
 	clusterK, budgetMS                int
 	seed                              int64
 	asJSON                            bool
-	stream                            bool
 	epochMS                           float64
 	servePath                         string
 	listen, walDir, fsync             string
@@ -111,19 +115,20 @@ type runConfig struct {
 // simulation work starts. What to optimize — objective, metric, scheme,
 // and their combinations — is advisor.ObjectiveSpec's job, validated once
 // inside the advisor; the flags here are only about *how* the process runs
-// (serve batches, daemons, streaming sources). `-stream -metric p99` is a
-// supported combination now: epochs carry sketch-based percentile
-// matrices.
+// (serve batches, daemons, epoch periods).
 func validateFlags(cfg runConfig) error {
-	if cfg.servePath != "" && cfg.stream {
-		return fmt.Errorf("-serve batches cannot be combined with -stream (epoch sources are per-job in a batch)")
+	if cfg.epochMS < 0 {
+		return fmt.Errorf("-epoch-ms must not be negative, got %g", cfg.epochMS)
+	}
+	if cfg.servePath != "" && cfg.epochMS > 0 {
+		return fmt.Errorf("-serve batches cannot be combined with -epoch-ms (epoch sources are per-job in a batch)")
 	}
 	if cfg.listen != "" {
 		if cfg.servePath != "" {
 			return fmt.Errorf("-listen runs a daemon; batch jobs go to it over HTTP, not via -serve")
 		}
-		if cfg.stream {
-			return fmt.Errorf("-listen daemons receive epochs over HTTP; -stream is the single-run mode")
+		if cfg.epochMS > 0 {
+			return fmt.Errorf("-listen daemons receive epochs over HTTP; -epoch-ms streams a single run")
 		}
 		if cfg.walDir == "" {
 			return fmt.Errorf("-listen requires a -wal-dir")
@@ -175,7 +180,7 @@ func run(cfg runConfig) error {
 
 	// The raw flag strings cast straight into the objective spec; its
 	// Validate (run by Advise/StreamingAdvise) is the single authority on
-	// unknown values and unsupported combinations — no CLI-side switch.
+	// unknown values — no CLI-side switch.
 	acfg := advisor.Config{
 		Graph: g,
 		ObjectiveSpec: advisor.ObjectiveSpec{
@@ -190,7 +195,7 @@ func run(cfg runConfig) error {
 		Seed:           cfg.seed,
 	}
 
-	if cfg.stream {
+	if cfg.epochMS > 0 {
 		srep, err := advisor.StreamingAdvise(prov, advisor.StreamingConfig{
 			Config:  acfg,
 			EpochMS: cfg.epochMS,

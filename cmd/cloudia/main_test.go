@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -76,44 +75,32 @@ func TestRunEndToEndSmall(t *testing.T) {
 }
 
 func TestRunEndToEndStreaming(t *testing.T) {
-	// The -stream path: incremental advising over measurement epochs.
+	// -epoch-ms > 0: incremental advising over measurement epochs.
 	err := run(runConfig{
 		template: "mesh2d", rows: 2, cols: 2,
 		objective: "longest-link", metric: "mean", scheme: "staged",
 		profile: "ec2", occupancy: 0.5, overalloc: 0.25,
 		budgetMS: 80, seed: 5, asJSON: true,
-		stream: true, epochMS: 30,
+		epochMS: 30,
 	})
 	if err != nil {
-		t.Fatalf("run -stream: %v", err)
+		t.Fatalf("run -epoch-ms 30: %v", err)
 	}
 }
 
 func TestStreamMetricSupport(t *testing.T) {
-	// mean+sd has no incremental per-epoch form; the streaming pipeline
-	// rejects it before any instance is allocated.
-	err := run(runConfig{
-		template: "mesh2d", rows: 2, cols: 2,
-		objective: "longest-link", metric: "mean+sd", scheme: "staged",
-		profile: "ec2", occupancy: 0.5,
-		stream: true,
-	})
-	if err == nil {
-		t.Fatal("-stream -metric mean+sd accepted")
-	}
-	if !strings.Contains(err.Error(), "does not support") {
-		t.Fatalf("-stream -metric mean+sd: error %q does not explain the restriction", err)
-	}
-	// Mean and the percentile metrics stream end-to-end: epochs carry
-	// sketch-based tail matrices, so p99 advising is no longer batch-only.
-	for _, metric := range []string{"mean", "p99"} {
-		if err := run(runConfig{
-			template: "mesh2d", rows: 2, cols: 2,
-			objective: "longest-link", metric: metric, scheme: "staged",
-			profile: "ec2", occupancy: 0.5, budgetMS: 50, seed: 3,
-			stream: true, epochMS: 20, asJSON: true,
-		}); err != nil {
-			t.Fatalf("-stream -metric %s: %v", metric, err)
+	// Every metric streams end to end — epochs carry sketch-based tail
+	// matrices and the mean+sd matrix — and advises on the final epoch.
+	for _, metric := range []string{"mean", "mean+sd", "p95", "p99"} {
+		for _, epochMS := range []float64{0, 20} {
+			if err := run(runConfig{
+				template: "mesh2d", rows: 2, cols: 2,
+				objective: "longest-link", metric: metric, scheme: "staged",
+				profile: "ec2", occupancy: 0.5, budgetMS: 50, seed: 3,
+				epochMS: epochMS, asJSON: true,
+			}); err != nil {
+				t.Fatalf("-metric %s -epoch-ms %g: %v", metric, epochMS, err)
+			}
 		}
 	}
 }
@@ -182,9 +169,9 @@ func TestRunServeBatchRejectsBadBatches(t *testing.T) {
 	}
 	cfg = base
 	cfg.servePath = write("ok.json", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link"}]}`)
-	cfg.stream = true
+	cfg.epochMS = 20
 	if err := run(cfg); err == nil {
-		t.Error("-serve combined with -stream accepted")
+		t.Error("-serve combined with -epoch-ms accepted")
 	}
 }
 

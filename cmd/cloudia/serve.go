@@ -73,9 +73,10 @@ type serveTenant struct {
 
 	Objective string `json:"objective"`
 	// Metric selects the latency summary searched: mean (default), p95, or
-	// p99 — percentile metrics optimize the group's exact percentile
-	// matrix, tie-breaking on the mean unless no_mean_tie_break is set.
-	// (mean+sd is batch-advise only; served jobs are epoch-shaped.)
+	// p99 — percentile metrics optimize the group's sketched percentile
+	// matrix (measure.Result.TailMatrix), tie-breaking on the mean unless
+	// no_mean_tie_break is set. (Served jobs take no mean+sd: serve.Submit
+	// accepts only mean and percentile matrices.)
 	Metric         string `json:"metric"`
 	NoMeanTieBreak bool   `json:"no_mean_tie_break"`
 	Solver         string `json:"solver"`
@@ -261,8 +262,8 @@ func runServe(cfg runConfig) error {
 	}
 
 	// Allocate and measure once per group; every member shares the matrix.
-	// Groups with percentile-metric tenants also publish those exact
-	// percentile matrices from the same samples.
+	// Groups with percentile-metric tenants keep quantile sketches and also
+	// publish those percentile matrices from the same samples.
 	groupMatrix := make(map[string]*core.CostMatrix, len(groupNeed))
 	groupTail := make(map[string]map[float64]*core.CostMatrix)
 	for gi, group := range groupOrder {
@@ -271,10 +272,15 @@ func runServe(cfg runConfig) error {
 		if err != nil {
 			return fmt.Errorf("group %q: %w", group, err)
 		}
+		var tailAlpha float64
+		if len(groupPcts[group]) > 0 {
+			tailAlpha = measure.DefaultTailAlpha
+		}
 		meas, err := measure.Run(dc, instances, measure.Options{
 			Scheme:     measure.Staged,
 			DurationMS: 20 * float64(total),
 			Seed:       batch.Seed + int64(gi),
+			TailAlpha:  tailAlpha,
 		})
 		if err != nil {
 			return fmt.Errorf("group %q: %w", group, err)
@@ -284,7 +290,9 @@ func runServe(cfg runConfig) error {
 			if groupTail[group] == nil {
 				groupTail[group] = make(map[float64]*core.CostMatrix)
 			}
-			groupTail[group][pct] = meas.PercentileMatrix(pct)
+			if groupTail[group][pct], err = meas.TailMatrix(pct); err != nil {
+				return fmt.Errorf("group %q: %w", group, err)
+			}
 		}
 	}
 

@@ -10,6 +10,7 @@ package advisor
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"cloudia/internal/cloud"
 	"cloudia/internal/core"
@@ -57,7 +58,8 @@ type Config struct {
 	// and mip for longest path, the paper's choices (Sect. 6.3).
 	SolverName string
 	// ClusterK rounds costs into k clusters for cp/mip; zero selects the
-	// paper's k=20 for CP and no clustering for MIP (Sect. 6.3).
+	// paper's k=20 for CP (also the portfolio's CP member) and no
+	// clustering for MIP (Sect. 6.3).
 	ClusterK int
 	// SolverBudget bounds the search; zero selects 2M search nodes.
 	SolverBudget solver.Budget
@@ -98,11 +100,9 @@ func (r *Report) Improvement() float64 {
 }
 
 // validate checks every tenant-facing configuration field that does not
-// require allocated instances to judge, so both Advise and StreamingAdvise
-// reject a bad metric, scheme, objective, or solver name before a single
-// instance is allocated or measured — previously an unknown metric
-// surfaced only after the full measurement, and a streaming-unsupported
-// metric deep inside the run.
+// require allocated instances to judge, so a bad metric, scheme, objective,
+// or solver name is rejected before a single instance is allocated or
+// measured.
 func (cfg *Config) validate() error {
 	if cfg.Graph == nil {
 		return fmt.Errorf("advisor: nil communication graph")
@@ -124,27 +124,12 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// validateStreaming extends validate with the one remaining streaming-only
-// restriction: mean+sd has no incremental per-epoch form (the epoch fold
-// maintains means and quantile sketches, not standard deviations).
-// Percentile metrics stream fine — epochs publish sketch-based p95/p99
-// matrices — so the old flag-level `-stream -metric p99` rejection is gone.
-func (cfg *StreamingConfig) validate() error {
-	if err := cfg.Config.validate(); err != nil {
-		return err
-	}
-	if cfg.Metric == MetricMeanPlusStd {
-		return fmt.Errorf("advisor: streaming advising does not support the %q metric (epochs carry mean and percentile matrices)", MetricMeanPlusStd)
-	}
-	return nil
-}
-
 // OverAllocate returns the instance count for n application nodes at the
 // given over-allocation ratio: n plus ceil(n*ratio) extra instances,
 // computed robustly against float rounding. The naive
 // ceil(n*(1+ratio)) over-allocates one whole extra instance whenever the
-// product lands one ulp above an integer — n=10 at the paper's default 0.1
-// gives 10*1.1 = 11.000000000000002, so ceil returned 12 where 11 extra-ish
+// product lands one ulp above an integer — n=100 at the paper's default
+// 0.1 gives 100*1.1 = 110.00000000000001, so ceil returned 111 where 110
 // instances were intended.
 func OverAllocate(n int, ratio float64) int {
 	const eps = 1e-9
@@ -153,6 +138,32 @@ func OverAllocate(n int, ratio float64) int {
 		extra = 0
 	}
 	return n + extra
+}
+
+// paperSolver is the paper's search technique for an objective (Sect.
+// 6.3): cp for longest link, mip for longest path.
+func paperSolver(obj solver.Objective) string {
+	if obj == solver.LongestPath {
+		return "mip"
+	}
+	return "cp"
+}
+
+// searchDefaults resolves the search settings a caller left zero, the same
+// way for every entry point: an empty name selects def, a zero clusterK
+// selects the paper's k=20 for cp and for the portfolio's CP member (Fig.
+// 6), and an unlimited budget selects 2M search nodes.
+func searchDefaults(name, def string, clusterK int, budget solver.Budget) (string, int, solver.Budget) {
+	if name == "" {
+		name = def
+	}
+	if clusterK == 0 && (name == "cp" || name == "portfolio") {
+		clusterK = 20
+	}
+	if budget.Unlimited() {
+		budget = solver.Budget{Nodes: 2_000_000}
+	}
+	return name, clusterK, budget
 }
 
 // NewSolver builds a solver by name. clusterK applies to cp and mip only.
@@ -202,13 +213,29 @@ func NewPortfolio(clusterK int, seed int64) *solver.Portfolio {
 }
 
 // Advise runs the full ClouDiA pipeline against the provider: allocate,
-// measure, search, terminate extras. If any step after allocation fails,
-// every allocated instance is terminated before returning — a failed tuning
-// run must not leave the tenant paying for idle instances.
-func Advise(prov *cloud.Provider, cfg Config) (rep *Report, err error) {
+// measure, search, terminate extras. It is StreamingAdvise's one-epoch
+// case: the measurement publishes only its final epoch, and the paper's
+// solver for the objective (unless SolverName overrides it) searches that
+// epoch once with the whole budget. If any step after allocation fails,
+// every allocated instance is terminated before returning — a failed
+// tuning run must not leave the tenant paying for idle instances.
+func Advise(prov *cloud.Provider, cfg Config) (*Report, error) {
+	rep, err := advise(prov, StreamingConfig{Config: cfg}, true)
+	if err != nil {
+		return nil, err
+	}
+	return &rep.Report, nil
+}
+
+// advise is the one body behind Advise and StreamingAdvise: the Fig. 3
+// loop over a streaming measurement. final selects batch advising: one
+// final epoch, the paper's default solver, and a report carrying that
+// solver's own name and result.
+func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *StreamingReport, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	spec := cfg.ObjectiveSpec.WithDefaults()
 	n := cfg.Graph.NumNodes()
 
 	// Step 1: allocate instances (Fig. 3, "Allocate Instances").
@@ -223,61 +250,68 @@ func Advise(prov *cloud.Provider, cfg Config) (rep *Report, err error) {
 		}
 	}()
 
-	// Step 2: get measurements (Fig. 3, "Get Measurements").
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = measure.Staged
-	}
 	dur := cfg.MeasureDurationMS
 	if dur == 0 {
 		dur = 20 * float64(total)
 	}
-	meas, err := measure.Run(prov.Datacenter(), instances, measure.Options{
-		Scheme:     scheme,
-		DurationMS: dur,
-		Seed:       cfg.Seed,
+	def, epochMS := "portfolio", cfg.EpochMS
+	if final {
+		def, epochMS = paperSolver(cfg.Objective), dur
+	} else if epochMS == 0 {
+		epochMS = dur / 8
+	}
+	name, clusterK, budget := searchDefaults(cfg.SolverName, def, cfg.ClusterK, cfg.SolverBudget)
+	roundBudget := cfg.RoundBudget
+	if roundBudget.Unlimited() {
+		// measure.Stream publishes intermediate epochs in [epochMS, dur)
+		// plus the final one: ceil(dur/epochMS) rounds in total.
+		rounds := int64(math.Ceil(dur / epochMS))
+		if rounds < 1 {
+			rounds = 1
+		}
+		roundBudget = solver.Budget{
+			Time:  budget.Time / time.Duration(rounds),
+			Nodes: budget.Nodes / rounds,
+		}
+		if budget.Time > 0 && roundBudget.Time <= 0 {
+			roundBudget.Time = time.Millisecond
+		}
+		if budget.Nodes > 0 && roundBudget.Nodes <= 0 {
+			roundBudget.Nodes = 1
+		}
+	}
+
+	// Step 2: get measurements (Fig. 3, "Get Measurements") as matrix
+	// epochs. Every metric but the mean needs the spread statistics that
+	// come with the quantile sketches.
+	var tailAlpha float64
+	if spec.Metric != MetricMean {
+		tailAlpha = measure.DefaultTailAlpha
+	}
+	st, err := measure.Stream(prov.Datacenter(), instances, measure.Options{
+		Scheme:          spec.Scheme,
+		DurationMS:      dur,
+		Seed:            cfg.Seed,
+		SnapshotEveryMS: epochMS,
+		TailAlpha:       tailAlpha,
 	})
 	if err != nil {
 		return nil, err
 	}
-	costs, err := cfg.ObjectiveSpec.metricMatrix(meas)
-	if err != nil {
-		return nil, err
-	}
-	// Percentile metrics tie-break equal-cost deployments on the mean
-	// matrix (unless disabled), matching the streaming path's
-	// multi-objective mode.
-	var tie *core.CostMatrix
-	if cfg.TieBreak() {
-		tie = meas.MeanMatrix()
-	}
 
-	// Step 3: search deployment (Fig. 3, "Search Deployment").
-	prob, err := solver.NewProblemTie(cfg.Graph, costs, tie, cfg.Objective)
-	if err != nil {
-		return nil, err
-	}
-	name := cfg.SolverName
-	if name == "" {
-		if cfg.Objective == solver.LongestPath {
-			name = "mip"
-		} else {
-			name = "cp"
-		}
-	}
-	clusterK := cfg.ClusterK
-	if clusterK == 0 && (name == "cp" || name == "portfolio") {
-		clusterK = 20 // the paper's sweet spot (Fig. 6); also CP-in-portfolio
-	}
-	sol, err := NewSolver(name, clusterK, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	budget := cfg.SolverBudget
-	if budget.Unlimited() {
-		budget = solver.Budget{Nodes: 2_000_000}
-	}
-	res, err := sol.Solve(prob, budget)
+	// Step 3: search deployment (Fig. 3, "Search Deployment"), one round per
+	// epoch. The simulated measurement completes in real milliseconds, so
+	// its epochs are all pending by the time the loop starts; every epoch
+	// still gets a round (no coalescing), which preserves the per-epoch
+	// convergence trajectory a real deployment would see.
+	out, err := SolveStream(st.Epochs, StreamSolveConfig{
+		Graph:         cfg.Graph,
+		ObjectiveSpec: cfg.ObjectiveSpec,
+		SolverName:    name,
+		ClusterK:      clusterK,
+		RoundBudget:   roundBudget,
+		Seed:          cfg.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +319,7 @@ func Advise(prov *cloud.Provider, cfg Config) (rep *Report, err error) {
 	// Step 4: terminate extra instances (Fig. 3, "Terminate Extra
 	// Instances").
 	used := make([]bool, total)
-	for _, inst := range res.Deployment {
+	for _, inst := range out.Deployment {
 		used[inst] = true
 	}
 	var terminated []string
@@ -299,19 +333,38 @@ func Advise(prov *cloud.Provider, cfg Config) (rep *Report, err error) {
 	}
 
 	assignments := make([]cloud.Instance, n)
-	for node, inst := range res.Deployment {
+	for node, inst := range out.Deployment {
 		assignments[node] = instances[inst]
 	}
-	rep = &Report{
-		AllInstances:  instances,
-		Deployment:    res.Deployment,
-		Assignments:   assignments,
-		TerminatedIDs: terminated,
-		DefaultCost:   prob.Cost(core.Identity(n)),
-		TunedCost:     res.Cost,
-		Measurement:   meas,
-		Search:        res,
-		SolverName:    sol.Name(),
+	search, solverName := out.Search, "streaming-"+name
+	if final {
+		sol, err := NewSolver(name, clusterK, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		solverName = sol.Name()
+	} else {
+		search = &solver.Result{
+			Deployment: out.Deployment,
+			Cost:       out.Cost,
+			Elapsed:    out.Rounds[len(out.Rounds)-1].Elapsed,
+			Winner:     lastWinner(out.Rounds),
+		}
+	}
+	rep = &StreamingReport{
+		Report: Report{
+			AllInstances:  instances,
+			Deployment:    out.Deployment,
+			Assignments:   assignments,
+			TerminatedIDs: terminated,
+			DefaultCost:   out.Problem.Cost(core.Identity(n)),
+			TunedCost:     out.Cost,
+			Measurement:   st.Wait(),
+			Search:        search,
+			SolverName:    solverName,
+		},
+		Rounds:      out.Rounds,
+		FirstAdvice: out.FirstAdvice,
 	}
 	return rep, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"cloudia/internal/cloud"
 	"cloudia/internal/core"
+	"cloudia/internal/measure"
 	"cloudia/internal/solver"
 	"cloudia/internal/topology"
 )
@@ -105,32 +106,97 @@ func TestConfigValidatedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// The streaming pipeline additionally rejects mean+sd up front — the one
-// metric with no incremental per-epoch form. Percentile metrics, which the
-// old pipeline also refused, now pass validation: epochs carry
-// sketch-based tail matrices.
-func TestStreamingRejectsMeanPlusStdEarly(t *testing.T) {
+// mean+sd streams like every other metric: epochs publish it from the
+// Welford aggregates, StreamingAdvise searches it, and the reported costs
+// are the final deployment's costs under the measurement's mean+sd matrix.
+// Batch Advise searches the same final-epoch matrix.
+func TestStreamingAdvisesMeanPlusStd(t *testing.T) {
 	g, err := core.Mesh2D(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov := validationProvider(t)
-	_, err = StreamingAdvise(prov, StreamingConfig{Config: Config{
-		Graph: g, ObjectiveSpec: ObjectiveSpec{Objective: solver.LongestLink, Metric: MetricMeanPlusStd},
-	}})
-	if err == nil || !strings.Contains(err.Error(), "does not support") {
-		t.Fatalf("mean+sd: error = %v, want streaming-metric rejection", err)
+	cfg := Config{
+		Graph:             g,
+		ObjectiveSpec:     ObjectiveSpec{Objective: solver.LongestLink, Metric: MetricMeanPlusStd},
+		MeasureDurationMS: 300,
+		SolverBudget:      solver.Budget{Nodes: 40_000},
+		Seed:              11,
 	}
-	if prov.LiveInstances() != 0 {
-		t.Fatal("mean+sd: instances allocated before validation")
-	}
-	// Mean (and the empty default) and the percentile metrics must pass.
-	for _, metric := range []Metric{MetricMean, MetricP95, MetricP99} {
-		cfg := StreamingConfig{Config: Config{
-			Graph: g, ObjectiveSpec: ObjectiveSpec{Objective: solver.LongestLink, Metric: metric},
-		}}
-		if err := cfg.validate(); err != nil {
-			t.Fatalf("metric %q rejected: %v", metric, err)
+	check := func(name string, rep *Report) {
+		t.Helper()
+		prob, err := solver.NewProblem(g, rep.Measurement.MeanPlusStdMatrix(), solver.LongestLink)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := prob.Cost(rep.Deployment); got != rep.TunedCost {
+			t.Fatalf("%s: TunedCost %g is not the mean+sd cost %g", name, rep.TunedCost, got)
+		}
+		if got := prob.Cost(core.Identity(g.NumNodes())); got != rep.DefaultCost {
+			t.Fatalf("%s: DefaultCost %g is not the mean+sd cost %g", name, rep.DefaultCost, got)
+		}
+		if rep.TunedCost > rep.DefaultCost {
+			t.Fatalf("%s: tuned %g worse than default %g", name, rep.TunedCost, rep.DefaultCost)
+		}
+	}
+	srep, err := StreamingAdvise(validationProvider(t), StreamingConfig{Config: cfg, EpochMS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(srep.Rounds) != 3 {
+		t.Fatalf("got %d rounds, want 3", len(srep.Rounds))
+	}
+	check("StreamingAdvise", &srep.Report)
+	rep, err := Advise(validationProvider(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Advise", rep)
+	if a, b := rep.Measurement.MeanPlusStdMatrix(), srep.Measurement.MeanPlusStdMatrix(); a.Fingerprint() != b.Fingerprint() {
+		t.Fatal("Advise and StreamingAdvise measured different mean+sd matrices")
+	}
+
+	// An epoch without the matrix — as the daemon posts them — fails the
+	// round the way a missing percentile tail does.
+	ch := make(chan measure.Epoch, 1)
+	ch <- measure.Epoch{Index: 1, Final: true, Matrix: rep.Measurement.MeanMatrix()}
+	close(ch)
+	if _, err := SolveStream(ch, StreamSolveConfig{
+		Graph: g, ObjectiveSpec: cfg.ObjectiveSpec, SolverName: "g1", RoundBudget: solver.Budget{Nodes: 10},
+	}); err == nil || !strings.Contains(err.Error(), "carries no mean+sd matrix") {
+		t.Fatalf("epoch without mean+sd: error = %v", err)
+	}
+}
+
+// searchDefaults is the one place Advise, SolveStream and RunRedeploy
+// resolve a solver, cluster count and budget left zero.
+func TestSearchDefaults(t *testing.T) {
+	cases := []struct {
+		name, def string
+		k         int
+		budget    solver.Budget
+		wantName  string
+		wantK     int
+		wantNodes int64
+	}{
+		{"", "cp", 0, solver.Budget{}, "cp", 20, 2_000_000},
+		{"", "mip", 0, solver.Budget{}, "mip", 0, 2_000_000},
+		{"", "portfolio", 0, solver.Budget{Nodes: 5}, "portfolio", 20, 5},
+		{"portfolio", "cp", 0, solver.Budget{}, "portfolio", 20, 2_000_000},
+		{"cp", "mip", -1, solver.Budget{}, "cp", -1, 2_000_000},
+		{"g2", "cp", 0, solver.Budget{}, "g2", 0, 2_000_000},
+		{"mip", "cp", 7, solver.Budget{}, "mip", 7, 2_000_000},
+	}
+	for _, c := range cases {
+		name, k, budget := searchDefaults(c.name, c.def, c.k, c.budget)
+		if name != c.wantName || k != c.wantK || budget.Nodes != c.wantNodes {
+			t.Errorf("searchDefaults(%q, %q, %d, %+v) = %q, %d, %+v; want %q, %d, %d nodes",
+				c.name, c.def, c.k, c.budget, name, k, budget, c.wantName, c.wantK, c.wantNodes)
+		}
+	}
+	if got := paperSolver(solver.LongestPath); got != "mip" {
+		t.Errorf("paperSolver(longest path) = %q", got)
+	}
+	if got := paperSolver(solver.LongestLink); got != "cp" {
+		t.Errorf("paperSolver(longest link) = %q", got)
 	}
 }

@@ -3,19 +3,15 @@ package advisor
 import (
 	"fmt"
 
-	"cloudia/internal/core"
 	"cloudia/internal/measure"
 	"cloudia/internal/solver"
 )
 
 // ObjectiveSpec is the one tenant-facing description of *what to optimize*,
 // accepted uniformly by Advise, StreamingAdvise, serve.Submit, the durable
-// daemon, the HTTP API, and the CLI. It replaces the scattered
-// objective/metric/scheme plumbing those entry points used to validate
-// independently (and inconsistently — the CLI rejected `-stream -metric
-// p99` at flag level while the HTTP layer had its own objective switch).
-// Entry points cast their raw strings into a spec and call Validate; the
-// spec is the single authority on which combinations exist.
+// daemon, the HTTP API, and the CLI. Entry points cast their raw strings
+// into a spec and call Validate; the spec is the single authority on which
+// combinations exist.
 //
 // Percentile metrics (p95, p99) select the multi-objective mode: search
 // optimizes the percentile matrix and, unless NoMeanTieBreak is set,
@@ -93,23 +89,4 @@ func (s ObjectiveSpec) TailPercentile() float64 {
 // NoMeanTieBreak is set.
 func (s ObjectiveSpec) TieBreak() bool {
 	return s.TailPercentile() > 0 && !s.NoMeanTieBreak
-}
-
-// metricMatrix summarizes a batch measurement result under the spec's
-// metric. For percentile metrics this is the exact sample percentile — the
-// streaming path instead consumes the sketch-based estimates the epochs
-// publish (measure.TailMatrix), which land within the sketch's
-// relative-error bound of these.
-func (s ObjectiveSpec) metricMatrix(meas *measure.Result) (*core.CostMatrix, error) {
-	switch s.Metric {
-	case "", MetricMean:
-		return meas.MeanMatrix(), nil
-	case MetricMeanPlusStd:
-		return meas.MeanPlusStdMatrix(), nil
-	case MetricP95:
-		return meas.PercentileMatrix(95), nil
-	case MetricP99:
-		return meas.P99Matrix(), nil
-	}
-	return nil, fmt.Errorf("advisor: unknown metric %q", s.Metric)
 }

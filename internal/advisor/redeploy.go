@@ -2,7 +2,6 @@ package advisor
 
 import (
 	"fmt"
-	"math"
 
 	"cloudia/internal/cloud"
 	"cloudia/internal/core"
@@ -110,11 +109,10 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 	if cfg.MinImprovement < 0 || cfg.MigrationCostPerNode < 0 {
 		return nil, fmt.Errorf("advisor: negative re-deployment thresholds")
 	}
-	n := cfg.Graph.NumNodes()
-	total := int(math.Ceil(float64(n) * (1 + cfg.OverAllocation)))
-	if total < n {
-		total = n
+	if cfg.OverAllocation < 0 {
+		return nil, fmt.Errorf("advisor: negative over-allocation %g", cfg.OverAllocation)
 	}
+	total := OverAllocate(cfg.Graph.NumNodes(), cfg.OverAllocation)
 	instances, err := prov.RunInstances(total)
 	if err != nil {
 		return nil, err
@@ -129,22 +127,7 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 	if dur == 0 {
 		dur = 20 * float64(total)
 	}
-	budget := cfg.SolverBudget
-	if budget.Unlimited() {
-		budget = solver.Budget{Nodes: 2_000_000}
-	}
-	name := cfg.SolverName
-	if name == "" {
-		if cfg.Objective == solver.LongestPath {
-			name = "mip"
-		} else {
-			name = "cp"
-		}
-	}
-	clusterK := cfg.ClusterK
-	if clusterK == 0 && name == "cp" {
-		clusterK = 20
-	}
+	name, clusterK, budget := searchDefaults(cfg.SolverName, paperSolver(cfg.Objective), cfg.ClusterK, cfg.SolverBudget)
 
 	// solveAt measures the network at the given hour and searches a plan.
 	// The problem is returned so each period's cost evaluations reuse it —

@@ -149,3 +149,38 @@ func TestRedeployKeepsSpareInstances(t *testing.T) {
 		t.Fatalf("live instances %d, want %d", p.LiveInstances(), before+len(rep.Instances))
 	}
 }
+
+// A session sizes its allocation the way Advise does, n + ceil(n*ratio)
+// robust to float rounding (50 nodes at 0.1 is 55 instances; the naive
+// ceil(50*1.1) gave 56), and rejects a negative ratio before allocating
+// anything.
+func TestRedeployAllocationSize(t *testing.T) {
+	p := shiftingProvider(t, 8, 19)
+	cfg := RedeployConfig{
+		Objective:      solver.LongestLink,
+		OverAllocation: 0.1,
+		PeriodHours:    8,
+		Periods:        1,
+		Seed:           21,
+		SolverBudget:   solver.Budget{Nodes: 20_000},
+	}
+	for _, c := range []struct{ rows, cols, want int }{{2, 5, 11}, {5, 10, 55}} {
+		cfg.Graph = meshGraph(t, c.rows, c.cols)
+		rep, err := RunRedeploy(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Instances) != c.want {
+			t.Fatalf("%d nodes at 0.1 allocated %d instances, want %d", c.rows*c.cols, len(rep.Instances), c.want)
+		}
+	}
+
+	before := p.LiveInstances()
+	cfg.OverAllocation = -0.1
+	if _, err := RunRedeploy(p, cfg); err == nil {
+		t.Fatal("negative over-allocation accepted")
+	}
+	if p.LiveInstances() != before {
+		t.Fatalf("negative over-allocation allocated %d instances", p.LiveInstances()-before)
+	}
+}

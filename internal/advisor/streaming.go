@@ -12,15 +12,13 @@ import (
 	"cloudia/internal/solver"
 )
 
-// This file implements incremental advising over streaming measurement: the
-// batch pipeline (Advise) pays measurement budget + solve budget end to end
-// because measure.Run materializes the full m x m sample set before any
-// solver sees a cost. StreamingAdvise instead consumes measure.Stream's
-// matrix epochs as they mature, interleaving a portfolio solve against each
-// epoch and warm-starting every round from the previous incumbent, so the
-// first feasible advice lands after one epoch plus one short round — and
-// advice quality converges while measurement is still in flight,
-// reproducing the Fig. 5 convergence story end to end.
+// This file implements incremental advising over streaming measurement:
+// StreamingAdvise consumes measure.Stream's matrix epochs as they mature,
+// interleaving a solve against each epoch and warm-starting every round
+// from the previous incumbent, so the first feasible advice lands after one
+// epoch plus one short round — and advice quality converges while
+// measurement is still in flight, reproducing the Fig. 5 convergence story
+// end to end. Advise is the same loop over the final epoch alone.
 
 // StreamingConfig drives one incremental advising run. The embedded Config
 // fields keep their batch meanings; SolverName defaults to the full
@@ -70,10 +68,11 @@ type StreamOutcome struct {
 	// the final epoch's matrix.
 	Deployment core.Deployment
 	Cost       float64
-	// Problem is the final epoch's problem; its matrix is bit-identical to
-	// what batch measurement would have produced, and its Prep carries the
+	// Problem is the final epoch's problem; its Prep carries the
 	// accumulated preprocessing for any follow-up solves.
 	Problem *solver.Problem
+	// Search is the final round's solver result.
+	Search *solver.Result
 	// Rounds records every solve round in order.
 	Rounds []Round
 	// FirstAdvice is the wall-clock time to the first feasible advice.
@@ -91,14 +90,15 @@ type StreamSolveConfig struct {
 	// ObjectiveSpec says what to optimize. With a percentile metric each
 	// round searches the epoch's published percentile matrix (ep.Tail) and,
 	// unless NoMeanTieBreak is set, tie-breaks equal-cost candidates on the
-	// epoch's mean matrix. The spec's Scheme is ignored here — SolveStream
-	// consumes epochs, it does not measure.
+	// epoch's mean matrix; with mean+sd it searches ep.MeanPlusStd. The
+	// spec's Scheme is ignored here — SolveStream consumes epochs, it does
+	// not measure.
 	ObjectiveSpec
 	// SolverName picks the per-round search technique (as in Config);
 	// empty selects the racing portfolio.
 	SolverName string
 	// ClusterK rounds costs for cp/portfolio members; zero selects the
-	// paper's k=20 for them, mirroring Advise.
+	// paper's k=20 for them.
 	ClusterK int
 	// RoundBudget bounds each round's solve; required (an unbounded round
 	// would swallow the stream).
@@ -153,21 +153,10 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 	if err := cfg.ObjectiveSpec.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Metric == MetricMeanPlusStd {
-		return nil, fmt.Errorf("advisor: streaming advising does not support the %q metric (epochs carry mean and percentile matrices)", MetricMeanPlusStd)
-	}
 	if cfg.RoundBudget.Unlimited() {
 		return nil, fmt.Errorf("advisor: streaming rounds require a bounded budget")
 	}
-	pct := cfg.TailPercentile()
-	name := cfg.SolverName
-	if name == "" {
-		name = "portfolio"
-	}
-	clusterK := cfg.ClusterK
-	if clusterK == 0 && (name == "cp" || name == "portfolio") {
-		clusterK = 20
-	}
+	name, clusterK, _ := searchDefaults(cfg.SolverName, "portfolio", cfg.ClusterK, cfg.RoundBudget)
 
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -189,7 +178,7 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 			break
 		}
 		skipped := 0
-		primary, changedRows, tie, err := epochPrimary(ep, pct, cfg.TieBreak())
+		primary, changedRows, tie, err := epochPrimary(ep, cfg.ObjectiveSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -203,9 +192,9 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 				// so skipping epochs means the rows they changed must be
 				// carried: the union is the change set between the last
 				// solved epoch and the one this round consumes. For
-				// percentile metrics the union runs over the tail matrices'
+				// spread metrics the union runs over the searched matrices'
 				// own changed-row sets — they drive the Evolve contract.
-				np, nc, nt, err := epochPrimary(next, pct, cfg.TieBreak())
+				np, nc, nt, err := epochPrimary(next, cfg.ObjectiveSpec)
 				if err != nil {
 					return nil, err
 				}
@@ -285,6 +274,7 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 		r.Cost = incumbentCost
 		r.Elapsed = time.Since(start)
 		out.Rounds = append(out.Rounds, r)
+		out.Search = res
 		if cfg.OnRound != nil {
 			cfg.OnRound(r)
 		}
@@ -307,24 +297,29 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 	return out, nil
 }
 
-// epochPrimary selects the matrix a round searches: the epoch's mean matrix
-// for mean metrics, or its published pct-percentile tail matrix (with the
-// mean as tie-break when enabled) for percentile metrics. An epoch without
-// the requested tail is a configuration error — the producer was not built
-// with quantile sketches.
-func epochPrimary(ep measure.Epoch, pct float64, tieBreak bool) (*core.CostMatrix, []int, *core.CostMatrix, error) {
-	if pct == 0 {
+// epochPrimary selects the matrix a round searches under the spec's
+// metric: the epoch's mean matrix, its mean+sd matrix, or its published
+// percentile matrix (with the mean as tie-break when enabled). An epoch
+// without the requested matrix is a configuration error — the producer
+// keeps no spread statistics.
+func epochPrimary(ep measure.Epoch, spec ObjectiveSpec) (*core.CostMatrix, []int, *core.CostMatrix, error) {
+	var m *measure.TailMatrix
+	switch pct := spec.TailPercentile(); {
+	case pct > 0:
+		m = ep.Tail(pct)
+	case spec.Metric == MetricMeanPlusStd:
+		m = ep.MeanPlusStd
+	default:
 		return ep.Matrix, ep.ChangedRows, nil, nil
 	}
-	tail := ep.Tail(pct)
-	if tail == nil {
-		return nil, nil, nil, fmt.Errorf("advisor: epoch %d carries no p%g matrix — percentile streaming needs a sketch-enabled producer (measure.Options.TailAlpha > 0, or tail rows posted to the daemon)", ep.Index, pct)
+	if m == nil {
+		return nil, nil, nil, fmt.Errorf("advisor: epoch %d carries no %s matrix — its producer keeps no spread statistics (measure.Options.TailAlpha = 0, or a daemon tenant posting no matching tail rows)", ep.Index, spec.Metric)
 	}
 	var tie *core.CostMatrix
-	if tieBreak {
+	if spec.TieBreak() {
 		tie = ep.Matrix
 	}
-	return tail.Matrix, tail.ChangedRows, tie, nil
+	return m.Matrix, m.ChangedRows, tie, nil
 }
 
 // unionRows merges two ascending row lists into one ascending list without
@@ -397,146 +392,12 @@ type StreamingReport struct {
 // StreamingAdvise runs the incremental ClouDiA pipeline: allocate, start a
 // streaming measurement, interleave warm-started portfolio rounds against
 // its matrix epochs, and terminate the extra instances once the final epoch
-// is solved. The final epoch's matrix is bit-identical to what batch Advise
-// would have measured with the same options, so streaming trades nothing
-// for its earlier first advice. As in Advise, a failure after allocation
+// is solved. The final epoch's matrices are bit-identical to the ones
+// Advise searches with the same options, so streaming trades nothing for
+// its earlier first advice. As in Advise, a failure after allocation
 // terminates every instance before returning.
-func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (rep *StreamingReport, err error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := cfg.Graph.NumNodes()
-
-	total := OverAllocate(n, cfg.OverAllocation)
-	instances, err := prov.RunInstances(total)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			err = terminateAll(prov, instances, err)
-		}
-	}()
-
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = measure.Staged
-	}
-	dur := cfg.MeasureDurationMS
-	if dur == 0 {
-		dur = 20 * float64(total)
-	}
-	epochMS := cfg.EpochMS
-	if epochMS == 0 {
-		epochMS = dur / 8
-	}
-	roundBudget := cfg.RoundBudget
-	if roundBudget.Unlimited() {
-		total := cfg.SolverBudget
-		if total.Unlimited() {
-			total = solver.Budget{Nodes: 2_000_000}
-		}
-		// measure.Stream publishes intermediate epochs in [epochMS, dur)
-		// plus the final one: ceil(dur/epochMS) rounds in total.
-		rounds := int64(math.Ceil(dur / epochMS))
-		if rounds < 1 {
-			rounds = 1
-		}
-		roundBudget = solver.Budget{
-			Time:  total.Time / time.Duration(rounds),
-			Nodes: total.Nodes / rounds,
-		}
-		if total.Time > 0 && roundBudget.Time <= 0 {
-			roundBudget.Time = time.Millisecond
-		}
-		if total.Nodes > 0 && roundBudget.Nodes <= 0 {
-			roundBudget.Nodes = 1
-		}
-	}
-
-	// Percentile metrics need the measurement to maintain per-link quantile
-	// sketches so epochs publish tail matrices.
-	var tailAlpha float64
-	if cfg.TailPercentile() > 0 {
-		tailAlpha = measure.DefaultTailAlpha
-	}
-	st, err := measure.Stream(prov.Datacenter(), instances, measure.Options{
-		Scheme:          scheme,
-		DurationMS:      dur,
-		Seed:            cfg.Seed,
-		SnapshotEveryMS: epochMS,
-		TailAlpha:       tailAlpha,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Every epoch gets a round (no coalescing): the simulated measurement
-	// completes in real milliseconds, so its epochs are all pending by the
-	// time the loop starts, and replaying them preserves the per-epoch
-	// convergence trajectory a real deployment would see. Epoch sources
-	// that mature in real time should set Coalesce instead.
-	out, err := SolveStream(st.Epochs, StreamSolveConfig{
-		Graph:         cfg.Graph,
-		ObjectiveSpec: cfg.ObjectiveSpec,
-		SolverName:    cfg.SolverName,
-		ClusterK:      cfg.ClusterK,
-		RoundBudget:   roundBudget,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	meas := st.Wait()
-
-	// Terminate the extra instances (Fig. 3, "Terminate Extra Instances").
-	used := make([]bool, total)
-	for _, inst := range out.Deployment {
-		used[inst] = true
-	}
-	var terminated []string
-	for i, inst := range instances {
-		if !used[i] {
-			terminated = append(terminated, inst.ID)
-		}
-	}
-	if err := prov.TerminateInstances(terminated); err != nil {
-		return nil, err
-	}
-
-	assignments := make([]cloud.Instance, n)
-	for node, inst := range out.Deployment {
-		assignments[node] = instances[inst]
-	}
-	last := out.Rounds[len(out.Rounds)-1]
-	rep = &StreamingReport{
-		Report: Report{
-			AllInstances:  instances,
-			Deployment:    out.Deployment,
-			Assignments:   assignments,
-			TerminatedIDs: terminated,
-			DefaultCost:   out.Problem.Cost(core.Identity(n)),
-			TunedCost:     out.Cost,
-			Measurement:   meas,
-			Search: &solver.Result{
-				Deployment: out.Deployment,
-				Cost:       out.Cost,
-				Elapsed:    last.Elapsed,
-				Winner:     lastWinner(out.Rounds),
-			},
-			SolverName: "streaming-" + streamSolverName(cfg.SolverName),
-		},
-		Rounds:      out.Rounds,
-		FirstAdvice: out.FirstAdvice,
-	}
-	return rep, nil
-}
-
-func streamSolverName(name string) string {
-	if name == "" {
-		return "portfolio"
-	}
-	return name
+func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (*StreamingReport, error) {
+	return advise(prov, cfg, false)
 }
 
 // lastWinner returns the most recent round winner, skipping rounds where

@@ -208,26 +208,30 @@ func Fig05MeasurementConvergence(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := measure.Run(dc, insts, measure.Options{
+	st, err := measure.Stream(dc, insts, measure.Options{
 		Scheme: measure.Staged, DurationMS: durMS, Seed: opts.Seed + 3,
 		SnapshotEveryMS: durMS / 30,
 	})
 	if err != nil {
 		return nil, err
 	}
-	truth := stats.NormalizeUnit(res.MeanMatrix().OffDiagonal())
+	var epochs []measure.Epoch
+	for ep := range st.Epochs {
+		epochs = append(epochs, ep)
+	}
+	truth := stats.NormalizeUnit(epochs[len(epochs)-1].Matrix.OffDiagonal())
 	fig := &Figure{
 		ID: "fig05", Title: "Staged measurement convergence (RMSE vs ground truth)",
 		XLabel: "measurement_ms", YLabel: "rmse",
 	}
 	s := Series{Name: "RMSE"}
-	for _, snap := range res.Snapshots {
-		est := stats.NormalizeUnit(snap.Mean.OffDiagonal())
+	for _, ep := range epochs {
+		est := stats.NormalizeUnit(ep.Matrix.OffDiagonal())
 		rmse, err := stats.RMSE(est, truth)
 		if err != nil {
 			return nil, err
 		}
-		s.X = append(s.X, snap.AtMS)
+		s.X = append(s.X, ep.AtMS)
 		s.Y = append(s.Y, rmse)
 	}
 	fig.Series = append(fig.Series, s)

@@ -41,13 +41,18 @@ func Fig10MetricCorrelation(opts Options) (*Figure, error) {
 	}
 	res, err := measure.Run(dc, insts, measure.Options{
 		Scheme: measure.Staged, DurationMS: durMS, Seed: opts.Seed + 10,
+		TailAlpha: measure.DefaultTailAlpha,
 	})
+	if err != nil {
+		return nil, err
+	}
+	p99m, err := res.TailMatrix(99)
 	if err != nil {
 		return nil, err
 	}
 	mean := res.MeanMatrix().OffDiagonal()
 	msd := res.MeanPlusStdMatrix().OffDiagonal()
-	p99 := res.P99Matrix().OffDiagonal()
+	p99 := p99m.OffDiagonal()
 
 	fig := &Figure{
 		ID: "fig10", Title: "Correlation between latency cost metrics",
@@ -84,6 +89,7 @@ func newBenchFleet(n int, measureMS float64, seed int64) (*benchFleet, error) {
 	}
 	meas, err := measure.Run(dc, insts, measure.Options{
 		Scheme: measure.Staged, DurationMS: measureMS, Seed: seed + 1,
+		TailAlpha: measure.DefaultTailAlpha,
 	})
 	if err != nil {
 		return nil, err
@@ -101,7 +107,10 @@ func (f *benchFleet) solveDeployment(g *core.Graph, obj solver.Objective, metric
 	case "mean+sd":
 		costs = f.meas.MeanPlusStdMatrix()
 	case "p99":
-		costs = f.meas.P99Matrix()
+		var err error
+		if costs, err = f.meas.TailMatrix(99); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("bench: unknown metric %q", metric)
 	}

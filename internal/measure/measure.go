@@ -31,8 +31,8 @@ import (
 )
 
 // DefaultTailAlpha is the conventional relative-error bound for per-link
-// quantile sketches (Options.TailAlpha): what StreamingAdvise configures
-// when a percentile metric is requested.
+// quantile sketches (Options.TailAlpha): what the advisor configures for
+// every metric but the mean.
 const DefaultTailAlpha = sketch.DefaultAlpha
 
 // Scheme selects a measurement strategy.
@@ -62,8 +62,10 @@ type Options struct {
 	// so non-stationary networks (topology.Profile.RegimeHours) are
 	// measured in the regime that will hold during execution.
 	StartHours float64
-	// SnapshotEveryMS, when positive, records a snapshot of the running
-	// mean-latency matrix at that period, for convergence analysis (Fig. 5).
+	// SnapshotEveryMS is Stream's epoch period: the running estimate is
+	// published as a matrix epoch at that virtual-time period, which is
+	// what convergence analysis (Fig. 5) reads. Zero selects one eighth of
+	// DurationMS. Run publishes only the final epoch and ignores it.
 	SnapshotEveryMS float64
 	// Contention models the replier-side delay incurred when a probe
 	// arrives at an instance that has its own probe outstanding (the
@@ -75,8 +77,9 @@ type Options struct {
 	// TailAlpha, when positive, maintains a mergeable per-link quantile
 	// sketch (internal/sketch) with that relative-error bound alongside the
 	// mean aggregates, so TailMatrix and streaming epoch Tails can publish
-	// percentile matrices incrementally. Zero disables sketches; negative is
-	// an error. DefaultTailAlpha is the conventional setting.
+	// percentile matrices incrementally; epochs then also publish the
+	// mean+sd matrix (Epoch.MeanPlusStd). Zero disables sketches; negative
+	// is an error. DefaultTailAlpha is the conventional setting.
 	TailAlpha float64
 	// Background, when non-nil, injects application traffic during the
 	// measurement — the overlapped-execution mode of Sect. 2.2.2, where the
@@ -136,23 +139,14 @@ func (o *Options) withDefaults() (Options, error) {
 	return out, nil
 }
 
-// Snapshot is the state of the running mean estimate at a point in virtual
-// time.
-type Snapshot struct {
-	AtMS float64
-	Mean *core.CostMatrix
-}
-
 // Result holds per-link latency sample aggregates from one measurement run.
 type Result struct {
 	N            int
 	Scheme       Scheme
 	DurationMS   float64
 	TotalSamples int64
-	Snapshots    []Snapshot
 
-	agg     []stats.Welford // per ordered pair, row-major
-	samples [][]float64     // per ordered pair, for percentile metrics
+	agg []stats.Welford // per ordered pair, row-major
 
 	// tailAlpha > 0 enables per-link quantile sketches, allocated lazily in
 	// tails on the first sample of each ordered pair.
@@ -162,10 +156,9 @@ type Result struct {
 
 func newResult(n int, scheme Scheme) *Result {
 	return &Result{
-		N:       n,
-		Scheme:  scheme,
-		agg:     make([]stats.Welford, n*n),
-		samples: make([][]float64, n*n),
+		N:      n,
+		Scheme: scheme,
+		agg:    make([]stats.Welford, n*n),
 	}
 }
 
@@ -184,7 +177,6 @@ func (r *Result) TailAlpha() float64 { return r.tailAlpha }
 func (r *Result) record(i, j int, rtt float64) {
 	k := i*r.N + j
 	r.agg[k].Add(rtt)
-	r.samples[k] = append(r.samples[k], rtt)
 	if r.tailAlpha > 0 {
 		if r.tails[k] == nil {
 			r.tails[k] = sketch.New(r.tailAlpha)
@@ -233,63 +225,32 @@ func (r *Result) globalMean() float64 {
 // MeanMatrix returns the estimated mean RTT per ordered pair. Unsampled
 // links fall back to the global mean estimate.
 func (r *Result) MeanMatrix() *core.CostMatrix {
-	return r.matrix(func(w *stats.Welford, _ []float64) float64 { return w.Mean() })
+	return r.matrix(func(k int) float64 { return r.agg[k].Mean() })
 }
 
 // MeanPlusStdMatrix returns mean + standard deviation per link, the jitter-
 // sensitive metric of Sect. 3.2.
 func (r *Result) MeanPlusStdMatrix() *core.CostMatrix {
-	return r.matrix(func(w *stats.Welford, _ []float64) float64 { return w.Mean() + w.Std() })
-}
-
-// P99Matrix returns the 99th-percentile RTT per link, the tail-latency
-// metric of Sect. 3.2.
-func (r *Result) P99Matrix() *core.CostMatrix { return r.PercentileMatrix(99) }
-
-// PercentileMatrix returns the exact p-th percentile RTT per link from the
-// retained samples (linear interpolation, stats.Percentile). Unsampled
-// links fall back to the global mean estimate.
-func (r *Result) PercentileMatrix(p float64) *core.CostMatrix {
-	return r.matrix(func(_ *stats.Welford, xs []float64) float64 {
-		v, err := stats.Percentile(xs, p)
-		if err != nil {
-			return 0
-		}
-		return v
-	})
+	return r.matrix(func(k int) float64 { return r.agg[k].Mean() + r.agg[k].Std() })
 }
 
 // TailMatrix returns the pct-percentile RTT per link estimated from the
-// per-link quantile sketches: each sampled link reports a value within
-// relative error TailAlpha of its exact nearest-rank percentile sample
-// (see internal/sketch for the bound against interpolated percentiles).
-// Unsampled links fall back to the global mean — the same fallback entries
-// PercentileMatrix produces, so the two matrices agree exactly there.
-// Requires Options.TailAlpha > 0 at measurement time.
+// per-link quantile sketches, the tail-latency metric of Sect. 3.2: each
+// sampled link reports a value within relative error TailAlpha of its
+// exact nearest-rank percentile sample (see internal/sketch for the bound
+// against interpolated percentiles). Unsampled links fall back to the
+// global mean estimate. Requires Options.TailAlpha > 0 at measurement time.
 func (r *Result) TailMatrix(pct float64) (*core.CostMatrix, error) {
 	if r.tailAlpha <= 0 {
 		return nil, fmt.Errorf("measure: tail sketches disabled (Options.TailAlpha = 0)")
 	}
 	q := pct / 100
-	m := core.NewCostMatrix(r.N)
-	fallback := r.globalMean()
-	for i := 0; i < r.N; i++ {
-		for j := 0; j < r.N; j++ {
-			if i == j {
-				continue
-			}
-			k := i*r.N + j
-			if r.agg[k].N() == 0 {
-				m.Set(i, j, fallback)
-				continue
-			}
-			m.Set(i, j, r.tails[k].Quantile(q))
-		}
-	}
-	return m, nil
+	return r.matrix(func(k int) float64 { return r.tails[k].Quantile(q) }), nil
 }
 
-func (r *Result) matrix(f func(*stats.Welford, []float64) float64) *core.CostMatrix {
+// matrix builds a cost matrix from a per-link summary f of the flat pair
+// index k, with the global-mean fallback on unsampled links.
+func (r *Result) matrix(f func(k int) float64) *core.CostMatrix {
 	m := core.NewCostMatrix(r.N)
 	fallback := r.globalMean()
 	for i := 0; i < r.N; i++ {
@@ -302,14 +263,14 @@ func (r *Result) matrix(f func(*stats.Welford, []float64) float64) *core.CostMat
 				m.Set(i, j, fallback)
 				continue
 			}
-			m.Set(i, j, f(&r.agg[k], r.samples[k]))
+			m.Set(i, j, f(k))
 		}
 	}
 	return m
 }
 
 // prepare validates opts and builds the simulator, result aggregate, and
-// scheme runner shared by Run and Stream. The returned runner has background
+// scheme runner for Stream. The returned runner has background
 // traffic scheduled but no scheme started.
 func prepare(dc *topology.Datacenter, instances []cloud.Instance, opts Options) (*runner, Options, error) {
 	o, err := opts.withDefaults()
@@ -370,26 +331,16 @@ func prepare(dc *topology.Datacenter, instances []cloud.Instance, opts Options) 
 }
 
 // Run executes one measurement over the given instances and returns the
-// aggregated result. At least two instances are required.
+// aggregated result: Stream with a single final epoch, drained. At least
+// two instances are required.
 func Run(dc *topology.Datacenter, instances []cloud.Instance, opts Options) (*Result, error) {
-	m, o, err := prepare(dc, instances, opts)
+	st, err := stream(dc, instances, opts, opts.DurationMS)
 	if err != nil {
 		return nil, err
 	}
-	res, sim := m.res, m.sim
-
-	if o.SnapshotEveryMS > 0 {
-		for t := o.SnapshotEveryMS; t <= o.DurationMS; t += o.SnapshotEveryMS {
-			t := t
-			sim.At(t, func() {
-				res.Snapshots = append(res.Snapshots, Snapshot{AtMS: t, Mean: res.MeanMatrix()})
-			})
-		}
+	for range st.Epochs {
 	}
-
-	m.start()
-	sim.RunUntil(o.DurationMS)
-	return res, nil
+	return st.Wait(), nil
 }
 
 // runner holds the per-run mutable state shared by the scheme drivers.

@@ -173,33 +173,18 @@ func TestStagedMoreAccurateThanUncoordinated(t *testing.T) {
 	}
 }
 
-func TestSnapshotsRecorded(t *testing.T) {
-	dc, insts := testFleet(t, 5, 12)
-	res, err := Run(dc, insts, Options{
-		Scheme: Staged, DurationMS: 1000, Seed: 13, SnapshotEveryMS: 250,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Snapshots) != 4 {
-		t.Fatalf("snapshots = %d, want 4", len(res.Snapshots))
-	}
-	for i := 1; i < len(res.Snapshots); i++ {
-		if res.Snapshots[i].AtMS <= res.Snapshots[i-1].AtMS {
-			t.Fatal("snapshots not in time order")
-		}
-	}
-}
-
 func TestMetricMatricesOrdered(t *testing.T) {
 	dc, insts := testFleet(t, 6, 14)
-	res, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 4000, Seed: 15})
+	res, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 4000, Seed: 15, TailAlpha: DefaultTailAlpha})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := res.MeanMatrix()
 	msd := res.MeanPlusStdMatrix()
-	p99 := res.P99Matrix()
+	p99, err := res.TailMatrix(99)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			if i == j {
@@ -221,11 +206,15 @@ func TestMetricMatricesOrdered(t *testing.T) {
 
 func TestResultMatricesValidate(t *testing.T) {
 	dc, insts := testFleet(t, 5, 16)
-	res, err := Run(dc, insts, Options{Scheme: Uncoordinated, DurationMS: 500, Seed: 17})
+	res, err := Run(dc, insts, Options{Scheme: Uncoordinated, DurationMS: 500, Seed: 17, TailAlpha: DefaultTailAlpha})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []interface{ Validate() error }{res.MeanMatrix(), res.MeanPlusStdMatrix(), res.P99Matrix()} {
+	p99, err := res.TailMatrix(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []interface{ Validate() error }{res.MeanMatrix(), res.MeanPlusStdMatrix(), p99} {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("matrix invalid: %v", err)
 		}

@@ -9,14 +9,15 @@ import (
 )
 
 // This file implements streaming measurement: instead of materializing the
-// full m x m sample set before any solver sees a cost (the batch barrier of
-// Run), Stream publishes the running mean-latency estimate as a sequence of
-// matrix epochs while the measurement is still in flight. Each epoch carries
-// the set of rows that actually changed, which is the invalidation unit of
-// the solver preprocessing cache — advising can begin after the first epoch
-// and refine against later ones, overlapping measurement with search the way
-// the paper's staged scheme overlaps probes with each other (Sect. 5), and
-// reproducing the Fig. 5 convergence story end to end.
+// full m x m sample set before any solver sees a cost, Stream publishes the
+// running mean-latency estimate as a sequence of matrix epochs while the
+// measurement is still in flight. Each epoch carries the set of rows that
+// actually changed, which is the invalidation unit of the solver
+// preprocessing cache — advising can begin after the first epoch and refine
+// against later ones, overlapping measurement with search the way the
+// paper's staged scheme overlaps probes with each other (Sect. 5), and
+// reproducing the Fig. 5 convergence story end to end. Run is the
+// one-epoch case: only the final epoch, drained.
 
 // Epoch is one published state of the streaming mean-cost estimate.
 type Epoch struct {
@@ -25,8 +26,8 @@ type Epoch struct {
 	// AtMS is the virtual measurement time of the snapshot.
 	AtMS float64
 	// Final marks the epoch published after the measurement budget expired.
-	// Its Matrix is bit-identical to batch Run's MeanMatrix for the same
-	// options and seed.
+	// Its matrices are bit-identical whatever the epoch period, so they
+	// equal Run's for the same options and seed.
 	Final bool
 	// Matrix is an immutable snapshot of the running mean estimate, with the
 	// usual global-mean fallback on still-unsampled links.
@@ -48,20 +49,27 @@ type Epoch struct {
 	// the producer maintains quantile sketches (Options.TailAlpha > 0, or
 	// a daemon tenant posting tail rows); empty otherwise.
 	Tails []TailMatrix
+	// MeanPlusStd is the mean + standard deviation matrix (Sect. 3.2),
+	// published from the Welford aggregates beside Tails with the same
+	// invariants. Present only when the measurement keeps quantile
+	// sketches (Options.TailAlpha > 0); nil otherwise, and on every epoch
+	// posted to the daemon.
+	MeanPlusStd *TailMatrix
 }
 
 // TailPercentiles lists the percentile matrices a sketch-enabled streaming
 // measurement publishes with every epoch, ascending.
 var TailPercentiles = []float64{95, 99}
 
-// TailMatrix is one percentile matrix published with an epoch. It carries
+// TailMatrix is one spread-sensitive matrix published with an epoch: a
+// percentile in Epoch.Tails, or Epoch.MeanPlusStd. It carries
 // the same invariants as the epoch's mean matrix: an immutable snapshot,
 // the exact ascending set of rows that changed since the previous epoch's
 // matrix for the same percentile, and an incrementally maintained content
 // fingerprint of its own — percentile matrices are distinct cache keys
 // from the mean matrix they ride along with.
 type TailMatrix struct {
-	// Pct is the percentile, e.g. 95 or 99.
+	// Pct is the percentile, e.g. 95 or 99; zero on Epoch.MeanPlusStd.
 	Pct float64
 	// Matrix is the immutable percentile estimate snapshot.
 	Matrix *core.CostMatrix
@@ -137,10 +145,7 @@ type Streamer struct {
 }
 
 // Wait blocks until the measurement completes and returns its aggregate
-// result: the same per-link aggregates Run would have produced for the same
-// options. When the caller set SnapshotEveryMS explicitly, one convergence
-// snapshot per published epoch is recorded too; under the defaulted period
-// the epoch channel alone carries the matrices.
+// result.
 func (s *Streamer) Wait() *Result {
 	<-s.done
 	return s.res
@@ -153,36 +158,35 @@ func (s *Streamer) Wait() *Result {
 // on its own goroutine so the caller can consume epochs while measurement
 // progresses.
 //
-// Equivalence guarantee: the final epoch's Matrix is bit-identical to
-// Run(dc, instances, opts).MeanMatrix() for the same options and seed. Epoch
-// snapshots only read the sample aggregates — they never touch the
-// simulator or its RNG — so publishing them cannot perturb the measurement.
+// Epoch snapshots only read the sample aggregates — they never touch the
+// simulator or its RNG — so publishing them cannot perturb the measurement:
+// the final epoch and Wait's Result are bit-identical whatever the period.
 func Stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options) (*Streamer, error) {
 	if opts.SnapshotEveryMS < 0 {
 		return nil, fmt.Errorf("measure: negative snapshot period %g", opts.SnapshotEveryMS)
 	}
-	// Full per-epoch matrices are retained in Result.Snapshots only when the
-	// caller asked for a snapshot period, mirroring Run's opt-in; under the
-	// defaulted period the epoch channel is the streaming product and the
-	// Result stays lean.
-	recordSnapshots := opts.SnapshotEveryMS > 0
-	if opts.SnapshotEveryMS == 0 {
-		opts.SnapshotEveryMS = opts.DurationMS / 8
+	period := opts.SnapshotEveryMS
+	if period == 0 {
+		period = opts.DurationMS / 8
 	}
+	return stream(dc, instances, opts, period)
+}
+
+// stream runs Stream with an epoch period already resolved; a period of at
+// least the measurement budget publishes only the final epoch.
+func stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options, periodMS float64) (*Streamer, error) {
 	m, o, err := prepare(dc, instances, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	epochs := int(o.DurationMS/o.SnapshotEveryMS) + 2
-	ch := make(chan Epoch, epochs)
+	ch := make(chan Epoch, int(o.DurationMS/periodMS)+2)
 	st := &Streamer{Epochs: ch, done: make(chan struct{}), res: m.res}
 
 	go func() {
 		defer close(st.done)
 		defer close(ch)
 
-		mm := core.NewMutableCostMatrix(m.n)
 		fold := func(dst *core.MutableCostMatrix, src *core.CostMatrix) {
 			for i := 0; i < m.n; i++ {
 				for j := 0; j < m.n; j++ {
@@ -192,48 +196,38 @@ func Stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options) (
 				}
 			}
 		}
-		// With sketches enabled, each published percentile gets its own
-		// mutable matrix so its changed-row sets and fingerprint evolve
-		// independently of the mean's.
+		// Each published matrix gets its own mutable matrix so its
+		// changed-row sets and fingerprint evolve independently. Set marks
+		// a row dirty only on a real value change, so the published
+		// changed-row set is exact even though every entry is re-folded.
+		mean := core.NewMutableCostMatrix(m.n)
 		var tails []*core.MutableCostMatrix
+		var spread *core.MutableCostMatrix
 		if o.TailAlpha > 0 {
 			tails = make([]*core.MutableCostMatrix, len(TailPercentiles))
 			for i := range tails {
 				tails[i] = core.NewMutableCostMatrix(m.n)
 			}
+			spread = core.NewMutableCostMatrix(m.n)
 		}
 		emit := func(at float64, final bool) {
-			// Fold the current estimate — the same MeanMatrix computation
-			// batch consumers see — into the mutable matrix; Set marks a row
-			// dirty only on a real value change, so the published
-			// changed-row set is exact even though every entry is re-folded.
-			est := m.res.MeanMatrix()
-			if recordSnapshots {
-				// Mirror Run's convergence record so Wait's Result serves
-				// the same Fig. 5 analyses: one snapshot per epoch.
-				m.res.Snapshots = append(m.res.Snapshots, Snapshot{AtMS: at, Mean: est})
-			}
-			fold(mm, est)
-			ep := PublishEpoch(mm, at, final, m.res.TotalSamples)
-			if tails != nil {
+			fold(mean, m.res.MeanMatrix())
+			ep := PublishEpoch(mean, at, final, m.res.TotalSamples)
+			if spread != nil {
 				for x, pct := range TailPercentiles {
-					// TailMatrix cannot fail here: tails is non-nil only
-					// when o.TailAlpha > 0, which enabled the sketches.
-					tm, err := m.res.TailMatrix(pct)
-					if err != nil {
-						break
-					}
+					// Cannot fail: the sketches are on (o.TailAlpha > 0).
+					tm, _ := m.res.TailMatrix(pct)
 					fold(tails[x], tm)
 					ep.Tails = append(ep.Tails, PublishTail(tails[x], pct))
 				}
+				fold(spread, m.res.MeanPlusStdMatrix())
+				msd := PublishTail(spread, 0)
+				ep.MeanPlusStd = &msd
 			}
 			ch <- ep
 		}
 
-		// Schedule the intermediate epochs exactly where Run schedules its
-		// convergence snapshots, then drive the measurement to completion
-		// and publish the final epoch from the drained aggregates.
-		for t := o.SnapshotEveryMS; t < o.DurationMS; t += o.SnapshotEveryMS {
+		for t := periodMS; t < o.DurationMS; t += periodMS {
 			t := t
 			m.sim.At(t, func() { emit(t, false) })
 		}

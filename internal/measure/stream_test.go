@@ -1,59 +1,69 @@
 package measure
 
 import (
+	"fmt"
 	"testing"
+
+	"cloudia/internal/core"
 )
 
-// TestStreamFinalEpochMatchesRun is the streaming-vs-batch equivalence
-// property: for every scheme and a spread of seeds, the final Stream epoch's
-// matrix must be bit-identical to batch Run's MeanMatrix — both for a batch
-// run with the same snapshot schedule and for a plain batch run with no
-// snapshots at all (epoch publication must not perturb the measurement).
+// TestStreamFinalEpochMatchesRun is the "publishing does not perturb the
+// measurement" property: for every scheme and a spread of seeds, a stream
+// of four epochs ends on a final epoch bit-identical to Run's one final
+// epoch — mean, tail and mean+sd matrices, and the sample count.
 func TestStreamFinalEpochMatchesRun(t *testing.T) {
 	dc, insts := testFleet(t, 7, 21)
+	finalOf := func(scheme Scheme, seed int64, periodMS float64) (Epoch, *Result) {
+		st, err := stream(dc, insts, Options{Scheme: scheme, DurationMS: 600, Seed: seed, TailAlpha: DefaultTailAlpha}, periodMS)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", scheme, seed, err)
+		}
+		var final Epoch
+		count := 0
+		for ep := range st.Epochs {
+			count++
+			if ep.Index != count {
+				t.Fatalf("%s/%d: epoch index %d at position %d", scheme, seed, ep.Index, count)
+			}
+			final = ep
+		}
+		if !final.Final {
+			t.Fatalf("%s/%d: last epoch is not final", scheme, seed)
+		}
+		if want := int(600 / periodMS); count != want {
+			t.Fatalf("%s/%d: %d epochs at period %g, want %d", scheme, seed, count, periodMS, want)
+		}
+		return final, st.Wait()
+	}
+	same := func(what string, a, b *core.CostMatrix) {
+		t.Helper()
+		for i := 0; i < a.Size(); i++ {
+			for j := 0; j < a.Size(); j++ {
+				if a.At(i, j) != b.At(i, j) {
+					t.Fatalf("%s differs at (%d,%d): %v vs %v", what, i, j, a.At(i, j), b.At(i, j))
+				}
+			}
+		}
+	}
 	for _, scheme := range []Scheme{Token, Uncoordinated, Staged} {
 		for _, seed := range []int64{1, 42, 1 << 40} {
-			opts := Options{Scheme: scheme, DurationMS: 600, Seed: seed, SnapshotEveryMS: 150}
-			st, err := Stream(dc, insts, opts)
+			four, res4 := finalOf(scheme, seed, 150)
+			one, res1 := finalOf(scheme, seed, 600)
+			same("mean", four.Matrix, one.Matrix)
+			for _, pct := range TailPercentiles {
+				same(fmt.Sprintf("p%g", pct), four.Tail(pct).Matrix, one.Tail(pct).Matrix)
+			}
+			same("mean+sd", four.MeanPlusStd.Matrix, one.MeanPlusStd.Matrix)
+			if four.Samples != one.Samples || res4.TotalSamples != res1.TotalSamples || four.Samples != res1.TotalSamples {
+				t.Fatalf("%s/%d: samples %d/%d vs %d/%d", scheme, seed, four.Samples, res4.TotalSamples, one.Samples, res1.TotalSamples)
+			}
+			res, err := Run(dc, insts, Options{Scheme: scheme, DurationMS: 600, Seed: seed})
 			if err != nil {
-				t.Fatalf("%s/%d: Stream: %v", scheme, seed, err)
+				t.Fatal(err)
 			}
-			var final *Epoch
-			count := 0
-			for ep := range st.Epochs {
-				count++
-				if ep.Index != count {
-					t.Fatalf("%s/%d: epoch index %d at position %d", scheme, seed, ep.Index, count)
-				}
-				if ep.Final {
-					final = &ep
-				}
-			}
-			if final == nil || final.Index != count {
-				t.Fatalf("%s/%d: final epoch missing or not last", scheme, seed)
-			}
-
-			for name, batchOpts := range map[string]Options{
-				"same-snapshots": opts,
-				"no-snapshots":   {Scheme: scheme, DurationMS: 600, Seed: seed},
-			} {
-				res, err := Run(dc, insts, batchOpts)
-				if err != nil {
-					t.Fatalf("%s/%d: Run(%s): %v", scheme, seed, name, err)
-				}
-				want := res.MeanMatrix()
-				for i := 0; i < want.Size(); i++ {
-					for j := 0; j < want.Size(); j++ {
-						if got := final.Matrix.At(i, j); got != want.At(i, j) {
-							t.Fatalf("%s/%d vs Run(%s): final epoch differs at (%d,%d): %v vs %v",
-								scheme, seed, name, i, j, got, want.At(i, j))
-						}
-					}
-				}
-				if final.Samples != res.TotalSamples {
-					t.Fatalf("%s/%d vs Run(%s): samples %d vs %d",
-						scheme, seed, name, final.Samples, res.TotalSamples)
-				}
+			same("Run mean", res.MeanMatrix(), one.Matrix)
+			if res.TotalSamples != one.Samples {
+				t.Fatalf("%s/%d: Run samples %d vs %d", scheme, seed, res.TotalSamples, one.Samples)
 			}
 		}
 	}
@@ -101,11 +111,6 @@ func TestStreamChangedRowsExact(t *testing.T) {
 	if prev == nil || !prev.Final {
 		t.Fatal("stream ended without a final epoch")
 	}
-	// The caller set SnapshotEveryMS explicitly, so the aggregate result
-	// carries one convergence snapshot per epoch (Run's opt-in, mirrored).
-	if res := st.Wait(); len(res.Snapshots) != prev.Index {
-		t.Fatalf("Wait result has %d snapshots, want one per epoch (%d)", len(res.Snapshots), prev.Index)
-	}
 }
 
 // TestStreamDefaultEpochPeriod checks the DurationMS/8 default: 7
@@ -126,9 +131,6 @@ func TestStreamDefaultEpochPeriod(t *testing.T) {
 	res := st.Wait()
 	if res == nil || res.TotalSamples == 0 {
 		t.Fatal("Wait did not return the aggregate result")
-	}
-	if len(res.Snapshots) != 0 {
-		t.Fatalf("defaulted epoch period recorded %d snapshots; retention is opt-in", len(res.Snapshots))
 	}
 }
 

@@ -1,10 +1,13 @@
 package measure
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
 	"cloudia/internal/par"
+	"cloudia/internal/stats"
 )
 
 // bracket returns the order statistics lo, hi surrounding the linearly
@@ -25,47 +28,71 @@ func bracket(xs []float64, p float64) (lo, hi float64) {
 	return sorted[i], sorted[j]
 }
 
-// TestTailMatrixWithinBound pins the accuracy side of the tentpole: every
-// sampled link's sketch p99 lands within the sketch's relative-error bound
-// of the exact percentile, where "exact" is bracketed by the order
-// statistics around stats.Percentile's interpolation point.
+// TestTailMatrixWithinBound pins the accuracy of the sketch percentiles:
+// fed known samples, every sampled link's p95/p99 lands within the
+// sketch's relative-error bound of the exact percentile — stats.Percentile
+// over the same samples, bracketed by the order statistics around its
+// interpolation point — and unsampled links carry the global-mean
+// fallback.
 func TestTailMatrixWithinBound(t *testing.T) {
-	dc, insts := testFleet(t, 12, 1701)
-	res, err := Run(dc, insts, Options{
-		Scheme: Staged, DurationMS: 4000, Seed: 7, TailAlpha: DefaultTailAlpha,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n = 8
+	res := newResult(n, Staged)
+	res.setTailAlpha(DefaultTailAlpha)
 	if res.TailAlpha() != DefaultTailAlpha {
 		t.Fatalf("TailAlpha = %g, want %g", res.TailAlpha(), DefaultTailAlpha)
 	}
+	rng := rand.New(rand.NewSource(7))
+	samples := make([][]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j || (i+j)%5 == 0 {
+				continue // leave some links unsampled
+			}
+			base := 0.2 + 0.05*float64(i+j)
+			for s := 0; s < 50+37*((i*n+j)%4); s++ {
+				// Log-normal body with occasional heavy spikes.
+				rtt := base * math.Exp(0.3*rng.NormFloat64())
+				if rng.Float64() < 0.03 {
+					rtt += rng.ExpFloat64()
+				}
+				res.record(i, j, rtt)
+				samples[i*n+j] = append(samples[i*n+j], rtt)
+			}
+		}
+	}
+	fallback := res.MeanMatrix()
 	for _, pct := range []float64{95, 99} {
 		tail, err := res.TailMatrix(pct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := res.PercentileMatrix(pct)
 		alpha := res.TailAlpha()
 		checked := 0
-		for i := 0; i < res.N; i++ {
-			for j := 0; j < res.N; j++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
 				if i == j {
 					continue
 				}
-				if res.SampleCount(i, j) == 0 {
-					// Fallback entries must agree exactly.
-					if tail.At(i, j) != exact.At(i, j) {
-						t.Fatalf("p%g (%d,%d): fallback mismatch %g vs %g",
-							pct, i, j, tail.At(i, j), exact.At(i, j))
+				xs := samples[i*n+j]
+				if len(xs) == 0 {
+					if tail.At(i, j) != fallback.At(i, j) {
+						t.Fatalf("p%g (%d,%d): fallback %g, want the global mean %g",
+							pct, i, j, tail.At(i, j), fallback.At(i, j))
 					}
 					continue
 				}
-				lo, hi := bracket(res.samples[i*res.N+j], pct)
+				exact, err := stats.Percentile(xs, pct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, hi := bracket(xs, pct)
+				if exact < lo || exact > hi {
+					t.Fatalf("p%g (%d,%d): exact %g outside its bracket [%g, %g]", pct, i, j, exact, lo, hi)
+				}
 				got := tail.At(i, j)
 				if got < lo*(1-alpha) || got > hi*(1+alpha) {
 					t.Fatalf("p%g (%d,%d): sketch %g outside [%g, %g] (exact %g)",
-						pct, i, j, got, lo*(1-alpha), hi*(1+alpha), exact.At(i, j))
+						pct, i, j, got, lo*(1-alpha), hi*(1+alpha), exact)
 				}
 				checked++
 			}
@@ -77,9 +104,10 @@ func TestTailMatrixWithinBound(t *testing.T) {
 }
 
 // TestStreamTailEpochs pins the streaming side: epochs carry p95/p99 tail
-// matrices with exact changed-row sets and fingerprints, the final epoch's
-// tails are bit-identical to the batch Result's TailMatrix, and the whole
-// sequence is invariant under the par worker count.
+// matrices and the mean+sd matrix, each with exact changed-row sets and
+// fingerprints; the final epoch's are bit-identical to the Result's
+// TailMatrix and MeanPlusStdMatrix; and the whole sequence is invariant
+// under the par worker count.
 func TestStreamTailEpochs(t *testing.T) {
 	dc, insts := testFleet(t, 10, 1701)
 	opts := Options{Scheme: Staged, DurationMS: 3000, Seed: 11, TailAlpha: DefaultTailAlpha}
@@ -103,10 +131,16 @@ func TestStreamTailEpochs(t *testing.T) {
 			if len(ep.Tails) != len(TailPercentiles) {
 				t.Fatalf("epoch %d: %d tails, want %d", ep.Index, len(ep.Tails), len(TailPercentiles))
 			}
+			if ep.MeanPlusStd == nil {
+				t.Fatalf("epoch %d: no mean+sd matrix", ep.Index)
+			}
+			// The mean+sd matrix rides last, under Pct 0.
+			published := append(append([]TailMatrix(nil), ep.Tails...), *ep.MeanPlusStd)
+			want := append(append([]float64(nil), TailPercentiles...), 0)
 			var states []tailState
-			for x, tm := range ep.Tails {
-				if tm.Pct != TailPercentiles[x] {
-					t.Fatalf("epoch %d tail %d: pct %g, want %g", ep.Index, x, tm.Pct, TailPercentiles[x])
+			for x, tm := range published {
+				if tm.Pct != want[x] {
+					t.Fatalf("epoch %d matrix %d: pct %g, want %g", ep.Index, x, tm.Pct, want[x])
 				}
 				if tm.Fingerprint == 0 {
 					t.Fatalf("epoch %d p%g: zero fingerprint", ep.Index, tm.Pct)
@@ -122,7 +156,7 @@ func TestStreamTailEpochs(t *testing.T) {
 					}
 				}
 				if prev == nil {
-					prev = make([][]float64, len(TailPercentiles))
+					prev = make([][]float64, len(published))
 				}
 				// Changed-row contract: a row is listed iff it differs from
 				// the previous epoch's matrix for the same percentile.
@@ -157,12 +191,15 @@ func TestStreamTailEpochs(t *testing.T) {
 		t.Fatalf("only %d epochs", len(ref))
 	}
 
-	// Final epoch tails must be bit-identical to the batch-side sketches.
+	// The final epoch's matrices must be bit-identical to the Result's.
 	final := ref[len(ref)-1]
 	for _, ts := range final {
-		batch, err := res.TailMatrix(ts.pct)
-		if err != nil {
-			t.Fatal(err)
+		batch := res.MeanPlusStdMatrix()
+		if ts.pct > 0 {
+			var err error
+			if batch, err = res.TailMatrix(ts.pct); err != nil {
+				t.Fatal(err)
+			}
 		}
 		n := batch.Size()
 		for i := 0; i < n; i++ {
@@ -217,6 +254,9 @@ func TestStreamNoTailsWhenDisabled(t *testing.T) {
 		}
 		if ep.Tail(99) != nil {
 			t.Fatal("Tail(99) must be nil without sketches")
+		}
+		if ep.MeanPlusStd != nil {
+			t.Fatalf("epoch %d: unexpected mean+sd matrix", ep.Index)
 		}
 	}
 	if _, err := st.Wait().TailMatrix(99); err == nil {

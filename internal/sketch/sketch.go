@@ -22,10 +22,9 @@
 // quantile query returns the representative of the bucket holding the
 // nearest-rank sample, so Quantile(q) is within relative error Alpha of the
 // exact q-quantile sample. Against a linearly interpolated percentile
-// (stats.Percentile, used by measure.Result.P99Matrix) the estimate lies in
-// [lo*(1-Alpha), hi*(1+Alpha)], where lo and hi are the order statistics
-// bracketing the interpolation point — the bound the batch-vs-streaming
-// acceptance test asserts.
+// (stats.Percentile) the estimate lies in [lo*(1-Alpha), hi*(1+Alpha)],
+// where lo and hi are the order statistics bracketing the interpolation
+// point — the bound measure's TestTailMatrixWithinBound asserts.
 package sketch
 
 import (
