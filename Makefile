@@ -50,12 +50,16 @@ test:
 crash-test:
 	$(GO) test -run 'TestCrash' -count=1 -v ./internal/serve/
 
-# fuzz runs the differential fuzz target for the POST /v1/epoch decoder:
-# every input must be accepted or refused exactly as encoding/json would,
-# with bit-identical values on acceptance. Its seed corpus
-# (internal/serve/testdata/fuzz/FuzzEpochDecode) also runs in `make test`.
+# fuzz runs the decoders' fuzz targets, 20 s each. FuzzEpochDecode is
+# differential: every POST /v1/epoch body must be accepted or refused
+# exactly as encoding/json would, with bit-identical values on acceptance.
+# FuzzWALRecord feeds arbitrary frame bodies to the WAL record decoder,
+# which must never panic and must re-encode every record it accepts to the
+# same bytes. Their seed corpora (testdata/fuzz/ in each package) also run
+# in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 20s ./internal/wal/
 
 # perf-check vets and tests the cloudia-perf benchmark. It is a nested
 # module, so `go build ./...` at the root never compiles it; this target is

@@ -707,85 +707,116 @@ func BenchmarkStreamingP99Advise(b *testing.B) {
 // Prep cache buys a fleet: N tenants advising over one shared 1000-instance
 // matrix (the fleet-re-advising scenario — one published measurement, many
 // problems), served by the sharded server versus each tenant running the
-// unsharded streaming path sequentially. The solver is node-budgeted CP, so
-// both sides are deterministic and the served deployments must be bit-equal
-// to the unsharded ones — the speedup comes only from sharing the one-time
-// Prep artifacts (k-means over ~10^6 link costs + the pair sort) across the
-// fleet and from shard parallelism, never from answering differently.
+// unsharded streaming path sequentially. Every tenant advises twice, in
+// the daemon's job shape: one job over the matrix, then a second whose
+// WarmStart is the first job's deployment. The solver is node-budgeted CP,
+// so both sides are deterministic and the served deployments must be
+// bit-equal to the unsharded ones — the speedup comes only from sharing
+// the one-time Prep artifacts (k-means over ~10^6 link costs + the pair
+// sort) across the fleet and from shard parallelism, never from answering
+// differently.
 //
-// Reported metrics (recorded in BENCH_PR5.json):
+// Reported metrics (recorded in BENCH_PR5.json, before jobs were one
+// matrix and advised twice):
 //
-//   - sequential-ms/op: N unsharded SolveStream calls, run back to back,
-//     each paying its own cold Prep.
-//   - sharded-ms/op: the same N jobs through serve.Server with a shared
+//   - sequential-ms/op: N tenants' two unsharded SolveStream calls, run
+//     back to back, each call paying its own cold Prep.
+//   - sharded-ms/op: the same 2N jobs through serve.Server with a shared
 //     cache (makespan from first Submit to last Wait).
 //   - speedup/op: sequential over sharded; the Prep cache hits make this
-//     >= 2x (acceptance bar), typically ~3-4x at 4 tenants.
+//     >= 2x (acceptance bar).
 func BenchmarkShardedServe(b *testing.B) {
 	p := portfolio1000Problem(b)
 	const tenants = 4
 	budget := solver.Budget{Nodes: 30_000}
-	singleEpoch := func() <-chan measure.Epoch {
+	final := func() <-chan measure.Epoch {
 		ch := make(chan measure.Epoch, 1)
 		ch <- measure.Epoch{Index: 1, Final: true, Matrix: p.Costs}
 		close(ch)
 		return ch
 	}
+	job := func(tn int, seed int64, warm core.Deployment) serve.Job {
+		return serve.Job{
+			Tenant:        fmt.Sprintf("tenant-%d", tn),
+			Graph:         p.Graph,
+			ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
+			Matrix:        p.Costs,
+			SolverName:    "cp",
+			RoundBudget:   budget,
+			Seed:          seed,
+			WarmStart:     warm,
+		}
+	}
 
 	var seqMS, shardMS, speedup float64
 	for it := 0; it < b.N; it++ {
-		// Unsharded comparator: sequential per-tenant streaming solves.
-		seqDeps := make([]core.Deployment, tenants)
+		// Unsharded comparator: sequential per-tenant streaming solves, the
+		// second warm-started from the first.
+		seqDeps := make([][2]core.Deployment, tenants)
 		seqStart := time.Now()
 		for tn := 0; tn < tenants; tn++ {
-			out, err := advisor.SolveStream(singleEpoch(), advisor.StreamSolveConfig{
-				Graph:         p.Graph,
-				ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-				SolverName:    "cp",
-				RoundBudget:   budget,
-				Seed:          int64(1000*it + tn),
-			})
-			if err != nil {
-				b.Fatal(err)
+			var warm core.Deployment
+			for k := 0; k < 2; k++ {
+				out, err := advisor.SolveStream(final(), advisor.StreamSolveConfig{
+					Graph:         p.Graph,
+					ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
+					SolverName:    "cp",
+					RoundBudget:   budget,
+					Seed:          int64(1000*it + 10*tn + k),
+					WarmStart:     warm,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				seqDeps[tn][k], warm = out.Deployment, out.Deployment
 			}
-			seqDeps[tn] = out.Deployment
 		}
 		seq := float64(time.Since(seqStart)) / float64(time.Millisecond)
 
-		// Sharded: same jobs, shared cache, makespan over the fleet.
+		// Sharded: same jobs, shared cache, makespan over the fleet. Each
+		// tenant submits its second job once the first has answered.
 		srv := serve.New(serve.Config{Shards: tenants})
 		shardStart := time.Now()
-		tickets := make([]*serve.Ticket, tenants)
+		hits := make([]int, tenants)
+		errs := make([]error, tenants)
+		var wg sync.WaitGroup
 		for tn := 0; tn < tenants; tn++ {
-			var err error
-			tickets[tn], err = srv.Submit(serve.Job{
-				Tenant:        fmt.Sprintf("tenant-%d", tn),
-				Graph:         p.Graph,
-				ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-				Epochs:        singleEpoch(),
-				SolverName:    "cp",
-				RoundBudget:   budget,
-				Seed:          int64(1000*it + tn),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			wg.Add(1)
+			go func(tn int) {
+				defer wg.Done()
+				var warm core.Deployment
+				for k := 0; k < 2; k++ {
+					tk, err := srv.Submit(job(tn, int64(1000*it+10*tn+k), warm))
+					if err != nil {
+						errs[tn] = err
+						return
+					}
+					res := tk.Wait()
+					if res.Err != nil {
+						errs[tn] = res.Err
+						return
+					}
+					hits[tn] += res.CacheHits
+					if !slices.Equal(res.Outcome.Deployment, seqDeps[tn][k]) {
+						errs[tn] = fmt.Errorf("tenant %d job %d: served deployment differs from the unsharded path", tn, k)
+						return
+					}
+					warm = res.Outcome.Deployment
+				}
+			}(tn)
 		}
-		hits := 0
-		for tn := 0; tn < tenants; tn++ {
-			res := tickets[tn].Wait()
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			hits += res.CacheHits
-			if !slices.Equal(res.Outcome.Deployment, seqDeps[tn]) {
-				b.Fatalf("tenant %d: served deployment differs from the unsharded path", tn)
-			}
-		}
+		wg.Wait()
 		shard := float64(time.Since(shardStart)) / float64(time.Millisecond)
 		srv.Close()
-		if hits != tenants-1 {
-			b.Fatalf("cross-tenant cache hits = %d, want %d (single-flight compute, rest adopt)", hits, tenants-1)
+		total := 0
+		for tn := 0; tn < tenants; tn++ {
+			if errs[tn] != nil {
+				b.Fatal(errs[tn])
+			}
+			total += hits[tn]
+		}
+		if total != 2*tenants-1 {
+			b.Fatalf("cross-tenant cache hits = %d, want %d (single-flight compute, rest adopt)", total, 2*tenants-1)
 		}
 		seqMS += seq
 		shardMS += shard
@@ -798,15 +829,15 @@ func BenchmarkShardedServe(b *testing.B) {
 
 // skewedTenants returns one hot tenant name plus `lights` light tenant
 // names that all hash to shard 0 of a `shards`-wide server (the hash is
-// Server.shardFor's: fnv32a over tenant NUL datacenter). This is the
-// adversarial skew static sharding cannot rebalance: every tenant homes to
-// the same worker while the others sit idle.
+// Server.shardFor's: fnv32a over the tenant name and a NUL byte). This is
+// the adversarial skew static sharding cannot rebalance: every tenant homes
+// to the same worker while the others sit idle.
 func skewedTenants(b *testing.B, shards, lights int) (hot string, light []string) {
 	b.Helper()
 	home := func(tenant string) int {
 		h := fnv.New32a()
 		h.Write([]byte(tenant))
-		h.Write([]byte{0}) // empty datacenter
+		h.Write([]byte{0})
 		return int(h.Sum32() % uint32(shards))
 	}
 	for i := 0; hot == ""; i++ {
@@ -822,50 +853,45 @@ func skewedTenants(b *testing.B, shards, lights int) (hot string, light []string
 	return hot, light
 }
 
-// BenchmarkSkewedServe is the work-stealing ablation: one hot tenant with a
-// four-job backlog plus three light tenants, every tenant hash-homed to
-// shard 0 of a two-shard server. Each job consumes a live two-epoch
-// measurement stream — an initial matrix, then a dispatch-paced gap (the
-// stream is unbuffered, so the producer's clock starts when the worker
-// pulls), then a final epoch with a handful of re-measured rows riding the
-// pair-list delta — so a job spends part of its life blocked on
-// measurement, not CPU. With stealing disabled (the push-era static
-// routing) shard 1's worker idles while shard 0 serializes every job's
-// epoch wait; with stealing the idle worker pulls the most-starved ready
-// tenant across shards and fills those waits with other tenants' solves.
-// Jobs are node-budgeted CP, so the two configurations must produce
-// bit-equal deployments — stealing may only move work, never change it.
+// BenchmarkSkewedServe is the work-stealing ablation: one hot tenant
+// advising four times in a row plus three light tenants advising once,
+// every tenant hash-homed to shard 0 of a two-shard server. Jobs take the
+// daemon's shape: one shared mid-size matrix each, and each of the hot
+// tenant's jobs after the first carries its predecessor's deployment as
+// WarmStart (so it is submitted when that one answers). With stealing
+// disabled (the push-era static routing) shard 1's worker idles while
+// shard 0 runs every job in turn; with stealing the idle worker pulls the
+// most-starved ready tenant across shards, so the lights run beside the
+// hot tenant's chain. Jobs are node-budgeted CP, so the two configurations
+// must produce bit-equal deployments — stealing may only move work, never
+// change it.
 //
 // The light tenants are submitted first, so the earliest tenant completion
-// (the spread's denominator) is the same single light job dispatched first
-// under either configuration; what stealing changes is how late the hot
-// backlog — and the fleet — finishes.
+// (the spread's denominator) is a light job dispatched at once under
+// either configuration; what stealing changes is how late the hot chain —
+// and the fleet — finishes.
 //
-// Reported metrics (recorded in BENCH_PR6.json):
+// Reported metrics (recorded in BENCH_PR6.json, when each job consumed a
+// two-epoch stream with a 300 ms measurement gap):
 //
 //   - static-ms/op / stealing-ms/op: fleet makespan (first Submit to last
-//     Wait) under each configuration.
-//   - steal-speedup/op: static over stealing. The win is the overlapped
-//     epoch waits (it survives even a single-CPU runner, where shard
-//     parallelism alone buys nothing).
+//     answer) under each configuration.
+//   - steal-speedup/op: static over stealing. The win is shard
+//     parallelism, so it needs a second CPU: on a single-CPU runner it is
+//     about 1.
 //   - static-spread/op / stealing-spread/op: max/min per-tenant completion
-//     time. Stealing drains the hot backlog while the lights' epoch waits
-//     tick, pulling the max down against the anchored min.
+//     time.
 //
 // Both comparisons are live wall-clock timings, so they are logged rather
 // than asserted (cf. BenchmarkStreamingAdvise); bit-equality and the
 // steal counters are asserted.
 func BenchmarkSkewedServe(b *testing.B) {
-	// A mid-size problem (each serialized stream replay re-pays its own
-	// Prep after Supersede retires the prior epoch's artifacts, so this
-	// tier keeps the per-job solve cost comparable to the epoch gap).
 	const (
 		nodes     = 150
 		instances = 300
 		shards    = 2
 		lights    = 3
 		hotJobs   = 4
-		epochGap  = 300 * time.Millisecond
 	)
 	rng := rand.New(rand.NewSource(43))
 	g := core.NewGraph(nodes)
@@ -885,83 +911,83 @@ func BenchmarkSkewedServe(b *testing.B) {
 			}
 		}
 	}
-	mm := core.NewMutableCostMatrix(instances)
+	m := core.NewCostMatrix(instances)
 	for i := 0; i < instances; i++ {
 		for j := 0; j < instances; j++ {
 			if i != j {
-				mm.Set(i, j, 0.2+rng.Float64())
+				m.Set(i, j, 0.2+rng.Float64())
 			}
 		}
 	}
-	first, _ := mm.Snapshot()
-	// The final epoch: 8 rows re-measured, so the second round rides the
-	// incremental Prep evolution instead of a fresh sort.
-	for r := 0; r < 8; r++ {
-		row := (r * 113) % instances
-		for j := 0; j < instances; j++ {
-			if row != j {
-				mm.Set(row, j, 0.2+rng.Float64())
-			}
-		}
-	}
-	final, changedRows := mm.Snapshot()
 
 	budget := solver.Budget{Nodes: 30_000}
 	hot, light := skewedTenants(b, shards, lights)
-	stream := func() <-chan measure.Epoch {
-		ch := make(chan measure.Epoch) // unbuffered: paced by the consumer
-		go func() {
-			defer close(ch)
-			ch <- measure.Epoch{Index: 1, Matrix: first}
-			time.Sleep(epochGap)
-			ch <- measure.Epoch{Index: 2, Final: true, Matrix: final, ChangedRows: changedRows}
-		}()
-		return ch
-	}
-	type submission struct {
+	// chains lists each tenant's jobs by seed, lights first; a chain's jobs
+	// run one after another, each warm-started from the previous answer.
+	type chain struct {
 		tenant string
-		seed   int64
+		seeds  []int64
 	}
-	jobs := make([]submission, 0, hotJobs+lights)
+	chains := make([]chain, 0, lights+1)
 	for i, l := range light {
-		jobs = append(jobs, submission{l, int64(100 + i)})
+		chains = append(chains, chain{l, []int64{int64(100 + i)}})
 	}
+	hc := chain{tenant: hot}
 	for i := 0; i < hotJobs; i++ {
-		jobs = append(jobs, submission{hot, int64(i)})
+		hc.seeds = append(hc.seeds, int64(i))
 	}
+	chains = append(chains, hc)
 
-	// run submits the whole fleet up front and records, per job, the
-	// wall-clock from fleet start to that job's completion; a tenant's
-	// completion time is its slowest job's.
-	run := func(it int, static bool) (ms, spread float64, deps []core.Deployment, steals int64) {
+	// run starts every chain at once and records, per chain, the wall-clock
+	// from fleet start to its last answer and its deployments in order.
+	run := func(it int, static bool) (ms, spread float64, deps [][]core.Deployment, steals int64) {
 		srv := serve.New(serve.Config{Shards: shards, DisableStealing: static})
 		defer srv.Close()
-		deps = make([]core.Deployment, len(jobs))
-		errs := make([]error, len(jobs))
-		done := make([]time.Duration, len(jobs))
+		deps = make([][]core.Deployment, len(chains))
+		errs := make([]error, len(chains))
+		done := make([]time.Duration, len(chains))
 		var wg sync.WaitGroup
 		start := time.Now()
-		for idx, j := range jobs {
+		for idx, c := range chains {
+			// Submit every chain's first job before any goroutine starts,
+			// so the lights are admitted ahead of the hot tenant.
 			tk, err := srv.Submit(serve.Job{
-				Tenant:        j.tenant,
-				Graph:         g,
+				Tenant: c.tenant, Graph: g,
 				ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-				Epochs:        stream(),
-				SolverName:    "cp",
-				RoundBudget:   budget,
-				Seed:          int64(1000*it) + j.seed,
+				Matrix:        m, SolverName: "cp", RoundBudget: budget,
+				Seed: int64(1000*it) + c.seeds[0],
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			wg.Add(1)
-			go func(idx int, tk *serve.Ticket) {
+			go func(idx int, c chain, tk *serve.Ticket) {
 				defer wg.Done()
-				res := tk.Wait()
+				for k := 0; ; k++ {
+					res := tk.Wait()
+					if res.Err != nil {
+						errs[idx] = res.Err
+						return
+					}
+					deps[idx] = append(deps[idx], res.Outcome.Deployment)
+					if k+1 == len(c.seeds) {
+						break
+					}
+					next, err := srv.Submit(serve.Job{
+						Tenant: c.tenant, Graph: g,
+						ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
+						Matrix:        m, SolverName: "cp", RoundBudget: budget,
+						Seed:      int64(1000*it) + c.seeds[k+1],
+						WarmStart: res.Outcome.Deployment,
+					})
+					if err != nil {
+						errs[idx] = err
+						return
+					}
+					tk = next
+				}
 				done[idx] = time.Since(start)
-				errs[idx] = res.Err
-				deps[idx] = res.Outcome.Deployment
-			}(idx, tk)
+			}(idx, c, tk)
 		}
 		wg.Wait()
 		ms = float64(time.Since(start)) / float64(time.Millisecond)
@@ -970,20 +996,9 @@ func BenchmarkSkewedServe(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		completion := map[string]time.Duration{}
-		for idx, j := range jobs {
-			if done[idx] > completion[j.tenant] {
-				completion[j.tenant] = done[idx]
-			}
-		}
-		minC, maxC := time.Duration(0), time.Duration(0)
-		for _, c := range completion {
-			if minC == 0 || c < minC {
-				minC = c
-			}
-			if c > maxC {
-				maxC = c
-			}
+		minC, maxC := done[0], done[0]
+		for _, c := range done {
+			minC, maxC = min(minC, c), max(maxC, c)
 		}
 		spread = float64(maxC) / float64(minC)
 		return ms, spread, deps, srv.Stats().Steals
@@ -999,9 +1014,11 @@ func BenchmarkSkewedServe(b *testing.B) {
 		if wSteals == 0 {
 			b.Fatal("stealing configuration recorded no steals on a skewed fleet")
 		}
-		for i := range jobs {
-			if !slices.Equal(sDeps[i], wDeps[i]) {
-				b.Fatalf("job %d (%s): stealing changed the deployment", i, jobs[i].tenant)
+		for i := range chains {
+			for k := range sDeps[i] {
+				if !slices.Equal(sDeps[i][k], wDeps[i][k]) {
+					b.Fatalf("chain %s job %d: stealing changed the deployment", chains[i].tenant, k)
+				}
 			}
 		}
 		if wMS >= sMS {

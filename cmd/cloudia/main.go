@@ -62,7 +62,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "random seed")
 		asJSON    = flag.Bool("json", false, "emit the full report as JSON")
 		epochMS   = flag.Float64("epoch-ms", 0, "stream the measurement into warm-started solver rounds, one matrix epoch per this many virtual ms (0 = advise once on the final epoch)")
-		servePath = flag.String("serve", "", "serve a JSON batch of tenant jobs through the sharded multi-tenant advisor (path to batch file)")
 		listen    = flag.String("listen", "", "run the durable serve daemon on this address (e.g. :8080)")
 		walDir    = flag.String("wal-dir", "cloudia-wal", "write-ahead log directory for -listen")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy for -listen: always, batch, none")
@@ -82,9 +81,8 @@ func main() {
 		scheme: *scheme, solver: *solverFlg, clusterK: *clusterK,
 		budgetMS: *budgetMS, profile: *profile, occupancy: *occupancy,
 		seed: *seed, asJSON: *asJSON,
-		epochMS:   *epochMS,
-		servePath: *servePath,
-		listen:    *listen, walDir: *walDir, fsync: *fsync, shards: *shards,
+		epochMS: *epochMS,
+		listen:  *listen, walDir: *walDir, fsync: *fsync, shards: *shards,
 		pprof: *pprofFlag,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudia:", err)
@@ -105,7 +103,6 @@ type runConfig struct {
 	seed                              int64
 	asJSON                            bool
 	epochMS                           float64
-	servePath                         string
 	listen, walDir, fsync             string
 	shards                            int
 	pprof                             bool
@@ -115,18 +112,12 @@ type runConfig struct {
 // simulation work starts. What to optimize — objective, metric, scheme,
 // and their combinations — is advisor.ObjectiveSpec's job, validated once
 // inside the advisor; the flags here are only about *how* the process runs
-// (serve batches, daemons, epoch periods).
+// (daemons, epoch periods).
 func validateFlags(cfg runConfig) error {
 	if cfg.epochMS < 0 {
 		return fmt.Errorf("-epoch-ms must not be negative, got %g", cfg.epochMS)
 	}
-	if cfg.servePath != "" && cfg.epochMS > 0 {
-		return fmt.Errorf("-serve batches cannot be combined with -epoch-ms (epoch sources are per-job in a batch)")
-	}
 	if cfg.listen != "" {
-		if cfg.servePath != "" {
-			return fmt.Errorf("-listen runs a daemon; batch jobs go to it over HTTP, not via -serve")
-		}
 		if cfg.epochMS > 0 {
 			return fmt.Errorf("-listen daemons receive epochs over HTTP; -epoch-ms streams a single run")
 		}
@@ -149,9 +140,6 @@ func run(cfg runConfig) error {
 	}
 	if cfg.listen != "" {
 		return runDaemon(cfg)
-	}
-	if cfg.servePath != "" {
-		return runServe(cfg)
 	}
 	g, err := buildGraph(cfg)
 	if err != nil {
@@ -229,7 +217,7 @@ func buildGraph(cfg runConfig) (*core.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
-		g, err := graphio.ReadGraph(f)
+		g, err := graphio.ReadGraph(f, 0)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", cfg.graphPath, err)
 		}

@@ -105,76 +105,6 @@ func TestStreamMetricSupport(t *testing.T) {
 	}
 }
 
-func TestRunServeBatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.json")
-	batch := `{
-	  "shards": 2,
-	  "seed": 9,
-	  "tenants": [
-	    {"name": "web", "group": "dc1", "template": "mesh2d", "rows": 2, "cols": 3,
-	     "objective": "longest-link", "solver": "cp", "budget_ms": 60, "seed": 1},
-	    {"name": "kv", "group": "dc1", "template": "bipartite", "frontends": 2,
-	     "storage": 3, "objective": "longest-link", "solver": "g1", "budget_ms": 60},
-	    {"name": "solo", "template": "ring", "ring": 5,
-	     "objective": "longest-link", "solver": "g2", "budget_ms": 60}
-	  ]
-	}`
-	if err := os.WriteFile(path, []byte(batch), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(runConfig{
-		servePath: path, profile: "ec2", occupancy: 0.5, seed: 3, asJSON: true,
-	}); err != nil {
-		t.Fatalf("run -serve: %v", err)
-	}
-}
-
-func TestRunServeBatchRejectsBadBatches(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, data string) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	base := runConfig{profile: "ec2", occupancy: 0.5, seed: 3}
-	cases := []struct {
-		name, batch string
-	}{
-		{"empty", `{"tenants": []}`},
-		{"unnamed", `{"tenants": [{"template": "ring", "ring": 4, "objective": "longest-link"}]}`},
-		{"duplicate", `{"tenants": [
-			{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link"},
-			{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link"}]}`},
-		{"objective", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "widest-path"}]}`},
-		{"solver", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link", "solver": "oracle"}]}`},
-		{"overalloc", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link", "overalloc": -0.5}]}`},
-		{"template", `{"tenants": [{"name": "a", "template": "torus", "objective": "longest-link"}]}`},
-		{"notjson", `{"tenants": `},
-	}
-	for _, c := range cases {
-		cfg := base
-		cfg.servePath = write(c.name+".json", c.batch)
-		if err := run(cfg); err == nil {
-			t.Errorf("%s batch accepted", c.name)
-		}
-	}
-	cfg := base
-	cfg.servePath = filepath.Join(dir, "missing.json")
-	if err := run(cfg); err == nil {
-		t.Error("missing batch file accepted")
-	}
-	cfg = base
-	cfg.servePath = write("ok.json", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link"}]}`)
-	cfg.epochMS = 20
-	if err := run(cfg); err == nil {
-		t.Error("-serve combined with -epoch-ms accepted")
-	}
-}
-
 func TestRunRejectsBadInputs(t *testing.T) {
 	base := runConfig{
 		template: "mesh2d", rows: 2, cols: 2,

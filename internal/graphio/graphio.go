@@ -47,8 +47,10 @@ func WriteGraph(w io.Writer, g *core.Graph) error {
 }
 
 // ReadGraph decodes a communication graph from JSON, validating node ranges,
-// duplicate edges, and weight references.
-func ReadGraph(r io.Reader) (*core.Graph, error) {
+// duplicate edges, and weight references. A positive maxNodes refuses
+// larger node counts before the graph is allocated: the count sizes the
+// graph's per-node tables, so an untrusted document must be bounded.
+func ReadGraph(r io.Reader, maxNodes int) (*core.Graph, error) {
 	var in graphJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -57,6 +59,9 @@ func ReadGraph(r io.Reader) (*core.Graph, error) {
 	}
 	if in.Nodes < 0 {
 		return nil, fmt.Errorf("graphio: negative node count %d", in.Nodes)
+	}
+	if maxNodes > 0 && in.Nodes > maxNodes {
+		return nil, fmt.Errorf("graphio: %d nodes over the limit of %d", in.Nodes, maxNodes)
 	}
 	g := core.NewGraph(in.Nodes)
 	for _, e := range in.Edges {

@@ -22,7 +22,7 @@ func TestGraphRoundTrip(t *testing.T) {
 	if err := WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGraph(&buf)
+	got, err := ReadGraph(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +51,18 @@ func TestReadGraphErrors(t *testing.T) {
 		`{"nodes": 2, "edges": [[0,1]], "weights": {"0-1": -2}}`,
 		`{"nodes": 2, "bogus": true}`,
 		`not json`,
+		`{"nodes": 5, "edges": []}`,           // over the limit of 4
+		`{"nodes": 68719476736, "edges": []}`, // refused before allocating
 	}
 	for _, c := range cases {
-		if _, err := ReadGraph(strings.NewReader(c)); err == nil {
+		if _, err := ReadGraph(strings.NewReader(c), 4); err == nil {
 			t.Errorf("accepted invalid graph: %s", c)
 		}
 	}
 }
 
 func TestReadGraphMinimal(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader(`{"nodes": 3, "edges": [[0,1],[1,2]]}`))
+	g, err := ReadGraph(strings.NewReader(`{"nodes": 3, "edges": [[0,1],[1,2]]}`), 3) // at the limit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestGraphRoundTripProperty(t *testing.T) {
 		if err := WriteGraph(&buf, g); err != nil {
 			return false
 		}
-		got, err := ReadGraph(&buf)
+		got, err := ReadGraph(&buf, 0)
 		if err != nil {
 			return false
 		}

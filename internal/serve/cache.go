@@ -23,12 +23,14 @@ import (
 // and adopts, instead of every shard burning CPU on the same k-means.
 //
 // Invalidation is content-addressed too: a changed matrix has a new
-// fingerprint, so stale artifacts can never be served for it. Supersede
-// exists for memory, not correctness — when a streaming epoch replaces a
-// tenant's matrix, the epoch's changed-row message retires the old
-// fingerprint's artifacts unconditionally. Goroutines holding a retired
-// entry simply finish adopting it; the content key guarantees what they
-// adopted still matches their matrix.
+// fingerprint, so stale artifacts can never be served for it. Retiring
+// old content exists for memory, not correctness: Track counts the daemon
+// tenants currently on each fingerprint and drops a fingerprint's
+// artifacts once the last of them moves on, so a tenant's replaced
+// matrices do not wait for LRU eviction, while content other tenants still
+// share stays. Goroutines holding a retired entry simply finish adopting
+// it; the content key guarantees what they adopted still matches their
+// matrix.
 type Cache struct {
 	// maxMatrices bounds the number of distinct fingerprints retained;
 	// beyond it the least-recently-used fingerprint's artifacts are
@@ -45,7 +47,10 @@ type Cache struct {
 	// fingerprint. Graph entries share the LRU tick but have their own
 	// capacity (graphs weigh O(|E|), matrices O(n^2)).
 	graphs map[core.Fingerprint]*graphEntry
-	tick   int64
+	// holders counts, per matrix fingerprint, the tenant matrices (mean or
+	// tail) currently at that content; see Track.
+	holders map[core.Fingerprint]int
+	tick    int64
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -93,6 +98,7 @@ func NewCache(maxMatrices int) *Cache {
 		maxMatrices: maxMatrices,
 		matrices:    make(map[core.Fingerprint]*matrixEntry),
 		graphs:      make(map[core.Fingerprint]*graphEntry),
+		holders:     make(map[core.Fingerprint]int),
 	}
 }
 
@@ -263,32 +269,32 @@ func (c *Cache) TransposedGraph(gfp core.Fingerprint, prep *solver.Prep) (hit bo
 	return true
 }
 
-// Supersede is the inter-shard invalidation message derived from a
-// streaming epoch: the matrix identified by old was replaced by the one
-// identified by next, with changedRows differing. old's artifacts are
-// retired from the cache — content addressing keeps correctness without
-// this (next has a different key), Supersede just stops superseded epochs
-// from occupying capacity until LRU eviction gets to them. Retirement is
-// unconditional: when several tenants consume one shared evolving epoch
-// stream, the first tenant to reach the next epoch retires the previous
-// fingerprint under tenants still solving it, and those laggards recompute
-// on their next miss (each recreated slot is its own single flight) —
-// wasted work, never a wrong answer. Fleets whose jobs deliberately lag
-// over shared content should rely on LRU capacity instead of wiring
-// Supersede, or refcount fingerprints in a layer above. The changed-row
-// set is accepted for symmetry with solver.Problem.Evolve and for
-// observability; a future delta-aware cache could seed next's artifacts
-// from old's over it.
-func (c *Cache) Supersede(old, next core.Fingerprint, changedRows []int) {
-	if old == 0 || old == next || len(changedRows) == 0 {
+// Track records that one tenant matrix moved from content old to content
+// next; 0 stands for no matrix, so Track(0, fp) registers a new holder.
+// When old loses its last holder, its artifacts are retired at once rather
+// than left for LRU eviction. Content another tenant still holds — a
+// measurement group sharing one matrix — stays cached until the last of
+// them moves on.
+func (c *Cache) Track(old, next core.Fingerprint) {
+	if old == next {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if next != 0 {
+		c.holders[next]++
+	}
+	if old == 0 {
+		return
+	}
+	if c.holders[old]--; c.holders[old] > 0 {
+		return
+	}
+	delete(c.holders, old)
 	if _, ok := c.matrices[old]; ok {
 		delete(c.matrices, old)
 		c.superseded.Add(1)
 	}
-	c.mu.Unlock()
 }
 
 // CacheStats is a point-in-time counter snapshot.
@@ -297,7 +303,7 @@ type CacheStats struct {
 	// counts requests that computed (or recomputed) locally.
 	Hits, Misses int64
 	// Evictions counts LRU capacity evictions; Superseded counts
-	// fingerprints retired by epoch invalidation messages.
+	// fingerprints retired by Track when their last holder moved on.
 	Evictions, Superseded int64
 	// Matrices is the number of distinct matrix fingerprints currently
 	// held; Graphs counts the graph-content family entries.

@@ -125,9 +125,9 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// Supersede retires the old fingerprint's artifacts; the new fingerprint
-// is unaffected, and superseding an absent or identical key is a no-op.
-func TestCacheSupersede(t *testing.T) {
+// Track retires a fingerprint's artifacts when its last holder moves to
+// new content, and not before: content another tenant still holds stays.
+func TestCacheTrackRetiresLastHolder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := testMatrix(rng, 8)
 	fp := m.Fingerprint()
@@ -136,22 +136,25 @@ func TestCacheSupersede(t *testing.T) {
 	if _, err := c.Rounded(fp, 3, p.Prep()); err != nil {
 		t.Fatal(err)
 	}
-	c.Supersede(fp, fp, []int{1})  // same content: no-op
-	c.Supersede(0, fp+1, []int{1}) // absent old: no-op
-	c.Supersede(fp, fp+1, nil)     // empty change set: no-op
+	c.Track(0, fp)    // tenant a arrives at fp
+	c.Track(0, fp)    // tenant b shares it
+	c.Track(fp, fp)   // same content: no-op
+	c.Track(fp, fp+3) // a moves on; b still holds fp
 	if st := c.Stats(); st.Superseded != 0 || st.Matrices != 1 {
-		t.Fatalf("no-op supersedes mutated the cache: %+v", st)
+		t.Fatalf("fingerprint retired while a tenant still held it: %+v", st)
 	}
-	c.Supersede(fp, fp+1, []int{0, 3})
-	st := c.Stats()
-	if st.Superseded != 1 || st.Matrices != 0 {
-		t.Fatalf("supersede did not retire the old fingerprint: %+v", st)
+	c.Track(fp, fp+3) // b moves on: last holder gone
+	if st := c.Stats(); st.Superseded != 1 || st.Matrices != 0 {
+		t.Fatalf("last holder's move did not retire the fingerprint: %+v", st)
+	}
+	if len(c.holders) != 1 || c.holders[fp+3] != 2 {
+		t.Fatalf("holder counts = %v, want only fp+3 held twice", c.holders)
 	}
 }
 
 // 16 goroutines hammer concurrent lookups over a handful of fingerprints
-// while an invalidator races Supersede and capacity evictions against
-// them. Run under -race; correctness assertion: every adopted artifact
+// while an invalidator races Track retirements and capacity evictions
+// against them. Run under -race; correctness assertion: every adopted artifact
 // matches a cold compute for its content.
 func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -190,7 +193,8 @@ func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 			default:
 			}
 			ct := contents[i%matrices]
-			c.Supersede(ct.fp, ct.fp+1, []int{0})
+			c.Track(0, ct.fp)
+			c.Track(ct.fp, ct.fp+1)
 			i++
 		}
 	}()

@@ -163,6 +163,8 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 			closeAll()
 			return nil, err
 		}
+		d.cache.Track(0, r.sess.fp)
+		d.cache.Track(0, r.sess.tailFP)
 		d.tenants[r.sess.name] = r.sess
 	}
 
@@ -393,7 +395,7 @@ func logRows(m *core.CostMatrix, changed []int, n int) []wal.RowDelta {
 // AppendEpoch applies one epoch of cost updates to the tenant's matrix:
 // validate, fold into the mutable matrix, log the actually-changed rows
 // (with the new fingerprint) to the WAL, and only then publish the new
-// snapshot and retire the previous fingerprint from the cache. When
+// snapshot and move the tenant's cache hold to it (Cache.Track). When
 // AppendEpoch returns, the epoch is as durable as the fsync policy
 // promises. Rows beyond the changed set cost nothing: a Set that does not
 // change a bit leaves the row clean and unlogged. If the WAL append fails,
@@ -447,7 +449,6 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 			sess.mm.Set(delta.Row, j, v)
 		}
 	}
-	oldFP := sess.fp
 	ep := measure.PublishEpoch(sess.mm, 0, true, 0)
 	sess.epoch++
 
@@ -455,7 +456,6 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 		Rows: logRows(ep.Matrix, ep.ChangedRows, n)}
 
 	var tm measure.TailMatrix
-	oldTailFP := sess.tailFP
 	if tail != nil {
 		if sess.tailMM == nil {
 			sess.tailMM, sess.tailPct = core.NewMutableCostMatrix(n), tail.Pct
@@ -483,14 +483,10 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 		return 0, 0, err
 	}
 
-	if oldFP != 0 && oldFP != ep.Fingerprint {
-		d.cache.Supersede(oldFP, ep.Fingerprint, ep.ChangedRows)
-	}
+	d.cache.Track(sess.fp, ep.Fingerprint)
 	sess.snap, sess.fp = ep.Matrix, ep.Fingerprint
 	if tail != nil {
-		if oldTailFP != 0 && oldTailFP != tm.Fingerprint {
-			d.cache.Supersede(oldTailFP, tm.Fingerprint, tm.ChangedRows)
-		}
+		d.cache.Track(sess.tailFP, tm.Fingerprint)
 		sess.tailSnap, sess.tailFP = tm.Matrix, tm.Fingerprint
 	}
 
@@ -687,10 +683,6 @@ func (d *Daemon) Stats() DaemonStats {
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	return st
 }
-
-// Server exposes the underlying serving fabric (tests and the batch CLI
-// path share it).
-func (d *Daemon) Server() *Server { return d.srv }
 
 // Close drains the serving fabric — in-flight jobs finish, their advice is
 // logged — then flushes and closes every tenant's WAL. This is the SIGTERM

@@ -30,10 +30,10 @@ import (
 // unknown members are ignored. Syntax and type errors answer 400 naming
 // the byte offset; n, rows and values are checked afterwards, by
 // AppendEpoch. Both POST bodies are capped at maxBodyBytes (413, code
-// "too_large"), and an epoch's n at maxEpochN (400). The body cap holds
-// one dense epoch of about 1,850 instances (about 1,300 with tail rows),
-// at ~19 bytes per value; a larger matrix is posted as several epochs,
-// each carrying a subset of its rows.
+// "too_large"), and both an epoch's n and an advise graph's node count at
+// maxEpochN (400). The body cap holds one dense epoch of about 1,850
+// instances (about 1,300 with tail rows), at ~19 bytes per value; a larger
+// matrix is posted as several epochs, each carrying a subset of its rows.
 //
 // Transient admission rejections (ErrBusy, ErrOverBudget) map to 429 with
 // a Retry-After hint, so HTTP clients inherit the same retry-later
@@ -130,7 +130,9 @@ func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		httpError(w, fmt.Errorf("serve: advise request without a graph"))
 		return
 	}
-	g, err := graphio.ReadGraph(bytes.NewReader(jr.Graph))
+	// A deployment never has more nodes than the tenant has instances, and
+	// epochs cap those at maxEpochN.
+	g, err := graphio.ReadGraph(bytes.NewReader(jr.Graph), maxEpochN)
 	if err != nil {
 		httpError(w, fmt.Errorf("serve: advise graph: %w", err))
 		return

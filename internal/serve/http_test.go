@@ -248,9 +248,10 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
-// TestHTTPBodyLimits checks the two caps on what one request can make the
-// daemon allocate: the matrix size an epoch may claim (400), and the body
-// size of both POST endpoints (413, code too_large).
+// TestHTTPBodyLimits checks the caps on what one request can make the
+// daemon allocate: the matrix size an epoch may claim and the node count
+// of an advise graph (400), and the body size of both POST endpoints (413,
+// code too_large).
 func TestHTTPBodyLimits(t *testing.T) {
 	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
 	defer d.Close()
@@ -301,5 +302,16 @@ func TestHTTPBodyLimits(t *testing.T) {
 	expect("n = maxEpochN+1", resp, http.StatusBadRequest, "bad_request", "over the daemon's limit 4096")
 	if st := d.Stats(); len(st.Tenants) != 1 || st.Tenants[0].Tenant != "acme" {
 		t.Fatalf("refused epochs left tenants behind: %+v, want only acme", st.Tenants)
+	}
+
+	// The 37-byte graph naming 2^36 nodes is refused before core.NewGraph
+	// allocates its per-node tables (a fatal out-of-memory, which no
+	// handler can recover), and so is one node past the epoch cap.
+	for nodes, graph := range map[string]string{
+		"2^36":        `{"nodes": 68719476736, "edges": []}`,
+		"maxEpochN+1": `{"nodes": 4097, "edges": []}`,
+	} {
+		resp = postJSON(t, ts.Client(), ts.URL+"/v1/advise", rawBody(`{"tenant":"acme","graph":`+graph+`}`))
+		expect("advise graph of "+nodes+" nodes", resp, http.StatusBadRequest, "bad_request", "over the limit of 4096")
 	}
 }

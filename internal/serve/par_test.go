@@ -37,8 +37,8 @@ func dagGraph(t testing.TB, n int) *core.Graph {
 
 // TestPrefetchRaceHammer races the concurrent OnProblem prefetch — the
 // par.Do fan-out warming rounded/rows/graph artifacts — against WarmStart
-// installs, epoch evolution, and other tenants' prefetches over a
-// 2-fingerprint cache, from 16 goroutines. Run under -race in CI; the warms
+// installs, tenant holds moving to new content (Track), and other tenants'
+// prefetches over a 2-fingerprint cache, from 16 goroutines. Run under -race in CI; the warms
 // and the solver-side artifact faults share single-flight slots and Prep
 // cells, so any missing synchronization surfaces as a race or a lost
 // artifact, and the fold-back keeps every error observable.
@@ -93,23 +93,17 @@ func TestPrefetchRaceHammer(t *testing.T) {
 			if err := prob.Prep().WarmStart(core.Identity(g.NumNodes())); err != nil {
 				errs <- err
 			}
-			// Evolve an epoch and push the supersede path while others warm.
-			changed := []int{rng.Intn(instances)}
+			// Post a changed row and move this tenant's hold to the new
+			// content while others warm: the retire path (Track).
+			row := rng.Intn(instances)
 			m2 := m.Clone()
 			for j := 0; j < instances; j++ {
-				if j != changed[0] {
-					m2.Set(changed[0], j, 0.2+rng.Float64())
+				if j != row {
+					m2.Set(row, j, 0.2+rng.Float64())
 				}
 			}
-			np, err := prob.Evolve(m2, changed)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if err := br.onProblem(np, prob, measure.Epoch{}, changed); err != nil {
-				errs <- err
-				return
-			}
+			cache.Track(0, m.Fingerprint())
+			cache.Track(m.Fingerprint(), m2.Fingerprint())
 			// And prefetch the evolved fingerprint as a fresh problem, the
 			// way a second tenant over the new matrix would.
 			p2, err := solver.NewProblem(g, m2.Clone(), solver.LongestLink)

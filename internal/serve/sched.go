@@ -7,32 +7,32 @@ import (
 )
 
 // This file implements the pull-based job scheduler behind Server: a shared
-// ready queue with per-tenant weighted-fair accounting, pulled by shard
-// workers that steal across shard boundaries when their own tenants are
-// idle. It replaces the push-based per-shard channel queues of the first
-// serving layer, whose static hash routing let one hot tenant starve its
-// shard's other tenants while neighbouring shards sat idle.
+// ready queue with per-tenant fair accounting, pulled by shard workers that
+// steal across shard boundaries when their own tenants are idle. It
+// replaces the push-based per-shard channel queues of the first serving
+// layer, whose static hash routing let one hot tenant starve its shard's
+// other tenants while neighbouring shards sat idle.
 //
 // The design is the iterator-composition/worker-pool shape of streaming
 // query executors: producers (Submit) only append work to per-tenant FIFO
 // queues; consumers (shard workers) lazily pull the next job when — and
 // only when — they have capacity, so no stage ever buffers or copies epochs
 // ahead of demand. Jobs flow as references the whole way down: an admitted
-// task holds the caller's Job verbatim (epoch channel, matrix pointer,
-// graph pointer), and nothing between Submit and SolveStream clones a
-// matrix or a Prep artifact.
+// task holds the caller's Job verbatim (matrix and graph pointers), and
+// nothing between Submit and SolveStream clones a matrix or a Prep
+// artifact.
 //
 // Fairness is stride-scheduling over declared budgets. Every tenant carries
 // a virtual time (vtime): dispatching one of its jobs charges the job's
-// declared round budget divided by the tenant's weight, and the ready queue
-// is a min-heap on vtime. A hot tenant's backlog therefore advances its
-// vtime far ahead after a few dispatches, and every lightly-loaded tenant's
-// next job sorts in front of the remaining backlog — the hot tenant can
-// delay a light tenant by at most the one in-flight job (execution is
-// non-preemptive), not by its whole queue. A tenant going idle does not
-// bank credit: on re-arrival its vtime is raised to the scheduler's virtual
-// clock (the vtime of the last dispatch), the standard start-time rule that
-// stops a returning tenant from monopolizing the workers to "catch up".
+// declared round budget, and the ready queue is a min-heap on vtime. A hot
+// tenant's backlog therefore advances its vtime far ahead after a few
+// dispatches, and every lightly-loaded tenant's next job sorts in front of
+// the remaining backlog — the hot tenant can delay a light tenant by at most
+// the one in-flight job (execution is non-preemptive), not by its whole
+// queue. A tenant going idle does not bank credit: on re-arrival its vtime
+// is raised to the scheduler's virtual clock (the vtime of the last
+// dispatch), the standard start-time rule that stops a returning tenant from
+// monopolizing the workers to "catch up".
 //
 // Shard affinity survives as a soft preference, not a hard route: every
 // tenant still hashes to a home shard, and a worker always prefers its own
@@ -83,12 +83,11 @@ type sched struct {
 // preserving the old one-tenant-one-shard warm-state guarantee).
 type tenantState struct {
 	key  string
-	home int // home shard (hash of tenant/datacenter)
+	home int // home shard (hash of the tenant name)
 
 	pending []task  // FIFO backlog
 	running bool    // a job is in flight
-	vtime   float64 // accumulated charged service, ns per unit weight
-	weight  float64 // fairness weight (Job.Weight of the first admission)
+	vtime   float64 // accumulated charged service, ns
 
 	// pendingBudget sums the declared time budgets (ns) of this tenant's
 	// admitted-but-unfinished jobs — the per-tenant admission accounting
@@ -169,7 +168,7 @@ func timeBudget(j Job) int64 { return int64(j.RoundBudget.Time) }
 // submit performs admission control and enqueues the task atomically. The
 // budget caps are checked before capacity, so an over-budget job reports
 // the sharper error even when the queue is also full.
-func (s *sched) submit(key string, home int, weight float64, j Job, tk *Ticket) error {
+func (s *sched) submit(key string, home int, j Job, tk *Ticket) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -187,10 +186,7 @@ func (s *sched) submit(key string, home int, weight float64, j Job, tk *Ticket) 
 		return ErrBusy
 	}
 	if !ok {
-		if weight <= 0 {
-			weight = 1
-		}
-		t = &tenantState{key: key, home: home, weight: weight, heapIdx: -1}
+		t = &tenantState{key: key, home: home, heapIdx: -1}
 		s.tenants[key] = t
 	}
 	s.seq++
@@ -233,7 +229,7 @@ func (s *sched) next(shard int) (tk task, stolen bool, ok bool) {
 			if t.vtime > s.vclock {
 				s.vclock = t.vtime
 			}
-			t.vtime += charge(tk.job) / t.weight
+			t.vtime += charge(tk.job)
 			return tk, stolen, true
 		}
 		if s.closed && s.outstanding == 0 {

@@ -34,12 +34,12 @@ func drain(t *testing.T, s *sched, shard, count int) []string {
 func TestSchedHotTenantYieldsToLights(t *testing.T) {
 	s := newSched(1, 0, 0, 0, true)
 	for i := 0; i < 4; i++ {
-		if err := s.submit("hot", 0, 1, schedJob("hot", 1000), &Ticket{}); err != nil {
+		if err := s.submit("hot", 0, schedJob("hot", 1000), &Ticket{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, l := range []string{"l1", "l2", "l3"} {
-		if err := s.submit(l, 0, 1, schedJob(l, 1000), &Ticket{}); err != nil {
+		if err := s.submit(l, 0, schedJob(l, 1000), &Ticket{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,47 +52,24 @@ func TestSchedHotTenantYieldsToLights(t *testing.T) {
 	}
 }
 
-// A weight-2 tenant is entitled to twice the dispatches of a weight-1
-// tenant over any fair window.
-func TestSchedWeightedShare(t *testing.T) {
-	s := newSched(1, 0, 0, 0, true)
-	for i := 0; i < 6; i++ {
-		if err := s.submit("heavy", 0, 2, schedJob("heavy", 1000), &Ticket{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if err := s.submit("std", 0, 1, schedJob("std", 1000), &Ticket{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := map[string]int{}
-	for _, tenant := range drain(t, s, 0, 6) {
-		counts[tenant]++
-	}
-	if counts["heavy"] != 4 || counts["std"] != 2 {
-		t.Fatalf("first 6 dispatches heavy=%d std=%d, want 4 and 2", counts["heavy"], counts["std"])
-	}
-}
-
 // A tenant that was idle must not bank credit: on re-arrival its vtime is
 // raised to the virtual clock, so it gets its fair share from now on, not a
 // burst of catch-up dispatches.
 func TestSchedIdleTenantBanksNoCredit(t *testing.T) {
 	s := newSched(1, 0, 0, 0, true)
 	for i := 0; i < 3; i++ {
-		if err := s.submit("a", 0, 1, schedJob("a", 1000), &Ticket{}); err != nil {
+		if err := s.submit("a", 0, schedJob("a", 1000), &Ticket{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	drain(t, s, 0, 3) // vclock advances to 2000 while b is idle
 	for i := 0; i < 3; i++ {
-		if err := s.submit("b", 0, 1, schedJob("b", 1000), &Ticket{}); err != nil {
+		if err := s.submit("b", 0, schedJob("b", 1000), &Ticket{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := s.submit("a", 0, 1, schedJob("a", 1000), &Ticket{}); err != nil {
+		if err := s.submit("a", 0, schedJob("a", 1000), &Ticket{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +91,7 @@ func TestSchedIdleTenantBanksNoCredit(t *testing.T) {
 func TestSchedSerializesTenant(t *testing.T) {
 	s := newSched(2, 0, 0, 0, false)
 	for i := 0; i < 3; i++ {
-		if err := s.submit("only", 0, 1, schedJob("only", 1000), &Ticket{}); err != nil {
+		if err := s.submit("only", 0, schedJob("only", 1000), &Ticket{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,15 +118,15 @@ func TestSchedSerializesTenant(t *testing.T) {
 func TestSchedStealPicksMostStarved(t *testing.T) {
 	s := newSched(3, 0, 0, 0, false)
 	// Two tenants homed on shard 1 with different accumulated vtimes.
-	if err := s.submit("ahead", 1, 1, schedJob("ahead", 5000), &Ticket{}); err != nil {
+	if err := s.submit("ahead", 1, schedJob("ahead", 5000), &Ticket{}); err != nil {
 		t.Fatal(err)
 	}
 	tk, _, _ := s.next(1) // charges ahead.vtime to 5000
 	s.done("ahead", tk)
-	if err := s.submit("ahead", 1, 1, schedJob("ahead", 5000), &Ticket{}); err != nil {
+	if err := s.submit("ahead", 1, schedJob("ahead", 5000), &Ticket{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.submit("behind", 2, 1, schedJob("behind", 1000), &Ticket{}); err != nil {
+	if err := s.submit("behind", 2, schedJob("behind", 1000), &Ticket{}); err != nil {
 		t.Fatal(err)
 	}
 	got, stolen, ok := s.next(0) // shard 0 homes nobody: must steal
@@ -161,7 +138,7 @@ func TestSchedStealPicksMostStarved(t *testing.T) {
 	}
 
 	ns := newSched(2, 0, 0, 0, true)
-	if err := ns.submit("x", 1, 1, schedJob("x", 1000), &Ticket{}); err != nil {
+	if err := ns.submit("x", 1, schedJob("x", 1000), &Ticket{}); err != nil {
 		t.Fatal(err)
 	}
 	ns.mu.Lock()
@@ -176,23 +153,23 @@ func TestSchedStealPicksMostStarved(t *testing.T) {
 func TestSchedPerTenantBudget(t *testing.T) {
 	s := newSched(1, 0, 0, 250*time.Millisecond, true)
 	j := Job{Tenant: "a", RoundBudget: solver.Budget{Time: 100 * time.Millisecond}}
-	if err := s.submit("a", 0, 1, j, &Ticket{}); err != nil {
+	if err := s.submit("a", 0, j, &Ticket{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.submit("a", 0, 1, j, &Ticket{}); err != nil {
+	if err := s.submit("a", 0, j, &Ticket{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.submit("a", 0, 1, j, &Ticket{}); err != ErrOverBudget {
+	if err := s.submit("a", 0, j, &Ticket{}); err != ErrOverBudget {
 		t.Fatalf("third 100ms job for one tenant: %v, want ErrOverBudget", err)
 	}
 	jb := j
 	jb.Tenant = "b"
-	if err := s.submit("b", 0, 1, jb, &Ticket{}); err != nil {
+	if err := s.submit("b", 0, jb, &Ticket{}); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 	tk, _, _ := s.next(0)
 	s.done("a", tk)
-	if err := s.submit("a", 0, 1, j, &Ticket{}); err != nil {
+	if err := s.submit("a", 0, j, &Ticket{}); err != nil {
 		t.Fatalf("tenant budget not released on completion: %v", err)
 	}
 }

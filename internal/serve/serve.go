@@ -1,20 +1,20 @@
 // Package serve implements sharded multi-tenant advisor serving: one
 // process hosting many concurrent advising problems instead of the
 // one-problem-at-a-time advisor the paper describes. Jobs enter per-tenant
-// FIFO queues behind a shared weighted-fair ready queue; shard workers
-// *pull* the next job lazily — preferring tenants whose key hashes to their
-// shard, stealing the most-starved tenant from other shards when their own
-// are idle — and each runs warm-started portfolio rounds over the job's
-// matrix epochs exactly as advisor.SolveStream does, so a served job's
-// result is bit-equal to running the same tenant through the unsharded
-// streaming path regardless of where (or when) it was dispatched. What the
-// serving layer adds is sharing and isolation: a content-addressed Prep
-// artifact cache (see Cache) lets tenants with identical cost matrices —
-// common when they measure the same datacenter slice, or when a fleet of
-// problems is re-advised against one published matrix — split the dominant
-// preprocessing cost across the whole fleet, while per-tenant fairness
-// accounting stops one hot tenant's backlog from starving everyone else
-// (see sched.go for the scheduling model).
+// FIFO queues behind a shared fair ready queue; shard workers *pull* the
+// next job lazily — preferring tenants whose name hashes to their shard,
+// stealing the most-starved tenant from other shards when their own are
+// idle — and each solves the job's matrix as the one final epoch of
+// advisor.SolveStream, so a served job's result is bit-equal to running
+// the same tenant through the unsharded streaming path regardless of where
+// (or when) it was dispatched. What the serving layer adds is sharing and
+// isolation: a content-addressed Prep artifact cache (see Cache) lets
+// tenants with identical cost matrices — common when they measure the same
+// datacenter slice, or when a fleet of problems is re-advised against one
+// published matrix — split the dominant preprocessing cost across the
+// whole fleet, while per-tenant fairness accounting stops one hot tenant's
+// backlog from starving everyone else (see sched.go for the scheduling
+// model).
 package serve
 
 import (
@@ -33,60 +33,42 @@ import (
 	"cloudia/internal/solver"
 )
 
-// Job is one tenant's advising request: a deployment problem plus the
-// epoch source feeding its cost matrices.
+// Job is one tenant's advising request: a deployment problem over one
+// already measured cost matrix — the tenant's current snapshot, as the
+// daemon submits it.
 type Job struct {
-	// Tenant identifies the requesting tenant; with Datacenter it forms the
-	// scheduling key: one tenant's jobs run serialized in submission order
-	// (never racing each other's warm state), with fairness accounted per
-	// key. Required.
+	// Tenant identifies the requesting tenant and is the scheduling key:
+	// one tenant's jobs run serialized in submission order (never racing
+	// each other's warm state), with fairness accounted per tenant.
+	// Required.
 	Tenant string
-	// Datacenter optionally scopes the scheduling key for tenants deployed
-	// in several datacenters.
-	Datacenter string
 
 	// Graph defines the deployment problem's communication graph; required.
 	Graph *core.Graph
 	// ObjectiveSpec says what to optimize (advisor.ObjectiveSpec): the
-	// objective, the metric — percentile metrics search the epochs'
-	// published tail matrices, tie-breaking on the mean — and the
-	// tie-break policy. The spec's Scheme is ignored here: served jobs
-	// consume epochs or matrices, they do not measure.
+	// objective, the metric — percentile metrics search TailMatrix,
+	// tie-breaking on the mean — and the tie-break policy. The spec's
+	// Scheme is ignored here: served jobs consume matrices, they do not
+	// measure.
 	advisor.ObjectiveSpec
 
-	// Epochs supplies the job's matrix epochs, as measure.Stream (or any
-	// custom producer) publishes them; the job completes when the channel
-	// closes. Epoch matrices are immutable snapshots and flow down to the
-	// solvers by reference — the serving layer never copies them. Exactly
-	// one of Epochs and Matrix must be set.
-	Epochs <-chan measure.Epoch
-	// Matrix is the single-epoch convenience: a job over one already
-	// measured matrix, equivalent to a one-epoch stream (shared by
-	// reference; the caller must not mutate it after Submit).
+	// Matrix is the cost matrix the job solves over, run as the one final
+	// epoch of advisor.SolveStream. It is shared by reference; the caller
+	// must not mutate it after Submit. Required.
 	Matrix *core.CostMatrix
-	// TailMatrix extends the single-epoch convenience to percentile specs:
-	// the pre-measured percentile matrix the one-shot epoch publishes as
-	// its tail. Required when Matrix is set and the spec's metric is a
-	// percentile; invalid otherwise. (Epoch-fed jobs instead carry tails
-	// inside their epochs.)
+	// TailMatrix is the percentile matrix that final epoch publishes as its
+	// tail. Required when the spec's metric is a percentile.
 	TailMatrix *core.CostMatrix
 
-	// SolverName, ClusterK, RoundBudget, Seed, and Coalesce have their
+	// SolverName, ClusterK, RoundBudget, and Seed have their
 	// advisor.StreamSolveConfig meanings. RoundBudget is required — beyond
 	// bounding the solve, it is the job's fairness charge: each dispatch
-	// advances the tenant's virtual time by the declared budget over its
-	// weight, so tenants promising more work cede priority sooner.
+	// advances the tenant's virtual time by the declared budget, so tenants
+	// promising more work cede priority sooner.
 	SolverName  string
 	ClusterK    int
 	RoundBudget solver.Budget
 	Seed        int64
-	Coalesce    bool
-
-	// Weight is the tenant's fairness weight; <= 0 selects 1. A tenant with
-	// weight 2 is entitled to twice the service share of a weight-1 tenant
-	// before its jobs sort behind theirs. The first admitted job fixes the
-	// tenant's weight for the server's lifetime.
-	Weight float64
 
 	// Timeout, when positive, bounds the job's solve wall clock from the
 	// moment a worker picks it up. On expiry the job completes normally
@@ -112,7 +94,7 @@ type Result struct {
 	Stolen bool
 	// Outcome is the streaming solve outcome (nil when Err is set); its
 	// final deployment and cost are bit-equal to unsharded
-	// advisor.SolveStream over the same epochs and configuration.
+	// advisor.SolveStream over the same final epoch and configuration.
 	Outcome *advisor.StreamOutcome
 	Err     error
 	// CacheHits and CacheMisses count the job's Prep artifact requests
@@ -239,18 +221,14 @@ func New(cfg Config) *Server {
 // Cache returns the server's shared artifact cache.
 func (s *Server) Cache() *Cache { return s.cache }
 
-// shardFor maps a tenant/datacenter key to its home shard index.
-func (s *Server) shardFor(tenant, datacenter string) int {
+// shardFor maps a tenant to its home shard index: fnv32a over the tenant
+// name and a NUL byte. The NUL is the separator of the retired
+// tenant/datacenter key, kept so every tenant keeps its home shard.
+func (s *Server) shardFor(tenant string) int {
 	h := fnv.New32a()
 	h.Write([]byte(tenant))
 	h.Write([]byte{0})
-	h.Write([]byte(datacenter))
 	return int(h.Sum32() % uint32(s.cfg.Shards))
-}
-
-// schedKey is the per-tenant scheduling key.
-func schedKey(tenant, datacenter string) string {
-	return tenant + "\x00" + datacenter
 }
 
 // Submit validates and enqueues a job for the pulling workers. It never
@@ -269,14 +247,11 @@ func (s *Server) Submit(job Job) (*Ticket, error) {
 	if job.Metric == advisor.MetricMeanPlusStd {
 		return nil, fmt.Errorf("serve: jobs do not support the %q metric (epochs carry mean and percentile matrices)", advisor.MetricMeanPlusStd)
 	}
-	if (job.Epochs == nil) == (job.Matrix == nil) {
-		return nil, fmt.Errorf("serve: job must set exactly one of Epochs and Matrix")
+	if job.Matrix == nil {
+		return nil, fmt.Errorf("serve: job without a cost matrix")
 	}
-	if job.TailMatrix != nil && job.Matrix == nil {
-		return nil, fmt.Errorf("serve: TailMatrix requires Matrix (epoch-fed jobs carry tails inside their epochs)")
-	}
-	if job.Matrix != nil && job.TailPercentile() > 0 && job.TailMatrix == nil {
-		return nil, fmt.Errorf("serve: metric %q over a single matrix requires TailMatrix (the pre-measured percentile matrix)", job.Metric)
+	if job.TailPercentile() > 0 && job.TailMatrix == nil {
+		return nil, fmt.Errorf("serve: metric %q requires TailMatrix (the pre-measured percentile matrix)", job.Metric)
 	}
 	if job.RoundBudget.Unlimited() {
 		return nil, fmt.Errorf("serve: job requires a bounded round budget")
@@ -289,8 +264,7 @@ func (s *Server) Submit(job Job) (*Ticket, error) {
 		return nil, ErrClosed
 	}
 	t := &Ticket{done: make(chan struct{})}
-	err := s.sched.submit(schedKey(job.Tenant, job.Datacenter),
-		s.shardFor(job.Tenant, job.Datacenter), job.Weight, job, t)
+	err := s.sched.submit(job.Tenant, s.shardFor(job.Tenant), job, t)
 	switch err {
 	case nil:
 		s.submitted.Add(1)
@@ -323,7 +297,7 @@ func (s *Server) worker(idx int) {
 		}
 		res := s.runJob(idx, tk)
 		res.Stolen = stolen
-		s.sched.done(schedKey(tk.job.Tenant, tk.job.Datacenter), tk)
+		s.sched.done(tk.job.Tenant, tk)
 		if res.Err != nil {
 			s.failed.Add(1)
 		} else {
@@ -352,19 +326,15 @@ func (s *Server) runJob(shard int, tk task) (res *Result) {
 		}
 	}()
 
-	epochs := job.Epochs
-	if epochs == nil {
-		// The matrices flow down as-is: the one-epoch channel wraps the
-		// caller's snapshots, it does not clone them.
-		ep := measure.Epoch{Index: 1, Final: true, Matrix: job.Matrix}
-		if job.TailMatrix != nil {
-			ep.Tails = []measure.TailMatrix{{Pct: job.TailPercentile(), Matrix: job.TailMatrix}}
-		}
-		ch := make(chan measure.Epoch, 1)
-		ch <- ep
-		close(ch)
-		epochs = ch
+	// The matrices flow down as-is: the one-epoch channel wraps the
+	// caller's snapshots, it does not clone them.
+	ep := measure.Epoch{Index: 1, Final: true, Matrix: job.Matrix}
+	if job.TailMatrix != nil {
+		ep.Tails = []measure.TailMatrix{{Pct: job.TailPercentile(), Matrix: job.TailMatrix}}
 	}
+	epochs := make(chan measure.Epoch, 1)
+	epochs <- ep
+	close(epochs)
 
 	br := &cacheBridge{
 		cache:      s.cache,
@@ -386,7 +356,6 @@ func (s *Server) runJob(shard int, tk task) (res *Result) {
 		ClusterK:      job.ClusterK,
 		RoundBudget:   job.RoundBudget,
 		Seed:          job.Seed,
-		Coalesce:      job.Coalesce,
 		OnProblem:     br.onProblem,
 		OnRound:       job.OnRound,
 		Ctx:           ctx,
@@ -427,11 +396,9 @@ func (s *Server) Stats() Stats {
 }
 
 // cacheBridge adapts the shared cache to advisor.SolveStream's OnProblem
-// hook for one job. Fresh problems adopt (or compute and publish) the
-// content-addressed artifacts their solver will need; evolved problems
-// keep their incremental Prep lineage — bit-identical to the unsharded
-// path — and instead emit the epoch's changed-row set as the cross-shard
-// invalidation message retiring the previous fingerprint.
+// hook for one job. A job is one epoch, so the hook sees one fresh problem,
+// which adopts (or computes and publishes) the content-addressed artifacts
+// its solver will need.
 type cacheBridge struct {
 	cache      *Cache
 	solverName string
@@ -439,7 +406,6 @@ type cacheBridge struct {
 	spec       advisor.ObjectiveSpec
 	graph      *core.Graph
 
-	prevFP       core.Fingerprint
 	hits, misses int
 }
 
@@ -463,14 +429,8 @@ func (b *cacheBridge) epochFP(prob *solver.Problem, ep measure.Epoch) core.Finge
 	return fp
 }
 
-func (b *cacheBridge) onProblem(prob, prev *solver.Problem, ep measure.Epoch, changedRows []int) error {
+func (b *cacheBridge) onProblem(prob, _ *solver.Problem, ep measure.Epoch, _ []int) error {
 	fp := b.epochFP(prob, ep)
-	defer func() { b.prevFP = fp }()
-
-	if prev != nil {
-		b.cache.Supersede(b.prevFP, fp, changedRows)
-		return nil
-	}
 
 	// Resolve the same defaults SolveStream applies, so the bridge warms
 	// the artifacts the solver will actually request.

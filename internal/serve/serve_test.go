@@ -37,55 +37,30 @@ func testMatrix(rng *rand.Rand, instances int) *core.CostMatrix {
 	return m
 }
 
-// epochSeq materializes a fixed epoch sequence so it can be replayed for
-// both the sharded and the unsharded side.
-func epochSeq(epochs []measure.Epoch) <-chan measure.Epoch {
-	ch := make(chan measure.Epoch, len(epochs))
-	for _, ep := range epochs {
-		ch <- ep
-	}
+// finalEpoch is the one-epoch stream a served job over m runs: the
+// unsharded comparator for every served result.
+func finalEpoch(m *core.CostMatrix) <-chan measure.Epoch {
+	ch := make(chan measure.Epoch, 1)
+	ch <- measure.Epoch{Index: 1, Final: true, Matrix: m}
 	close(ch)
 	return ch
 }
 
-// evolveEpochs builds an e-epoch sequence over one mutable matrix: each
-// epoch perturbs a few rows, carrying exact changed-row sets and
-// incremental fingerprints.
-func evolveEpochs(t testing.TB, rng *rand.Rand, instances, epochs int) []measure.Epoch {
-	t.Helper()
-	mm := core.NewMutableCostMatrix(instances)
-	for i := 0; i < instances; i++ {
-		for j := 0; j < instances; j++ {
-			if i != j {
-				mm.Set(i, j, 0.2+rng.Float64())
-			}
-		}
-	}
-	out := make([]measure.Epoch, 0, epochs)
-	for e := 1; e <= epochs; e++ {
-		if e > 1 {
-			for r := 0; r < 2; r++ {
-				i := rng.Intn(instances)
-				for j := 0; j < instances; j++ {
-					if i != j {
-						mm.Set(i, j, 0.2+rng.Float64())
-					}
-				}
-			}
-		}
-		fp := mm.Fingerprint()
-		m, changed := mm.Snapshot()
-		out = append(out, measure.Epoch{
-			Index: e, AtMS: float64(e), Final: e == epochs,
-			Matrix: m, ChangedRows: changed, Fingerprint: fp,
-		})
-	}
-	return out
+// gatedJob returns a valid job whose worker parks in OnRound until the
+// test sends on (or closes) the returned gate: the way to hold a worker,
+// and to observe which job is running, without racing the solver.
+func gatedJob(g *core.Graph, m *core.CostMatrix, tenant string, budget solver.Budget) (Job, chan struct{}) {
+	gate := make(chan struct{})
+	return Job{
+		Tenant: tenant, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
+		Matrix: m, SolverName: "g1", RoundBudget: budget,
+		OnRound: func(advisor.Round) { <-gate },
+	}, gate
 }
 
-// Served results must be bit-equal to the unsharded streaming path for the
-// same tenant configuration — across solvers that use each cached artifact
-// kind and across multi-epoch jobs that evolve their problems.
+// Served results must be bit-equal to the unsharded streaming path over the
+// same final epoch and tenant configuration, across solvers that use each
+// cached artifact kind. (Multi-epoch equivalence is advisor's to test.)
 func TestServeMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testGraph(t, 3, 4) // 12 nodes
@@ -94,7 +69,7 @@ func TestServeMatchesUnsharded(t *testing.T) {
 
 	for _, solverName := range []string{"cp", "g1", "sa"} {
 		t.Run(solverName, func(t *testing.T) {
-			shared := evolveEpochs(t, rng, instances, 3)
+			shared := testMatrix(rng, instances)
 			srv := New(Config{Shards: 3})
 			defer srv.Close()
 
@@ -106,7 +81,7 @@ func TestServeMatchesUnsharded(t *testing.T) {
 					Tenant:        fmt.Sprintf("tenant-%d", tn),
 					Graph:         g,
 					ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-					Epochs:        epochSeq(shared),
+					Matrix:        shared,
 					SolverName:    solverName,
 					ClusterK:      4,
 					RoundBudget:   budget,
@@ -121,7 +96,7 @@ func TestServeMatchesUnsharded(t *testing.T) {
 				if res.Err != nil {
 					t.Fatalf("tenant %d: %v", tn, res.Err)
 				}
-				want, err := advisor.SolveStream(epochSeq(shared), advisor.StreamSolveConfig{
+				want, err := advisor.SolveStream(finalEpoch(shared), advisor.StreamSolveConfig{
 					Graph:         g,
 					ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 					SolverName:    solverName,
@@ -190,20 +165,26 @@ func TestServeCrossTenantCacheHits(t *testing.T) {
 	}
 }
 
-// One tenant key must always land on one shard; distinct keys spread.
+// One tenant must always land on one shard, distinct tenants spread, and
+// every tenant keeps the home shard of the retired tenant/datacenter key
+// with an empty datacenter: fnv32a over the name and a NUL byte.
 func TestServeRoutingStable(t *testing.T) {
 	srv := New(Config{Shards: 4})
 	defer srv.Close()
-	a := srv.shardFor("alice", "dc1")
+	a := srv.shardFor("alice")
 	for i := 0; i < 10; i++ {
-		if srv.shardFor("alice", "dc1") != a {
+		if srv.shardFor("alice") != a {
 			t.Fatal("routing is not stable")
 		}
 	}
-	if srv.shardFor("alice", "dc1") == srv.shardFor("alice", "dc2") &&
-		srv.shardFor("alice", "dc1") == srv.shardFor("bob", "dc1") &&
-		srv.shardFor("alice", "dc1") == srv.shardFor("carol", "dc1") {
-		t.Fatal("all distinct keys landed on one shard (suspicious hash)")
+	if a == srv.shardFor("bob") && a == srv.shardFor("carol") && a == srv.shardFor("dave") {
+		t.Fatal("all distinct tenants landed on one shard (suspicious hash)")
+	}
+	// fnv32a("alice\x00") and fnv32a("bob\x00"), computed independently.
+	for tenant, sum := range map[string]uint32{"alice": 0xa1a554a5, "bob": 0xfeaf2dbc} {
+		if got, want := srv.shardFor(tenant), int(sum%4); got != want {
+			t.Errorf("shardFor(%q) = %d, want %d", tenant, got, want)
+		}
 	}
 }
 
@@ -215,14 +196,10 @@ func TestServeBackpressureAndBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := testMatrix(rng, 8)
 
-	// Block the single shard with a job whose epoch channel we control, so
-	// queue and budget accounting can be observed deterministically.
-	gate := make(chan measure.Epoch)
+	// Park the single shard in a job whose round we release, so queue and
+	// budget accounting can be observed deterministically.
 	srv := New(Config{Shards: 1, QueueDepth: 1, MaxPendingBudget: 250 * time.Millisecond})
-	blocker := Job{
-		Tenant: "blocker", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		Epochs: gate, SolverName: "g1", RoundBudget: solver.Budget{Time: 100 * time.Millisecond},
-	}
+	blocker, gate := gatedJob(g, m, "blocker", solver.Budget{Time: 100 * time.Millisecond})
 	quick := Job{
 		Tenant: "quick", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 		Matrix: m, SolverName: "g1", RoundBudget: solver.Budget{Time: 100 * time.Millisecond},
@@ -258,9 +235,7 @@ func TestServeBackpressureAndBudget(t *testing.T) {
 		t.Fatalf("rejected = %d, want 2", got)
 	}
 
-	// Unblock: a single final epoch completes the blocker, then quick runs.
-	ep := evolveEpochs(t, rng, 8, 1)[0]
-	gate <- ep
+	// Unblock: the blocker's round returns, then quick runs.
 	close(gate)
 	if res := bt.Wait(); res.Err != nil {
 		t.Fatal(res.Err)
@@ -277,24 +252,23 @@ func TestServeBackpressureAndBudget(t *testing.T) {
 	}
 }
 
-// A job whose epoch source closes without publishing must surface its
-// error through the ticket and count as failed, not served.
+// A job whose solve fails — here a matrix with fewer instances than the
+// graph has nodes — must surface its error through the ticket and count as
+// failed, not served.
 func TestServeJobFailureSurfaces(t *testing.T) {
 	g := testGraph(t, 2, 3)
-	empty := make(chan measure.Epoch)
-	close(empty)
 	srv := New(Config{Shards: 1})
 	defer srv.Close()
 	tk, err := srv.Submit(Job{
 		Tenant: "t", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		Epochs: empty, SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
+		Matrix: testMatrix(rand.New(rand.NewSource(3)), 4), SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := tk.Wait()
 	if res.Err == nil {
-		t.Fatal("empty epoch stream did not fail the job")
+		t.Fatal("a 4-instance matrix under a 6-node graph did not fail the job")
 	}
 	st := srv.Stats()
 	if st.Failed != 1 || st.Served != 0 {
@@ -364,7 +338,8 @@ func TestServeSubmitValidation(t *testing.T) {
 		func(j *Job) { j.Tenant = "" },
 		func(j *Job) { j.Graph = nil },
 		func(j *Job) { j.Matrix = nil },
-		func(j *Job) { j.Epochs = make(chan measure.Epoch) },
+		func(j *Job) { j.Metric = advisor.MetricP99 }, // no TailMatrix
+		func(j *Job) { j.Metric = advisor.MetricMeanPlusStd },
 		func(j *Job) { j.RoundBudget = solver.Budget{} },
 	}
 	for i, mut := range bad {
@@ -385,30 +360,27 @@ func TestServeSubmitValidation(t *testing.T) {
 
 // End-to-end starvation check: with one worker, a hot tenant's 4-job
 // backlog must yield to later-arriving light tenants after its first
-// dispatch. Each job's epoch channel is an unbuffered gate, so the running
+// dispatch. Each job parks in OnRound on an unbuffered gate, so the running
 // job is exactly the one whose gate send succeeds — observing the true
 // dispatch order without races.
 func TestServeHotTenantCannotStarveLights(t *testing.T) {
 	g := testGraph(t, 2, 3)
-	rng := rand.New(rand.NewSource(29))
-	ep := evolveEpochs(t, rng, 8, 1)[0]
+	m := testMatrix(rand.New(rand.NewSource(29)), 8)
 	srv := New(Config{Shards: 1})
 	defer srv.Close()
 
 	type sub struct {
 		tenant string
-		gate   chan measure.Epoch
+		gate   chan struct{}
 		tk     *Ticket
 	}
 	var subs []*sub
 	submit := func(tenant string) {
 		t.Helper()
-		s := &sub{tenant: tenant, gate: make(chan measure.Epoch)}
+		job, gate := gatedJob(g, m, tenant, solver.Budget{Nodes: 1000})
+		s := &sub{tenant: tenant, gate: gate}
 		var err error
-		s.tk, err = srv.Submit(Job{
-			Tenant: tenant, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-			Epochs: s.gate, SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
-		})
+		s.tk, err = srv.Submit(job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,12 +399,11 @@ func TestServeHotTenantCannotStarveLights(t *testing.T) {
 		cases := make([]reflect.SelectCase, len(remaining))
 		for i, s := range remaining {
 			cases[i] = reflect.SelectCase{
-				Dir: reflect.SelectSend, Chan: reflect.ValueOf(s.gate), Send: reflect.ValueOf(ep),
+				Dir: reflect.SelectSend, Chan: reflect.ValueOf(s.gate), Send: reflect.ValueOf(struct{}{}),
 			}
 		}
 		chosen, _, _ := reflect.Select(cases)
 		s := remaining[chosen]
-		close(s.gate)
 		if res := s.tk.Wait(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -451,16 +422,16 @@ func TestServeHotTenantCannotStarveLights(t *testing.T) {
 func TestServeWorkStealingBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := testGraph(t, 3, 4)
-	shared := evolveEpochs(t, rng, 16, 3)
+	shared := testMatrix(rng, 16)
 	budget := solver.Budget{Nodes: 30_000}
 
-	// Two tenants whose keys both home on shard 0, so shard 1 can only ever
-	// run stolen work.
+	// Two tenants that both home on shard 0, so shard 1 can only ever run
+	// stolen work.
 	probe := New(Config{Shards: 2})
 	var tenants []string
 	for i := 0; len(tenants) < 2; i++ {
 		name := fmt.Sprintf("tenant-%d", i)
-		if probe.shardFor(name, "") == 0 {
+		if probe.shardFor(name) == 0 {
 			tenants = append(tenants, name)
 		}
 	}
@@ -475,7 +446,7 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 			for _, tn := range tenants {
 				tk, err := srv.Submit(Job{
 					Tenant: tn, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-					Epochs: epochSeq(shared), SolverName: "cp", ClusterK: 4,
+					Matrix: shared, SolverName: "cp", ClusterK: 4,
 					RoundBudget: budget, Seed: int64(j),
 				})
 				if err != nil {
@@ -518,7 +489,7 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 
 	for j := 0; j < jobsPer; j++ {
 		for _, tn := range tenants {
-			want, err := advisor.SolveStream(epochSeq(shared), advisor.StreamSolveConfig{
+			want, err := advisor.SolveStream(finalEpoch(shared), advisor.StreamSolveConfig{
 				Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink}, SolverName: "cp",
 				ClusterK: 4, RoundBudget: budget, Seed: int64(j),
 			})
@@ -540,16 +511,13 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 // tenants keep submitting, through the public Config surface.
 func TestServePerTenantBudget(t *testing.T) {
 	g := testGraph(t, 2, 3)
+	m := testMatrix(rand.New(rand.NewSource(37)), 8)
 	srv := New(Config{Shards: 1, MaxTenantPendingBudget: 250 * time.Millisecond})
-	job := func(tenant string) (Job, chan measure.Epoch) {
-		gate := make(chan measure.Epoch, 1)
-		return Job{
-			Tenant: tenant, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-			Epochs: gate, SolverName: "g1", RoundBudget: solver.Budget{Time: 100 * time.Millisecond},
-		}, gate
+	job := func(tenant string) (Job, chan struct{}) {
+		return gatedJob(g, m, tenant, solver.Budget{Time: 100 * time.Millisecond})
 	}
 	var tks []*Ticket
-	var gates []chan measure.Epoch
+	var gates []chan struct{}
 	for i := 0; i < 2; i++ {
 		j, gate := job("greedy-tenant")
 		tk, err := srv.Submit(j)
@@ -568,10 +536,7 @@ func TestServePerTenantBudget(t *testing.T) {
 	}
 	tks, gates = append(tks, tk), append(gates, gate)
 
-	rng := rand.New(rand.NewSource(37))
-	ep := evolveEpochs(t, rng, 8, 1)[0]
 	for _, gate := range gates {
-		gate <- ep
 		close(gate)
 	}
 	for _, tk := range tks {
@@ -622,14 +587,18 @@ func TestCacheTransposedGraphFamily(t *testing.T) {
 	}
 }
 
-// 16 goroutines hammer submission, evolving epochs (Supersede), a
+// 16 goroutines hammer submission over three shared matrices, a
 // 2-fingerprint cache (eviction), and 4 pulling shards (steals) at once;
 // run under -race in CI, any ordering bug surfaces as a data race or a
-// failed job.
+// failed job, and every served result must be bit-equal to the unsharded
+// path over the same final epoch.
 func TestServeRaceHammer(t *testing.T) {
 	g := testGraph(t, 2, 4)
 	srv := New(Config{Shards: 4, Cache: NewCache(2), QueueDepth: 32})
 	defer srv.Close()
+	rng := rand.New(rand.NewSource(43))
+	matrices := []*core.CostMatrix{testMatrix(rng, 10), testMatrix(rng, 10), testMatrix(rng, 10)}
+	budget := solver.Budget{Nodes: 2000}
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -638,21 +607,33 @@ func TestServeRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(43 + w)))
 			for j := 0; j < 3; j++ {
+				m, seed := matrices[(w+j)%len(matrices)], int64(w*10+j)
 				tk, err := srv.Submit(Job{
 					Tenant: fmt.Sprintf("tenant-%d", w%5), Graph: g,
 					ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-					Epochs:        epochSeq(evolveEpochs(t, rng, 10, 3)),
-					SolverName:    "cp", ClusterK: 3,
-					RoundBudget: solver.Budget{Nodes: 2000}, Seed: int64(w*10 + j),
+					Matrix:        m, SolverName: "cp", ClusterK: 3,
+					RoundBudget: budget, Seed: seed,
 				})
 				if err != nil {
 					errs <- err
 					continue
 				}
-				if res := tk.Wait(); res.Err != nil {
+				res := tk.Wait()
+				if res.Err != nil {
 					errs <- res.Err
+					continue
+				}
+				want, err := advisor.SolveStream(finalEpoch(m), advisor.StreamSolveConfig{
+					Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
+					SolverName: "cp", ClusterK: 3, RoundBudget: budget, Seed: seed,
+				})
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if !reflect.DeepEqual(res.Outcome.Deployment, want.Deployment) || res.Outcome.Cost != want.Cost {
+					errs <- fmt.Errorf("worker %d job %d: served result diverged from unsharded", w, j)
 				}
 			}
 		}(w)

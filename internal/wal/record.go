@@ -228,7 +228,10 @@ func (p *payloadReader) uint() int {
 		return 0
 	}
 	v, n := binary.Uvarint(p.b)
-	if n <= 0 || v > math.MaxInt32 {
+	// A minimal encoding never ends in a zero group: rejecting overlong
+	// forms keeps every accepted payload the exact bytes appendPayload
+	// writes for its record.
+	if n <= 0 || v > math.MaxInt32 || (n > 1 && p.b[n-1] == 0) {
 		p.fail("wal: malformed uvarint")
 		return 0
 	}
@@ -269,9 +272,16 @@ func (p *payloadReader) marker(what string) byte {
 	return m
 }
 
-// rowDeltas reads count row deltas of n values each, with the same
-// cannot-possibly-fit guard the epoch decoder always applied: each delta is
-// at least one index byte plus n fixed-width values.
+// fits reports whether count items of size bytes each fit in the rest of
+// the payload. It divides instead of multiplying: count and size come from
+// uvarints up to MaxInt32, whose products overflow int.
+func (p *payloadReader) fits(count, size int) bool {
+	return size == 0 || count <= len(p.b)/size
+}
+
+// rowDeltas reads count row deltas of n values each, refusing counts that
+// cannot possibly fit before allocating: each delta is at least one index
+// byte plus n fixed-width values.
 func (p *payloadReader) rowDeltas(count, n int) []RowDelta {
 	if p.err != nil {
 		return nil
@@ -280,7 +290,7 @@ func (p *payloadReader) rowDeltas(count, n int) []RowDelta {
 		p.fail("wal: epoch record claims %d changed rows of %d", count, n)
 		return nil
 	}
-	if count*(n*8+1) > len(p.b) {
+	if !p.fits(count, n*8+1) {
 		p.fail("wal: epoch record claims %d rows of %d values in %d bytes", count, n, len(p.b))
 		return nil
 	}
@@ -364,8 +374,8 @@ func decodeRecord(kind byte, payload []byte) (Record, error) {
 		if p.err != nil {
 			return nil, p.err
 		}
-		if need := n*n*8 + 1; len(p.b) < need {
-			return nil, fmt.Errorf("wal: snapshot payload %d bytes short of %d", need-len(p.b), need)
+		if !p.fits(n, n*8) {
+			return nil, fmt.Errorf("wal: snapshot claims a %d x %d matrix in %d bytes", n, n, len(p.b))
 		}
 		r.Matrix = core.NewCostMatrix(n)
 		for i := 0; i < n; i++ {
@@ -384,8 +394,8 @@ func decodeRecord(kind byte, payload []byte) (Record, error) {
 		if p.marker("snapshot tail") == 1 {
 			r.TailPct = p.f64()
 			r.TailFingerprint = core.Fingerprint(p.u64())
-			if p.err == nil && len(p.b) < n*n*8 {
-				return nil, fmt.Errorf("wal: snapshot tail payload %d bytes short of %d", n*n*8-len(p.b), n*n*8)
+			if p.err == nil && !p.fits(n, n*8) {
+				return nil, fmt.Errorf("wal: snapshot claims a %d x %d tail matrix in %d bytes", n, n, len(p.b))
 			}
 			r.Tail = core.NewCostMatrix(n)
 			for i := 0; i < n; i++ {
