@@ -11,7 +11,10 @@ BENCH_PATTERN_MACRO ?= BenchmarkCPPerNodeBudget|BenchmarkCPThresholdDescent|Benc
 BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkEpochDecode|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSkewedServe|BenchmarkSortedPairsRebuild
 BENCH_PATTERN_MICRO ?= BenchmarkDeltaEvalLL|BenchmarkDeltaEvalLP
 BENCH_PATTERN ?= $(BENCH_PATTERN_MACRO)|$(BENCH_PATTERN_HEAVY)|$(BENCH_PATTERN_MICRO)
-BENCH_OUT ?= BENCH_PR9.json
+# bench writes here; untracked (see .gitignore), so a local run never
+# overwrites a committed trajectory file. Pass BENCH_OUT=BENCH_PR<N>.json
+# to record a new one on purpose.
+BENCH_OUT ?= bench-out.json
 
 # The perf trajectory: BENCH_BASE is the previous PR's recorded run,
 # BENCH_NEW the current one; bench-diff flags regressions beyond
@@ -67,11 +70,10 @@ fuzz:
 perf-check:
 	cd cmd/cloudia-perf && $(GO) vet ./... && $(GO) test ./...
 
-# bench runs the solver benchmarks and records them as JSON so the perf
-# trajectory is tracked across PRs (BENCH_PR<N>.json per PR). -p 1 keeps
-# package test binaries sequential: by default `go test ./...` runs them
-# in parallel, so benchmarks in different packages would time-share cores
-# and contaminate each other's ns/op.
+# bench runs the solver benchmarks and records them as JSON in
+# $(BENCH_OUT). -p 1 keeps package test binaries sequential: by default
+# `go test ./...` runs them in parallel, so benchmarks in different
+# packages would time-share cores and contaminate each other's ns/op.
 # (No `| tee`: a pipe would launder the go test exit status — POSIX sh has
 # no pipefail — so a failing benchmark run could still record a JSON file.)
 bench:

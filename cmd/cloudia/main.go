@@ -31,7 +31,6 @@ import (
 	"cloudia/internal/core"
 	"cloudia/internal/graphio"
 	"cloudia/internal/measure"
-	"cloudia/internal/par"
 	"cloudia/internal/solver"
 	"cloudia/internal/topology"
 )
@@ -66,11 +65,9 @@ func main() {
 		walDir    = flag.String("wal-dir", "cloudia-wal", "write-ahead log directory for -listen")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy for -listen: always, batch, none")
 		shards    = flag.Int("shards", 0, "worker shards for -listen (0 = default)")
-		workers   = flag.Int("workers", 0, "worker goroutines for data-parallel cold paths (0 = GOMAXPROCS, 1 = sequential)")
 		pprofFlag = flag.Bool("pprof", false, "expose net/http/pprof on the -listen address under /debug/pprof/")
 	)
 	flag.Parse()
-	par.SetWorkers(*workers)
 
 	if err := run(runConfig{
 		template: *template, rows: *rows, cols: *cols,

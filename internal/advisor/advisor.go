@@ -191,21 +191,20 @@ func NewSolver(name string, clusterK int, seed int64) (solver.Solver, error) {
 	return nil, fmt.Errorf("advisor: unknown solver %q", name)
 }
 
-// NewPortfolio builds the default parallel solver portfolio: the systematic
-// solvers, both greedies, the local searches, and three differently-seeded
-// simulated-annealing restarts, all racing on their own goroutine under one
-// shared deployment-time budget. Members that do not apply to the problem's
+// NewPortfolio builds the default solver portfolio: the systematic solvers,
+// both greedies, the local search, and three differently-seeded
+// simulated-annealing restarts, each a single search racing on its own
+// goroutine under one shared deployment-time budget. The portfolio is the
+// only fan-out at solve time. Members that do not apply to the problem's
 // objective (CP on longest-path) drop out by erroring; the portfolio keeps
-// the best of the rest. The R2L member and CP's parallel embedding search
-// are each capped at two workers so a single member does not oversubscribe
-// the CPU the other members share.
+// the best of the rest.
 func NewPortfolio(clusterK int, seed int64) *solver.Portfolio {
 	return solver.NewPortfolio(
-		&cp.Solver{ClusterK: clusterK, Seed: seed, Workers: 2},
+		cp.New(clusterK, seed),
 		mip.New(clusterK, seed),
 		greedy.New(greedy.G1),
 		greedy.New(greedy.G2),
-		&random.Local{Seed: seed, Workers: 2},
+		random.NewLocal(seed),
 		anneal.New(seed),
 		anneal.New(seed+0x51ed),
 		anneal.New(seed+2*0x51ed),

@@ -20,7 +20,6 @@ func init() {
 	register("ablation-contention", AblationContention)
 	register("ablation-sa", AblationSimulatedAnnealing)
 	register("ablation-clusterk", AblationClusterK)
-	register("ablation-cpworkers", AblationCPWorkers)
 }
 
 // AblationDegreeFilter measures the effect of the root-level degree /
@@ -60,45 +59,6 @@ func AblationDegreeFilter(opts Options) (*Figure, error) {
 		fig.note("%s: cost %.3f, %d search nodes", name, res.Cost, res.Nodes)
 	}
 	fig.Series = append(fig.Series, s, nodes)
-	return fig, nil
-}
-
-// AblationCPWorkers measures the parallel embedding search: the same CP
-// descent under the same wall-clock budget with 1, 2, and 4 workers
-// splitting each feasibility check's root branches. On a multi-core machine
-// more workers reach a given threshold verdict sooner, which shows up as a
-// lower final cost within the budget; the verdicts themselves are
-// worker-count independent.
-func AblationCPWorkers(opts Options) (*Figure, error) {
-	nInst, rows, cols := 60, 6, 9
-	budget := solver.Budget{Time: time.Second}
-	if opts.Quick {
-		nInst, rows, cols = 30, 5, 5
-		budget = solver.Budget{Time: 150 * time.Millisecond}
-	}
-	p, err := llProblem(nInst, rows, cols, opts.Seed+205)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: "ablation-cpworkers", Title: "CP parallel embedding search ablation",
-		XLabel: "workers", YLabel: "value",
-	}
-	cost := Series{Name: "final cost (ms)"}
-	nodes := Series{Name: "search nodes"}
-	for _, w := range []int{1, 2, 4} {
-		sol := &cp.Solver{ClusterK: 20, Seed: opts.Seed + 25, Workers: w}
-		res, err := sol.Solve(p, budget)
-		if err != nil {
-			return nil, err
-		}
-		cost.X = append(cost.X, float64(w))
-		cost.Y = append(cost.Y, res.Cost)
-		nodes.X = append(nodes.X, float64(w))
-		nodes.Y = append(nodes.Y, float64(res.Nodes))
-		fig.note("workers=%d: cost %.3f, %d search nodes", w, res.Cost, res.Nodes)
-	}
-	fig.Series = append(fig.Series, cost, nodes)
 	return fig, nil
 }
 
@@ -191,7 +151,7 @@ func AblationSimulatedAnnealing(opts Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		r2, err := (&random.R2{Seed: opts.Seed + int64(a), Workers: 4}).Solve(p, budget)
+		r2, err := random.NewR2(opts.Seed+int64(a)).Solve(p, budget)
 		if err != nil {
 			return nil, err
 		}

@@ -49,8 +49,8 @@ func TestIDsComplete(t *testing.T) {
 		"fig01", "fig02", "fig04", "fig05", "fig06", "fig07", "fig08",
 		"fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-		"ablation-clusterk", "ablation-contention", "ablation-cpworkers",
-		"ablation-degreefilter", "ablation-sa",
+		"ablation-clusterk", "ablation-contention", "ablation-degreefilter",
+		"ablation-sa",
 		"extension-redeploy", "extension-overlap", "extension-weighted",
 		"extension-costmodel", "extension-bandwidth",
 	}

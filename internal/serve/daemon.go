@@ -13,7 +13,6 @@ import (
 	"cloudia/internal/advisor"
 	"cloudia/internal/core"
 	"cloudia/internal/measure"
-	"cloudia/internal/par"
 	"cloudia/internal/solver"
 	"cloudia/internal/wal"
 )
@@ -113,59 +112,35 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	type recovery struct {
-		tenant string
-		dir    string
-		sess   *tenantSession
-		err    error
+	// Replay tenant logs one at a time, in directory (sorted, os.ReadDir's
+	// contract) order, so the error reported is the first failing tenant's
+	// in that order and cache re-seeding is one deterministic pass.
+	var opened []*tenantSession
+	fail := func(err error) (*Daemon, error) {
+		for _, sess := range opened {
+			sess.log.Close()
+		}
+		return nil, err
 	}
-	var recs []*recovery
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
 		raw, err := hex.DecodeString(e.Name())
 		if err != nil {
-			return nil, fmt.Errorf("serve: alien tenant directory %q", e.Name())
+			return fail(fmt.Errorf("serve: alien tenant directory %q", e.Name()))
 		}
-		recs = append(recs, &recovery{tenant: string(raw), dir: filepath.Join(root, e.Name())})
-	}
-
-	// Replay tenant logs concurrently: per-tenant logs are independent by
-	// construction, each replay applies its own records strictly in order,
-	// and fingerprint verification stays per-epoch inside openSession — so
-	// restart time scales with the slowest tenant, not the fleet. Everything
-	// order-sensitive happens after the barrier, in directory (sorted,
-	// os.ReadDir's contract) order: the error reported is the first failing
-	// tenant's in that order, and cache re-seeding is a deterministic
-	// sequential pass, so recovered cache state is bit-independent of how
-	// replays were scheduled.
-	par.For(len(recs), func(lo, hi int) {
-		for _, r := range recs[lo:hi] {
-			r.sess, r.err = openSession(r.dir, r.tenant, cfg.WAL)
+		sess, err := openSession(filepath.Join(root, e.Name()), string(raw), cfg.WAL)
+		if err != nil {
+			return fail(err)
 		}
-	})
-	closeAll := func() {
-		for _, r := range recs {
-			if r.sess != nil {
-				r.sess.log.Close()
-			}
+		opened = append(opened, sess)
+		if err := d.reseedCache(sess); err != nil {
+			return fail(err)
 		}
-	}
-	for _, r := range recs {
-		if r.err != nil {
-			closeAll()
-			return nil, r.err
-		}
-	}
-	for _, r := range recs {
-		if err := d.reseedCache(r.sess); err != nil {
-			closeAll()
-			return nil, err
-		}
-		d.cache.Track(0, r.sess.fp)
-		d.cache.Track(0, r.sess.tailFP)
-		d.tenants[r.sess.name] = r.sess
+		d.cache.Track(0, sess.fp)
+		d.cache.Track(0, sess.tailFP)
+		d.tenants[sess.name] = sess
 	}
 
 	d.srv = New(cfg.Serve)

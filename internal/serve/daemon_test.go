@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -358,4 +360,70 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after reopen", re)
+}
+
+// TestDaemonFailedFsyncFailsClosed: one failed fsync poisons the tenant's
+// log. The epoch whose fsync failed and every later one answer 503
+// "log_failed", so nothing is acknowledged under a rolled-back epoch number,
+// and a restart replays a valid prefix of what the disk holds. The frame
+// whose fsync failed had already reached the file, so replay applies it:
+// the reopened tenant stands at that epoch, as it would after a crash
+// between the write and the ack.
+func TestDaemonFailedFsyncFailsClosed(t *testing.T) {
+	const n = 4
+	m := testMatrix(rand.New(rand.NewSource(89)), n)
+	dir := t.TempDir()
+	d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	if _, _, err := d.AppendEpoch("t", n, fullRows(m), nil); err != nil {
+		t.Fatal(err)
+	}
+	scaled := func(row int, by float64) []float64 {
+		vals := append([]float64(nil), m.Row(row)...)
+		for j := range vals {
+			if j != row {
+				vals[j] *= by
+			}
+		}
+		return vals
+	}
+	ts := httptest.NewServer(d.Handler())
+	post := func(row int, by float64) *http.Response {
+		return postJSON(t, ts.Client(), ts.URL+"/v1/epoch", map[string]any{
+			"tenant": "t", "n": n, "rows": []map[string]any{{"row": row, "values": scaled(row, by)}},
+		})
+	}
+	wal.FailNextSync(errors.New("injected EIO"))
+	defer wal.FailNextSync(nil)
+	failed := post(1, 1.5)
+	third := post(2, 2)
+	ts.Close()
+	closeErr := d.Close()
+
+	re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	defer re.Close()
+	acked := m.Clone()
+	for j, v := range scaled(1, 1.5) {
+		acked.Set(1, j, v)
+	}
+	if st := re.Stats().Tenants; len(st) != 1 || st[0].Epoch != 2 || st[0].Fingerprint != acked.Fingerprint() {
+		t.Fatalf("recovered %+v, want epoch 2 holding the failed-ack epoch (fingerprint %016x)",
+			st, uint64(acked.Fingerprint()))
+	}
+	for i, resp := range []*http.Response{failed, third} {
+		name := []string{"failed epoch", "next epoch"}[i]
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s: status %d, want 503", name, resp.StatusCode)
+		}
+		var e errorJSON
+		decodeBody(t, resp, &e)
+		if e.Error.Code != "log_failed" || e.Error.RetryAfterMS != 0 {
+			t.Errorf("%s: error body %+v, want code log_failed without a retry hint", name, e.Error)
+		}
+	}
+	if !errors.Is(closeErr, wal.ErrFailed) {
+		t.Fatalf("closing the daemon returned %v, want the log failure", closeErr)
+	}
+	if epoch, _, err := re.AppendEpoch("t", n, []wal.RowDelta{{Row: 2, Values: scaled(2, 2)}}, nil); err != nil || epoch != 3 {
+		t.Fatalf("reopened tenant: epoch %d, err %v; want epoch 3 accepted", epoch, err)
+	}
 }

@@ -259,7 +259,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 //
 // The code is a stable machine-readable discriminator (clients previously
 // had to substring-match the message); retry_after_ms is present exactly
-// when retrying the same request later can succeed (429 and 503).
+// when retrying the same request later can succeed (429, and 503 "closed").
 type errorJSON struct {
 	Error errorBody `json:"error"`
 }
@@ -272,9 +272,11 @@ type errorBody struct {
 
 // httpError maps daemon errors onto HTTP status codes: transient admission
 // rejections become 429 with a Retry-After hint, unknown tenants 404, a
-// body over the size limit 413, everything else a 400 — the daemon never
-// blames itself for a request it validated and refused. The body is always
-// a structured errorJSON.
+// body over the size limit 413, a tenant whose log failed (wal.ErrFailed)
+// 503 "log_failed" with no retry hint — it stays refused until a restart
+// replays what its disk holds — and everything else a 400: the daemon
+// never blames itself for a request it validated and refused. The body is
+// always a structured errorJSON.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	body := errorBody{Code: "bad_request", Message: err.Error()}
@@ -297,6 +299,9 @@ func httpError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
 		body.Code, body.RetryAfterMS = "closed", 1000
+	case errors.Is(err, wal.ErrFailed):
+		code = http.StatusServiceUnavailable
+		body.Code = "log_failed"
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

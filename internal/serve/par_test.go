@@ -161,25 +161,23 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestDaemonParallelReplayBitEqual restarts a 5-tenant daemon from the same
-// WAL bytes once with a single replay worker and once with many, and
-// requires bit-identical recovered state and served advice: parallel
-// recovery must be invisible in everything but wall-clock.
-func TestDaemonParallelReplayBitEqual(t *testing.T) {
-	defer par.SetWorkers(0)
+// TestDaemonReplayBitEqual restarts a 5-tenant daemon from a copy of its
+// WAL and requires the recovered daemon to hold bit-identical state and
+// serve bit-identical advice to the daemon that kept running.
+func TestDaemonReplayBitEqual(t *testing.T) {
 	g := testGraph(t, 2, 3)
 	const n, tenants = 8, 5
 	budget := solver.Budget{Nodes: 10_000}
 
-	seed := t.TempDir()
-	d := openDaemon(t, DaemonConfig{Dir: seed, Serve: Config{Shards: 1}})
+	live := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	defer live.Close()
 	for i := 0; i < tenants; i++ {
 		tn := fmt.Sprintf("tenant-%d", i)
 		m := testMatrix(rand.New(rand.NewSource(int64(60+i))), n)
-		if _, _, err := d.AppendEpoch(tn, n, fullRows(m), nil); err != nil {
+		if _, _, err := live.AppendEpoch(tn, n, fullRows(m), nil); err != nil {
 			t.Fatal(err)
 		}
-		adviseOK(t, d, AdviseRequest{
+		adviseOK(t, live, AdviseRequest{
 			Tenant: tn, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 			SolverName: "cp", ClusterK: 3, RoundBudget: budget, Seed: int64(i),
 		})
@@ -190,37 +188,34 @@ func TestDaemonParallelReplayBitEqual(t *testing.T) {
 				perturbed[j] *= 1.5
 			}
 		}
-		if _, _, err := d.AppendEpoch(tn, n, []wal.RowDelta{{Row: i % n, Values: perturbed}}, nil); err != nil {
+		if _, _, err := live.AppendEpoch(tn, n, []wal.RowDelta{{Row: i % n, Values: perturbed}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Every append was fsynced before it returned, so copying the log now
+	// captures what a crash at this point would leave on disk.
+	restartDir := t.TempDir()
+	copyDir(t, live.cfg.Dir, restartDir)
+	restarted := openDaemon(t, DaemonConfig{Dir: restartDir, Serve: Config{Shards: 1}})
+	defer restarted.Close()
 
-	dirSeq, dirPar := t.TempDir(), t.TempDir()
-	copyDir(t, seed, dirSeq)
-	copyDir(t, seed, dirPar)
-
-	type recovered struct {
+	type state struct {
 		fps    map[string]core.Fingerprint
 		epochs map[string]int
 		deps   map[string]core.Deployment
 		costs  map[string]float64
 	}
-	recover := func(dir string) recovered {
+	observe := func(d *Daemon) state {
 		t.Helper()
-		d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
-		defer d.Close()
-		r := recovered{
+		s := state{
 			fps:    map[string]core.Fingerprint{},
 			epochs: map[string]int{},
 			deps:   map[string]core.Deployment{},
 			costs:  map[string]float64{},
 		}
 		for _, tn := range d.Stats().Tenants {
-			r.fps[tn.Tenant] = tn.Fingerprint
-			r.epochs[tn.Tenant] = tn.Epoch
+			s.fps[tn.Tenant] = tn.Fingerprint
+			s.epochs[tn.Tenant] = tn.Epoch
 		}
 		for i := 0; i < tenants; i++ {
 			tn := fmt.Sprintf("tenant-%d", i)
@@ -228,21 +223,17 @@ func TestDaemonParallelReplayBitEqual(t *testing.T) {
 				Tenant: tn, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 				SolverName: "cp", ClusterK: 3, RoundBudget: budget, Seed: 99,
 			})
-			r.deps[tn] = res.Outcome.Deployment
-			r.costs[tn] = res.Outcome.Cost
+			s.deps[tn] = res.Outcome.Deployment
+			s.costs[tn] = res.Outcome.Cost
 		}
-		return r
+		return s
 	}
 
-	par.SetWorkers(1)
-	seq := recover(dirSeq)
-	par.SetWorkers(8)
-	parl := recover(dirPar)
-
-	if len(seq.fps) != tenants {
-		t.Fatalf("sequential recovery found %d tenants, want %d", len(seq.fps), tenants)
+	want, got := observe(live), observe(restarted)
+	if len(got.fps) != tenants {
+		t.Fatalf("recovery found %d tenants, want %d", len(got.fps), tenants)
 	}
-	if !reflect.DeepEqual(seq, parl) {
-		t.Fatalf("parallel replay diverges from sequential:\nseq: %+v\npar: %+v", seq, parl)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("recovered daemon diverges from the live one:\nlive:      %+v\nrecovered: %+v", want, got)
 	}
 }

@@ -6,13 +6,105 @@ import (
 	"testing"
 
 	"cloudia/internal/cluster"
+	"cloudia/internal/core"
 	"cloudia/internal/solver"
 )
 
+// pickVarScan is the pre-index O(n) selector: the unassigned variable with
+// the smallest domain, tie-breaking on higher degree then lower index.
+// engine.pickVar must make exactly this choice at every search node.
+func pickVarScan(e *engine) int {
+	best, bestDeg := -1, -1
+	var bestSize int32
+	for i := 0; i < e.d.n; i++ {
+		if e.assigned[i] >= 0 {
+			continue
+		}
+		size := e.domSize[i]
+		deg := e.d.nodeDeg[i]
+		if best < 0 || size < bestSize || (size == bestSize && deg > bestDeg) {
+			best, bestSize, bestDeg = i, size, deg
+		}
+	}
+	return best
+}
+
+// checkedFeasible is descent.feasible with engine.run and engine.search
+// copied so that every search node first checks pickVar against
+// pickVarScan. Callers compare its verdicts and node counts with the real
+// feasible on a twin descent, which catches the copy drifting from the
+// search it mirrors.
+func checkedFeasible(t *testing.T, d *descent, c float64, clock *solver.Clock) (ok bool, dep core.Deployment, exhausted bool) {
+	t.Helper()
+	d.tighten(c)
+	if d.degFilter {
+		d.refilter()
+		if d.anyRootEmpty() {
+			return false, nil, true
+		}
+	}
+	rootVar := d.pickRoot()
+	vals := d.rootValues(rootVar)
+	if len(vals) == 0 {
+		return false, nil, true
+	}
+	e := d.eng
+	e.clock = clock
+	e.reset()
+	if clock.Tick() {
+		return false, nil, false
+	}
+	for _, v := range vals {
+		if e.assign(rootVar, int(v), 0) {
+			if checkedSearch(t, e, 1) {
+				return true, e.deployment(), false
+			}
+			e.undo(rootVar, 0)
+		}
+		if e.limitHit {
+			return false, nil, false
+		}
+	}
+	return false, nil, true
+}
+
+// checkedSearch is engine.search with the selector check at every node.
+func checkedSearch(t *testing.T, e *engine, depth int) bool {
+	if depth == e.d.n {
+		return true
+	}
+	if e.clock.Tick() {
+		e.limitHit = true
+		return false
+	}
+	want := pickVarScan(e)
+	i := e.pickVar()
+	if i != want {
+		t.Fatalf("depth %d: bucketed pickVar chose %d, the scan chose %d", depth, i, want)
+	}
+	dom := e.dom[i]
+	for _, v := range e.d.valOrder {
+		j := int(v)
+		if !dom.has(j) {
+			continue
+		}
+		if e.assign(i, j, depth) {
+			if checkedSearch(t, e, depth+1) {
+				return true
+			}
+			e.undo(i, depth)
+		}
+		if e.limitHit {
+			return false
+		}
+	}
+	return false
+}
+
 // The bucketed domain-size index must make exactly the choices of the
-// pre-index O(n) scan: on identical descents walked down the full threshold
-// ladder, every feasibility verdict, embedding, and node count must match
-// between an engine using the bucket index and one using the scan.
+// pre-index O(n) scan at every search node. Twin descents walk down the full
+// threshold ladder, one through feasible and one through checkedFeasible;
+// every verdict, embedding, and node count must match as well.
 func TestBucketedPickVarMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -31,16 +123,15 @@ func TestBucketedPickVarMatchesScan(t *testing.T) {
 			thresholds = weightedThresholds(thresholds, p.Graph)
 		}
 		degFilter := !p.Graph.Weighted()
-		bucketed := newDescent(p, pairs, 1, degFilter)
-		scanning := newDescent(p, pairs, 1, degFilter)
-		scanning.engines[0].scanPick = true
+		bucketed := newDescent(p, pairs, degFilter)
+		checked := newDescent(p, pairs, degFilter)
 
 		for idx := len(thresholds) - 1; idx >= 0; idx-- {
 			c := thresholds[idx]
 			bClock := solver.NewClock(solver.Budget{Nodes: 5_000_000})
 			sClock := solver.NewClock(solver.Budget{Nodes: 5_000_000})
 			bOK, bDep, bEx := bucketed.feasible(c, bClock)
-			sOK, sDep, sEx := scanning.feasible(c, sClock)
+			sOK, sDep, sEx := checkedFeasible(t, checked, c, sClock)
 			if bOK != sOK || bEx != sEx {
 				t.Fatalf("trial %d (weighted=%v k=%d) c=%g: bucketed (ok=%v ex=%v) != scan (ok=%v ex=%v)",
 					trial, weighted, k, c, bOK, bEx, sOK, sEx)
@@ -69,14 +160,13 @@ func TestBucketedPickVarDescentReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		thresholds := distinctCosts(pairs)
-		bucketed := newDescent(p, pairs, 1, true)
-		scanning := newDescent(p, pairs, 1, true)
-		scanning.engines[0].scanPick = true
+		bucketed := newDescent(p, pairs, true)
+		checked := newDescent(p, pairs, true)
 		// Walk every other threshold, descending, then the lowest.
 		for idx := len(thresholds) - 1; idx >= 0; idx -= 2 {
 			c := thresholds[idx]
 			bOK, _, bEx := bucketed.feasible(c, solver.NewClock(solver.Budget{Nodes: 5_000_000}))
-			sOK, _, sEx := scanning.feasible(c, solver.NewClock(solver.Budget{Nodes: 5_000_000}))
+			sOK, _, sEx := checkedFeasible(t, checked, c, solver.NewClock(solver.Budget{Nodes: 5_000_000}))
 			if bOK != sOK || bEx != sEx {
 				t.Fatalf("trial %d c=%g: reuse divergence (ok %v/%v ex %v/%v)", trial, c, bOK, sOK, bEx, sEx)
 			}

@@ -19,14 +19,13 @@
 // cost-sorted pair list instead of being rebuilt per iteration, root domains
 // and the degree filter are carried forward, and the backtracking search
 // (engine.go) runs out of preallocated arenas with zero steady-state
-// allocations. Each feasibility check can additionally split the root
-// variable's branches across parallel workers.
+// allocations. Each Solve runs on the calling goroutine alone: running
+// several searches side by side is the portfolio's job, not the solver's.
 package cp
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -48,13 +47,6 @@ type Solver struct {
 	// BootstrapSamples is the number of random deployments used to seed the
 	// incumbent; zero selects the paper's 10.
 	BootstrapSamples int
-	// Workers bounds the goroutines that split one feasibility check's root
-	// branches (<= 0 selects GOMAXPROCS). The feasibility verdict at every
-	// threshold is independent of the worker count. The split applies only
-	// under wall-clock or unlimited budgets: node-budgeted runs always use
-	// the sequential engine, so node budgets stay deterministic regardless
-	// of machine or worker count, exactly as before.
-	Workers int
 }
 
 // New returns a CP solver with the given cost-cluster count (<= 0 disables
@@ -116,16 +108,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 	}
 	bestSearchCost := core.LongestLink(best, p.Graph, search)
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if budget.Nodes > 0 {
-		// Node-budgeted checks always run sequentially (see
-		// descent.feasible); don't allocate engines that can never run.
-		workers = 1
-	}
-	d := newDescent(p, pairs, workers, !s.DisableDegreeFilter && !p.Graph.Weighted())
+	d := newDescent(p, pairs, !s.DisableDegreeFilter && !p.Graph.Weighted())
 
 	for {
 		// Next threshold: the largest distinct cost strictly below the

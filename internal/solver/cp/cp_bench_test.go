@@ -13,7 +13,7 @@ import (
 // the paper's default) and locates the lowest feasible threshold with a
 // bounded probe descent. It returns a fresh descent settled exactly at that
 // threshold, ready for steady-state search benchmarking.
-func benchDescent(b *testing.B, workers int) (*descent, float64) {
+func benchDescent(b *testing.B) (*descent, float64) {
 	b.Helper()
 	g, err := core.Mesh2D(5, 9)
 	if err != nil {
@@ -28,7 +28,7 @@ func benchDescent(b *testing.B, workers int) (*descent, float64) {
 		b.Fatal(err)
 	}
 	thresholds := distinctCosts(probePairs)
-	probe := newDescent(p, probePairs, 1, true)
+	probe := newDescent(p, probePairs, true)
 	probeClock := solver.NewClock(solver.Budget{Nodes: 2_000_000})
 	best := -1
 	for idx := len(thresholds) - 1; idx >= 0; idx-- {
@@ -45,7 +45,7 @@ func benchDescent(b *testing.B, workers int) (*descent, float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := newDescent(p, pairs, workers, true)
+	d := newDescent(p, pairs, true)
 	c := thresholds[best]
 	if ok, _, _ := d.feasible(c, solver.NewClock(solver.Budget{Nodes: 2_000_000})); !ok {
 		b.Fatal("settling check not feasible")
@@ -58,17 +58,15 @@ func benchDescent(b *testing.B, workers int) (*descent, float64) {
 // persistent engine. Everything — domains, trail arenas, value order — is
 // preallocated, so this must report 0 allocs/op.
 func BenchmarkCPSearchNode(b *testing.B) {
-	d, _ := benchDescent(b, 1)
+	d, _ := benchDescent(b)
 	rootVar := d.pickRoot()
 	vals := d.rootValues(rootVar)
-	eng := d.engines[0]
-	eng.winner = nil
 	clock := solver.NewClock(solver.Budget{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := clock.Nodes()
 	for i := 0; i < b.N; i++ {
-		if !eng.run(rootVar, vals, 0, 1, clock) {
+		if !d.eng.run(rootVar, vals, clock) {
 			b.Fatal("expected feasible search")
 		}
 	}
@@ -98,7 +96,7 @@ func BenchmarkCPTighten(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d := newDescent(p, pairs, 1, true)
+		d := newDescent(p, pairs, true)
 		b.StartTimer()
 		for idx := len(thresholds) - 1; idx >= 0; idx-- {
 			d.tighten(thresholds[idx])

@@ -85,11 +85,10 @@ func TestCPMatchesExhaustiveRandom(t *testing.T) {
 	}
 }
 
-// TestParallelSequentialSameVerdicts descends the full threshold ladder with
-// a sequential and a 4-worker descent side by side: the feasibility verdict
-// and the exhaustion proof must agree at every threshold, and every found
-// embedding must actually fit under its threshold.
-func TestParallelSequentialSameVerdicts(t *testing.T) {
+// TestDescentEmbeddingsFitThreshold descends the full threshold ladder and
+// requires every found embedding to be a valid deployment that actually fits
+// under its threshold.
+func TestDescentEmbeddingsFitThreshold(t *testing.T) {
 	g, err := core.Mesh2D(3, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -98,73 +97,30 @@ func TestParallelSequentialSameVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	search, pairsSeq, err := cluster.RoundCostMatrixPairs(p.Costs, 0)
+	search, pairs, err := cluster.RoundCostMatrixPairs(p.Costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pairsPar, err := cluster.RoundCostMatrixPairs(p.Costs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thresholds := distinctCosts(pairsSeq)
-	dSeq := newDescent(p, pairsSeq, 1, true)
-	dPar := newDescent(p, pairsPar, 4, true)
-	clockSeq := solver.NewClock(solver.Budget{})
-	clockPar := solver.NewClock(solver.Budget{})
-	checked := 0
+	thresholds := distinctCosts(pairs)
+	d := newDescent(p, pairs, true)
+	clock := solver.NewClock(solver.Budget{})
+	found := 0
 	for idx := len(thresholds) - 1; idx >= 0; idx-- {
 		c := thresholds[idx]
-		okS, depS, exS := dSeq.feasible(c, clockSeq)
-		okP, depP, exP := dPar.feasible(c, clockPar)
-		if okS != okP || exS != exP {
-			t.Fatalf("threshold %g: sequential (ok=%v exhausted=%v) != parallel (ok=%v exhausted=%v)",
-				c, okS, exS, okP, exP)
+		ok, dep, _ := d.feasible(c, clock)
+		if !ok {
+			continue
 		}
-		for _, dep := range []core.Deployment{depS, depP} {
-			if dep == nil {
-				continue
-			}
-			if err := dep.Validate(p.NumInstances()); err != nil {
-				t.Fatalf("threshold %g: invalid deployment: %v", c, err)
-			}
-			if got := core.LongestLink(dep, p.Graph, search); got > c {
-				t.Fatalf("threshold %g: embedding cost %g exceeds threshold", c, got)
-			}
+		if err := dep.Validate(p.NumInstances()); err != nil {
+			t.Fatalf("threshold %g: invalid deployment: %v", c, err)
 		}
-		checked++
+		if got := core.LongestLink(dep, p.Graph, search); got > c {
+			t.Fatalf("threshold %g: embedding cost %g exceeds threshold", c, got)
+		}
+		found++
 	}
-	if checked == 0 {
-		t.Fatal("no thresholds checked")
-	}
-}
-
-// TestParallelSolveMatchesSequential runs the full solver sequentially and
-// with 4 workers on the same instance: both must prove optimality at the
-// same cost.
-func TestParallelSolveMatchesSequential(t *testing.T) {
-	g, err := core.Mesh2D(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := solvertest.Realistic(g, 13, solver.LongestLink, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unlimited budgets: a node budget would force the sequential engine on
-	// both sides; unbounded, the parallel side really splits branches.
-	seq, err := (&Solver{Seed: 7, Workers: 1}).Solve(p, solver.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := (&Solver{Seed: 7, Workers: 4}).Solve(p, solver.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Optimal || !par.Optimal {
-		t.Fatalf("optimality not proven: sequential %v, parallel %v", seq.Optimal, par.Optimal)
-	}
-	if seq.Cost != par.Cost {
-		t.Fatalf("sequential optimum %g != parallel optimum %g", seq.Cost, par.Cost)
+	if found == 0 {
+		t.Fatal("no threshold was feasible")
 	}
 }
 

@@ -2,8 +2,6 @@ package cp
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"cloudia/internal/core"
 	"cloudia/internal/solver"
@@ -66,7 +64,7 @@ type descent struct {
 	instProfile [][]int32
 	countBuf    []int32
 
-	engines []*engine
+	eng *engine
 }
 
 // bitsetRow is a slab of m fixed-size bitsets backed by one allocation.
@@ -83,8 +81,8 @@ func (r bitsetRow) row(j int) bitset { return view(r.words[j*r.wpd : (j+1)*r.wpd
 
 // newDescent builds the descent state with the threshold graphs at c = +inf
 // (every pair present); the first tighten call walks them down to the first
-// threshold. workers engines are preallocated and reused across checks.
-func newDescent(p *solver.Problem, pairs []core.CostPair, workers int, degFilter bool) *descent {
+// threshold. Its one engine is preallocated and reused across checks.
+func newDescent(p *solver.Problem, pairs []core.CostPair, degFilter bool) *descent {
 	g := p.Graph
 	n, m := p.NumNodes(), p.NumInstances()
 	d := &descent{
@@ -178,13 +176,7 @@ func newDescent(p *solver.Problem, pairs []core.CostPair, workers int, degFilter
 		d.countBuf = make([]int32, 2*m)
 	}
 
-	if workers < 1 {
-		workers = 1
-	}
-	d.engines = make([]*engine, workers)
-	for t := range d.engines {
-		d.engines[t] = newEngine(d)
-	}
+	d.eng = newEngine(d)
 	d.refreshValueOrder()
 	return d
 }
@@ -306,15 +298,8 @@ func (d *descent) rootValues(rootVar int) []int32 {
 
 // feasible searches for a deployment whose every communication edge e maps to
 // a link of weighted cost w(e)*CL <= c, tightening the persistent threshold
-// graphs down to c first. The root variable's candidate values are split
-// round-robin across up to `workers` engines; the embedding from the
-// lowest-indexed successful branch wins, and a branch is cancelled only by a
-// lower-indexed winner, which keeps the verdict deterministic. Infeasibility
-// ("exhausted") is proven only when every branch exhausted its subtree
-// within budget. Node-budgeted clocks force the sequential engine: splitting
-// a node allowance across a machine-dependent worker count would both leave
-// budget stranded on idle workers and break the machine-independence that
-// node budgets exist to provide.
+// graphs down to c first. Infeasibility ("exhausted") is proven only when the
+// search exhausted the root variable's every branch within budget.
 func (d *descent) feasible(c float64, clock *solver.Clock) (ok bool, dep core.Deployment, exhausted bool) {
 	d.tighten(c)
 	if d.degFilter {
@@ -328,62 +313,10 @@ func (d *descent) feasible(c float64, clock *solver.Clock) (ok bool, dep core.De
 	if len(vals) == 0 {
 		return false, nil, true
 	}
-	w := len(d.engines)
-	if w > len(vals) {
-		w = len(vals)
+	if d.eng.run(rootVar, vals, clock) {
+		return true, d.eng.deployment(), false
 	}
-	if clock.NodeBudgeted() {
-		w = 1
-	}
-
-	if w <= 1 {
-		eng := d.engines[0]
-		eng.winner = nil
-		if eng.run(rootVar, vals, 0, 1, clock) {
-			return true, eng.deployment(), false
-		}
-		return false, nil, !eng.limitHit
-	}
-
-	// Parallel split. winner holds the lowest branch index that found an
-	// embedding; w is the "none yet" sentinel.
-	var winner atomic.Int32
-	winner.Store(int32(w))
-	clocks := make([]*solver.Clock, w)
-	//cloudia:nondet-ok engine race with deterministic reduction: winner is the lowest branch index via CAS-min, not completion order
-	var wg sync.WaitGroup
-	for t := 0; t < w; t++ {
-		eng := d.engines[t]
-		eng.winner = &winner
-		eng.branch = int32(t)
-		clocks[t] = clock.Fork()
-		wg.Add(1)
-		//cloudia:nondet-ok each engine owns preallocated state; the winner CAS-min join is order-insensitive
-		go func(t int, eng *engine) {
-			defer wg.Done()
-			if eng.run(rootVar, vals, t, w, clocks[t]) {
-				for {
-					cur := winner.Load()
-					if cur <= int32(t) || winner.CompareAndSwap(cur, int32(t)) {
-						break
-					}
-				}
-			}
-		}(t, eng)
-	}
-	wg.Wait()
-
-	clock.Absorb(clocks...)
-	if b := int(winner.Load()); b < w {
-		return true, d.engines[b].deployment(), false
-	}
-	exhausted = true
-	for t := 0; t < w; t++ {
-		if d.engines[t].limitHit {
-			exhausted = false
-		}
-	}
-	return false, nil, exhausted
+	return false, nil, !d.eng.limitHit
 }
 
 // sortDesc sorts a profile descending in place.

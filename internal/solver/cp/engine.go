@@ -1,8 +1,6 @@
 package cp
 
 import (
-	"sync/atomic"
-
 	"cloudia/internal/core"
 	"cloudia/internal/solver"
 )
@@ -11,18 +9,11 @@ import (
 // domain words, the incremental domain sizes, and the per-depth trail arena —
 // is allocated once at construction and reused across every feasibility
 // check of the descent, so steady-state search performs zero allocations.
-// Each parallel worker owns one engine; the descent's threshold graphs and
-// value order are shared read-only.
+// The descent owns exactly one engine, which reads the descent's threshold
+// graphs and value order.
 type engine struct {
 	d     *descent
 	clock *solver.Clock
-
-	// Parallel-branch coordination. winner (nil when sequential) holds the
-	// lowest branch index that found an embedding; a branch aborts when a
-	// strictly lower branch has won, and never because of a higher one, so
-	// every branch at or below the eventual winner runs deterministically.
-	winner *atomic.Int32
-	branch int32
 
 	domWords []uint64 // n * wpd: current domain of every variable
 	dom      []bitset // views into domWords
@@ -45,10 +36,6 @@ type engine struct {
 	// drained counts.
 	bCnt []int32 // per size s in [0, m]: unassigned variables with |dom| = s
 	bMin int32
-
-	// scanPick selects the pre-index O(n) pickVar scan; it exists so the
-	// equivalence property test can race both selectors on one descent.
-	scanPick bool
 
 	// Trail arenas; depth d's entries live in slots [d*n, d*n+len). The
 	// alldifferent constraint removes one known bit (the depth's assigned
@@ -125,21 +112,17 @@ func (e *engine) bucketMove(from, to int32) {
 	}
 }
 
-// run explores the root branches vals[start], vals[start+stride], ... and
-// reports whether an embedding was found; on success e.assigned holds it.
-func (e *engine) run(rootVar int, vals []int32, start, stride int, clock *solver.Clock) bool {
+// run explores the root variable's candidate values in order and reports
+// whether an embedding was found; on success e.assigned holds it.
+func (e *engine) run(rootVar int, vals []int32, clock *solver.Clock) bool {
 	e.clock = clock
 	e.reset()
 	if e.clock.Tick() {
 		e.limitHit = true
 		return false
 	}
-	for idx := start; idx < len(vals); idx += stride {
-		if e.cancelled() {
-			e.limitHit = true
-			return false
-		}
-		if e.assign(rootVar, int(vals[idx]), 0) {
+	for _, v := range vals {
+		if e.assign(rootVar, int(v), 0) {
 			if e.search(1) {
 				return true
 			}
@@ -152,17 +135,12 @@ func (e *engine) run(rootVar int, vals []int32, start, stride int, clock *solver
 	return false
 }
 
-// cancelled reports whether a strictly lower-indexed branch already won.
-func (e *engine) cancelled() bool {
-	return e.winner != nil && e.winner.Load() < e.branch
-}
-
 // search assigns the remaining variables; depth counts assigned variables.
 func (e *engine) search(depth int) bool {
 	if depth == e.d.n {
 		return true
 	}
-	if e.clock.Tick() || e.cancelled() {
+	if e.clock.Tick() {
 		e.limitHit = true
 		return false
 	}
@@ -192,9 +170,6 @@ func (e *engine) search(depth int) bool {
 // index narrows the candidates to the smallest non-empty bucket, so the
 // cost per search node is that bucket's population, not n.
 func (e *engine) pickVar() int {
-	if e.scanPick {
-		return e.pickVarScan()
-	}
 	s := e.bMin
 	for e.bCnt[s] == 0 {
 		s++
@@ -206,24 +181,6 @@ func (e *engine) pickVar() int {
 		}
 	}
 	return -1 // unreachable while any variable is unassigned
-}
-
-// pickVarScan is the pre-index selector, kept for the equivalence property
-// test: both selectors must pick the same variable at every node.
-func (e *engine) pickVarScan() int {
-	best, bestDeg := -1, -1
-	var bestSize int32
-	for i := 0; i < e.d.n; i++ {
-		if e.assigned[i] >= 0 {
-			continue
-		}
-		size := e.domSize[i]
-		deg := e.d.nodeDeg[i]
-		if best < 0 || size < bestSize || (size == bestSize && deg > bestDeg) {
-			best, bestSize, bestDeg = i, size, deg
-		}
-	}
-	return best
 }
 
 // snapSave snapshots variable v's domain into depth's snapshot arena slot,

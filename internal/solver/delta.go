@@ -23,7 +23,7 @@ import (
 // Cost or Deployment). The reported costs are bit-for-bit identical to the
 // corresponding full recomputation. Evaluators allocate only at
 // construction, so steady-state local search runs allocation-free. They are
-// not safe for concurrent use; parallel solvers hold one per worker.
+// not safe for concurrent use; concurrent searches hold one each.
 type DeltaEvaluator interface {
 	// Cost reports the cost of the current (committed) deployment.
 	Cost() float64

@@ -1,20 +1,20 @@
 // Package random implements the paper's randomized search baselines
 // (Sects. 4.3.1 and 4.5.1): R1 draws a fixed number of uniformly random
-// deployments and keeps the best; R2 draws random deployments in parallel
-// across all CPUs for a wall-clock budget, matching the hardware budget
-// given to the CP/MIP solvers (Sect. 6.5). Local ("R2L") upgrades R2 from
-// blind sampling to restarted hill climbing: each worker repeatedly samples
-// a start and then walks swap/relocate moves priced by solver.DeltaEvaluator
-// in ~O(deg) per move. All three work unchanged for the longest-link and
-// longest-path objectives.
+// deployments and keeps the best; R2 draws random deployments until its
+// budget runs out, the same deployment-time budget given to the CP/MIP
+// solvers (Sect. 6.5). Local ("R2L") upgrades R2 from blind sampling to
+// restarted hill climbing: it repeatedly samples a start and then walks
+// swap/relocate moves priced by solver.DeltaEvaluator in ~O(deg) per move.
+// All three work unchanged for the longest-link and longest-path
+// objectives. Each runs one seeded search on the calling goroutine, so a
+// node-budgeted answer is a function of the seed alone, whatever the
+// machine's core count.
 package random
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"cloudia/internal/core"
 	"cloudia/internal/solver"
@@ -71,11 +71,10 @@ func (s *R1) SolveContext(ctx context.Context, p *solver.Problem, budget solver.
 	return res, nil
 }
 
-// R2 is the budget-driven parallel randomized solver.
+// R2 is the budget-driven randomized solver: one stream of uniform samples,
+// seeded with Seed, for the whole budget.
 type R2 struct {
 	Seed int64
-	// Workers overrides the worker count; zero selects GOMAXPROCS.
-	Workers int
 }
 
 // NewR2 returns an R2 solver.
@@ -84,10 +83,8 @@ func NewR2(seed int64) *R2 { return &R2{Seed: seed} }
 // Name implements solver.Solver.
 func (s *R2) Name() string { return "R2" }
 
-// Solve implements solver.Solver: workers sample independently until the
-// budget expires, then the global best is returned. With a pure node budget
-// the total sample count is deterministic, though the winning sample may
-// depend on scheduling when several workers tie.
+// Solve implements solver.Solver: sample until the budget expires and
+// return the best sample. Under a node budget the result is deterministic.
 func (s *R2) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	return s.SolveContext(context.Background(), p, budget)
 }
@@ -97,44 +94,40 @@ func (s *R2) SolveContext(ctx context.Context, p *solver.Problem, budget solver.
 	if budget.Unlimited() {
 		return nil, fmt.Errorf("random: R2 requires a bounded budget")
 	}
-	return parallelWorkers(ctx, p, budget, s.Workers, func(w int, perWorker solver.Budget) workerBest {
-		clock := solver.NewClockCtx(ctx, perWorker)
-		rng := rand.New(rand.NewSource(s.Seed + int64(w)*0x9e37))
-		smp := solver.NewSampler(p)
-		cand := make(core.Deployment, p.NumNodes())
-		b := workerBest{}
-		for {
-			smp.Sample(rng, cand)
-			c := p.Cost(cand)
-			if b.d == nil || c < b.cost {
-				if b.d == nil {
-					b.d = make(core.Deployment, len(cand))
-				}
-				copy(b.d, cand)
-				b.cost = c
-				b.trace = append(b.trace, solver.TracePoint{
-					Elapsed: clock.Elapsed(), Nodes: clock.Nodes(), Cost: c,
-				})
+	clock := solver.NewClockCtx(ctx, budget)
+	rng := rand.New(rand.NewSource(s.Seed))
+	smp := solver.NewSampler(p)
+	cand := make(core.Deployment, p.NumNodes())
+	res := &solver.Result{}
+	for {
+		smp.Sample(rng, cand)
+		c := p.Cost(cand)
+		if res.Deployment == nil || c < res.Cost {
+			if res.Deployment == nil {
+				res.Deployment = make(core.Deployment, len(cand))
 			}
-			if clock.Tick() {
-				break
-			}
+			copy(res.Deployment, cand)
+			res.Cost = c
+			res.Trace = append(res.Trace, solver.TracePoint{
+				Elapsed: clock.Elapsed(), Nodes: clock.Nodes(), Cost: c,
+			})
 		}
-		b.nodes = clock.Nodes()
-		return b
-	})
+		if clock.Tick() {
+			break
+		}
+	}
+	res.Nodes = clock.Nodes()
+	res.Elapsed = clock.Elapsed()
+	return res, nil
 }
 
-// Local is the R2-style local-search solver ("R2L"): parallel workers, each
-// running random-restart hill climbing over swap/relocate moves priced
-// incrementally by a per-worker solver.DeltaEvaluator. It keeps R2's budget
-// protocol — wall-clock or node budget split across GOMAXPROCS workers —
+// Local is the R2-style local-search solver ("R2L"): one random-restart
+// hill climb, seeded with Seed, over swap/relocate moves priced
+// incrementally by a solver.DeltaEvaluator. It keeps R2's budget protocol
 // but spends each evaluation on a neighbour of a good deployment instead of
 // an independent uniform sample.
 type Local struct {
 	Seed int64
-	// Workers overrides the worker count; zero selects GOMAXPROCS.
-	Workers int
 	// Patience is the number of consecutive non-improving moves before a
 	// restart from a fresh random deployment; zero selects 60*|N|.
 	Patience int
@@ -162,157 +155,104 @@ func (s *Local) SolveContext(ctx context.Context, p *solver.Problem, budget solv
 	if patience <= 0 {
 		patience = 60 * n
 	}
+	clock := solver.NewClockCtx(ctx, budget)
+	rng := rand.New(rand.NewSource(s.Seed))
 	if n < 2 {
 		// No swap exists and relocating a single edgeless node cannot
 		// change the cost: any deployment is optimal.
-		clock := solver.NewClockCtx(ctx, budget)
-		rng := rand.New(rand.NewSource(s.Seed))
 		d := solver.RandomDeployment(p, rng)
 		clock.Tick()
 		res := &solver.Result{Deployment: d, Cost: p.Cost(d), Nodes: clock.Nodes(), Elapsed: clock.Elapsed()}
 		res.Trace = []solver.TracePoint{{Elapsed: res.Elapsed, Nodes: res.Nodes, Cost: res.Cost}}
 		return res, nil
 	}
-	return parallelWorkers(ctx, p, budget, s.Workers, func(w int, perWorker solver.Budget) workerBest {
-		clock := solver.NewClockCtx(ctx, perWorker)
-		rng := rand.New(rand.NewSource(s.Seed + int64(w)*0x9e37))
-		smp := solver.NewSampler(p)
-		start := make(core.Deployment, n)
-		free := make([]int, 0, m-n)
-		// Each worker starts from the problem's shared bootstrap incumbent
-		// (computed once per problem and handed out as a copy), so the
-		// reported best is never worse than the paper's best-of-10 seed
-		// even if every restart climbs into a poor basin.
-		b := workerBest{}
-		b.d, b.cost = p.Prep().Bootstrap(10, s.Seed)
-		b.trace = append(b.trace, solver.TracePoint{Elapsed: clock.Elapsed(), Cost: b.cost})
-		var ev solver.DeltaEvaluator
-		done := false
-		for !done {
-			// Restart: fresh random start, rebuilt free-instance list.
-			smp.Sample(rng, start)
-			var cur float64
-			if ev == nil {
-				ev = solver.NewDeltaEvaluator(p, start)
-				cur = ev.Cost()
+	smp := solver.NewSampler(p)
+	start := make(core.Deployment, n)
+	free := make([]int, 0, m-n)
+	// The search starts from the problem's shared bootstrap incumbent
+	// (computed once per problem and handed out as a copy), so the
+	// reported best is never worse than the paper's best-of-10 seed even
+	// if every restart climbs into a poor basin.
+	res := &solver.Result{}
+	res.Deployment, res.Cost = p.Prep().Bootstrap(10, s.Seed)
+	res.Trace = append(res.Trace, solver.TracePoint{Elapsed: clock.Elapsed(), Cost: res.Cost})
+	var ev solver.DeltaEvaluator
+	done := false
+	for !done {
+		// Restart: fresh random start, rebuilt free-instance list.
+		smp.Sample(rng, start)
+		var cur float64
+		if ev == nil {
+			ev = solver.NewDeltaEvaluator(p, start)
+			cur = ev.Cost()
+		} else {
+			cur = ev.Reset(start)
+		}
+		free = free[:0]
+		for inst := 0; inst < m; inst++ {
+			if ev.InstanceNode(inst) < 0 {
+				free = append(free, inst)
+			}
+		}
+		if cur < res.Cost {
+			copy(res.Deployment, ev.Deployment())
+			res.Cost = cur
+			res.Trace = append(res.Trace, solver.TracePoint{
+				Elapsed: clock.Elapsed(), Nodes: clock.Nodes(), Cost: cur,
+			})
+		}
+		if clock.Tick() {
+			break
+		}
+		// Hill climb: accept any non-worsening move; restart after
+		// `patience` consecutive failures to strictly improve.
+		streak := 0
+		for streak < patience {
+			var cand float64
+			relocate := len(free) > 0 && n < m && rng.Intn(4) == 0
+			var fi, vacated int
+			if relocate {
+				node := rng.Intn(n)
+				fi = rng.Intn(len(free))
+				vacated = ev.Deployment()[node]
+				cand = ev.RelocateCost(node, free[fi])
 			} else {
-				cur = ev.Reset(start)
-			}
-			free = free[:0]
-			for inst := 0; inst < m; inst++ {
-				if ev.InstanceNode(inst) < 0 {
-					free = append(free, inst)
+				a := rng.Intn(n)
+				c := rng.Intn(n - 1)
+				if c >= a {
+					c++
 				}
+				cand = ev.SwapCost(a, c)
 			}
-			if b.d == nil || cur < b.cost {
-				if b.d == nil {
-					b.d = make(core.Deployment, n)
-				}
-				copy(b.d, ev.Deployment())
-				b.cost = cur
-				b.trace = append(b.trace, solver.TracePoint{
-					Elapsed: clock.Elapsed(), Nodes: clock.Nodes(), Cost: cur,
-				})
-			}
-			if clock.Tick() {
-				break
-			}
-			// Hill climb: accept any non-worsening move; restart after
-			// `patience` consecutive failures to strictly improve.
-			streak := 0
-			for streak < patience {
-				var cand float64
-				relocate := len(free) > 0 && n < m && rng.Intn(4) == 0
-				var fi, vacated int
+			if cand <= cur {
+				ev.Commit()
 				if relocate {
-					node := rng.Intn(n)
-					fi = rng.Intn(len(free))
-					vacated = ev.Deployment()[node]
-					cand = ev.RelocateCost(node, free[fi])
-				} else {
-					a := rng.Intn(n)
-					c := rng.Intn(n - 1)
-					if c >= a {
-						c++
-					}
-					cand = ev.SwapCost(a, c)
+					free[fi] = vacated
 				}
-				if cand <= cur {
-					ev.Commit()
-					if relocate {
-						free[fi] = vacated
-					}
-					if cand < cur {
-						streak = 0
-					} else {
-						streak++
-					}
-					cur = cand
-					if cur < b.cost {
-						copy(b.d, ev.Deployment())
-						b.cost = cur
-						b.trace = append(b.trace, solver.TracePoint{
-							Elapsed: clock.Elapsed(), Nodes: clock.Nodes(), Cost: cur,
-						})
-					}
+				if cand < cur {
+					streak = 0
 				} else {
-					ev.Reject()
 					streak++
 				}
-				if clock.Tick() {
-					done = true
-					break
+				cur = cand
+				if cur < res.Cost {
+					copy(res.Deployment, ev.Deployment())
+					res.Cost = cur
+					res.Trace = append(res.Trace, solver.TracePoint{
+						Elapsed: clock.Elapsed(), Nodes: clock.Nodes(), Cost: cur,
+					})
 				}
+			} else {
+				ev.Reject()
+				streak++
+			}
+			if clock.Tick() {
+				done = true
+				break
 			}
 		}
-		b.nodes = clock.Nodes()
-		return b
-	})
-}
-
-// workerBest is one worker's reduction state.
-type workerBest struct {
-	d     core.Deployment
-	cost  float64
-	nodes int64
-	trace []solver.TracePoint
-}
-
-// parallelWorkers runs one goroutine per worker with R2's budget-splitting
-// protocol (full time budget each, node budget divided) and reduces to the
-// global best.
-func parallelWorkers(ctx context.Context, p *solver.Problem, budget solver.Budget, workers int, run func(w int, perWorker solver.Budget) workerBest) (*solver.Result, error) {
-	overall := solver.NewClockCtx(ctx, budget)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
-	perWorker := solver.Budget{Time: budget.Time}
-	if budget.Nodes > 0 {
-		perWorker.Nodes = (budget.Nodes + int64(workers) - 1) / int64(workers)
-	}
-
-	results := make([]workerBest, workers)
-	//cloudia:nondet-ok per-worker seeded RNGs write disjoint slots; reduction below runs in worker-index order
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		//cloudia:nondet-ok worker w writes only results[w]; the post-join reduce is index-ordered
-		go func() {
-			defer wg.Done()
-			results[w] = run(w, perWorker)
-		}()
-	}
-	wg.Wait()
-
-	res := &solver.Result{}
-	for _, b := range results {
-		res.Nodes += b.nodes
-		if b.d != nil && (res.Deployment == nil || b.cost < res.Cost) {
-			res.Deployment, res.Cost = b.d, b.cost
-			res.Trace = b.trace
-		}
-	}
-	res.Elapsed = overall.Elapsed()
+	res.Nodes = clock.Nodes()
+	res.Elapsed = clock.Elapsed()
 	return res, nil
 }

@@ -125,19 +125,19 @@ func TestR2FindsSolutionUnderTimeBudget(t *testing.T) {
 	}
 }
 
-func TestR2NodeBudgetSplitsAcrossWorkers(t *testing.T) {
+func TestR2NodeBudgetExact(t *testing.T) {
 	p, _, err := solvertest.PlantedLL(3, 3, 3, 0.1, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &R2{Seed: 13, Workers: 4}
-	res, err := s.Solve(p, solver.Budget{Nodes: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each of 4 workers gets 1000 nodes; total within rounding.
-	if res.Nodes < 3900 || res.Nodes > 4100 {
-		t.Fatalf("total nodes %d, want ~4000", res.Nodes)
+	for _, s := range []solver.Solver{NewR2(13), NewLocal(13)} {
+		res, err := s.Solve(p, solver.Budget{Nodes: 4000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Nodes != 4000 {
+			t.Fatalf("%s spent %d nodes, want exactly the budget of 4000", s.Name(), res.Nodes)
+		}
 	}
 }
 
@@ -150,7 +150,7 @@ func TestR2BeatsSingleSampleOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := (&R2{Seed: 5, Workers: 2}).Solve(p, solver.Budget{Nodes: 5000})
+	many, err := NewR2(5).Solve(p, solver.Budget{Nodes: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRandomSolversOnLPNDP(t *testing.T) {
 	if err := r1.Deployment.Validate(p.NumInstances()); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := (&R2{Seed: 15, Workers: 2}).Solve(p, solver.Budget{Nodes: 2000})
+	r2, err := NewR2(15).Solve(p, solver.Budget{Nodes: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ type Solver interface {
 // Sampler draws uniformly random injective deployments without allocating:
 // it owns a permutation buffer that is partially re-shuffled (Fisher-Yates on
 // the first |N| slots) per sample. A Sampler is not safe for concurrent use;
-// parallel solvers hold one per worker.
+// concurrent searches hold one each.
 type Sampler struct {
 	n    int
 	perm []int
@@ -337,32 +337,6 @@ func (c *Clock) Tick() bool {
 		}
 	}
 	return false
-}
-
-// NodeBudgeted reports whether the clock enforces a node budget. Node
-// budgets exist to make runs deterministic regardless of machine speed, so
-// parallel solvers consult this to fall back to their sequential engine
-// rather than split the allowance across a machine-dependent worker count.
-func (c *Clock) NodeBudgeted() bool { return c.budget.Nodes > 0 }
-
-// Fork returns a child clock for one parallel worker: it shares the parent's
-// start time, wall-clock budget, and cancellation context, with no node
-// budget of its own. The parent is not advanced by the child's ticks; call
-// Absorb after the workers join.
-func (c *Clock) Fork() *Clock {
-	return &Clock{
-		start:     c.start,
-		budget:    Budget{Time: c.budget.Time},
-		nextCheck: 1,
-		ctx:       c.ctx,
-	}
-}
-
-// Absorb charges the nodes consumed by forked child clocks to the parent.
-func (c *Clock) Absorb(children ...*Clock) {
-	for _, ch := range children {
-		c.nodes += ch.nodes
-	}
 }
 
 // Expired reports whether the budget is exhausted without consuming a node.

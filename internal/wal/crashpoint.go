@@ -1,6 +1,9 @@
 package wal
 
-import "sync/atomic"
+import (
+	"os"
+	"sync/atomic"
+)
 
 // Crashpoints are the WAL's fault-injection seams: named points on the
 // write path (see wal.go for the placement) where a test hook can simulate
@@ -37,4 +40,27 @@ func Crashpoint(name string) {
 	if f := crashHook.Load(); f != nil {
 		(*f)(name)
 	}
+}
+
+// syncFault is the armed FailNextSync error, if any.
+var syncFault atomic.Pointer[error]
+
+// FailNextSync arms (or, with nil, disarms) a one-shot fault: the next
+// fsync of any log reports err instead of syncing, as a disk answering EIO
+// would, after the frame was already flushed to the file. Test-only, like
+// SetCrashpointHook.
+func FailNextSync(err error) {
+	if err == nil {
+		syncFault.Store(nil)
+		return
+	}
+	syncFault.Store(&err)
+}
+
+// fsync syncs f unless a FailNextSync fault is armed, which it consumes.
+func fsync(f *os.File) error {
+	if err := syncFault.Swap(nil); err != nil {
+		return *err
+	}
+	return f.Sync()
 }

@@ -18,6 +18,7 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -38,6 +39,17 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrFailed marks every error a log returns after a write, flush or fsync
+// failed. What reached stable storage is then unknown, and retrying the
+// fsync proves nothing (a later fsync can succeed for pages the kernel
+// already dropped), so the log fails closed: every later Append, Sync and
+// Compact returns that first error, and only reopening — which replays
+// what the disk actually holds — makes the directory writable again. A
+// frame whose write or fsync reported failure may still be on disk; replay
+// applies it like any other valid frame, exactly as it applies a frame
+// whose writer crashed before acknowledging it.
+var ErrFailed = errors.New("wal: log failed")
 
 // SyncPolicy selects when appended records reach stable storage.
 type SyncPolicy int
@@ -111,6 +123,7 @@ type Log struct {
 	sinceSync int
 	stats     Stats
 	buf       []byte // frame scratch, reused across appends
+	failed    error  // first write-path failure, wrapping ErrFailed
 }
 
 // segName formats a segment file name; segIndexOf parses one.
@@ -316,8 +329,8 @@ func (l *Log) createSegment(idx int) error {
 // rotates if the segment is full. When Append returns under SyncAlways the
 // record is on stable storage.
 func (l *Log) Append(rec Record) error {
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.writable(); err != nil {
+		return err
 	}
 	Crashpoint("append.start")
 	frame, err := l.frame(rec)
@@ -325,7 +338,7 @@ func (l *Log) Append(rec Record) error {
 		return err
 	}
 	if _, err := l.w.Write(frame); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.fail(err)
 	}
 	l.stats.ActiveBytes += int64(len(frame))
 	l.stats.Appends++
@@ -370,13 +383,31 @@ func (l *Log) frame(rec Record) ([]byte, error) {
 	return l.buf, nil
 }
 
+// writable reports why the log refuses writes: it is closed, or an earlier
+// write-path failure poisoned it.
+func (l *Log) writable() error {
+	if l.f == nil {
+		return fmt.Errorf("wal: log is closed")
+	}
+	return l.failed
+}
+
+// fail poisons the log with its first write-path error (see ErrFailed) and
+// returns the poisoned error.
+func (l *Log) fail(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+	}
+	return l.failed
+}
+
 // sync flushes the writer and fsyncs the active segment.
 func (l *Log) sync() error {
 	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.fail(err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := fsync(l.f); err != nil {
+		return l.fail(err)
 	}
 	l.sinceSync = 0
 	l.stats.Syncs++
@@ -385,8 +416,8 @@ func (l *Log) sync() error {
 
 // Sync forces the buffered suffix to stable storage regardless of policy.
 func (l *Log) Sync() error {
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.writable(); err != nil {
+		return err
 	}
 	return l.sync()
 }
@@ -415,8 +446,8 @@ func (l *Log) rotate() error {
 // then resets to the snapshot, so recovery converges to the same state from
 // every intermediate crash point.
 func (l *Log) Compact(snap *SnapshotRecord) error {
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.writable(); err != nil {
+		return err
 	}
 	if snap == nil || snap.Matrix == nil {
 		return fmt.Errorf("wal: nil compaction snapshot")
@@ -437,7 +468,7 @@ func (l *Log) Compact(snap *SnapshotRecord) error {
 		return err
 	}
 	if _, err := l.w.Write(frame); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.fail(err)
 	}
 	l.stats.ActiveBytes += int64(len(frame))
 	l.stats.Appends++
@@ -457,11 +488,15 @@ func (l *Log) Compact(snap *SnapshotRecord) error {
 }
 
 // Close flushes, syncs, and closes the log. The log is unusable afterwards.
+// A failed log skips the sync and reports its failure.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.sync()
+	err := l.failed
+	if err == nil {
+		err = l.sync()
+	}
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: %w", cerr)
 	}

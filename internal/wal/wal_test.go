@@ -553,6 +553,50 @@ func TestCrashpointCompaction(t *testing.T) {
 	}
 }
 
+// TestFailedSyncPoisonsLog: after one failed fsync the log refuses every
+// later Append, Sync and Compact with that first error, and Close reports
+// it. The frame whose fsync failed was already flushed, so reopening
+// replays it like any valid frame.
+func TestFailedSyncPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testAdvice(1)); err != nil {
+		t.Fatal(err)
+	}
+	eio := errors.New("injected EIO")
+	FailNextSync(eio)
+	first := l.Append(testAdvice(2))
+	if !errors.Is(first, ErrFailed) || !errors.Is(first, eio) {
+		t.Fatalf("append over a failed fsync returned %v, want ErrFailed wrapping the fsync error", first)
+	}
+	m := core.NewCostMatrix(2)
+	m.Set(0, 1, 8)
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"Append", func() error { return l.Append(testAdvice(3)) }},
+		{"Sync", l.Sync},
+		{"Compact", func() error { return l.Compact(&SnapshotRecord{Epoch: 3, Fingerprint: 5, Matrix: m}) }},
+		{"Close", l.Close}, // last: a closed log reports "closed" instead
+	} {
+		if err := op.call(); err != first {
+			t.Fatalf("%s on a failed log returned %v, want the first failure %v", op.name, err, first)
+		}
+	}
+	recs, l2 := collect(t, dir, Options{})
+	defer l2.Close()
+	if len(recs) != 2 {
+		t.Fatalf("reopen replayed %d records, want 2 (the failed-ack frame included)", len(recs))
+	}
+	if err := l2.Append(testAdvice(3)); err != nil {
+		t.Fatalf("reopened log refuses appends: %v", err)
+	}
+}
+
 func TestOptionsValidationAndHelpers(t *testing.T) {
 	if _, ok := segIndexOf("junk"); ok {
 		t.Fatal("segIndexOf accepted junk")
