@@ -58,11 +58,16 @@ crash-test:
 # exactly as encoding/json would, with bit-identical values on acceptance.
 # FuzzWALRecord feeds arbitrary frame bodies to the WAL record decoder,
 # which must never panic and must re-encode every record it accepts to the
-# same bytes. Their seed corpora (testdata/fuzz/ in each package) also run
-# in `make test`.
+# same bytes; FuzzWALFrame does the same one layer down, for whole frames
+# (header, CRC, body). FuzzReadGraph feeds arbitrary documents to the graph
+# decoder behind -graph and POST /v1/advise: no panic, the node bound holds,
+# and every accepted graph round-trips through WriteGraph. Their seed
+# corpora (testdata/fuzz/ in each package) also run in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 20s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 20s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s ./internal/graphio/
 
 # perf-check vets and tests the cloudia-perf benchmark. It is a nested
 # module, so `go build ./...` at the root never compiles it; this target is

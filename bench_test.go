@@ -505,11 +505,11 @@ func BenchmarkPortfolio1000(b *testing.B) {
 // one every 125 ms, each maturing one eighth of the rows from a noisy
 // initial estimate to their final values (the matrix batch measurement
 // would deliver only at the end) — while advisor.SolveStream interleaves
-// warm-started, coalescing portfolio rounds against the epochs as they
-// land. At this scale the dominant solve cost is the first-run Prep
-// (k-means + pair sort over ~10^6 link costs, seconds); streaming starts it
-// at the first epoch, overlapped with the rest of the measurement, which is
-// exactly the "compute Prep at measurement time" item from ROADMAP.
+// warm-started portfolio rounds against the epochs as they land. At this
+// scale the dominant solve cost is the first-run Prep (k-means + pair sort
+// over ~10^6 link costs, seconds); streaming starts it at the first epoch,
+// overlapped with the rest of the measurement, which is exactly the
+// "compute Prep at measurement time" item from ROADMAP.
 //
 // Reported metrics (recorded in BENCH_PR4.json):
 //
@@ -581,7 +581,6 @@ func BenchmarkStreamingAdvise(b *testing.B) {
 			ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 			RoundBudget:   solver.Budget{Time: roundBudget},
 			Seed:          int64(it),
-			Coalesce:      true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -622,17 +621,16 @@ func BenchmarkStreamingAdvise(b *testing.B) {
 // BenchmarkStreamingAdvise, but each epoch also publishes a p99 tail
 // matrix (as measure.Stream does from its per-link quantile sketches) and
 // the advisor optimizes that percentile matrix, tie-breaking on the mean.
-// The tail rides the mean's changed-row sets, so Evolve still patches only
-// the matured rows per epoch; the benchmark records how much the second
-// matrix (tie-break re-rounding plus tail fingerprint bookkeeping) costs
-// over mean-only streaming.
+// Every epoch's problem is built fresh over the tail matrix, with the mean
+// as its tie-break matrix; the benchmark records how much the second
+// matrix costs over mean-only streaming.
 //
 // Reported metrics (recorded in BENCH_PR9.json):
 //
 //   - first-advice-ms/op: wall-clock from measurement start to the first
 //     feasible p99-optimal advice.
-//   - rounds/op: epochs consumed (no coalescing here: the producer does
-//     not sleep, so all 8 epochs are solved back to back).
+//   - rounds/op: epochs consumed (the producer does not sleep, so all 8
+//     epochs are solved back to back).
 func BenchmarkStreamingP99Advise(b *testing.B) {
 	p := portfolio1000Problem(b)
 	const (

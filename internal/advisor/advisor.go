@@ -301,8 +301,8 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 	// Step 3: search deployment (Fig. 3, "Search Deployment"), one round per
 	// epoch. The simulated measurement completes in real milliseconds, so
 	// its epochs are all pending by the time the loop starts; every epoch
-	// still gets a round (no coalescing), which preserves the per-epoch
-	// convergence trajectory a real deployment would see.
+	// still gets a round, which preserves the per-epoch convergence
+	// trajectory a real deployment would see.
 	out, err := SolveStream(st.Epochs, StreamSolveConfig{
 		Graph:         cfg.Graph,
 		ObjectiveSpec: cfg.ObjectiveSpec,

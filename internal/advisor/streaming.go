@@ -39,14 +39,12 @@ type StreamingConfig struct {
 // Round records one epoch's solve in a streaming advising run.
 type Round struct {
 	// Epoch and AtMS identify the consumed matrix epoch; Final marks the
-	// epoch published at measurement completion; Skipped counts older
-	// pending epochs that were coalesced over to reach this one.
-	Epoch   int
-	AtMS    float64
-	Final   bool
-	Skipped int
-	// ChangedRows is how many matrix rows changed versus the previous
-	// epoch — the work the Prep invalidation actually had to redo.
+	// epoch published at measurement completion.
+	Epoch int
+	AtMS  float64
+	Final bool
+	// ChangedRows is how many rows of the searched matrix changed versus
+	// the previous epoch.
 	ChangedRows int
 	// Cost is the incumbent's deployment cost under this epoch's matrix,
 	// and Improved reports whether this round's solve beat the
@@ -105,19 +103,13 @@ type StreamSolveConfig struct {
 	RoundBudget solver.Budget
 	// Seed drives the per-round solver seeds.
 	Seed int64
-	// Coalesce, when set, skips over older pending epochs before each
-	// round so a solve that outlived several epoch periods resumes against
-	// the newest matrix instead of replaying history. The final epoch is
-	// never skipped.
-	Coalesce bool
 	// OnProblem, when non-nil, observes each round's problem immediately
 	// after it is built — before the warm start is installed and before any
 	// solver touches its Prep — so a serving layer can adopt shared,
-	// content-addressed preprocessing artifacts into fresh problems and
-	// publish invalidations for evolved ones (internal/serve). prev is the
-	// previous round's problem (nil on the first round) and changedRows the
-	// union of the changed-row sets between prev's epoch and ep. A non-nil
-	// error aborts the run.
+	// content-addressed preprocessing artifacts into it (internal/serve).
+	// prev is the previous round's problem (nil on the first round) and
+	// changedRows the searched matrix's changed-row set between prev's
+	// epoch and ep. A non-nil error aborts the run.
 	OnProblem func(prob, prev *solver.Problem, ep measure.Epoch, changedRows []int) error
 	// OnRound, when non-nil, observes each round as it completes.
 	OnRound func(Round)
@@ -139,8 +131,8 @@ type StreamSolveConfig struct {
 }
 
 // SolveStream runs the incremental advising loop over an epoch stream: for
-// each matrix epoch it evolves the problem (preserving untouched Prep
-// artifacts, incrementally re-rounding the changed rows), installs the
+// each matrix epoch it builds a fresh problem (and so a fresh Prep: every
+// epoch's cost clustering is a fit of that epoch's matrix), installs the
 // previous incumbent as a warm start, and races the configured solver for
 // one round. It returns after the stream closes, with the incumbent of the
 // final epoch. Callers with their own epoch source (anything that can fill
@@ -177,43 +169,17 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 		if !ok {
 			break
 		}
-		skipped := 0
 		primary, changedRows, tie, err := epochPrimary(ep, cfg.ObjectiveSpec)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Coalesce {
-			for {
-				next, ok := pendingEpoch(epochs)
-				if !ok {
-					break
-				}
-				// Each epoch's ChangedRows is relative to its predecessor,
-				// so skipping epochs means the rows they changed must be
-				// carried: the union is the change set between the last
-				// solved epoch and the one this round consumes. For
-				// spread metrics the union runs over the searched matrices'
-				// own changed-row sets — they drive the Evolve contract.
-				np, nc, nt, err := epochPrimary(next, cfg.ObjectiveSpec)
-				if err != nil {
-					return nil, err
-				}
-				changedRows = unionRows(changedRows, nc)
-				primary, tie = np, nt
-				ep = next
-				skipped++
-			}
-		}
-
-		var prob *solver.Problem
-		prev := out.Problem
-		if prev == nil {
-			prob, err = solver.NewProblemTie(cfg.Graph, primary, tie, cfg.Objective)
-		} else {
-			prob, err = prev.EvolveTie(primary, changedRows, tie)
-		}
+		prob, err := solver.NewProblemTie(cfg.Graph, primary, tie, cfg.Objective)
 		if err != nil {
 			return nil, err
+		}
+		prev := out.Problem
+		if prev != nil && prob.NumInstances() != prev.NumInstances() {
+			return nil, fmt.Errorf("advisor: epoch %d has %d instances, the first epoch had %d (the instance set is fixed across epochs)", ep.Index, prob.NumInstances(), prev.NumInstances())
 		}
 		if cfg.OnProblem != nil {
 			if err := cfg.OnProblem(prob, prev, ep, changedRows); err != nil {
@@ -259,7 +225,6 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 			Epoch:       ep.Index,
 			AtMS:        ep.AtMS,
 			Final:       ep.Final,
-			Skipped:     skipped,
 			ChangedRows: len(changedRows),
 		}
 		if candCost := prob.Cost(res.Deployment); incumbent == nil ||
@@ -322,29 +287,6 @@ func epochPrimary(ep measure.Epoch, spec ObjectiveSpec) (*core.CostMatrix, []int
 	return m.Matrix, m.ChangedRows, tie, nil
 }
 
-// unionRows merges two ascending row lists into one ascending list without
-// duplicates.
-func unionRows(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
 // nextEpoch receives the next epoch or reports an interrupt. A pending
 // epoch wins over an already-expired context: the round it feeds still runs
 // (context-aware solvers cut it short), so an interrupted run returns
@@ -361,20 +303,6 @@ func nextEpoch(epochs <-chan measure.Epoch, ctx context.Context) (ep measure.Epo
 		return ep, ok, false
 	case <-ctx.Done():
 		return measure.Epoch{}, false, true
-	}
-}
-
-// pendingEpoch performs a non-blocking receive. A closed channel reports no
-// pending epoch; the outer range loop observes the close.
-func pendingEpoch(epochs <-chan measure.Epoch) (measure.Epoch, bool) {
-	select {
-	case ep, ok := <-epochs:
-		if !ok {
-			return measure.Epoch{}, false
-		}
-		return ep, true
-	default:
-		return measure.Epoch{}, false
 	}
 }
 

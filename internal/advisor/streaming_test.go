@@ -2,6 +2,8 @@ package advisor
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -137,34 +139,85 @@ func TestSolveStreamWarmStartMonotone(t *testing.T) {
 	}
 }
 
-// TestSolveStreamCoalesce: with several epochs already pending, a coalescing
-// consumer skips straight to the newest and records how many it passed over.
-func TestSolveStreamCoalesce(t *testing.T) {
-	g := meshGraph(t, 2, 3)
-	base := core.NewCostMatrix(8)
-	rngFill(base, 69)
-
-	ch := make(chan measure.Epoch, 3)
-	for i := 1; i <= 3; i++ {
-		ch <- measure.Epoch{Index: i, AtMS: float64(i), Matrix: base.Clone(), Final: i == 3}
+// TestSolveStreamFreshPrepPerEpoch: a stream that changes one row per epoch
+// still gets, every round, exactly the Prep artifacts a fresh problem over
+// that epoch's matrix builds — the rounded matrices and pair lists the
+// clustered members search, and G1's cheapest rows — so no round's search
+// depends on the epochs before it.
+func TestSolveStreamFreshPrepPerEpoch(t *testing.T) {
+	const instances, epochs, k = 14, 6, 20
+	g := meshGraph(t, 3, 4)
+	init := core.NewCostMatrix(instances)
+	rngFill(init, 79)
+	mm := core.NewMutableCostMatrix(instances)
+	for i := 0; i < instances; i++ {
+		for j := 0; j < instances; j++ {
+			if i != j {
+				mm.Set(i, j, init.At(i, j))
+			}
+		}
+	}
+	ch := make(chan measure.Epoch, epochs)
+	for e := 1; e <= epochs; e++ {
+		if e > 1 {
+			row := core.NewCostMatrix(instances)
+			rngFill(row, int64(80+e))
+			for j := 0; j < instances; j++ {
+				if j != e {
+					mm.Set(e, j, row.At(e, j))
+				}
+			}
+		}
+		ch <- measure.PublishEpoch(mm, float64(e), e == epochs, 0)
 	}
 	close(ch)
 
-	out, err := SolveStream(ch, StreamSolveConfig{
+	rounds := 0
+	_, err := SolveStream(ch, StreamSolveConfig{
 		Graph:         g,
 		ObjectiveSpec: ObjectiveSpec{Objective: solver.LongestLink},
-		SolverName:    "g2",
-		RoundBudget:   solver.Budget{Nodes: 5_000},
-		Coalesce:      true,
+		RoundBudget:   solver.Budget{Nodes: 2_000},
+		OnProblem: func(prob, prev *solver.Problem, ep measure.Epoch, changedRows []int) error {
+			if prev != nil && len(changedRows) != 1 {
+				return fmt.Errorf("epoch %d changed %d rows, want 1", ep.Index, len(changedRows))
+			}
+			fresh, err := solver.NewProblemTie(g, ep.Matrix, nil, solver.LongestLink)
+			if err != nil {
+				return err
+			}
+			for _, kk := range []int{0, k} {
+				m, pairs, err := prob.Prep().Rounded(kk)
+				if err != nil {
+					return err
+				}
+				fm, fpairs, err := fresh.Prep().Rounded(kk)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < instances; i++ {
+					if !slices.Equal(m.Row(i), fm.Row(i)) {
+						return fmt.Errorf("epoch %d: Rounded(%d) row %d differs from a fresh problem's", ep.Index, kk, i)
+					}
+				}
+				if !slices.Equal(pairs, fpairs) {
+					return fmt.Errorf("epoch %d: Rounded(%d) pairs differ from a fresh problem's", ep.Index, kk)
+				}
+			}
+			rows, frows := prob.Prep().CheapestRows(), fresh.Prep().CheapestRows()
+			for u := range rows {
+				if !slices.Equal(rows[u], frows[u]) {
+					return fmt.Errorf("epoch %d: cheapest row %d differs from a fresh problem's", ep.Index, u)
+				}
+			}
+			rounds++
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rounds) != 1 {
-		t.Fatalf("coalescing consumer ran %d rounds, want 1", len(out.Rounds))
-	}
-	if out.Rounds[0].Epoch != 3 || out.Rounds[0].Skipped != 2 || !out.Rounds[0].Final {
-		t.Fatalf("coalesced round = %+v, want epoch 3 with 2 skipped", out.Rounds[0])
+	if rounds != epochs {
+		t.Fatalf("OnProblem ran %d times, want %d", rounds, epochs)
 	}
 }
 

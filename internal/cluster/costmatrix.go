@@ -26,9 +26,9 @@ func RoundCostMatrixPairs(m *core.CostMatrix, k int) (*core.CostMatrix, []core.C
 }
 
 // RoundCostMatrixPairsResult is RoundCostMatrixPairs exposing the underlying
-// clustering as well, so epoch-aware caches can later re-assign changed
-// values to the fitted centers without re-running k-means. The Result is nil
-// when clustering is disabled (k <= 0 or a sub-2x2 matrix).
+// clustering as well, so PatchRoundedRows can later re-assign changed values
+// to the fitted centers without re-running k-means. The Result is nil when
+// clustering is disabled (k <= 0 or a sub-2x2 matrix).
 func RoundCostMatrixPairsResult(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, *Result, error) {
 	if k <= 0 || m.Size() < 2 {
 		return m, m.SortedPairs(), nil, nil
@@ -63,7 +63,8 @@ func RoundCostMatrixPairsResult(m *core.CostMatrix, k int) (*core.CostMatrix, []
 // reassignment that keeps per-epoch re-rounding O(changed * n * log k)
 // instead of a full O(n^2) k-means refit. A nil r means clustering is
 // disabled and changed rows take their raw source values. prev is not
-// modified.
+// modified. The advising pipeline refits every epoch instead; this and
+// PatchSortedPairs remain for cloudia-perf's cli-stream patch probes.
 func PatchRoundedRows(src, prev *core.CostMatrix, r *Result, rows []int) *core.CostMatrix {
 	out := prev.Clone()
 	n := src.Size()

@@ -178,18 +178,17 @@ func (g *Graph) Clone() *Graph {
 			panic("core: clone of valid graph failed: " + err.Error())
 		}
 	}
-	// Weights are attached in edge-list order, not weight-map order, so a
-	// clone's internal layout is reproducible run to run (maprange).
+	// Weights are copied in edge-list order, not weight-map order, so a
+	// clone's internal layout is reproducible run to run (maprange), and
+	// the caches are rebuilt once.
 	if len(g.weights) > 0 {
+		c.weights = make(map[Edge]float64, len(g.weights))
 		for _, e := range g.edges {
-			w, ok := g.weights[e]
-			if !ok {
-				continue
-			}
-			if err := c.SetWeight(e.From, e.To, w); err != nil {
-				panic("core: clone of valid weights failed: " + err.Error())
+			if w, ok := g.weights[e]; ok {
+				c.weights[e] = w
 			}
 		}
+		c.rebuildWeightCaches()
 	}
 	return c
 }

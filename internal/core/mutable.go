@@ -6,9 +6,8 @@ import "fmt"
 // producer — typically measure.Stream folding per-pair latency summaries in
 // as snapshots mature — that tracks which rows changed between published
 // epochs. Consumers receive immutable CostMatrix snapshots plus the set of
-// rows whose values differ from the previous snapshot, which is exactly the
-// invalidation unit of the solver preprocessing cache: artifacts derived
-// only from untouched rows survive the epoch.
+// rows whose values differ from the previous snapshot, from which the
+// content fingerprint is maintained incrementally.
 //
 // A MutableCostMatrix is not safe for concurrent use; the single producer
 // mutates it and hands immutable snapshots to concurrent consumers.

@@ -19,19 +19,41 @@ import "fmt"
 // SetWeight assigns a positive weight to an existing edge. Weight 1 (the
 // default for every edge) restores unweighted semantics.
 func (g *Graph) SetWeight(from, to NodeID, w float64) error {
-	if !(w > 0) {
-		return fmt.Errorf("core: non-positive edge weight %g on (%d,%d)", w, from, to)
+	return g.SetWeights([]EdgeWeight{{From: from, To: to, W: w}})
+}
+
+// EdgeWeight is one edge's weight, the unit of SetWeights.
+type EdgeWeight struct {
+	From, To NodeID
+	W        float64
+}
+
+// SetWeights assigns every listed weight as SetWeight would, in list order
+// (a later entry for the same edge wins), but rebuilds the weight caches
+// once: weighting all E edges costs O(E), not one O(E) rebuild per edge.
+// The whole list is validated first, so on error the graph is unchanged and
+// the first bad entry is the one reported.
+func (g *Graph) SetWeights(ws []EdgeWeight) error {
+	for _, ew := range ws {
+		if !(ew.W > 0) {
+			return fmt.Errorf("core: non-positive edge weight %g on (%d,%d)", ew.W, ew.From, ew.To)
+		}
+		if !g.HasEdge(ew.From, ew.To) {
+			return fmt.Errorf("core: weight on missing edge (%d,%d)", ew.From, ew.To)
+		}
 	}
-	if !g.HasEdge(from, to) {
-		return fmt.Errorf("core: SetWeight on missing edge (%d,%d)", from, to)
+	if len(ws) == 0 {
+		return nil
 	}
 	if g.weights == nil {
-		g.weights = make(map[Edge]float64)
+		g.weights = make(map[Edge]float64, len(ws))
 	}
-	if w == 1 {
-		delete(g.weights, Edge{from, to})
-	} else {
-		g.weights[Edge{from, to}] = w
+	for _, ew := range ws {
+		if ew.W == 1 {
+			delete(g.weights, Edge{ew.From, ew.To})
+		} else {
+			g.weights[Edge{ew.From, ew.To}] = ew.W
+		}
 	}
 	g.rebuildWeightCaches()
 	return nil
@@ -68,6 +90,12 @@ func (g *Graph) DistinctWeights() []float64 {
 // edgeWeightSlices caches weights aligned with the edge list and out
 // adjacency, so the hot cost evaluations avoid map lookups.
 func (g *Graph) rebuildWeightCaches() {
+	if len(g.weights) == 0 {
+		// Empty caches read as all-ones; AddEdge keeps non-empty ones
+		// aligned only while some weight is set.
+		g.edgeW, g.outW = nil, nil
+		return
+	}
 	g.edgeW = g.edgeW[:0]
 	for _, e := range g.edges {
 		g.edgeW = append(g.edgeW, g.Weight(e.From, e.To))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +52,44 @@ func TestSetWeightOneClearsWeighting(t *testing.T) {
 	}
 	if g.Weighted() {
 		t.Fatal("still weighted after resetting to 1")
+	}
+	// The cleared caches read as all-ones, so a later edge cannot index
+	// past them.
+	g2 := NewGraph(3)
+	mustEdge(t, g2, 0, 1)
+	if err := g2.SetWeight(0, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.SetWeight(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustEdge(t, g2, 1, 2)
+	m := NewCostMatrix(3)
+	m.Set(0, 1, 1)
+	m.Set(1, 2, 2)
+	if got := LongestLink(Identity(3), g2, m); got != 2 {
+		t.Fatalf("LL after reset and AddEdge = %g, want 2", got)
+	}
+}
+
+// SetWeights validates the whole list before storing any of it, and reports
+// the first bad entry.
+func TestSetWeightsAllOrNothing(t *testing.T) {
+	g := NewGraph(3)
+	mustEdge(t, g, 0, 1)
+	mustEdge(t, g, 1, 2)
+	err := g.SetWeights([]EdgeWeight{{From: 0, To: 1, W: 2}, {From: 2, To: 0, W: 2}, {From: 1, To: 2, W: -1}})
+	if err == nil || !strings.Contains(err.Error(), "(2,0)") {
+		t.Fatalf("err = %v, want the missing edge (2,0) reported", err)
+	}
+	if g.Weighted() {
+		t.Fatal("a failed SetWeights stored weights")
+	}
+	if err := g.SetWeights([]EdgeWeight{{From: 0, To: 1, W: 2}, {From: 1, To: 2, W: 5}, {From: 0, To: 1, W: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Weight(0, 1) != 3 || g.Weight(1, 2) != 5 {
+		t.Fatalf("weights %g, %g; want the later entry 3 and 5", g.Weight(0, 1), g.Weight(1, 2))
 	}
 }
 

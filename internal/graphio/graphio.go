@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -69,14 +70,24 @@ func ReadGraph(r io.Reader, maxNodes int) (*core.Graph, error) {
 			return nil, fmt.Errorf("graphio: %w", err)
 		}
 	}
-	for key, wt := range in.Weights {
+	// Sorted keys make the reported error the same on every run when a
+	// document has several bad ones; one SetWeights call rebuilds the
+	// weight caches once for the whole document.
+	keys := make([]string, 0, len(in.Weights))
+	for key := range in.Weights {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	ws := make([]core.EdgeWeight, len(keys))
+	for i, key := range keys {
 		from, to, err := parseEdgeKey(key)
 		if err != nil {
 			return nil, err
 		}
-		if err := g.SetWeight(from, to, wt); err != nil {
-			return nil, fmt.Errorf("graphio: %w", err)
-		}
+		ws[i] = core.EdgeWeight{From: from, To: to, W: in.Weights[key]}
+	}
+	if err := g.SetWeights(ws); err != nil {
+		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	return g, nil
 }

@@ -2,10 +2,13 @@ package graphio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cloudia/internal/core"
 )
@@ -154,4 +157,103 @@ func TestGraphRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// weightedDoc returns a graph document over n nodes with e edges (i, i+k mod
+// n for k = 1, 2, ...), every one of them weighted.
+func weightedDoc(n, e int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"nodes": %d, "edges": [`, n)
+	for i := 0; i < e; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "[%d,%d]", i%n, (i%n+1+i/n)%n)
+	}
+	b.WriteString(`], "weights": {`)
+	for i := 0; i < e; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `"%d-%d": %d`, i%n, (i%n+1+i/n)%n, 2+i%7)
+	}
+	b.WriteString("}}")
+	return b.String()
+}
+
+// Decoding is linear in the weighted edges: 16k of them, a ~400 KB advise
+// body, once took tens of seconds because every weight rebuilt the graph's
+// weight caches.
+func TestReadGraphManyWeightsIsLinear(t *testing.T) {
+	doc := weightedDoc(4096, 16384)
+	start := time.Now()
+	g, err := ReadGraph(strings.NewReader(doc), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("decoding 16k weighted edges took %v, want well under 5s", elapsed)
+	}
+	if g.NumEdges() != 16384 || g.Weight(0, 1) != 2 {
+		t.Fatalf("got %d edges, weight(0,1) = %g", g.NumEdges(), g.Weight(0, 1))
+	}
+}
+
+// A document with several bad weight keys reports the same one every time.
+func TestReadGraphWeightErrorIsDeterministic(t *testing.T) {
+	doc := `{"nodes": 3, "edges": [[0,1]], "weights": {"2-1": 2, "0-2": 2, "1-2": 2}}`
+	var first string
+	for i := 0; i < 50; i++ {
+		_, err := ReadGraph(strings.NewReader(doc), 0)
+		if err == nil {
+			t.Fatal("accepted weights on missing edges")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, "(0,2)") {
+				t.Fatalf("error %q, want the first sorted key 0-2 reported", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("error changed between runs: %q then %q", first, err.Error())
+		}
+	}
+}
+
+// fuzzMaxNodes is FuzzReadGraph's node bound, the daemon's advise cap.
+const fuzzMaxNodes = 4096
+
+// FuzzReadGraph feeds arbitrary documents to ReadGraph. It must never panic
+// and never accept more than fuzzMaxNodes nodes, and every document it
+// accepts must survive WriteGraph → ReadGraph with the same edges in the
+// same order and the same weights. The seed corpus in
+// testdata/fuzz/FuzzReadGraph holds plain and weighted graphs and one
+// document per refusal ReadGraph makes; run `make fuzz` to explore beyond
+// it.
+func FuzzReadGraph(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		g, err := ReadGraph(bytes.NewReader(doc), fuzzMaxNodes)
+		if err != nil {
+			return
+		}
+		if g.NumNodes() > fuzzMaxNodes {
+			t.Fatalf("accepted %d nodes over the bound of %d", g.NumNodes(), fuzzMaxNodes)
+		}
+		var buf bytes.Buffer
+		if err := WriteGraph(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadGraph(&buf, fuzzMaxNodes)
+		if err != nil {
+			t.Fatalf("written graph does not read back: %v", err)
+		}
+		if back.NumNodes() != g.NumNodes() || !slices.Equal(back.Edges(), g.Edges()) {
+			t.Fatalf("round trip changed the graph: %d nodes %v, want %d nodes %v",
+				back.NumNodes(), back.Edges(), g.NumNodes(), g.Edges())
+		}
+		for _, e := range g.Edges() {
+			if back.Weight(e.From, e.To) != g.Weight(e.From, e.To) {
+				t.Fatalf("weight of %v: %g after the round trip, want %g", e, back.Weight(e.From, e.To), g.Weight(e.From, e.To))
+			}
+		}
+	})
 }

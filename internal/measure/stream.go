@@ -12,9 +12,9 @@ import (
 // full m x m sample set before any solver sees a cost, Stream publishes the
 // running mean-latency estimate as a sequence of matrix epochs while the
 // measurement is still in flight. Each epoch carries the set of rows that
-// actually changed, which is the invalidation unit of the solver
-// preprocessing cache — advising can begin after the first epoch and refine
-// against later ones, overlapping measurement with search the way the
+// actually changed and the matrix's content fingerprint, the key of the
+// serving layer's preprocessing cache — advising can begin after the first
+// epoch and refine against later ones, overlapping measurement with search the way the
 // paper's staged scheme overlaps probes with each other (Sect. 5), and
 // reproducing the Fig. 5 convergence story end to end. Run is the
 // one-epoch case: only the final epoch, drained.

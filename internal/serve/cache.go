@@ -9,8 +9,8 @@ import (
 )
 
 // Cache is the content-addressed Prep artifact store shared by every shard:
-// cluster-K memo entries (rounded matrices, sorted pair lists, fitted
-// clusterings) and cheapest-link row sets are immutable once built and are
+// cluster-K memo entries (rounded matrices and sorted pair lists) and
+// cheapest-link row sets are immutable once built and are
 // deterministic functions of the cost-matrix content, so they are keyed by
 // core.CostMatrix.Fingerprint and shared across problems, tenants, and
 // shards. Two tenants whose measurements produced identical matrices pay
@@ -137,9 +137,7 @@ func (c *Cache) entryLocked(fp core.Fingerprint) *matrixEntry {
 // through prep (then publishing the export) on a miss. It reports whether
 // the artifacts came from the cache. The caller owns the content contract:
 // fp must be the fingerprint of prep's problem matrix, and the call must
-// happen before any solver consults the Prep. Misses whose computed entry
-// is not canonical (an evolved problem's patched fit) leave the cache slot
-// empty without poisoning it; prep still holds its own usable artifacts.
+// happen before any solver consults the Prep.
 func (c *Cache) Rounded(fp core.Fingerprint, k int, prep *solver.Prep) (hit bool, err error) {
 	if k < 0 {
 		k = 0
@@ -166,19 +164,13 @@ func (c *Cache) Rounded(fp core.Fingerprint, k int, prep *solver.Prep) (hit bool
 		c.misses.Add(1)
 		return false, slot.err
 	}
-	if slot.art == nil {
-		// The first requester's entry was not canonical; compute locally.
-		c.misses.Add(1)
-		_, _, err := prep.Rounded(k)
-		return false, err
-	}
 	adopted := prep.AdoptRounded(slot.art)
 	if _, _, err := prep.Rounded(k); err != nil {
 		return false, err
 	}
 	if !adopted {
-		// The Prep already held an entry for k (repeated call, or an
-		// evolved problem keeping its incremental lineage): not a hit.
+		// The Prep already held an entry for k (a repeated call): not a
+		// hit.
 		c.misses.Add(1)
 		return false, nil
 	}

@@ -44,6 +44,11 @@ func TestCacheRoundedHitServesDonorArtifacts(t *testing.T) {
 	if !hit {
 		t.Fatal("second request over equal content missed")
 	}
+	// A repeated request from a Prep that already holds the entry adopts
+	// nothing: a miss, not an error.
+	if hit, err := c.Rounded(fp, 4, adopter.Prep()); hit || err != nil {
+		t.Fatalf("repeat hit=%v err=%v, want miss", hit, err)
+	}
 	dm, dPairs, _ := donor.Prep().Rounded(4)
 	am, aPairs, _ := adopter.Prep().Rounded(4)
 	if dm != am || !reflect.DeepEqual(dPairs, aPairs) {

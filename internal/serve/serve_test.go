@@ -279,52 +279,6 @@ func TestServeJobFailureSurfaces(t *testing.T) {
 	}
 }
 
-// A non-canonical first requester (an evolved problem keeping its patch
-// lineage) must not poison the cache slot: it computes locally, and later
-// fresh requesters compute for themselves too instead of adopting nothing.
-func TestCacheRoundedNonCanonicalFirstRequester(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	m := testMatrix(rng, 10)
-	g := testGraph(t, 2, 4)
-	p1, err := solver.NewProblem(g, m, solver.LongestLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p1.Prep().Rounded(3); err != nil {
-		t.Fatal(err)
-	}
-	m2 := m.Clone()
-	m2.Set(0, 1, m2.At(0, 1)+1)
-	p2, err := p1.Evolve(m2, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(4)
-	fp2 := m2.Fingerprint()
-	// p2's entry is seeded for patching: computing it fills p2 but exports
-	// nothing canonical.
-	if hit, err := c.Rounded(fp2, 3, p2.Prep()); hit || err != nil {
-		t.Fatalf("hit=%v err=%v, want miss without error", hit, err)
-	}
-	// A fresh problem over the same content must still get artifacts (a
-	// local compute, reported as a miss) without erroring.
-	p3, err := solver.NewProblem(g, m2.Clone(), solver.LongestLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit, err := c.Rounded(fp2, 3, p3.Prep()); hit || err != nil {
-		t.Fatalf("hit=%v err=%v, want local-compute miss", hit, err)
-	}
-	if _, _, err := p3.Prep().Rounded(3); err != nil {
-		t.Fatal(err)
-	}
-	// Repeated requests from one Prep adopt nothing new: counted as misses,
-	// never as errors.
-	if hit, err := c.Rounded(fp2, 3, p3.Prep()); hit || err != nil {
-		t.Fatalf("repeat hit=%v err=%v, want miss", hit, err)
-	}
-}
-
 // Submit must validate jobs before touching any shard.
 func TestServeSubmitValidation(t *testing.T) {
 	g := testGraph(t, 2, 3)

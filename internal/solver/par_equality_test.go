@@ -17,9 +17,6 @@ type prepArtifacts struct {
 	rows               [][]int32
 	off                []float64
 	transposed         [][]float64
-	patched            [][]float64
-	patchedPairs       []float64
-	seededRows         [][]int32
 }
 
 func collectPrepArtifacts(t *testing.T) prepArtifacts {
@@ -61,31 +58,13 @@ func collectPrepArtifacts(t *testing.T) prepArtifacts {
 		t.Fatal(err)
 	}
 	a.transposed = dump(tc)
-
-	// Epoch path: evolve with three changed rows and rebuild the patched
-	// artifacts (seeded cheapest rows, patched rounded matrix and pairs).
-	changed := []int{3, 9, 11}
-	np, err := p.Evolve(perturbRows(p.Costs, changed, 77), changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nprep := np.Prep()
-	pm, ppairs, err := nprep.Rounded(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.patched = dump(pm)
-	for _, pr := range ppairs {
-		a.patchedPairs = append(a.patchedPairs, float64(pr.From), float64(pr.To), pr.Cost)
-	}
-	a.seededRows = nprep.CheapestRows()
 	return a
 }
 
 // TestPrepArtifactsBitEqualAcrossWorkers pins every artifact kind the Prep
 // layer builds — rounded matrices, sorted pair lists, cheapest rows,
-// off-diagonal extraction, transposed costs, and the evolved/seeded epoch
-// variants — bit-identical across worker counts.
+// off-diagonal extraction, and transposed costs — bit-identical across
+// worker counts.
 func TestPrepArtifactsBitEqualAcrossWorkers(t *testing.T) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(1)

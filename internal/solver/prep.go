@@ -33,12 +33,8 @@ import (
 // exception is Bootstrap, which returns a fresh copy of the memoized
 // deployment because solvers mutate their incumbent in place.
 //
-// Prep is additionally epoch-aware: Problem.Evolve builds the next epoch's
-// Prep from this one, adopting graph-derived artifacts outright and seeding
-// matrix-derived artifacts for incremental recomputation over the changed
-// rows (see prep_epoch.go). The done flags below let Evolve observe — via
-// atomics, so racing portfolio members on the old epoch stay undisturbed —
-// which artifacts the previous epoch actually materialized.
+// The done flags let the export path (prep_share.go) observe, without
+// blocking on a computation in flight, which artifacts have been built.
 type Prep struct {
 	p *Problem
 
@@ -52,19 +48,13 @@ type Prep struct {
 	tOrderErr  error
 
 	degOnce  sync.Once
-	degDone  atomic.Bool
 	degOrder []core.NodeID
 
 	rowsOnce sync.Once
 	rowsDone atomic.Bool
 	rows     [][]int32
-	// rowsSeed, when non-nil, is the previous epoch's CheapestRows result;
-	// only rowsSeedChanged rows are rebuilt, the rest are shared.
-	rowsSeed        [][]int32
-	rowsSeedChanged []int
 
 	offOnce sync.Once
-	offDone atomic.Bool
 	offDiag []float64
 
 	bootMu sync.Mutex
@@ -75,38 +65,17 @@ type Prep struct {
 	warmCost float64
 }
 
-// prepRounded memoizes one cluster-K's rounded matrix, pair list, fitted
-// clustering, and (lazily) the transpose of the rounded matrix.
+// prepRounded memoizes one cluster-K's rounded matrix, pair list, and
+// (lazily) the transpose of the rounded matrix.
 type prepRounded struct {
 	once  sync.Once
 	done  atomic.Bool
 	m     *core.CostMatrix
 	pairs []core.CostPair
-	res   *cluster.Result // clustering behind m; nil when k <= 0
 	err   error
-	// staleRows marks the distinct rows re-assigned against res since it
-	// was last fitted (stale is their count); once a majority of rows has
-	// drifted the next epoch refits instead of patching. Distinctness
-	// matters: one noisy row changing every epoch must not accumulate
-	// into a spurious majority.
-	staleRows []bool
-	stale     int
-	// patched marks an entry built by merge-patching a previous epoch's
-	// entry rather than by a fresh fit. Patched artifacts depend on their
-	// patch lineage (which fit the changed rows were re-assigned against),
-	// so they are not canonical functions of the matrix content and are
-	// excluded from content-addressed export (prep_share.go).
-	patched bool
 
 	tOnce sync.Once
 	t     *core.CostMatrix
-
-	// seed, when non-nil, is the previous epoch's computed entry for the
-	// same cluster count; compute patches it over seedChanged rows instead
-	// of re-running k-means. Cleared after use so retired epoch matrices
-	// can be collected.
-	seed        *prepRounded
-	seedChanged []int
 }
 
 type bootKey struct {
@@ -152,52 +121,10 @@ func (pp *Prep) entry(k int) *prepRounded {
 func (pp *Prep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
 	e := pp.entry(k)
 	e.once.Do(func() {
-		e.compute(pp, k)
+		e.m, e.pairs, e.err = cluster.RoundCostMatrixPairs(pp.p.Costs, k)
 		e.done.Store(true)
 	})
 	return e.m, e.pairs, e.err
-}
-
-// compute fills the entry, preferring the incremental path when a previous
-// epoch's entry seeds it: changed values are re-assigned to the existing
-// centers and the pair list is merged, O(changed*n log) work instead of a
-// full k-means refit — unless a majority of rows has gone stale since the
-// last fit, in which case the clustering is fitted fresh.
-func (e *prepRounded) compute(pp *Prep, k int) {
-	if s := e.seed; s != nil {
-		changed := e.seedChanged
-		e.seed, e.seedChanged = nil, nil
-		if s.err == nil {
-			n := pp.p.Costs.Size()
-			staleRows := make([]bool, n)
-			copy(staleRows, s.staleRows)
-			stale := s.stale
-			for _, i := range changed {
-				if !staleRows[i] {
-					staleRows[i] = true
-					stale++
-				}
-			}
-			if 2*stale < n {
-				if k <= 0 {
-					e.m = pp.p.Costs
-				} else {
-					e.m = cluster.PatchRoundedRows(pp.p.Costs, s.m, s.res, changed)
-				}
-				e.pairs = cluster.PatchSortedPairs(e.m, s.pairs, changed)
-				e.res = s.res
-				e.staleRows, e.stale = staleRows, stale
-				e.patched = true
-				return
-			}
-		}
-	}
-	if k <= 0 {
-		e.m = pp.p.Costs
-		e.pairs = pp.p.Costs.SortedPairs()
-		return
-	}
-	e.m, e.pairs, e.res, e.err = cluster.RoundCostMatrixPairsResult(pp.p.Costs, k)
 }
 
 // RoundedMatrix is Rounded without the pair list: for k <= 0 it serves the
@@ -261,7 +188,6 @@ func (pp *Prep) DegreeOrder() []core.NodeID {
 			return g.Degree(order[a]) > g.Degree(order[b])
 		})
 		pp.degOrder = order
-		pp.degDone.Store(true)
 	})
 	return pp.degOrder
 }
@@ -290,28 +216,12 @@ func cheapestRow(m *core.CostMatrix, u int, row []int32) []int32 {
 // ascending by (cost from u, index) — the candidate rows consumed by the G1
 // greedy's cheapest-free cursors. One flat backing array serves all rows:
 // row u owns the fixed stride [u*(n-1), (u+1)*(n-1)), so rows fill and sort
-// in parallel while producing exactly the sequential build's bytes. When a
-// previous epoch seeds the cache, only the changed rows are re-sorted (also
-// in parallel; Evolve hands them over ascending and duplicate-free) and the
-// rest are shared with that epoch. Shared; callers must not modify the rows.
+// in parallel while producing exactly the sequential build's bytes. Shared;
+// callers must not modify the rows.
 func (pp *Prep) CheapestRows() [][]int32 {
 	pp.rowsOnce.Do(func() {
 		m := pp.p.Costs
 		n := m.Size()
-		if seed := pp.rowsSeed; seed != nil {
-			rows := make([][]int32, n)
-			copy(rows, seed)
-			changed := pp.rowsSeedChanged
-			par.For(len(changed), func(lo, hi int) {
-				for _, u := range changed[lo:hi] {
-					rows[u] = cheapestRow(m, u, make([]int32, 0, n-1))
-				}
-			})
-			pp.rowsSeed, pp.rowsSeedChanged = nil, nil
-			pp.rows = rows
-			pp.rowsDone.Store(true)
-			return
-		}
 		rows := make([][]int32, n)
 		per := n - 1
 		flat := make([]int32, n*per)
@@ -332,7 +242,6 @@ func (pp *Prep) CheapestRows() [][]int32 {
 func (pp *Prep) OffDiagonal() []float64 {
 	pp.offOnce.Do(func() {
 		pp.offDiag = pp.p.Costs.OffDiagonal()
-		pp.offDone.Store(true)
 	})
 	return pp.offDiag
 }

@@ -8,17 +8,10 @@ import "cloudia/internal/core"
 // functions of the cost-matrix content, so a cache keyed by
 // core.CostMatrix.Fingerprint can hand one tenant's computed artifacts to
 // every later problem over an identical matrix (internal/serve).
-//
-// Only canonical artifacts are exportable: a cluster entry built by
-// merge-patching a previous epoch's fit depends on its patch lineage, not
-// just on the current matrix content, so exporting it under a pure content
-// key could serve two different byte-level artifacts for one fingerprint.
-// Fresh fits (and cheapest-link rows, which are per-row functions of the
-// matrix regardless of how they were seeded) are canonical.
 
 // RoundedArtifact is an exported cluster-K preprocessing artifact — the
-// rounded matrix, its cost-sorted pair list, and the fitted clustering —
-// opaque to callers and shared read-only between every Prep that adopts it.
+// rounded matrix and its cost-sorted pair list — opaque to callers and
+// shared read-only between every Prep that adopts it.
 type RoundedArtifact struct {
 	k int
 	e *prepRounded
@@ -35,9 +28,8 @@ type RowsArtifact struct {
 }
 
 // ExportRounded returns the computed cluster-k entry as a shareable
-// artifact, or ok=false when the entry has not been computed, errored, or
-// was built by patching a previous epoch (non-canonical; see above). k <= 0
-// exports the unclustered entry.
+// artifact, or ok=false when the entry has not been computed or errored.
+// k <= 0 exports the unclustered entry.
 func (pp *Prep) ExportRounded(k int) (*RoundedArtifact, bool) {
 	if k < 0 {
 		k = 0
@@ -45,7 +37,7 @@ func (pp *Prep) ExportRounded(k int) (*RoundedArtifact, bool) {
 	pp.mu.Lock()
 	e, ok := pp.rounded[k]
 	pp.mu.Unlock()
-	if !ok || !e.done.Load() || e.err != nil || e.patched {
+	if !ok || !e.done.Load() || e.err != nil {
 		return nil, false
 	}
 	return &RoundedArtifact{k: k, e: e}, true
@@ -54,12 +46,10 @@ func (pp *Prep) ExportRounded(k int) (*RoundedArtifact, bool) {
 // AdoptRounded installs an exported cluster entry into this Prep, so that
 // Rounded(k) (and TransposedCosts(k)) serve the shared artifact instead of
 // recomputing it. Adoption only fills an empty slot: it reports false when
-// this Prep already holds an entry for the artifact's k — computed, in
-// flight, or seeded for incremental patching by Evolve — because replacing
-// a seeded entry would silently change which bits an evolving problem
-// chain computes. Callers must only adopt artifacts whose source matrix
-// content (fingerprint) matches this problem's matrix, and must adopt
-// before any solver consults the Prep.
+// this Prep already holds an entry for the artifact's k, computed or in
+// flight. Callers must only adopt artifacts whose source matrix content
+// (fingerprint) matches this problem's matrix, and must adopt before any
+// solver consults the Prep.
 func (pp *Prep) AdoptRounded(a *RoundedArtifact) bool {
 	if a == nil || a.e == nil {
 		return false
@@ -74,9 +64,7 @@ func (pp *Prep) AdoptRounded(a *RoundedArtifact) bool {
 }
 
 // ExportCheapestRows returns the computed cheapest-link rows as a shareable
-// artifact, or ok=false when they have not been computed yet. Rows are
-// canonical per matrix content even when they were seeded incrementally:
-// each row is an independent sort of that row's costs.
+// artifact, or ok=false when they have not been computed yet.
 func (pp *Prep) ExportCheapestRows() (*RowsArtifact, bool) {
 	if !pp.rowsDone.Load() {
 		return nil, false
@@ -135,7 +123,6 @@ func (pp *Prep) AdoptCheapestRows(a *RowsArtifact) bool {
 	}
 	adopted := false
 	pp.rowsOnce.Do(func() {
-		pp.rowsSeed, pp.rowsSeedChanged = nil, nil
 		pp.rows = a.rows
 		pp.rowsDone.Store(true)
 		adopted = true

@@ -85,44 +85,6 @@ func TestExportAdoptRounded(t *testing.T) {
 	}
 }
 
-// Entries built by Evolve's incremental patch are not canonical and must
-// not export; a fresh fit after a majority drift must export again.
-func TestExportRejectsPatchedEntries(t *testing.T) {
-	pa, _ := shareTestProblem(t, 2)
-	if _, _, err := pa.Prep().Rounded(4); err != nil {
-		t.Fatal(err)
-	}
-	m2 := pa.Costs.Clone()
-	m2.Set(0, 1, m2.At(0, 1)+1)
-	p2, err := pa.Evolve(m2, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p2.Prep().Rounded(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p2.Prep().ExportRounded(4); ok {
-		t.Fatal("patched entry was exported")
-	}
-	// Changing a majority of rows forces a refit, which is canonical again.
-	m3 := p2.Costs.Clone()
-	var rows []int
-	for i := 0; i < m3.Size()-1; i++ {
-		m3.Set(i, i+1, m3.At(i, i+1)+1)
-		rows = append(rows, i)
-	}
-	p3, err := p2.Evolve(m3, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p3.Prep().Rounded(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p3.Prep().ExportRounded(4); !ok {
-		t.Fatal("refit entry after majority drift not exported")
-	}
-}
-
 func TestExportAdoptCheapestRows(t *testing.T) {
 	pa, pb := shareTestProblem(t, 3)
 	if _, ok := pa.Prep().ExportCheapestRows(); ok {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"cloudia/internal/cluster"
 	"cloudia/internal/core"
@@ -286,4 +287,114 @@ func TestPrepSolversShareProblem(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// perturbRows returns a copy of m with the off-diagonal entries of the given
+// rows redrawn.
+func perturbRows(m *core.CostMatrix, rows []int, seed int64) *core.CostMatrix {
+	rng := rand.New(rand.NewSource(seed))
+	out := m.Clone()
+	for _, i := range rows {
+		for j := 0; j < m.Size(); j++ {
+			if i != j {
+				out.Set(i, j, 0.2+rng.Float64())
+			}
+		}
+	}
+	return out
+}
+
+// TestWarmStartFoldsIntoBootstrap: a warm incumbent better than the random
+// draw is served by Bootstrap; an invalid one is rejected.
+func TestWarmStartFoldsIntoBootstrap(t *testing.T) {
+	p := prepProblem(t, 8, 12, 53)
+	rng := rand.New(rand.NewSource(99))
+	// Search a deployment better than the 10-sample bootstrap by sampling
+	// more.
+	warm, warmCost := Bootstrap(p, 500, rng)
+	_, plainCost := Bootstrap(p, 10, rand.New(rand.NewSource(7)))
+	if warmCost >= plainCost {
+		t.Skipf("500-sample bootstrap (%g) did not beat 10-sample (%g)", warmCost, plainCost)
+	}
+
+	prep := p.Prep()
+	if err := prep.WarmStart(warm); err != nil {
+		t.Fatal(err)
+	}
+	d, cost := prep.Bootstrap(10, 7)
+	if cost != warmCost || !reflect.DeepEqual(d, warm) {
+		t.Fatalf("Bootstrap ignored the warm incumbent: cost %g, warm %g", cost, warmCost)
+	}
+	// Mutating the returned deployment must not corrupt the stored warm
+	// incumbent.
+	d[0] = -1
+	d2, _ := prep.Bootstrap(10, 8)
+	if d2[0] == -1 {
+		t.Fatal("warm incumbent shared with callers")
+	}
+
+	if err := prep.WarmStart(core.Deployment{0, 1}); err == nil {
+		t.Fatal("short warm deployment accepted")
+	}
+	if err := prep.WarmStart(core.Deployment{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
+		t.Fatal("non-injective warm deployment accepted")
+	}
+}
+
+// TestEpochProblemsConcurrentWithSolves is the epoch-publication race
+// hammer: a publisher goroutine builds a fresh Problem over one shared graph
+// for each new epoch while portfolio-style readers hammer every Prep
+// artifact of the epochs already published. Run under -race (CI does).
+func TestEpochProblemsConcurrentWithSolves(t *testing.T) {
+	p := prepProblem(t, 10, 14, 55)
+	const epochs = 6
+
+	published := make(chan *Problem, epochs+1)
+	published <- p
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // publisher
+		defer wg.Done()
+		defer close(published)
+		cur := p
+		rng := rand.New(rand.NewSource(57))
+		for e := 0; e < epochs; e++ {
+			rows := []int{rng.Intn(14), rng.Intn(14)}
+			m := perturbRows(cur.Costs, rows, int64(59+e))
+			np, err := NewProblem(cur.Graph, m, cur.Objective)
+			if err != nil {
+				t.Errorf("NewProblem: %v", err)
+				return
+			}
+			published <- np
+			cur = np
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for prob := range published {
+		prob := prob
+		for w := 0; w < 3; w++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				prep := prob.Prep()
+				if _, _, err := prep.Rounded(5); err != nil {
+					t.Errorf("Rounded: %v", err)
+				}
+				if _, err := prep.TransposedCosts(5); err != nil {
+					t.Errorf("TransposedCosts: %v", err)
+				}
+				prep.TransposedGraph()
+				prep.DegreeOrder()
+				prep.CheapestRows()
+				prep.OffDiagonal()
+				prep.Bootstrap(10, 1)
+			}()
+		}
+	}
+	wg.Wait()
+	readers.Wait()
 }

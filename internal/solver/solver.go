@@ -164,14 +164,9 @@ func (p *Problem) TopoOrder() []core.NodeID { return p.order }
 // Prep returns the problem's shared preprocessing cache, creating it on
 // first use. Safe for concurrent use; all artifacts are memoized per
 // problem, so every portfolio member and repeated solver call shares one
-// set of derived structures. Problems built by Evolve arrive with a Prep
-// already seeded from the previous epoch, which is preserved.
+// set of derived structures.
 func (p *Problem) Prep() *Prep {
-	p.prepOnce.Do(func() {
-		if p.prep == nil {
-			p.prep = newPrep(p)
-		}
-	})
+	p.prepOnce.Do(func() { p.prep = newPrep(p) })
 	return p.prep
 }
 

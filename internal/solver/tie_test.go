@@ -32,14 +32,21 @@ func tieFixture(t *testing.T) (*core.Graph, *core.CostMatrix, *core.CostMatrix) 
 }
 
 func TestNewProblemTieValidation(t *testing.T) {
-	g, primary, _ := tieFixture(t)
+	g, primary, tie := tieFixture(t)
 	small := core.NewCostMatrix(2)
 	small.Set(0, 1, 1)
 	small.Set(1, 0, 1)
 	if _, err := NewProblemTie(g, primary, small, LongestLink); err == nil {
 		t.Fatal("size-mismatched tie matrix accepted")
 	}
-	p, err := NewProblemTie(g, primary, nil, LongestLink)
+	p, err := NewProblemTie(g, primary, tie, LongestLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Tie != tie {
+		t.Fatal("problem must carry the tie matrix")
+	}
+	p, err = NewProblemTie(g, primary, nil, LongestLink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,37 +84,6 @@ func TestTieCostAndBetter(t *testing.T) {
 	// Strictly lower primary always wins regardless of tie.
 	if !p.Better(b, a, 4, 5) {
 		t.Fatal("lower primary cost must win outright")
-	}
-}
-
-func TestEvolveTieCarriesMatrix(t *testing.T) {
-	g, primary, tie := tieFixture(t)
-	p, err := NewProblemTie(g, primary, tie, LongestLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := primary.Clone()
-	next.Set(0, 1, 7)
-	tie2 := tie.Clone()
-	tie2.Set(0, 1, 99) // tie may change arbitrarily without being listed
-	np, err := p.EvolveTie(next, []int{0}, tie2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if np.Tie != tie2 {
-		t.Fatal("evolved problem must carry the new tie matrix")
-	}
-	// Clearing the tie matrix is allowed.
-	np2, err := np.EvolveTie(next, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if np2.Tie != nil {
-		t.Fatal("nil tie must clear the matrix")
-	}
-	// A size-mismatched tie is rejected.
-	if _, err := p.EvolveTie(next, []int{0}, core.NewCostMatrix(2)); err == nil {
-		t.Fatal("size-mismatched tie accepted by EvolveTie")
 	}
 }
 

@@ -34,6 +34,33 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
+// FuzzWALFrame feeds arbitrary bytes to parseFrame, the frame layer under
+// decodeRecord. It must never panic, must never claim a frame longer than
+// its input, and every frame it accepts must re-frame through Log.frame to
+// the identical bytes, so header, CRC and body have one encoding per
+// record. The seed corpus in testdata/fuzz/FuzzWALFrame holds valid epoch,
+// advice and snapshot frames, two frames back to back, a torn frame (body
+// cut short), a bad CRC, and frames claiming lengths of 0, past the input,
+// and past maxFrameBytes.
+func FuzzWALFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, n, err := parseFrame(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("frame of %d bytes claimed from %d", n, len(data))
+		}
+		got, err := (&Log{}).frame(rec)
+		if err != nil {
+			t.Fatalf("accepted %T does not re-frame: %v", rec, err)
+		}
+		if !bytes.Equal(got, data[:n]) {
+			t.Fatalf("%T re-frames to\n%x\nnot\n%x", rec, got, data[:n])
+		}
+	})
+}
+
 // overflowPayload is a record header claiming sizes near MaxInt32 followed
 // by a little filler: the products of the claimed sizes overflow int, so a
 // size guard that multiplies lets the decoder allocate for them.
