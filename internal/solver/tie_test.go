@@ -32,21 +32,14 @@ func tieFixture(t *testing.T) (*core.Graph, *core.CostMatrix, *core.CostMatrix) 
 }
 
 func TestNewProblemTieValidation(t *testing.T) {
-	g, primary, tie := tieFixture(t)
+	g, primary, _ := tieFixture(t)
 	small := core.NewCostMatrix(2)
 	small.Set(0, 1, 1)
 	small.Set(1, 0, 1)
 	if _, err := NewProblemTie(g, primary, small, LongestLink); err == nil {
 		t.Fatal("size-mismatched tie matrix accepted")
 	}
-	p, err := NewProblemTie(g, primary, tie, LongestLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Tie != tie {
-		t.Fatal("problem must carry the tie matrix")
-	}
-	p, err = NewProblemTie(g, primary, nil, LongestLink)
+	p, err := NewProblemTie(g, primary, nil, LongestLink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +77,46 @@ func TestTieCostAndBetter(t *testing.T) {
 	// Strictly lower primary always wins regardless of tie.
 	if !p.Better(b, a, 4, 5) {
 		t.Fatal("lower primary cost must win outright")
+	}
+}
+
+// TestEvolveTieCarriesMatrix pins how a stream moves from one epoch to the
+// next: each epoch's problem is built fresh over the same graph and carries
+// that epoch's tie matrix, which may change arbitrarily between epochs.
+func TestEvolveTieCarriesMatrix(t *testing.T) {
+	g, primary, tie := tieFixture(t)
+	p, err := NewProblemTie(g, primary, tie, LongestLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Tie != tie {
+		t.Fatal("problem must carry the tie matrix")
+	}
+	next := primary.Clone()
+	next.Set(0, 1, 7)
+	tie2 := tie.Clone()
+	tie2.Set(0, 1, 99)
+	np, err := NewProblemTie(g, next, tie2, LongestLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np.Tie != tie2 {
+		t.Fatal("next epoch's problem must carry the new tie matrix")
+	}
+	if p.Tie != tie {
+		t.Fatal("building the next epoch must not touch the previous problem")
+	}
+	// Dropping the tie matrix in a later epoch is allowed.
+	np2, err := NewProblemTie(g, next, nil, LongestLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np2.Tie != nil {
+		t.Fatal("nil tie must clear the matrix")
+	}
+	// A size-mismatched tie is rejected.
+	if _, err := NewProblemTie(g, next, core.NewCostMatrix(2), LongestLink); err == nil {
+		t.Fatal("size-mismatched tie accepted for a later epoch")
 	}
 }
 
