@@ -347,7 +347,7 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 			Deployment: out.Deployment,
 			Cost:       out.Cost,
 			Elapsed:    out.Rounds[len(out.Rounds)-1].Elapsed,
-			Winner:     lastWinner(out.Rounds),
+			Winner:     out.Winner(),
 		}
 	}
 	rep = &StreamingReport{

@@ -105,8 +105,8 @@ type StreamSolveConfig struct {
 	Seed int64
 	// OnProblem, when non-nil, observes each round's problem immediately
 	// after it is built — before the warm start is installed and before any
-	// solver touches its Prep — so a serving layer can adopt shared,
-	// content-addressed preprocessing artifacts into it (internal/serve).
+	// solver touches its Prep — so a serving layer can share
+	// content-addressed preprocessing sets into it (internal/serve).
 	// prev is the previous round's problem (nil on the first round) and
 	// changedRows the searched matrix's changed-row set between prev's
 	// epoch and ep. A non-nil error aborts the run.
@@ -130,6 +130,14 @@ type StreamSolveConfig struct {
 	WarmStart core.Deployment
 }
 
+// StreamSolver resolves the solver name and cluster count SolveStream runs
+// when a caller leaves them zero: the racing portfolio, and the paper's k=20
+// for cp and the portfolio's CP member.
+func StreamSolver(name string, clusterK int) (string, int) {
+	name, clusterK, _ = searchDefaults(name, "portfolio", clusterK, solver.Budget{Nodes: 1})
+	return name, clusterK
+}
+
 // SolveStream runs the incremental advising loop over an epoch stream: for
 // each matrix epoch it builds a fresh problem (and so a fresh Prep: every
 // epoch's cost clustering is a fit of that epoch's matrix), installs the
@@ -148,7 +156,7 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 	if cfg.RoundBudget.Unlimited() {
 		return nil, fmt.Errorf("advisor: streaming rounds require a bounded budget")
 	}
-	name, clusterK, _ := searchDefaults(cfg.SolverName, "portfolio", cfg.ClusterK, cfg.RoundBudget)
+	name, clusterK := StreamSolver(cfg.SolverName, cfg.ClusterK)
 
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -328,12 +336,12 @@ func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (*StreamingRepor
 	return advise(prov, cfg, false)
 }
 
-// lastWinner returns the most recent round winner, skipping rounds where
-// the carried incumbent survived.
-func lastWinner(rounds []Round) string {
-	for i := len(rounds) - 1; i >= 0; i-- {
-		if rounds[i].Winner != "" {
-			return rounds[i].Winner
+// Winner returns the most recent round winner, skipping rounds where the
+// carried incumbent survived.
+func (o *StreamOutcome) Winner() string {
+	for i := len(o.Rounds) - 1; i >= 0; i-- {
+		if o.Rounds[i].Winner != "" {
+			return o.Rounds[i].Winner
 		}
 	}
 	return ""

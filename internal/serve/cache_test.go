@@ -44,8 +44,8 @@ func TestCacheRoundedHitServesDonorArtifacts(t *testing.T) {
 	if !hit {
 		t.Fatal("second request over equal content missed")
 	}
-	// A repeated request from a Prep that already holds the entry adopts
-	// nothing: a miss, not an error.
+	// A repeated request from a Prep that already read the artifact counts
+	// as a miss, not an error.
 	if hit, err := c.Rounded(fp, 4, adopter.Prep()); hit || err != nil {
 		t.Fatalf("repeat hit=%v err=%v, want miss", hit, err)
 	}

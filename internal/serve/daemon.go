@@ -247,9 +247,9 @@ func openSession(dir, tenant string, opts wal.Options) (*tenantSession, error) {
 // reseedCache warms the shared cache with the recovered tenant's matrix
 // artifacts under its current fingerprint, keyed by the solver
 // configuration of its last advice — the configuration its next advise is
-// overwhelmingly likely to repeat. Matrix artifacts derive from costs
-// alone, so a minimal one-node problem is enough to compute them; graph
-// family artifacts are not persisted and re-warm on first use.
+// overwhelmingly likely to repeat. It is the one place that maps a solver to
+// the matrix artifacts it reads; graph artifacts are not persisted and
+// re-warm on first use.
 func (d *Daemon) reseedCache(sess *tenantSession) error {
 	adv := sess.lastAdvice
 	if adv == nil || sess.snap == nil {
@@ -266,33 +266,17 @@ func (d *Daemon) reseedCache(sess *tenantSession) error {
 		}
 		fp, snap = sess.tailFP, sess.tailSnap
 	}
-	prob, err := solver.NewProblem(core.NewGraph(1), snap, solver.LongestLink)
-	if err != nil {
-		return fmt.Errorf("serve: tenant %q: re-seeding cache: %w", sess.name, err)
-	}
-	prep := prob.Prep()
-	name := adv.SolverName
-	if name == "" {
-		name = "portfolio"
-	}
-	k := adv.ClusterK
-	if k == 0 && (name == "cp" || name == "portfolio") {
-		k = 20
-	}
-	switch name {
-	case "cp", "portfolio":
-		if _, err := d.cache.Rounded(fp, k, prep); err != nil {
-			return err
-		}
-	case "mip":
-		if k > 0 {
-			if _, err := d.cache.Rounded(fp, k, prep); err != nil {
-				return err
-			}
+	set := d.cache.matrix(fp, func() *solver.MatrixPrep { return solver.NewMatrixPrep(snap) })
+	name, k := advisor.StreamSolver(adv.SolverName, adv.ClusterK)
+	// CP reads the pair list at every k; unclustered MIP reads the raw
+	// matrix and never asks for the k <= 0 entry.
+	if name == "cp" || name == "portfolio" || (name == "mip" && k > 0) {
+		if _, _, err := set.Rounded(k); err != nil {
+			return fmt.Errorf("serve: tenant %q: re-seeding cache: %w", sess.name, err)
 		}
 	}
 	if name == "g1" || name == "portfolio" {
-		d.cache.CheapestRows(fp, prep)
+		set.CheapestRows()
 	}
 	return nil
 }
@@ -587,7 +571,7 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 			ClusterK:    req.ClusterK,
 			Objective:   string(req.Objective),
 			Metric:      string(req.WithDefaults().Metric),
-			Winner:      outcomeWinner(res.Outcome),
+			Winner:      res.Outcome.Winner(),
 			Cost:        res.Outcome.Cost,
 			Deployment:  res.Outcome.Deployment,
 		}
@@ -605,17 +589,6 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// outcomeWinner is the most recent round winner, skipping rounds the
-// carried incumbent survived.
-func outcomeWinner(out *advisor.StreamOutcome) string {
-	for i := len(out.Rounds) - 1; i >= 0; i-- {
-		if out.Rounds[i].Winner != "" {
-			return out.Rounds[i].Winner
-		}
-	}
-	return ""
 }
 
 // TenantStatus is one tenant's durable-state snapshot.

@@ -152,7 +152,7 @@ func TestDaemonCacheReseed(t *testing.T) {
 	}
 	cold := adviseOK(t, d, AdviseRequest{
 		Tenant: "acme", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		SolverName: "cp", ClusterK: 4, RoundBudget: solver.Budget{Nodes: 5_000},
+		SolverName: "portfolio", ClusterK: 4, RoundBudget: solver.Budget{Nodes: 5_000},
 	})
 	if cold.CacheMisses == 0 {
 		t.Fatal("first-ever advise missed no cache entries")
@@ -161,9 +161,21 @@ func TestDaemonCacheReseed(t *testing.T) {
 
 	re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
 	defer re.Close()
+	// Before any advise, the re-seeded set already holds what the last
+	// advice's portfolio read: a fresh Prep over equal content hits both.
+	fresh, err := solver.NewProblem(g, m.Clone(), solver.LongestLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit, err := re.cache.Rounded(m.Fingerprint(), 4, fresh.Prep()); !hit || err != nil {
+		t.Fatalf("re-seeded Rounded(4): hit=%v err=%v, want a hit", hit, err)
+	}
+	if !re.cache.CheapestRows(m.Fingerprint(), fresh.Prep()) {
+		t.Fatal("re-seeded CheapestRows missed")
+	}
 	hit := adviseOK(t, re, AdviseRequest{
 		Tenant: "acme", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		SolverName: "cp", ClusterK: 4, RoundBudget: solver.Budget{Nodes: 5_000},
+		SolverName: "portfolio", ClusterK: 4, RoundBudget: solver.Budget{Nodes: 5_000},
 	})
 	if hit.CacheMisses != 0 || hit.CacheHits == 0 {
 		t.Fatalf("post-restart advise hits/misses = %d/%d, want all hits", hit.CacheHits, hit.CacheMisses)

@@ -198,7 +198,7 @@ func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Deployment = res.Outcome.Deployment
 		resp.Cost = res.Outcome.Cost
-		resp.Winner = outcomeWinner(res.Outcome)
+		resp.Winner = res.Outcome.Winner()
 		resp.Rounds = len(res.Outcome.Rounds)
 		resp.Interrupted = res.Outcome.Interrupted
 	}

@@ -13,44 +13,43 @@ import (
 	"cloudia/internal/advisor"
 	"cloudia/internal/core"
 	"cloudia/internal/measure"
-	"cloudia/internal/par"
 	"cloudia/internal/solver"
 	"cloudia/internal/wal"
 )
 
-// dagGraph builds a small DAG (edges ascend), usable under LongestPath.
-func dagGraph(t testing.TB, n int) *core.Graph {
+// treeGraph is a 7-node aggregation tree: more sources than sinks, so
+// longest-path MIP branches on the transposed graph and matrix.
+func treeGraph(t testing.TB) *core.Graph {
 	t.Helper()
-	g := core.NewGraph(n)
-	for v := 0; v+1 < n; v++ {
-		if err := g.AddEdge(v, v+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for v := 0; v+2 < n; v += 2 {
-		if err := g.AddEdge(v, v+2); err != nil {
-			t.Fatal(err)
-		}
+	g, err := core.AggregationTree(2, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
 
-// TestPrefetchRaceHammer races the concurrent OnProblem prefetch — the
-// par.Do fan-out warming rounded/rows/graph artifacts — against WarmStart
-// installs, tenant holds moving to new content (Track), and other tenants'
-// prefetches over a 2-fingerprint cache, from 16 goroutines. Run under -race in CI; the warms
-// and the solver-side artifact faults share single-flight slots and Prep
-// cells, so any missing synchronization surfaces as a race or a lost
-// artifact, and the fold-back keeps every error observable.
-func TestPrefetchRaceHammer(t *testing.T) {
-	defer par.SetWorkers(0)
-	// Force real fan-out inside par.Do even on single-core CI machines.
-	par.SetWorkers(8)
-
-	g := dagGraph(t, 8)
+// TestShareRaceHammer races concurrent jobs attaching shared sets and
+// reading them through a mix of solvers and objectives — so rounded
+// matrices, pair lists, cheapest rows and the transposed graph and matrix
+// are built and shared by racing readers — against WarmStart installs,
+// tenant holds moving to new content (Track), and evictions on a
+// 2-fingerprint cache, from 16 goroutines. Run under -race in CI; every
+// result must equal a solve of the same problem on a Prep of its own.
+func TestShareRaceHammer(t *testing.T) {
+	g := treeGraph(t)
 	cache := NewCache(2)
 	const instances = 10
 	base := testMatrix(rand.New(rand.NewSource(7)), instances)
+	budget := solver.Budget{Nodes: 300}
+	configs := []struct {
+		name string
+		obj  solver.Objective
+	}{
+		{"portfolio", solver.LongestLink}, {"mip", solver.LongestPath},
+		{"cp", solver.LongestLink}, {"portfolio", solver.LongestPath},
+		{"g1", solver.LongestLink}, {"mip", solver.LongestLink},
+		{"g1", solver.LongestPath}, {"cp", solver.LongestLink},
+	}
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -60,11 +59,7 @@ func TestPrefetchRaceHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
-			name := []string{"portfolio", "cp", "g1", "mip"}[w%4]
-			obj := solver.LongestLink
-			if w%2 == 1 {
-				obj = solver.LongestPath
-			}
+			cfg := configs[w%len(configs)]
 			// Half the goroutines share the base matrix (and so its
 			// fingerprint: artifact sharing and single-flight contention),
 			// half perturb one row first (eviction pressure on the
@@ -78,23 +73,33 @@ func TestPrefetchRaceHammer(t *testing.T) {
 					}
 				}
 			}
-			prob, err := solver.NewProblem(g, m, obj)
+			solve := func(m *core.CostMatrix, shared bool) (*solver.Result, error) {
+				prob, err := solver.NewProblem(g, m, cfg.obj)
+				if err != nil {
+					return nil, err
+				}
+				if shared {
+					br := &cacheBridge{cache: cache, spec: advisor.ObjectiveSpec{Objective: cfg.obj}, graph: g}
+					if err := br.onProblem(prob, nil, measure.Epoch{}, nil); err != nil {
+						return nil, err
+					}
+				}
+				if err := prob.Prep().WarmStart(core.Identity(g.NumNodes())); err != nil {
+					return nil, err
+				}
+				sol, err := advisor.NewSolver(cfg.name, 3, int64(w))
+				if err != nil {
+					return nil, err
+				}
+				return sol.Solve(prob, budget)
+			}
+			got, err := solve(m, true)
 			if err != nil {
-				errs <- err
+				errs <- fmt.Errorf("worker %d %s: %w", w, cfg.name, err)
 				return
-			}
-			br := &cacheBridge{cache: cache, solverName: name, clusterK: 3, spec: advisor.ObjectiveSpec{Objective: obj}, graph: g}
-			if err := br.onProblem(prob, nil, measure.Epoch{}, nil); err != nil {
-				errs <- fmt.Errorf("prefetch %s: %w", name, err)
-				return
-			}
-			// Race a warm-start install against other goroutines' prefetches
-			// over the same Prep artifacts.
-			if err := prob.Prep().WarmStart(core.Identity(g.NumNodes())); err != nil {
-				errs <- err
 			}
 			// Post a changed row and move this tenant's hold to the new
-			// content while others warm: the retire path (Track).
+			// content while others read: the retire path (Track).
 			row := rng.Intn(instances)
 			m2 := m.Clone()
 			for j := 0; j < instances; j++ {
@@ -104,16 +109,17 @@ func TestPrefetchRaceHammer(t *testing.T) {
 			}
 			cache.Track(0, m.Fingerprint())
 			cache.Track(m.Fingerprint(), m2.Fingerprint())
-			// And prefetch the evolved fingerprint as a fresh problem, the
-			// way a second tenant over the new matrix would.
-			p2, err := solver.NewProblem(g, m2.Clone(), solver.LongestLink)
+			if _, err := solve(m2, true); err != nil {
+				errs <- fmt.Errorf("worker %d %s after Track: %w", w, cfg.name, err)
+				return
+			}
+			want, err := solve(m.Clone(), false)
 			if err != nil {
 				errs <- err
 				return
 			}
-			br2 := &cacheBridge{cache: cache, solverName: "cp", clusterK: 2, spec: advisor.ObjectiveSpec{Objective: solver.LongestLink}, graph: g}
-			if err := br2.onProblem(p2, nil, measure.Epoch{}, nil); err != nil {
-				errs <- err
+			if !reflect.DeepEqual(got.Deployment, want.Deployment) || got.Cost != want.Cost {
+				errs <- fmt.Errorf("worker %d %s: shared-set result diverged from an own-Prep solve", w, cfg.name)
 			}
 		}(w)
 	}

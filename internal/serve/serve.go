@@ -8,7 +8,8 @@
 // advisor.SolveStream, so a served job's result is bit-equal to running
 // the same tenant through the unsharded streaming path regardless of where
 // (or when) it was dispatched. What the serving layer adds is sharing and
-// isolation: a content-addressed Prep artifact cache (see Cache) lets
+// isolation: a content-addressed Prep cache (see Cache) hands every job the
+// shared matrix and graph artifact sets for its content, by reference, so
 // tenants with identical cost matrices — common when they measure the same
 // datacenter slice, or when a fleet of problems is re-advised against one
 // published matrix — split the dominant preprocessing cost across the
@@ -29,7 +30,6 @@ import (
 	"cloudia/internal/advisor"
 	"cloudia/internal/core"
 	"cloudia/internal/measure"
-	"cloudia/internal/par"
 	"cloudia/internal/solver"
 )
 
@@ -97,8 +97,9 @@ type Result struct {
 	// advisor.SolveStream over the same final epoch and configuration.
 	Outcome *advisor.StreamOutcome
 	Err     error
-	// CacheHits and CacheMisses count the job's Prep artifact requests
-	// served from, respectively computed into, the shared cache.
+	// CacheHits and CacheMisses count the shared Prep artifacts the job's
+	// solve read, each once: a miss when the build ran inside this job, a
+	// hit when another job built it.
 	CacheHits, CacheMisses int
 	// Queued is how long the job waited to be pulled by a worker; Ran is
 	// the solve wall-clock time.
@@ -336,13 +337,7 @@ func (s *Server) runJob(shard int, tk task) (res *Result) {
 	epochs <- ep
 	close(epochs)
 
-	br := &cacheBridge{
-		cache:      s.cache,
-		solverName: job.SolverName,
-		clusterK:   job.ClusterK,
-		spec:       job.ObjectiveSpec,
-		graph:      job.Graph,
-	}
+	br := &cacheBridge{cache: s.cache, spec: job.ObjectiveSpec, graph: job.Graph}
 	var ctx context.Context
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -363,7 +358,7 @@ func (s *Server) runJob(shard int, tk task) (res *Result) {
 	})
 	res.Ran = time.Since(start)
 	res.Outcome, res.Err = out, err
-	res.CacheHits, res.CacheMisses = br.hits, br.misses
+	res.CacheHits, res.CacheMisses = br.reads()
 	return res
 }
 
@@ -397,16 +392,14 @@ func (s *Server) Stats() Stats {
 
 // cacheBridge adapts the shared cache to advisor.SolveStream's OnProblem
 // hook for one job. A job is one epoch, so the hook sees one fresh problem,
-// which adopts (or computes and publishes) the content-addressed artifacts
-// its solver will need.
+// whose Prep it points at the shared matrix and graph sets; the solver then
+// builds what it reads, on first read, into sets every later job over the
+// same content shares.
 type cacheBridge struct {
-	cache      *Cache
-	solverName string
-	clusterK   int
-	spec       advisor.ObjectiveSpec
-	graph      *core.Graph
-
-	hits, misses int
+	cache *Cache
+	spec  advisor.ObjectiveSpec
+	graph *core.Graph
+	prep  *solver.Prep
 }
 
 // epochFP returns the content fingerprint of the matrix the round actually
@@ -430,81 +423,17 @@ func (b *cacheBridge) epochFP(prob *solver.Problem, ep measure.Epoch) core.Finge
 }
 
 func (b *cacheBridge) onProblem(prob, _ *solver.Problem, ep measure.Epoch, _ []int) error {
-	fp := b.epochFP(prob, ep)
-
-	// Resolve the same defaults SolveStream applies, so the bridge warms
-	// the artifacts the solver will actually request.
-	name := b.solverName
-	if name == "" {
-		name = "portfolio"
-	}
-	k := b.clusterK
-	if k == 0 && (name == "cp" || name == "portfolio") {
-		k = 20
-	}
-	prep := prob.Prep()
-
-	// The known solver family maps to a fixed artifact set; the artifacts
-	// are independent (distinct single-flight slots, distinct Prep cells),
-	// so they prefetch concurrently instead of each solver faulting them in
-	// serially under its sync.Once. Results are folded back in the fixed
-	// rounded/rows/graph order after the join, so hit/miss counts and the
-	// error a caller sees stay deterministic regardless of scheduling; with
-	// one worker the closures run sequentially inline, exactly the old path.
-	var (
-		doRounded, doRows, doGraph    bool
-		roundedHit, rowsHit, graphHit bool
-		roundedErr                    error
-	)
-	switch name {
-	case "cp", "portfolio":
-		// CP consumes the pair list at every k, clustered or not.
-		doRounded = true
-	case "mip":
-		// Unclustered MIP reads the raw matrix directly and never asks
-		// Prep for the k<=0 entry; warming it would sort ~m^2 pairs
-		// nobody reads.
-		doRounded = k > 0
-	}
-	doRows = name == "g1" || name == "portfolio"
-	// Longest-path problems run the branch-and-bound member over the
-	// transposed graph; the transpose and its topological order are
-	// graph-content artifacts shared under the graph's own fingerprint
-	// (the per-family sub-key), so longest-path fleets share more than
-	// matrix-derived entries.
-	doGraph = b.spec.Objective == solver.LongestPath && (name == "mip" || name == "portfolio")
-
-	warms := make([]func(), 0, 3)
-	if doRounded {
-		warms = append(warms, func() { roundedHit, roundedErr = b.cache.Rounded(fp, k, prep) })
-	}
-	if doRows {
-		warms = append(warms, func() { rowsHit = b.cache.CheapestRows(fp, prep) })
-	}
-	if doGraph {
-		warms = append(warms, func() { graphHit = b.cache.TransposedGraph(b.graph.Fingerprint(), prep) })
-	}
-	par.Do(warms...)
-
-	if doRounded {
-		if roundedErr != nil {
-			return roundedErr
-		}
-		b.count(roundedHit)
-	}
-	if doRows {
-		b.count(rowsHit)
-	}
-	if doGraph {
-		b.count(graphHit)
-	}
+	b.prep = prob.Prep()
+	b.cache.share(b.epochFP(prob, ep), b.graph.Fingerprint(), b.prep)
 	return nil
 }
 
-func (b *cacheBridge) count(hit bool) {
-	if hit {
-		b.hits++
-	} else {
-		b.misses++
+// reads reports the job's shared reads and adds them to the cache counters.
+func (b *cacheBridge) reads() (hits, misses int) {
+	if b.prep == nil {
+		return 0, 0
 	}
+	hits, misses = b.prep.SharedReads()
+	b.cache.record(hits, misses)
+	return hits, misses
 }

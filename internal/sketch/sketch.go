@@ -10,12 +10,11 @@
 // integer bucket counts, and integer addition is commutative and
 // associative, so merging sketches produces bit-identical state regardless
 // of merge order or grouping. That makes the sketch safe for the repo's
-// determinism contract — internal/par may chunk a sample stream any way it
-// likes, build per-chunk sketches concurrently, and merge them in index
-// order, and the result is byte-equal to a single sequential pass
-// (FromSamples pins exactly this). A t-digest's centroids depend on
-// insertion and merge order, which would make epoch content a function of
-// the worker count.
+// determinism contract — a sample stream may be split into chunks any way
+// at all, each chunk sketched on its own, and the chunks merged, and the
+// result is byte-equal to a single sequential pass (TestMergeOrderIndependent
+// pins this). A t-digest's centroids depend on insertion and merge order,
+// which would make epoch content a function of how the stream was split.
 //
 // Accuracy guarantee: for every recorded value v above the indexable
 // minimum, the bucket representative r satisfies |r - v| <= Alpha * v. A
@@ -30,8 +29,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-
-	"cloudia/internal/par"
 )
 
 // DefaultAlpha is the relative-error bound used when a caller does not pick
@@ -223,47 +220,4 @@ func (s *Sketch) bounds() (lo, hi int) {
 		j--
 	}
 	return s.offset + i, s.offset + j
-}
-
-// FromSamples builds a sketch over xs with the given alpha, chunking the
-// slice across internal/par workers: each chunk fills its own sketch, and
-// the chunks merge in ascending index order after the barrier. Because
-// bucket assignment is per-value and merging is commutative-associative
-// integer addition, the result is bit-identical to a sequential Add loop
-// for every worker count and chunk geometry — the property the
-// determinism suite pins.
-func FromSamples(xs []float64, alpha float64) *Sketch {
-	n := len(xs)
-	w := par.Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		s := New(alpha)
-		for _, v := range xs {
-			s.Add(v)
-		}
-		return s
-	}
-	parts := make([]*Sketch, w)
-	chunk := (n + w - 1) / w
-	par.For(w, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			from := c * chunk
-			to := from + chunk
-			if to > n {
-				to = n
-			}
-			s := New(alpha)
-			for _, v := range xs[from:to] {
-				s.Add(v)
-			}
-			parts[c] = s
-		}
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out.Merge(p)
-	}
-	return out
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"cloudia/internal/par"
 )
 
 // exactQuantile returns the nearest-rank q-quantile of xs (the sample the
@@ -143,31 +141,6 @@ func TestMergeOrderIndependent(t *testing.T) {
 			if a != b {
 				t.Fatalf("merge variant %d: Quantile(%g)=%g != sequential %g", i, q, a, b)
 			}
-		}
-	}
-}
-
-func TestFromSamplesWorkerCountInvariant(t *testing.T) {
-	r := rand.New(rand.NewSource(123))
-	xs := randomSamples(r, 10007) // prime length: uneven chunks at every worker count
-
-	defer par.SetWorkers(par.Workers())
-	par.SetWorkers(1)
-	ref := FromSamples(xs, 0.01)
-
-	for _, w := range []int{2, 3, 4, 7, 16, 64} {
-		par.SetWorkers(w)
-		got := FromSamples(xs, 0.01)
-		if !got.Equal(ref) {
-			t.Fatalf("workers=%d: sketch state differs from sequential build", w)
-		}
-		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			if a, b := got.Quantile(q), ref.Quantile(q); a != b {
-				t.Fatalf("workers=%d: Quantile(%g)=%g != sequential %g", w, q, a, b)
-			}
-		}
-		if got.Count() != int64(len(xs)) {
-			t.Fatalf("workers=%d: count %d != %d", w, got.Count(), len(xs))
 		}
 	}
 }

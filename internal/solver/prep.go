@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cloudia/internal/cluster"
 	"cloudia/internal/core"
@@ -22,6 +21,13 @@ import (
 // rebuilt the transposed graph and matrix, G1 re-sorted every cost row, and
 // the bootstrap deployments were drawn from identical seeds multiple times.
 //
+// The artifacts that depend on the cost matrix alone live in a MatrixPrep,
+// and those that depend on the graph alone in a GraphPrep. A Prep builds its
+// own sets lazily, on first read; a serving layer may instead install sets
+// shared with other problems over identical content (ShareMatrix,
+// ShareGraph), so one tenant's k-means serves every tenant with the same
+// matrix. Degree orders, bootstrap incumbents and warm starts stay per Prep.
+//
 // Prep is safe for concurrent use. Distinct artifacts (and distinct
 // cluster-K values) are guarded by their own sync.Once, so racing portfolio
 // members computing different artifacts never serialize behind one lock,
@@ -32,30 +38,21 @@ import (
 // modify returned matrices, graphs, slices, or pair lists. The only
 // exception is Bootstrap, which returns a fresh copy of the memoized
 // deployment because solvers mutate their incumbent in place.
-//
-// The done flags let the export path (prep_share.go) observe, without
-// blocking on a computation in flight, which artifacts have been built.
 type Prep struct {
 	p *Problem
 
-	mu      sync.Mutex
-	rounded map[int]*prepRounded
+	matrixOnce sync.Once
+	matrix     *MatrixPrep
+	graphOnce  sync.Once
+	graph      *GraphPrep
 
-	tGraphOnce sync.Once
-	tGraphDone atomic.Bool
-	tGraph     *core.Graph
-	tOrder     []core.NodeID
-	tOrderErr  error
+	// reads records every matrix- and graph-set artifact read through this
+	// Prep, once each (see SharedReads).
+	readMu sync.Mutex
+	reads  []artifactRead
 
 	degOnce  sync.Once
 	degOrder []core.NodeID
-
-	rowsOnce sync.Once
-	rowsDone atomic.Bool
-	rows     [][]int32
-
-	offOnce sync.Once
-	offDiag []float64
 
 	bootMu sync.Mutex
 	boots  map[bootKey]*prepBoot
@@ -65,11 +62,29 @@ type Prep struct {
 	warmCost float64
 }
 
+// MatrixPrep holds the Prep artifacts that are deterministic functions of
+// the cost matrix's content alone: the rounded matrix and sorted pair list
+// per cluster count, their transposes, the cheapest-link rows and the
+// off-diagonal values. Every artifact is built once, on first read, so
+// problems sharing one MatrixPrep share each build, including one in
+// flight.
+type MatrixPrep struct {
+	costs *core.CostMatrix
+
+	mu      sync.Mutex
+	rounded map[int]*prepRounded
+
+	rowsOnce sync.Once
+	rows     [][]int32
+
+	offOnce sync.Once
+	offDiag []float64
+}
+
 // prepRounded memoizes one cluster-K's rounded matrix, pair list, and
 // (lazily) the transpose of the rounded matrix.
 type prepRounded struct {
 	once  sync.Once
-	done  atomic.Bool
 	m     *core.CostMatrix
 	pairs []core.CostPair
 	err   error
@@ -77,6 +92,40 @@ type prepRounded struct {
 	tOnce sync.Once
 	t     *core.CostMatrix
 }
+
+// GraphPrep holds the Prep artifacts that depend on the communication graph
+// alone: the transposed graph and its topological order.
+type GraphPrep struct {
+	g *core.Graph
+
+	once     sync.Once
+	t        *core.Graph
+	order    []core.NodeID
+	orderErr error
+}
+
+// artifact names one matrix- or graph-set artifact in a Prep's read record.
+type artifact struct {
+	kind artifactKind
+	k    int
+}
+
+// artifactRead records that a Prep read an artifact, and whether one of its
+// reads ran the build.
+type artifactRead struct {
+	artifact
+	built bool
+}
+
+type artifactKind uint8
+
+const (
+	artRounded artifactKind = iota
+	artTransposedCosts
+	artCheapestRows
+	artOffDiagonal
+	artTransposedGraph
+)
 
 type bootKey struct {
 	samples int
@@ -91,26 +140,102 @@ type prepBoot struct {
 
 func newPrep(p *Problem) *Prep {
 	return &Prep{
-		p:       p,
-		rounded: make(map[int]*prepRounded),
-		boots:   make(map[bootKey]*prepBoot),
+		p:     p,
+		boots: make(map[bootKey]*prepBoot),
 	}
 }
 
-// entry returns the memo cell for cluster count k; every k <= 0 aliases the
-// unclustered cell 0.
-func (pp *Prep) entry(k int) *prepRounded {
-	if k < 0 {
-		k = 0
+// NewMatrixPrep returns an empty artifact set over costs; nothing is built
+// until first read.
+func NewMatrixPrep(costs *core.CostMatrix) *MatrixPrep {
+	return &MatrixPrep{costs: costs, rounded: make(map[int]*prepRounded)}
+}
+
+// Matrix returns the matrix set this Prep reads: the shared one installed by
+// ShareMatrix, or else its own, built empty on this first call.
+func (pp *Prep) Matrix() *MatrixPrep {
+	pp.matrixOnce.Do(func() { pp.matrix = NewMatrixPrep(pp.p.Costs) })
+	return pp.matrix
+}
+
+// Graph returns the graph set this Prep reads, as Matrix does.
+func (pp *Prep) Graph() *GraphPrep {
+	pp.graphOnce.Do(func() { pp.graph = &GraphPrep{g: pp.p.Graph} })
+	return pp.graph
+}
+
+// ShareMatrix makes m the matrix set this Prep reads, and reports whether it
+// did: it fails once the Prep holds a set, its own or a shared one. The
+// caller owns the content contract: m must have been built over a matrix
+// whose content (fingerprint) equals this problem's.
+func (pp *Prep) ShareMatrix(m *MatrixPrep) bool {
+	shared := false
+	pp.matrixOnce.Do(func() { pp.matrix, shared = m, true })
+	return shared
+}
+
+// ShareGraph is ShareMatrix for the graph set: g must have been built over a
+// graph whose content (core.Graph.Fingerprint) equals this problem's.
+func (pp *Prep) ShareGraph(g *GraphPrep) bool {
+	shared := false
+	pp.graphOnce.Do(func() { pp.graph, shared = g, true })
+	return shared
+}
+
+// SharedReads counts the distinct matrix- and graph-set artifacts read
+// through this Prep: misses are those whose build ran inside one of its
+// reads, hits those another Prep sharing the set built (or was building).
+func (pp *Prep) SharedReads() (hits, misses int) {
+	pp.readMu.Lock()
+	defer pp.readMu.Unlock()
+	for _, r := range pp.reads {
+		if r.built {
+			misses++
+		} else {
+			hits++
+		}
 	}
-	pp.mu.Lock()
-	e, ok := pp.rounded[k]
+	return hits, misses
+}
+
+func (pp *Prep) note(a artifact, built bool) {
+	pp.readMu.Lock()
+	defer pp.readMu.Unlock()
+	for i := range pp.reads {
+		if pp.reads[i].artifact == a {
+			pp.reads[i].built = pp.reads[i].built || built
+			return
+		}
+	}
+	pp.reads = append(pp.reads, artifactRead{a, built})
+}
+
+// entry returns the memo cell for cluster count k >= 0; callers map every
+// k <= 0 to the unclustered cell 0.
+func (m *MatrixPrep) entry(k int) *prepRounded {
+	m.mu.Lock()
+	e, ok := m.rounded[k]
 	if !ok {
 		e = &prepRounded{}
-		pp.rounded[k] = e
+		m.rounded[k] = e
 	}
-	pp.mu.Unlock()
+	m.mu.Unlock()
 	return e
+}
+
+func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
+	e = m.entry(k)
+	e.once.Do(func() {
+		built = true
+		e.m, e.pairs, e.err = cluster.RoundCostMatrixPairs(m.costs, k)
+	})
+	return e, built
+}
+
+// Rounded is Prep.Rounded on the set itself.
+func (m *MatrixPrep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
+	e, _ := m.round(max(k, 0))
+	return e.m, e.pairs, e.err
 }
 
 // Rounded returns the problem's cost matrix rounded to at most k clusters
@@ -119,11 +244,9 @@ func (pp *Prep) entry(k int) *prepRounded {
 // matrix is served with its sorted pairs. The matrix and pair list are
 // shared — callers must not modify them.
 func (pp *Prep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
-	e := pp.entry(k)
-	e.once.Do(func() {
-		e.m, e.pairs, e.err = cluster.RoundCostMatrixPairs(pp.p.Costs, k)
-		e.done.Store(true)
-	})
+	k = max(k, 0)
+	e, built := pp.Matrix().round(k)
+	pp.note(artifact{artRounded, k}, built)
 	return e.m, e.pairs, e.err
 }
 
@@ -147,31 +270,43 @@ func (pp *Prep) TransposedCosts(k int) (*core.CostMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := pp.entry(k)
-	e.tOnce.Do(func() { e.t = m.Transposed() })
+	k = max(k, 0)
+	e := pp.Matrix().entry(k)
+	built := false
+	e.tOnce.Do(func() {
+		built = true
+		e.t = m.Transposed()
+	})
+	pp.note(artifact{artTransposedCosts, k}, built)
 	return e.t, nil
+}
+
+func (g *GraphPrep) build() (built bool) {
+	g.once.Do(func() {
+		built = true
+		g.t = g.g.Transposed()
+		g.order, g.orderErr = g.t.TopoOrder()
+	})
+	return built
 }
 
 // TransposedGraph returns the communication graph with every edge reversed
 // (weights carried along), memoized. Shared; callers must not modify it.
 func (pp *Prep) TransposedGraph() *core.Graph {
-	pp.buildTransposed()
-	return pp.tGraph
+	return pp.transposedGraph().t
 }
 
 // TransposedTopoOrder returns a topological order of the transposed graph,
 // memoized alongside it. Shared; callers must not modify it.
 func (pp *Prep) TransposedTopoOrder() ([]core.NodeID, error) {
-	pp.buildTransposed()
-	return pp.tOrder, pp.tOrderErr
+	g := pp.transposedGraph()
+	return g.order, g.orderErr
 }
 
-func (pp *Prep) buildTransposed() {
-	pp.tGraphOnce.Do(func() {
-		pp.tGraph = pp.p.Graph.Transposed()
-		pp.tOrder, pp.tOrderErr = pp.tGraph.TopoOrder()
-		pp.tGraphDone.Store(true)
-	})
+func (pp *Prep) transposedGraph() *GraphPrep {
+	g := pp.Graph()
+	pp.note(artifact{kind: artTransposedGraph}, g.build())
+	return g
 }
 
 // DegreeOrder returns the application nodes sorted by descending total
@@ -212,6 +347,29 @@ func cheapestRow(m *core.CostMatrix, u int, row []int32) []int32 {
 	return row
 }
 
+func (m *MatrixPrep) cheapestRows() (rows [][]int32, built bool) {
+	m.rowsOnce.Do(func() {
+		built = true
+		n := m.costs.Size()
+		rows := make([][]int32, n)
+		per := n - 1
+		flat := make([]int32, n*per)
+		par.For(n, func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				rows[u] = cheapestRow(m.costs, u, flat[u*per:u*per:(u+1)*per])
+			}
+		})
+		m.rows = rows
+	})
+	return m.rows, built
+}
+
+// CheapestRows is Prep.CheapestRows on the set itself.
+func (m *MatrixPrep) CheapestRows() [][]int32 {
+	rows, _ := m.cheapestRows()
+	return rows
+}
+
 // CheapestRows returns, for every instance u, the other instances sorted
 // ascending by (cost from u, index) — the candidate rows consumed by the G1
 // greedy's cheapest-free cursors. One flat backing array serves all rows:
@@ -219,31 +377,23 @@ func cheapestRow(m *core.CostMatrix, u int, row []int32) []int32 {
 // in parallel while producing exactly the sequential build's bytes. Shared;
 // callers must not modify the rows.
 func (pp *Prep) CheapestRows() [][]int32 {
-	pp.rowsOnce.Do(func() {
-		m := pp.p.Costs
-		n := m.Size()
-		rows := make([][]int32, n)
-		per := n - 1
-		flat := make([]int32, n*per)
-		par.For(n, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				rows[u] = cheapestRow(m, u, flat[u*per:u*per:(u+1)*per])
-			}
-		})
-		pp.rows = rows
-		pp.rowsDone.Store(true)
-	})
-	return pp.rows
+	rows, built := pp.Matrix().cheapestRows()
+	pp.note(artifact{kind: artCheapestRows}, built)
+	return rows
 }
 
 // OffDiagonal returns the problem's off-diagonal cost values in row-major
 // order (the "latency vector" of Sect. 6.2.2), memoized. Shared; callers
 // must not modify it.
 func (pp *Prep) OffDiagonal() []float64 {
-	pp.offOnce.Do(func() {
-		pp.offDiag = pp.p.Costs.OffDiagonal()
+	m := pp.Matrix()
+	built := false
+	m.offOnce.Do(func() {
+		built = true
+		m.offDiag = m.costs.OffDiagonal()
 	})
-	return pp.offDiag
+	pp.note(artifact{kind: artOffDiagonal}, built)
+	return m.offDiag
 }
 
 // WarmStart installs a warm incumbent for this problem epoch: every later

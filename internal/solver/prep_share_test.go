@@ -38,71 +38,91 @@ func shareTestProblem(t *testing.T, seed int64) (*Problem, *Problem) {
 	return pa, pb
 }
 
-// Adopted artifacts must be the exact structures the donor computed, and
-// must be what the adopter would have computed itself.
-func TestExportAdoptRounded(t *testing.T) {
+// A shared matrix set serves its artifacts by reference, they are
+// bit-equal to a fresh fit over equal content, and a Prep that already read
+// its own set keeps it.
+func TestShareMatrixInstallsOnce(t *testing.T) {
 	pa, pb := shareTestProblem(t, 1)
-	if _, ok := pa.Prep().ExportRounded(4); ok {
-		t.Fatal("exported a never-computed entry")
-	}
 	ma, pairsA, err := pa.Prep().Rounded(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, ok := pa.Prep().ExportRounded(4)
-	if !ok {
-		t.Fatal("computed entry not exportable")
-	}
-	if art.ClusterK() != 4 {
-		t.Fatalf("artifact k = %d, want 4", art.ClusterK())
-	}
-	if !pb.Prep().AdoptRounded(art) {
-		t.Fatal("adoption into an empty slot failed")
+	rowsA := pa.Prep().CheapestRows()
+	if !pb.Prep().ShareMatrix(pa.Prep().Matrix()) {
+		t.Fatal("sharing into a Prep that read nothing failed")
 	}
 	mb, pairsB, err := pb.Prep().Rounded(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mb != ma {
-		t.Fatal("adopted Prep did not serve the shared matrix")
+	if mb != ma || &pairsB[0] != &pairsA[0] || &pb.Prep().CheapestRows()[0][0] != &rowsA[0][0] {
+		t.Fatal("shared set did not serve the donor's artifacts")
 	}
-	if !reflect.DeepEqual(pairsA, pairsB) {
-		t.Fatal("adopted pair list differs")
+	if pb.Prep().ShareMatrix(NewMatrixPrep(pb.Costs)) {
+		t.Fatal("a second set replaced the shared one")
 	}
+
 	// Independently computed artifacts over equal content must be
-	// bit-identical to the shared one (determinism of the fit).
+	// bit-identical to the shared ones (determinism of the fit).
 	pc, _ := shareTestProblem(t, 1)
 	mc, pairsC, err := pc.Prep().Rounded(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mc.Row(3), ma.Row(3)) || !reflect.DeepEqual(pairsC, pairsA) {
-		t.Fatal("fresh fit over equal content differs from shared artifact")
+	for i := 0; i < mc.Size(); i++ {
+		if !reflect.DeepEqual(mc.Row(i), ma.Row(i)) {
+			t.Fatalf("fresh fit row %d differs from the shared artifact", i)
+		}
 	}
-	// Adoption must refuse occupied slots.
-	if pa.Prep().AdoptRounded(art) {
-		t.Fatal("adoption replaced an existing entry")
+	if !reflect.DeepEqual(pairsC, pairsA) || !reflect.DeepEqual(pc.Prep().CheapestRows(), rowsA) {
+		t.Fatal("fresh build over equal content differs from the shared artifacts")
+	}
+	// pc read its own set: sharing is refused and its artifacts stay.
+	if pc.Prep().ShareMatrix(pa.Prep().Matrix()) {
+		t.Fatal("sharing replaced a set the Prep had already read")
+	}
+	if m, _, _ := pc.Prep().Rounded(4); m != mc {
+		t.Fatal("refused share changed the Prep's artifacts")
 	}
 }
 
-func TestExportAdoptCheapestRows(t *testing.T) {
+func TestShareGraphInstallsOnce(t *testing.T) {
 	pa, pb := shareTestProblem(t, 3)
-	if _, ok := pa.Prep().ExportCheapestRows(); ok {
-		t.Fatal("exported never-computed rows")
+	ta := pa.Prep().TransposedGraph()
+	if !pb.Prep().ShareGraph(pa.Prep().Graph()) {
+		t.Fatal("sharing into a Prep that read nothing failed")
 	}
-	rowsA := pa.Prep().CheapestRows()
-	art, ok := pa.Prep().ExportCheapestRows()
-	if !ok {
-		t.Fatal("computed rows not exportable")
+	if pb.Prep().TransposedGraph() != ta {
+		t.Fatal("shared set did not serve the donor's transpose")
 	}
-	if !pb.Prep().AdoptCheapestRows(art) {
-		t.Fatal("row adoption failed")
+	pc, _ := shareTestProblem(t, 3)
+	tc := pc.Prep().TransposedGraph()
+	oa, _ := pa.Prep().TransposedTopoOrder()
+	oc, _ := pc.Prep().TransposedTopoOrder()
+	if !reflect.DeepEqual(tc.Edges(), ta.Edges()) || !reflect.DeepEqual(oc, oa) {
+		t.Fatal("fresh transpose differs from the shared one")
 	}
-	rowsB := pb.Prep().CheapestRows()
-	if &rowsA[0][0] != &rowsB[0][0] {
-		t.Fatal("adopted Prep did not serve the shared rows")
+	if pc.Prep().ShareGraph(pa.Prep().Graph()) || pc.Prep().TransposedGraph() != tc {
+		t.Fatal("sharing replaced a graph set the Prep had already read")
 	}
-	if pa.Prep().AdoptCheapestRows(art) {
-		t.Fatal("adoption succeeded on a Prep that already computed rows")
+}
+
+// SharedReads counts each artifact once: a miss for the Prep whose read ran
+// the build, a hit for a Prep reading it from a shared set.
+func TestSharedReadsCountsBuilds(t *testing.T) {
+	pa, pb := shareTestProblem(t, 5)
+	pb.Prep().ShareMatrix(pa.Prep().Matrix())
+	for i := 0; i < 2; i++ {
+		pa.Prep().Rounded(3)
+		pa.Prep().CheapestRows()
+	}
+	pb.Prep().Rounded(3)
+	pb.Prep().CheapestRows()
+	pb.Prep().Rounded(5)
+	if h, m := pa.Prep().SharedReads(); h != 0 || m != 2 {
+		t.Fatalf("builder hits/misses = %d/%d, want 0/2", h, m)
+	}
+	if h, m := pb.Prep().SharedReads(); h != 2 || m != 1 {
+		t.Fatalf("sharer hits/misses = %d/%d, want 2/1", h, m)
 	}
 }

@@ -35,7 +35,7 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzWALFrame feeds arbitrary bytes to parseFrame, the frame layer under
-// decodeRecord. It must never panic, must never claim a frame longer than
+// decodeRecord that replay's readFrame hands every frame to. It must never panic, must never claim a frame longer than
 // its input, and every frame it accepts must re-frame through Log.frame to
 // the identical bytes, so header, CRC and body have one encoding per
 // record. The seed corpus in testdata/fuzz/FuzzWALFrame holds valid epoch,

@@ -240,12 +240,13 @@ func (l *Log) replaySegment(idx int, last bool, replay func(Record) error) error
 	return nil
 }
 
-// readFrame reads and decodes one frame from r, reusing the log's scratch
-// buffer for the frame body; decodeRecord never retains its input, so the
-// buffer is safe to overwrite on the next call. remain is the number of
-// unread segment bytes, used to distinguish a truncated body from an I/O
-// error so the caller's torn-tail handling matches the old whole-segment
-// parse exactly.
+// readFrame reads one frame from r into the log's reusable scratch buffer
+// and decodes it with parseFrame; decodeRecord never retains its input, so
+// the buffer is safe to overwrite on the next call. The length is bounded
+// before the body is read, so a corrupt header cannot size an allocation.
+// remain is the number of unread segment bytes, used to distinguish a
+// truncated body from an I/O error so the caller's torn-tail handling
+// matches a whole-segment parse exactly.
 func (l *Log) readFrame(r *bufio.Reader, remain int64) (Record, int, error) {
 	if remain < frameHeaderBytes {
 		return nil, 0, fmt.Errorf("short header (%d bytes)", remain)
@@ -258,25 +259,19 @@ func (l *Log) readFrame(r *bufio.Reader, remain int64) (Record, int, error) {
 	if length < 1 || length > maxFrameBytes {
 		return nil, 0, fmt.Errorf("implausible frame length %d", length)
 	}
-	want := binary.LittleEndian.Uint32(hdr[4:])
 	if int64(length) > remain-frameHeaderBytes {
 		return nil, 0, fmt.Errorf("truncated body (%d of %d bytes)", remain-frameHeaderBytes, length)
 	}
-	if cap(l.buf) < int(length) {
-		l.buf = make([]byte, length)
+	n := frameHeaderBytes + int(length)
+	if cap(l.buf) < n {
+		l.buf = make([]byte, n)
 	}
-	body := l.buf[:length]
-	if _, err := io.ReadFull(r, body); err != nil {
+	frame := l.buf[:n]
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[frameHeaderBytes:]); err != nil {
 		return nil, 0, fmt.Errorf("reading body: %v", err)
 	}
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, 0, fmt.Errorf("CRC mismatch (%08x != %08x)", got, want)
-	}
-	rec, err := decodeRecord(body[0], body[1:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return rec, frameHeaderBytes + int(length), nil
+	return parseFrame(frame)
 }
 
 // parseFrame decodes one frame from the head of data, returning the record
