@@ -38,28 +38,25 @@ func shareTestProblem(t *testing.T, seed int64) (*Problem, *Problem) {
 	return pa, pb
 }
 
-// A shared matrix set serves its artifacts by reference, they are
-// bit-equal to a fresh fit over equal content, and a Prep that already read
-// its own set keeps it.
-func TestShareMatrixInstallsOnce(t *testing.T) {
+// A donor exports its matrix set with Matrix() and an adopter installs it
+// with ShareMatrix: the adopter must serve the exact rounded structures the
+// donor computed, they must be what it would have computed itself, and a
+// Prep that already read its own set must refuse adoption.
+func TestExportAdoptRounded(t *testing.T) {
 	pa, pb := shareTestProblem(t, 1)
 	ma, pairsA, err := pa.Prep().Rounded(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsA := pa.Prep().CheapestRows()
 	if !pb.Prep().ShareMatrix(pa.Prep().Matrix()) {
-		t.Fatal("sharing into a Prep that read nothing failed")
+		t.Fatal("adoption into a Prep that read nothing failed")
 	}
 	mb, pairsB, err := pb.Prep().Rounded(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mb != ma || &pairsB[0] != &pairsA[0] || &pb.Prep().CheapestRows()[0][0] != &rowsA[0][0] {
-		t.Fatal("shared set did not serve the donor's artifacts")
-	}
-	if pb.Prep().ShareMatrix(NewMatrixPrep(pb.Costs)) {
-		t.Fatal("a second set replaced the shared one")
+	if mb != ma || &pairsB[0] != &pairsA[0] {
+		t.Fatal("adopted Prep did not serve the donor's rounded artifacts")
 	}
 
 	// Independently computed artifacts over equal content must be
@@ -74,15 +71,39 @@ func TestShareMatrixInstallsOnce(t *testing.T) {
 			t.Fatalf("fresh fit row %d differs from the shared artifact", i)
 		}
 	}
-	if !reflect.DeepEqual(pairsC, pairsA) || !reflect.DeepEqual(pc.Prep().CheapestRows(), rowsA) {
-		t.Fatal("fresh build over equal content differs from the shared artifacts")
+	if !reflect.DeepEqual(pairsC, pairsA) {
+		t.Fatal("fresh pair list over equal content differs from the shared one")
 	}
-	// pc read its own set: sharing is refused and its artifacts stay.
+	// pc read its own set: adoption is refused and its artifacts stay.
 	if pc.Prep().ShareMatrix(pa.Prep().Matrix()) {
-		t.Fatal("sharing replaced a set the Prep had already read")
+		t.Fatal("adoption replaced a set the Prep had already read")
 	}
 	if m, _, _ := pc.Prep().Rounded(4); m != mc {
-		t.Fatal("refused share changed the Prep's artifacts")
+		t.Fatal("refused adoption changed the Prep's artifacts")
+	}
+}
+
+// The cheapest rows travel with the matrix set: an adopter serves the
+// donor's rows by reference, and a set installed once is never replaced.
+func TestExportAdoptCheapestRows(t *testing.T) {
+	pa, pb := shareTestProblem(t, 3)
+	rowsA := pa.Prep().CheapestRows()
+	if !pb.Prep().ShareMatrix(pa.Prep().Matrix()) {
+		t.Fatal("adoption into a Prep that read nothing failed")
+	}
+	rowsB := pb.Prep().CheapestRows()
+	if &rowsA[0][0] != &rowsB[0][0] {
+		t.Fatal("adopted Prep did not serve the shared rows")
+	}
+	if pb.Prep().ShareMatrix(NewMatrixPrep(pb.Costs)) {
+		t.Fatal("a second set replaced the adopted one")
+	}
+	if pa.Prep().ShareMatrix(NewMatrixPrep(pa.Costs)) {
+		t.Fatal("adoption succeeded on a Prep that already computed rows")
+	}
+	pc, _ := shareTestProblem(t, 3)
+	if !reflect.DeepEqual(pc.Prep().CheapestRows(), rowsA) {
+		t.Fatal("fresh rows over equal content differ from the shared ones")
 	}
 }
 
