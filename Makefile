@@ -61,13 +61,17 @@ crash-test:
 # same bytes; FuzzWALFrame does the same one layer down, for whole frames
 # (header, CRC, body). FuzzReadGraph feeds arbitrary documents to the graph
 # decoder behind -graph and POST /v1/advise: no panic, the node bound holds,
-# and every accepted graph round-trips through WriteGraph. Their seed
-# corpora (testdata/fuzz/ in each package) also run in `make test`.
+# and every accepted graph round-trips through WriteGraph. FuzzAdviseRequest
+# posts whole advise bodies to a daemon holding one 6-instance tenant: no
+# panic, only documented statuses, every 200 reply a valid deployment of the
+# posted graph, and /healthz still answering. Their seed corpora
+# (testdata/fuzz/ in each package) also run in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 20s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 20s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s ./internal/graphio/
+	$(GO) test -run '^$$' -fuzz '^FuzzAdviseRequest$$' -fuzztime 20s ./internal/serve/
 
 # perf-check vets and tests the cloudia-perf benchmark. It is a nested
 # module, so `go build ./...` at the root never compiles it; this target is

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"cloudia/internal/topology"
 )
 
 // All figures run in Quick mode as part of the ordinary test suite, so a
@@ -35,6 +38,40 @@ func TestAllFiguresRunQuick(t *testing.T) {
 				t.Fatalf("%s String() missing title", id)
 			}
 		})
+	}
+}
+
+// TestProviderFiguresArePure: figs. 18-21 are functions of their options
+// alone. A runner that already ran quick returns the same full-scale
+// figure as a fresh one, so the quick shrink cannot leak into the
+// parameters the runner captured.
+func TestProviderFiguresArePure(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		new func() Runner
+	}{
+		{"fig18", func() Runner { return providerCDF("fig18", "", topology.GCEProfile, 50) }},
+		{"fig19", func() Runner { return providerStability("fig19", "", topology.GCEProfile, 60) }},
+		{"fig20", func() Runner { return providerCDF("fig20", "", topology.RackspaceProfile, 50) }},
+		{"fig21", func() Runner { return providerStability("fig21", "", topology.RackspaceProfile, 60) }},
+	} {
+		full := Options{Seed: 42}
+		want, err := tc.new()(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tc.new()
+		if _, err := r(Options{Seed: 42, Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: full-scale run after a quick one has %d points in its first series, a fresh runner %d",
+				tc.id, len(got.Series[0].X), len(want.Series[0].X))
+		}
 	}
 }
 

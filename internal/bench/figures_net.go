@@ -246,6 +246,7 @@ func Fig05MeasurementConvergence(opts Options) (*Figure, error) {
 // providerCDF builds the Appendix 3 heterogeneity CDFs (Figs. 18 and 20).
 func providerCDF(id, title string, prof func() topology.Profile, n int) Runner {
 	return func(opts Options) (*Figure, error) {
+		n := n
 		if opts.Quick {
 			n = 25
 		}
@@ -271,6 +272,7 @@ func providerCDF(id, title string, prof func() topology.Profile, n int) Runner {
 // providerStability builds the Appendix 3 stability plots (Figs. 19 and 21).
 func providerStability(id, title string, prof func() topology.Profile, hours float64) Runner {
 	return func(opts Options) (*Figure, error) {
+		hours := hours
 		if opts.Quick {
 			hours = 20
 		}

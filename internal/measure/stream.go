@@ -97,10 +97,9 @@ func (e *Epoch) Tail(pct float64) *TailMatrix {
 
 // PublishEpoch folds one snapshot of a mutable estimate into an Epoch
 // value: the immutable matrix copy, the exact changed-row set since the
-// previous snapshot, and the incrementally maintained fingerprint. It is
-// the single point where an epoch's invariants are assembled — the
-// streaming measurement publishes through it, and so does the durable
-// serve daemon when a tenant posts an epoch over HTTP, which is what keeps
+// previous snapshot, and the incrementally maintained fingerprint. The
+// durable serve daemon publishes a posted epoch through the same
+// MutableCostMatrix Snapshot and Fingerprint, which is what keeps
 // daemon-side fingerprints bit-compatible with measurement-side ones.
 func PublishEpoch(mm *core.MutableCostMatrix, atMS float64, final bool, samples int64) Epoch {
 	snap, changed := mm.Snapshot()
@@ -117,9 +116,8 @@ func PublishEpoch(mm *core.MutableCostMatrix, atMS float64, final bool, samples 
 
 // PublishTail folds one snapshot of a mutable percentile estimate into a
 // TailMatrix, the tail counterpart of PublishEpoch: immutable snapshot,
-// exact changed rows, incremental fingerprint. Shared by Stream and the
-// durable daemon so tail fingerprints stay bit-compatible across both
-// producers.
+// exact changed rows, incremental fingerprint, bit-compatible with the
+// tail fingerprints the durable daemon derives the same way.
 func PublishTail(mm *core.MutableCostMatrix, pct float64) TailMatrix {
 	snap, changed := mm.Snapshot()
 	return TailMatrix{

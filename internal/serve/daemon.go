@@ -12,7 +12,6 @@ import (
 
 	"cloudia/internal/advisor"
 	"cloudia/internal/core"
-	"cloudia/internal/measure"
 	"cloudia/internal/solver"
 	"cloudia/internal/wal"
 )
@@ -59,30 +58,152 @@ type Daemon struct {
 	tenants map[string]*tenantSession
 }
 
-// tenantSession is one tenant's durable state: the mutable matrix its
-// epochs fold into, the immutable snapshot jobs solve over, and the WAL
-// that makes both survive a crash. Tenants serving percentile advice
-// additionally carry one tail matrix — the percentile estimate their
-// epochs post tail rows into — with its own snapshot and fingerprint
-// chain, since percentile and mean matrices are distinct cache keys. The
-// session lock serializes epoch appends, advice logging, and compaction,
-// so WAL order always matches state mutation order — the property replay
-// depends on.
+// tenantSession is one tenant's durable state: its mean matrix, the tail
+// (percentile) matrix of a tenant serving percentile advice, and the WAL
+// that makes both survive a crash. The session lock serializes epoch
+// appends, advice logging, and compaction, so WAL order always matches
+// state mutation order — the property replay depends on.
 type tenantSession struct {
 	name string
 
 	mu           sync.Mutex
 	log          *wal.Log
-	mm           *core.MutableCostMatrix
-	snap         *core.CostMatrix
-	fp           core.Fingerprint
-	tailPct      float64
-	tailMM       *core.MutableCostMatrix
-	tailSnap     *core.CostMatrix
-	tailFP       core.Fingerprint
+	mean, tail   tenantMatrix
 	epoch        int
 	lastAdvice   *wal.AdviceRecord
 	sinceCompact int
+}
+
+// tenantMatrix is one of a tenant's matrices, a cache key with its own
+// fingerprint chain: the mutable matrix epochs fold into (nil until rows
+// are posted), the committed snapshot jobs solve over, and, from publish
+// to commit or revert, the pending snapshot a WAL append decides on.
+type tenantMatrix struct {
+	pct     float64 // the percentile a tail estimates; 0 for the mean
+	mm      *core.MutableCostMatrix
+	snap    *core.CostMatrix
+	fp      core.Fingerprint
+	next    *core.CostMatrix
+	changed []int
+}
+
+// fold writes rows into the matrix, first creating it at size n.
+func (m *tenantMatrix) fold(n int, pct float64, rows []wal.RowDelta) {
+	if m.mm == nil {
+		m.mm, m.pct = core.NewMutableCostMatrix(n), pct
+	}
+	for _, delta := range rows {
+		for j, v := range delta.Values {
+			m.mm.Set(delta.Row, j, v)
+		}
+	}
+}
+
+// verify checks the matrix replay rebuilt against its logged fingerprint.
+func (m *tenantMatrix) verify(tenant string, epoch int, logged core.Fingerprint) error {
+	if got := m.mm.Fingerprint(); got != logged {
+		what := "fingerprint"
+		if m.pct != 0 {
+			what = fmt.Sprintf("p%g fingerprint", m.pct)
+		}
+		return fmt.Errorf("serve: tenant %q epoch %d: recovered %s %016x != logged %016x",
+			tenant, epoch, what, uint64(got), uint64(logged))
+	}
+	return nil
+}
+
+// publish snapshots the folded matrix as pending, returning its
+// fingerprint and its changed rows, which view the snapshot's storage.
+func (m *tenantMatrix) publish() (core.Fingerprint, []wal.RowDelta) {
+	m.next, m.changed = m.mm.Snapshot()
+	rows := make([]wal.RowDelta, len(m.changed))
+	for i, row := range m.changed {
+		rows[i] = wal.RowDelta{Row: row, Values: m.next.Row(row)}
+	}
+	return m.mm.Fingerprint(), rows
+}
+
+// commit makes the pending snapshot, if any, the committed one and moves
+// the tenant's cache hold to its fingerprint (Cache.Track).
+func (m *tenantMatrix) commit(cache *Cache) {
+	if m.next != nil {
+		fp := m.mm.Fingerprint() // the pending snapshot's: mm is unchanged since publish
+		cache.Track(m.fp, fp)
+		m.snap, m.fp, m.next, m.changed = m.next, fp, nil, nil
+	}
+}
+
+// revert rolls the matrix back over a pending snapshot, if any, to the
+// committed one. Before the first committed snapshot there is nothing to
+// return to, so the matrix itself is dropped.
+func (m *tenantMatrix) revert() {
+	switch {
+	case m.next == nil:
+	case m.snap == nil:
+		*m = tenantMatrix{}
+	default:
+		m.mm.Revert(m.snap, m.changed)
+		m.next, m.changed = nil, nil
+	}
+}
+
+// fold folds one epoch's rows, and its tail rows if any, into the session
+// once the epoch fits: a tenant's matrices never change size, and it keeps
+// one tail percentile. Replay words a refusal as corrupt history, then
+// checks the rebuilt matrices against the fingerprints r logged and moves
+// the session to r's epoch.
+func (s *tenantSession) fold(r *wal.EpochRecord, replay bool) error {
+	if mm := s.mean.mm; mm != nil && mm.Size() != r.N {
+		if replay {
+			return fmt.Errorf("serve: tenant %q: epoch %d resizes the matrix %d -> %d", s.name, r.Epoch, mm.Size(), r.N)
+		}
+		return fmt.Errorf("serve: tenant %q matrix is %d x %d, epoch says %d", s.name, mm.Size(), mm.Size(), r.N)
+	}
+	if r.TailPct != 0 && s.tail.mm != nil && s.tail.pct != r.TailPct {
+		if replay {
+			return fmt.Errorf("serve: tenant %q: epoch %d changes the tail percentile p%g -> p%g",
+				s.name, r.Epoch, s.tail.pct, r.TailPct)
+		}
+		return fmt.Errorf("serve: tenant %q tail matrix is p%g, epoch posts p%g (one tail percentile per tenant)",
+			s.name, s.tail.pct, r.TailPct)
+	}
+	s.mean.fold(r.N, 0, r.Rows)
+	if r.TailPct != 0 {
+		s.tail.fold(r.N, r.TailPct, r.TailRows)
+	}
+	if !replay {
+		return nil
+	}
+	if r.TailPct != 0 {
+		if err := s.tail.verify(s.name, r.Epoch, r.TailFingerprint); err != nil {
+			return err
+		}
+	}
+	if err := s.mean.verify(s.name, r.Epoch, r.Fingerprint); err != nil {
+		return err
+	}
+	s.epoch = r.Epoch
+	return nil
+}
+
+// searched returns the matrix a search under spec runs over: the tail, at
+// the metric's percentile, for percentile metrics, else the mean.
+func (s *tenantSession) searched(spec advisor.ObjectiveSpec) (*tenantMatrix, error) {
+	if s.mean.snap == nil {
+		return nil, fmt.Errorf("serve: tenant %q has no epochs", s.name)
+	}
+	pct := spec.TailPercentile()
+	switch {
+	case pct == 0:
+		return &s.mean, nil
+	case s.tail.snap == nil:
+		return nil, fmt.Errorf("serve: tenant %q has no percentile matrix — metric %q needs tail rows posted with its epochs",
+			s.name, spec.Metric)
+	case s.tail.pct != pct:
+		return nil, fmt.Errorf("serve: tenant %q tail matrix is p%g, metric %q wants p%g",
+			s.name, s.tail.pct, spec.Metric, pct)
+	}
+	return &s.tail, nil
 }
 
 // OpenDaemon opens (or creates) the WAL root, recovers every tenant found
@@ -115,9 +236,8 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 	// Replay tenant logs one at a time, in directory (sorted, os.ReadDir's
 	// contract) order, so the error reported is the first failing tenant's
 	// in that order and cache re-seeding is one deterministic pass.
-	var opened []*tenantSession
 	fail := func(err error) (*Daemon, error) {
-		for _, sess := range opened {
+		for _, sess := range d.sessions() {
 			sess.log.Close()
 		}
 		return nil, err
@@ -130,102 +250,39 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 		if err != nil {
 			return fail(fmt.Errorf("serve: alien tenant directory %q", e.Name()))
 		}
-		sess, err := openSession(filepath.Join(root, e.Name()), string(raw), cfg.WAL)
+		sess, err := d.openSession(filepath.Join(root, e.Name()), string(raw))
 		if err != nil {
 			return fail(err)
 		}
-		opened = append(opened, sess)
+		d.tenants[sess.name] = sess
 		if err := d.reseedCache(sess); err != nil {
 			return fail(err)
 		}
-		d.cache.Track(0, sess.fp)
-		d.cache.Track(0, sess.tailFP)
-		d.tenants[sess.name] = sess
 	}
 
 	d.srv = New(cfg.Serve)
 	return d, nil
 }
 
-// openSession opens one tenant's log and replays it into a fresh session.
-// Every epoch's fingerprint is re-derived from the rebuilt matrix and
-// compared bit-for-bit with the logged one.
-func openSession(dir, tenant string, opts wal.Options) (*tenantSession, error) {
+// openSession opens one tenant's log, replays it into a fresh session —
+// comparing every epoch's re-derived fingerprints bit-for-bit with the
+// logged ones — and commits the rebuilt matrices to the cache.
+func (d *Daemon) openSession(dir, tenant string) (*tenantSession, error) {
 	sess := &tenantSession{name: tenant}
-	var mm, tailMM *core.MutableCostMatrix
-	apply := func(epoch int, fp core.Fingerprint) error {
-		if got := mm.Fingerprint(); got != fp {
-			return fmt.Errorf("serve: tenant %q epoch %d: recovered fingerprint %016x != logged %016x",
-				tenant, epoch, uint64(got), uint64(fp))
-		}
-		sess.epoch, sess.fp = epoch, fp
-		return nil
-	}
-	applyTail := func(epoch int, pct float64, fp core.Fingerprint) error {
-		if got := tailMM.Fingerprint(); got != fp {
-			return fmt.Errorf("serve: tenant %q epoch %d: recovered p%g fingerprint %016x != logged %016x",
-				tenant, epoch, pct, uint64(got), uint64(fp))
-		}
-		sess.tailPct, sess.tailFP = pct, fp
-		return nil
-	}
-	fold := func(dst *core.MutableCostMatrix, rows []wal.RowDelta) {
-		for _, delta := range rows {
-			for j, v := range delta.Values {
-				dst.Set(delta.Row, j, v)
-			}
-		}
-	}
-	log, err := wal.Open(dir, opts, func(rec wal.Record) error {
+	log, err := wal.Open(dir, d.cfg.WAL, func(rec wal.Record) error {
 		switch r := rec.(type) {
 		case *wal.EpochRecord:
-			if mm == nil {
-				mm = core.NewMutableCostMatrix(r.N)
-			} else if mm.Size() != r.N {
-				return fmt.Errorf("serve: tenant %q: epoch %d resizes the matrix %d -> %d",
-					tenant, r.Epoch, mm.Size(), r.N)
-			}
-			fold(mm, r.Rows)
-			if r.TailPct != 0 {
-				if tailMM == nil {
-					tailMM = core.NewMutableCostMatrix(r.N)
-				} else if sess.tailPct != r.TailPct {
-					return fmt.Errorf("serve: tenant %q: epoch %d changes the tail percentile p%g -> p%g",
-						tenant, r.Epoch, sess.tailPct, r.TailPct)
-				}
-				fold(tailMM, r.TailRows)
-				if err := applyTail(r.Epoch, r.TailPct, r.TailFingerprint); err != nil {
-					return err
-				}
-			}
-			return apply(r.Epoch, r.Fingerprint)
+			return sess.fold(r, true)
 		case *wal.AdviceRecord:
 			sess.lastAdvice = r
 			return nil
 		case *wal.SnapshotRecord:
 			// A snapshot resets state: whatever preceded it is history the
-			// compaction already folded in.
-			n := r.Matrix.Size()
-			mm = core.NewMutableCostMatrix(n)
-			for i := 0; i < n; i++ {
-				for j, v := range r.Matrix.Row(i) {
-					mm.Set(i, j, v)
-				}
-			}
-			tailMM, sess.tailPct, sess.tailFP = nil, 0, 0
-			if r.Tail != nil {
-				tailMM = core.NewMutableCostMatrix(n)
-				for i := 0; i < n; i++ {
-					for j, v := range r.Tail.Row(i) {
-						tailMM.Set(i, j, v)
-					}
-				}
-				if err := applyTail(r.Epoch, r.TailPct, r.TailFingerprint); err != nil {
-					return err
-				}
-			}
-			sess.lastAdvice = r.Advice
-			return apply(r.Epoch, r.Fingerprint)
+			// compaction folded into it, so it replays as one full epoch
+			// over empty matrices.
+			sess.mean, sess.tail, sess.lastAdvice = tenantMatrix{}, tenantMatrix{}, r.Advice
+			return sess.fold(&wal.EpochRecord{Epoch: r.Epoch, Fingerprint: r.Fingerprint, N: r.Matrix.Size(),
+				Rows: rowDeltas(r.Matrix), TailPct: r.TailPct, TailFingerprint: r.TailFingerprint, TailRows: rowDeltas(r.Tail)}, true)
 		}
 		return fmt.Errorf("serve: tenant %q: unexpected record %T", tenant, rec)
 	})
@@ -233,15 +290,25 @@ func openSession(dir, tenant string, opts wal.Options) (*tenantSession, error) {
 		return nil, err
 	}
 	sess.log = log
-	if mm != nil {
-		snap, _ := mm.Snapshot()
-		sess.mm, sess.snap = mm, snap
-	}
-	if tailMM != nil {
-		snap, _ := tailMM.Snapshot()
-		sess.tailMM, sess.tailSnap = tailMM, snap
+	for _, m := range []*tenantMatrix{&sess.mean, &sess.tail} {
+		if m.mm != nil {
+			m.publish()
+			m.commit(d.cache)
+		}
 	}
 	return sess, nil
+}
+
+// rowDeltas views every row of m, if any, as a row delta.
+func rowDeltas(m *core.CostMatrix) []wal.RowDelta {
+	if m == nil {
+		return nil
+	}
+	rows := make([]wal.RowDelta, m.Size())
+	for i := range rows {
+		rows[i] = wal.RowDelta{Row: i, Values: m.Row(i)}
+	}
+	return rows
 }
 
 // reseedCache warms the shared cache with the recovered tenant's matrix
@@ -252,21 +319,18 @@ func openSession(dir, tenant string, opts wal.Options) (*tenantSession, error) {
 // re-warm on first use.
 func (d *Daemon) reseedCache(sess *tenantSession) error {
 	adv := sess.lastAdvice
-	if adv == nil || sess.snap == nil {
+	if adv == nil {
 		return nil
 	}
 	// The matrix the next same-configuration advise searches is the one the
-	// last advice recorded: percentile advice runs over the tail matrix, so
-	// its artifacts live under the tail fingerprint, not the mean's.
-	fp, snap := sess.fp, sess.snap
-	spec := advisor.ObjectiveSpec{Metric: advisor.Metric(adv.Metric)}
-	if spec.TailPercentile() > 0 {
-		if sess.tailSnap == nil {
-			return nil
-		}
-		fp, snap = sess.tailFP, sess.tailSnap
+	// last advice searched: percentile advice runs over the tail matrix, so
+	// its artifacts live under the tail fingerprint, not the mean's. State
+	// that cannot serve the last advice's metric has nothing to warm.
+	m, err := sess.searched(advisor.ObjectiveSpec{Metric: advisor.Metric(adv.Metric)})
+	if err != nil {
+		return nil
 	}
-	set := d.cache.matrix(fp, func() *solver.MatrixPrep { return solver.NewMatrixPrep(snap) })
+	set := d.cache.matrix(m.fp, func() *solver.MatrixPrep { return solver.NewMatrixPrep(m.snap) })
 	name, k := advisor.StreamSolver(adv.SolverName, adv.ClusterK)
 	// CP reads the pair list at every k; unclustered MIP reads the raw
 	// matrix and never asks for the k <= 0 entry.
@@ -293,7 +357,7 @@ func (d *Daemon) session(tenant string, create bool) (*tenantSession, error) {
 		return nil, fmt.Errorf("%w %q", ErrUnknownTenant, tenant)
 	}
 	dir := filepath.Join(d.cfg.Dir, "tenants", hex.EncodeToString([]byte(tenant)))
-	s, err := openSession(dir, tenant, d.cfg.WAL)
+	s, err := d.openSession(dir, tenant)
 	if err != nil {
 		return nil, err
 	}
@@ -340,17 +404,6 @@ func validateRows(what string, n int, rows []wal.RowDelta) error {
 // matrices AppendEpoch allocates (128 MiB each at the cap).
 const maxEpochN = 4096
 
-// logRows converts a published changed-row set into WAL row deltas.
-func logRows(m *core.CostMatrix, changed []int, n int) []wal.RowDelta {
-	rows := make([]wal.RowDelta, 0, len(changed))
-	for _, row := range changed {
-		vals := make([]float64, n)
-		copy(vals, m.Row(row))
-		rows = append(rows, wal.RowDelta{Row: row, Values: vals})
-	}
-	return rows
-}
-
 // AppendEpoch applies one epoch of cost updates to the tenant's matrix:
 // validate, fold into the mutable matrix, log the actually-changed rows
 // (with the new fingerprint) to the WAL, and only then publish the new
@@ -366,7 +419,7 @@ func logRows(m *core.CostMatrix, changed []int, n int) []wal.RowDelta {
 // never observe a mean without its tail. Percentile advise calls
 // (Metric p95/p99) require the tenant to have posted a tail of the matching
 // percentile.
-func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *TailUpdate) (epoch int, fp core.Fingerprint, err error) {
+func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *TailUpdate) (int, core.Fingerprint, error) {
 	if tenant == "" {
 		return 0, 0, fmt.Errorf("serve: epoch without a tenant")
 	}
@@ -394,82 +447,39 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.mm == nil {
-		sess.mm = core.NewMutableCostMatrix(n)
-	} else if sess.mm.Size() != n {
-		return 0, 0, fmt.Errorf("serve: tenant %q matrix is %d x %d, epoch says %d", tenant, sess.mm.Size(), sess.mm.Size(), n)
-	}
-	if tail != nil && sess.tailMM != nil && sess.tailPct != tail.Pct {
-		return 0, 0, fmt.Errorf("serve: tenant %q tail matrix is p%g, epoch posts p%g (one tail percentile per tenant)",
-			tenant, sess.tailPct, tail.Pct)
-	}
-	for _, delta := range rows {
-		for j, v := range delta.Values {
-			sess.mm.Set(delta.Row, j, v)
-		}
-	}
-	ep := measure.PublishEpoch(sess.mm, 0, true, 0)
-	sess.epoch++
-
-	rec := &wal.EpochRecord{Epoch: sess.epoch, Fingerprint: ep.Fingerprint, N: n,
-		Rows: logRows(ep.Matrix, ep.ChangedRows, n)}
-
-	var tm measure.TailMatrix
+	rec := &wal.EpochRecord{Epoch: sess.epoch + 1, N: n, Rows: rows}
 	if tail != nil {
-		if sess.tailMM == nil {
-			sess.tailMM, sess.tailPct = core.NewMutableCostMatrix(n), tail.Pct
-		}
-		for _, delta := range tail.Rows {
-			for j, v := range delta.Values {
-				sess.tailMM.Set(delta.Row, j, v)
-			}
-		}
-		tm = measure.PublishTail(sess.tailMM, tail.Pct)
-		rec.TailPct, rec.TailFingerprint = tm.Pct, tm.Fingerprint
-		rec.TailRows = logRows(tm.Matrix, tm.ChangedRows, n)
+		rec.TailPct, rec.TailRows = tail.Pct, tail.Rows
 	}
-
-	if err := sess.log.Append(rec); err != nil {
-		// Nothing reached the log, so memory must not run ahead of it: put
-		// back the committed state the failed epoch changed.
-		sess.epoch--
-		sess.mm = revert(sess.mm, sess.snap, ep.ChangedRows)
-		if tail != nil {
-			if sess.tailMM = revert(sess.tailMM, sess.tailSnap, tm.ChangedRows); sess.tailMM == nil {
-				sess.tailPct = 0
-			}
-		}
+	if err := sess.fold(rec, false); err != nil {
 		return 0, 0, err
 	}
-
-	d.cache.Track(sess.fp, ep.Fingerprint)
-	sess.snap, sess.fp = ep.Matrix, ep.Fingerprint
+	// The log records only the rows the epoch actually changed.
+	rec.Fingerprint, rec.Rows = sess.mean.publish()
 	if tail != nil {
-		d.cache.Track(sess.tailFP, tm.Fingerprint)
-		sess.tailSnap, sess.tailFP = tm.Matrix, tm.Fingerprint
+		rec.TailFingerprint, rec.TailRows = sess.tail.publish()
 	}
+	if err := sess.log.Append(rec); err != nil {
+		// The epoch is not acknowledged, so memory must not hold it; a
+		// record that reached the disk anyway replays after a restart.
+		sess.mean.revert()
+		sess.tail.revert()
+		return 0, 0, err
+	}
+	sess.epoch = rec.Epoch
+	sess.mean.commit(d.cache)
+	sess.tail.commit(d.cache)
 
 	sess.sinceCompact++
 	if sess.sinceCompact >= d.cfg.CompactEvery {
-		snap := &wal.SnapshotRecord{Epoch: sess.epoch, Fingerprint: sess.fp, Matrix: sess.snap, Advice: sess.lastAdvice,
-			Tail: sess.tailSnap, TailPct: sess.tailPct, TailFingerprint: sess.tailFP}
+		snap := &wal.SnapshotRecord{Epoch: sess.epoch, Fingerprint: sess.mean.fp, Matrix: sess.mean.snap, Advice: sess.lastAdvice,
+			Tail: sess.tail.snap, TailPct: sess.tail.pct, TailFingerprint: sess.tail.fp}
 		if err := sess.log.Compact(snap); err != nil {
 			return 0, 0, err
 		}
 		sess.sinceCompact = 0
 	}
-	return sess.epoch, sess.fp, nil
-}
-
-// revert rolls mm back over a publish whose changed rows were rows, to the
-// committed snapshot. Before the first committed epoch there is nothing to
-// return to, so the matrix itself is dropped.
-func revert(mm *core.MutableCostMatrix, committed *core.CostMatrix, rows []int) *core.MutableCostMatrix {
-	if committed == nil {
-		return nil
-	}
-	mm.Revert(committed, rows)
-	return mm
+	return sess.epoch, sess.mean.fp, nil
 }
 
 // AdviseRequest is one advise call against a tenant's current matrix.
@@ -510,55 +520,42 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Lock()
-	if sess.snap == nil {
-		sess.mu.Unlock()
-		return nil, fmt.Errorf("serve: tenant %q has no epochs", req.Tenant)
-	}
-	snap, fp, epoch := sess.snap, sess.fp, sess.epoch
-	var tailSnap *core.CostMatrix
-	if pct := req.TailPercentile(); pct > 0 {
-		switch {
-		case sess.tailSnap == nil:
-			sess.mu.Unlock()
-			return nil, fmt.Errorf("serve: tenant %q has no percentile matrix — metric %q needs tail rows posted with its epochs",
-				req.Tenant, req.Metric)
-		case sess.tailPct != pct:
-			sess.mu.Unlock()
-			return nil, fmt.Errorf("serve: tenant %q tail matrix is p%g, metric %q wants p%g",
-				req.Tenant, sess.tailPct, req.Metric, pct)
-		}
-		tailSnap = sess.tailSnap
-	}
-	var warm core.Deployment
-	if !req.NoWarmStart && sess.lastAdvice != nil && req.Graph != nil {
-		dep := core.Deployment(sess.lastAdvice.Deployment)
-		// Adopt the incumbent only when it fits this request's problem
-		// shape; a tenant re-advising a different graph starts cold.
-		if len(dep) == req.Graph.NumNodes() && dep.Validate(snap.Size()) == nil {
-			warm = dep.Clone()
-		}
-	}
-	sess.mu.Unlock()
-
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = d.cfg.DefaultTimeout
-	}
-	tk, err := d.srv.Submit(Job{
+	job := Job{
 		Tenant:        req.Tenant,
 		Graph:         req.Graph,
 		ObjectiveSpec: req.ObjectiveSpec,
-		Matrix:        snap,
-		TailMatrix:    tailSnap,
 		SolverName:    req.SolverName,
 		ClusterK:      req.ClusterK,
 		RoundBudget:   req.RoundBudget,
 		Seed:          req.Seed,
-		Timeout:       timeout,
-		WarmStart:     warm,
+		Timeout:       req.Timeout,
 		OnRound:       req.OnRound,
-	})
+	}
+	if job.Timeout == 0 {
+		job.Timeout = d.cfg.DefaultTimeout
+	}
+	sess.mu.Lock()
+	m, err := sess.searched(req.ObjectiveSpec)
+	if err != nil {
+		sess.mu.Unlock()
+		return nil, err
+	}
+	job.Matrix = sess.mean.snap
+	epoch, fp := sess.epoch, sess.mean.fp
+	if m.pct != 0 {
+		job.TailMatrix = m.snap
+	}
+	if !req.NoWarmStart && sess.lastAdvice != nil && req.Graph != nil {
+		dep := core.Deployment(sess.lastAdvice.Deployment)
+		// Adopt the incumbent only when it fits this request's problem
+		// shape; a tenant re-advising a different graph starts cold.
+		if len(dep) == req.Graph.NumNodes() && dep.Validate(job.Matrix.Size()) == nil {
+			job.WarmStart = dep.Clone()
+		}
+	}
+	sess.mu.Unlock()
+
+	tk, err := d.srv.Submit(job)
 	if err != nil {
 		return nil, err
 	}
@@ -607,28 +604,33 @@ type DaemonStats struct {
 	Tenants []TenantStatus
 }
 
+// sessions returns every tenant's session, sorted by tenant name.
+func (d *Daemon) sessions() []*tenantSession {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]*tenantSession, 0, len(d.tenants))
+	//cloudia:nondet-ok collection order is irrelevant: the result is sorted by tenant name below
+	for _, s := range d.tenants {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // Stats snapshots the daemon.
 func (d *Daemon) Stats() DaemonStats {
 	st := DaemonStats{Server: d.srv.Stats()}
-	d.mu.Lock()
-	sessions := make([]*tenantSession, 0, len(d.tenants))
-	//cloudia:nondet-ok collection order is irrelevant: st.Tenants is sorted by tenant name below
-	for _, s := range d.tenants {
-		sessions = append(sessions, s)
-	}
-	d.mu.Unlock()
-	for _, s := range sessions {
+	for _, s := range d.sessions() {
 		s.mu.Lock()
 		st.Tenants = append(st.Tenants, TenantStatus{
 			Tenant:      s.name,
 			Epoch:       s.epoch,
-			Fingerprint: s.fp,
+			Fingerprint: s.mean.fp,
 			Advised:     s.lastAdvice != nil,
 			WAL:         s.log.Stats(),
 		})
 		s.mu.Unlock()
 	}
-	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	return st
 }
 
@@ -637,19 +639,8 @@ func (d *Daemon) Stats() DaemonStats {
 // path: drain first, sync last, so nothing acknowledged is lost.
 func (d *Daemon) Close() error {
 	d.srv.Close()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Close in tenant-name order so "first error" means the same tenant on
-	// every run — map order would report a different one each time.
-	names := make([]string, 0, len(d.tenants))
-	//cloudia:nondet-ok key collection only; the close loop below runs in sorted order
-	for name := range d.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var firstErr error
-	for _, name := range names {
-		s := d.tenants[name]
+	for _, s := range d.sessions() {
 		s.mu.Lock()
 		if err := s.log.Close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -315,8 +316,8 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tailFP := sess.tailFP
-	if sess.mm.Fingerprint() != fp || sess.tailMM.Fingerprint() != tailFP {
+	tailFP := sess.tail.fp
+	if sess.mean.mm.Fingerprint() != fp || sess.tail.mm.Fingerprint() != tailFP {
 		t.Fatal("committed fingerprints disagree with the matrices")
 	}
 
@@ -334,14 +335,14 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	}
 	check := func(what string, s *tenantSession) {
 		t.Helper()
-		if s.epoch != epoch || s.fp != fp || s.tailFP != tailFP {
+		if s.epoch != epoch || s.mean.fp != fp || s.tail.fp != tailFP {
 			t.Fatalf("%s: at epoch %d fp %016x tail %016x, want %d %016x %016x",
-				what, s.epoch, uint64(s.fp), uint64(s.tailFP), epoch, uint64(fp), uint64(tailFP))
+				what, s.epoch, uint64(s.mean.fp), uint64(s.tail.fp), epoch, uint64(fp), uint64(tailFP))
 		}
-		if s.mm.Fingerprint() != fp || s.tailMM.Fingerprint() != tailFP {
+		if s.mean.mm.Fingerprint() != fp || s.tail.mm.Fingerprint() != tailFP {
 			t.Fatalf("%s: matrices ran ahead of the log", what)
 		}
-		if s.mm.At(2, 0) != m.At(2, 0) || len(s.mm.ChangedRows()) != 0 || len(s.tailMM.ChangedRows()) != 0 {
+		if s.mean.mm.At(2, 0) != m.At(2, 0) || len(s.mean.mm.ChangedRows()) != 0 || len(s.tail.mm.ChangedRows()) != 0 {
 			t.Fatalf("%s: failed epoch's rows left behind", what)
 		}
 	}
@@ -358,7 +359,7 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	if _, _, err := d.AppendEpoch("fresh", n, fullRows(m), &TailUpdate{Pct: 95, Rows: tailRowsOf(m)}); err == nil {
 		t.Fatal("first epoch acknowledged over a closed log")
 	}
-	if fresh.epoch != 0 || fresh.mm != nil || fresh.tailMM != nil || fresh.tailPct != 0 {
+	if fresh.epoch != 0 || fresh.mean.mm != nil || fresh.tail.mm != nil || fresh.tail.pct != 0 {
 		t.Fatal("failed first epoch left state behind")
 	}
 	if err := d.Close(); err != nil {
@@ -437,5 +438,77 @@ func TestDaemonFailedFsyncFailsClosed(t *testing.T) {
 	}
 	if epoch, _, err := re.AppendEpoch("t", n, []wal.RowDelta{{Row: 2, Values: scaled(2, 2)}}, nil); err != nil || epoch != 3 {
 		t.Fatalf("reopened tenant: epoch %d, err %v; want epoch 3 accepted", epoch, err)
+	}
+}
+
+// TestDaemonFailedCompactionFailsClosed: a compaction that cannot create
+// its snapshot segment poisons the tenant's log under every sync policy.
+// The epoch whose compaction failed answers 503 "log_failed" — its record
+// is already in the log — and so does every later one, so nothing is
+// acknowledged over the closed segment. A restart replays the compacting
+// epoch and the tenant accepts epochs again.
+func TestDaemonFailedCompactionFailsClosed(t *testing.T) {
+	const n = 4
+	m := testMatrix(rand.New(rand.NewSource(83)), n)
+	for _, tc := range []struct {
+		name   string
+		policy wal.SyncPolicy
+	}{{"SyncAlways", wal.SyncAlways}, {"SyncNone", wal.SyncNone}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DaemonConfig{Dir: dir, Serve: Config{Shards: 1}, CompactEvery: 2, WAL: wal.Options{Sync: tc.policy}}
+			d := openDaemon(t, cfg)
+			if _, _, err := d.AppendEpoch("t", n, fullRows(m), nil); err != nil {
+				t.Fatal(err)
+			}
+			// Take the name of the segment the compaction would create.
+			squat := filepath.Join(dir, "tenants", hex.EncodeToString([]byte("t")), "00000002.seg")
+			if err := os.WriteFile(squat, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			scaled := func(row int, by float64) []float64 {
+				vals := append([]float64(nil), m.Row(row)...)
+				for j := range vals {
+					if j != row {
+						vals[j] *= by
+					}
+				}
+				return vals
+			}
+			ts := httptest.NewServer(d.Handler())
+			post := func(row int, by float64) *http.Response {
+				return postJSON(t, ts.Client(), ts.URL+"/v1/epoch", map[string]any{
+					"tenant": "t", "n": n, "rows": []map[string]any{{"row": row, "values": scaled(row, by)}},
+				})
+			}
+			compacting := post(1, 1.5)
+			next := post(2, 2)
+			ts.Close()
+			for i, resp := range []*http.Response{compacting, next} {
+				name := []string{"compacting epoch", "next epoch"}[i]
+				var e errorJSON
+				decodeBody(t, resp, &e)
+				if resp.StatusCode != http.StatusServiceUnavailable || e.Error.Code != "log_failed" {
+					t.Errorf("%s: status %d, error %+v; want 503 log_failed", name, resp.StatusCode, e.Error)
+				}
+			}
+			if err := d.Close(); !errors.Is(err, wal.ErrFailed) {
+				t.Fatalf("closing the daemon returned %v, want the log failure", err)
+			}
+
+			re := openDaemon(t, cfg)
+			defer re.Close()
+			acked := m.Clone()
+			for j, v := range scaled(1, 1.5) {
+				acked.Set(1, j, v)
+			}
+			if st := re.Stats().Tenants; len(st) != 1 || st[0].Epoch != 2 || st[0].Fingerprint != acked.Fingerprint() {
+				t.Fatalf("recovered %+v, want epoch 2 at the compacting epoch's fingerprint %016x",
+					st, uint64(acked.Fingerprint()))
+			}
+			if epoch, _, err := re.AppendEpoch("t", n, []wal.RowDelta{{Row: 2, Values: scaled(2, 2)}}, nil); err != nil || epoch != 3 {
+				t.Fatalf("reopened tenant: epoch %d, err %v; want epoch 3 accepted", epoch, err)
+			}
+		})
 	}
 }

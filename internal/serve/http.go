@@ -183,6 +183,11 @@ func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := d.Advise(req)
+	if err == nil && !jr.Stream {
+		// A job that failed — an unknown solver, a graph larger than the
+		// tenant's matrix — refuses the request like any other refusal.
+		err = res.Err
+	}
 	if err != nil {
 		if jr.Stream {
 			// Headers are potentially gone; deliver the error in-band.

@@ -200,6 +200,19 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"advise unknown tenant", "/v1/advise", map[string]any{
 			"tenant": "ghost", "graph": graphPayload(t, 2, 2),
 		}, http.StatusNotFound, "unknown_tenant", ""},
+		// A job that fails refuses the request; it is not a 200 carrying
+		// an error.
+		{"advise unknown solver", "/v1/advise", map[string]any{
+			"tenant": "acme", "graph": graphPayload(t, 2, 2), "solver": "zz", "budget_nodes": 100,
+		}, http.StatusBadRequest, "bad_request", "advisor: unknown solver"},
+		{"advise graph over the instances", "/v1/advise", map[string]any{
+			"tenant": "acme", "graph": graphPayload(t, 3, 3), "budget_nodes": 100,
+		}, http.StatusBadRequest, "bad_request", ""},
+		// The solver clock ignores a negative axis: such a budget bounds
+		// nothing and would pin a worker.
+		{"advise negative node budget", "/v1/advise", map[string]any{
+			"tenant": "acme", "graph": graphPayload(t, 2, 2), "budget_nodes": -5,
+		}, http.StatusBadRequest, "bad_request", "serve: job requires a bounded round budget"},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)

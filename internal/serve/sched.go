@@ -82,7 +82,6 @@ type sched struct {
 // heap while idle or while a job runs (per-tenant execution is serialized,
 // preserving the old one-tenant-one-shard warm-state guarantee).
 type tenantState struct {
-	key  string
 	home int // home shard (hash of the tenant name)
 
 	pending []task  // FIFO backlog
@@ -93,9 +92,6 @@ type tenantState struct {
 	// admitted-but-unfinished jobs — the per-tenant admission accounting
 	// that replaced per-shard queue depth.
 	pendingBudget int64
-
-	// heapIdx locates the tenant on its home ready heap (-1 when off).
-	heapIdx int
 
 	seq int64 // seq of the head pending task, dispatch-order tie-break
 }
@@ -109,20 +105,11 @@ type readyHeap struct {
 
 func (h readyHeap) Len() int           { return len(h.ts) }
 func (h readyHeap) Less(i, j int) bool { return readyLess(h.ts[i], h.ts[j]) }
-func (h readyHeap) Swap(i, j int) {
-	h.ts[i], h.ts[j] = h.ts[j], h.ts[i]
-	h.ts[i].heapIdx = i
-	h.ts[j].heapIdx = j
-}
-func (h *readyHeap) Push(x any) {
-	t := x.(*tenantState)
-	t.heapIdx = len(h.ts)
-	h.ts = append(h.ts, t)
-}
+func (h readyHeap) Swap(i, j int)      { h.ts[i], h.ts[j] = h.ts[j], h.ts[i] }
+func (h *readyHeap) Push(x any)        { h.ts = append(h.ts, x.(*tenantState)) }
 func (h *readyHeap) Pop() any {
 	t := h.ts[len(h.ts)-1]
 	h.ts = h.ts[:len(h.ts)-1]
-	t.heapIdx = -1
 	return t
 }
 
@@ -186,7 +173,7 @@ func (s *sched) submit(key string, home int, j Job, tk *Ticket) error {
 		return ErrBusy
 	}
 	if !ok {
-		t = &tenantState{key: key, home: home, heapIdx: -1}
+		t = &tenantState{home: home}
 		s.tenants[key] = t
 	}
 	s.seq++

@@ -104,7 +104,7 @@ func TestSchedSerializesTenant(t *testing.T) {
 	s.mu.Lock()
 	if got := s.pickLocked(1); got != nil {
 		s.mu.Unlock()
-		t.Fatalf("second worker pulled %q while the tenant was in flight", got.key)
+		t.Fatalf("second worker pulled a tenant (home shard %d) while the tenant was in flight", got.home)
 	}
 	s.mu.Unlock()
 	s.done("only", tk)
@@ -144,7 +144,7 @@ func TestSchedStealPicksMostStarved(t *testing.T) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if got := ns.pickLocked(0); got != nil {
-		t.Fatalf("noSteal scheduler let shard 0 pull %q from shard 1", got.key)
+		t.Fatalf("noSteal scheduler let shard 0 pull a tenant homed on shard %d", got.home)
 	}
 }
 

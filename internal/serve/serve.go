@@ -254,7 +254,8 @@ func (s *Server) Submit(job Job) (*Ticket, error) {
 	if job.TailPercentile() > 0 && job.TailMatrix == nil {
 		return nil, fmt.Errorf("serve: metric %q requires TailMatrix (the pre-measured percentile matrix)", job.Metric)
 	}
-	if job.RoundBudget.Unlimited() {
+	// The solver clock ignores a negative axis, so it bounds nothing.
+	if b := job.RoundBudget; b.Unlimited() || b.Time < 0 || b.Nodes < 0 {
 		return nil, fmt.Errorf("serve: job requires a bounded round budget")
 	}
 	// Build the graph's incidence caches up front (concurrent-safe; racing

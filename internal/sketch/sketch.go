@@ -1,20 +1,17 @@
-// Package sketch implements a mergeable streaming quantile sketch for
-// per-link latency tails (ROADMAP item 1): a DDSketch-style log-bucketed
-// histogram with a configurable relative-error guarantee. measure.Stream
-// maintains one per ordered instance pair so epochs can publish p95/p99
-// matrices while the measurement is still in flight, the way the PV-storage
-// work in PAPERS.md keeps compact summaries of high-rate streams instead of
-// raw samples.
+// Package sketch implements a streaming quantile sketch for per-link
+// latency tails: a DDSketch-style log-bucketed histogram with a
+// configurable relative-error guarantee. measure.Stream maintains one per
+// ordered instance pair so epochs can publish p95/p99 matrices while the
+// measurement is still in flight, the way the PV-storage work in PAPERS.md
+// keeps compact summaries of high-rate streams instead of raw samples.
 //
 // DDSketch was chosen over t-digest deliberately: its state is a vector of
 // integer bucket counts, and integer addition is commutative and
-// associative, so merging sketches produces bit-identical state regardless
-// of merge order or grouping. That makes the sketch safe for the repo's
-// determinism contract — a sample stream may be split into chunks any way
-// at all, each chunk sketched on its own, and the chunks merged, and the
-// result is byte-equal to a single sequential pass (TestMergeOrderIndependent
-// pins this). A t-digest's centroids depend on insertion and merge order,
-// which would make epoch content a function of how the stream was split.
+// associative, so the state after a stream of Adds is bit-identical
+// whatever order the samples arrived in (TestAddOrderIndependent pins
+// this). That makes the sketch safe for the repo's determinism contract. A
+// t-digest's centroids depend on insertion order, which would make epoch
+// content a function of how samples interleave.
 //
 // Accuracy guarantee: for every recorded value v above the indexable
 // minimum, the bucket representative r satisfies |r - v| <= Alpha * v. A
@@ -29,6 +26,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DefaultAlpha is the relative-error bound used when a caller does not pick
@@ -42,11 +40,11 @@ const DefaultAlpha = 0.01
 // collapse into a dedicated zero bucket whose representative is 0.
 const MinIndexable = 1e-9
 
-// Sketch is a mergeable quantile summary of a stream of non-negative
-// values. The zero value is not usable; construct with New. A Sketch is not
-// safe for concurrent use — the streaming measurement owns each per-link
-// sketch from a single goroutine and publishes immutable matrices, never
-// the sketches themselves.
+// Sketch is a quantile summary of a stream of non-negative values. The
+// zero value is not usable; construct with New. A Sketch is not safe for
+// concurrent use — the streaming measurement owns each per-link sketch
+// from a single goroutine and publishes immutable matrices, never the
+// sketches themselves.
 type Sketch struct {
 	alpha    float64
 	gamma    float64
@@ -54,7 +52,9 @@ type Sketch struct {
 
 	// zero counts values at or below MinIndexable. Larger values live in
 	// dense log-buckets: counts[i] counts values v with
-	// index(v) == offset + i, where index(v) = ceil(log_gamma(v)).
+	// index(v) == offset + i, where index(v) = ceil(log_gamma(v)). Both
+	// ends of counts are occupied: it only ever grows to the bucket an Add
+	// lands in.
 	zero   int64
 	offset int
 	counts []int64
@@ -62,8 +62,7 @@ type Sketch struct {
 }
 
 // New returns an empty sketch with the given relative-error bound alpha in
-// (0, 1); alpha <= 0 selects DefaultAlpha. Two sketches merge only if they
-// share the same alpha.
+// (0, 1); alpha <= 0 selects DefaultAlpha.
 func New(alpha float64) *Sketch {
 	if alpha <= 0 {
 		alpha = DefaultAlpha
@@ -104,16 +103,16 @@ func (s *Sketch) Add(v float64) {
 		s.zero++
 		return
 	}
-	s.bump(Index(v, s.logGamma), 1)
+	s.bump(Index(v, s.logGamma))
 }
 
-// bump adds n to the bucket at absolute index i, growing the dense count
-// array as needed. Growth is geometry-free bookkeeping: the resulting
-// logical state (index -> count) never depends on arrival order.
-func (s *Sketch) bump(i int, n int64) {
+// bump counts one value in the bucket at absolute index i, growing the
+// dense count array as needed. Growth is geometry-free bookkeeping: the
+// resulting state (offset, counts) never depends on arrival order.
+func (s *Sketch) bump(i int) {
 	if len(s.counts) == 0 {
 		s.offset = i
-		s.counts = append(s.counts, n)
+		s.counts = append(s.counts, 1)
 		return
 	}
 	if i < s.offset {
@@ -125,28 +124,7 @@ func (s *Sketch) bump(i int, n int64) {
 		copy(grown, s.counts)
 		s.counts = grown
 	}
-	s.counts[i-s.offset] += n
-}
-
-// Merge folds o into s. Both sketches must share the same alpha — merging
-// summaries with different bucket geometries has no exact answer, so it is
-// a programming error. o is left untouched; merging is pure integer
-// addition of bucket counts, so any merge order or grouping over a set of
-// sketches yields bit-identical state.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.total == 0 {
-		return
-	}
-	if o.alpha != s.alpha {
-		panic(fmt.Sprintf("sketch: merging alpha %g into alpha %g", o.alpha, s.alpha))
-	}
-	s.total += o.total
-	s.zero += o.zero
-	for i, c := range o.counts {
-		if c != 0 {
-			s.bump(o.offset+i, c)
-		}
-	}
+	s.counts[i-s.offset]++
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0, 1]) of the
@@ -175,49 +153,17 @@ func (s *Sketch) Quantile(q float64) float64 {
 			return s.representative(s.offset + i)
 		}
 	}
-	// Unreachable when counts are consistent with total; fall back to the
-	// highest occupied bucket.
-	for i := len(s.counts) - 1; i >= 0; i-- {
-		if s.counts[i] != 0 {
-			return s.representative(s.offset + i)
-		}
-	}
-	return 0
+	panic("sketch: bucket counts do not sum to the total")
 }
 
-// Equal reports whether two sketches hold identical logical state: same
-// alpha, same total and zero counts, and the same count in every occupied
-// bucket. Physical layout (array capacity, leading/trailing zero buckets
-// from growth history) is ignored — it is scheduling residue, not content.
+// Equal reports whether two sketches hold identical state: same alpha,
+// same total and zero counts, and the same count in every bucket. Array
+// capacity is ignored; both ends of counts are occupied, so equal content
+// means equal offset and counts.
 func (s *Sketch) Equal(o *Sketch) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	if s.alpha != o.alpha || s.total != o.total || s.zero != o.zero {
-		return false
-	}
-	lo, hi := s.bounds()
-	olo, ohi := o.bounds()
-	if lo != olo || hi != ohi {
-		return false
-	}
-	for i := lo; i < hi; i++ {
-		if s.counts[i-s.offset] != o.counts[i-o.offset] {
-			return false
-		}
-	}
-	return true
-}
-
-// bounds returns the half-open absolute index range of occupied buckets.
-func (s *Sketch) bounds() (lo, hi int) {
-	i := 0
-	for i < len(s.counts) && s.counts[i] == 0 {
-		i++
-	}
-	j := len(s.counts)
-	for j > i && s.counts[j-1] == 0 {
-		j--
-	}
-	return s.offset + i, s.offset + j
+	return s.alpha == o.alpha && s.total == o.total && s.zero == o.zero &&
+		s.offset == o.offset && slices.Equal(s.counts, o.counts)
 }

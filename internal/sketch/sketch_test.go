@@ -75,71 +75,27 @@ func TestRepresentativeBound(t *testing.T) {
 	}
 }
 
-func TestMergeOrderIndependent(t *testing.T) {
+// TestAddOrderIndependent: a sketch's state is integer bucket counts, so
+// the same samples added in any order give a bit-identical sketch.
+func TestAddOrderIndependent(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	xs := randomSamples(r, 5000)
-
 	sequential := New(0.01)
 	for _, v := range xs {
 		sequential.Add(v)
 	}
-
-	// Split into uneven chunks, merge in several different orders and
-	// groupings; every result must be logically identical.
-	cuts := []int{0, 17, 500, 501, 2000, 4999, 5000}
-	parts := make([]*Sketch, 0, len(cuts)-1)
-	for i := 1; i < len(cuts); i++ {
-		p := New(0.01)
-		for _, v := range xs[cuts[i-1]:cuts[i]] {
-			p.Add(v)
+	for trial := 0; trial < 3; trial++ {
+		r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		shuffled := New(0.01)
+		for _, v := range xs {
+			shuffled.Add(v)
 		}
-		parts = append(parts, p)
-	}
-
-	merge := func(order []int, pairwise bool) *Sketch {
-		acc := New(0.01)
-		if pairwise {
-			// Tree-shaped grouping: merge pairs first, then fold.
-			var level []*Sketch
-			for _, i := range order {
-				level = append(level, parts[i])
-			}
-			for len(level) > 1 {
-				var next []*Sketch
-				for i := 0; i < len(level); i += 2 {
-					m := New(0.01)
-					m.Merge(level[i])
-					if i+1 < len(level) {
-						m.Merge(level[i+1])
-					}
-					next = append(next, m)
-				}
-				level = next
-			}
-			acc.Merge(level[0])
-			return acc
-		}
-		for _, i := range order {
-			acc.Merge(parts[i])
-		}
-		return acc
-	}
-
-	variants := []*Sketch{
-		merge([]int{0, 1, 2, 3, 4, 5}, false),
-		merge([]int{5, 4, 3, 2, 1, 0}, false),
-		merge([]int{3, 0, 5, 1, 4, 2}, false),
-		merge([]int{0, 1, 2, 3, 4, 5}, true),
-		merge([]int{2, 5, 0, 4, 1, 3}, true),
-	}
-	for i, v := range variants {
-		if !v.Equal(sequential) {
-			t.Fatalf("merge variant %d differs from sequential sketch", i)
+		if !shuffled.Equal(sequential) {
+			t.Fatalf("shuffle %d: sketch differs from the sequential one", trial)
 		}
 		for _, q := range []float64{0.5, 0.95, 0.99} {
-			a, b := v.Quantile(q), sequential.Quantile(q)
-			if a != b {
-				t.Fatalf("merge variant %d: Quantile(%g)=%g != sequential %g", i, q, a, b)
+			if a, b := shuffled.Quantile(q), sequential.Quantile(q); a != b {
+				t.Fatalf("shuffle %d: Quantile(%g)=%g != sequential %g", trial, q, a, b)
 			}
 		}
 	}
@@ -180,10 +136,6 @@ func TestEmptySketch(t *testing.T) {
 		t.Fatalf("empty sketch: count=%d quantile=%g, want 0/0", s.Count(), s.Quantile(0.99))
 	}
 	o := New(0)
-	s.Merge(o) // merging empty into empty is a no-op
-	if s.Count() != 0 {
-		t.Fatalf("count after empty merge = %d", s.Count())
-	}
 	if !s.Equal(o) {
 		t.Fatal("two empty sketches must be equal")
 	}
@@ -231,17 +183,6 @@ func TestEqualDistinguishesContent(t *testing.T) {
 	if !nilSketch.Equal(nilSketch) {
 		t.Fatal("nil vs nil must be equal")
 	}
-}
-
-func TestMergeAlphaMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched alphas must panic")
-		}
-	}()
-	a, b := New(0.01), New(0.05)
-	b.Add(1)
-	a.Merge(b)
 }
 
 func TestNewInvalidAlphaPanics(t *testing.T) {

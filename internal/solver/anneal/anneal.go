@@ -24,13 +24,6 @@ import (
 type Solver struct {
 	// Seed drives all randomness.
 	Seed int64
-	// InitialTempFraction scales the starting temperature relative to the
-	// bootstrap cost; zero selects 0.5.
-	InitialTempFraction float64
-	// CoolingSteps is the number of moves over which temperature decays by
-	// ~e^-7 (effectively to zero); zero derives it from the node budget or
-	// defaults to 200k.
-	CoolingSteps int64
 }
 
 // New returns an annealing solver.
@@ -65,21 +58,16 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 	res := &solver.Result{}
 	res.Trace = append(res.Trace, solver.TracePoint{Elapsed: clock.Elapsed(), Cost: bestCost})
 
-	frac := s.InitialTempFraction
-	if frac == 0 {
-		frac = 0.5
-	}
-	t0 := curCost * frac
+	// The temperature starts at half the bootstrap cost and decays by
+	// ~e^-7 (effectively to zero) over the node budget, or over 200k moves
+	// under a time budget.
+	t0 := curCost * 0.5
 	if t0 <= 0 {
 		t0 = 1e-6
 	}
-	steps := s.CoolingSteps
-	if steps == 0 {
-		if budget.Nodes > 0 {
-			steps = budget.Nodes
-		} else {
-			steps = 200_000
-		}
+	steps := int64(200_000)
+	if budget.Nodes > 0 {
+		steps = budget.Nodes
 	}
 	decay := 7.0 / float64(steps)
 

@@ -44,9 +44,6 @@ type Solver struct {
 	// DisableDegreeFilter turns off root-level compatibility filtering
 	// (ablation).
 	DisableDegreeFilter bool
-	// BootstrapSamples is the number of random deployments used to seed the
-	// incumbent; zero selects the paper's 10.
-	BootstrapSamples int
 }
 
 // New returns a CP solver with the given cost-cluster count (<= 0 disables
@@ -88,11 +85,8 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 		return nil, err
 	}
 
-	nboot := s.BootstrapSamples
-	if nboot == 0 {
-		nboot = 10
-	}
-	best, _ := prep.Bootstrap(nboot, s.Seed)
+	// The paper seeds the incumbent with the best of 10 random deployments.
+	best, _ := prep.Bootstrap(10, s.Seed)
 	res := &solver.Result{
 		Deployment: best,
 		Cost:       p.Cost(best),

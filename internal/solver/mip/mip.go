@@ -33,8 +33,6 @@ type Solver struct {
 	ClusterK int
 	// Seed drives bootstrap sampling.
 	Seed int64
-	// BootstrapSamples seeds the incumbent; zero selects the paper's 10.
-	BootstrapSamples int
 	// LPNodeCost is the budget charge per branch-and-bound node, modelling
 	// the LP re-solve a real MIP solver performs at every node. Both
 	// encodings have |E|*|S|^2 big-M constraints, but their usefulness
@@ -88,11 +86,8 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 		}
 	}
 
-	nboot := s.BootstrapSamples
-	if nboot == 0 {
-		nboot = 10
-	}
-	incumbent, _ := prep.Bootstrap(nboot, s.Seed)
+	// The paper seeds the incumbent with the best of 10 random deployments.
+	incumbent, _ := prep.Bootstrap(10, s.Seed)
 
 	res := &solver.Result{Deployment: incumbent, Cost: p.Cost(incumbent)}
 	res.Trace = append(res.Trace, solver.TracePoint{Elapsed: clock.Elapsed(), Cost: res.Cost})

@@ -128,9 +128,6 @@ func (s *R2) SolveContext(ctx context.Context, p *solver.Problem, budget solver.
 // an independent uniform sample.
 type Local struct {
 	Seed int64
-	// Patience is the number of consecutive non-improving moves before a
-	// restart from a fresh random deployment; zero selects 60*|N|.
-	Patience int
 }
 
 // NewLocal returns a Local solver.
@@ -151,10 +148,9 @@ func (s *Local) SolveContext(ctx context.Context, p *solver.Problem, budget solv
 	}
 	n := p.NumNodes()
 	m := p.NumInstances()
-	patience := s.Patience
-	if patience <= 0 {
-		patience = 60 * n
-	}
+	// Restart from a fresh random deployment after this many consecutive
+	// non-improving moves.
+	patience := 60 * n
 	clock := solver.NewClockCtx(ctx, budget)
 	rng := rand.New(rand.NewSource(s.Seed))
 	if n < 2 {

@@ -65,29 +65,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max reports the largest observation, or 0 if none were added.
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge folds other into w, as if every observation added to other had been
-// added to w. Merging with an empty accumulator is a no-op.
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	n := w.n + other.n
-	delta := other.mean - w.mean
-	w.mean += delta * float64(other.n) / float64(n)
-	w.m2 += other.m2 + delta*delta*float64(w.n)*float64(other.n)/float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	w.n = n
-}
-
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -40,46 +40,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n1, n2 := 1+rng.Intn(50), 1+rng.Intn(50)
-		var a, b, all Welford
-		for i := 0; i < n1; i++ {
-			x := rng.NormFloat64()
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := rng.NormFloat64()
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			almostEqual(a.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(a.Var(), all.Var(), 1e-9) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge with empty changed state: n=%d mean=%g", a.N(), a.Mean())
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatalf("merge into empty: n=%d mean=%g", b.N(), b.Mean())
-	}
-}
-
 func TestMeanStdErrors(t *testing.T) {
 	if _, err := Mean(nil); err != ErrEmpty {
 		t.Fatalf("Mean(nil) err = %v, want ErrEmpty", err)

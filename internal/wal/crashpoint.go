@@ -12,15 +12,18 @@ import (
 // state transitions. Production builds never install a hook, so the cost of
 // a crashpoint is one atomic pointer load.
 //
-// The names, in the order a busy log visits them:
+// The names, in the order a busy log visits them. "Durable" covers names
+// too: a created segment is durable once its directory is fsynced, an
+// unlink once the directory is fsynced after it.
 //
 //	append.start    before the frame is buffered
 //	append.framed   frame buffered, not yet flushed or synced
 //	append.synced   frame flushed and fsynced (sync-policy permitting)
 //	rotate.closed   full segment flushed, synced, and closed
-//	rotate.created  next segment created and active
-//	compact.written snapshot segment durable, old segments still present
-//	compact.removed old segments removed
+//	rotate.created  next segment created, active, and durable
+//	compact.written snapshot segment and its frame durable, old segments
+//	                still present
+//	compact.removed old segments removed, the removal durable
 var crashHook atomic.Pointer[func(string)]
 
 // SetCrashpointHook installs (or, with nil, removes) the global crashpoint

@@ -5,7 +5,8 @@
 // records are written strictly sequentially, segments are immutable once
 // rotated, and reclamation happens at segment granularity (compaction
 // writes a snapshot into a fresh segment and unlinks whole old segments)
-// rather than by rewriting in place.
+// rather than by rewriting in place. Each new or unlinked name is made
+// durable by fsyncing its directory; fsyncing a file does not persist it.
 //
 // Durability is governed by a configurable fsync policy; recovery replays
 // every record in order and tolerates a torn or corrupt tail by truncating
@@ -24,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,15 +40,16 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrFailed marks every error a log returns after a write, flush or fsync
-// failed. What reached stable storage is then unknown, and retrying the
-// fsync proves nothing (a later fsync can succeed for pages the kernel
-// already dropped), so the log fails closed: every later Append, Sync and
-// Compact returns that first error, and only reopening — which replays
-// what the disk actually holds — makes the directory writable again. A
-// frame whose write or fsync reported failure may still be on disk; replay
-// applies it like any other valid frame, exactly as it applies a frame
-// whose writer crashed before acknowledging it.
+// ErrFailed marks every error a log returns after a write-path failure: a
+// failed write, flush, fsync (of a segment or of the directory), close,
+// segment create or unlink. What reached stable storage is then unknown,
+// and retrying the fsync proves nothing (a later fsync can succeed for
+// pages the kernel already dropped), so the log fails closed: every later
+// Append, Sync and Compact returns that first error, and only reopening —
+// which replays what the disk actually holds — makes the directory
+// writable again. A frame whose write or fsync reported failure may still
+// be on disk; replay applies it like any other valid frame, exactly as it
+// applies a frame whose writer crashed before acknowledging it.
 var ErrFailed = errors.New("wal: log failed")
 
 // SyncPolicy selects when appended records reach stable storage.
@@ -96,8 +97,8 @@ func (o Options) withDefaults() Options {
 // Stats is a point-in-time counter snapshot of one log.
 type Stats struct {
 	// Appends counts records appended this process lifetime; Syncs counts
-	// fsyncs; Rotations counts segment rotations; Compactions counts
-	// completed Compact calls.
+	// segment fsyncs (directory fsyncs are not counted); Rotations counts
+	// segment rotations; Compactions counts completed Compact calls.
 	Appends, Syncs, Rotations, Compactions int64
 	// Segments is the number of live segment files; ActiveBytes the bytes
 	// written to the active segment.
@@ -147,31 +148,35 @@ func segIndexOf(name string) (int, bool) {
 // A replay error aborts the open and is returned verbatim.
 func Open(dir string, opts Options, replay func(Record) error) (*Log, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+	if _, err := os.Stat(dir); err != nil {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			err = syncDir(filepath.Dir(dir))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	// ReadDir sorts by name, and fixed-width names sort in index order.
 	var segs []int
 	for _, e := range entries {
 		if idx, ok := segIndexOf(e.Name()); ok && !e.IsDir() {
 			segs = append(segs, idx)
 		}
 	}
-	sort.Ints(segs)
 
 	l := &Log{dir: dir, opts: opts}
 	if len(segs) == 0 {
 		if err := l.createSegment(1); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 		return l, nil
 	}
 	for i, idx := range segs {
-		last := i == len(segs)-1
-		if err := l.replaySegment(idx, last, replay); err != nil {
+		if err := l.replaySegment(idx, i == len(segs)-1, replay); err != nil {
 			return nil, err
 		}
 	}
@@ -181,19 +186,23 @@ func Open(dir string, opts Options, replay func(Record) error) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	size, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
-	l.stats.ActiveBytes = size
-	l.stats.Segments = len(l.segs)
 	return l, nil
 }
 
 func (l *Log) segPath(idx int) string { return filepath.Join(l.dir, segName(idx)) }
+
+// syncDir fsyncs a directory, making the names created or removed in it
+// durable. It goes through fsync, so FailNextSync reaches it too.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = fsync(d)
+		d.Close()
+	}
+	return err
+}
 
 // replaySegment streams one segment frame by frame, feeding valid records to
 // replay. Frames are read through a fixed-size buffered reader into the log's
@@ -227,7 +236,7 @@ func (l *Log) replaySegment(idx int, last bool, replay func(Record) error) error
 			if err := os.Truncate(path, off); err != nil {
 				return fmt.Errorf("wal: truncating torn tail of %s: %w", segName(idx), err)
 			}
-			return nil
+			break
 		}
 		if replay != nil {
 			if err := replay(rec); err != nil {
@@ -237,6 +246,7 @@ func (l *Log) replaySegment(idx int, last bool, replay func(Record) error) error
 		l.stats.RecoveredRecords++
 		off += int64(frameLen)
 	}
+	l.stats.ActiveBytes = off // Open appends to the last segment replayed
 	return nil
 }
 
@@ -305,29 +315,56 @@ func parseFrame(data []byte) (Record, int, error) {
 	return rec, frameHeaderBytes + int(length), nil
 }
 
-// createSegment makes segment idx the active one.
+// createSegment makes segment idx the active one and fsyncs the directory,
+// so no record is acknowledged in a segment whose name could vanish.
 func (l *Log) createSegment(idx int) error {
 	f, err := os.OpenFile(l.segPath(idx), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	l.segIndex = idx
 	l.segs = append(l.segs, idx)
 	l.stats.ActiveBytes = 0
-	l.stats.Segments = len(l.segs)
-	return nil
+	return syncDir(l.dir)
 }
 
 // Append frames rec, writes it to the active segment, syncs per policy, and
-// rotates if the segment is full. When Append returns under SyncAlways the
-// record is on stable storage.
+// rotates (seals) the segment if it is full. When Append returns under
+// SyncAlways the record is on stable storage.
 func (l *Log) Append(rec Record) error {
 	if err := l.writable(); err != nil {
 		return err
 	}
 	Crashpoint("append.start")
+	if err := l.write(rec); err != nil {
+		return err
+	}
+	Crashpoint("append.framed")
+
+	l.sinceSync++
+	if l.opts.Sync == SyncAlways || (l.opts.Sync == SyncBatch && l.sinceSync >= l.opts.BatchAppends) {
+		if err := l.sync(); err != nil {
+			return err
+		}
+		Crashpoint("append.synced")
+	}
+
+	if l.stats.ActiveBytes < int64(l.opts.SegmentBytes) {
+		return nil
+	}
+	if err := l.seal("rotate.closed"); err != nil {
+		return err
+	}
+	l.stats.Rotations++
+	Crashpoint("rotate.created")
+	return nil
+}
+
+// write frames rec, buffers the frame in the active segment and counts it.
+// A record too large to frame is refused before any I/O.
+func (l *Log) write(rec Record) error {
 	frame, err := l.frame(rec)
 	if err != nil {
 		return err
@@ -337,29 +374,6 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.stats.ActiveBytes += int64(len(frame))
 	l.stats.Appends++
-	Crashpoint("append.framed")
-
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.sync(); err != nil {
-			return err
-		}
-		Crashpoint("append.synced")
-	case SyncBatch:
-		l.sinceSync++
-		if l.sinceSync >= l.opts.BatchAppends {
-			if err := l.sync(); err != nil {
-				return err
-			}
-			Crashpoint("append.synced")
-		}
-	}
-
-	if l.stats.ActiveBytes >= int64(l.opts.SegmentBytes) {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -417,29 +431,32 @@ func (l *Log) Sync() error {
 	return l.sync()
 }
 
-// rotate seals the active segment and opens the next one.
-func (l *Log) rotate() error {
+// seal ends the active segment — flush, fsync, close — and makes the next
+// segment, durably created, the active one. crashpoint, when set, names the
+// point between the close and the create. Every failure poisons the log:
+// whatever it leaves active is unusable.
+func (l *Log) seal(crashpoint string) error {
 	if err := l.sync(); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.fail(err)
 	}
-	Crashpoint("rotate.closed")
+	if crashpoint != "" {
+		Crashpoint(crashpoint)
+	}
 	if err := l.createSegment(l.segIndex + 1); err != nil {
-		return err
+		return l.fail(err)
 	}
-	l.stats.Rotations++
-	Crashpoint("rotate.created")
 	return nil
 }
 
 // Compact seals the log's history into snap: the snapshot is written as the
 // first record of a fresh segment, made durable, and only then are all
-// older segments unlinked. A crash between those two steps leaves both the
-// old records and the snapshot on disk — replay applies the old records and
-// then resets to the snapshot, so recovery converges to the same state from
-// every intermediate crash point.
+// older segments unlinked and the unlinks made durable. A crash between
+// those steps leaves both the old records and the snapshot on disk — replay
+// applies the old records and then resets to the snapshot, so recovery
+// converges to the same state from every intermediate crash point.
 func (l *Log) Compact(snap *SnapshotRecord) error {
 	if err := l.writable(); err != nil {
 		return err
@@ -447,36 +464,26 @@ func (l *Log) Compact(snap *SnapshotRecord) error {
 	if snap == nil || snap.Matrix == nil {
 		return fmt.Errorf("wal: nil compaction snapshot")
 	}
-	if err := l.sync(); err != nil {
+	old := l.segs
+	if err := l.seal(""); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	old := append([]int(nil), l.segs...)
-	l.segs = nil
-	if err := l.createSegment(l.segIndex + 1); err != nil {
-		return err
-	}
-	frame, err := l.frame(snap)
-	if err != nil {
-		return err
-	}
-	if _, err := l.w.Write(frame); err != nil {
+	l.segs = l.segs[len(old):]
+	if err := l.write(snap); err != nil {
 		return l.fail(err)
 	}
-	l.stats.ActiveBytes += int64(len(frame))
-	l.stats.Appends++
 	if err := l.sync(); err != nil {
 		return err
 	}
 	Crashpoint("compact.written")
 	for _, idx := range old {
 		if err := os.Remove(l.segPath(idx)); err != nil {
-			return fmt.Errorf("wal: removing compacted segment: %w", err)
+			return l.fail(err)
 		}
 	}
-	l.stats.Segments = len(l.segs)
+	if err := syncDir(l.dir); err != nil {
+		return l.fail(err)
+	}
 	l.stats.Compactions++
 	Crashpoint("compact.removed")
 	return nil
@@ -501,7 +508,8 @@ func (l *Log) Close() error {
 }
 
 // Stats returns the log's counter snapshot.
-func (l *Log) Stats() Stats { return l.stats }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
+func (l *Log) Stats() Stats {
+	st := l.stats
+	st.Segments = len(l.segs)
+	return st
+}

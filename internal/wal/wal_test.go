@@ -611,15 +611,6 @@ func TestOptionsValidationAndHelpers(t *testing.T) {
 	if o.SegmentBytes != 1<<20 || o.BatchAppends != 16 || o.Sync != SyncAlways {
 		t.Fatalf("defaults: %+v", o)
 	}
-	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if l.Dir() != dir {
-		t.Fatalf("Dir() = %q", l.Dir())
-	}
 }
 
 func TestDecodeMalformedPayloads(t *testing.T) {
@@ -720,19 +711,158 @@ func TestWriteErrorsSurface(t *testing.T) {
 	})
 }
 
+// squatNextSegment takes the name of the segment l would create next, so
+// createSegment's O_EXCL fails.
+func squatNextSegment(t *testing.T, l *Log) {
+	t.Helper()
+	if err := os.WriteFile(l.segPath(l.segIndex+1), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireFailed checks that err poisoned l: it wraps ErrFailed, and the
+// next Append returns that same error.
+func requireFailed(t *testing.T, what string, l *Log, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrFailed) {
+		t.Fatalf("%s returned %v, want ErrFailed", what, err)
+	}
+	if next := l.Append(testAdvice(99)); next != err {
+		t.Fatalf("Append after a failed %s returned %v, want the first failure %v", what, next, err)
+	}
+}
+
+// TestRotateBlockedByExistingSegment: a rotation that cannot create the
+// next segment poisons the log, although the record that filled the
+// segment is already durable: the active file is closed, so nothing more
+// can be acknowledged.
 func TestRotateBlockedByExistingSegment(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Squat on the next segment name so createSegment's O_EXCL fails.
-	if err := os.WriteFile(filepath.Join(dir, segName(2)), nil, 0o644); err != nil {
+	squatNextSegment(t, l)
+	requireFailed(t, "rotation", l, l.Append(testAdvice(1)))
+}
+
+// TestFailedCompactPoisonsLog: a compaction that cannot create its
+// snapshot segment poisons the log under every sync policy. Under SyncNone
+// the next Append would otherwise buffer its record over the closed
+// segment and acknowledge a record that never reaches the disk.
+func TestFailedCompactPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNone}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testAdvice(1)); err == nil {
-		t.Fatal("rotation into an occupied segment name succeeded")
+	for i := 1; i <= 2; i++ {
+		if err := l.Append(testAdvice(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	squatNextSegment(t, l)
+	m := core.NewCostMatrix(2)
+	m.Set(0, 1, 8)
+	failed := l.Compact(&SnapshotRecord{Epoch: 2, Fingerprint: 5, Matrix: m})
+	requireFailed(t, "Compact", l, failed)
+	if err := l.Close(); err != failed {
+		t.Fatalf("Close returned %v, want the first failure", err)
+	}
+	recs, l2 := collect(t, dir, Options{})
+	defer l2.Close()
+	if len(recs) != 2 {
+		t.Fatalf("reopen replayed %d records, want the 2 acknowledged ones", len(recs))
+	}
+	if err := l2.Append(testAdvice(3)); err != nil {
+		t.Fatalf("reopened log refuses appends: %v", err)
+	}
+}
+
+// TestDirectorySyncFailuresPoisonLog: the directory fsyncs after a segment
+// is created and after compacted segments are unlinked go through the
+// FailNextSync seam, and a failed one poisons the log. Arming the fault at
+// a crashpoint fails the first fsync after it, which must be the
+// directory's.
+func TestDirectorySyncFailuresPoisonLog(t *testing.T) {
+	eio := errors.New("injected EIO")
+	armAt := func(t *testing.T, point string) {
+		SetCrashpointHook(func(p string) {
+			if p == point {
+				FailNextSync(eio)
+			}
+		})
+		t.Cleanup(func() {
+			SetCrashpointHook(nil)
+			FailNextSync(nil)
+		})
+	}
+	t.Run("rotate.closed", func(t *testing.T) {
+		l, err := Open(t.TempDir(), Options{SegmentBytes: 8}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		armAt(t, "rotate.closed")
+		err = l.Append(testAdvice(1))
+		requireFailed(t, "rotation", l, err)
+		if !errors.Is(err, eio) {
+			t.Fatalf("rotation returned %v, want the directory fsync's error", err)
+		}
+	})
+	t.Run("compact.written", func(t *testing.T) {
+		l, err := Open(t.TempDir(), Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(testAdvice(1)); err != nil {
+			t.Fatal(err)
+		}
+		armAt(t, "compact.written")
+		err = l.Compact(&SnapshotRecord{Epoch: 1, Fingerprint: 5, Matrix: core.NewCostMatrix(2)})
+		requireFailed(t, "Compact", l, err)
+		if !errors.Is(err, eio) {
+			t.Fatalf("Compact returned %v, want the directory fsync's error", err)
+		}
+	})
+	t.Run("open", func(t *testing.T) {
+		// A new log directory's entry is synced into its parent; the open
+		// fails when that fsync does.
+		FailNextSync(eio)
+		defer FailNextSync(nil)
+		if _, err := Open(filepath.Join(t.TempDir(), "wal"), Options{}, nil); !errors.Is(err, eio) {
+			t.Fatalf("Open over a failed directory fsync returned %v", err)
+		}
+	})
+}
+
+// TestFailedUnlinkPoisonsLog: a compacted segment that cannot be unlinked
+// fails the compaction closed.
+func TestFailedUnlinkPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testAdvice(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the old segment for a non-empty directory of the same name once
+	// the snapshot is durable, so its unlink fails.
+	old := l.segPath(1)
+	SetCrashpointHook(func(p string) {
+		if p != "compact.written" {
+			return
+		}
+		if err := os.Remove(old); err != nil {
+			t.Error(err)
+		}
+		if err := os.MkdirAll(filepath.Join(old, "x"), 0o755); err != nil {
+			t.Error(err)
+		}
+	})
+	defer SetCrashpointHook(nil)
+	err = l.Compact(&SnapshotRecord{Epoch: 1, Fingerprint: 5, Matrix: core.NewCostMatrix(2)})
+	requireFailed(t, "Compact", l, err)
 }
 
 func TestParseFrameRejectsBadLengths(t *testing.T) {
