@@ -8,7 +8,7 @@ GO ?= go
 # benchmarks are seconds-scale 1000-instance passes (3 iterations), and
 # micro benchmarks are ns-scale move evaluations (thousands).
 BENCH_PATTERN_MACRO ?= BenchmarkCPPerNodeBudget|BenchmarkCPThresholdDescent|BenchmarkCPSearchNode|BenchmarkCPTighten|BenchmarkDeltaEvalPortfolio|BenchmarkKMeans1D$$|BenchmarkPatchSortedPairs|BenchmarkWALReplay
-BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkEpochDecode|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSkewedServe|BenchmarkSortedPairsRebuild
+BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkEpochDecode|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSortedPairsRebuild
 BENCH_PATTERN_MICRO ?= BenchmarkDeltaEvalLL|BenchmarkDeltaEvalLP
 BENCH_PATTERN ?= $(BENCH_PATTERN_MACRO)|$(BENCH_PATTERN_HEAVY)|$(BENCH_PATTERN_MICRO)
 # bench writes here; untracked (see .gitignore), so a local run never

@@ -8,7 +8,6 @@ package cloudia_test
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -824,216 +823,6 @@ func BenchmarkShardedServe(b *testing.B) {
 	b.ReportMetric(speedup/float64(b.N), "speedup/op")
 }
 
-// skewedTenants returns one hot tenant name plus `lights` light tenant
-// names that all hash to shard 0 of a `shards`-wide server (the hash is
-// Server.shardFor's: fnv32a over the tenant name and a NUL byte). This is
-// the adversarial skew static sharding cannot rebalance: every tenant homes
-// to the same worker while the others sit idle.
-func skewedTenants(b *testing.B, shards, lights int) (hot string, light []string) {
-	b.Helper()
-	home := func(tenant string) int {
-		h := fnv.New32a()
-		h.Write([]byte(tenant))
-		h.Write([]byte{0})
-		return int(h.Sum32() % uint32(shards))
-	}
-	for i := 0; hot == ""; i++ {
-		if name := fmt.Sprintf("hot-%d", i); home(name) == 0 {
-			hot = name
-		}
-	}
-	for i := 0; len(light) < lights; i++ {
-		if name := fmt.Sprintf("light-%d", i); home(name) == 0 {
-			light = append(light, name)
-		}
-	}
-	return hot, light
-}
-
-// BenchmarkSkewedServe is the work-stealing ablation: one hot tenant
-// advising four times in a row plus three light tenants advising once,
-// every tenant hash-homed to shard 0 of a two-shard server. Jobs take the
-// daemon's shape: one shared mid-size matrix each, and each of the hot
-// tenant's jobs after the first carries its predecessor's deployment as
-// WarmStart (so it is submitted when that one answers). With stealing
-// disabled (the push-era static routing) shard 1's worker idles while
-// shard 0 runs every job in turn; with stealing the idle worker pulls the
-// most-starved ready tenant across shards, so the lights run beside the
-// hot tenant's chain. Jobs are node-budgeted CP, so the two configurations
-// must produce bit-equal deployments — stealing may only move work, never
-// change it.
-//
-// The light tenants are submitted first, so the earliest tenant completion
-// (the spread's denominator) is a light job dispatched at once under
-// either configuration; what stealing changes is how late the hot chain —
-// and the fleet — finishes.
-//
-// Reported metrics (recorded in BENCH_PR6.json, when each job consumed a
-// two-epoch stream with a 300 ms measurement gap):
-//
-//   - static-ms/op / stealing-ms/op: fleet makespan (first Submit to last
-//     answer) under each configuration.
-//   - steal-speedup/op: static over stealing. The win is shard
-//     parallelism, so it needs a second CPU: on a single-CPU runner it is
-//     about 1.
-//   - static-spread/op / stealing-spread/op: max/min per-tenant completion
-//     time.
-//
-// Both comparisons are live wall-clock timings, so they are logged rather
-// than asserted (cf. BenchmarkStreamingAdvise); bit-equality and the
-// steal counters are asserted.
-func BenchmarkSkewedServe(b *testing.B) {
-	const (
-		nodes     = 150
-		instances = 300
-		shards    = 2
-		lights    = 3
-		hotJobs   = 4
-	)
-	rng := rand.New(rand.NewSource(43))
-	g := core.NewGraph(nodes)
-	for v := 0; v+1 < nodes; v++ {
-		if err := g.AddEdge(v, v+1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for k := 0; k < 4*nodes; k++ {
-		x, y := rng.Intn(nodes), rng.Intn(nodes)
-		if x > y {
-			x, y = y, x
-		}
-		if x != y && !g.HasEdge(x, y) {
-			if err := g.AddEdge(x, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	m := core.NewCostMatrix(instances)
-	for i := 0; i < instances; i++ {
-		for j := 0; j < instances; j++ {
-			if i != j {
-				m.Set(i, j, 0.2+rng.Float64())
-			}
-		}
-	}
-
-	budget := solver.Budget{Nodes: 30_000}
-	hot, light := skewedTenants(b, shards, lights)
-	// chains lists each tenant's jobs by seed, lights first; a chain's jobs
-	// run one after another, each warm-started from the previous answer.
-	type chain struct {
-		tenant string
-		seeds  []int64
-	}
-	chains := make([]chain, 0, lights+1)
-	for i, l := range light {
-		chains = append(chains, chain{l, []int64{int64(100 + i)}})
-	}
-	hc := chain{tenant: hot}
-	for i := 0; i < hotJobs; i++ {
-		hc.seeds = append(hc.seeds, int64(i))
-	}
-	chains = append(chains, hc)
-
-	// run starts every chain at once and records, per chain, the wall-clock
-	// from fleet start to its last answer and its deployments in order.
-	run := func(it int, static bool) (ms, spread float64, deps [][]core.Deployment, steals int64) {
-		srv := serve.New(serve.Config{Shards: shards, DisableStealing: static})
-		defer srv.Close()
-		deps = make([][]core.Deployment, len(chains))
-		errs := make([]error, len(chains))
-		done := make([]time.Duration, len(chains))
-		var wg sync.WaitGroup
-		start := time.Now()
-		for idx, c := range chains {
-			// Submit every chain's first job before any goroutine starts,
-			// so the lights are admitted ahead of the hot tenant.
-			tk, err := srv.Submit(serve.Job{
-				Tenant: c.tenant, Graph: g,
-				ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-				Matrix:        m, SolverName: "cp", RoundBudget: budget,
-				Seed: int64(1000*it) + c.seeds[0],
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wg.Add(1)
-			go func(idx int, c chain, tk *serve.Ticket) {
-				defer wg.Done()
-				for k := 0; ; k++ {
-					res := tk.Wait()
-					if res.Err != nil {
-						errs[idx] = res.Err
-						return
-					}
-					deps[idx] = append(deps[idx], res.Outcome.Deployment)
-					if k+1 == len(c.seeds) {
-						break
-					}
-					next, err := srv.Submit(serve.Job{
-						Tenant: c.tenant, Graph: g,
-						ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-						Matrix:        m, SolverName: "cp", RoundBudget: budget,
-						Seed:      int64(1000*it) + c.seeds[k+1],
-						WarmStart: res.Outcome.Deployment,
-					})
-					if err != nil {
-						errs[idx] = err
-						return
-					}
-					tk = next
-				}
-				done[idx] = time.Since(start)
-			}(idx, c, tk)
-		}
-		wg.Wait()
-		ms = float64(time.Since(start)) / float64(time.Millisecond)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		minC, maxC := done[0], done[0]
-		for _, c := range done {
-			minC, maxC = min(minC, c), max(maxC, c)
-		}
-		spread = float64(maxC) / float64(minC)
-		return ms, spread, deps, srv.Stats().Steals
-	}
-
-	var staticMS, stealMS, speedup, staticSpread, stealSpread float64
-	for it := 0; it < b.N; it++ {
-		sMS, sSpread, sDeps, sSteals := run(it, true)
-		if sSteals != 0 {
-			b.Fatalf("static configuration recorded %d steals, want 0", sSteals)
-		}
-		wMS, wSpread, wDeps, wSteals := run(it, false)
-		if wSteals == 0 {
-			b.Fatal("stealing configuration recorded no steals on a skewed fleet")
-		}
-		for i := range chains {
-			for k := range sDeps[i] {
-				if !slices.Equal(sDeps[i][k], wDeps[i][k]) {
-					b.Fatalf("chain %s job %d: stealing changed the deployment", chains[i].tenant, k)
-				}
-			}
-		}
-		if wMS >= sMS {
-			b.Logf("stealing makespan %.1f ms not below static %.1f ms", wMS, sMS)
-		}
-		staticMS += sMS
-		stealMS += wMS
-		speedup += sMS / wMS
-		staticSpread += sSpread
-		stealSpread += wSpread
-	}
-	b.ReportMetric(staticMS/float64(b.N), "static-ms/op")
-	b.ReportMetric(stealMS/float64(b.N), "stealing-ms/op")
-	b.ReportMetric(speedup/float64(b.N), "steal-speedup/op")
-	b.ReportMetric(staticSpread/float64(b.N), "static-spread/op")
-	b.ReportMetric(stealSpread/float64(b.N), "stealing-spread/op")
-}
-
 // patchBench1000 builds the pair-delta workload at the 1000-instance tier:
 // a uniform cost matrix, its sorted pair list, and a successor epoch where
 // 8 of the 1000 rows changed.
@@ -1165,7 +954,9 @@ func BenchmarkBehavioralSimTick(b *testing.B) {
 // the k=20 rounded matrix with its sorted pair list (k-means over ~10^6
 // link costs plus the run-merge pair sort), the cheapest-rows table, and
 // the off-diagonal extraction — built from scratch once with a single
-// worker and once with the default worker pool. Both builds are bit-equal
+// worker and once with the default worker pool. The artifacts build one
+// after another, as a solve reads them, so each gains only from its own
+// par.For fan-out. Both builds are bit-equal
 // by construction (the parallel-equality suites pin it); the benchmark
 // records how much wall-clock the worker pool buys.
 //
@@ -1183,15 +974,11 @@ func BenchmarkColdPrep1000(b *testing.B) {
 			b.Fatal(err)
 		}
 		prep := np.Prep()
-		var roundedErr error
-		par.Do(
-			func() { _, _, roundedErr = prep.Rounded(20) },
-			func() { prep.CheapestRows() },
-			func() { prep.OffDiagonal() },
-		)
-		if roundedErr != nil {
-			b.Fatal(roundedErr)
+		if _, _, err := prep.Rounded(20); err != nil {
+			b.Fatal(err)
 		}
+		prep.CheapestRows()
+		prep.OffDiagonal()
 	}
 	defer par.SetWorkers(0)
 	buildAll() // untimed warmup: allocator and page-cache first-touch

@@ -36,6 +36,7 @@ func TestValidateFlagsDaemonCombos(t *testing.T) {
 	}{
 		{"listen+epochs", runConfig{listen: ":0", walDir: "w", epochMS: 20}, "-epoch-ms"},
 		{"negative epoch period", runConfig{epochMS: -1}, "-epoch-ms"},
+		{"negative budget", runConfig{budgetMS: -1}, "-budget-ms"},
 		{"listen without wal dir", runConfig{listen: ":0"}, "-wal-dir"},
 		{"listen bad fsync", runConfig{listen: ":0", walDir: "w", fsync: "sometimes"}, "fsync"},
 	}

@@ -64,7 +64,7 @@ func main() {
 		listen    = flag.String("listen", "", "run the durable serve daemon on this address (e.g. :8080)")
 		walDir    = flag.String("wal-dir", "cloudia-wal", "write-ahead log directory for -listen")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy for -listen: always, batch, none")
-		shards    = flag.Int("shards", 0, "worker shards for -listen (0 = default)")
+		shards    = flag.Int("shards", 0, "worker goroutines for -listen (0 = default)")
 		pprofFlag = flag.Bool("pprof", false, "expose net/http/pprof on the -listen address under /debug/pprof/")
 	)
 	flag.Parse()
@@ -109,10 +109,13 @@ type runConfig struct {
 // simulation work starts. What to optimize — objective, metric, scheme,
 // and their combinations — is advisor.ObjectiveSpec's job, validated once
 // inside the advisor; the flags here are only about *how* the process runs
-// (daemons, epoch periods).
+// (daemons, epoch periods, budgets).
 func validateFlags(cfg runConfig) error {
 	if cfg.epochMS < 0 {
 		return fmt.Errorf("-epoch-ms must not be negative, got %g", cfg.epochMS)
+	}
+	if cfg.budgetMS < 0 {
+		return fmt.Errorf("-budget-ms must not be negative, got %d", cfg.budgetMS)
 	}
 	if cfg.listen != "" {
 		if cfg.epochMS > 0 {

@@ -185,6 +185,7 @@ func TestSearchDefaults(t *testing.T) {
 		{"cp", "mip", -1, solver.Budget{}, "cp", -1, 2_000_000},
 		{"g2", "cp", 0, solver.Budget{}, "g2", 0, 2_000_000},
 		{"mip", "cp", 7, solver.Budget{}, "mip", 7, 2_000_000},
+		{"sa", "cp", 0, solver.Budget{Time: -1, Nodes: -5}, "sa", 0, 2_000_000},
 	}
 	for _, c := range cases {
 		name, k, budget := searchDefaults(c.name, c.def, c.k, c.budget)

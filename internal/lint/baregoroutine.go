@@ -8,8 +8,8 @@ import (
 
 // BareGoroutine flags raw `go` statements and sync.WaitGroup fan-out in
 // the deterministic packages. All data parallelism there is supposed to
-// flow through internal/par's For/Do combinators, whose bit-equality
-// across worker counts is pinned by dedicated test suites — an ad-hoc
+// flow through internal/par's For combinator, whose bit-equality across
+// worker counts is pinned by dedicated test suites — an ad-hoc
 // goroutine with its own reduction is exactly the code that passes review
 // and then breaks fingerprint equality under a different GOMAXPROCS.
 //
@@ -43,7 +43,7 @@ func runBareGoroutine(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Report(n.Go,
-					"raw go statement outside internal/par: route data parallelism through par.For/par.Do (bit-equality tested across worker counts), or annotate with %s <why the reduction is deterministic>",
+					"raw go statement outside internal/par: route data parallelism through par.For (bit-equality tested across worker counts), or annotate with %s <why the reduction is deterministic>",
 					SuppressionMarker)
 			case *ast.Ident:
 				if n.Name == "_" {
@@ -55,7 +55,7 @@ func runBareGoroutine(pass *Pass) {
 				}
 				if v, ok := obj.(*types.Var); ok && isWaitGroup(v.Type()) {
 					pass.Report(n.Pos(),
-						"sync.WaitGroup fan-out outside internal/par: use par.For/par.Do, or annotate with %s <why the reduction is deterministic>",
+						"sync.WaitGroup fan-out outside internal/par: use par.For, or annotate with %s <why the reduction is deterministic>",
 						SuppressionMarker)
 				}
 			}

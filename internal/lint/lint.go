@@ -3,7 +3,7 @@
 // the streaming epoch work has staked its correctness story on. Prep
 // artifacts, WAL replay fingerprints, sketch merges, and portfolio
 // tie-breaks are all required to be bit-identical across worker counts,
-// restarts, and steal orderings — and a single stray `range` over a map or
+// restarts, and dispatch orders — and a single stray `range` over a map or
 // an ad-hoc goroutine spawn can silently break that. The analyzers here
 // turn those invariants from test-suite folklore into build-time checks,
 // run over the whole repo by `cmd/cloudia-vet` via `go vet -vettool` (see

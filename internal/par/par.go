@@ -11,9 +11,9 @@
 // order. Nothing in this package introduces ordering of its own — a caller
 // whose body writes outside its chunk gets the race it wrote.
 //
-// Workers() == 1 is the standing fallback: For and Do then run their bodies
-// inline on the calling goroutine, spawning nothing, so the sequential path
-// is byte-for-byte and allocation-for-allocation the code that ran before
+// Workers() == 1 is the standing fallback: For then runs its body inline on
+// the calling goroutine, spawning nothing, so the sequential path is
+// byte-for-byte and allocation-for-allocation the code that ran before
 // parallelism existed.
 package par
 
@@ -27,7 +27,7 @@ import (
 // which tracks runtime changes instead of freezing a boot-time snapshot.
 var workers atomic.Int64
 
-// SetWorkers bounds the fan-out of every later For and Do call. n <= 0
+// SetWorkers bounds the fan-out of every later For call. n <= 0
 // restores the default (GOMAXPROCS at each call). n == 1 disables
 // goroutine spawning entirely. Values above GOMAXPROCS are honored as
 // given — explicit oversubscription is how 1-core machines exercise the
@@ -81,32 +81,5 @@ func For(n int, body func(lo, hi int)) {
 	// The first chunk runs on the calling goroutine: one fewer handoff, and
 	// the w == 1 inline semantics fall out of the same code path.
 	body(0, chunk)
-	wg.Wait()
-}
-
-// Do runs the given independent functions concurrently — one goroutine per
-// function beyond the first, which runs on the caller — and returns after
-// all complete. With one worker the functions run sequentially inline in
-// argument order, so error/result selection by argument order is
-// deterministic either way.
-func Do(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 || Workers() <= 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, fn := range fns[1:] {
-		wg.Add(1)
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(fn)
-	}
-	fns[0]()
 	wg.Wait()
 }

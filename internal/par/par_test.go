@@ -62,42 +62,3 @@ func TestForSingleWorkerRunsInline(t *testing.T) {
 		t.Fatalf("single-worker For made %d calls, want 1", calls)
 	}
 }
-
-func TestDoRunsEverything(t *testing.T) {
-	defer SetWorkers(0)
-	for _, w := range []int{1, 4} {
-		SetWorkers(w)
-		var ran [5]atomic.Bool
-		fns := make([]func(), len(ran))
-		for i := range fns {
-			i := i
-			fns[i] = func() { ran[i].Store(true) }
-		}
-		Do(fns...)
-		for i := range ran {
-			if !ran[i].Load() {
-				t.Fatalf("workers=%d: fn %d did not run", w, i)
-			}
-		}
-	}
-	Do() // no-op
-}
-
-func TestDoSingleWorkerPreservesOrder(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
-	var order []int
-	Do(
-		func() { order = append(order, 0) },
-		func() { order = append(order, 1) },
-		func() { order = append(order, 2) },
-	)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("sequential Do order = %v", order)
-		}
-	}
-	if len(order) != 3 {
-		t.Fatalf("sequential Do ran %d fns, want 3", len(order))
-	}
-}

@@ -8,11 +8,11 @@ import (
 	"cloudia/internal/solver"
 )
 
-// Cache is the content-addressed Prep artifact store shared by every shard.
+// Cache is the content-addressed Prep artifact store shared by every worker.
 // The matrix-derived artifacts — cluster-K rounded matrices and sorted pair
 // lists, their transposes, cheapest-link rows — are deterministic functions
 // of the cost-matrix content, so one solver.MatrixPrep per
-// core.CostMatrix.Fingerprint serves every problem, tenant and shard over
+// core.CostMatrix.Fingerprint serves every problem, tenant and worker over
 // that content. Two tenants whose measurements produced identical matrices
 // pay the dominant preprocessing cost — a k-means over all m^2 link costs,
 // plus the m^2 log m pair sort — exactly once between them.

@@ -17,7 +17,7 @@ import (
 )
 
 // This file implements the durable serve daemon: the long-lived, crash-safe
-// face of the sharded Server. Where the Server is a scheduling fabric with
+// face of the Server. Where the Server is a scheduling fabric with
 // no memory — every Job carries its own matrix and dies with the process —
 // the Daemon owns per-tenant state that must survive restarts: each
 // tenant's evolving cost matrix and its last served advice live in an
@@ -43,9 +43,6 @@ type DaemonConfig struct {
 	// CompactEvery compacts a tenant's log to a snapshot record every this
 	// many epochs; <= 0 selects 32.
 	CompactEvery int
-	// DefaultTimeout bounds jobs whose request carries no deadline; zero
-	// leaves them unbounded.
-	DefaultTimeout time.Duration
 }
 
 // Daemon is a Server plus durable per-tenant state.
@@ -500,7 +497,8 @@ type AdviseRequest struct {
 	ClusterK    int
 	RoundBudget solver.Budget
 	Seed        int64
-	// Timeout bounds the solve; zero selects DaemonConfig.DefaultTimeout.
+	// Timeout bounds the solve's wall clock; zero leaves it bounded only by
+	// RoundBudget.
 	Timeout time.Duration
 	// NoWarmStart suppresses seeding the solve from the tenant's last
 	// logged advice.
@@ -513,8 +511,8 @@ type AdviseRequest struct {
 // Advise solves the request over the tenant's current matrix snapshot and,
 // on success, logs the served advice to the tenant's WAL — making it the
 // warm-start incumbent for the tenant's next advise, in this process
-// lifetime or any later one. Admission errors (ErrBusy, ErrOverBudget)
-// pass through for the caller's retry policy.
+// lifetime or any later one. A full admission queue (ErrBusy) passes
+// through for the caller's retry policy.
 func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 	sess, err := d.session(req.Tenant, false)
 	if err != nil {
@@ -530,9 +528,6 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 		Seed:          req.Seed,
 		Timeout:       req.Timeout,
 		OnRound:       req.OnRound,
-	}
-	if job.Timeout == 0 {
-		job.Timeout = d.cfg.DefaultTimeout
 	}
 	sess.mu.Lock()
 	m, err := sess.searched(req.ObjectiveSpec)

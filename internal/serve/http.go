@@ -35,9 +35,9 @@ import (
 // instances (about 1,300 with tail rows), at ~19 bytes per value; a larger
 // matrix is posted as several epochs, each carrying a subset of its rows.
 //
-// Transient admission rejections (ErrBusy, ErrOverBudget) map to 429 with
-// a Retry-After hint, so HTTP clients inherit the same retry-later
-// contract the Go API documents.
+// A full admission queue (ErrBusy) maps to 429 "busy" with a Retry-After
+// hint, so HTTP clients inherit the same retry-later contract the Go API
+// documents.
 
 // Handler returns the daemon's HTTP front end.
 func (d *Daemon) Handler() http.Handler {
@@ -275,8 +275,8 @@ type errorBody struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
-// httpError maps daemon errors onto HTTP status codes: transient admission
-// rejections become 429 with a Retry-After hint, unknown tenants 404, a
+// httpError maps daemon errors onto HTTP status codes: a full admission
+// queue becomes 429 with a Retry-After hint, unknown tenants 404, a
 // body over the size limit 413, a tenant whose log failed (wal.ErrFailed)
 // 503 "log_failed" with no retry hint — it stays refused until a restart
 // replays what its disk holds — and everything else a 400: the daemon
@@ -294,10 +294,6 @@ func httpError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests
 		body.Code, body.RetryAfterMS = "busy", 1000
-	case errors.Is(err, ErrOverBudget):
-		w.Header().Set("Retry-After", "1")
-		code = http.StatusTooManyRequests
-		body.Code, body.RetryAfterMS = "over_budget", 1000
 	case errors.Is(err, ErrUnknownTenant):
 		code = http.StatusNotFound
 		body.Code = "unknown_tenant"

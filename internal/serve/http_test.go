@@ -250,11 +250,6 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("ErrBusy body = %+v", e)
 	}
 	rec = httptest.NewRecorder()
-	httpError(rec, fmt.Errorf("wrapped: %w", ErrOverBudget))
-	if e := decodeErr(rec); rec.Code != http.StatusTooManyRequests || e.Code != "over_budget" || e.RetryAfterMS <= 0 {
-		t.Fatalf("ErrOverBudget mapped to %d, body %+v", rec.Code, e)
-	}
-	rec = httptest.NewRecorder()
 	httpError(rec, fmt.Errorf("wrapped: %w", ErrClosed))
 	if e := decodeErr(rec); rec.Code != http.StatusServiceUnavailable || e.Code != "closed" || e.RetryAfterMS <= 0 {
 		t.Fatalf("ErrClosed mapped to %d, body %+v", rec.Code, e)

@@ -1,27 +1,24 @@
-// Package serve implements sharded multi-tenant advisor serving: one
-// process hosting many concurrent advising problems instead of the
+// Package serve implements multi-tenant advisor serving: one process
+// hosting many concurrent advising problems instead of the
 // one-problem-at-a-time advisor the paper describes. Jobs enter per-tenant
-// FIFO queues behind a shared fair ready queue; shard workers *pull* the
-// next job lazily — preferring tenants whose name hashes to their shard,
-// stealing the most-starved tenant from other shards when their own are
-// idle — and each solves the job's matrix as the one final epoch of
-// advisor.SolveStream, so a served job's result is bit-equal to running
-// the same tenant through the unsharded streaming path regardless of where
-// (or when) it was dispatched. What the serving layer adds is sharing and
-// isolation: a content-addressed Prep cache (see Cache) hands every job the
-// shared matrix and graph artifact sets for its content, by reference, so
-// tenants with identical cost matrices — common when they measure the same
-// datacenter slice, or when a fleet of problems is re-advised against one
-// published matrix — split the dominant preprocessing cost across the
-// whole fleet, while per-tenant fairness accounting stops one hot tenant's
-// backlog from starving everyone else (see sched.go for the scheduling
-// model).
+// FIFO queues behind one fair ready queue; any free worker *pulls* the
+// most-starved ready tenant's next job and solves its matrix as the one
+// final epoch of advisor.SolveStream, so a served job's result is
+// bit-equal to running the same tenant through the streaming path
+// directly, whichever worker ran it and whenever. What the serving layer
+// adds is sharing and isolation: a content-addressed Prep cache (see
+// Cache) hands every job the shared matrix and graph artifact sets for its
+// content, by reference, so tenants with identical cost matrices — common
+// when they measure the same datacenter slice, or when a fleet of problems
+// is re-advised against one published matrix — split the dominant
+// preprocessing cost across the whole fleet, while per-tenant fairness
+// accounting stops one hot tenant's backlog from starving everyone else
+// (see sched.go for the scheduling model).
 package serve
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -38,8 +35,8 @@ import (
 // daemon submits it.
 type Job struct {
 	// Tenant identifies the requesting tenant and is the scheduling key:
-	// one tenant's jobs run serialized in submission order (never racing
-	// each other's warm state), with fairness accounted per tenant.
+	// one tenant's jobs run one at a time in submission order, with
+	// fairness accounted per tenant.
 	// Required.
 	Tenant string
 
@@ -71,9 +68,10 @@ type Job struct {
 	Seed        int64
 
 	// Timeout, when positive, bounds the job's solve wall clock from the
-	// moment a worker picks it up. On expiry the job completes normally
-	// with its best-so-far incumbent and Outcome.Interrupted set — a
-	// deadline is degraded advice, not an error.
+	// moment a worker picks it up; zero leaves the solve bounded only by
+	// RoundBudget. On expiry the job completes normally with its
+	// best-so-far incumbent and Outcome.Interrupted set — a deadline is
+	// degraded advice, not an error.
 	Timeout time.Duration
 	// WarmStart, when non-nil, seeds the job's incumbent before its first
 	// round (advisor.StreamSolveConfig.WarmStart). The durable daemon uses
@@ -87,14 +85,9 @@ type Job struct {
 // Result is one served job's outcome.
 type Result struct {
 	Tenant string
-	// Shard is the worker shard that executed the job; Stolen reports that
-	// it was not the tenant's home shard (a cross-shard steal). Steals
-	// affect only placement and latency, never the outcome.
-	Shard  int
-	Stolen bool
 	// Outcome is the streaming solve outcome (nil when Err is set); its
-	// final deployment and cost are bit-equal to unsharded
-	// advisor.SolveStream over the same final epoch and configuration.
+	// final deployment and cost are bit-equal to advisor.SolveStream over
+	// the same final epoch and configuration.
 	Outcome *advisor.StreamOutcome
 	Err     error
 	// CacheHits and CacheMisses count the shared Prep artifacts the job's
@@ -123,59 +116,32 @@ type Config struct {
 	// Shards is the number of worker goroutines; <= 0 selects 2. Jobs of
 	// one tenant run sequentially; distinct tenants run concurrently, so
 	// Shards bounds the number of portfolio solves racing for the machine
-	// at once. Tenant keys hash to a home shard that its worker prefers,
-	// but any idle worker steals ready work from other shards' tenants.
+	// at once. Any free worker takes the most-starved ready tenant.
 	Shards int
-	// QueueDepth sizes admission: the server accepts at most
-	// Shards*QueueDepth admitted-but-undispatched jobs in total (the
-	// shared-queue successor of the old per-shard depth); <= 0 selects 16.
-	// Submit rejects with ErrBusy beyond it — backpressure surfaces at
-	// admission instead of as unbounded memory.
-	QueueDepth int
-	// MaxPendingBudget, when positive, caps the summed per-round solver
-	// time budgets of admitted-but-unfinished jobs. It is admission
-	// control on promised wall-clock solve work: a fleet of millions of
-	// tenants cannot queue more concurrent budget than the operator
-	// provisioned for. Submit rejects with ErrOverBudget beyond it. Only
-	// RoundBudget.Time is counted: a purely node-budgeted job promises
-	// machine-independent work with no wall-clock bound to charge, so it
-	// is admitted without consuming the cap — operators capping pending
-	// work should hand tenants time budgets (or both axes).
-	MaxPendingBudget time.Duration
-	// MaxTenantPendingBudget, when positive, is MaxPendingBudget per
-	// tenant key: one tenant cannot hold more admitted-but-unfinished
-	// declared wall-clock budget than this, however empty the rest of the
-	// server is. It bounds how far a hot tenant's backlog can grow at all,
-	// complementing the fairness accounting that bounds how much of it
-	// runs ahead of other tenants.
-	MaxTenantPendingBudget time.Duration
-	// DisableStealing pins every tenant to its home shard's worker,
-	// restoring the static routing of the push-based serving layer. It
-	// exists for ablation — the skewed-tenant benchmark measures exactly
-	// what stealing buys — and for operators who want hard shard isolation
-	// over utilization.
-	DisableStealing bool
 	// Cache is the shared artifact cache; nil builds a fresh
 	// NewCache(DefaultMaxMatrices). Several servers may share one cache.
 	Cache *Cache
 }
 
+// queueDepth sizes admission: a server accepts at most Shards*queueDepth
+// admitted-but-undispatched jobs, and Submit rejects with ErrBusy beyond
+// that — backpressure surfaces at admission instead of as unbounded memory.
+const queueDepth = 16
+
 // Exported admission errors, so callers can tell transient rejection
 // (retry later, or elsewhere) from permanent failure.
 var (
-	ErrBusy       = fmt.Errorf("serve: admission queue full")
-	ErrOverBudget = fmt.Errorf("serve: pending solve budget exhausted")
-	ErrClosed     = fmt.Errorf("serve: server closed")
+	ErrBusy   = fmt.Errorf("serve: admission queue full")
+	ErrClosed = fmt.Errorf("serve: server closed")
 	// ErrJobPanicked marks a Result whose solve panicked: the worker
-	// recovered, released the tenant's in-flight slot and pending budget,
-	// and kept serving — only the poisoned job failed. The wrapped error
-	// carries the panic value and the captured stack.
+	// recovered, released the tenant's in-flight slot, and kept serving —
+	// only the poisoned job failed. The wrapped error carries the panic
+	// value and the captured stack.
 	ErrJobPanicked = fmt.Errorf("serve: job panicked in the solver")
 )
 
-// Server schedules jobs onto pulling shard workers over the shared cache.
+// Server schedules jobs onto pulling workers over the shared cache.
 type Server struct {
-	cfg   Config
 	cache *Cache
 	sched *sched
 	wg    sync.WaitGroup
@@ -199,42 +165,20 @@ func New(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = NewCache(0)
 	}
-	s := &Server{
-		cfg:   cfg,
-		cache: cache,
-		sched: newSched(cfg.Shards, cfg.Shards*cfg.QueueDepth,
-			cfg.MaxPendingBudget, cfg.MaxTenantPendingBudget, cfg.DisableStealing),
-	}
+	s := &Server{cache: cache, sched: newSched(cfg.Shards * queueDepth)}
 	for i := 0; i < cfg.Shards; i++ {
 		s.wg.Add(1)
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
 
-// Cache returns the server's shared artifact cache.
-func (s *Server) Cache() *Cache { return s.cache }
-
-// shardFor maps a tenant to its home shard index: fnv32a over the tenant
-// name and a NUL byte. The NUL is the separator of the retired
-// tenant/datacenter key, kept so every tenant keeps its home shard.
-func (s *Server) shardFor(tenant string) int {
-	h := fnv.New32a()
-	h.Write([]byte(tenant))
-	h.Write([]byte{0})
-	return int(h.Sum32() % uint32(s.cfg.Shards))
-}
-
 // Submit validates and enqueues a job for the pulling workers. It never
-// blocks: an exhausted pending budget (global or per-tenant) rejects with
-// ErrOverBudget, a full admission queue with ErrBusy.
+// blocks: a full admission queue rejects with ErrBusy.
 func (s *Server) Submit(job Job) (*Ticket, error) {
 	if job.Tenant == "" {
 		return nil, fmt.Errorf("serve: job without a tenant key")
@@ -259,19 +203,19 @@ func (s *Server) Submit(job Job) (*Ticket, error) {
 		return nil, fmt.Errorf("serve: job requires a bounded round budget")
 	}
 	// Build the graph's incidence caches up front (concurrent-safe; racing
-	// Submits serialize behind one build) so shard workers never pay it
+	// Submits serialize behind one build) so workers never pay it
 	// mid-solve on a graph shared by several jobs.
 	job.Graph.EnsureIncidence()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	t := &Ticket{done: make(chan struct{})}
-	err := s.sched.submit(job.Tenant, s.shardFor(job.Tenant), job, t)
+	err := s.sched.submit(job.Tenant, job, t)
 	switch err {
 	case nil:
 		s.submitted.Add(1)
 		return t, nil
-	case ErrBusy, ErrOverBudget:
+	case ErrBusy:
 		s.rejected.Add(1)
 		return nil, err
 	default:
@@ -288,18 +232,17 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// worker is one shard's pull loop: take the fairest ready job — own home
-// tenants first, stolen otherwise — run it, retire it, repeat.
-func (s *Server) worker(idx int) {
+// worker is one pull loop: take the fairest ready job, run it, retire it,
+// repeat.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		tk, stolen, ok := s.sched.next(idx)
+		tk, ok := s.sched.next()
 		if !ok {
 			return
 		}
-		res := s.runJob(idx, tk)
-		res.Stolen = stolen
-		s.sched.done(tk.job.Tenant, tk)
+		res := s.runJob(tk)
+		s.sched.done(tk.job.Tenant)
 		if res.Err != nil {
 			s.failed.Add(1)
 		} else {
@@ -310,15 +253,15 @@ func (s *Server) worker(idx int) {
 	}
 }
 
-// runJob serves one job: the unsharded streaming loop with the cache
-// bridge plugged into its OnProblem hook. A panic anywhere in the solve —
-// a poisoned matrix, a faulty solver, a hostile callback — is recovered
-// into ErrJobPanicked on the job's own Result: the worker survives, and
-// the caller in worker() still retires the task so the tenant's in-flight
-// slot and pending budget are released exactly as for a clean failure.
-func (s *Server) runJob(shard int, tk task) (res *Result) {
+// runJob serves one job: the streaming loop with the cache bridge plugged
+// into its OnProblem hook. A panic anywhere in the solve — a poisoned
+// matrix, a faulty solver, a hostile callback — is recovered into
+// ErrJobPanicked on the job's own Result: the worker survives, and the
+// caller in worker() still retires the task so the tenant's in-flight slot
+// is released exactly as for a clean failure.
+func (s *Server) runJob(tk task) (res *Result) {
 	job := tk.job
-	res = &Result{Tenant: job.Tenant, Shard: shard, Queued: time.Since(tk.enqueued)}
+	res = &Result{Tenant: job.Tenant, Queued: time.Since(tk.enqueued)}
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -365,15 +308,13 @@ func (s *Server) runJob(shard int, tk task) (res *Result) {
 
 // Stats is a point-in-time server counter snapshot.
 type Stats struct {
-	// Submitted counts admitted jobs; Rejected counts ErrBusy and
-	// ErrOverBudget refusals; Served and Failed partition completed jobs.
+	// Submitted counts admitted jobs; Rejected counts ErrBusy refusals;
+	// Served and Failed partition completed jobs.
 	Submitted, Rejected, Served, Failed int64
-	// Steals counts dispatches where an idle worker pulled a tenant homed
-	// on another shard.
+	// Steals is always 0: every worker pulls from one ready queue, so no
+	// dispatch crosses a shard. It stays only because existing stats
+	// readers still report it.
 	Steals int64
-	// PendingBudget is the summed declared round budget of
-	// admitted-but-unfinished jobs.
-	PendingBudget time.Duration
 	// Cache is the shared cache's snapshot.
 	Cache CacheStats
 }
@@ -381,13 +322,11 @@ type Stats struct {
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Submitted:     s.submitted.Load(),
-		Rejected:      s.rejected.Load(),
-		Served:        s.served.Load(),
-		Failed:        s.failed.Load(),
-		Steals:        s.sched.stealCount(),
-		PendingBudget: s.sched.pending(),
-		Cache:         s.cache.Stats(),
+		Submitted: s.submitted.Load(),
+		Rejected:  s.rejected.Load(),
+		Served:    s.served.Load(),
+		Failed:    s.failed.Load(),
+		Cache:     s.cache.Stats(),
 	}
 }
 

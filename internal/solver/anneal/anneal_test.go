@@ -1,7 +1,9 @@
 package anneal
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"cloudia/internal/core"
 	"cloudia/internal/solver"
@@ -13,8 +15,14 @@ func TestRequiresBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(1).Solve(p, solver.Budget{}); err == nil {
-		t.Fatal("unlimited budget accepted")
+	// A budget whose only axes are negative bounds nothing either. The
+	// context deadline stops the run if one is wrongly accepted.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for _, b := range []solver.Budget{{}, {Nodes: -5}, {Time: -time.Millisecond}} {
+		if _, err := New(1).SolveContext(ctx, p, b); err == nil {
+			t.Fatalf("unlimited budget %+v accepted", b)
+		}
 	}
 }
 

@@ -170,8 +170,9 @@ func (p *Problem) Prep() *Prep {
 	return p.prep
 }
 
-// Budget bounds a solver run. A zero field means unlimited on that axis; at
-// least one axis must be bounded for solvers that search exhaustively.
+// Budget bounds a solver run. A zero or negative field means unlimited on
+// that axis; at least one axis must be bounded for solvers that search
+// exhaustively.
 type Budget struct {
 	// Time is the wall-clock limit.
 	Time time.Duration
@@ -181,8 +182,9 @@ type Budget struct {
 	Nodes int64
 }
 
-// Unlimited reports whether the budget bounds nothing.
-func (b Budget) Unlimited() bool { return b.Time == 0 && b.Nodes == 0 }
+// Unlimited reports whether the budget bounds nothing. Clock ignores an axis
+// at or below zero, so such an axis counts as absent.
+func (b Budget) Unlimited() bool { return b.Time <= 0 && b.Nodes <= 0 }
 
 // TracePoint records a solution improvement during search, for the
 // convergence plots of Figs. 6, 7, and 9.

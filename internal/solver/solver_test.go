@@ -147,13 +147,18 @@ func TestClockTimeBudget(t *testing.T) {
 }
 
 func TestClockUnlimited(t *testing.T) {
-	if !(Budget{}).Unlimited() {
-		t.Fatal("zero budget should be unlimited")
-	}
-	c := NewClock(Budget{})
-	for i := 0; i < 5000; i++ {
-		if c.Tick() {
-			t.Fatal("unlimited budget triggered")
+	for _, b := range []Budget{{}, {Nodes: -5}, {Time: -time.Millisecond}} {
+		if !b.Unlimited() {
+			t.Fatalf("%+v should be unlimited", b)
 		}
+		c := NewClock(b)
+		for i := 0; i < 5000; i++ {
+			if c.Tick() {
+				t.Fatalf("unlimited budget %+v triggered", b)
+			}
+		}
+	}
+	if (Budget{Nodes: 5, Time: -time.Millisecond}).Unlimited() {
+		t.Fatal("a budget with one positive axis is bounded")
 	}
 }

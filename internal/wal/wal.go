@@ -60,7 +60,7 @@ const (
 	// survives any crash. The default, and the policy the serve daemon
 	// uses for epoch records before acknowledging them.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs every Options.BatchAppends appends and on rotation,
+	// SyncBatch fsyncs every 16 appends (batchAppends) and on rotation,
 	// compaction, and Close: a crash loses at most one batch of
 	// acknowledged records. The group-commit point on the
 	// durability/throughput curve.
@@ -80,16 +80,14 @@ type Options struct {
 	SegmentBytes int
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// BatchAppends is the SyncBatch group size; <= 0 selects 16.
-	BatchAppends int
 }
+
+// batchAppends is the SyncBatch group size.
+const batchAppends = 16
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.BatchAppends <= 0 {
-		o.BatchAppends = 16
 	}
 	return o
 }
@@ -344,7 +342,7 @@ func (l *Log) Append(rec Record) error {
 	Crashpoint("append.framed")
 
 	l.sinceSync++
-	if l.opts.Sync == SyncAlways || (l.opts.Sync == SyncBatch && l.sinceSync >= l.opts.BatchAppends) {
+	if l.opts.Sync == SyncAlways || (l.opts.Sync == SyncBatch && l.sinceSync >= batchAppends) {
 		if err := l.sync(); err != nil {
 			return err
 		}

@@ -397,17 +397,17 @@ func TestReplayErrorAborts(t *testing.T) {
 
 func TestSyncPolicies(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncBatch, BatchAppends: 4}, nil)
+	l, err := Open(dir, Options{Sync: SyncBatch}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*batchAppends; i++ {
 		if err := l.Append(testAdvice(i + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := l.Stats(); st.Syncs != 2 {
-		t.Fatalf("SyncBatch(4) after 8 appends: %d syncs, want 2", st.Syncs)
+		t.Fatalf("SyncBatch after %d appends: %d syncs, want 2", 2*batchAppends, st.Syncs)
 	}
 	l.Close()
 
@@ -608,7 +608,7 @@ func TestOptionsValidationAndHelpers(t *testing.T) {
 		t.Fatalf("segIndexOf = %d,%v", idx, ok)
 	}
 	o := Options{}.withDefaults()
-	if o.SegmentBytes != 1<<20 || o.BatchAppends != 16 || o.Sync != SyncAlways {
+	if o.SegmentBytes != 1<<20 || o.Sync != SyncAlways {
 		t.Fatalf("defaults: %+v", o)
 	}
 }
