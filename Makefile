@@ -56,6 +56,9 @@ crash-test:
 # fuzz runs the decoders' fuzz targets, 20 s each. FuzzEpochDecode is
 # differential: every POST /v1/epoch body must be accepted or refused
 # exactly as encoding/json would, with bit-identical values on acceptance.
+# FuzzParseNumber is differential one layer down: the epoch decoder's
+# one-pass number parser against the JSON grammar check plus
+# strconv.ParseFloat, on single tokens, the same accepted and the same bits.
 # FuzzWALRecord feeds arbitrary frame bodies to the WAL record decoder,
 # which must never panic and must re-encode every record it accepts to the
 # same bytes; FuzzWALFrame does the same one layer down, for whole frames
@@ -68,6 +71,7 @@ crash-test:
 # (testdata/fuzz/ in each package) also run in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNumber$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 20s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 20s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s ./internal/graphio/

@@ -221,7 +221,7 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 		cfg.Serve.Cache = NewCache(0)
 	}
 	root := filepath.Join(cfg.Dir, "tenants")
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := wal.MkdirAll(root); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	d := &Daemon{cfg: cfg, cache: cfg.Serve.Cache, tenants: map[string]*tenantSession{}}

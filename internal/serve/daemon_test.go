@@ -512,3 +512,32 @@ func TestDaemonFailedCompactionFailsClosed(t *testing.T) {
 		})
 	}
 }
+
+// TestDaemonOpenSyncsNewDirs: the directories OpenDaemon creates under a
+// fresh root are fsynced into their parents. With the sync failing the
+// open fails and leaves nothing behind, so a retry syncs again — a second
+// armed fault fails it too — and a retry on a healthy disk opens.
+func TestDaemonOpenSyncsNewDirs(t *testing.T) {
+	eio := errors.New("injected EIO")
+	dir := filepath.Join(t.TempDir(), "fresh", "wal")
+	cfg := DaemonConfig{Dir: dir, Serve: Config{Shards: 1}}
+	defer wal.FailNextSync(nil)
+	for try := 1; try <= 2; try++ {
+		wal.FailNextSync(eio)
+		if d, err := OpenDaemon(cfg); !errors.Is(err, eio) {
+			if d != nil {
+				d.Close()
+			}
+			t.Fatalf("open %d over a failed directory fsync returned %v, want %v", try, err, eio)
+		}
+		if _, err := os.Stat(filepath.Dir(dir)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("open %d failed but left %s behind (stat: %v)", try, filepath.Dir(dir), err)
+		}
+	}
+	wal.FailNextSync(nil)
+	d := openDaemon(t, cfg)
+	defer d.Close()
+	if _, _, err := d.AppendEpoch("t", 2, []wal.RowDelta{{Row: 0, Values: []float64{0, 1}}, {Row: 1, Values: []float64{1, 0}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+}

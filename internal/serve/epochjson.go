@@ -29,10 +29,11 @@ type epochRequest struct {
 // An epoch body is a dense n×n matrix of numbers — 10⁶ of them at 1000
 // instances — so the decoder is written for that one schema rather than
 // going through reflection: it scans a fixed window of the body by index,
-// checks each number against the JSON number grammar, parses it with the
-// strconv call encoding/json uses (so values are bit-identical), and
-// appends it straight into the row's []float64. The window grows only
-// when a single token (a key, the tenant, one number) is longer than it.
+// checks each number against the JSON number grammar and converts it in
+// the same pass (parseNumber, bit-identical to the strconv call
+// encoding/json uses), and appends it straight into the row's []float64.
+// The window grows only when a single token (a key, the tenant, one
+// number) is longer than it.
 //
 // It accepts exactly the bodies json.Decoder.Decode(&epochRequest{})
 // accepts and yields the same values, including that decoder's quirks:
@@ -238,9 +239,10 @@ func unquote(raw []byte, plain bool) (string, error) {
 	return s, err
 }
 
-// number consumes a number token and returns its bytes, which alias the
-// window until the next read.
-func (d *epochDecoder) number() ([]byte, error) {
+// numberToken consumes the longest run of number bytes and returns it,
+// not yet checked against the grammar. The slice aliases the window until
+// the next read.
+func (d *epochDecoder) numberToken() []byte {
 	start, i := d.pos, d.pos
 	for {
 		for i < d.end && numberByte[d.buf[i]] {
@@ -255,12 +257,23 @@ func (d *epochDecoder) number() ([]byte, error) {
 			break
 		}
 	}
-	tok := d.buf[start:i]
-	if !validNumber(tok) {
-		return nil, d.errorAt(start, "invalid number literal %q", tok)
-	}
 	d.pos = i
+	return d.buf[start:i]
+}
+
+// number consumes a number token, checked against the grammar, and
+// returns its bytes, which alias the window until the next read.
+func (d *epochDecoder) number() ([]byte, error) {
+	tok := d.numberToken()
+	if !validNumber(tok) {
+		return nil, d.invalidNumber(tok)
+	}
 	return tok, nil
+}
+
+// invalidNumber reports tok, the token just consumed, as no JSON number.
+func (d *epochDecoder) invalidNumber(tok []byte) error {
+	return d.errorAt(d.pos-len(tok), "invalid number literal %q", tok)
 }
 
 // validNumber reports whether b is exactly one JSON number:
@@ -305,6 +318,128 @@ func validNumber(b []byte) bool {
 		}
 	}
 	return i == len(b)
+}
+
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// parseNumber converts b to the float64 that strconv.ParseFloat(string(b),
+// 64) returns, bit for bit. valid is false when b is not exactly one JSON
+// number (validNumber's grammar); inRange is false when it is one but its
+// magnitude overflows a float64.
+//
+// It reads b once, checking the grammar while it gathers what strconv's
+// own scan gathers: the first 19 significant digits as an integer man
+// (10^19 fits a uint64), whether a nonzero digit fell beyond them, and
+// the decimal exponent exp, so that b = man × 10^exp. It then converts
+// through the first of three paths that applies, each of which yields the
+// correctly rounded value, as strconv does:
+//
+//   - man ≤ 2^53 and |exp| ≤ 22: man and 10^|exp| are exact float64s, so
+//     one IEEE multiply or divide rounds once, correctly (strconv's
+//     atof64exact);
+//   - eiselLemire64, strconv's next path, when exp is within its table
+//     and it can decide the rounding;
+//   - strconv.ParseFloat itself: more than 19 significant digits, an
+//     exponent beyond the table, Eisel-Lemire's rare undecided case, and
+//     results that overflow or fall into subnormals.
+func parseNumber(b []byte) (v float64, valid, inRange bool) {
+	i, neg := 0, false
+	if len(b) > 0 && b[0] == '-' {
+		i, neg = 1, true
+	}
+	if i == len(b) {
+		return 0, false, false
+	}
+	// nd counts significant digits (from the first nonzero one), dp is the
+	// decimal point's place counted in them, and trunc notes a nonzero
+	// digit past the 19th.
+	var man uint64
+	nd, dp, trunc := 0, 0, false
+	switch c := b[i]; {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+			} else if b[i] != '0' {
+				trunc = true
+			}
+			nd++
+		}
+	default:
+		return 0, false, false
+	}
+	dp = nd
+	if i < len(b) && b[i] == '.' {
+		i++
+		start := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			switch c := b[i]; {
+			case nd == 0 && c == '0':
+				dp-- // a leading zero of a fraction below one
+				continue
+			case nd < 19:
+				man = man*10 + uint64(c-'0')
+			case c != '0':
+				trunc = true
+			}
+			nd++
+		}
+		if i == start {
+			return 0, false, false
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		start, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // far beyond any float64; keeps e from overflowing
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == start {
+			return 0, false, false
+		}
+		if eneg {
+			e = -e
+		}
+		dp += e
+	}
+	if i != len(b) {
+		return 0, false, false
+	}
+
+	exp := 0
+	if nd > 0 {
+		exp = dp - min(nd, 19)
+	}
+	if !trunc {
+		if man <= 1<<53 && -22 <= exp && exp <= 22 {
+			f := float64(man)
+			if neg {
+				f = -f
+			}
+			if exp >= 0 {
+				return f * float64pow10[exp], true, true
+			}
+			return f / float64pow10[-exp], true, true
+		}
+		if f, ok := eiselLemire64(man, exp, neg); ok {
+			return f, true, true
+		}
+	}
+	f, err := strconv.ParseFloat(string(b), 64)
+	return f, true, err == nil
 }
 
 // key consumes an object key and its colon and returns the index of the
@@ -546,9 +681,10 @@ func (d *epochDecoder) tenant(dst *string) error {
 	return d.unexpected(c, "looking for tenant (a string)")
 }
 
-// numberOrNull consumes a number and returns its token, which aliases the
-// window until the next read, or consumes null and returns nil. what names
-// the destination for a type error.
+// numberOrNull consumes a number token, not yet checked against the
+// grammar, and returns it, aliasing the window until the next read; or it
+// consumes null and returns nil. what names the destination for a type
+// error.
 func (d *epochDecoder) numberOrNull(what string) ([]byte, error) {
 	c, err := d.peek()
 	if err != nil {
@@ -560,13 +696,16 @@ func (d *epochDecoder) numberOrNull(what string) ([]byte, error) {
 	if c != '-' && (c < '0' || c > '9') {
 		return nil, d.unexpected(c, "looking for "+what)
 	}
-	return d.number()
+	return d.numberToken(), nil
 }
 
 func (d *epochDecoder) integer(dst *int, what string) error {
 	tok, err := d.numberOrNull(what)
 	if err != nil || tok == nil {
 		return err
+	}
+	if !validNumber(tok) {
+		return d.invalidNumber(tok)
 	}
 	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil || int64(int(v)) != v {
@@ -581,8 +720,11 @@ func (d *epochDecoder) float(dst *float64, what string) error {
 	if err != nil || tok == nil {
 		return err
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
+	v, valid, inRange := parseNumber(tok)
+	if !valid {
+		return d.invalidNumber(tok)
+	}
+	if !inRange {
 		return d.errorAt(d.pos-len(tok), "cannot decode number %s into %s", tok, what)
 	}
 	*dst = v

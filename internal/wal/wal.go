@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -146,13 +147,8 @@ func segIndexOf(name string) (int, bool) {
 // A replay error aborts the open and is returned verbatim.
 func Open(dir string, opts Options, replay func(Record) error) (*Log, error) {
 	opts = opts.withDefaults()
-	if _, err := os.Stat(dir); err != nil {
-		if err = os.MkdirAll(dir, 0o755); err == nil {
-			err = syncDir(filepath.Dir(dir))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
+	if err := MkdirAll(dir); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -190,6 +186,42 @@ func Open(dir string, opts Options, replay func(Record) error) (*Log, error) {
 }
 
 func (l *Log) segPath(idx int) string { return filepath.Join(l.dir, segName(idx)) }
+
+// MkdirAll creates dir and whichever of its parents are missing, as
+// os.MkdirAll does, and makes each one it creates durable by fsyncing the
+// directory holding it. If a sync fails it removes what it created, so a
+// retry creates and syncs those levels again rather than finding them
+// present and skipping the sync.
+func MkdirAll(dir string) error {
+	// created lists the missing levels, innermost first.
+	var created []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		created = append(created, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := len(created) - 1; i >= 0; i-- {
+		if err := syncDir(filepath.Dir(created[i])); err != nil {
+			// Best effort: a level stays only if something else has
+			// already written into it, and the sync's error is the one
+			// to report.
+			for _, d := range created {
+				_ = os.Remove(d)
+			}
+			return err
+		}
+	}
+	return nil
+}
 
 // syncDir fsyncs a directory, making the names created or removed in it
 // durable. It goes through fsync, so FailNextSync reaches it too.

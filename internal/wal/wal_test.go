@@ -835,6 +835,54 @@ func TestDirectorySyncFailuresPoisonLog(t *testing.T) {
 	})
 }
 
+// TestMkdirAllFailedSyncRemovesLevels: MkdirAll removes every level it
+// created when a sync fails, so a retry creates and syncs them again
+// instead of finding them present; a directory already present is left
+// alone and synced nowhere.
+func TestMkdirAllFailedSyncRemovesLevels(t *testing.T) {
+	eio := errors.New("injected EIO")
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "c")
+	defer FailNextSync(nil)
+	// Fail the first sync, and nothing of a/b/c may stay behind.
+	FailNextSync(eio)
+	if err := MkdirAll(dir); !errors.Is(err, eio) {
+		t.Fatalf("MkdirAll over a failed fsync returned %v, want %v", err, eio)
+	}
+	if _, err := os.Stat(filepath.Join(root, "a")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed MkdirAll left %s behind (stat: %v)", filepath.Join(root, "a"), err)
+	}
+	// A retry syncs again: the fault, armed once more, fails it too.
+	FailNextSync(eio)
+	if err := MkdirAll(dir); !errors.Is(err, eio) {
+		t.Fatalf("retried MkdirAll over a failed fsync returned %v, want %v", err, eio)
+	}
+	FailNextSync(nil)
+	if err := MkdirAll(dir); err != nil {
+		t.Fatalf("retry on a healthy disk: %v", err)
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("stat %s after MkdirAll: %v", dir, err)
+	}
+	// A path through a file is refused, and nothing is created.
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := MkdirAll(filepath.Join(file, "x")); err == nil {
+		t.Fatal("MkdirAll through a file succeeded")
+	}
+	// Present already: nothing to create, nothing synced, so an armed
+	// fault stays armed.
+	FailNextSync(eio)
+	if err := MkdirAll(dir); err != nil {
+		t.Fatalf("MkdirAll of an existing directory: %v", err)
+	}
+	if err := syncDir(root); !errors.Is(err, eio) {
+		t.Fatalf("MkdirAll of an existing directory consumed the armed fault (next sync: %v)", err)
+	}
+}
+
 // TestFailedUnlinkPoisonsLog: a compacted segment that cannot be unlinked
 // fails the compaction closed.
 func TestFailedUnlinkPoisonsLog(t *testing.T) {
