@@ -8,7 +8,7 @@ GO ?= go
 # benchmarks are seconds-scale 1000-instance passes (3 iterations), and
 # micro benchmarks are ns-scale move evaluations (thousands).
 BENCH_PATTERN_MACRO ?= BenchmarkCPPerNodeBudget|BenchmarkCPThresholdDescent|BenchmarkCPSearchNode|BenchmarkCPTighten|BenchmarkDeltaEvalPortfolio|BenchmarkKMeans1D$$|BenchmarkPatchSortedPairs|BenchmarkWALReplay
-BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkEpochDecode|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSortedPairsRebuild
+BENCH_PATTERN_HEAVY ?= BenchmarkColdPrep1000|BenchmarkDaemonRestart|BenchmarkEpochDecode|BenchmarkKMeans1DLarge|BenchmarkPortfolio1000|BenchmarkStreamingAdvise|BenchmarkStreamingP99Advise|BenchmarkShardedServe|BenchmarkSortedPairsRebuild|BenchmarkWALAppendEpoch
 BENCH_PATTERN_MICRO ?= BenchmarkDeltaEvalLL|BenchmarkDeltaEvalLP
 BENCH_PATTERN ?= $(BENCH_PATTERN_MACRO)|$(BENCH_PATTERN_HEAVY)|$(BENCH_PATTERN_MICRO)
 # bench writes here; untracked (see .gitignore), so a local run never
@@ -55,13 +55,16 @@ crash-test:
 
 # fuzz runs the decoders' fuzz targets, 20 s each. FuzzEpochDecode is
 # differential: every POST /v1/epoch body must be accepted or refused
-# exactly as encoding/json would, with bit-identical values on acceptance.
+# exactly as encoding/json would, with bit-identical values on acceptance,
+# read whole and through small windows whose edges numbers straddle.
 # FuzzParseNumber is differential one layer down: the epoch decoder's
-# one-pass number parser against the JSON grammar check plus
-# strconv.ParseFloat, on single tokens, the same accepted and the same bits.
+# one-pass number scan against the JSON grammar check plus
+# strconv.ParseFloat, the same accepted and the same bits, on single tokens
+# and on tokens followed by one more byte, where the in-window scan must
+# find the token's exact end or decline.
 # FuzzWALRecord feeds arbitrary frame bodies to the WAL record decoder,
 # which must never panic and must re-encode every record it accepts to the
-# same bytes; FuzzWALFrame does the same one layer down, for whole frames
+# same bytes, of the length payloadLen sizes frames by; FuzzWALFrame does the same one layer down, for whole frames
 # (header, CRC, body). FuzzReadGraph feeds arbitrary documents to the graph
 # decoder behind -graph and POST /v1/advise: no panic, the node bound holds,
 # and every accepted graph round-trips through WriteGraph. FuzzAdviseRequest

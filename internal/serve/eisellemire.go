@@ -45,7 +45,7 @@ import (
 
 // pow10Table{Min,Max}Exp10 bound the powers of ten in pow10Table, both
 // inclusive. strconv's table spans 1e-348…1e347; latencies need far less,
-// and parseNumber leaves exponents outside this range to strconv.
+// and scanNumber leaves exponents outside this range to strconv.
 const (
 	pow10TableMinExp10 = -64
 	pow10TableMaxExp10 = +64

@@ -1,11 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"cloudia/internal/wal"
@@ -29,9 +30,10 @@ type epochRequest struct {
 // An epoch body is a dense n×n matrix of numbers — 10⁶ of them at 1000
 // instances — so the decoder is written for that one schema rather than
 // going through reflection: it scans a fixed window of the body by index,
-// checks each number against the JSON number grammar and converts it in
-// the same pass (parseNumber, bit-identical to the strconv call
-// encoding/json uses), and appends it straight into the row's []float64.
+// reads each number once where it lies in the window — checking it against
+// the JSON number grammar, finding its end and converting it in the same
+// pass (scanNumber, bit-identical to the strconv call encoding/json
+// uses) — and appends it straight into the row's []float64.
 // The window grows only when a single token (a key, the tenant, one
 // number) is longer than it.
 //
@@ -239,26 +241,33 @@ func unquote(raw []byte, plain bool) (string, error) {
 	return s, err
 }
 
-// numberToken consumes the longest run of number bytes and returns it,
-// not yet checked against the grammar. The slice aliases the window until
-// the next read.
-func (d *epochDecoder) numberToken() []byte {
-	start, i := d.pos, d.pos
+// numberRun finds the end of the run of number bytes that starts at
+// buf[start] and has reached buf[i], reading more of the body while the
+// run reaches the window's end and keeping buf[start:] in the window. It
+// returns the run's bounds, moved as the window moved.
+func (d *epochDecoder) numberRun(start, i int) (int, int) {
 	for {
 		for i < d.end && numberByte[d.buf[i]] {
 			i++
 		}
 		if i < d.end {
-			break
+			return start, i
 		}
 		shift, ok := d.fill(start)
 		start, i = start-shift, i-shift
 		if !ok {
-			break
+			return start, i
 		}
 	}
-	d.pos = i
-	return d.buf[start:i]
+}
+
+// numberToken consumes the longest run of number bytes and returns it,
+// not yet checked against the grammar. The slice aliases the window until
+// the next read.
+func (d *epochDecoder) numberToken() []byte {
+	start, end := d.numberRun(d.pos, d.pos)
+	d.pos = end
+	return d.buf[start:end]
 }
 
 // number consumes a number token, checked against the grammar, and
@@ -326,17 +335,24 @@ var float64pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// parseNumber converts b to the float64 that strconv.ParseFloat(string(b),
-// 64) returns, bit for bit. valid is false when b is not exactly one JSON
-// number (validNumber's grammar); inRange is false when it is one but its
-// magnitude overflows a float64.
+// scanNumber reads the JSON number at the head of b in one pass: it checks
+// the grammar, finds where the number ends and converts it. It returns
+// how far it read, n. ok reports that b[:n] is a JSON number and that
+// b[n], if b goes on, is a byte no number can contain; v is then
+// strconv.ParseFloat's value for b[:n], bit for bit, and inRange is false
+// when its magnitude overflows a float64. Otherwise b does not start with
+// a number the grammar accepts up to the end of its run of number bytes,
+// and the scan declines. When n == len(b) the scan ran to b's end, so b
+// may end inside the number: a caller holding only part of the input
+// reads more and scans again.
 //
-// It reads b once, checking the grammar while it gathers what strconv's
-// own scan gathers: the first 19 significant digits as an integer man
-// (10^19 fits a uint64), whether a nonzero digit fell beyond them, and
-// the decimal exponent exp, so that b = man × 10^exp. It then converts
-// through the first of three paths that applies, each of which yields the
-// correctly rounded value, as strconv does:
+// While it checks the grammar, the scan gathers what strconv's own scan
+// gathers: the first 19 significant digits as an integer man (10^19 fits
+// a uint64), whether a nonzero digit fell beyond them, and the decimal
+// exponent exp, so that the number is man × 10^exp. scanDigits takes
+// eight digits per step where it can. The scan then converts through the
+// first of three paths that applies, each of which yields the correctly
+// rounded value, as strconv does:
 //
 //   - man ≤ 2^53 and |exp| ≤ 22: man and 10^|exp| are exact float64s, so
 //     one IEEE multiply or divide rounds once, correctly (strconv's
@@ -346,52 +362,41 @@ var float64pow10 = [...]float64{
 //   - strconv.ParseFloat itself: more than 19 significant digits, an
 //     exponent beyond the table, Eisel-Lemire's rare undecided case, and
 //     results that overflow or fall into subnormals.
-func parseNumber(b []byte) (v float64, valid, inRange bool) {
+func scanNumber(b []byte) (v float64, n int, ok, inRange bool) {
 	i, neg := 0, false
 	if len(b) > 0 && b[0] == '-' {
 		i, neg = 1, true
 	}
 	if i == len(b) {
-		return 0, false, false
+		return 0, i, false, false
 	}
 	// nd counts significant digits (from the first nonzero one), dp is the
 	// decimal point's place counted in them, and trunc notes a nonzero
 	// digit past the 19th.
 	var man uint64
-	nd, dp, trunc := 0, 0, false
+	nd, trunc := 0, false
 	switch c := b[i]; {
 	case c == '0':
 		i++
 	case '1' <= c && c <= '9':
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			if nd < 19 {
-				man = man*10 + uint64(b[i]-'0')
-			} else if b[i] != '0' {
-				trunc = true
-			}
-			nd++
-		}
+		i, man, nd, trunc = scanDigits(b, i, man, nd, trunc)
 	default:
-		return 0, false, false
+		return 0, i, false, false
 	}
-	dp = nd
+	dp := nd
 	if i < len(b) && b[i] == '.' {
 		i++
 		start := i
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			switch c := b[i]; {
-			case nd == 0 && c == '0':
-				dp-- // a leading zero of a fraction below one
-				continue
-			case nd < 19:
-				man = man*10 + uint64(c-'0')
-			case c != '0':
-				trunc = true
+		if nd == 0 {
+			// Leading zeros of a fraction below one only move the point.
+			for i < len(b) && b[i] == '0' {
+				i++
 			}
-			nd++
+			dp -= i - start
 		}
+		i, man, nd, trunc = scanDigits(b, i, man, nd, trunc)
 		if i == start {
-			return 0, false, false
+			return 0, i, false, false
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
@@ -408,15 +413,15 @@ func parseNumber(b []byte) (v float64, valid, inRange bool) {
 			}
 		}
 		if i == start {
-			return 0, false, false
+			return 0, i, false, false
 		}
 		if eneg {
 			e = -e
 		}
 		dp += e
 	}
-	if i != len(b) {
-		return 0, false, false
+	if i < len(b) && numberByte[b[i]] {
+		return 0, i, false, false // as in 01, 1.5.3 or 2e5e1
 	}
 
 	exp := 0
@@ -430,16 +435,55 @@ func parseNumber(b []byte) (v float64, valid, inRange bool) {
 				f = -f
 			}
 			if exp >= 0 {
-				return f * float64pow10[exp], true, true
+				return f * float64pow10[exp], i, true, true
 			}
-			return f / float64pow10[-exp], true, true
+			return f / float64pow10[-exp], i, true, true
 		}
 		if f, ok := eiselLemire64(man, exp, neg); ok {
-			return f, true, true
+			return f, i, true, true
 		}
 	}
-	f, err := strconv.ParseFloat(string(b), 64)
-	return f, true, err == nil
+	f, err := strconv.ParseFloat(string(b[:i]), 64)
+	return f, i, true, err == nil
+}
+
+// scanDigits reads the run of decimal digits at b[i:] into the mantissa
+// man, which holds nd significant digits so far: up to 19 are kept, and
+// trunc notes a nonzero digit past them. It returns where the run ends
+// and the updated mantissa. While eight bytes remain and the mantissa has
+// room for eight more digits, it loads them as one little-endian uint64
+// and checks and converts all eight at once (Lemire, "Number Parsing at a
+// Gigabyte per Second", section 5); the rest go one at a time.
+func scanDigits(b []byte, i int, man uint64, nd int, trunc bool) (int, uint64, int, bool) {
+	for nd <= 19-8 && len(b)-i >= 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		// Each byte is a digit iff its high nibble is 3 and adding 6 leaves
+		// it 3; a byte that carries out of the addition fails its own test.
+		if (x&0xF0F0F0F0F0F0F0F0)|(((x+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4) != 0x3333333333333333 {
+			break
+		}
+		// Combine the digit values pairwise, then pairs of pairs, then the
+		// two halves: the first digit sits in the lowest byte.
+		x -= 0x3030303030303030
+		x = x*10 + x>>8
+		x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		man = man*100000000 + uint64(uint32(x))
+		nd += 8
+		i += 8
+	}
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		if nd < 19 {
+			man = man*10 + uint64(c)
+		} else if c != 0 {
+			trunc = true
+		}
+		nd++
+	}
+	return i, man, nd, trunc
 }
 
 // key consumes an object key and its colon and returns the index of the
@@ -459,12 +503,19 @@ func (d *epochDecoder) key(names []string) (int, error) {
 	}
 	field := -1
 	if len(names) > 0 {
-		k, err := unquote(raw, plain)
-		if err != nil {
-			return 0, err
+		// A plain key is compared where it lies in the window; only an
+		// escaped one is unquoted first. bytes.EqualFold folds exactly as
+		// strings.EqualFold does.
+		k := raw[1 : len(raw)-1]
+		if !plain {
+			s, err := unquote(raw, plain)
+			if err != nil {
+				return 0, err
+			}
+			k = []byte(s)
 		}
 		for i, name := range names {
-			if strings.EqualFold(k, name) {
+			if bytes.EqualFold(k, []byte(name)) {
 				field = i
 				break
 			}
@@ -715,20 +766,46 @@ func (d *epochDecoder) integer(dst *int, what string) error {
 	return nil
 }
 
+// float decodes a number, or null, which leaves *dst unchanged.
 func (d *epochDecoder) float(dst *float64, what string) error {
-	tok, err := d.numberOrNull(what)
-	if err != nil || tok == nil {
+	c, err := d.peek()
+	if err != nil {
 		return err
 	}
-	v, valid, inRange := parseNumber(tok)
-	if !valid {
-		return d.invalidNumber(tok)
+	if c == 'n' {
+		return d.literal("null")
 	}
+	if c != '-' && (c < '0' || c > '9') {
+		return d.unexpected(c, "looking for "+what)
+	}
+	v, err := d.scanFloat(what)
+	if err == nil {
+		*dst = v
+	}
+	return err
+}
+
+// scanFloat consumes the number that starts at d.pos, scanning it once in
+// the window (see scanNumber). A number the window's end cuts off is read
+// to the end of its run of number bytes, keeping its start, and scanned
+// again. A number the scan declines is consumed as numberToken finds it,
+// which words the error as integer and skip do.
+func (d *epochDecoder) scanFloat(what string) (float64, error) {
+	start := d.pos
+	v, n, ok, inRange := scanNumber(d.buf[start:d.end])
+	if start+n == d.end && d.err == nil {
+		start, _ = d.numberRun(start, d.end)
+		v, n, ok, inRange = scanNumber(d.buf[start:d.end])
+	}
+	if !ok {
+		d.pos = start
+		return 0, d.invalidNumber(d.numberToken())
+	}
+	d.pos = start + n
 	if !inRange {
-		return d.errorAt(d.pos-len(tok), "cannot decode number %s into %s", tok, what)
+		return 0, d.errorAt(start, "cannot decode number %s into %s", d.buf[start:d.pos], what)
 	}
-	*dst = v
-	return nil
+	return v, nil
 }
 
 // rows decodes an array of row deltas into *dst. Like encoding/json it
@@ -806,16 +883,49 @@ func (d *epochDecoder) values(dst *[]float64) error {
 	if cap(vals) == 0 && d.rowLen > 0 {
 		vals = make([]float64, 0, d.rowLen)
 	}
-	n, err := d.array(func(i int) error {
-		if i < cap(vals) {
-			vals = vals[:i+1]
+	// The array is read here rather than through array: in a dense body
+	// each element is a number followed by ',' in the window, which this
+	// loop consumes without a call per element to peek or to a closure.
+	// Anything else — whitespace, null, the window's end — goes the
+	// general way.
+	const what = "values element (a number)"
+	d.pos++
+	if c, err = d.peek(); err != nil {
+		return err
+	}
+	n := 0
+	if c == ']' {
+		d.pos++
+	}
+	for c != ']' {
+		if n < cap(vals) {
+			vals = vals[:n+1]
 		} else {
 			vals = append(vals, 0)
 		}
-		return d.float(&vals[i], "values element (a number)")
-	})
-	if err != nil {
-		return err
+		if d.pos < d.end && (d.buf[d.pos]-'0' <= 9 || d.buf[d.pos] == '-') {
+			vals[n], err = d.scanFloat(what)
+		} else {
+			err = d.float(&vals[n], what)
+		}
+		if err != nil {
+			return err
+		}
+		n++
+		if d.pos < d.end {
+			c = d.buf[d.pos]
+		}
+		if d.pos == d.end || c != ',' && c != ']' {
+			if c, err = d.peek(); err != nil {
+				return err
+			}
+		}
+		switch c {
+		case ',', ']':
+			d.pos++
+		default:
+			return d.unexpected(c, "after array element")
+		}
 	}
 	if n == 0 {
 		vals = []float64{}

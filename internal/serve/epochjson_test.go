@@ -66,9 +66,21 @@ func rowsDiff(got, want []wal.RowDelta) string {
 	return ""
 }
 
+// shortReader returns at most n bytes per Read.
+type shortReader struct {
+	r io.Reader
+	n int
+}
+
+func (s shortReader) Read(p []byte) (int, error) {
+	return s.r.Read(p[:min(len(p), s.n)])
+}
+
 // decodeAllWays decodes body through the production window and through
 // tiny windows fed by readers that return a byte or a few at a time, so
-// every token also straddles refills and outgrows the window.
+// every token also straddles refills and outgrows the window. With 7-byte
+// reads into a 64-byte window, numbers end inside the bytes read so far,
+// end exactly at their edge, and straddle it, without the window growing.
 func decodeAllWays(body []byte) map[string]func() (epochRequest, error) {
 	return map[string]func() (epochRequest, error){
 		"whole": func() (epochRequest, error) { return decodeEpoch(bytes.NewReader(body)) },
@@ -77,6 +89,9 @@ func decodeAllWays(body []byte) map[string]func() (epochRequest, error) {
 		},
 		"half reads, data with EOF, 16-byte window": func() (epochRequest, error) {
 			return newEpochDecoder(iotest.DataErrReader(iotest.HalfReader(bytes.NewReader(body))), 16).request()
+		},
+		"7-byte reads, 64-byte window": func() (epochRequest, error) {
+			return newEpochDecoder(shortReader{bytes.NewReader(body), 7}, 64).request()
 		},
 	}
 }
@@ -166,6 +181,33 @@ func TestEpochDecodeErrors(t *testing.T) {
 	_, err = decodeEpoch(iotest.ErrReader(nil))
 	if !errors.Is(err, io.ErrNoProgress) {
 		t.Fatalf("stalled reader surfaced as %v, want io.ErrNoProgress", err)
+	}
+}
+
+// TestEpochDecodeNumberErrors pins the whole message for numbers the
+// decoder refuses, every way decodeAllWays reads the body: a valid number
+// that runs on into bytes a number can contain names the whole run, at
+// the offset where it starts, as do numbers cut short and numbers too
+// large for a float64.
+func TestEpochDecodeNumberErrors(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"rows":[{"values":[0.5,1.5.3]}]}`, `invalid number literal "1.5.3" at byte offset 24`},
+		{`{"rows":[{"values":[2e5e1]}]}`, `invalid number literal "2e5e1" at byte offset 20`},
+		{`{"tail_pct":1-2}`, `invalid number literal "1-2" at byte offset 12`},
+		{`{"rows":[{"values":[7,01]}]}`, `invalid number literal "01" at byte offset 22`},
+		{`{"rows":[{"values":[-]}]}`, `invalid number literal "-" at byte offset 20`},
+		{`{"rows":[{"values":[1.]}]}`, `invalid number literal "1." at byte offset 20`},
+		{`{"rows":[{"values":[0.123456789012e+]}]}`, `invalid number literal "0.123456789012e+" at byte offset 20`},
+		{`{"rows":[{"values":[1.5,1.2345678e5e]}]}`, `invalid number literal "1.2345678e5e" at byte offset 24`},
+		{`{"rows":[{"values":[1,1.5e999]}]}`, `cannot decode number 1.5e999 into values element (a number) at byte offset 22`},
+		{`{"tail_pct":-1e400}`, `cannot decode number -1e400 into tail_pct (a number) at byte offset 12`},
+		{`{"rows":[{"values":[1,2.5`, `unexpected end of JSON input at byte offset 25`},
+	} {
+		for name, decode := range decodeAllWays([]byte(tc.body)) {
+			if _, err := decode(); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: %q: error %v, want %q", name, tc.body, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,19 @@ import (
 	"testing"
 )
 
+// parseNumber is scanNumber on a whole token: it converts b to the
+// float64 that strconv.ParseFloat(string(b), 64) returns, bit for bit.
+// valid is false when b is not exactly one JSON number (validNumber's
+// grammar); inRange is false when it is one but its magnitude overflows a
+// float64.
+func parseNumber(b []byte) (v float64, valid, inRange bool) {
+	v, n, ok, inRange := scanNumber(b)
+	if !ok || n != len(b) {
+		return 0, false, false
+	}
+	return v, true, inRange
+}
+
 // parseNumberOracle is the reference parseNumber must match: the JSON
 // grammar check, then strconv.
 func parseNumberOracle(b []byte) (v float64, valid, inRange bool) {
@@ -31,6 +44,36 @@ func parseNumberDiff(s string) string {
 	}
 	return ""
 }
+
+// scanNumberDiff describes how scanNumber, the decoder's in-window entry
+// point, disagrees with the rule the decoder must follow on b, or returns
+// "". The number is numberToken's: the longest run of number bytes at b's
+// head. When that run is one JSON number, the scan must return its exact
+// length and strconv's bits for it; otherwise it must decline.
+func scanNumberDiff(b []byte) string {
+	run := 0
+	for run < len(b) && numberByte[b[run]] {
+		run++
+	}
+	want, wantValid, wantInRange := parseNumberOracle(b[:run])
+	got, n, ok, inRange := scanNumber(b)
+	switch {
+	case ok != wantValid:
+		return fmt.Sprintf("%q: scan ok %v, want %v", b, ok, wantValid)
+	case !ok:
+		return ""
+	case n != run || inRange != wantInRange:
+		return fmt.Sprintf("%q: scan read %d bytes, in range %v; want %d, %v", b, n, inRange, run, wantInRange)
+	case math.Float64bits(got) != math.Float64bits(want):
+		return fmt.Sprintf("%q: scan %v (%#x), want %v (%#x)", b, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return ""
+}
+
+// scanSuffixes follow each hand case in TestParseNumberCases: bytes that
+// end a number in a body, and bytes a number can contain that make most
+// cases invalid.
+var scanSuffixes = []string{",", "]", " ", "}", "0", ".", "e", "-", "+", ".5", "e5"}
 
 // parseNumberCases are the corners of parseNumber's grammar and of each
 // of its conversion paths, by hand. valid and inRange are what both
@@ -84,6 +127,24 @@ var parseNumberCases = []struct {
 	{"99999999999999999999", true, true},
 	{"1.0000000000000000000", true, true},
 	{"0.000123456789012345678901", true, true},
+	{"0.00000000123456789", true, true},
+	// Where scanDigits takes eight digits in one load: exactly 8, 16 and
+	// 19 digits, and loads that meet a non-digit — the end of the number,
+	// an exponent, a separator, and the bytes on either side of '0'-'9'
+	// and one that carries out of the digit test's addition.
+	{"12345678", true, true},
+	{"0.12345678", true, true},
+	{"0.1234567812345678", true, true},
+	{"0.1234567890123456789", true, true},
+	{"1234567812345678.5", true, true},
+	{"1.2345678e5", true, true},
+	{"9.87654321", true, true},
+	{"9.87654321,", false, false},
+	{"1.2345678,", false, false},
+	{"0.1234567/8", false, false},
+	{"0.1234567:8", false, false},
+	{"0.123\xfa45678", false, false},
+	{"1.2345678-5", false, false},
 	// Subnormals, underflow to zero, the largest float64, and overflow.
 	{"5e-324", true, true},
 	{"4.9406564584124654e-324", true, true},
@@ -115,6 +176,9 @@ var parseNumberCases = []struct {
 	{"--1", false, false},
 	{"1ee5", false, false},
 	{"1.2.3", false, false},
+	{"1.5.3", false, false},
+	{"2e5e1", false, false},
+	{"1-2", false, false},
 	{"Infinity", false, false},
 }
 
@@ -125,6 +189,11 @@ func TestParseNumberCases(t *testing.T) {
 		}
 		if d := parseNumberDiff(tc.s); d != "" {
 			t.Error(d)
+		}
+		for _, suffix := range append(scanSuffixes, "") {
+			if d := scanNumberDiff([]byte(tc.s + suffix)); d != "" {
+				t.Error(d)
+			}
 		}
 	}
 }
@@ -215,13 +284,21 @@ func TestEiselLemireDirect(t *testing.T) {
 
 // FuzzParseNumber checks parseNumber against validNumber and
 // strconv.ParseFloat directly, where FuzzEpochDecode reaches it only
-// through whole bodies: the same strings accepted and the same bits.
+// through whole bodies: the same strings accepted and the same bits. It
+// then appends a byte and checks scanNumber, the in-window entry point, by
+// scanNumberDiff: the token's exact length and strconv's bits, or a
+// decline where the grammar refuses the token.
 func FuzzParseNumber(f *testing.F) {
 	for _, tc := range parseNumberCases {
-		f.Add(tc.s)
+		for _, c := range []byte{',', '5', 'e'} {
+			f.Add(tc.s, c)
+		}
 	}
-	f.Fuzz(func(t *testing.T, s string) {
+	f.Fuzz(func(t *testing.T, s string, c byte) {
 		if d := parseNumberDiff(s); d != "" {
+			t.Fatal(d)
+		}
+		if d := scanNumberDiff(append([]byte(s), c)); d != "" {
 			t.Fatal(d)
 		}
 	})

@@ -2,6 +2,9 @@ package wal
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"cloudia/internal/core"
@@ -87,5 +90,47 @@ func BenchmarkWALReplay(b *testing.B) {
 		if gotFP != wantFP {
 			b.Fatal("replayed matrix diverged")
 		}
+	}
+}
+
+// BenchmarkWALAppendEpoch appends one dense 1000-instance epoch — 1000 rows
+// of 1000 values, an 8 MB frame — to a fresh log, the first durable write
+// of a tenant's cold start. B/op shows the frame buffer allocated once at
+// its exact size; the log's open and close are outside the timer.
+func BenchmarkWALAppendEpoch(b *testing.B) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(42))
+	rec := &EpochRecord{Epoch: 1, Fingerprint: 1, N: n, Rows: make([]RowDelta, n)}
+	for i := range rec.Rows {
+		vals := make([]float64, n)
+		for j := range vals {
+			if j != i {
+				vals[j] = rng.Float64() * 10
+			}
+		}
+		rec.Rows[i] = RowDelta{Row: i, Values: vals}
+	}
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(root, strconv.Itoa(i))
+		l, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 64 << 20}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := l.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -14,7 +14,8 @@ import (
 // The seed corpus in testdata/fuzz/FuzzWALRecord holds one record of each
 // kind, the overflow payloads of TestDecodeRecordOverflowGuards, and an
 // advice whose epoch is the overlong uvarint 0x81 0x00 (which the decoder
-// must refuse, or the record would have two encodings); run `make fuzz` to
+// must refuse, or the record would have two encodings). payloadLen, which
+// sizes frames, must also give the encoding's exact length. Run `make fuzz` to
 // explore beyond it.
 func FuzzWALRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -30,6 +31,9 @@ func FuzzWALRecord(f *testing.F) {
 		}
 		if got := rec.appendPayload(nil); !bytes.Equal(got, body[1:]) {
 			t.Fatalf("%T re-encodes to\n%x\nnot\n%x", rec, got, body[1:])
+		}
+		if n := rec.payloadLen(); n != len(body)-1 {
+			t.Fatalf("%T payloadLen %d, encoded %d bytes", rec, n, len(body)-1)
 		}
 	})
 }

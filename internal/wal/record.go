@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"cloudia/internal/core"
 )
@@ -29,6 +30,9 @@ const (
 // AdviceRecord, and SnapshotRecord.
 type Record interface {
 	kind() byte
+	// payloadLen is the exact length of the payload appendPayload writes,
+	// so a frame is sized once before it is encoded.
+	payloadLen() int
 	appendPayload(buf []byte) []byte
 }
 
@@ -122,15 +126,75 @@ func appendUint(buf []byte, v int) []byte {
 	return binary.AppendUvarint(buf, uint64(v))
 }
 
-// appendF64 appends the raw little-endian bit pattern of v.
-func appendF64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// appendF64 appends the raw little-endian bit patterns of vs. A whole row
+// is one call: the space is reserved once and each value written into it.
+func appendF64(buf []byte, vs ...float64) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, 8*len(vs))[:n+8*len(vs)]
+	out := buf[n:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+	return buf
 }
 
 // appendString appends a uvarint length followed by the bytes.
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
+}
+
+// uintLen is the length of appendUint's encoding of v.
+func uintLen(v int) int {
+	n := 1
+	for u := uint64(v); u >= 0x80; u >>= 7 {
+		n++
+	}
+	return n
+}
+
+// stringLen is the length of appendString's encoding of s.
+func stringLen(s string) int { return uintLen(len(s)) + len(s) }
+
+// rowsLen is the length of a row-delta section: its count, then each row's
+// index and values.
+func rowsLen(rows []RowDelta) int {
+	n := uintLen(len(rows))
+	for _, row := range rows {
+		n += uintLen(row.Row) + 8*len(row.Values)
+	}
+	return n
+}
+
+func (r *EpochRecord) payloadLen() int {
+	n := uintLen(r.Epoch) + 8 + uintLen(r.N) + rowsLen(r.Rows) + 1
+	if r.TailPct != 0 {
+		n += 8 + 8 + rowsLen(r.TailRows)
+	}
+	return n
+}
+
+func (r *AdviceRecord) payloadLen() int {
+	n := uintLen(r.Epoch) + 8 + stringLen(r.SolverName) + uintLen(max(r.ClusterK, 0)) +
+		stringLen(r.Objective) + stringLen(r.Metric) + stringLen(r.Winner) + 8 +
+		uintLen(len(r.Deployment))
+	for _, inst := range r.Deployment {
+		n += uintLen(inst)
+	}
+	return n
+}
+
+func (r *SnapshotRecord) payloadLen() int {
+	size := r.Matrix.Size()
+	n := uintLen(r.Epoch) + 8 + uintLen(size) + 8*size*size + 1
+	if r.Advice != nil {
+		n += r.Advice.payloadLen()
+	}
+	n++
+	if r.Tail != nil {
+		n += 8 + 8 + 8*size*size
+	}
+	return n
 }
 
 func (r *EpochRecord) appendPayload(buf []byte) []byte {
@@ -140,9 +204,7 @@ func (r *EpochRecord) appendPayload(buf []byte) []byte {
 	buf = appendUint(buf, len(r.Rows))
 	for _, row := range r.Rows {
 		buf = appendUint(buf, row.Row)
-		for _, v := range row.Values {
-			buf = appendF64(buf, v)
-		}
+		buf = appendF64(buf, row.Values...)
 	}
 	if r.TailPct == 0 {
 		return append(buf, 0)
@@ -153,9 +215,7 @@ func (r *EpochRecord) appendPayload(buf []byte) []byte {
 	buf = appendUint(buf, len(r.TailRows))
 	for _, row := range r.TailRows {
 		buf = appendUint(buf, row.Row)
-		for _, v := range row.Values {
-			buf = appendF64(buf, v)
-		}
+		buf = appendF64(buf, row.Values...)
 	}
 	return buf
 }
@@ -186,9 +246,7 @@ func (r *SnapshotRecord) appendPayload(buf []byte) []byte {
 	n := r.Matrix.Size()
 	buf = appendUint(buf, n)
 	for i := 0; i < n; i++ {
-		for _, v := range r.Matrix.Row(i) {
-			buf = appendF64(buf, v)
-		}
+		buf = appendF64(buf, r.Matrix.Row(i)...)
 	}
 	if r.Advice == nil {
 		buf = append(buf, 0)
@@ -203,9 +261,7 @@ func (r *SnapshotRecord) appendPayload(buf []byte) []byte {
 	buf = appendF64(buf, r.TailPct)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.TailFingerprint))
 	for i := 0; i < n; i++ {
-		for _, v := range r.Tail.Row(i) {
-			buf = appendF64(buf, v)
-		}
+		buf = appendF64(buf, r.Tail.Row(i)...)
 	}
 	return buf
 }

@@ -26,6 +26,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -407,16 +408,20 @@ func (l *Log) write(rec Record) error {
 	return nil
 }
 
-// frame encodes rec into the reusable scratch buffer.
+// frame encodes rec into the reusable scratch buffer. The buffer is sized
+// for the whole frame first, so a large record is written into space
+// reserved once rather than grown into, and one over the cap is refused
+// before any of it is encoded.
 func (l *Log) frame(rec Record) ([]byte, error) {
-	l.buf = l.buf[:0]
+	size := 1 + rec.payloadLen() // kind byte + payload
+	if size > maxFrameBytes {
+		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", size, maxFrameBytes)
+	}
+	l.buf = slices.Grow(l.buf[:0], frameHeaderBytes+size)
 	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	l.buf = append(l.buf, rec.kind())
 	l.buf = rec.appendPayload(l.buf)
 	body := l.buf[frameHeaderBytes:]
-	if len(body) > maxFrameBytes {
-		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", len(body), maxFrameBytes)
-	}
 	binary.LittleEndian.PutUint32(l.buf, uint32(len(body)))
 	binary.LittleEndian.PutUint32(l.buf[4:], crc32.Checksum(body, castagnoli))
 	return l.buf, nil
