@@ -129,33 +129,35 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 	}
 	name, clusterK, budget := searchDefaults(cfg.SolverName, paperSolver(cfg.Objective), cfg.ClusterK, cfg.SolverBudget)
 
-	// solveAt measures the network at the given hour and searches a plan.
-	// The problem is returned so each period's cost evaluations reuse it —
-	// and with it the shared Prep artifacts its solver already computed —
-	// instead of rebuilding an identical problem from the same matrix.
+	// solveAt measures the network at the given hour and searches a plan:
+	// the one measure→advise pipeline with a single final epoch, solved in
+	// one round with the whole budget. The problem is returned so each
+	// period's cost evaluations reuse it instead of rebuilding an identical
+	// problem from the same matrix.
 	solveAt := func(hours float64, seed int64) (*solver.Problem, core.Deployment, error) {
-		meas, err := measure.Run(prov.Datacenter(), instances, measure.Options{
-			Scheme:     measure.Staged,
-			DurationMS: dur,
-			Seed:       seed,
-			StartHours: hours,
+		st, err := measure.Stream(prov.Datacenter(), instances, measure.Options{
+			Scheme:          measure.Staged,
+			DurationMS:      dur,
+			Seed:            seed,
+			StartHours:      hours,
+			SnapshotEveryMS: dur,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		prob, err := solver.NewProblem(cfg.Graph, meas.MeanMatrix(), cfg.Objective)
+		out, err := SolveStream(st.Epochs, StreamSolveConfig{
+			Graph:         cfg.Graph,
+			ObjectiveSpec: ObjectiveSpec{Objective: cfg.Objective},
+			SolverName:    name,
+			ClusterK:      clusterK,
+			RoundBudget:   budget,
+			Seed:          seed,
+		})
+		st.Wait()
 		if err != nil {
 			return nil, nil, err
 		}
-		sol, err := NewSolver(name, clusterK, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := sol.Solve(prob, budget)
-		if err != nil {
-			return nil, nil, err
-		}
-		return prob, res.Deployment, nil
+		return out.Problem, out.Deployment, nil
 	}
 
 	_, initial, err := solveAt(0, cfg.Seed)

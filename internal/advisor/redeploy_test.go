@@ -1,9 +1,11 @@
 package advisor
 
 import (
+	"reflect"
 	"testing"
 
 	"cloudia/internal/cloud"
+	"cloudia/internal/core"
 	"cloudia/internal/solver"
 	"cloudia/internal/topology"
 )
@@ -182,5 +184,75 @@ func TestRedeployAllocationSize(t *testing.T) {
 	}
 	if p.LiveInstances() != before {
 		t.Fatalf("negative over-allocation allocated %d instances", p.LiveInstances()-before)
+	}
+}
+
+// TestRedeployReportsPinned pins two whole re-deployment sessions, one per
+// objective (CP on a 5x5 mesh, MIP on a two-level tree), to the reports
+// recorded when each period still ran its own measure.Run and Solve: every
+// period now goes through the one measure.Stream + SolveStream pipeline,
+// and must not move a single deployment or cost bit.
+func TestRedeployReportsPinned(t *testing.T) {
+	tree, err := core.TwoLevelAggregation(3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		g             *core.Graph
+		obj           solver.Objective
+		initial       core.Deployment
+		final         core.Deployment
+		periods       []PeriodOutcome
+		redeployments int
+		moves         int
+	}{
+		{
+			name:    "mesh5x5/longest-link",
+			g:       meshGraph(t, 5, 5),
+			obj:     solver.LongestLink,
+			initial: core.Deployment{15, 3, 29, 2, 24, 11, 5, 23, 31, 10, 19, 1, 9, 17, 26, 22, 30, 27, 7, 8, 14, 25, 12, 6, 13},
+			final:   core.Deployment{25, 6, 17, 29, 11, 19, 23, 27, 5, 12, 13, 2, 9, 4, 30, 8, 7, 18, 28, 1, 3, 24, 20, 16, 22},
+			periods: []PeriodOutcome{
+				{Hours: 8, StaticCost: 0.9980380481787279, AdaptiveCost: 0.5303931568447225, Redeployed: true, MovedNodes: 25},
+				{Hours: 16, StaticCost: 0.7470634020501052, AdaptiveCost: 0.5203250032488554, Redeployed: true, MovedNodes: 25},
+				{Hours: 24, StaticCost: 0.6417688439852668, AdaptiveCost: 0.5251116455040461, Redeployed: true, MovedNodes: 23},
+				{Hours: 32, StaticCost: 1.3080457612470893, AdaptiveCost: 0.5331102101942974, Redeployed: true, MovedNodes: 25},
+				{Hours: 40, StaticCost: 1.3294354192745799, AdaptiveCost: 0.5371876648968736, Redeployed: true, MovedNodes: 22},
+			},
+			redeployments: 5, moves: 120,
+		},
+		{
+			name:    "twolevel3x9/longest-path",
+			g:       tree,
+			obj:     solver.LongestPath,
+			initial: core.Deployment{0, 11, 12, 8, 9, 6, 2, 1, 14, 13, 5, 16, 4},
+			final:   core.Deployment{1, 11, 9, 16, 13, 2, 5, 15, 4, 14, 8, 6, 3},
+			periods: []PeriodOutcome{
+				{Hours: 8, StaticCost: 1.507732149147546, AdaptiveCost: 1.038710737599473, Redeployed: true, MovedNodes: 12},
+				{Hours: 16, StaticCost: 1.20382403924239, AdaptiveCost: 1.0095654567623682, Redeployed: true, MovedNodes: 13},
+				{Hours: 24, StaticCost: 1.139655433211749, AdaptiveCost: 1.0009278591012205, Redeployed: true, MovedNodes: 9},
+				{Hours: 32, StaticCost: 1.504128531057472, AdaptiveCost: 1.0354292789286987, Redeployed: true, MovedNodes: 10},
+				{Hours: 40, StaticCost: 1.6375531436101132, AdaptiveCost: 1.0941713213702287, Redeployed: true, MovedNodes: 10},
+			},
+			redeployments: 5, moves: 54,
+		},
+	} {
+		rep, err := RunRedeploy(shiftingProvider(t, 8, 31), RedeployConfig{
+			Graph: c.g, Objective: c.obj, OverAllocation: 0.25, PeriodHours: 8, Periods: 5,
+			MinImprovement: 0.05, Seed: 31, SolverBudget: solver.Budget{Nodes: 200_000},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(rep.Initial, c.initial) || !reflect.DeepEqual(rep.Final, c.final) {
+			t.Errorf("%s: initial/final = %v / %v, want %v / %v", c.name, rep.Initial, rep.Final, c.initial, c.final)
+		}
+		if !reflect.DeepEqual(rep.Periods, c.periods) {
+			t.Errorf("%s: periods = %+v, want %+v", c.name, rep.Periods, c.periods)
+		}
+		if rep.Redeployments != c.redeployments || rep.TotalMoves != c.moves {
+			t.Errorf("%s: redeployments/moves = %d/%d, want %d/%d", c.name, rep.Redeployments, rep.TotalMoves, c.redeployments, c.moves)
+		}
 	}
 }

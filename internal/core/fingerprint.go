@@ -62,29 +62,6 @@ func (m *CostMatrix) Fingerprint() Fingerprint {
 	return combineRowHashes(m.n, rowHash)
 }
 
-// Fingerprint returns the graph's content hash: node count, then every
-// edge's endpoints and weight in insertion order. Insertion order is part of
-// the content on purpose — derived artifacts (incidence lists, the
-// transposed edge list, topological orders) are functions of Edges() order,
-// so two graphs must only share artifacts when their edge lists match
-// index-for-index, not merely as sets. Like the matrix hash, the result is
-// never 0, so callers can reserve 0 as an absent marker. O(|E|).
-func (g *Graph) Fingerprint() Fingerprint {
-	h := fnvOffset64
-	h ^= uint64(g.n)
-	h *= fnvPrime64
-	for k, e := range g.edges {
-		h ^= uint64(uint32(e.From))<<32 | uint64(uint32(e.To))
-		h *= fnvPrime64
-		h ^= math.Float64bits(g.edgeWeight(k))
-		h *= fnvPrime64
-	}
-	if h == 0 {
-		h = 1
-	}
-	return Fingerprint(h)
-}
-
 // Fingerprint returns the content hash of the matrix's current values,
 // maintained incrementally: only rows written with a different value since
 // the last Fingerprint call are rehashed, so a streaming producer that

@@ -10,7 +10,7 @@ import (
 
 // Cache is the content-addressed Prep artifact store shared by every worker.
 // The matrix-derived artifacts — cluster-K rounded matrices and sorted pair
-// lists, their transposes, cheapest-link rows — are deterministic functions
+// lists, cheapest-link rows — are deterministic functions
 // of the cost-matrix content, so one solver.MatrixPrep per
 // core.CostMatrix.Fingerprint serves every problem, tenant and worker over
 // that content. Two tenants whose measurements produced identical matrices
@@ -38,14 +38,6 @@ type Cache struct {
 
 	mu       sync.Mutex
 	matrices map[core.Fingerprint]*cacheEntry
-	// graphs is the per-family sub-key space for graph-content artifacts:
-	// the transposed-graph family is a function of the communication graph
-	// alone, so it is keyed by core.Graph.Fingerprint in its own map —
-	// longest-path fleets over one topology share the transpose across
-	// every matrix epoch, and a matrix fingerprint can never alias a graph
-	// fingerprint. Graph entries share the LRU tick but have their own
-	// capacity (graphs weigh O(|E|), matrices O(n^2)).
-	graphs map[core.Fingerprint]*cacheEntry
 	// holders counts, per matrix fingerprint, the tenant matrices (mean or
 	// tail) currently at that content; see Track.
 	holders map[core.Fingerprint]int
@@ -57,12 +49,10 @@ type Cache struct {
 	superseded atomic.Int64
 }
 
-// cacheEntry holds one content's shared set — a matrix set in the matrices
-// map, a graph set in the graphs map — and its LRU tick.
+// cacheEntry holds one matrix content's shared set and its LRU tick.
 type cacheEntry struct {
 	lastUse int64
 	matrix  *solver.MatrixPrep
-	graph   *solver.GraphPrep
 }
 
 // DefaultMaxMatrices bounds a serving cache that was not given an explicit
@@ -79,65 +69,46 @@ func NewCache(maxMatrices int) *Cache {
 	return &Cache{
 		maxMatrices: maxMatrices,
 		matrices:    make(map[core.Fingerprint]*cacheEntry),
-		graphs:      make(map[core.Fingerprint]*cacheEntry),
 		holders:     make(map[core.Fingerprint]int),
 	}
 }
 
-// entryLocked returns fp's entry in m, creating it (and evicting the least
-// recently used entry when m is full) as needed. Callers hold c.mu.
-func (c *Cache) entryLocked(m map[core.Fingerprint]*cacheEntry, fp core.Fingerprint) *cacheEntry {
+// matrix returns fp's shared set, publishing the one newSet returns when
+// the cache holds none; a new entry evicts the least recently used one when
+// the cache is full.
+func (c *Cache) matrix(fp core.Fingerprint, newSet func() *solver.MatrixPrep) *solver.MatrixPrep {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.tick++
-	e, ok := m[fp]
+	e, ok := c.matrices[fp]
 	if !ok {
-		if len(m) >= c.maxMatrices {
+		if len(c.matrices) >= c.maxMatrices {
 			var victim core.Fingerprint
 			oldest := int64(1<<63 - 1)
 			// Min over (lastUse, fingerprint): the fingerprint tie-break
 			// makes the victim unique, so scan order cannot pick a
 			// different entry on equal ticks.
 			//cloudia:nondet-ok min over the totally ordered (lastUse, fingerprint) pair is order-insensitive
-			for f, v := range m {
+			for f, v := range c.matrices {
 				if v.lastUse < oldest || (v.lastUse == oldest && f < victim) {
 					victim, oldest = f, v.lastUse
 				}
 			}
-			delete(m, victim)
+			delete(c.matrices, victim)
 			c.evictions.Add(1)
 		}
-		e = &cacheEntry{}
-		m[fp] = e
+		e = &cacheEntry{matrix: newSet()}
+		c.matrices[fp] = e
 	}
 	e.lastUse = c.tick
-	return e
-}
-
-// matrix returns fp's shared set, publishing the one newSet returns when
-// the cache holds none.
-func (c *Cache) matrix(fp core.Fingerprint, newSet func() *solver.MatrixPrep) *solver.MatrixPrep {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entryLocked(c.matrices, fp)
-	if e.matrix == nil {
-		e.matrix = newSet()
-	}
 	return e.matrix
 }
 
 // share makes prep read the shared matrix set for fp — the fingerprint of
-// prep's problem matrix — and the shared graph set for gfp, that of its
-// graph, publishing prep's own sets where the cache holds none. It must run
-// before any solver reads the Prep.
-func (c *Cache) share(fp, gfp core.Fingerprint, prep *solver.Prep) {
+// prep's problem matrix — publishing prep's own set where the cache holds
+// none. It must run before any solver reads the Prep.
+func (c *Cache) share(fp core.Fingerprint, prep *solver.Prep) {
 	prep.ShareMatrix(c.matrix(fp, prep.Matrix))
-	c.mu.Lock()
-	e := c.entryLocked(c.graphs, gfp)
-	if e.graph == nil {
-		e.graph = prep.Graph()
-	}
-	g := e.graph
-	c.mu.Unlock()
-	prep.ShareGraph(g)
 }
 
 // record adds one job's shared reads (solver.Prep.SharedReads) to the
@@ -151,7 +122,7 @@ func (c *Cache) record(hits, misses int) {
 // and counts it: a hit when the read is prep's first of that artifact and
 // someone else built it.
 func (c *Cache) read(fp core.Fingerprint, prep *solver.Prep, read func() error) (bool, error) {
-	prep.ShareMatrix(c.matrix(fp, prep.Matrix))
+	c.share(fp, prep)
 	before, _ := prep.SharedReads()
 	err := read()
 	after, _ := prep.SharedReads()
@@ -222,15 +193,14 @@ type CacheStats struct {
 	// fingerprints retired by Track when their last holder moved on.
 	Evictions, Superseded int64
 	// Matrices is the number of distinct matrix fingerprints currently
-	// held; Graphs counts the graph-content entries.
+	// held.
 	Matrices int
-	Graphs   int
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	n, ng := len(c.matrices), len(c.graphs)
+	n := len(c.matrices)
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:       c.hits.Load(),
@@ -238,6 +208,5 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:  c.evictions.Load(),
 		Superseded: c.superseded.Load(),
 		Matrices:   n,
-		Graphs:     ng,
 	}
 }

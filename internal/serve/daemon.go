@@ -311,9 +311,8 @@ func rowDeltas(m *core.CostMatrix) []wal.RowDelta {
 // reseedCache warms the shared cache with the recovered tenant's matrix
 // artifacts under its current fingerprint, keyed by the solver
 // configuration of its last advice — the configuration its next advise is
-// overwhelmingly likely to repeat. It is the one place that maps a solver to
-// the matrix artifacts it reads; graph artifacts are not persisted and
-// re-warm on first use.
+// overwhelmingly likely to repeat. advisor.WarmMatrixPrep decides which
+// artifacts that solver reads.
 func (d *Daemon) reseedCache(sess *tenantSession) error {
 	adv := sess.lastAdvice
 	if adv == nil {
@@ -328,16 +327,8 @@ func (d *Daemon) reseedCache(sess *tenantSession) error {
 		return nil
 	}
 	set := d.cache.matrix(m.fp, func() *solver.MatrixPrep { return solver.NewMatrixPrep(m.snap) })
-	name, k := advisor.StreamSolver(adv.SolverName, adv.ClusterK)
-	// CP reads the pair list at every k; unclustered MIP reads the raw
-	// matrix and never asks for the k <= 0 entry.
-	if name == "cp" || name == "portfolio" || (name == "mip" && k > 0) {
-		if _, _, err := set.Rounded(k); err != nil {
-			return fmt.Errorf("serve: tenant %q: re-seeding cache: %w", sess.name, err)
-		}
-	}
-	if name == "g1" || name == "portfolio" {
-		set.CheapestRows()
+	if err := advisor.WarmMatrixPrep(set, adv.SolverName, adv.ClusterK, solver.Objective(adv.Objective)); err != nil {
+		return fmt.Errorf("serve: tenant %q: re-seeding cache: %w", sess.name, err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -138,48 +139,83 @@ func TestDaemonRestartBitEqual(t *testing.T) {
 }
 
 // TestDaemonCacheReseed: recovery warms the shared cache under the
-// recovered fingerprint, so the first post-restart advise hits instead of
-// recomputing the artifacts the dead process had already paid for.
+// recovered fingerprint with exactly the matrix artifacts the last advice's
+// solver reads, so the first post-restart advise misses nothing, and no
+// artifact that solver never reads is built: for every solver name, the
+// rounded matrix at the solver's cluster count is warm only where the solver
+// reads it (CP, clustered MIP and the portfolio, on longest-link), and the
+// cheapest-link rows only for G1.
 func TestDaemonCacheReseed(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	g := testGraph(t, 2, 3)
-	const n = 8
-	m := testMatrix(rng, n)
-	dir := t.TempDir()
-
-	d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
-	if _, _, err := d.AppendEpoch("acme", n, fullRows(m), nil); err != nil {
-		t.Fatal(err)
-	}
-	cold := adviseOK(t, d, AdviseRequest{
-		Tenant: "acme", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		SolverName: "portfolio", ClusterK: 4, RoundBudget: solver.Budget{Nodes: 5_000},
-	})
-	if cold.CacheMisses == 0 {
-		t.Fatal("first-ever advise missed no cache entries")
-	}
-	d.Close()
-
-	re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
-	defer re.Close()
-	// Before any advise, the re-seeded set already holds what the last
-	// advice's portfolio read: a fresh Prep over equal content hits both.
-	fresh, err := solver.NewProblem(g, m.Clone(), solver.LongestLink)
+	mesh := testGraph(t, 2, 3)
+	tree, err := core.AggregationTree(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit, err := re.cache.Rounded(m.Fingerprint(), 4, fresh.Prep()); !hit || err != nil {
-		t.Fatalf("re-seeded Rounded(4): hit=%v err=%v, want a hit", hit, err)
-	}
-	if !re.cache.CheapestRows(m.Fingerprint(), fresh.Prep()) {
-		t.Fatal("re-seeded CheapestRows missed")
-	}
-	hit := adviseOK(t, re, AdviseRequest{
-		Tenant: "acme", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		SolverName: "portfolio", ClusterK: 4, RoundBudget: solver.Budget{Nodes: 5_000},
-	})
-	if hit.CacheMisses != 0 || hit.CacheHits == 0 {
-		t.Fatalf("post-restart advise hits/misses = %d/%d, want all hits", hit.CacheHits, hit.CacheMisses)
+	for _, c := range []struct {
+		name          string
+		clusterK      int
+		obj           solver.Objective
+		rounded, rows bool
+	}{
+		{"cp", 4, solver.LongestLink, true, false},
+		{"mip", 4, solver.LongestLink, true, false},
+		{"mip", 0, solver.LongestLink, false, false},
+		{"g1", 0, solver.LongestLink, false, true},
+		{"g2", 0, solver.LongestLink, false, false},
+		{"r1", 0, solver.LongestLink, false, false},
+		{"r2", 0, solver.LongestLink, false, false},
+		{"r2l", 0, solver.LongestLink, false, false},
+		{"sa", 0, solver.LongestLink, false, false},
+		{"portfolio", 4, solver.LongestLink, true, false},
+		{"portfolio", 4, solver.LongestPath, false, false},
+	} {
+		t.Run(fmt.Sprintf("%s/k=%d/%s", c.name, c.clusterK, c.obj), func(t *testing.T) {
+			g := mesh
+			if c.obj == solver.LongestPath {
+				g = tree
+			}
+			const n = 8
+			m := testMatrix(rand.New(rand.NewSource(59)), n)
+			dir := t.TempDir()
+			req := AdviseRequest{
+				Tenant: "acme", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: c.obj},
+				SolverName: c.name, ClusterK: c.clusterK, RoundBudget: solver.Budget{Nodes: 5_000},
+			}
+
+			d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+			if _, _, err := d.AppendEpoch("acme", n, fullRows(m), nil); err != nil {
+				t.Fatal(err)
+			}
+			cold := adviseOK(t, d, req)
+			if reads := c.rounded || c.rows; reads && cold.CacheMisses == 0 {
+				t.Fatal("first-ever advise missed no cache entries")
+			}
+			d.Close()
+
+			re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+			defer re.Close()
+			if hit := adviseOK(t, re, req); hit.CacheMisses != 0 {
+				t.Fatalf("post-restart advise hits/misses = %d/%d, want no misses", hit.CacheHits, hit.CacheMisses)
+			}
+			// The advise missed nothing, so the set holds what the re-seed
+			// built: probe it from fresh Preps, which hit only what someone
+			// else built.
+			_, k := advisor.StreamSolver(c.name, c.clusterK)
+			fp := m.Fingerprint()
+			fresh := func() *solver.Prep {
+				p, err := solver.NewProblem(g, m.Clone(), c.obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p.Prep()
+			}
+			if hit, err := re.cache.Rounded(fp, k, fresh()); err != nil || hit != c.rounded {
+				t.Errorf("Rounded(%d) warm = %v (err %v), want %v", k, hit, err, c.rounded)
+			}
+			if hit := re.cache.CheapestRows(fp, fresh()); hit != c.rows {
+				t.Errorf("CheapestRows warm = %v, want %v", hit, c.rows)
+			}
+		})
 	}
 }
 

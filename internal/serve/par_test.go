@@ -30,8 +30,8 @@ func treeGraph(t testing.TB) *core.Graph {
 
 // TestShareRaceHammer races concurrent jobs attaching shared sets and
 // reading them through a mix of solvers and objectives — so rounded
-// matrices, pair lists, cheapest rows and the transposed graph and matrix
-// are built and shared by racing readers — against WarmStart installs,
+// matrices, pair lists and cheapest rows are built and shared by racing
+// readers — against WarmStart installs,
 // tenant holds moving to new content (Track), and evictions on a
 // 2-fingerprint cache, from 16 goroutines. Run under -race in CI; every
 // result must equal a solve of the same problem on a Prep of its own.
@@ -79,7 +79,7 @@ func TestShareRaceHammer(t *testing.T) {
 					return nil, err
 				}
 				if shared {
-					br := &cacheBridge{cache: cache, spec: advisor.ObjectiveSpec{Objective: cfg.obj}, graph: g}
+					br := &cacheBridge{cache: cache, spec: advisor.ObjectiveSpec{Objective: cfg.obj}}
 					if err := br.onProblem(prob, nil, measure.Epoch{}, nil); err != nil {
 						return nil, err
 					}

@@ -281,7 +281,7 @@ func (s *Server) runJob(tk task) (res *Result) {
 	epochs <- ep
 	close(epochs)
 
-	br := &cacheBridge{cache: s.cache, spec: job.ObjectiveSpec, graph: job.Graph}
+	br := &cacheBridge{cache: s.cache, spec: job.ObjectiveSpec}
 	var ctx context.Context
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -332,13 +332,12 @@ func (s *Server) Stats() Stats {
 
 // cacheBridge adapts the shared cache to advisor.SolveStream's OnProblem
 // hook for one job. A job is one epoch, so the hook sees one fresh problem,
-// whose Prep it points at the shared matrix and graph sets; the solver then
-// builds what it reads, on first read, into sets every later job over the
-// same content shares.
+// whose Prep it points at the shared matrix set; the solver then builds what
+// it reads, on first read, into the set every later job over the same
+// content shares.
 type cacheBridge struct {
 	cache *Cache
 	spec  advisor.ObjectiveSpec
-	graph *core.Graph
 	prep  *solver.Prep
 }
 
@@ -364,7 +363,7 @@ func (b *cacheBridge) epochFP(prob *solver.Problem, ep measure.Epoch) core.Finge
 
 func (b *cacheBridge) onProblem(prob, _ *solver.Problem, ep measure.Epoch, _ []int) error {
 	b.prep = prob.Prep()
-	b.cache.share(b.epochFP(prob, ep), b.graph.Fingerprint(), b.prep)
+	b.cache.share(b.epochFP(prob, ep), b.prep)
 	return nil
 }
 

@@ -388,88 +388,6 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 	}
 }
 
-// The transposed-graph family is keyed by graph content: tenants with
-// different matrices over one topology share the transpose by reference,
-// and the second reader counts it as a hit.
-func TestCacheTransposedGraphFamily(t *testing.T) {
-	g := core.NewGraph(4)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(41))
-	p1, err := solver.NewProblem(g, testMatrix(rng, 6), solver.LongestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := solver.NewProblem(g, testMatrix(rng, 6), solver.LongestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(4)
-	gfp := g.Fingerprint()
-	c.share(p1.Costs.Fingerprint(), gfp, p1.Prep())
-	c.share(p2.Costs.Fingerprint(), gfp, p2.Prep())
-	if p1.Prep().TransposedGraph() != p2.Prep().TransposedGraph() {
-		t.Fatal("transposed graph not shared by reference")
-	}
-	if h, m := p1.Prep().SharedReads(); h != 0 || m != 1 {
-		t.Fatalf("first reader hits/misses = %d/%d, want 0/1", h, m)
-	}
-	if h, m := p2.Prep().SharedReads(); h != 1 || m != 0 {
-		t.Fatalf("second reader hits/misses = %d/%d, want 1/0", h, m)
-	}
-	if st := c.Stats(); st.Graphs != 1 || st.Matrices != 2 {
-		t.Fatalf("graph/matrix entries = %d/%d, want 1/2", st.Graphs, st.Matrices)
-	}
-}
-
-// Longest-path MIP jobs over one aggregation tree and equal matrix content
-// share the unclustered transposed matrix by reference: the bridge attaches
-// the shared sets whatever the solver and cluster count, so the k = 0
-// transpose MIP reads on its transposed branch is built once.
-func TestServeSharesUnclusteredTranspose(t *testing.T) {
-	g, err := core.AggregationTree(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testMatrix(rand.New(rand.NewSource(17)), 16)
-	srv := New(Config{Shards: 2})
-	defer srv.Close()
-	var preps []*solver.Prep
-	for tn, mat := range []*core.CostMatrix{m, m.Clone()} {
-		tk, err := srv.Submit(Job{
-			Tenant: fmt.Sprintf("t%d", tn), Graph: g,
-			ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestPath},
-			Matrix:        mat, SolverName: "mip", ClusterK: 0,
-			RoundBudget: solver.Budget{Nodes: 2_000}, Seed: int64(tn),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := tk.Wait()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		preps = append(preps, res.Outcome.Problem.Prep())
-	}
-	t0, err := preps[0].TransposedCosts(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := preps[1].TransposedCosts(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t0 != t1 {
-		t.Fatal("second job built its own unclustered transpose")
-	}
-	if preps[0].TransposedGraph() != preps[1].TransposedGraph() {
-		t.Fatal("second job built its own transposed graph")
-	}
-}
-
 // 16 goroutines hammer submission over three shared matrices, a
 // 2-fingerprint cache (eviction), and 4 pulling workers at once;
 // run under -race in CI, any ordering bug surfaces as a data race or a

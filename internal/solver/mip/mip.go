@@ -70,11 +70,10 @@ func (s *Solver) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result,
 func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	clock := solver.NewClockCtx(ctx, budget)
 
-	// All derived artifacts come from the problem's shared preprocessing
-	// cache: the clustered matrix (with its cost-sorted pairs), the
-	// degree branching order, the transposed graph/matrix/topo-order, and
-	// the bootstrap incumbent are each computed once per problem and
-	// shared with every other portfolio member and repeated Solve call.
+	// The clustered matrix (with its cost-sorted pairs) and the bootstrap
+	// incumbent come from the problem's shared preprocessing cache; the
+	// branching order and the transposed longest-path search are this
+	// solve's own.
 	prep := p.Prep()
 	search := p.Costs
 	var pairs []core.CostPair // sorted by rounded cost; nil when unclustered
@@ -120,7 +119,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 	case solver.LongestLink:
 		b.searchCost = func(d core.Deployment) float64 { return core.LongestLink(d, p.Graph, search) }
 		b.bestBound = b.searchCost(incumbent)
-		b.order = prep.DegreeOrder()
+		b.order = degreeOrder(p.Graph)
 		b.assigned = unassignedSlice(p.NumNodes())
 		b.branchLL(0, 0)
 	case solver.LongestPath:
@@ -135,19 +134,11 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 		// leaves are sources, and forward order would fix every leaf before
 		// any informative decision. When the graph has more sources than
 		// sinks, solve the transposed problem instead — same optimum, same
-		// deployments, but the constrained nodes branch first. The
-		// transposed graph, matrix, and topological order all come
-		// memoized from Prep.
+		// deployments, but the constrained nodes branch first.
 		lpGraph, lpSearch, lpOrder := p.Graph, search, p.TopoOrder()
 		if countSources(p.Graph) > countSinks(p.Graph) {
-			lpGraph = prep.TransposedGraph()
-			ts, err := prep.TransposedCosts(s.ClusterK)
-			if err != nil {
-				return nil, err
-			}
-			lpSearch = ts
-			lpOrder, err = prep.TransposedTopoOrder()
-			if err != nil {
+			var err error
+			if lpGraph, lpSearch, lpOrder, err = transposed(p.Graph, search); err != nil {
 				return nil, err
 			}
 		}
@@ -200,6 +191,31 @@ func (b *bnb) tickNode() bool {
 		}
 	}
 	return false
+}
+
+// degreeOrder returns g's nodes sorted by descending total degree (stable,
+// so ties keep node order): the branching order of the LLNDP search.
+func degreeOrder(g *core.Graph) []core.NodeID {
+	order := make([]core.NodeID, g.NumNodes())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return g.Degree(order[a]) > g.Degree(order[b])
+	})
+	return order
+}
+
+// transposed returns the LPNDP search over g with every edge reversed: the
+// transposed graph (weights carried along), the transpose of search, under
+// which its path costs equal the original's, and its topological order.
+func transposed(g *core.Graph, search *core.CostMatrix) (*core.Graph, *core.CostMatrix, []core.NodeID, error) {
+	tg := g.Transposed()
+	order, err := tg.TopoOrder()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tg, search.Transposed(), order, nil
 }
 
 // countSources reports nodes with no incoming edges.

@@ -16,7 +16,6 @@ type prepArtifacts struct {
 	pairs0, pairs8     []float64
 	rows               [][]int32
 	off                []float64
-	transposed         [][]float64
 }
 
 func collectPrepArtifacts(t *testing.T) prepArtifacts {
@@ -53,18 +52,12 @@ func collectPrepArtifacts(t *testing.T) prepArtifacts {
 	}
 	a.rows = prep.CheapestRows()
 	a.off = prep.OffDiagonal()
-	tc, err := prep.TransposedCosts(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.transposed = dump(tc)
 	return a
 }
 
 // TestPrepArtifactsBitEqualAcrossWorkers pins every artifact kind the Prep
-// layer builds — rounded matrices, sorted pair lists, cheapest rows,
-// off-diagonal extraction, and transposed costs — bit-identical across
-// worker counts.
+// layer builds — rounded matrices, sorted pair lists, cheapest rows and
+// off-diagonal extraction — bit-identical across worker counts.
 func TestPrepArtifactsBitEqualAcrossWorkers(t *testing.T) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(1)

@@ -29,10 +29,11 @@ type ContextSolver interface {
 // the rest through the shared context.
 //
 // Members share the problem's Prep cache: derived artifacts — clustered
-// cost matrices, sorted pair lists, transposed structures, bootstrap
+// cost matrices, sorted pair lists, cheapest-link rows, bootstrap
 // incumbents — are computed by whichever member asks first and reused by
 // the rest (and by any later run on the same Problem), instead of each
-// member burning its budget recomputing them.
+// member burning its budget recomputing them. The served member list is
+// advisor.NewPortfolio's.
 type Portfolio struct {
 	Members []Solver
 }

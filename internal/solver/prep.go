@@ -11,22 +11,20 @@ import (
 	"cloudia/internal/par"
 )
 
-// Prep is a problem's shared preprocessing cache: every derived artifact the
-// solvers consume — cost-clustered matrices and their sorted pair lists,
-// transposed graph and matrices, degree orders, per-instance cheapest-link
-// rows, off-diagonal extractions, bootstrap incumbents — computed at most
-// once per Problem and shared by every portfolio member and repeated solver
-// call. Before Prep, each portfolio member recomputed its own copies per
-// Solve: CP and MIP each ran a full k-means over the m^2 link costs, MIP
-// rebuilt the transposed graph and matrix, G1 re-sorted every cost row, and
-// the bootstrap deployments were drawn from identical seeds multiple times.
+// Prep is a problem's shared preprocessing cache. It holds the derived
+// artifacts that solvers and repeated solver calls share — cost-clustered
+// matrices with their sorted pair lists (CP, clustered MIP), per-instance
+// cheapest-link rows (G1), the off-diagonal cost values and bootstrap
+// incumbents (CP, MIP, SA) — each computed at most once per Problem and
+// shared by every portfolio member. What only one solver reads, like MIP's
+// degree order and transposed search structures, that solver builds per
+// solve.
 //
-// The artifacts that depend on the cost matrix alone live in a MatrixPrep,
-// and those that depend on the graph alone in a GraphPrep. A Prep builds its
-// own sets lazily, on first read; a serving layer may instead install sets
-// shared with other problems over identical content (ShareMatrix,
-// ShareGraph), so one tenant's k-means serves every tenant with the same
-// matrix. Degree orders, bootstrap incumbents and warm starts stay per Prep.
+// The matrix-derived artifacts live in a MatrixPrep. A Prep builds its own
+// set lazily, on first read; a serving layer may instead install a set
+// shared with other problems over identical content (ShareMatrix), so one
+// tenant's k-means serves every tenant with the same matrix. Bootstrap
+// incumbents and warm starts stay per Prep.
 //
 // Prep is safe for concurrent use. Distinct artifacts (and distinct
 // cluster-K values) are guarded by their own sync.Once, so racing portfolio
@@ -35,7 +33,7 @@ import (
 // computation lands and then share it.
 //
 // Everything returned by Prep is shared and immutable: callers must not
-// modify returned matrices, graphs, slices, or pair lists. The only
+// modify returned matrices, slices, or pair lists. The only
 // exception is Bootstrap, which returns a fresh copy of the memoized
 // deployment because solvers mutate their incumbent in place.
 type Prep struct {
@@ -43,16 +41,11 @@ type Prep struct {
 
 	matrixOnce sync.Once
 	matrix     *MatrixPrep
-	graphOnce  sync.Once
-	graph      *GraphPrep
 
-	// reads records every matrix- and graph-set artifact read through this
-	// Prep, once each (see SharedReads).
+	// reads records every matrix-set artifact read through this Prep, once
+	// each (see SharedReads).
 	readMu sync.Mutex
 	reads  []artifactRead
-
-	degOnce  sync.Once
-	degOrder []core.NodeID
 
 	bootMu sync.Mutex
 	boots  map[bootKey]*prepBoot
@@ -64,10 +57,9 @@ type Prep struct {
 
 // MatrixPrep holds the Prep artifacts that are deterministic functions of
 // the cost matrix's content alone: the rounded matrix and sorted pair list
-// per cluster count, their transposes, the cheapest-link rows and the
-// off-diagonal values. Every artifact is built once, on first read, so
-// problems sharing one MatrixPrep share each build, including one in
-// flight.
+// per cluster count, the cheapest-link rows and the off-diagonal values.
+// Every artifact is built once, on first read, so problems sharing one
+// MatrixPrep share each build, including one in flight.
 type MatrixPrep struct {
 	costs *core.CostMatrix
 
@@ -81,30 +73,15 @@ type MatrixPrep struct {
 	offDiag []float64
 }
 
-// prepRounded memoizes one cluster-K's rounded matrix, pair list, and
-// (lazily) the transpose of the rounded matrix.
+// prepRounded memoizes one cluster-K's rounded matrix and pair list.
 type prepRounded struct {
 	once  sync.Once
 	m     *core.CostMatrix
 	pairs []core.CostPair
 	err   error
-
-	tOnce sync.Once
-	t     *core.CostMatrix
 }
 
-// GraphPrep holds the Prep artifacts that depend on the communication graph
-// alone: the transposed graph and its topological order.
-type GraphPrep struct {
-	g *core.Graph
-
-	once     sync.Once
-	t        *core.Graph
-	order    []core.NodeID
-	orderErr error
-}
-
-// artifact names one matrix- or graph-set artifact in a Prep's read record.
+// artifact names one matrix-set artifact in a Prep's read record.
 type artifact struct {
 	kind artifactKind
 	k    int
@@ -121,10 +98,8 @@ type artifactKind uint8
 
 const (
 	artRounded artifactKind = iota
-	artTransposedCosts
 	artCheapestRows
 	artOffDiagonal
-	artTransposedGraph
 )
 
 type bootKey struct {
@@ -158,12 +133,6 @@ func (pp *Prep) Matrix() *MatrixPrep {
 	return pp.matrix
 }
 
-// Graph returns the graph set this Prep reads, as Matrix does.
-func (pp *Prep) Graph() *GraphPrep {
-	pp.graphOnce.Do(func() { pp.graph = &GraphPrep{g: pp.p.Graph} })
-	return pp.graph
-}
-
 // ShareMatrix makes m the matrix set this Prep reads, and reports whether it
 // did: it fails once the Prep holds a set, its own or a shared one. The
 // caller owns the content contract: m must have been built over a matrix
@@ -174,15 +143,7 @@ func (pp *Prep) ShareMatrix(m *MatrixPrep) bool {
 	return shared
 }
 
-// ShareGraph is ShareMatrix for the graph set: g must have been built over a
-// graph whose content (core.Graph.Fingerprint) equals this problem's.
-func (pp *Prep) ShareGraph(g *GraphPrep) bool {
-	shared := false
-	pp.graphOnce.Do(func() { pp.graph, shared = g, true })
-	return shared
-}
-
-// SharedReads counts the distinct matrix- and graph-set artifacts read
+// SharedReads counts the distinct matrix-set artifacts read
 // through this Prep: misses are those whose build ran inside one of its
 // reads, hits those another Prep sharing the set built (or was building).
 func (pp *Prep) SharedReads() (hits, misses int) {
@@ -210,9 +171,9 @@ func (pp *Prep) note(a artifact, built bool) {
 	pp.reads = append(pp.reads, artifactRead{a, built})
 }
 
-// entry returns the memo cell for cluster count k >= 0; callers map every
-// k <= 0 to the unclustered cell 0.
-func (m *MatrixPrep) entry(k int) *prepRounded {
+// round returns the memo cell for cluster count k >= 0, building it on
+// first use; callers map every k <= 0 to the unclustered cell 0.
+func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
 	m.mu.Lock()
 	e, ok := m.rounded[k]
 	if !ok {
@@ -220,11 +181,6 @@ func (m *MatrixPrep) entry(k int) *prepRounded {
 		m.rounded[k] = e
 	}
 	m.mu.Unlock()
-	return e
-}
-
-func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
-	e = m.entry(k)
 	e.once.Do(func() {
 		built = true
 		e.m, e.pairs, e.err = cluster.RoundCostMatrixPairs(m.costs, k)
@@ -248,83 +204,6 @@ func (pp *Prep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
 	e, built := pp.Matrix().round(k)
 	pp.note(artifact{artRounded, k}, built)
 	return e.m, e.pairs, e.err
-}
-
-// RoundedMatrix is Rounded without the pair list: for k <= 0 it serves the
-// original matrix directly, skipping the m^2 log m pair sort consumers like
-// the branch-and-bound solver never need. Shared; callers must not modify
-// the result.
-func (pp *Prep) RoundedMatrix(k int) (*core.CostMatrix, error) {
-	if k <= 0 {
-		return pp.p.Costs, nil
-	}
-	m, _, err := pp.Rounded(k)
-	return m, err
-}
-
-// TransposedCosts returns the transpose of RoundedMatrix(k) — the matrix
-// under which path costs on the transposed graph equal path costs on the
-// original — memoized per k. Shared; callers must not modify it.
-func (pp *Prep) TransposedCosts(k int) (*core.CostMatrix, error) {
-	m, err := pp.RoundedMatrix(k)
-	if err != nil {
-		return nil, err
-	}
-	k = max(k, 0)
-	e := pp.Matrix().entry(k)
-	built := false
-	e.tOnce.Do(func() {
-		built = true
-		e.t = m.Transposed()
-	})
-	pp.note(artifact{artTransposedCosts, k}, built)
-	return e.t, nil
-}
-
-func (g *GraphPrep) build() (built bool) {
-	g.once.Do(func() {
-		built = true
-		g.t = g.g.Transposed()
-		g.order, g.orderErr = g.t.TopoOrder()
-	})
-	return built
-}
-
-// TransposedGraph returns the communication graph with every edge reversed
-// (weights carried along), memoized. Shared; callers must not modify it.
-func (pp *Prep) TransposedGraph() *core.Graph {
-	return pp.transposedGraph().t
-}
-
-// TransposedTopoOrder returns a topological order of the transposed graph,
-// memoized alongside it. Shared; callers must not modify it.
-func (pp *Prep) TransposedTopoOrder() ([]core.NodeID, error) {
-	g := pp.transposedGraph()
-	return g.order, g.orderErr
-}
-
-func (pp *Prep) transposedGraph() *GraphPrep {
-	g := pp.Graph()
-	pp.note(artifact{kind: artTransposedGraph}, g.build())
-	return g
-}
-
-// DegreeOrder returns the application nodes sorted by descending total
-// degree (stable, so ties keep node order) — the branching order of the
-// branch-and-bound LLNDP search. Shared; callers must not modify it.
-func (pp *Prep) DegreeOrder() []core.NodeID {
-	pp.degOnce.Do(func() {
-		g := pp.p.Graph
-		order := make([]core.NodeID, g.NumNodes())
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return g.Degree(order[a]) > g.Degree(order[b])
-		})
-		pp.degOrder = order
-	})
-	return pp.degOrder
 }
 
 // cheapestRow builds instance u's candidate row: the other instances sorted
@@ -423,8 +302,8 @@ func (pp *Prep) WarmStart(d core.Deployment) error {
 
 // Bootstrap returns the best of `samples` seeded random deployments and its
 // cost (Sect. 6.3.1's initial-solution strategy), memoized per
-// (samples, seed) so portfolio members sharing a seed — CP, MIP, and the
-// first SA restart all bootstrap identically — draw the incumbent once. Any
+// (samples, seed) so solvers sharing a seed — CP, MIP, and the first SA
+// restart all bootstrap identically — draw the incumbent once. Any
 // installed WarmStart deployment competes with the random draw. The
 // deployment is a fresh copy: callers may mutate it freely.
 func (pp *Prep) Bootstrap(samples int, seed int64) (core.Deployment, float64) {

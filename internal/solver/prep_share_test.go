@@ -107,27 +107,6 @@ func TestExportAdoptCheapestRows(t *testing.T) {
 	}
 }
 
-func TestShareGraphInstallsOnce(t *testing.T) {
-	pa, pb := shareTestProblem(t, 3)
-	ta := pa.Prep().TransposedGraph()
-	if !pb.Prep().ShareGraph(pa.Prep().Graph()) {
-		t.Fatal("sharing into a Prep that read nothing failed")
-	}
-	if pb.Prep().TransposedGraph() != ta {
-		t.Fatal("shared set did not serve the donor's transpose")
-	}
-	pc, _ := shareTestProblem(t, 3)
-	tc := pc.Prep().TransposedGraph()
-	oa, _ := pa.Prep().TransposedTopoOrder()
-	oc, _ := pc.Prep().TransposedTopoOrder()
-	if !reflect.DeepEqual(tc.Edges(), ta.Edges()) || !reflect.DeepEqual(oc, oa) {
-		t.Fatal("fresh transpose differs from the shared one")
-	}
-	if pc.Prep().ShareGraph(pa.Prep().Graph()) || pc.Prep().TransposedGraph() != tc {
-		t.Fatal("sharing replaced a graph set the Prep had already read")
-	}
-}
-
 // SharedReads counts each artifact once: a miss for the Prep whose read ran
 // the build, a hit for a Prep reading it from a shared set.
 func TestSharedReadsCountsBuilds(t *testing.T) {

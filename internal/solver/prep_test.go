@@ -3,7 +3,6 @@ package solver
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +11,7 @@ import (
 	"cloudia/internal/core"
 )
 
-// prepProblem builds a weighted-free LL problem with a DAG variant for the
-// transpose artifacts.
+// prepProblem builds an unweighted LL problem over a random DAG.
 func prepProblem(t *testing.T, nodes, instances int, seed int64) *Problem {
 	t.Helper()
 	g := core.NewGraph(nodes)
@@ -75,73 +73,17 @@ func TestPrepRoundedMatchesDirect(t *testing.T) {
 	if m0, _, _ := prep.Rounded(0); m0 != p.Costs {
 		t.Fatal("Rounded(0) should serve the original matrix")
 	}
-	if m0, err := prep.RoundedMatrix(-1); err != nil || m0 != p.Costs {
-		t.Fatal("RoundedMatrix(k<=0) should serve the original matrix")
+	if m0, _, err := prep.Rounded(-1); err != nil || m0 != p.Costs {
+		t.Fatal("Rounded(k<=0) should serve the original matrix")
 	}
 }
 
-func TestPrepTransposedMatchesDirect(t *testing.T) {
-	p := prepProblem(t, 10, 14, 5)
-	prep := p.Prep()
-
-	tg := prep.TransposedGraph()
-	if tg.NumNodes() != p.Graph.NumNodes() || tg.NumEdges() != p.Graph.NumEdges() {
-		t.Fatal("transposed graph shape mismatch")
-	}
-	for _, e := range p.Graph.Edges() {
-		if !tg.HasEdge(e.To, e.From) {
-			t.Fatalf("missing reversed edge (%d,%d)", e.To, e.From)
-		}
-		if tg.Weight(e.To, e.From) != p.Graph.Weight(e.From, e.To) {
-			t.Fatalf("weight not carried for edge (%d,%d)", e.From, e.To)
-		}
-	}
-	order, err := prep.TransposedTopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrder, err := tg.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, wantOrder) {
-		t.Fatal("transposed topo order differs from direct computation")
-	}
-
-	for _, k := range []int{0, 4} {
-		tm, err := prep.TransposedCosts(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := prep.RoundedMatrix(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < tm.Size(); i++ {
-			for j := 0; j < tm.Size(); j++ {
-				if tm.At(i, j) != base.At(j, i) {
-					t.Fatalf("TransposedCosts(%d) wrong at (%d,%d)", k, i, j)
-				}
-			}
-		}
-	}
-}
-
+// TestPrepDegreeOrderAndRows checks the cheapest-link rows: every other
+// instance once, sorted by (cost, index). (The degree order it also checked
+// is MIP's own per-solve value now; internal/solver/mip tests it.)
 func TestPrepDegreeOrderAndRows(t *testing.T) {
 	p := prepProblem(t, 14, 18, 9)
 	prep := p.Prep()
-
-	order := prep.DegreeOrder()
-	want := make([]core.NodeID, p.Graph.NumNodes())
-	for i := range want {
-		want[i] = i
-	}
-	sort.SliceStable(want, func(a, b int) bool {
-		return p.Graph.Degree(want[a]) > p.Graph.Degree(want[b])
-	})
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("DegreeOrder = %v, want %v", order, want)
-	}
 
 	rows := prep.CheapestRows()
 	n := p.Costs.Size()
@@ -224,17 +166,7 @@ func TestPrepConcurrentHammer(t *testing.T) {
 					if k == ks[w%len(ks)] {
 						mats[w] = m
 					}
-					if _, err := prep.TransposedCosts(k); err != nil {
-						t.Errorf("TransposedCosts(%d): %v", k, err)
-						return
-					}
 				}
-				prep.TransposedGraph()
-				if _, err := prep.TransposedTopoOrder(); err != nil {
-					t.Errorf("TransposedTopoOrder: %v", err)
-					return
-				}
-				prep.DegreeOrder()
 				prep.CheapestRows()
 				prep.OffDiagonal()
 				_, boots[w] = prep.Bootstrap(10, int64(w%4))
@@ -256,8 +188,8 @@ func TestPrepConcurrentHammer(t *testing.T) {
 }
 
 // TestPrepSolversShareProblem runs the portfolio members' access pattern:
-// concurrent CP-style and MIP-style artifact pulls against one Problem while
-// local searches bootstrap, mirroring an advisor portfolio run.
+// concurrent CP-style and clustered-MIP-style artifact pulls against one
+// Problem while greedy and local searches read rows and bootstrap.
 func TestPrepSolversShareProblem(t *testing.T) {
 	p := prepProblem(t, 10, 15, 17)
 	var wg sync.WaitGroup
@@ -273,11 +205,9 @@ func TestPrepSolversShareProblem(t *testing.T) {
 					t.Errorf("Rounded: %v", err)
 				}
 				prep.Bootstrap(10, 99)
-			case 1: // MIP: degree order + transposed artifacts + bootstrap
-				prep.DegreeOrder()
-				prep.TransposedGraph()
-				if _, err := prep.TransposedCosts(5); err != nil {
-					t.Errorf("TransposedCosts: %v", err)
+			case 1: // clustered MIP: rounded matrix and pairs + bootstrap
+				if _, _, err := prep.Rounded(5); err != nil {
+					t.Errorf("Rounded: %v", err)
 				}
 				prep.Bootstrap(10, 99)
 			default: // greedy/local: rows + bootstrap
@@ -384,11 +314,6 @@ func TestEpochProblemsConcurrentWithSolves(t *testing.T) {
 				if _, _, err := prep.Rounded(5); err != nil {
 					t.Errorf("Rounded: %v", err)
 				}
-				if _, err := prep.TransposedCosts(5); err != nil {
-					t.Errorf("TransposedCosts: %v", err)
-				}
-				prep.TransposedGraph()
-				prep.DegreeOrder()
 				prep.CheapestRows()
 				prep.OffDiagonal()
 				prep.Bootstrap(10, 1)
