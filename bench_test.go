@@ -702,23 +702,24 @@ func BenchmarkStreamingP99Advise(b *testing.B) {
 // BenchmarkShardedServe measures what the serving layer's content-addressed
 // Prep cache buys a fleet: N tenants advising over one shared 1000-instance
 // matrix (the fleet-re-advising scenario — one published measurement, many
-// problems), served by the sharded server versus each tenant running the
-// unsharded streaming path sequentially. Every tenant advises twice, in
-// the daemon's job shape: one job over the matrix, then a second whose
-// WarmStart is the first job's deployment. The solver is node-budgeted CP,
-// so both sides are deterministic and the served deployments must be
+// problems), served by the daemon's workers versus each tenant running the
+// unsharded streaming path sequentially. Every tenant posts the matrix as
+// one epoch and advises twice, so the daemon warm-starts the second advise
+// from the first's logged deployment. The solver is node-budgeted CP, so
+// both sides are deterministic and the served deployments must be
 // bit-equal to the unsharded ones — the speedup comes only from sharing
 // the one-time Prep artifacts (k-means over ~10^6 link costs + the pair
-// sort) across the fleet and from shard parallelism, never from answering
-// differently.
+// sort) across the fleet and from worker parallelism, never from
+// answering differently.
 //
-// Reported metrics (recorded in BENCH_PR5.json, before jobs were one
+// Reported metrics (recorded in BENCH_PR5.json, before advises were one
 // matrix and advised twice):
 //
 //   - sequential-ms/op: N tenants' two unsharded SolveStream calls, run
 //     back to back, each call paying its own cold Prep.
-//   - sharded-ms/op: the same 2N jobs through serve.Server with a shared
-//     cache (makespan from first Submit to last Wait).
+//   - sharded-ms/op: the same 2N advises through Daemon.Advise with the
+//     daemon's shared cache (makespan from the first Advise to the last
+//     answer; posting the epochs comes before it).
 //   - speedup/op: sequential over sharded; the Prep cache hits make this
 //     >= 2x (acceptance bar).
 func BenchmarkShardedServe(b *testing.B) {
@@ -731,17 +732,9 @@ func BenchmarkShardedServe(b *testing.B) {
 		close(ch)
 		return ch
 	}
-	job := func(tn int, seed int64, warm core.Deployment) serve.Job {
-		return serve.Job{
-			Tenant:        fmt.Sprintf("tenant-%d", tn),
-			Graph:         p.Graph,
-			ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-			Matrix:        p.Costs,
-			SolverName:    "cp",
-			RoundBudget:   budget,
-			Seed:          seed,
-			WarmStart:     warm,
-		}
+	rows := make([]wal.RowDelta, p.Costs.Size())
+	for i := range rows {
+		rows[i] = wal.RowDelta{Row: i, Values: p.Costs.Row(i)}
 	}
 
 	var seqMS, shardMS, speedup float64
@@ -769,9 +762,17 @@ func BenchmarkShardedServe(b *testing.B) {
 		}
 		seq := float64(time.Since(seqStart)) / float64(time.Millisecond)
 
-		// Sharded: same jobs, shared cache, makespan over the fleet. Each
-		// tenant submits its second job once the first has answered.
-		srv := serve.New(serve.Config{Shards: tenants})
+		// Sharded: same advises, shared cache, makespan over the fleet.
+		// Each tenant advises again once its first advise has answered.
+		d, err := serve.OpenDaemon(serve.DaemonConfig{Dir: b.TempDir(), Workers: tenants, WAL: wal.Options{Sync: wal.SyncNone}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for tn := 0; tn < tenants; tn++ {
+			if _, _, err := d.AppendEpoch(fmt.Sprintf("tenant-%d", tn), p.Costs.Size(), rows, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 		shardStart := time.Now()
 		hits := make([]int, tenants)
 		errs := make([]error, tenants)
@@ -780,30 +781,35 @@ func BenchmarkShardedServe(b *testing.B) {
 			wg.Add(1)
 			go func(tn int) {
 				defer wg.Done()
-				var warm core.Deployment
 				for k := 0; k < 2; k++ {
-					tk, err := srv.Submit(job(tn, int64(1000*it+10*tn+k), warm))
+					res, err := d.Advise(serve.AdviseRequest{
+						Tenant:        fmt.Sprintf("tenant-%d", tn),
+						Graph:         p.Graph,
+						ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
+						SolverName:    "cp",
+						RoundBudget:   budget,
+						Seed:          int64(1000*it + 10*tn + k),
+					})
+					if err == nil {
+						err = res.Err
+					}
 					if err != nil {
 						errs[tn] = err
 						return
 					}
-					res := tk.Wait()
-					if res.Err != nil {
-						errs[tn] = res.Err
-						return
-					}
 					hits[tn] += res.CacheHits
 					if !slices.Equal(res.Outcome.Deployment, seqDeps[tn][k]) {
-						errs[tn] = fmt.Errorf("tenant %d job %d: served deployment differs from the unsharded path", tn, k)
+						errs[tn] = fmt.Errorf("tenant %d advise %d: served deployment differs from the unsharded path", tn, k)
 						return
 					}
-					warm = res.Outcome.Deployment
 				}
 			}(tn)
 		}
 		wg.Wait()
 		shard := float64(time.Since(shardStart)) / float64(time.Millisecond)
-		srv.Close()
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 		total := 0
 		for tn := 0; tn < tenants; tn++ {
 			if errs[tn] != nil {
@@ -1030,7 +1036,7 @@ func BenchmarkDaemonRestart(b *testing.B) {
 		}
 	}
 	dir := b.TempDir()
-	d, err := serve.OpenDaemon(serve.DaemonConfig{Dir: dir, Serve: serve.Config{Shards: 1}})
+	d, err := serve.OpenDaemon(serve.DaemonConfig{Dir: dir, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1080,7 +1086,7 @@ func BenchmarkDaemonRestart(b *testing.B) {
 	// Recovery appends nothing, so the same directory replays identically
 	// on every reopen.
 	reopen := func() {
-		rd, err := serve.OpenDaemon(serve.DaemonConfig{Dir: dir, Serve: serve.Config{Shards: 1}})
+		rd, err := serve.OpenDaemon(serve.DaemonConfig{Dir: dir, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

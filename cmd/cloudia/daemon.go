@@ -5,8 +5,8 @@ package main
 // every served advice is in the write-ahead log before the response goes
 // out, so a killed daemon restarted over the same -wal-dir replays to the
 // exact state it acknowledged and serves bit-equal advice. SIGTERM (and
-// Ctrl-C) drains: in-flight jobs finish and log their advice, then the WAL
-// is flushed and closed.
+// Ctrl-C) drains: in-flight advises finish and log their advice, then the
+// WAL is flushed and closed.
 
 import (
 	"context"
@@ -42,9 +42,9 @@ func runDaemon(cfg runConfig) error {
 		return err
 	}
 	d, err := serve.OpenDaemon(serve.DaemonConfig{
-		Dir:   cfg.walDir,
-		Serve: serve.Config{Shards: cfg.shards},
-		WAL:   wal.Options{Sync: sync},
+		Dir:     cfg.walDir,
+		Workers: cfg.workers,
+		WAL:     wal.Options{Sync: sync},
 	})
 	if err != nil {
 		return err
@@ -89,9 +89,9 @@ func runDaemon(cfg runConfig) error {
 		fmt.Fprintf(os.Stderr, "cloudia: %v, draining\n", sig)
 	}
 
-	// Stop accepting HTTP first, then drain the solve fabric and flush the
-	// WAL — the advice of every job admitted before the signal is on disk
-	// when we exit.
+	// Stop accepting HTTP first, then drain the daemon and flush the WAL —
+	// the advice of every advise admitted before the signal is on disk when
+	// we exit.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {

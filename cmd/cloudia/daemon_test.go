@@ -39,6 +39,8 @@ func TestValidateFlagsDaemonCombos(t *testing.T) {
 		{"negative budget", runConfig{budgetMS: -1}, "-budget-ms"},
 		{"listen without wal dir", runConfig{listen: ":0"}, "-wal-dir"},
 		{"listen bad fsync", runConfig{listen: ":0", walDir: "w", fsync: "sometimes"}, "fsync"},
+		{"negative workers", runConfig{listen: ":0", walDir: "w", workers: -5}, "-workers"},
+		{"workers without listen", runConfig{workers: 4}, "-listen"},
 	}
 	for _, c := range cases {
 		err := validateFlags(c.cfg)
@@ -46,7 +48,7 @@ func TestValidateFlagsDaemonCombos(t *testing.T) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
 	}
-	if err := validateFlags(runConfig{listen: ":0", walDir: "w", fsync: "batch"}); err != nil {
+	if err := validateFlags(runConfig{listen: ":0", walDir: "w", fsync: "batch", workers: 4}); err != nil {
 		t.Errorf("valid daemon flags rejected: %v", err)
 	}
 }

@@ -64,7 +64,7 @@ func main() {
 		listen    = flag.String("listen", "", "run the durable serve daemon on this address (e.g. :8080)")
 		walDir    = flag.String("wal-dir", "cloudia-wal", "write-ahead log directory for -listen")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy for -listen: always, batch, none")
-		shards    = flag.Int("shards", 0, "worker goroutines for -listen (0 = default)")
+		workers   = flag.Int("workers", 0, "solver worker goroutines for -listen (0 = default, 2)")
 		pprofFlag = flag.Bool("pprof", false, "expose net/http/pprof on the -listen address under /debug/pprof/")
 	)
 	flag.Parse()
@@ -79,7 +79,7 @@ func main() {
 		budgetMS: *budgetMS, profile: *profile, occupancy: *occupancy,
 		seed: *seed, asJSON: *asJSON,
 		epochMS: *epochMS,
-		listen:  *listen, walDir: *walDir, fsync: *fsync, shards: *shards,
+		listen:  *listen, walDir: *walDir, fsync: *fsync, workers: *workers,
 		pprof: *pprofFlag,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudia:", err)
@@ -101,7 +101,7 @@ type runConfig struct {
 	asJSON                            bool
 	epochMS                           float64
 	listen, walDir, fsync             string
-	shards                            int
+	workers                           int
 	pprof                             bool
 }
 
@@ -117,6 +117,9 @@ func validateFlags(cfg runConfig) error {
 	if cfg.budgetMS < 0 {
 		return fmt.Errorf("-budget-ms must not be negative, got %d", cfg.budgetMS)
 	}
+	if cfg.workers < 0 {
+		return fmt.Errorf("-workers must not be negative, got %d", cfg.workers)
+	}
 	if cfg.listen != "" {
 		if cfg.epochMS > 0 {
 			return fmt.Errorf("-listen daemons receive epochs over HTTP; -epoch-ms streams a single run")
@@ -130,6 +133,9 @@ func validateFlags(cfg runConfig) error {
 	}
 	if cfg.pprof && cfg.listen == "" {
 		return fmt.Errorf("-pprof exposes profiles on the daemon address and needs -listen")
+	}
+	if cfg.workers != 0 && cfg.listen == "" {
+		return fmt.Errorf("-workers sizes the daemon's solver pool and needs -listen")
 	}
 	return nil
 }

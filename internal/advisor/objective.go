@@ -8,10 +8,10 @@ import (
 )
 
 // ObjectiveSpec is the one tenant-facing description of *what to optimize*,
-// accepted uniformly by Advise, StreamingAdvise, serve.Submit, the durable
-// daemon, the HTTP API, and the CLI. Entry points cast their raw strings
-// into a spec and call Validate; the spec is the single authority on which
-// combinations exist.
+// accepted uniformly by Advise, StreamingAdvise, the durable daemon
+// (serve.AdviseRequest), the HTTP API, and the CLI. Entry points cast their
+// raw strings into a spec and call Validate; the spec is the single
+// authority on which combinations exist.
 //
 // Percentile metrics (p95, p99) select the multi-objective mode: search
 // optimizes the percentile matrix and, unless NoMeanTieBreak is set,

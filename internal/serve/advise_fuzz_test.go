@@ -26,7 +26,7 @@ const fuzzInstances = 6
 // channel (TestHTTPAdviseStream). Bodies asking for long solves are
 // skipped: the property is about decoding, not solve time.
 func FuzzAdviseRequest(f *testing.F) {
-	d, err := OpenDaemon(DaemonConfig{Dir: f.TempDir(), Serve: Config{Shards: 1}, WAL: wal.Options{Sync: wal.SyncNone}})
+	d, err := OpenDaemon(DaemonConfig{Dir: f.TempDir(), Workers: 1, WAL: wal.Options{Sync: wal.SyncNone}})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -43,7 +43,7 @@ const (
 func crashConfig(dir string) DaemonConfig {
 	return DaemonConfig{
 		Dir:          dir,
-		Serve:        Config{Shards: 1},
+		Workers:      1,
 		WAL:          wal.Options{SegmentBytes: 256},
 		CompactEvery: 3,
 	}

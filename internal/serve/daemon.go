@@ -17,10 +17,9 @@ import (
 )
 
 // This file implements the durable serve daemon: the long-lived, crash-safe
-// face of the Server. Where the Server is a scheduling fabric with
-// no memory — every Job carries its own matrix and dies with the process —
-// the Daemon owns per-tenant state that must survive restarts: each
-// tenant's evolving cost matrix and its last served advice live in an
+// owner of per-tenant state and of the workers that solve its advises
+// (serve.go, sched.go). State that must survive restarts — each tenant's
+// evolving cost matrix and its last served advice — lives in an
 // append-only WAL (internal/wal), written before the mutation is
 // acknowledged. On restart, recovery replays every tenant's log, rebuilds
 // the MutableCostMatrix, verifies each epoch's fingerprint bit-for-bit
@@ -36,23 +35,16 @@ type DaemonConfig struct {
 	// Dir is the WAL root; each tenant's log lives in
 	// Dir/tenants/<hex(tenant)>. Required.
 	Dir string
-	// Serve configures the underlying Server.
-	Serve Config
+	// Workers is the number of worker goroutines; <= 0 selects 2. One
+	// tenant's advises run one at a time; distinct tenants' run
+	// concurrently, so Workers bounds the number of portfolio solves
+	// racing for the machine at once.
+	Workers int
 	// WAL configures each tenant's log (fsync policy, segment size).
 	WAL wal.Options
 	// CompactEvery compacts a tenant's log to a snapshot record every this
 	// many epochs; <= 0 selects 32.
 	CompactEvery int
-}
-
-// Daemon is a Server plus durable per-tenant state.
-type Daemon struct {
-	cfg   DaemonConfig
-	srv   *Server
-	cache *Cache
-
-	mu      sync.Mutex
-	tenants map[string]*tenantSession
 }
 
 // tenantSession is one tenant's durable state: its mean matrix, the tail
@@ -73,7 +65,7 @@ type tenantSession struct {
 
 // tenantMatrix is one of a tenant's matrices, a cache key with its own
 // fingerprint chain: the mutable matrix epochs fold into (nil until rows
-// are posted), the committed snapshot jobs solve over, and, from publish
+// are posted), the committed snapshot advises solve over, and, from publish
 // to commit or revert, the pending snapshot a WAL append decides on.
 type tenantMatrix struct {
 	pct     float64 // the percentile a tail estimates; 0 for the mean
@@ -207,7 +199,7 @@ func (s *tenantSession) searched(spec advisor.ObjectiveSpec) (*tenantMatrix, err
 // there — replaying epochs into rebuilt matrices, verifying fingerprints
 // bit-for-bit, restoring each tenant's last advice as its warm-start
 // incumbent, and re-seeding the shared artifact cache — and only then
-// starts the serving fabric. A fingerprint mismatch or mid-log corruption
+// starts the workers. A fingerprint mismatch or mid-log corruption
 // fails the open: serving advice from silently divergent state is the one
 // thing a durable daemon must never do.
 func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
@@ -217,14 +209,14 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 32
 	}
-	if cfg.Serve.Cache == nil {
-		cfg.Serve.Cache = NewCache(0)
+	if cfg.Workers <= 0 {
+		cfg.Workers = 2
 	}
 	root := filepath.Join(cfg.Dir, "tenants")
 	if err := wal.MkdirAll(root); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	d := &Daemon{cfg: cfg, cache: cfg.Serve.Cache, tenants: map[string]*tenantSession{}}
+	d := &Daemon{cfg: cfg, cache: NewCache(0), sched: newSched(cfg.Workers * queueDepth), tenants: map[string]*tenantSession{}}
 
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -257,7 +249,7 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 	}
 
-	d.srv = New(cfg.Serve)
+	d.start()
 	return d, nil
 }
 
@@ -333,23 +325,29 @@ func (d *Daemon) reseedCache(sess *tenantSession) error {
 	return nil
 }
 
-// session returns the tenant's session, creating its directory and log on
-// first use when create is set.
-func (d *Daemon) session(tenant string, create bool) (*tenantSession, error) {
+// enter admits one Advise or AppendEpoch call and returns the tenant's
+// session, creating its directory and log on first use when create is set.
+// Once Close has begun it refuses with ErrClosed; otherwise the call counts
+// as in flight until the caller runs d.calls.Done.
+func (d *Daemon) enter(tenant string, create bool) (*tenantSession, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s, ok := d.tenants[tenant]; ok {
-		return s, nil
+	if d.closed {
+		return nil, ErrClosed
 	}
-	if !create {
-		return nil, fmt.Errorf("%w %q", ErrUnknownTenant, tenant)
+	s, ok := d.tenants[tenant]
+	if !ok {
+		if !create {
+			return nil, fmt.Errorf("%w %q", ErrUnknownTenant, tenant)
+		}
+		dir := filepath.Join(d.cfg.Dir, "tenants", hex.EncodeToString([]byte(tenant)))
+		var err error
+		if s, err = d.openSession(dir, tenant); err != nil {
+			return nil, err
+		}
+		d.tenants[tenant] = s
 	}
-	dir := filepath.Join(d.cfg.Dir, "tenants", hex.EncodeToString([]byte(tenant)))
-	s, err := d.openSession(dir, tenant)
-	if err != nil {
-		return nil, err
-	}
-	d.tenants[tenant] = s
+	d.calls.Add(1)
 	return s, nil
 }
 
@@ -428,10 +426,11 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 			return 0, 0, err
 		}
 	}
-	sess, err := d.session(tenant, true)
+	sess, err := d.enter(tenant, true)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer d.calls.Done()
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -473,7 +472,9 @@ func (d *Daemon) AppendEpoch(tenant string, n int, rows []wal.RowDelta, tail *Ta
 // AdviseRequest is one advise call against a tenant's current matrix.
 type AdviseRequest struct {
 	// Tenant selects whose matrix to solve over; it must have at least one
-	// epoch. Required.
+	// epoch. It is the scheduling key: one tenant's advises run one at a
+	// time in admission order, with fairness accounted per tenant.
+	// Required.
 	Tenant string
 	// Graph defines the deployment problem's communication graph; required.
 	Graph *core.Graph
@@ -483,13 +484,20 @@ type AdviseRequest struct {
 	// costs on the mean matrix. The spec's Scheme is ignored: the daemon
 	// serves posted matrices, it does not measure.
 	advisor.ObjectiveSpec
-	// SolverName, ClusterK, RoundBudget, Seed: as in Job.
+	// SolverName, ClusterK, RoundBudget, and Seed have their
+	// advisor.StreamSolveConfig meanings. RoundBudget is required — beyond
+	// bounding the solve, it is the advise's fairness charge: each dispatch
+	// advances the tenant's virtual time by the declared budget, so tenants
+	// promising more work cede priority sooner.
 	SolverName  string
 	ClusterK    int
 	RoundBudget solver.Budget
 	Seed        int64
-	// Timeout bounds the solve's wall clock; zero leaves it bounded only by
-	// RoundBudget.
+	// Timeout, when positive, bounds the solve's wall clock from the moment
+	// a worker picks it up; zero leaves it bounded only by RoundBudget. On
+	// expiry the advise completes normally with its best-so-far incumbent
+	// and Outcome.Interrupted set — a deadline is degraded advice, not an
+	// error.
 	Timeout time.Duration
 	// NoWarmStart suppresses seeding the solve from the tenant's last
 	// logged advice.
@@ -499,53 +507,72 @@ type AdviseRequest struct {
 	OnRound func(advisor.Round)
 }
 
+// validate checks what the request itself says: the one validation an
+// advise gets before it is admitted.
+func (req *AdviseRequest) validate() error {
+	if req.Graph == nil {
+		return fmt.Errorf("serve: job without a communication graph")
+	}
+	if err := req.ObjectiveSpec.Validate(); err != nil {
+		return err
+	}
+	if req.Metric == advisor.MetricMeanPlusStd {
+		return fmt.Errorf("serve: jobs do not support the %q metric (epochs carry mean and percentile matrices)", advisor.MetricMeanPlusStd)
+	}
+	// The solver clock ignores a negative axis, so it bounds nothing.
+	if b := req.RoundBudget; b.Unlimited() || b.Time < 0 || b.Nodes < 0 {
+		return fmt.Errorf("serve: job requires a bounded round budget")
+	}
+	return nil
+}
+
 // Advise solves the request over the tenant's current matrix snapshot and,
 // on success, logs the served advice to the tenant's WAL — making it the
 // warm-start incumbent for the tenant's next advise, in this process
-// lifetime or any later one. A full admission queue (ErrBusy) passes
-// through for the caller's retry policy.
+// lifetime or any later one. Admission never blocks: a full admission
+// queue refuses with ErrBusy, for the caller's retry policy.
 func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
-	sess, err := d.session(req.Tenant, false)
+	sess, err := d.enter(req.Tenant, false)
 	if err != nil {
 		return nil, err
 	}
-	job := Job{
-		Tenant:        req.Tenant,
-		Graph:         req.Graph,
-		ObjectiveSpec: req.ObjectiveSpec,
-		SolverName:    req.SolverName,
-		ClusterK:      req.ClusterK,
-		RoundBudget:   req.RoundBudget,
-		Seed:          req.Seed,
-		Timeout:       req.Timeout,
-		OnRound:       req.OnRound,
+	defer d.calls.Done()
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
+	t := &task{req: req, done: make(chan struct{})}
 	sess.mu.Lock()
 	m, err := sess.searched(req.ObjectiveSpec)
 	if err != nil {
 		sess.mu.Unlock()
 		return nil, err
 	}
-	job.Matrix = sess.mean.snap
+	t.mean, t.fp = sess.mean.snap, m.fp
 	epoch, fp := sess.epoch, sess.mean.fp
 	if m.pct != 0 {
-		job.TailMatrix = m.snap
+		t.tail = m.snap
 	}
-	if !req.NoWarmStart && sess.lastAdvice != nil && req.Graph != nil {
+	if !req.NoWarmStart && sess.lastAdvice != nil {
 		dep := core.Deployment(sess.lastAdvice.Deployment)
 		// Adopt the incumbent only when it fits this request's problem
 		// shape; a tenant re-advising a different graph starts cold.
-		if len(dep) == req.Graph.NumNodes() && dep.Validate(job.Matrix.Size()) == nil {
-			job.WarmStart = dep.Clone()
+		if len(dep) == req.Graph.NumNodes() && dep.Validate(t.mean.Size()) == nil {
+			t.warm = dep.Clone()
 		}
 	}
 	sess.mu.Unlock()
 
-	tk, err := d.srv.Submit(job)
-	if err != nil {
+	// Build the graph's incidence caches up front (concurrent-safe; racing
+	// advises serialize behind one build) so workers never pay it mid-solve
+	// on a graph shared by several advises.
+	req.Graph.EnsureIncidence()
+	if err := d.sched.submit(t); err != nil {
+		d.rejected.Add(1)
 		return nil, err
 	}
-	res := tk.Wait()
+	d.submitted.Add(1)
+	<-t.done
+	res := t.res
 	if res.Err == nil && res.Outcome != nil && res.Outcome.Deployment != nil {
 		rec := &wal.AdviceRecord{
 			Epoch:       epoch,
@@ -558,9 +585,11 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 			Cost:        res.Outcome.Cost,
 			Deployment:  res.Outcome.Deployment,
 		}
-		// The session lock holds advice logging and incumbent adoption
-		// together, so WAL order matches incumbent order and replay
-		// restores exactly the incumbent a living daemon would hold.
+		// The advice is logged here, on the caller's goroutine, so an fsync
+		// never holds a worker. The session lock holds advice logging and
+		// incumbent adoption together, so WAL order matches incumbent order
+		// and replay restores exactly the incumbent a living daemon would
+		// hold.
 		sess.mu.Lock()
 		err := sess.log.Append(rec)
 		if err == nil {
@@ -583,8 +612,8 @@ type TenantStatus struct {
 	WAL         wal.Stats
 }
 
-// DaemonStats combines the serving fabric's counters with every tenant's
-// durable state.
+// DaemonStats combines the advise counters with every tenant's durable
+// state.
 type DaemonStats struct {
 	Server  Stats
 	Tenants []TenantStatus
@@ -605,7 +634,13 @@ func (d *Daemon) sessions() []*tenantSession {
 
 // Stats snapshots the daemon.
 func (d *Daemon) Stats() DaemonStats {
-	st := DaemonStats{Server: d.srv.Stats()}
+	st := DaemonStats{Server: Stats{
+		Submitted: d.submitted.Load(),
+		Rejected:  d.rejected.Load(),
+		Served:    d.served.Load(),
+		Failed:    d.failed.Load(),
+		Cache:     d.cache.Stats(),
+	}}
 	for _, s := range d.sessions() {
 		s.mu.Lock()
 		st.Tenants = append(st.Tenants, TenantStatus{
@@ -620,11 +655,18 @@ func (d *Daemon) Stats() DaemonStats {
 	return st
 }
 
-// Close drains the serving fabric — in-flight jobs finish, their advice is
-// logged — then flushes and closes every tenant's WAL. This is the SIGTERM
-// path: drain first, sync last, so nothing acknowledged is lost.
+// Close refuses new Advise and AppendEpoch calls with ErrClosed, waits for
+// those in flight — their solves finish and their advice is logged — then
+// stops the workers and flushes and closes every tenant's WAL. This is the
+// SIGTERM path: drain first, sync last, so nothing acknowledged is lost.
+// Safe to call once.
 func (d *Daemon) Close() error {
-	d.srv.Close()
+	d.mu.Lock()
+	d.closed = true
+	d.mu.Unlock()
+	d.calls.Wait()
+	d.sched.close()
+	d.workers.Wait()
 	var firstErr error
 	for _, s := range d.sessions() {
 		s.mu.Lock()

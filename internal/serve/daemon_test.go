@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"cloudia/internal/advisor"
 	"cloudia/internal/core"
@@ -38,6 +39,17 @@ func openDaemon(t *testing.T, cfg DaemonConfig) *Daemon {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// session returns the tenant's session, creating it when create is set.
+func session(t *testing.T, d *Daemon, tenant string, create bool) *tenantSession {
+	t.Helper()
+	s, err := d.enter(tenant, create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.calls.Done()
+	return s
 }
 
 func adviseOK(t *testing.T, d *Daemon, req AdviseRequest) *Result {
@@ -93,7 +105,7 @@ func TestDaemonRestartBitEqual(t *testing.T) {
 	}
 
 	// The control daemon lives through the whole workload.
-	control := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	control := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	ctrlFP, _ := drive(control)
 	want := adviseOK(t, control, AdviseRequest{
 		Tenant: "acme", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
@@ -105,14 +117,14 @@ func TestDaemonRestartBitEqual(t *testing.T) {
 	// fault-injection suite covers dirtier deaths) after the same workload
 	// and is reopened.
 	dir := t.TempDir()
-	crashed := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	crashed := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 	crashFP, _ := drive(crashed)
 	if crashFP != ctrlFP {
 		t.Fatalf("workload fingerprints diverge before the restart: %016x != %016x", uint64(crashFP), uint64(ctrlFP))
 	}
 	crashed.Close()
 
-	reopened := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	reopened := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 	defer reopened.Close()
 	st := reopened.Stats()
 	if len(st.Tenants) != 1 || st.Tenants[0].Fingerprint != ctrlFP || st.Tenants[0].Epoch != 3 {
@@ -182,7 +194,7 @@ func TestDaemonCacheReseed(t *testing.T) {
 				SolverName: c.name, ClusterK: c.clusterK, RoundBudget: solver.Budget{Nodes: 5_000},
 			}
 
-			d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+			d := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 			if _, _, err := d.AppendEpoch("acme", n, fullRows(m), nil); err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +204,7 @@ func TestDaemonCacheReseed(t *testing.T) {
 			}
 			d.Close()
 
-			re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+			re := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 			defer re.Close()
 			if hit := adviseOK(t, re, req); hit.CacheMisses != 0 {
 				t.Fatalf("post-restart advise hits/misses = %d/%d, want no misses", hit.CacheHits, hit.CacheMisses)
@@ -227,7 +239,7 @@ func TestDaemonCompaction(t *testing.T) {
 	m := testMatrix(rng, n)
 	dir := t.TempDir()
 
-	d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}, CompactEvery: 3})
+	d := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1, CompactEvery: 3})
 	var lastFP core.Fingerprint
 	for e := 0; e < 7; e++ {
 		vals := make([]float64, n)
@@ -249,7 +261,7 @@ func TestDaemonCompaction(t *testing.T) {
 	}
 	d.Close()
 
-	re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}, CompactEvery: 3})
+	re := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1, CompactEvery: 3})
 	defer re.Close()
 	rst := re.Stats()
 	if rst.Tenants[0].Fingerprint != lastFP || rst.Tenants[0].Epoch != 7 {
@@ -274,7 +286,7 @@ func TestDaemonRecoveryRefusesFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Close()
-	if _, err := OpenDaemon(DaemonConfig{Dir: dir, Serve: Config{Shards: 1}}); err == nil {
+	if _, err := OpenDaemon(DaemonConfig{Dir: dir, Workers: 1}); err == nil {
 		t.Fatal("daemon opened over a fingerprint mismatch")
 	}
 }
@@ -282,7 +294,7 @@ func TestDaemonRecoveryRefusesFingerprintMismatch(t *testing.T) {
 // TestDaemonValidation covers AppendEpoch's input contract and the
 // unknown-tenant advise path.
 func TestDaemonValidation(t *testing.T) {
-	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 
 	cases := []struct {
@@ -320,16 +332,96 @@ func TestDaemonValidation(t *testing.T) {
 	}
 }
 
+// TestDaemonCloseDrainsInFlight: once Close begins, every later call is
+// refused with ErrClosed and creates nothing on disk, while an advise
+// already in flight finishes and logs its advice before the logs close, so
+// a reopened daemon warm-starts from it.
+func TestDaemonCloseDrainsInFlight(t *testing.T) {
+	g := testGraph(t, 2, 3)
+	m := testMatrix(rand.New(rand.NewSource(37)), 8)
+	dir := t.TempDir()
+	d := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
+	postMatrix(t, d, "acme", m)
+
+	// Park an advise in its round, then begin Close.
+	req, gate := gatedAdvise(g, "acme", solver.Budget{Nodes: 1000})
+	parked := make(chan struct{})
+	req.OnRound = func(advisor.Round) {
+		close(parked)
+		<-gate
+	}
+	inFlight := adviseAsync(d, req)
+	<-parked
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d.mu.Lock()
+		c := d.closed
+		d.mu.Unlock()
+		if c {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never marked the daemon closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, _, err := d.AppendEpoch("acme", m.Size(), fullRows(m), nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("epoch for an existing tenant after Close: %v, want ErrClosed", err)
+	}
+	if _, _, err := d.AppendEpoch("newcomer", m.Size(), fullRows(m), nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("epoch for a new tenant after Close: %v, want ErrClosed", err)
+	}
+	plain := req
+	plain.OnRound = nil
+	if _, err := d.Advise(plain); !errors.Is(err, ErrClosed) {
+		t.Errorf("advise after Close: %v, want ErrClosed", err)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "tenants")); err != nil || len(entries) != 1 {
+		t.Errorf("tenant directories after Close: %d (err %v), want only acme's", len(entries), err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with an advise in flight", err)
+	default:
+	}
+
+	close(gate)
+	res := inFlight.wait(t)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	re := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
+	defer re.Close()
+	adv := session(t, re, "acme", false).lastAdvice
+	if adv == nil || !reflect.DeepEqual([]int(adv.Deployment), []int(res.Outcome.Deployment)) {
+		t.Fatalf("reopened daemon holds advice %+v, want the drained advise's %v", adv, res.Outcome.Deployment)
+	}
+	// Warm-started from the drained advice, one node of budget can only
+	// keep or improve on it.
+	warm := adviseOK(t, re, AdviseRequest{Tenant: "acme", Graph: g,
+		ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink}, SolverName: "g2", RoundBudget: solver.Budget{Nodes: 1}})
+	if warm.Outcome.Cost > res.Outcome.Cost {
+		t.Fatalf("reopened advise cost %g, want at most the drained advice's %g", warm.Outcome.Cost, res.Outcome.Cost)
+	}
+}
+
 // TestDaemonAlienTenantDir: recovery refuses a tenants/ entry it cannot
 // decode rather than guessing.
 func TestDaemonAlienTenantDir(t *testing.T) {
 	dir := t.TempDir()
-	d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 	d.Close()
 	if err := os.MkdirAll(filepath.Join(dir, "tenants", "not-hex!"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDaemon(DaemonConfig{Dir: dir, Serve: Config{Shards: 1}}); err == nil {
+	if _, err := OpenDaemon(DaemonConfig{Dir: dir, Workers: 1}); err == nil {
 		t.Fatal("daemon opened over an undecodable tenant directory")
 	}
 }
@@ -348,10 +440,7 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := d.session("acme", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, d, "acme", false)
 	tailFP := sess.tail.fp
 	if sess.mean.mm.Fingerprint() != fp || sess.tail.mm.Fingerprint() != tailFP {
 		t.Fatal("committed fingerprints disagree with the matrices")
@@ -385,10 +474,7 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	check("after the failed append", sess)
 
 	// A tenant whose very first epoch fails holds no matrix at all.
-	fresh, err := d.session("fresh", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := session(t, d, "fresh", true)
 	if err := fresh.log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +490,7 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 
 	d2 := openDaemon(t, DaemonConfig{Dir: dir})
 	defer d2.Close()
-	re, err := d2.session("acme", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := session(t, d2, "acme", false)
 	check("after reopen", re)
 }
 
@@ -422,7 +505,7 @@ func TestDaemonFailedFsyncFailsClosed(t *testing.T) {
 	const n = 4
 	m := testMatrix(rand.New(rand.NewSource(89)), n)
 	dir := t.TempDir()
-	d := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 	if _, _, err := d.AppendEpoch("t", n, fullRows(m), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +531,7 @@ func TestDaemonFailedFsyncFailsClosed(t *testing.T) {
 	ts.Close()
 	closeErr := d.Close()
 
-	re := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}})
+	re := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1})
 	defer re.Close()
 	acked := m.Clone()
 	for j, v := range scaled(1, 1.5) {
@@ -492,7 +575,7 @@ func TestDaemonFailedCompactionFailsClosed(t *testing.T) {
 	}{{"SyncAlways", wal.SyncAlways}, {"SyncNone", wal.SyncNone}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := DaemonConfig{Dir: dir, Serve: Config{Shards: 1}, CompactEvery: 2, WAL: wal.Options{Sync: tc.policy}}
+			cfg := DaemonConfig{Dir: dir, Workers: 1, CompactEvery: 2, WAL: wal.Options{Sync: tc.policy}}
 			d := openDaemon(t, cfg)
 			if _, _, err := d.AppendEpoch("t", n, fullRows(m), nil); err != nil {
 				t.Fatal(err)
@@ -556,7 +639,7 @@ func TestDaemonFailedCompactionFailsClosed(t *testing.T) {
 func TestDaemonOpenSyncsNewDirs(t *testing.T) {
 	eio := errors.New("injected EIO")
 	dir := filepath.Join(t.TempDir(), "fresh", "wal")
-	cfg := DaemonConfig{Dir: dir, Serve: Config{Shards: 1}}
+	cfg := DaemonConfig{Dir: dir, Workers: 1}
 	defer wal.FailNextSync(nil)
 	for try := 1; try <= 2; try++ {
 		wal.FailNextSync(eio)

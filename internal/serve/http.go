@@ -138,7 +138,7 @@ func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Cast the raw strings into the spec and let its Validate (run by
-	// Submit) be the single authority on objective/metric combinations —
+	// Advise) be the single authority on objective/metric combinations —
 	// no HTTP-side switch duplicating it. Only the empty-objective default
 	// is resolved here.
 	spec := advisor.ObjectiveSpec{
@@ -184,7 +184,7 @@ func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 
 	res, err := d.Advise(req)
 	if err == nil && !jr.Stream {
-		// A job that failed — an unknown solver, a graph larger than the
+		// A solve that failed — an unknown solver, a graph larger than the
 		// tenant's matrix — refuses the request like any other refusal.
 		err = res.Err
 	}

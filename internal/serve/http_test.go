@@ -63,7 +63,7 @@ func epochPayload(t *testing.T, tenant string, n int) map[string]any {
 }
 
 func TestHTTPEpochAdviseStats(t *testing.T) {
-	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
@@ -115,7 +115,7 @@ func TestHTTPEpochAdviseStats(t *testing.T) {
 }
 
 func TestHTTPAdviseStream(t *testing.T) {
-	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
@@ -160,7 +160,7 @@ func TestHTTPAdviseStream(t *testing.T) {
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
-	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
@@ -261,7 +261,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 // of an advise graph (400), and the body size of both POST endpoints (413,
 // code too_large).
 func TestHTTPBodyLimits(t *testing.T) {
-	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()

@@ -12,7 +12,6 @@ import (
 
 	"cloudia/internal/advisor"
 	"cloudia/internal/core"
-	"cloudia/internal/measure"
 	"cloudia/internal/solver"
 	"cloudia/internal/wal"
 )
@@ -79,10 +78,7 @@ func TestShareRaceHammer(t *testing.T) {
 					return nil, err
 				}
 				if shared {
-					br := &cacheBridge{cache: cache, spec: advisor.ObjectiveSpec{Objective: cfg.obj}}
-					if err := br.onProblem(prob, nil, measure.Epoch{}, nil); err != nil {
-						return nil, err
-					}
+					cache.share(m.Fingerprint(), prob.Prep())
 				}
 				if err := prob.Prep().WarmStart(core.Identity(g.NumNodes())); err != nil {
 					return nil, err
@@ -175,7 +171,7 @@ func TestDaemonReplayBitEqual(t *testing.T) {
 	const n, tenants = 8, 5
 	budget := solver.Budget{Nodes: 10_000}
 
-	live := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	live := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer live.Close()
 	for i := 0; i < tenants; i++ {
 		tn := fmt.Sprintf("tenant-%d", i)
@@ -202,7 +198,7 @@ func TestDaemonReplayBitEqual(t *testing.T) {
 	// captures what a crash at this point would leave on disk.
 	restartDir := t.TempDir()
 	copyDir(t, live.cfg.Dir, restartDir)
-	restarted := openDaemon(t, DaemonConfig{Dir: restartDir, Serve: Config{Shards: 1}})
+	restarted := openDaemon(t, DaemonConfig{Dir: restartDir, Workers: 1})
 	defer restarted.Close()
 
 	type state struct {

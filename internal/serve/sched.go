@@ -4,19 +4,21 @@ import (
 	"container/heap"
 	"sync"
 	"time"
+
+	"cloudia/internal/solver"
 )
 
-// This file implements the pull-based job scheduler behind Server: one
-// fair ready queue with per-tenant accounting, pulled by the worker
-// goroutines.
+// This file implements the pull-based scheduler behind Daemon.Advise: one
+// fair ready queue with per-tenant accounting, pulled by the daemon's
+// worker goroutines.
 //
 // The design is the iterator-composition/worker-pool shape of streaming
-// query executors: producers (Submit) only append work to per-tenant FIFO
+// query executors: producers (Advise) only append work to per-tenant FIFO
 // queues; consumers (workers) lazily pull the next job when — and only
 // when — they have capacity, so no stage ever buffers or copies epochs
 // ahead of demand. Jobs flow as references the whole way down: an admitted
-// task holds the caller's Job verbatim (matrix and graph pointers), and
-// nothing between Submit and SolveStream clones a matrix or a Prep
+// task holds the request and the tenant's snapshots by pointer, and
+// nothing between Advise and SolveStream clones a matrix or a Prep
 // artifact.
 //
 // Fairness is stride-scheduling over declared budgets. Every tenant carries
@@ -48,11 +50,8 @@ type sched struct {
 	// tenants start at it (see above).
 	vclock float64
 
-	// queued counts admitted-but-undispatched tasks across all tenants;
-	// outstanding additionally counts dispatched-but-unfinished ones, so
-	// close() can wait for a full drain.
-	queued      int
-	outstanding int
+	// queued counts admitted-but-undispatched tasks across all tenants.
+	queued int
 
 	seq    int64 // admission counter, tie-break for equal vtimes
 	closed bool
@@ -63,7 +62,7 @@ type sched struct {
 // heap while idle or while a job runs, so one tenant's jobs run one at a
 // time, in submission order.
 type tenantState struct {
-	pending []task  // FIFO backlog
+	pending []*task // FIFO backlog
 	running bool    // a job is in flight
 	vtime   float64 // accumulated charged service, ns
 
@@ -104,68 +103,64 @@ func newSched(capacity int) *sched {
 // their node count — nodes are the machine-independent work unit, and a
 // fleet mixing the two axes still gets a consistent ordering within each
 // kind.
-func charge(j Job) float64 {
-	if j.RoundBudget.Time > 0 {
-		return float64(j.RoundBudget.Time)
+func charge(b solver.Budget) float64 {
+	if b.Time > 0 {
+		return float64(b.Time)
 	}
-	return float64(j.RoundBudget.Nodes)
+	return float64(b.Nodes)
 }
 
-// submit performs admission control and enqueues the task atomically. A
-// capacity of zero admits without bound.
-func (s *sched) submit(key string, j Job, tk *Ticket) error {
+// submit performs admission control and enqueues the task, keyed by its
+// tenant, atomically. A capacity of zero admits without bound.
+func (s *sched) submit(tk *task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
 	if s.capacity > 0 && s.queued >= s.capacity {
 		return ErrBusy
 	}
-	t, ok := s.tenants[key]
+	t, ok := s.tenants[tk.req.Tenant]
 	if !ok {
 		t = &tenantState{}
-		s.tenants[key] = t
+		s.tenants[tk.req.Tenant] = t
 	}
 	s.seq++
-	task := task{job: j, ticket: tk, enqueued: time.Now(), seq: s.seq}
+	tk.enqueued, tk.seq = time.Now(), s.seq
 	if len(t.pending) == 0 && !t.running {
 		// Returning from idle: no banked credit (see file comment).
 		if t.vtime < s.vclock {
 			t.vtime = s.vclock
 		}
-		t.seq = task.seq
+		t.seq = tk.seq
 		heap.Push(&s.ready, t)
 	}
-	t.pending = append(t.pending, task)
+	t.pending = append(t.pending, tk)
 	s.queued++
-	s.outstanding++
 	s.cond.Signal()
 	return nil
 }
 
 // next blocks until a tenant is ready and dispatches the head task of the
 // most-starved one (lowest vtime, then earliest admission). ok=false means
-// the scheduler is closed and fully drained.
-func (s *sched) next() (tk task, ok bool) {
+// the scheduler is closed and nothing is ready.
+func (s *sched) next() (tk *task, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.ready.Len() == 0 {
-		if s.closed && s.outstanding == 0 {
-			return task{}, false
+		if s.closed {
+			return nil, false
 		}
 		s.cond.Wait()
 	}
 	t := heap.Pop(&s.ready).(*tenantState)
 	tk = t.pending[0]
-	t.pending[0] = task{} // release the Job's references early
+	t.pending[0] = nil
 	t.pending = t.pending[1:]
 	t.running = true
 	s.queued--
 	if t.vtime > s.vclock {
 		s.vclock = t.vtime
 	}
-	t.vtime += charge(tk.job)
+	t.vtime += charge(tk.req.RoundBudget)
 	return tk, true
 }
 
@@ -175,19 +170,16 @@ func (s *sched) done(key string) {
 	s.mu.Lock()
 	t := s.tenants[key]
 	t.running = false
-	s.outstanding--
 	if len(t.pending) > 0 {
 		t.seq = t.pending[0].seq
 		heap.Push(&s.ready, t)
+		s.cond.Signal()
 	}
-	// Broadcast, not Signal: completion can unblock both a worker waiting
-	// for work and Close waiting for the drain.
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// close stops admission and wakes every waiting worker so they can drain
-// the backlog and exit.
+// close wakes every waiting worker to exit once the ready queue is empty.
+// The daemon closes it only after every admitted task has finished.
 func (s *sched) close() {
 	s.mu.Lock()
 	s.closed = true

@@ -6,9 +6,9 @@ import (
 	"cloudia/internal/solver"
 )
 
-// schedJob builds a minimal job carrying only what the scheduler reads.
-func schedJob(tenant string, nodes int64) Job {
-	return Job{Tenant: tenant, RoundBudget: solver.Budget{Nodes: nodes}}
+// schedJob builds a minimal task carrying only what the scheduler reads.
+func schedJob(tenant string, nodes int64) *task {
+	return &task{req: AdviseRequest{Tenant: tenant, RoundBudget: solver.Budget{Nodes: nodes}}}
 }
 
 // drain dispatches and immediately retires count tasks, returning the
@@ -21,8 +21,8 @@ func drain(t *testing.T, s *sched, count int) []string {
 		if !ok {
 			t.Fatalf("scheduler drained after %d of %d dispatches", i, count)
 		}
-		order = append(order, tk.job.Tenant)
-		s.done(tk.job.Tenant)
+		order = append(order, tk.req.Tenant)
+		s.done(tk.req.Tenant)
 	}
 	return order
 }
@@ -31,7 +31,7 @@ func drain(t *testing.T, s *sched, count int) []string {
 func mustSubmitN(t *testing.T, s *sched, tenant string, nodes int64, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := s.submit(tenant, schedJob(tenant, nodes), &Ticket{}); err != nil {
+		if err := s.submit(schedJob(tenant, nodes)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestSchedSerializesTenant(t *testing.T) {
 	}
 	s.mu.Unlock()
 	s.done("only")
-	if tk2, ok := s.next(); !ok || tk2.job.Tenant != "only" || tk2.seq != tk.seq+1 {
+	if tk2, ok := s.next(); !ok || tk2.req.Tenant != "only" || tk2.seq != tk.seq+1 {
 		t.Fatal("backlog not resumable in order after completion")
 	}
 }
@@ -108,9 +108,9 @@ func TestSchedStealPicksMostStarved(t *testing.T) {
 	mustSubmitN(t, s, "b", 1000, 2)
 	ta, _ := s.next() // a: vtime 0 -> 5000
 	tb, _ := s.next() // b: vtime 0 -> 1000
-	s.done(ta.job.Tenant)
-	s.done(tb.job.Tenant)
-	if tk, _ := s.next(); tk.job.Tenant != "b" {
-		t.Fatalf("dispatch with a at vtime 5000 and b at 1000 picked %q, want most-starved \"b\"", tk.job.Tenant)
+	s.done(ta.req.Tenant)
+	s.done(tb.req.Tenant)
+	if tk, _ := s.next(); tk.req.Tenant != "b" {
+		t.Fatalf("dispatch with a at vtime 5000 and b at 1000 picked %q, want most-starved \"b\"", tk.req.Tenant)
 	}
 }

@@ -46,14 +46,63 @@ func finalEpoch(m *core.CostMatrix) <-chan measure.Epoch {
 	return ch
 }
 
-// gatedJob returns a valid job whose worker parks in OnRound until the
-// test sends on (or closes) the returned gate: the way to hold a worker,
-// and to observe which job is running, without racing the solver.
-func gatedJob(g *core.Graph, m *core.CostMatrix, tenant string, budget solver.Budget) (Job, chan struct{}) {
+// postMatrix posts m as the tenant's first epoch, every row in full.
+func postMatrix(t testing.TB, d *Daemon, tenant string, m *core.CostMatrix) {
+	t.Helper()
+	if _, _, err := d.AppendEpoch(tenant, m.Size(), fullRows(m), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingAdvise is an Advise running on a goroutine of its own, so a test
+// can hold several in the daemon's queues at once.
+type pendingAdvise struct {
+	res  *Result
+	err  error
+	done chan struct{}
+}
+
+func adviseAsync(d *Daemon, req AdviseRequest) *pendingAdvise {
+	p := &pendingAdvise{done: make(chan struct{})}
+	go func() {
+		p.res, p.err = d.Advise(req)
+		close(p.done)
+	}()
+	return p
+}
+
+// wait returns the advise's result; an admission error fails the test.
+func (p *pendingAdvise) wait(t testing.TB) *Result {
+	t.Helper()
+	<-p.done
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	return p.res
+}
+
+// awaitAdmitted waits until the daemon has admitted n advises in all, which
+// fixes the admission order of advises started on their own goroutines.
+func awaitAdmitted(t testing.TB, d *Daemon, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Stats().Server.Submitted < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon admitted %d advises, want %d", d.Stats().Server.Submitted, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gatedAdvise returns a valid request whose worker parks in OnRound until
+// the test sends on (or closes) the returned gate: the way to hold a
+// worker, and to observe which advise is running, without racing the
+// solver.
+func gatedAdvise(g *core.Graph, tenant string, budget solver.Budget) (AdviseRequest, chan struct{}) {
 	gate := make(chan struct{})
-	return Job{
+	return AdviseRequest{
 		Tenant: tenant, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		Matrix: m, SolverName: "g1", RoundBudget: budget,
+		SolverName: "g1", RoundBudget: budget,
 		OnRound: func(advisor.Round) { <-gate },
 	}, gate
 }
@@ -70,29 +119,26 @@ func TestServeMatchesUnsharded(t *testing.T) {
 	for _, solverName := range []string{"cp", "g1", "sa"} {
 		t.Run(solverName, func(t *testing.T) {
 			shared := testMatrix(rng, instances)
-			srv := New(Config{Shards: 3})
-			defer srv.Close()
+			d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 3})
+			defer d.Close()
 
 			const tenants = 6
-			tickets := make([]*Ticket, tenants)
+			pending := make([]*pendingAdvise, tenants)
 			for tn := 0; tn < tenants; tn++ {
-				var err error
-				tickets[tn], err = srv.Submit(Job{
-					Tenant:        fmt.Sprintf("tenant-%d", tn),
+				tenant := fmt.Sprintf("tenant-%d", tn)
+				postMatrix(t, d, tenant, shared)
+				pending[tn] = adviseAsync(d, AdviseRequest{
+					Tenant:        tenant,
 					Graph:         g,
 					ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-					Matrix:        shared,
 					SolverName:    solverName,
 					ClusterK:      4,
 					RoundBudget:   budget,
 					Seed:          int64(100 + tn),
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 			for tn := 0; tn < tenants; tn++ {
-				res := tickets[tn].Wait()
+				res := pending[tn].wait(t)
 				if res.Err != nil {
 					t.Fatalf("tenant %d: %v", tn, res.Err)
 				}
@@ -124,30 +170,27 @@ func TestServeCrossTenantCacheHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testGraph(t, 3, 4)
 	m := testMatrix(rng, 16)
-	srv := New(Config{Shards: 4})
-	defer srv.Close()
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 4})
+	defer d.Close()
 
 	const tenants = 8
-	tickets := make([]*Ticket, tenants)
-	for tn := range tickets {
-		var err error
-		tickets[tn], err = srv.Submit(Job{
-			Tenant:        fmt.Sprintf("t%d", tn),
+	pending := make([]*pendingAdvise, tenants)
+	for tn := range pending {
+		tenant := fmt.Sprintf("t%d", tn)
+		postMatrix(t, d, tenant, m)
+		pending[tn] = adviseAsync(d, AdviseRequest{
+			Tenant:        tenant,
 			Graph:         g,
 			ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-			Matrix:        m,
 			SolverName:    "cp",
 			ClusterK:      4,
 			RoundBudget:   solver.Budget{Nodes: 10_000},
 			Seed:          int64(tn),
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	hits := 0
-	for _, tk := range tickets {
-		res := tk.Wait()
+	for _, p := range pending {
+		res := p.wait(t)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -156,7 +199,7 @@ func TestServeCrossTenantCacheHits(t *testing.T) {
 	if hits != tenants-1 {
 		t.Fatalf("cross-tenant hits = %d, want %d (one compute, rest adopt)", hits, tenants-1)
 	}
-	st := srv.Stats()
+	st := d.Stats().Server
 	if st.Cache.Misses != 1 {
 		t.Fatalf("cache misses = %d, want exactly 1 compute for the shared matrix", st.Cache.Misses)
 	}
@@ -165,152 +208,157 @@ func TestServeCrossTenantCacheHits(t *testing.T) {
 	}
 }
 
-// Admission control: with its one worker parked, a server admits exactly
-// queueDepth more jobs and refuses the next with ErrBusy, counting it as
-// rejected; the admitted jobs still drain, and a closed server refuses
+// Admission control: with its one worker parked, a daemon admits exactly
+// queueDepth more advises and refuses the next with ErrBusy, counting it as
+// rejected; the admitted advises still drain, and a closed daemon refuses
 // with ErrClosed.
 func TestServeBackpressureAndBudget(t *testing.T) {
 	g := testGraph(t, 2, 3)
 	rng := rand.New(rand.NewSource(13))
 	m := testMatrix(rng, 8)
 
-	// Park the single worker in a job whose round we release, so the queue
-	// can be observed deterministically.
-	srv := New(Config{Shards: 1})
-	blocker, gate := gatedJob(g, m, "blocker", solver.Budget{Nodes: 1000})
-	quick := Job{
+	// Park the single worker in an advise whose round we release, so the
+	// queue can be observed deterministically.
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
+	for _, tenant := range []string{"blocker", "quick", "quick-0", "quick-1", "quick-2"} {
+		postMatrix(t, d, tenant, m)
+	}
+	blocker, gate := gatedAdvise(g, "blocker", solver.Budget{Nodes: 1000})
+	quick := AdviseRequest{
 		Tenant: "quick", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		Matrix: m, SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
+		SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
 	}
-	bt, err := srv.Submit(blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pending := []*pendingAdvise{adviseAsync(d, blocker)}
 	// Wait until the worker pulled the blocker, freeing its queue slot.
+	awaitAdmitted(t, d, 1)
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.sched.queuedTasks() > 0 {
+	for d.sched.queuedTasks() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up the blocker")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	tks := []*Ticket{bt}
 	for i := 0; i < queueDepth; i++ {
-		j := quick
-		j.Tenant = fmt.Sprintf("quick-%d", i%3)
-		tk, err := srv.Submit(j)
-		if err != nil {
-			t.Fatalf("job %d of a %d-deep queue: %v", i+1, queueDepth, err)
-		}
-		tks = append(tks, tk)
+		req := quick
+		req.Tenant = fmt.Sprintf("quick-%d", i%3)
+		pending = append(pending, adviseAsync(d, req))
 	}
-	if _, err := srv.Submit(quick); err != ErrBusy {
+	awaitAdmitted(t, d, queueDepth+1)
+	if _, err := d.Advise(quick); err != ErrBusy {
 		t.Fatalf("queue-full error = %v, want ErrBusy", err)
 	}
-	if st := srv.Stats(); st.Rejected != 1 || st.Submitted != queueDepth+1 {
+	if st := d.Stats().Server; st.Rejected != 1 || st.Submitted != queueDepth+1 {
 		t.Fatalf("rejected = %d, submitted = %d, want 1 and %d", st.Rejected, st.Submitted, queueDepth+1)
 	}
 
 	// Unblock: the blocker's round returns, then the queue drains.
 	close(gate)
-	for _, tk := range tks {
-		if res := tk.Wait(); res.Err != nil {
+	for _, p := range pending {
+		if res := p.wait(t); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
-	srv.Close()
-	if _, err := srv.Submit(quick); err != ErrClosed {
-		t.Fatalf("submit after close = %v, want ErrClosed", err)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if st := srv.Stats(); st.Served != queueDepth+1 || st.Rejected != 1 {
+	if _, err := d.Advise(quick); err != ErrClosed {
+		t.Fatalf("advise after close = %v, want ErrClosed", err)
+	}
+	if st := d.Stats().Server; st.Served != queueDepth+1 || st.Rejected != 1 {
 		t.Fatalf("served = %d, rejected = %d after close, want %d and 1", st.Served, st.Rejected, queueDepth+1)
 	}
 }
 
-// A job whose solve fails — here a matrix with fewer instances than the
-// graph has nodes — must surface its error through the ticket and count as
+// An advise whose solve fails — here a matrix with fewer instances than the
+// graph has nodes — must surface its error in its Result and count as
 // failed, not served.
 func TestServeJobFailureSurfaces(t *testing.T) {
 	g := testGraph(t, 2, 3)
-	srv := New(Config{Shards: 1})
-	defer srv.Close()
-	tk, err := srv.Submit(Job{
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
+	postMatrix(t, d, "t", testMatrix(rand.New(rand.NewSource(3)), 4))
+	res, err := d.Advise(AdviseRequest{
 		Tenant: "t", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-		Matrix: testMatrix(rand.New(rand.NewSource(3)), 4), SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
+		SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := tk.Wait()
 	if res.Err == nil {
-		t.Fatal("a 4-instance matrix under a 6-node graph did not fail the job")
+		t.Fatal("a 4-instance matrix under a 6-node graph did not fail the advise")
 	}
-	st := srv.Stats()
+	st := d.Stats().Server
 	if st.Failed != 1 || st.Served != 0 {
 		t.Fatalf("failed=%d served=%d, want 1 and 0", st.Failed, st.Served)
 	}
 }
 
-// Submit must validate jobs before touching any shard.
+// Advise must refuse a bad request before admitting it: each row is
+// refused, and none reaches the queue.
 func TestServeSubmitValidation(t *testing.T) {
 	g := testGraph(t, 2, 3)
 	rng := rand.New(rand.NewSource(17))
 	m := testMatrix(rng, 8)
-	srv := New(Config{Shards: 1})
-	defer srv.Close()
-	ok := Job{Tenant: "t", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink}, Matrix: m,
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
+	postMatrix(t, d, "t", m)
+	ok := AdviseRequest{Tenant: "t", Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 		SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000}}
-	bad := []func(*Job){
-		func(j *Job) { j.Tenant = "" },
-		func(j *Job) { j.Graph = nil },
-		func(j *Job) { j.Matrix = nil },
-		func(j *Job) { j.Metric = advisor.MetricP99 }, // no TailMatrix
-		func(j *Job) { j.Metric = advisor.MetricMeanPlusStd },
-		func(j *Job) { j.RoundBudget = solver.Budget{} },
+	bad := []struct {
+		name string
+		mut  func(*AdviseRequest)
+	}{
+		{"no tenant", func(r *AdviseRequest) { r.Tenant = "" }},
+		{"unknown tenant", func(r *AdviseRequest) { r.Tenant = "ghost" }},
+		{"no graph", func(r *AdviseRequest) { r.Graph = nil }},
+		{"unknown objective", func(r *AdviseRequest) { r.Objective = "shortest-link" }},
+		{"p99 without a tail", func(r *AdviseRequest) { r.Metric = advisor.MetricP99 }},
+		{"mean+sd", func(r *AdviseRequest) { r.Metric = advisor.MetricMeanPlusStd }},
+		{"unbounded budget", func(r *AdviseRequest) { r.RoundBudget = solver.Budget{} }},
+		{"negative node budget", func(r *AdviseRequest) { r.RoundBudget = solver.Budget{Nodes: -1} }},
+		{"negative time budget", func(r *AdviseRequest) { r.RoundBudget = solver.Budget{Time: -1, Nodes: 1000} }},
 	}
-	for i, mut := range bad {
-		j := ok
-		mut(&j)
-		if _, err := srv.Submit(j); err == nil {
-			t.Fatalf("bad job %d accepted", i)
+	for _, tc := range bad {
+		req := ok
+		tc.mut(&req)
+		if _, err := d.Advise(req); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	tk, err := srv.Submit(ok)
-	if err != nil {
-		t.Fatal(err)
+	if n := d.Stats().Server.Submitted; n != 0 {
+		t.Fatalf("%d refused advises reached the queue", n)
 	}
-	if res := tk.Wait(); res.Err != nil {
-		t.Fatal(res.Err)
+	if res := adviseOK(t, d, ok); res.Outcome.Deployment == nil {
+		t.Fatal("valid advise returned no deployment")
 	}
 }
 
-// End-to-end starvation check: with one worker, a hot tenant's 4-job
+// End-to-end starvation check: with one worker, a hot tenant's 4-advise
 // backlog must yield to later-arriving light tenants after its first
-// dispatch. Each job parks in OnRound on an unbuffered gate, so the running
-// job is exactly the one whose gate send succeeds — observing the true
-// dispatch order without races.
+// dispatch. Each advise parks in OnRound on an unbuffered gate, so the
+// running advise is exactly the one whose gate send succeeds — observing
+// the true dispatch order without races.
 func TestServeHotTenantCannotStarveLights(t *testing.T) {
 	g := testGraph(t, 2, 3)
 	m := testMatrix(rand.New(rand.NewSource(29)), 8)
-	srv := New(Config{Shards: 1})
-	defer srv.Close()
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
 
 	type sub struct {
 		tenant string
 		gate   chan struct{}
-		tk     *Ticket
+		p      *pendingAdvise
 	}
 	var subs []*sub
 	submit := func(tenant string) {
 		t.Helper()
-		job, gate := gatedJob(g, m, tenant, solver.Budget{Nodes: 1000})
-		s := &sub{tenant: tenant, gate: gate}
-		var err error
-		s.tk, err = srv.Submit(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, s)
+		req, gate := gatedAdvise(g, tenant, solver.Budget{Nodes: 1000})
+		subs = append(subs, &sub{tenant: tenant, gate: gate, p: adviseAsync(d, req)})
+		awaitAdmitted(t, d, int64(len(subs)))
+	}
+	for _, tenant := range []string{"hot", "light-a", "light-b", "light-c"} {
+		postMatrix(t, d, tenant, m)
 	}
 	for i := 0; i < 4; i++ {
 		submit("hot")
@@ -330,7 +378,7 @@ func TestServeHotTenantCannotStarveLights(t *testing.T) {
 		}
 		chosen, _, _ := reflect.Select(cases)
 		s := remaining[chosen]
-		if res := s.tk.Wait(); res.Err != nil {
+		if res := s.p.wait(t); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 		order = append(order, s.tenant)
@@ -343,8 +391,8 @@ func TestServeHotTenantCannotStarveLights(t *testing.T) {
 }
 
 // Two workers pulling two tenants' interleaved backlogs from the one ready
-// queue must not change a single output bit: whichever worker runs a job,
-// its deployment and cost equal the streaming path run directly.
+// queue must not change a single output bit: whichever worker runs an
+// advise, its deployment and cost equal the streaming path run directly.
 func TestServeWorkStealingBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := testGraph(t, 3, 4)
@@ -353,24 +401,23 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 	tenants := []string{"tenant-0", "tenant-1"}
 	const jobsPer = 4
 
-	srv := New(Config{Shards: 2})
-	defer srv.Close()
-	var tks []*Ticket
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 2})
+	defer d.Close()
+	for _, tn := range tenants {
+		postMatrix(t, d, tn, shared)
+	}
+	var pending []*pendingAdvise
 	for j := 0; j < jobsPer; j++ {
 		for _, tn := range tenants {
-			tk, err := srv.Submit(Job{
+			pending = append(pending, adviseAsync(d, AdviseRequest{
 				Tenant: tn, Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-				Matrix: shared, SolverName: "cp", ClusterK: 4,
-				RoundBudget: budget, Seed: int64(j),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tks = append(tks, tk)
+				SolverName: "cp", ClusterK: 4,
+				RoundBudget: budget, Seed: int64(j), NoWarmStart: true,
+			}))
 		}
 	}
-	for i, tk := range tks {
-		res := tk.Wait()
+	for i, p := range pending {
+		res := p.wait(t)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -388,18 +435,27 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 	}
 }
 
-// 16 goroutines hammer submission over three shared matrices, a
+// 16 goroutines hammer admission over three shared matrices, a
 // 2-fingerprint cache (eviction), and 4 pulling workers at once;
 // run under -race in CI, any ordering bug surfaces as a data race or a
-// failed job, and every served result must be bit-equal to the unsharded
-// path over the same final epoch.
+// failed advise, and every served result must be bit-equal to the
+// unsharded path over the same final epoch.
 func TestServeRaceHammer(t *testing.T) {
 	g := testGraph(t, 2, 4)
-	srv := New(Config{Shards: 4, Cache: NewCache(2)})
-	defer srv.Close()
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 4})
+	defer d.Close()
+	d.cache = NewCache(2) // before any epoch, so every hold lands in it
 	rng := rand.New(rand.NewSource(43))
 	matrices := []*core.CostMatrix{testMatrix(rng, 10), testMatrix(rng, 10), testMatrix(rng, 10)}
 	budget := solver.Budget{Nodes: 2000}
+	// Tenant w%5 advises over matrix k as tenant-<w%5>-m<k>: a tenant holds
+	// one matrix, so the jobs over each matrix come from five tenants.
+	tenant := func(w, k int) string { return fmt.Sprintf("tenant-%d-m%d", w%5, k) }
+	for w := 0; w < 5; w++ {
+		for k, m := range matrices {
+			postMatrix(t, d, tenant(w, k), m)
+		}
+	}
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -409,23 +465,21 @@ func TestServeRaceHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				m, seed := matrices[(w+j)%len(matrices)], int64(w*10+j)
-				tk, err := srv.Submit(Job{
-					Tenant: fmt.Sprintf("tenant-%d", w%5), Graph: g,
+				k, seed := (w+j)%len(matrices), int64(w*10+j)
+				res, err := d.Advise(AdviseRequest{
+					Tenant: tenant(w, k), Graph: g,
 					ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
-					Matrix:        m, SolverName: "cp", ClusterK: 3,
-					RoundBudget: budget, Seed: seed,
+					SolverName:    "cp", ClusterK: 3,
+					RoundBudget: budget, Seed: seed, NoWarmStart: true,
 				})
+				if err == nil {
+					err = res.Err
+				}
 				if err != nil {
 					errs <- err
 					continue
 				}
-				res := tk.Wait()
-				if res.Err != nil {
-					errs <- res.Err
-					continue
-				}
-				want, err := advisor.SolveStream(finalEpoch(m), advisor.StreamSolveConfig{
+				want, err := advisor.SolveStream(finalEpoch(matrices[k]), advisor.StreamSolveConfig{
 					Graph: g, ObjectiveSpec: advisor.ObjectiveSpec{Objective: solver.LongestLink},
 					SolverName: "cp", ClusterK: 3, RoundBudget: budget, Seed: seed,
 				})
@@ -443,5 +497,8 @@ func TestServeRaceHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if st := d.Stats().Server.Cache; st.Evictions == 0 {
+		t.Error("three matrices through a 2-fingerprint cache evicted nothing")
 	}
 }

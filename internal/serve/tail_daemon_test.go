@@ -78,19 +78,19 @@ func TestDaemonTailRestartBitEqual(t *testing.T) {
 		return fp
 	}
 
-	control := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}, CompactEvery: 2})
+	control := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1, CompactEvery: 2})
 	ctrlFP := drive(control)
 	want := adviseOK(t, control, p99)
 	control.Close()
 
 	dir := t.TempDir()
-	crashed := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}, CompactEvery: 2})
+	crashed := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1, CompactEvery: 2})
 	if fp := drive(crashed); fp != ctrlFP {
 		t.Fatalf("workload fingerprints diverge before the restart: %016x != %016x", uint64(fp), uint64(ctrlFP))
 	}
 	crashed.Close()
 
-	reopened := openDaemon(t, DaemonConfig{Dir: dir, Serve: Config{Shards: 1}, CompactEvery: 2})
+	reopened := openDaemon(t, DaemonConfig{Dir: dir, Workers: 1, CompactEvery: 2})
 	defer reopened.Close()
 	got := adviseOK(t, reopened, p99)
 	if !reflect.DeepEqual(got.Outcome.Deployment, want.Outcome.Deployment) || got.Outcome.Cost != want.Outcome.Cost {
@@ -103,7 +103,7 @@ func TestDaemonTailRestartBitEqual(t *testing.T) {
 // percentile range, the one-percentile-per-tenant rule, tail row checks,
 // and percentile advise against missing or mismatched tail state.
 func TestDaemonTailValidation(t *testing.T) {
-	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Serve: Config{Shards: 1}})
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 	rng := rand.New(rand.NewSource(89))
 	const n = 6
