@@ -49,11 +49,13 @@ test:
 # crash-test runs the durability suite on its own: the daemon is killed
 # at every WAL crashpoint (in-process and by re-execed child dying with
 # exit 137), restarted, and must replay to a prefix of the uninterrupted
-# history and serve bit-equal advice; and it is shut down gracefully with
-# an advise in flight, which must finish and log its advice before the
-# logs close.
+# history and serve bit-equal advice; it is shut down gracefully with an
+# advise in flight, which must finish and log its advice before the logs
+# close; and its fail-closed paths run outside -race: a failed append rolls
+# the tenant back to its committed matrices, and a failed fsync or
+# compaction poisons the log.
 crash-test:
-	$(GO) test -run 'TestCrash|TestDaemonCloseDrainsInFlight' -count=1 -v ./internal/serve/
+	$(GO) test -run 'TestCrash|TestDaemonCloseDrainsInFlight|TestDaemonAppendFailureRollsBack|TestDaemonFailedFsyncFailsClosed|TestDaemonFailedCompactionFailsClosed' -count=1 -v ./internal/serve/
 
 # fuzz runs the decoders' fuzz targets, 20 s each. FuzzEpochDecode is
 # differential: every POST /v1/epoch body must be accepted or refused

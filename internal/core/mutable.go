@@ -9,6 +9,12 @@ import "fmt"
 // rows whose values differ from the previous snapshot, from which the
 // content fingerprint is maintained incrementally.
 //
+// Snapshots are copy-on-write: a snapshot shares the matrix's storage until
+// the next Set that changes a value, which first moves the matrix to a
+// private copy. A producer that publishes every epoch therefore holds one
+// copy of the matrix between epochs, and pays one n² copy in an epoch that
+// changes something, none in one that does not.
+//
 // A MutableCostMatrix is not safe for concurrent use; the single producer
 // mutates it and hands immutable snapshots to concurrent consumers.
 type MutableCostMatrix struct {
@@ -16,6 +22,9 @@ type MutableCostMatrix struct {
 	c     []float64
 	dirty []bool
 	epoch int
+	// shared marks c as also held by a published snapshot, so the next
+	// changing Set must copy it before writing.
+	shared bool
 
 	// Incremental fingerprint state: rowHash holds each row's content hash,
 	// hashDirty marks rows written since it was last computed. The two dirty
@@ -53,11 +62,18 @@ func (m *MutableCostMatrix) At(i, j int) float64 { return m.c[i*m.n+j] }
 // Set assigns CL(i, j) = v and reports whether the stored value actually
 // changed. Row i is marked dirty only on a real (bitwise) change, so
 // producers can blindly re-fold full estimates every epoch and still hand
-// consumers an exact changed-row set.
+// consumers an exact changed-row set. The first changing Set after a
+// Snapshot copies the storage the snapshot shares; a Set that changes
+// nothing copies nothing.
 func (m *MutableCostMatrix) Set(i, j int, v float64) bool {
 	k := i*m.n + j
 	if m.c[k] == v {
 		return false
+	}
+	if m.shared {
+		c := make([]float64, len(m.c))
+		copy(c, m.c)
+		m.c, m.shared = c, false
 	}
 	m.c[k] = v
 	m.dirty[i] = true
@@ -80,13 +96,15 @@ func (m *MutableCostMatrix) ChangedRows() []int {
 	return rows
 }
 
-// Snapshot publishes the current state: an immutable CostMatrix copy plus
-// the rows changed since the previous snapshot (ascending). The dirty set is
-// cleared and the epoch counter advances. The returned matrix shares no
-// storage with the mutable one, so later Sets cannot disturb consumers.
+// Snapshot publishes the current state: an immutable CostMatrix plus the
+// rows changed since the previous snapshot (ascending). The dirty set is
+// cleared and the epoch counter advances. The returned matrix shares
+// storage with the mutable one until the next changing Set, which copies
+// it first, so later Sets cannot disturb consumers. Consumers must not
+// write into it.
 func (m *MutableCostMatrix) Snapshot() (*CostMatrix, []int) {
-	out := NewCostMatrix(m.n)
-	copy(out.c, m.c)
+	out := &CostMatrix{n: m.n, c: m.c}
+	m.shared = true
 	rows := m.ChangedRows()
 	for i := range m.dirty {
 		m.dirty[i] = false
@@ -96,13 +114,14 @@ func (m *MutableCostMatrix) Snapshot() (*CostMatrix, []int) {
 }
 
 // Revert undoes the most recent Snapshot when nothing has been Set since:
-// rows (the changed rows that Snapshot reported) are restored from prev (the
-// snapshot before it), the dirty set stays empty, and the epoch counter
-// steps back. It is the rollback of a publish that its consumer failed to
-// commit; the fingerprint afterwards is prev's again.
+// the matrix goes back to prev's storage (prev is the snapshot before it,
+// which stays shared), rows (the changed rows that Snapshot reported) are
+// rehashed on the next Fingerprint, the dirty set stays empty, and the
+// epoch counter steps back. It is the rollback of a publish that its
+// consumer failed to commit; the fingerprint afterwards is prev's again.
 func (m *MutableCostMatrix) Revert(prev *CostMatrix, rows []int) {
+	m.c, m.shared = prev.c, true
 	for _, i := range rows {
-		copy(m.c[i*m.n:(i+1)*m.n], prev.Row(i))
 		m.hashDirty[i] = true
 	}
 	m.epoch--

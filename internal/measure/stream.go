@@ -96,7 +96,8 @@ func (e *Epoch) Tail(pct float64) *TailMatrix {
 }
 
 // PublishEpoch folds one snapshot of a mutable estimate into an Epoch
-// value: the immutable matrix copy, the exact changed-row set since the
+// value: the immutable matrix snapshot, which shares mm's storage until
+// mm's next changing Set copies it, the exact changed-row set since the
 // previous snapshot, and the incrementally maintained fingerprint. The
 // durable serve daemon publishes a posted epoch through the same
 // MutableCostMatrix Snapshot and Fingerprint, which is what keeps
@@ -115,9 +116,10 @@ func PublishEpoch(mm *core.MutableCostMatrix, atMS float64, final bool, samples 
 }
 
 // PublishTail folds one snapshot of a mutable percentile estimate into a
-// TailMatrix, the tail counterpart of PublishEpoch: immutable snapshot,
-// exact changed rows, incremental fingerprint, bit-compatible with the
-// tail fingerprints the durable daemon derives the same way.
+// TailMatrix, the tail counterpart of PublishEpoch: immutable snapshot
+// (copy-on-write, as there), exact changed rows, incremental fingerprint,
+// bit-compatible with the tail fingerprints the durable daemon derives the
+// same way.
 func PublishTail(mm *core.MutableCostMatrix, pct float64) TailMatrix {
 	snap, changed := mm.Snapshot()
 	return TailMatrix{

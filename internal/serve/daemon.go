@@ -26,6 +26,9 @@ import (
 // against the logged one, and re-seeds the content-addressed artifact cache
 // from the recovered matrices before any traffic is admitted — so a killed
 // and restarted daemon serves advice bit-equal to one that never died.
+// Snapshots are copy-on-write (core.MutableCostMatrix), so between epochs a
+// tenant holds one copy of each matrix: the committed snapshot and the
+// mutable matrix share it until the next epoch changes a value.
 
 // ErrUnknownTenant rejects an advise call for a tenant with no epochs.
 var ErrUnknownTenant = fmt.Errorf("serve: unknown tenant")
@@ -66,7 +69,10 @@ type tenantSession struct {
 // tenantMatrix is one of a tenant's matrices, a cache key with its own
 // fingerprint chain: the mutable matrix epochs fold into (nil until rows
 // are posted), the committed snapshot advises solve over, and, from publish
-// to commit or revert, the pending snapshot a WAL append decides on.
+// to commit or revert, the pending snapshot a WAL append decides on. The
+// snapshots share storage with the mutable matrix until a fold changes a
+// value, which moves the mutable matrix to its own copy; revert moves it
+// back onto the committed snapshot's storage.
 type tenantMatrix struct {
 	pct     float64 // the percentile a tail estimates; 0 for the mean
 	mm      *core.MutableCostMatrix

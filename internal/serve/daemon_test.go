@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -429,7 +430,9 @@ func TestDaemonAlienTenantDir(t *testing.T) {
 // TestDaemonAppendFailureRollsBack: when the WAL append of an epoch fails,
 // the tenant's memory must stay at its last committed epoch — matrices,
 // fingerprints and epoch counter — or the next epoch's changed rows would be
-// diffed against values the log never recorded.
+// diffed against values the log never recorded. A committed snapshot read
+// before the failed epoch keeps its values through the revert and the next
+// epoch, whose ack is the fingerprint of a fresh fold of what was logged.
 func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	const n = 6
@@ -444,6 +447,15 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	tailFP := sess.tail.fp
 	if sess.mean.mm.Fingerprint() != fp || sess.tail.mm.Fingerprint() != tailFP {
 		t.Fatal("committed fingerprints disagree with the matrices")
+	}
+	// What an advise admitted now would solve over, and deep copies of it.
+	readMean, readTail := sess.mean.snap, sess.tail.snap
+	wantMean, wantTail := readMean.Clone(), readTail.Clone()
+	unchanged := func(what string) {
+		t.Helper()
+		if readMean.Fingerprint() != wantMean.Fingerprint() || readTail.Fingerprint() != wantTail.Fingerprint() {
+			t.Fatalf("%s: a committed snapshot read before the failed epoch changed", what)
+		}
 	}
 
 	// Close the tenant's log, then post an epoch changing a mean and a tail row.
@@ -472,6 +484,38 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 		}
 	}
 	check("after the failed append", sess)
+	unchanged("after the revert")
+
+	// Reopen the tenant's log under the live session: the next epoch folds
+	// over the reverted matrices and must ack what a fresh fold of the
+	// committed epoch plus its own rows gives.
+	if sess.log, err = wal.Open(filepath.Join(dir, "tenants", hex.EncodeToString([]byte("acme"))), wal.Options{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	freshMean, freshTail := core.NewMutableCostMatrix(n), core.NewMutableCostMatrix(n)
+	for _, fold := range []struct {
+		mm   *core.MutableCostMatrix
+		rows []wal.RowDelta
+	}{
+		{freshMean, fullRows(m)}, {freshMean, []wal.RowDelta{{Row: 2, Values: mean}}},
+		{freshTail, tailRowsOf(m)}, {freshTail, []wal.RowDelta{{Row: 4, Values: tail}}},
+	} {
+		for _, delta := range fold.rows {
+			for j, v := range delta.Values {
+				fold.mm.Set(delta.Row, j, v)
+			}
+		}
+	}
+	nextEpoch, nextFP, err := d.AppendEpoch("acme", n, []wal.RowDelta{{Row: 2, Values: mean}},
+		&TailUpdate{Pct: 99, Rows: []wal.RowDelta{{Row: 4, Values: tail}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nextEpoch != epoch+1 || nextFP != freshMean.Fingerprint() || sess.tail.fp != freshTail.Fingerprint() {
+		t.Fatalf("next epoch acked %d fp %016x tail %016x, want %d and a fresh fold's %016x %016x", nextEpoch,
+			uint64(nextFP), uint64(sess.tail.fp), epoch+1, uint64(freshMean.Fingerprint()), uint64(freshTail.Fingerprint()))
+	}
+	unchanged("after the next epoch")
 
 	// A tenant whose very first epoch fails holds no matrix at all.
 	fresh := session(t, d, "fresh", true)
@@ -491,7 +535,10 @@ func TestDaemonAppendFailureRollsBack(t *testing.T) {
 	d2 := openDaemon(t, DaemonConfig{Dir: dir})
 	defer d2.Close()
 	re := session(t, d2, "acme", false)
-	check("after reopen", re)
+	if re.epoch != nextEpoch || re.mean.fp != nextFP || re.tail.fp != freshTail.Fingerprint() {
+		t.Fatalf("after reopen: at epoch %d fp %016x tail %016x, want %d %016x %016x", re.epoch,
+			uint64(re.mean.fp), uint64(re.tail.fp), nextEpoch, uint64(nextFP), uint64(freshTail.Fingerprint()))
+	}
 }
 
 // TestDaemonFailedFsyncFailsClosed: one failed fsync poisons the tenant's
@@ -658,5 +705,35 @@ func TestDaemonOpenSyncsNewDirs(t *testing.T) {
 	defer d.Close()
 	if _, _, err := d.AppendEpoch("t", 2, []wal.RowDelta{{Row: 0, Values: []float64{0, 1}}, {Row: 1, Values: []float64{1, 0}}}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDaemonHoldsOneCopyPerMatrix: between epochs a tenant holds one copy of
+// each of its matrices. The committed snapshot shares the mutable matrix's
+// storage, and no log keeps its first epoch's frame as scratch.
+func TestDaemonHoldsOneCopyPerMatrix(t *testing.T) {
+	const tenants, n = 8, 300
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for k := 0; k < tenants; k++ {
+		// The posted rows are the caller's; they are garbage by the time
+		// the heap is read again.
+		m := testMatrix(rand.New(rand.NewSource(int64(k))), n)
+		if _, _, err := d.AppendEpoch(fmt.Sprintf("t%d", k), n, fullRows(m), &TailUpdate{Pct: 99, Rows: tailRowsOf(m)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := int64(heap()) - int64(before)
+	oneCopy := int64(tenants * 2 * n * n * 8)
+	if grown > oneCopy*5/4 {
+		t.Fatalf("heap grew %d bytes for %d tenants' first epochs, want at most 1.25 × %d (one copy of each matrix)",
+			grown, tenants, oneCopy)
 	}
 }

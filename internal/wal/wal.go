@@ -38,6 +38,12 @@ const (
 	// maxFrameBytes bounds a single record; a length field beyond it marks
 	// the frame corrupt without attempting a giant allocation.
 	maxFrameBytes = 1 << 30
+	// scratchBytes is the replay reader's buffer size and the most frame
+	// scratch a log keeps between frames. Steady-state epoch deltas fit and
+	// reuse it; a larger frame — a full first epoch, a compaction snapshot —
+	// is framed or read in a buffer dropped once the frame is written or
+	// replay ends, so a log does not hold its largest frame for life.
+	scratchBytes = 1 << 16
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -123,7 +129,7 @@ type Log struct {
 
 	sinceSync int
 	stats     Stats
-	buf       []byte // frame scratch, reused across appends
+	buf       []byte // frame scratch, reused while it fits scratchBytes
 	failed    error  // first write-path failure, wrapping ErrFailed
 }
 
@@ -175,6 +181,7 @@ func Open(dir string, opts Options, replay func(Record) error) (*Log, error) {
 			return nil, err
 		}
 	}
+	l.trimScratch()
 	l.segs = segs
 	l.segIndex = segs[len(segs)-1]
 	f, err := os.OpenFile(l.segPath(l.segIndex), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -237,11 +244,12 @@ func syncDir(dir string) error {
 
 // replaySegment streams one segment frame by frame, feeding valid records to
 // replay. Frames are read through a fixed-size buffered reader into the log's
-// reusable scratch buffer, so replay memory is bounded by the largest single
-// frame rather than the segment size, and steady-state replay allocates only
-// what each decoded record retains. In the final segment a torn or corrupt
-// tail truncates the file at the last valid frame; anywhere else it is a
-// hard error.
+// scratch buffer, reused across the replay, so replay memory is bounded by
+// the largest single frame rather than the segment size, and steady-state
+// replay allocates only what each decoded record retains. Open drops a
+// scratch grown past scratchBytes once replay ends. In the final segment a
+// torn or corrupt tail truncates the file at the last valid frame; anywhere
+// else it is a hard error.
 func (l *Log) replaySegment(idx int, last bool, replay func(Record) error) error {
 	path := l.segPath(idx)
 	f, err := os.Open(path)
@@ -254,7 +262,7 @@ func (l *Log) replaySegment(idx int, last bool, replay func(Record) error) error
 		return fmt.Errorf("wal: %w", err)
 	}
 	size := fi.Size()
-	r := bufio.NewReaderSize(f, 1<<16)
+	r := bufio.NewReaderSize(f, scratchBytes)
 	var off int64
 	for off < size {
 		rec, frameLen, ferr := l.readFrame(r, size-off)
@@ -281,10 +289,11 @@ func (l *Log) replaySegment(idx int, last bool, replay func(Record) error) error
 	return nil
 }
 
-// readFrame reads one frame from r into the log's reusable scratch buffer
-// and decodes it with parseFrame; decodeRecord never retains its input, so
-// the buffer is safe to overwrite on the next call. The length is bounded
-// before the body is read, so a corrupt header cannot size an allocation.
+// readFrame reads one frame from r into the log's scratch buffer, growing it
+// to the largest frame replay has met, and decodes it with parseFrame;
+// decodeRecord never retains its input, so the buffer is safe to overwrite
+// on the next call. The length is bounded before the body is read, so a
+// corrupt header cannot size an allocation.
 // remain is the number of unread segment bytes, used to distinguish a
 // truncated body from an I/O error so the caller's torn-tail handling
 // matches a whole-segment parse exactly.
@@ -400,7 +409,9 @@ func (l *Log) write(rec Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := l.w.Write(frame); err != nil {
+	_, err = l.w.Write(frame)
+	l.trimScratch()
+	if err != nil {
 		return l.fail(err)
 	}
 	l.stats.ActiveBytes += int64(len(frame))
@@ -408,10 +419,11 @@ func (l *Log) write(rec Record) error {
 	return nil
 }
 
-// frame encodes rec into the reusable scratch buffer. The buffer is sized
-// for the whole frame first, so a large record is written into space
-// reserved once rather than grown into, and one over the cap is refused
-// before any of it is encoded.
+// frame encodes rec into the log's scratch buffer. The buffer is sized for
+// the whole frame first, so a large record is written into space reserved
+// once rather than grown into, and one over the cap is refused before any
+// of it is encoded. write drops a buffer grown past scratchBytes once the
+// frame is written, so a frame that large uses a one-off buffer.
 func (l *Log) frame(rec Record) ([]byte, error) {
 	size := 1 + rec.payloadLen() // kind byte + payload
 	if size > maxFrameBytes {
@@ -425,6 +437,13 @@ func (l *Log) frame(rec Record) ([]byte, error) {
 	binary.LittleEndian.PutUint32(l.buf, uint32(len(body)))
 	binary.LittleEndian.PutUint32(l.buf[4:], crc32.Checksum(body, castagnoli))
 	return l.buf, nil
+}
+
+// trimScratch drops a frame scratch grown past scratchBytes.
+func (l *Log) trimScratch() {
+	if cap(l.buf) > scratchBytes {
+		l.buf = nil
+	}
 }
 
 // writable reports why the log refuses writes: it is closed, or an earlier

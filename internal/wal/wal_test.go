@@ -1078,3 +1078,64 @@ func TestTailDecodeRejections(t *testing.T) {
 		t.Fatal("trailing bytes after a tailed snapshot accepted")
 	}
 }
+
+// TestScratchStaysSmall: a log keeps at most scratchBytes of frame scratch
+// between frames. An 8 MB epoch, a compaction snapshot and a replay over a
+// large snapshot each use a buffer the log drops afterwards, while a
+// steady-state frame keeps its scratch for the next one.
+func TestScratchStaysSmall(t *testing.T) {
+	const n = 1000 // a full epoch or snapshot frame is about 8 MB
+	opts := Options{Sync: SyncNone, SegmentBytes: 64 << 20}
+	check := func(what string, l *Log) {
+		t.Helper()
+		if c := cap(l.buf); c > scratchBytes {
+			t.Fatalf("%s: log keeps %d bytes of frame scratch, want at most %d", what, c, scratchBytes)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	m := core.NewCostMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				m.Set(i, j, rng.Float64())
+			}
+		}
+	}
+	full := &EpochRecord{Epoch: 1, Fingerprint: 1, N: n, Rows: make([]RowDelta, n)}
+	for i := range full.Rows {
+		full.Rows[i] = RowDelta{Row: i, Values: m.Row(i)}
+	}
+
+	dir := t.TempDir()
+	l, err := Open(dir, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(full); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.ActiveBytes < n*n*8 {
+		t.Fatalf("full epoch framed in %d bytes, want an 8 MB frame", st.ActiveBytes)
+	}
+	check("after an 8 MB epoch", l)
+	if err := l.Append(testEpoch(2, 8, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.buf) == 0 {
+		t.Fatal("a steady-state frame dropped its scratch")
+	}
+	if err := l.Compact(&SnapshotRecord{Epoch: 2, Fingerprint: 2, Matrix: m}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Compact", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, l2 := collect(t, dir, opts)
+	defer l2.Close()
+	if snap, ok := recs[0].(*SnapshotRecord); len(recs) != 1 || !ok || snap.Matrix.Size() != n {
+		t.Fatalf("replayed %d records, want the one %d-instance snapshot", len(recs), n)
+	}
+	check("after Open replays a large snapshot", l2)
+}
