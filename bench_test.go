@@ -956,10 +956,10 @@ func BenchmarkBehavioralSimTick(b *testing.B) {
 }
 
 // BenchmarkColdPrep1000 measures the data-parallel cold path on the
-// 1000-instance tier: the full Prep artifact set a cp-family tenant needs —
-// the k=20 rounded matrix with its sorted pair list (k-means over ~10^6
-// link costs plus the run-merge pair sort), the cheapest-rows table, and
-// the off-diagonal extraction — built from scratch once with a single
+// 1000-instance tier: the k=20 rounded set (the bucketed sort of ~10^6
+// link costs, k-means over it, class ids and the class-grouped pair list),
+// the cheapest-rows table, and the off-diagonal extraction — built from
+// scratch once with a single
 // worker and once with the default worker pool. The artifacts build one
 // after another, as a solve reads them, so each gains only from its own
 // par.For fan-out. Both builds are bit-equal
@@ -980,7 +980,7 @@ func BenchmarkColdPrep1000(b *testing.B) {
 			b.Fatal(err)
 		}
 		prep := np.Prep()
-		if _, _, err := prep.Rounded(20); err != nil {
+		if _, err := prep.RoundedSet(20); err != nil {
 			b.Fatal(err)
 		}
 		prep.CheapestRows()

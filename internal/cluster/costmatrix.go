@@ -1,25 +1,365 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"cloudia/internal/core"
 	"cloudia/internal/par"
+	"cloudia/internal/sketch"
 )
 
-// RoundCostMatrixPairs returns a copy of m whose off-diagonal costs are
-// rounded to the centers of a k-clustering of the original cost values, plus
-// the instance-pair order sorted ascending by rounded cost. This is the
-// preprocessing step the paper applies before handing the matrix to the CP
-// or MIP solvers (Sect. 6.3.1): it shrinks the number of distinct cost
-// values (and hence CP threshold iterations) at the price of objective
-// precision. Cluster assignment is monotone in the original cost, so the
-// pair order is derived from one sort of the original values and shared with
-// the rounded matrix; the CP solver's incremental threshold graphs consume it
-// directly instead of re-sorting m^2 pairs per solve. k <= 0 disables
-// clustering and returns m itself — rounded matrices are shared immutable
-// snapshots everywhere downstream, so the disabled path is zero-copy;
-// callers must not modify the result.
+// Rounded is a cost matrix rounded to the centers of a k-clustering of its
+// off-diagonal values (Sect. 6.3.1), held compactly and grouped for the CP
+// descent. Clustered (k > 0), each cell holds a one-byte class id, an index
+// into the fit's centers, and the off-diagonal cells are listed as uint32
+// indices i*n+j grouped by ascending class: about 5 bytes per pair. The
+// rounded float64 matrix and the cost-sorted CostPair list exist only as
+// views built on demand (Matrix, CostPairs). Unclustered (k <= 0), the
+// search matrix is the original one, shared without a copy, and the cells
+// are sorted by (cost, index).
+//
+// Either way the cells form levels: runs of equal rounded cost, ascending.
+// CP's descent clears whole levels as its threshold drops, and the level
+// values are its threshold ladder. A Rounded is immutable and safe for
+// concurrent reads.
+type Rounded struct {
+	n   int
+	raw *core.CostMatrix // unclustered: the search matrix itself
+	fit *Result          // clustered: the clustering; nil when unclustered
+
+	// Clustered: the class id (index into fit.Centers) of every cell,
+	// row-major, in ids, or in wide when there are more than 256 classes.
+	// Diagonal cells are never read.
+	ids  []uint8
+	wide []uint16
+
+	pairs  []uint32  // off-diagonal cells i*n+j, ascending by level
+	levels []float64 // ascending distinct rounded costs of the non-empty levels
+	starts []uint32  // level l's cells are pairs[starts[l]:starts[l+1]]
+}
+
+// Round rounds m's off-diagonal costs to the centers of a KMeans1D
+// k-clustering of them; k <= 0 (or a matrix under 2x2) disables clustering
+// and the set searches m itself.
+//
+// The clustered build never sorts the pairs as a whole. The off-diagonal
+// values are counting-sorted into KMeans1D's own log-γ buckets and sorted
+// within each bucket, which yields exactly the ascending sequence a global
+// sort would, so the fit is the one KMeans1D gives on sorted input. Each
+// cell then takes its class id from Result.Assign's center choice, and the
+// cells are counting-sorted by class.
+func Round(m *core.CostMatrix, k int) (*Rounded, error) {
+	n := m.Size()
+	if n > 1<<16 {
+		return nil, fmt.Errorf("cluster: %d instances exceed the rounded set's %d", n, 1<<16)
+	}
+	if k <= 0 || n < 2 {
+		r := &Rounded{n: n, raw: m}
+		r.sortCells(m)
+		return r, nil
+	}
+	r := &Rounded{n: n, pairs: make([]uint32, n*(n-1))}
+	// The pair list doubles as the bucket build's per-value slot scratch.
+	bounds, err := bucketSlots(m, r.pairs)
+	if err != nil {
+		return nil, err
+	}
+	vals, bucketed := sortedValues(m, r.pairs, bounds)
+	if r.fit, err = KMeans1D(vals, k); err != nil {
+		return nil, err
+	}
+	// Assign is monotone, so a bucket whose smallest and largest values
+	// share a class puts all its values there: most cells read their class
+	// from their bucket, and only the few buckets a class edge cuts search.
+	slotClass := make([]int32, len(bounds)-1)
+	for s := range slotClass {
+		slotClass[s] = -1
+		if lo, hi := bounds[s], bounds[s+1]; bucketed && lo < hi {
+			if c := r.fit.assignIndex(vals[lo]); c == r.fit.assignIndex(vals[hi-1]) {
+				slotClass[s] = int32(c)
+			}
+		}
+	}
+	r.groupByClass(m, slotClass)
+	return r, nil
+}
+
+// bucketSlots writes the KMeans1D bucket slot of every off-diagonal value of
+// m, in row-major order, into slot (slot 0 is the zero bucket, slot 1+i the
+// i-th log-γ bucket from the smallest occupied one up), and returns the
+// buckets' start offsets in that ascending order, one past the last
+// included. Values that are negative, NaN or infinite are an error, as in
+// KMeans1D.
+func bucketSlots(m *core.CostMatrix, slot []uint32) ([]int, error) {
+	n := m.Size()
+	logGamma := math.Log((1 + alpha) / (1 - alpha))
+	lo, hi := math.Inf(1), 0.0 // smallest and largest indexable value
+	for i := 0; i < n; i++ {
+		for j, v := range m.Row(i) {
+			if j == i {
+				continue
+			}
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("cluster: invalid value %g", v)
+			}
+			if v > sketch.MinIndexable {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+	}
+	base, slots := 0, 1
+	if hi > 0 {
+		base = sketch.Index(lo, logGamma)
+		slots = sketch.Index(hi, logGamma) - base + 2
+	}
+	// Rows own disjoint slot ranges, so the log-heavy pass is row-parallel.
+	par.For(n, func(rlo, rhi int) {
+		for i := rlo; i < rhi; i++ {
+			out := slot[i*(n-1) : (i+1)*(n-1)]
+			w := 0
+			for j, v := range m.Row(i) {
+				if j == i {
+					continue
+				}
+				s := 0
+				if v > sketch.MinIndexable {
+					s = 1 + sketch.Index(v, logGamma) - base
+				}
+				out[w] = uint32(s)
+				w++
+			}
+		}
+	})
+	bounds := make([]int, slots+1)
+	for _, s := range slot {
+		bounds[s+1]++
+	}
+	for s := 1; s <= slots; s++ {
+		bounds[s] += bounds[s-1]
+	}
+	return bounds, nil
+}
+
+// scatter calls place(p, i, j) for every off-diagonal cell, p its
+// row-major position among them.
+func scatter(n int, place func(p, i, j int)) {
+	p := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if j != i {
+				place(p, i, j)
+				p++
+			}
+		}
+	}
+}
+
+// sortedValues returns m's off-diagonal values in ascending order, given
+// their bucket slots and the buckets' start offsets: a counting sort into
+// the buckets, then a sort within each. Buckets are ordered value ranges,
+// so the result is the globally sorted sequence. Should the floating-point
+// bucket index ever misorder two values across an edge, a full sort
+// restores the order, so the output is sorted unconditionally; bucketed
+// reports whether bucket s still spans vals[bounds[s]:bounds[s+1]].
+func sortedValues(m *core.CostMatrix, slot []uint32, bounds []int) (vals []float64, bucketed bool) {
+	n := m.Size()
+	vals = make([]float64, len(slot))
+	next := slices.Clone(bounds[:len(bounds)-1])
+	scatter(n, func(p, i, j int) {
+		s := slot[p]
+		vals[next[s]] = m.At(i, j)
+		next[s]++
+	})
+	par.For(len(bounds)-1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			slices.Sort(vals[bounds[s]:bounds[s+1]])
+		}
+	})
+	if !slices.IsSorted(vals) {
+		slices.Sort(vals)
+		return vals, false
+	}
+	return vals, true
+}
+
+// sortCells lists the off-diagonal cells in core.CostMatrix.SortedPairs's
+// (cost, row, column) order and groups runs of equal cost into levels.
+func (r *Rounded) sortCells(m *core.CostMatrix) {
+	sorted := m.SortedPairs()
+	r.pairs = make([]uint32, len(sorted))
+	levels := 0
+	for p, pr := range sorted {
+		r.pairs[p] = uint32(int(pr.From)*r.n + int(pr.To))
+		if p == 0 || pr.Cost != sorted[p-1].Cost {
+			levels++
+		}
+	}
+	r.levels = make([]float64, 0, levels)
+	r.starts = make([]uint32, 0, levels+1)
+	for p, pr := range sorted {
+		if p == 0 || pr.Cost != sorted[p-1].Cost {
+			r.levels = append(r.levels, pr.Cost)
+			r.starts = append(r.starts, uint32(p))
+		}
+	}
+	r.starts = append(r.starts, uint32(len(sorted)))
+}
+
+// groupByClass gives every cell its class id and counting-sorts the
+// off-diagonal cells by class into the pair list, ascending index within a
+// class. The pair list holds the cells' bucket slots on entry; slotClass
+// is the class of every value in a bucket, or -1 where Assign decides.
+// Empty classes make no level; adjacent classes with equal centers share
+// one.
+func (r *Rounded) groupByClass(m *core.CostMatrix, slotClass []int32) {
+	n, centers := r.n, r.fit.Centers
+	if len(centers) <= 1<<8 {
+		r.ids = make([]uint8, n*n)
+	} else {
+		r.wide = make([]uint16, n*n)
+	}
+	// Rows write disjoint cells; assignIndex is a read-only search.
+	par.For(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			slot := r.pairs[i*(n-1) : (i+1)*(n-1)]
+			w := 0
+			for j, v := range m.Row(i) {
+				if j == i {
+					continue
+				}
+				c := int(slotClass[slot[w]])
+				w++
+				if c < 0 {
+					c = r.fit.assignIndex(v)
+				}
+				if r.ids != nil {
+					r.ids[i*n+j] = uint8(c)
+				} else {
+					r.wide[i*n+j] = uint16(c)
+				}
+			}
+		}
+	})
+	next := make([]int, len(centers)+1)
+	scatter(n, func(_, i, j int) { next[r.class(i*n+j)+1]++ })
+	for c := 1; c <= len(centers); c++ {
+		next[c] += next[c-1]
+	}
+	for c, at := range next[:len(centers)] {
+		if at == next[c+1] {
+			continue // empty class
+		}
+		if l := len(r.levels); l > 0 && r.levels[l-1] == centers[c] {
+			continue // same value as the previous class: one level
+		}
+		r.levels = append(r.levels, centers[c])
+		r.starts = append(r.starts, uint32(at))
+	}
+	r.starts = append(r.starts, uint32(len(r.pairs)))
+	scatter(n, func(_, i, j int) {
+		cell := i*n + j
+		c := r.class(cell)
+		r.pairs[next[c]] = uint32(cell)
+		next[c]++
+	})
+}
+
+// class returns a clustered cell's class id.
+func (r *Rounded) class(cell int) int {
+	if r.ids != nil {
+		return int(r.ids[cell])
+	}
+	return int(r.wide[cell])
+}
+
+// Fit returns the clustering the set rounds to, nil when unclustered.
+func (r *Rounded) Fit() *Result { return r.fit }
+
+// At returns the rounded cost of link (i, j); the diagonal is 0 when
+// clustered and the original matrix's otherwise.
+func (r *Rounded) At(i, j int) float64 {
+	switch {
+	case r.raw != nil:
+		return r.raw.At(i, j)
+	case i == j:
+		return 0
+	}
+	return r.fit.Centers[r.class(i*r.n+j)]
+}
+
+// Levels returns the ascending distinct rounded costs, one per level: the
+// CP threshold ladder. Shared; callers must not modify it.
+func (r *Rounded) Levels() []float64 { return r.levels }
+
+// LevelPairs returns level l's off-diagonal cells as indices i*n+j, in no
+// promised order. Shared; callers must not modify it.
+func (r *Rounded) LevelPairs(l int) []uint32 { return r.pairs[r.starts[l]:r.starts[l+1]] }
+
+// LongestLink is core.LongestLink of d under the rounded matrix, computed
+// without building it.
+func (r *Rounded) LongestLink(d core.Deployment, g *core.Graph) float64 {
+	if r.raw != nil {
+		return core.LongestLink(d, g, r.raw)
+	}
+	worst := 0.0
+	weighted := g.Weighted()
+	for k, e := range g.Edges() {
+		c := r.At(d[e.From], d[e.To])
+		if weighted {
+			c = g.EdgeWeight(k) * c
+		}
+		if c > worst {
+			worst = c
+		}
+	}
+	return worst
+}
+
+// Matrix returns the rounded matrix: the original one when unclustered,
+// else a fresh matrix with every off-diagonal cell at its center and a
+// zero diagonal.
+func (r *Rounded) Matrix() *core.CostMatrix {
+	if r.raw != nil {
+		return r.raw
+	}
+	out := core.NewCostMatrix(r.n)
+	for _, cell := range r.pairs {
+		i, j := int(cell)/r.n, int(cell)%r.n
+		out.Set(i, j, r.At(i, j))
+	}
+	return out
+}
+
+// CostPairs returns a fresh list of every off-diagonal pair with its rounded
+// cost, ascending by cost: in level order, so unclustered it is
+// core.CostMatrix.SortedPairs's (cost, row, column) order, and clustered
+// ascending by (class, row, column).
+func (r *Rounded) CostPairs() []core.CostPair {
+	out := make([]core.CostPair, len(r.pairs))
+	for p, cell := range r.pairs {
+		i, j := int(cell)/r.n, int(cell)%r.n
+		out[p] = core.CostPair{From: int32(i), To: int32(j), Cost: r.At(i, j)}
+	}
+	return out
+}
+
+// Bytes reports the memory the set holds beyond a shared original matrix.
+func (r *Rounded) Bytes() int64 {
+	b := int64(len(r.ids)) + 2*int64(len(r.wide)) + 4*int64(len(r.pairs)) +
+		8*int64(len(r.levels)) + 4*int64(len(r.starts))
+	if r.fit != nil {
+		b += 8 * int64(len(r.fit.Centers))
+	}
+	return b
+}
+
+// RoundCostMatrixPairs returns m rounded to the centers of a k-clustering of
+// its off-diagonal costs, plus every off-diagonal pair with its rounded cost,
+// ascending. It is Round's Matrix and CostPairs views, for consumers that
+// need the float64 forms (MIP, the figures); k <= 0 disables clustering and
+// returns m itself. Callers must not modify the result.
 func RoundCostMatrixPairs(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, error) {
 	out, pairs, _, err := RoundCostMatrixPairsResult(m, k)
 	return out, pairs, err
@@ -30,30 +370,11 @@ func RoundCostMatrixPairs(m *core.CostMatrix, k int) (*core.CostMatrix, []core.C
 // to the fitted centers without re-running k-means. The Result is nil when
 // clustering is disabled (k <= 0 or a sub-2x2 matrix).
 func RoundCostMatrixPairsResult(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, *Result, error) {
-	if k <= 0 || m.Size() < 2 {
-		return m, m.SortedPairs(), nil, nil
-	}
-	pairs := m.SortedPairs()
-	vals := make([]float64, len(pairs))
-	for i, pr := range pairs {
-		vals[i] = pr.Cost
-	}
-	r, err := KMeans1D(vals, k)
+	r, err := Round(m, k)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	out := core.NewCostMatrix(m.Size())
-	// Each pair index appears once, so pair chunks write disjoint matrix
-	// cells and disjoint pair entries; Assign is a read-only binary search.
-	// The chunked loop is therefore bit-equal to the sequential one.
-	par.For(len(pairs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := r.Assign(pairs[i].Cost)
-			out.Set(int(pairs[i].From), int(pairs[i].To), c)
-			pairs[i].Cost = c
-		}
-	})
-	return out, pairs, r, nil
+	return r.Matrix(), r.CostPairs(), r.fit, nil
 }
 
 // PatchRoundedRows advances a rounded matrix to a new cost-matrix epoch

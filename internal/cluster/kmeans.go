@@ -231,18 +231,22 @@ func (ps *prefixSums) dcLayer(prev []float64, prevArg, curArg []int32, curr []fl
 // Assign returns the center of the cluster that value x falls into: the
 // cluster whose mean is nearest. Centers must be sorted ascending, as
 // produced by KMeans1D.
-func (r *Result) Assign(x float64) float64 {
+func (r *Result) Assign(x float64) float64 { return r.Centers[r.assignIndex(x)] }
+
+// assignIndex returns the index in Centers of the cluster Assign puts x in;
+// a tie between two centers goes to the lower one.
+func (r *Result) assignIndex(x float64) int {
 	cs := r.Centers
 	// Binary search for the insertion point, then compare neighbours.
 	i := sort.SearchFloat64s(cs, x)
 	if i == 0 {
-		return cs[0]
+		return 0
 	}
 	if i == len(cs) {
-		return cs[len(cs)-1]
+		return len(cs) - 1
 	}
 	if x-cs[i-1] <= cs[i]-x {
-		return cs[i-1]
+		return i - 1
 	}
-	return cs[i]
+	return i
 }

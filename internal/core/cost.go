@@ -110,9 +110,9 @@ func (m *CostMatrix) DistinctValues() []float64 {
 }
 
 // CostPair is one ordered instance pair (From, To) tagged with its link cost.
-// Slices of CostPair sorted ascending by cost are the backbone of the CP
-// solver's incremental threshold graphs: descending the threshold from c to
-// c' only needs to visit the pairs whose cost lies in (c', c].
+// Slices of CostPair sorted ascending by cost are the float64 pair-list view
+// of a rounded cost set (cluster.Rounded.CostPairs) that MIP and the figures
+// read; CP reads the set's class-grouped pair indices instead.
 type CostPair struct {
 	From, To int32
 	Cost     float64

@@ -6,8 +6,8 @@ import "math"
 // bitwise-equal sizes and values have equal fingerprints, and any value
 // change yields a different fingerprint with overwhelming probability. It is
 // the content-addressed cache key of the serving layer: preprocessing
-// artifacts (cluster-rounded matrices, sorted pair lists, cheapest-link
-// rows) are pure functions of the matrix content, so problems from
+// artifacts (cluster-rounded cost sets, cheapest-link rows) are pure
+// functions of the matrix content, so problems from
 // different tenants whose measurements produced identical matrices can
 // share one artifact set keyed by fingerprint.
 //

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MutableCostMatrix is a cost matrix under construction by a streaming
 // producer — typically measure.Stream folding per-pair latency summaries in
@@ -60,14 +63,17 @@ func (m *MutableCostMatrix) Size() int { return m.n }
 func (m *MutableCostMatrix) At(i, j int) float64 { return m.c[i*m.n+j] }
 
 // Set assigns CL(i, j) = v and reports whether the stored value actually
-// changed. Row i is marked dirty only on a real (bitwise) change, so
+// changed. A cost is its bit pattern, as Fingerprint hashes it: writing -0
+// over +0 is a change, so the matrix holds exactly the values written and
+// its fingerprint equals CostMatrix.Fingerprint of those values, whatever
+// the history. Row i is marked dirty only on a real (bitwise) change, so
 // producers can blindly re-fold full estimates every epoch and still hand
 // consumers an exact changed-row set. The first changing Set after a
 // Snapshot copies the storage the snapshot shares; a Set that changes
 // nothing copies nothing.
 func (m *MutableCostMatrix) Set(i, j int, v float64) bool {
 	k := i*m.n + j
-	if m.c[k] == v {
+	if math.Float64bits(m.c[k]) == math.Float64bits(v) {
 		return false
 	}
 	if m.shared {

@@ -9,13 +9,14 @@ import (
 )
 
 // Cache is the content-addressed Prep artifact store shared by every worker.
-// The matrix-derived artifacts — cluster-K rounded matrices and sorted pair
-// lists, cheapest-link rows — are deterministic functions
-// of the cost-matrix content, so one solver.MatrixPrep per
-// core.CostMatrix.Fingerprint serves every problem, tenant and worker over
-// that content. Two tenants whose measurements produced identical matrices
-// pay the dominant preprocessing cost — a k-means over all m^2 link costs,
-// plus the m^2 log m pair sort — exactly once between them.
+// The matrix-derived artifacts — cluster-K rounded sets (a class id per
+// instance pair and the pairs grouped by class, about 5 bytes per pair),
+// cheapest-link rows — are deterministic functions of the cost-matrix
+// content, so one solver.MatrixPrep per core.CostMatrix.Fingerprint serves
+// every problem, tenant and worker over that content. Two tenants whose
+// measurements produced identical matrices pay the dominant preprocessing
+// cost — a k-means over all m^2 link costs and the bucketed sort that feeds
+// it — exactly once between them.
 //
 // The cache shares sets by reference and builds nothing itself: a job
 // installs the set before its solver runs, and each artifact is built on
@@ -56,8 +57,10 @@ type cacheEntry struct {
 }
 
 // DefaultMaxMatrices bounds a serving cache that was not given an explicit
-// capacity. A 1000-instance matrix's artifacts weigh ~10^6 entries each, so
-// the default keeps the cache in the low hundreds of MB at that scale.
+// capacity. What a served advise builds is one rounded set, about 5 bytes
+// per instance pair (5 MB at 1000 instances, 84 MB at the daemon's 4096
+// cap), so the default holds about 80 MB at 1000 instances; CacheStats.Bytes
+// reports the actual figure.
 const DefaultMaxMatrices = 16
 
 // NewCache returns an empty cache retaining at most maxMatrices distinct
@@ -141,7 +144,7 @@ func (c *Cache) read(fp core.Fingerprint, prep *solver.Prep, read func() error) 
 // prep's problem matrix.
 func (c *Cache) Rounded(fp core.Fingerprint, k int, prep *solver.Prep) (hit bool, err error) {
 	return c.read(fp, prep, func() error {
-		_, _, err := prep.Rounded(k)
+		_, err := prep.RoundedSet(k)
 		return err
 	})
 }
@@ -193,14 +196,22 @@ type CacheStats struct {
 	// fingerprints retired by Track when their last holder moved on.
 	Evictions, Superseded int64
 	// Matrices is the number of distinct matrix fingerprints currently
-	// held.
+	// held; Bytes is what their built artifacts hold
+	// (solver.MatrixPrep.Bytes), not counting the cost matrices, which
+	// their tenants own.
 	Matrices int
+	Bytes    int64
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	n := len(c.matrices)
+	var bytes int64
+	//cloudia:nondet-ok a sum of integers is order-insensitive
+	for _, e := range c.matrices {
+		bytes += e.matrix.Bytes()
+	}
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:       c.hits.Load(),
@@ -208,5 +219,6 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:  c.evictions.Load(),
 		Superseded: c.superseded.Load(),
 		Matrices:   n,
+		Bytes:      bytes,
 	}
 }

@@ -234,3 +234,29 @@ func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 	close(stop)
 	invalidator.Wait()
 }
+
+// TestCacheStatsBytes checks the resident size a served rounded set
+// reports: at 1000 instances and k = 20 a class id per cell plus a uint32
+// index per instance pair, about 5 MB, where the float64 matrix and the
+// CostPair list it replaced held 24 MB.
+func TestCacheStatsBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := testMatrix(rng, 1000)
+	fp := m.Fingerprint()
+	c := NewCache(2)
+	if st := c.Stats(); st.Bytes != 0 {
+		t.Fatalf("empty cache reports %d bytes", st.Bytes)
+	}
+	if _, err := c.Rounded(fp, 20, cacheTestProblem(t, m).Prep()); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Matrices != 1 || st.Bytes < 4_900_000 || st.Bytes > 5_100_000 {
+		t.Fatalf("one n=1000 k=20 set: %d matrices, %d bytes; want 1 and 4.9–5.1 MB", st.Matrices, st.Bytes)
+	}
+	c.Track(0, fp)
+	c.Track(fp, 0) // its last holder moves on: the set is retired
+	if st := c.Stats(); st.Matrices != 0 || st.Bytes != 0 {
+		t.Fatalf("after retiring: %d matrices, %d bytes", st.Matrices, st.Bytes)
+	}
+}

@@ -372,6 +372,10 @@ type TailUpdate struct {
 }
 
 // validateRows checks one row-delta set against the epoch's matrix size.
+// A cost of -0 passes, off the diagonal and on it: it is a zero, and it is
+// kept as written, since the fold compares and the fingerprint hashes bit
+// patterns (core.MutableCostMatrix.Set), as the client's own
+// CostMatrix.Fingerprint does.
 func validateRows(what string, n int, rows []wal.RowDelta) error {
 	for _, delta := range rows {
 		if delta.Row < 0 || delta.Row >= n {

@@ -323,3 +323,46 @@ func TestHTTPBodyLimits(t *testing.T) {
 		expect("advise graph of "+nodes+" nodes", resp, http.StatusBadRequest, "bad_request", "over the limit of 4096")
 	}
 }
+
+// TestHTTPStatsReportsCache checks that /v1/stats carries the shared
+// cache's counters, resident bytes included, next to the advise counters.
+func TestHTTPStatsReportsCache(t *testing.T) {
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	for _, tenant := range []string{"a", "b"} {
+		postJSON(t, ts.Client(), ts.URL+"/v1/epoch", epochPayload(t, tenant, 8)).Body.Close()
+		resp := postJSON(t, ts.Client(), ts.URL+"/v1/advise", map[string]any{
+			"tenant": tenant, "graph": graphPayload(t, 2, 3), "solver": "cp", "cluster_k": 4, "budget_nodes": 2000,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("advise status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Server struct {
+			Cache map[string]int64
+		}
+	}
+	decodeBody(t, resp, &st)
+	want := d.Stats().Server.Cache
+	for name, v := range map[string]int64{
+		"Hits": want.Hits, "Misses": want.Misses, "Evictions": want.Evictions,
+		"Superseded": want.Superseded, "Matrices": int64(want.Matrices), "Bytes": want.Bytes,
+	} {
+		got, ok := st.Server.Cache[name]
+		if !ok || got != v {
+			t.Errorf("/v1/stats cache %s = %d (present %v), want %d", name, got, ok, v)
+		}
+	}
+	// Both tenants posted the same matrix: one set, built once, read twice.
+	if want.Matrices != 1 || want.Hits < 1 || want.Bytes <= 0 {
+		t.Fatalf("cache stats %+v: want one shared set with a hit and its bytes", want)
+	}
+}

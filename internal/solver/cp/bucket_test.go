@@ -114,17 +114,17 @@ func TestBucketedPickVarMatchesScan(t *testing.T) {
 		if trial%2 == 1 {
 			k = 3
 		}
-		_, pairs, err := cluster.RoundCostMatrixPairs(p.Costs, k)
+		set, err := cluster.Round(p.Costs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		thresholds := distinctCosts(pairs)
+		thresholds := set.Levels()
 		if p.Graph.Weighted() {
 			thresholds = weightedThresholds(thresholds, p.Graph)
 		}
 		degFilter := !p.Graph.Weighted()
-		bucketed := newDescent(p, pairs, degFilter)
-		checked := newDescent(p, pairs, degFilter)
+		bucketed := newDescent(p, set, degFilter)
+		checked := newDescent(p, set, degFilter)
 
 		for idx := len(thresholds) - 1; idx >= 0; idx-- {
 			c := thresholds[idx]
@@ -155,13 +155,13 @@ func TestBucketedPickVarDescentReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
 		p := randomTinyProblem(t, rng, false)
-		_, pairs, err := cluster.RoundCostMatrixPairs(p.Costs, 0)
+		set, err := cluster.Round(p.Costs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		thresholds := distinctCosts(pairs)
-		bucketed := newDescent(p, pairs, true)
-		checked := newDescent(p, pairs, true)
+		thresholds := set.Levels()
+		bucketed := newDescent(p, set, true)
+		checked := newDescent(p, set, true)
 		// Walk every other threshold, descending, then the lowest.
 		for idx := len(thresholds) - 1; idx >= 0; idx -= 2 {
 			c := thresholds[idx]

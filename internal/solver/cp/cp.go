@@ -15,12 +15,13 @@
 // al. [70] that the paper adopts.
 //
 // The engine is persistent across the descent (see descent.go): thresholds
-// only decrease, so the threshold graphs are tightened incrementally from a
-// cost-sorted pair list instead of being rebuilt per iteration, root domains
-// and the degree filter are carried forward, and the backtracking search
-// (engine.go) runs out of preallocated arenas with zero steady-state
-// allocations. Each Solve runs on the calling goroutine alone: running
-// several searches side by side is the portfolio's job, not the solver's.
+// only decrease, so the threshold graphs are tightened incrementally, one
+// rounded cost level at a time, instead of being rebuilt per iteration,
+// root domains and the degree filter are carried forward, and the
+// backtracking search (engine.go) runs out of preallocated arenas with zero
+// steady-state allocations. Each Solve runs on the calling goroutine alone:
+// running several searches side by side is the portfolio's job, not the
+// solver's.
 package cp
 
 import (
@@ -75,12 +76,12 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 	clock := solver.NewClockCtx(ctx, budget)
 
 	// All derived artifacts come from the problem's shared preprocessing
-	// cache: the clustered matrix and cost-sorted pair list are computed
-	// once per (problem, k) and the bootstrap incumbent once per
-	// (samples, seed), no matter how many portfolio members or repeated
-	// Solve calls ask for them.
+	// cache: the rounded, class-grouped cost set is computed once per
+	// (problem, k) and the bootstrap incumbent once per (samples, seed), no
+	// matter how many portfolio members or repeated Solve calls ask for
+	// them.
 	prep := p.Prep()
-	search, pairs, err := prep.Rounded(s.ClusterK)
+	search, err := prep.RoundedSet(s.ClusterK)
 	if err != nil {
 		return nil, err
 	}
@@ -93,16 +94,17 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 	}
 	res.Trace = append(res.Trace, solver.TracePoint{Elapsed: clock.Elapsed(), Cost: res.Cost})
 
-	thresholds := distinctCosts(pairs)
+	// The threshold ladder is the set's distinct rounded costs.
+	thresholds := search.Levels()
 	if p.Graph.Weighted() {
 		// The objective values live on the weighted scale: every distinct
 		// weight class stretches the raw link costs, so the threshold
 		// ladder is the union of w*CL over all weight classes.
 		thresholds = weightedThresholds(thresholds, p.Graph)
 	}
-	bestSearchCost := core.LongestLink(best, p.Graph, search)
+	bestSearchCost := search.LongestLink(best, p.Graph)
 
-	d := newDescent(p, pairs, !s.DisableDegreeFilter && !p.Graph.Weighted())
+	d := newDescent(p, search, !s.DisableDegreeFilter && !p.Graph.Weighted())
 
 	for {
 		// Next threshold: the largest distinct cost strictly below the
@@ -122,7 +124,7 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 		feasible, dep, exhausted := d.feasible(c, clock)
 		if feasible {
 			best = dep
-			bestSearchCost = core.LongestLink(best, p.Graph, search)
+			bestSearchCost = search.LongestLink(best, p.Graph)
 			res.Deployment = best
 			res.Cost = p.Cost(best)
 			res.Trace = append(res.Trace, solver.TracePoint{

@@ -23,12 +23,12 @@ func benchDescent(b *testing.B) (*descent, float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, probePairs, err := cluster.RoundCostMatrixPairs(p.Costs, 20)
+	probeSet, err := cluster.Round(p.Costs, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	thresholds := distinctCosts(probePairs)
-	probe := newDescent(p, probePairs, true)
+	thresholds := probeSet.Levels()
+	probe := newDescent(p, probeSet, true)
 	probeClock := solver.NewClock(solver.Budget{Nodes: 2_000_000})
 	best := -1
 	for idx := len(thresholds) - 1; idx >= 0; idx-- {
@@ -41,11 +41,11 @@ func benchDescent(b *testing.B) (*descent, float64) {
 	if best < 0 {
 		b.Fatal("no feasible threshold found")
 	}
-	_, pairs, err := cluster.RoundCostMatrixPairs(p.Costs, 20)
+	set, err := cluster.Round(p.Costs, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := newDescent(p, pairs, true)
+	d := newDescent(p, set, true)
 	c := thresholds[best]
 	if ok, _, _ := d.feasible(c, solver.NewClock(solver.Budget{Nodes: 2_000_000})); !ok {
 		b.Fatal("settling check not feasible")
@@ -87,16 +87,16 @@ func BenchmarkCPTighten(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, pairs, err := cluster.RoundCostMatrixPairs(p.Costs, 0)
+	set, err := cluster.Round(p.Costs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	thresholds := distinctCosts(pairs)
+	thresholds := set.Levels()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d := newDescent(p, pairs, true)
+		d := newDescent(p, set, true)
 		b.StartTimer()
 		for idx := len(thresholds) - 1; idx >= 0; idx-- {
 			d.tighten(thresholds[idx])

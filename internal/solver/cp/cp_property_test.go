@@ -97,12 +97,12 @@ func TestDescentEmbeddingsFitThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	search, pairs, err := cluster.RoundCostMatrixPairs(p.Costs, 0)
+	set, err := cluster.Round(p.Costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	thresholds := distinctCosts(pairs)
-	d := newDescent(p, pairs, true)
+	thresholds := set.Levels()
+	d := newDescent(p, set, true)
 	clock := solver.NewClock(solver.Budget{})
 	found := 0
 	for idx := len(thresholds) - 1; idx >= 0; idx-- {
@@ -114,7 +114,7 @@ func TestDescentEmbeddingsFitThreshold(t *testing.T) {
 		if err := dep.Validate(p.NumInstances()); err != nil {
 			t.Fatalf("threshold %g: invalid deployment: %v", c, err)
 		}
-		if got := core.LongestLink(dep, p.Graph, search); got > c {
+		if got := set.LongestLink(dep, p.Graph); got > c {
 			t.Fatalf("threshold %g: embedding cost %g exceeds threshold", c, got)
 		}
 		found++

@@ -3,6 +3,7 @@ package cp
 import (
 	"slices"
 
+	"cloudia/internal/cluster"
 	"cloudia/internal/core"
 	"cloudia/internal/solver"
 )
@@ -12,10 +13,12 @@ import (
 // monotonicity of the descent: thresholds only decrease, so the threshold
 // graph G_c' is a subgraph of G_c and the root domains only shrink. Instead
 // of rebuilding m^2 adjacency bits per weight class at every iteration, the
-// instance pairs are held sorted by cost and a per-class cursor walks
-// backwards on each tightening, clearing exactly the bits for pairs whose
-// cost falls in (c', c]. Instance degrees are maintained alongside, so the
-// value-ordering heuristic and the root degree filter never re-count bitsets.
+// rounded set groups the instance pairs into levels of equal cost, and a
+// per-class cursor walks the levels down on each tightening, clearing
+// exactly the bits for pairs whose cost falls in (c', c]. Clearing a bit
+// commutes, so the order of pairs within a level is immaterial. Instance
+// degrees are maintained alongside, so the value-ordering heuristic and the
+// root degree filter never re-count bitsets.
 type descent struct {
 	g    *core.Graph
 	n, m int
@@ -33,8 +36,8 @@ type descent struct {
 	// the old full scan selected.
 	pickOrder []int32
 
-	pairs  []core.CostPair // all ordered instance pairs, ascending by cost
-	cursor []int           // per class: pairs[:cursor[ci]] are present in adj
+	set    *cluster.Rounded // the instance pairs, grouped into ascending cost levels
+	cursor []int            // per class: levels [0, cursor[ci]) are present in adj
 
 	adjOut []bitsetRow // [class]: adjacency rows, adjOut[ci].row(j) = out-neighbours of j
 	adjIn  []bitsetRow
@@ -82,12 +85,12 @@ func (r bitsetRow) row(j int) bitset { return view(r.words[j*r.wpd : (j+1)*r.wpd
 // newDescent builds the descent state with the threshold graphs at c = +inf
 // (every pair present); the first tighten call walks them down to the first
 // threshold. Its one engine is preallocated and reused across checks.
-func newDescent(p *solver.Problem, pairs []core.CostPair, degFilter bool) *descent {
+func newDescent(p *solver.Problem, set *cluster.Rounded, degFilter bool) *descent {
 	g := p.Graph
 	n, m := p.NumNodes(), p.NumInstances()
 	d := &descent{
 		g: g, n: n, m: m, wpd: wordsPerSet(m),
-		pairs:     pairs,
+		set:       set,
 		degFilter: degFilter,
 	}
 
@@ -131,7 +134,7 @@ func newDescent(p *solver.Problem, pairs []core.CostPair, degFilter bool) *desce
 	d.outDeg = make([][]int32, nc)
 	d.inDeg = make([][]int32, nc)
 	for ci := 0; ci < nc; ci++ {
-		d.cursor[ci] = len(pairs)
+		d.cursor[ci] = len(set.Levels())
 		d.adjOut[ci] = newBitsetRow(m, d.wpd)
 		d.adjIn[ci] = newBitsetRow(m, d.wpd)
 		d.outDeg[ci] = make([]int32, m)
@@ -183,25 +186,29 @@ func newDescent(p *solver.Problem, pairs []core.CostPair, degFilter bool) *desce
 
 // tighten lowers every weight class's threshold graph to threshold c: class
 // ci keeps exactly the pairs with cost <= c/weights[ci]. Thresholds must be
-// non-increasing across calls; the cursors only ever walk backwards, so the
-// whole descent clears each pair at most once per class — O(m^2) total per
-// class, where the old engine paid O(m^2) per class per iteration rebuilding
-// the adjacency from scratch.
+// non-increasing across calls; the cursors only ever walk down the levels,
+// so the whole descent clears each pair at most once per class — O(m^2)
+// total per class, where the old engine paid O(m^2) per class per iteration
+// rebuilding the adjacency from scratch.
 func (d *descent) tighten(c float64) {
 	cleared := false
+	levels := d.set.Levels()
+	m := uint32(d.m)
 	for ci, w := range d.weights {
 		limit := c / w
 		cur := d.cursor[ci]
 		adjOut, adjIn := d.adjOut[ci], d.adjIn[ci]
 		outDeg, inDeg := d.outDeg[ci], d.inDeg[ci]
-		for cur > 0 && d.pairs[cur-1].Cost > limit {
+		for cur > 0 && levels[cur-1] > limit {
 			cur--
-			pr := d.pairs[cur]
-			adjOut.row(int(pr.From)).clear(int(pr.To))
-			adjIn.row(int(pr.To)).clear(int(pr.From))
-			outDeg[pr.From]--
-			inDeg[pr.To]--
-			cleared = true
+			cleared = true // levels are never empty
+			for _, cell := range d.set.LevelPairs(cur) {
+				from, to := cell/m, cell%m
+				adjOut.row(int(from)).clear(int(to))
+				adjIn.row(int(to)).clear(int(from))
+				outDeg[from]--
+				inDeg[to]--
+			}
 		}
 		d.cursor[ci] = cur
 	}
@@ -355,16 +362,4 @@ func dominates(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-// distinctCosts compacts the sorted pair list into its distinct cost values,
-// the CP threshold ladder for unweighted graphs.
-func distinctCosts(pairs []core.CostPair) []float64 {
-	out := make([]float64, 0, len(pairs))
-	for _, pr := range pairs {
-		if len(out) == 0 || pr.Cost != out[len(out)-1] {
-			out = append(out, pr.Cost)
-		}
-	}
-	return out
 }

@@ -37,42 +37,53 @@ type engine struct {
 	bCnt []int32 // per size s in [0, m]: unassigned variables with |dom| = s
 	bMin int32
 
-	// Trail arenas; depth d's entries live in slots [d*n, d*n+len). The
-	// alldifferent constraint removes one known bit (the depth's assigned
-	// instance) from up to n-1 domains per assignment, so those removals are
-	// logged as bare variable indices in bitVar instead of full domain
-	// snapshots; only adjacency intersections snapshot domain words. savedAt
-	// stamps the epoch (one per assignment) at which a variable's domain was
-	// last snapshotted, so each assignment snapshots a variable at most once
-	// no matter how many adjacency constraints touch it.
-	bitVar    []int32
-	bitLen    []int32
-	snapVar   []int32
-	snapSize  []int32
-	snapWords []uint64
-	snapLen   []int32
-	savedAt   []int64
-	epoch     int64
+	// Trail arenas. The alldifferent constraint removes one known bit (the
+	// depth's assigned instance) from up to n-1 domains per assignment, so
+	// those removals are logged as bare variable indices in bitVar, depth
+	// d's in slots [d*n, d*n+len), instead of full domain snapshots; only
+	// adjacency intersections snapshot domain words. savedAt stamps the
+	// epoch (one per assignment) at which a variable's domain was last
+	// snapshotted, so each assignment snapshots a variable at most once no
+	// matter how many adjacency constraints touch it. An assignment only
+	// snapshots neighbours of its variable, so depth d's snapshots fit in
+	// slots [d*snapStride, d*snapStride+len) with snapStride the graph's
+	// largest degree. At 500 nodes over 1000 instances, on a random graph
+	// whose largest degree is about 24, that is about 1.5 MB of domain
+	// words where an n-slot stride took 32 MB.
+	bitVar     []int32
+	bitLen     []int32
+	snapStride int
+	snapVar    []int32
+	snapSize   []int32
+	snapWords  []uint64
+	snapLen    []int32
+	savedAt    []int64
+	epoch      int64
 
 	limitHit bool
 }
 
 func newEngine(d *descent) *engine {
 	n := d.n
+	stride := 0
+	for _, deg := range d.nodeDeg {
+		stride = max(stride, deg)
+	}
 	e := &engine{
-		d:         d,
-		domWords:  make([]uint64, n*d.wpd),
-		dom:       make([]bitset, n),
-		domSize:   make([]int32, n),
-		assigned:  make([]int32, n),
-		bitVar:    make([]int32, n*n),
-		bitLen:    make([]int32, n),
-		snapVar:   make([]int32, n*n),
-		snapSize:  make([]int32, n*n),
-		snapWords: make([]uint64, n*n*d.wpd),
-		snapLen:   make([]int32, n),
-		savedAt:   make([]int64, n),
-		bCnt:      make([]int32, d.m+1),
+		d:          d,
+		domWords:   make([]uint64, n*d.wpd),
+		dom:        make([]bitset, n),
+		domSize:    make([]int32, n),
+		assigned:   make([]int32, n),
+		bitVar:     make([]int32, n*n),
+		bitLen:     make([]int32, n),
+		snapStride: stride,
+		snapVar:    make([]int32, n*stride),
+		snapSize:   make([]int32, n*stride),
+		snapWords:  make([]uint64, n*stride*d.wpd),
+		snapLen:    make([]int32, n),
+		savedAt:    make([]int64, n),
+		bCnt:       make([]int32, d.m+1),
 	}
 	for i := 0; i < n; i++ {
 		e.dom[i] = view(e.domWords[i*d.wpd : (i+1)*d.wpd])
@@ -184,14 +195,15 @@ func (e *engine) pickVar() int {
 }
 
 // snapSave snapshots variable v's domain into depth's snapshot arena slot,
-// at most once per assignment epoch.
+// at most once per assignment epoch; v is a neighbour of the depth's
+// variable, so the depth never needs more than snapStride slots.
 func (e *engine) snapSave(v, depth int) {
 	if e.savedAt[v] == e.epoch {
 		return
 	}
 	e.savedAt[v] = e.epoch
-	n, wpd := e.d.n, e.d.wpd
-	slot := depth*n + int(e.snapLen[depth])
+	wpd := e.d.wpd
+	slot := depth*e.snapStride + int(e.snapLen[depth])
 	e.snapVar[slot] = int32(v)
 	e.snapSize[slot] = e.domSize[v]
 	copy(e.snapWords[slot*wpd:(slot+1)*wpd], e.domWords[v*wpd:(v+1)*wpd])
@@ -285,7 +297,7 @@ func (e *engine) assign(i, j, depth int) bool {
 func (e *engine) undo(i, depth int) {
 	n, wpd := e.d.n, e.d.wpd
 	for k := int(e.snapLen[depth]) - 1; k >= 0; k-- {
-		slot := depth*n + k
+		slot := depth*e.snapStride + k
 		v := int(e.snapVar[slot])
 		copy(e.domWords[v*wpd:(v+1)*wpd], e.snapWords[slot*wpd:(slot+1)*wpd])
 		e.bucketMove(e.domSize[v], e.snapSize[slot])

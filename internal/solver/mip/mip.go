@@ -70,7 +70,8 @@ func (s *Solver) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result,
 func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	clock := solver.NewClockCtx(ctx, budget)
 
-	// The clustered matrix (with its cost-sorted pairs) and the bootstrap
+	// The clustered matrix (with its cost-sorted pairs, the rounded set's
+	// float64 views) and the bootstrap
 	// incumbent come from the problem's shared preprocessing cache; the
 	// branching order and the transposed longest-path search are this
 	// solve's own.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cloudia/internal/cluster"
 	"cloudia/internal/core"
@@ -12,13 +13,13 @@ import (
 )
 
 // Prep is a problem's shared preprocessing cache. It holds the derived
-// artifacts that solvers and repeated solver calls share — cost-clustered
-// matrices with their sorted pair lists (CP, clustered MIP), per-instance
-// cheapest-link rows (G1), the off-diagonal cost values and bootstrap
-// incumbents (CP, MIP, SA) — each computed at most once per Problem and
-// shared by every portfolio member. What only one solver reads, like MIP's
-// degree order and transposed search structures, that solver builds per
-// solve.
+// artifacts that solvers and repeated solver calls share — rounded cost
+// sets (CP) and their float64 matrix and pair-list views (clustered MIP),
+// per-instance cheapest-link rows (G1), the off-diagonal cost values and
+// bootstrap incumbents (CP, MIP, SA) — each computed at most once per
+// Problem and shared by every portfolio member. What only one solver
+// reads, like MIP's degree order and transposed search structures, that
+// solver builds per solve.
 //
 // The matrix-derived artifacts live in a MatrixPrep. A Prep builds its own
 // set lazily, on first read; a serving layer may instead install a set
@@ -56,12 +57,16 @@ type Prep struct {
 }
 
 // MatrixPrep holds the Prep artifacts that are deterministic functions of
-// the cost matrix's content alone: the rounded matrix and sorted pair list
-// per cluster count, the cheapest-link rows and the off-diagonal values.
-// Every artifact is built once, on first read, so problems sharing one
-// MatrixPrep share each build, including one in flight.
+// the cost matrix's content alone: the rounded set per cluster count
+// (cluster.Rounded, about 5 bytes per instance pair when clustered), the
+// cheapest-link rows and the off-diagonal values. Every artifact is built
+// once, on first read, so problems sharing one MatrixPrep share each build,
+// including one in flight.
 type MatrixPrep struct {
 	costs *core.CostMatrix
+
+	// bytes totals the artifacts built so far (see Bytes).
+	bytes atomic.Int64
 
 	mu      sync.Mutex
 	rounded map[int]*prepRounded
@@ -73,12 +78,16 @@ type MatrixPrep struct {
 	offDiag []float64
 }
 
-// prepRounded memoizes one cluster-K's rounded matrix and pair list.
+// prepRounded memoizes one cluster-K's rounded set and, once some reader
+// asks for them, its float64 matrix and CostPair list views.
 type prepRounded struct {
-	once  sync.Once
-	m     *core.CostMatrix
-	pairs []core.CostPair
-	err   error
+	once sync.Once
+	set  *cluster.Rounded
+	err  error
+
+	viewOnce sync.Once
+	m        *core.CostMatrix
+	pairs    []core.CostPair
 }
 
 // artifact names one matrix-set artifact in a Prep's read record.
@@ -171,7 +180,7 @@ func (pp *Prep) note(a artifact, built bool) {
 	pp.reads = append(pp.reads, artifactRead{a, built})
 }
 
-// round returns the memo cell for cluster count k >= 0, building it on
+// round returns the memo cell for cluster count k >= 0, building its set on
 // first use; callers map every k <= 0 to the unclustered cell 0.
 func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
 	m.mu.Lock()
@@ -183,27 +192,66 @@ func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
 	m.mu.Unlock()
 	e.once.Do(func() {
 		built = true
-		e.m, e.pairs, e.err = cluster.RoundCostMatrixPairs(m.costs, k)
+		if e.set, e.err = cluster.Round(m.costs, k); e.err == nil {
+			m.bytes.Add(e.set.Bytes())
+		}
 	})
 	return e, built
+}
+
+// view returns the cell's float64 matrix and CostPair list, building them
+// on first use.
+func (m *MatrixPrep) view(e *prepRounded) (*core.CostMatrix, []core.CostPair, error) {
+	if e.err != nil {
+		return nil, nil, e.err
+	}
+	e.viewOnce.Do(func() {
+		e.m, e.pairs = e.set.Matrix(), e.set.CostPairs()
+		if e.m != m.costs {
+			m.bytes.Add(8 * int64(e.m.Size()) * int64(e.m.Size()))
+		}
+		m.bytes.Add(16 * int64(len(e.pairs))) // a CostPair is 16 bytes
+	})
+	return e.m, e.pairs, nil
+}
+
+// RoundedSet is Prep.RoundedSet on the set itself.
+func (m *MatrixPrep) RoundedSet(k int) (*cluster.Rounded, error) {
+	e, _ := m.round(max(k, 0))
+	return e.set, e.err
 }
 
 // Rounded is Prep.Rounded on the set itself.
 func (m *MatrixPrep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
 	e, _ := m.round(max(k, 0))
-	return e.m, e.pairs, e.err
+	return m.view(e)
 }
 
-// Rounded returns the problem's cost matrix rounded to at most k clusters
-// (Sect. 6.3.1) together with the instance-pair list sorted ascending by
-// rounded cost, memoized per k. k <= 0 disables clustering: the original
-// matrix is served with its sorted pairs. The matrix and pair list are
-// shared — callers must not modify them.
+// Bytes reports the memory held by the artifacts built so far, not
+// counting the cost matrix they derive from.
+func (m *MatrixPrep) Bytes() int64 { return m.bytes.Load() }
+
+// RoundedSet returns the problem's cost matrix rounded to at most k clusters
+// (Sect. 6.3.1) as a compact, class-grouped set, memoized per k. k <= 0
+// disables clustering: the set searches the original matrix. CP reads this
+// form; the set is shared and immutable.
+func (pp *Prep) RoundedSet(k int) (*cluster.Rounded, error) {
+	k = max(k, 0)
+	e, built := pp.Matrix().round(k)
+	pp.note(artifact{artRounded, k}, built)
+	return e.set, e.err
+}
+
+// Rounded returns RoundedSet's float64 views: the rounded matrix (the
+// original one when k <= 0) and every instance pair ascending by rounded
+// cost, for consumers that need those forms (MIP, the figures). The views
+// are built on the first call per k and kept with the set; the served
+// portfolio never asks for them. Shared — callers must not modify them.
 func (pp *Prep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
 	k = max(k, 0)
 	e, built := pp.Matrix().round(k)
 	pp.note(artifact{artRounded, k}, built)
-	return e.m, e.pairs, e.err
+	return pp.Matrix().view(e)
 }
 
 // cheapestRow builds instance u's candidate row: the other instances sorted
@@ -239,6 +287,7 @@ func (m *MatrixPrep) cheapestRows() (rows [][]int32, built bool) {
 			}
 		})
 		m.rows = rows
+		m.bytes.Add(4*int64(len(flat)) + 24*int64(n)) // plus a slice header per row
 	})
 	return m.rows, built
 }
@@ -270,6 +319,7 @@ func (pp *Prep) OffDiagonal() []float64 {
 	m.offOnce.Do(func() {
 		built = true
 		m.offDiag = m.costs.OffDiagonal()
+		m.bytes.Add(8 * int64(len(m.offDiag)))
 	})
 	pp.note(artifact{kind: artOffDiagonal}, built)
 	return m.offDiag
