@@ -22,7 +22,6 @@ import (
 	"cloudia/internal/core"
 	"cloudia/internal/measure"
 	"cloudia/internal/netsim"
-	"cloudia/internal/par"
 	"cloudia/internal/serve"
 	"cloudia/internal/solver"
 	"cloudia/internal/solver/cp"
@@ -860,9 +859,9 @@ func patchBench1000(b *testing.B) (m1 *core.CostMatrix, pairs0 []core.CostPair, 
 }
 
 // BenchmarkPatchSortedPairs measures the fused pair-list delta (changed
-// rows rebuilt as sorted runs, merged into the previous list in one pass)
-// on the 1000-instance tier with 8 changed rows — the per-epoch cost the
-// streaming pipeline pays to keep Prep's pair list current.
+// rows rebuilt and sorted as one run, merged into the previous list in one
+// pass) on the 1000-instance tier with 8 changed rows — the per-epoch cost
+// the streaming pipeline pays to keep Prep's pair list current.
 // BenchmarkSortedPairsRebuild below is the same epoch advanced by a full
 // re-sort; the pair of numbers in BENCH_PR6.json is the before/after of the
 // delta path.
@@ -955,23 +954,12 @@ func BenchmarkBehavioralSimTick(b *testing.B) {
 	}
 }
 
-// BenchmarkColdPrep1000 measures the data-parallel cold path on the
-// 1000-instance tier: the k=20 rounded set (the bucketed sort of ~10^6
-// link costs, k-means over it, class ids and the class-grouped pair list),
-// the cheapest-rows table, and the off-diagonal extraction — built from
-// scratch once with a single
-// worker and once with the default worker pool. The artifacts build one
-// after another, as a solve reads them, so each gains only from its own
-// par.For fan-out. Both builds are bit-equal
-// by construction (the parallel-equality suites pin it); the benchmark
-// records how much wall-clock the worker pool buys.
-//
-// Reported metrics (recorded in BENCH_PR8.json):
-//
-//   - sequential-ms/op: cold build with par.SetWorkers(1).
-//   - parallel-ms/op: cold build at the default GOMAXPROCS workers.
-//   - speedup/op: sequential over parallel; ~1x on single-core runners,
-//     >= 2x expected at 4+ cores.
+// BenchmarkColdPrep1000 measures the cold path on the 1000-instance tier:
+// the k=20 rounded set (the bucketed sort of ~10^6 link costs, k-means over
+// it, class ids and the class-grouped pair list), the cheapest-rows table,
+// and the off-diagonal extraction, built from scratch one after another as
+// a solve reads them. ns/op is one cold build; each starts from a
+// collected heap.
 func BenchmarkColdPrep1000(b *testing.B) {
 	p := portfolio1000Problem(b)
 	buildAll := func() {
@@ -986,47 +974,24 @@ func BenchmarkColdPrep1000(b *testing.B) {
 		prep.CheapestRows()
 		prep.OffDiagonal()
 	}
-	defer par.SetWorkers(0)
 	buildAll() // untimed warmup: allocator and page-cache first-touch
-	var seqMS, parMS, speedup float64
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		par.SetWorkers(1)
-		runtime.GC() // each side starts from a collected heap
-		t0 := time.Now()
-		buildAll()
-		seq := float64(time.Since(t0)) / float64(time.Millisecond)
-
-		par.SetWorkers(0)
+		b.StopTimer()
 		runtime.GC()
-		t1 := time.Now()
+		b.StartTimer()
 		buildAll()
-		parl := float64(time.Since(t1)) / float64(time.Millisecond)
-
-		seqMS += seq
-		parMS += parl
-		speedup += seq / parl
 	}
-	b.ReportMetric(seqMS/float64(b.N), "sequential-ms/op")
-	b.ReportMetric(parMS/float64(b.N), "parallel-ms/op")
-	b.ReportMetric(speedup/float64(b.N), "speedup/op")
 }
 
 // BenchmarkDaemonRestart measures multi-tenant WAL recovery: an 8-tenant
 // daemon (300x300 matrices, one full epoch, one advice, one row delta each)
-// is repeatedly reopened from the same on-disk logs, once under
-// par.SetWorkers(1) and once under the default pool. Recovery replays the
+// is repeatedly reopened from the same on-disk logs. Recovery replays the
 // logs one at a time, verifies per-epoch fingerprints, and re-seeds the
-// artifact cache; the k=20 rounding inside re-seeding dominates, and it is
-// the only part the worker bound reaches. Recovered state is bit-equal to
-// the daemon that wrote the logs (pinned by TestDaemonReplayBitEqual).
-//
-// Reported metrics (recorded in BENCH_PR8.json; the names predate
-// sequential replay and are kept so recorded runs stay comparable):
-//
-//   - sequential-ms/op: restart with par.SetWorkers(1).
-//   - parallel-ms/op: restart at the default GOMAXPROCS workers.
-//   - speedup/op: sequential over parallel.
+// artifact cache; the k=20 rounding inside re-seeding dominates. Recovered
+// state is bit-equal to the daemon that wrote the logs (pinned by
+// TestDaemonReplayBitEqual). ns/op is one restart; each starts from a
+// collected heap.
 func BenchmarkDaemonRestart(b *testing.B) {
 	const tenants, instances = 8, 300
 	g := core.NewGraph(40)
@@ -1097,28 +1062,12 @@ func BenchmarkDaemonRestart(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	defer par.SetWorkers(0)
 	reopen() // untimed warmup: allocator and page-cache first-touch
-	var seqMS, parMS, speedup float64
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		par.SetWorkers(1)
-		runtime.GC() // each side starts from a collected heap
-		t0 := time.Now()
-		reopen()
-		seq := float64(time.Since(t0)) / float64(time.Millisecond)
-
-		par.SetWorkers(0)
+		b.StopTimer()
 		runtime.GC()
-		t1 := time.Now()
+		b.StartTimer()
 		reopen()
-		parl := float64(time.Since(t1)) / float64(time.Millisecond)
-
-		seqMS += seq
-		parMS += parl
-		speedup += seq / parl
 	}
-	b.ReportMetric(seqMS/float64(b.N), "sequential-ms/op")
-	b.ReportMetric(parMS/float64(b.N), "parallel-ms/op")
-	b.ReportMetric(speedup/float64(b.N), "speedup/op")
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"cloudia/internal/core"
-	"cloudia/internal/par"
 	"cloudia/internal/sketch"
 )
 
@@ -114,24 +113,20 @@ func bucketSlots(m *core.CostMatrix, slot []uint32) ([]int, error) {
 		base = sketch.Index(lo, logGamma)
 		slots = sketch.Index(hi, logGamma) - base + 2
 	}
-	// Rows own disjoint slot ranges, so the log-heavy pass is row-parallel.
-	par.For(n, func(rlo, rhi int) {
-		for i := rlo; i < rhi; i++ {
-			out := slot[i*(n-1) : (i+1)*(n-1)]
-			w := 0
-			for j, v := range m.Row(i) {
-				if j == i {
-					continue
-				}
-				s := 0
-				if v > sketch.MinIndexable {
-					s = 1 + sketch.Index(v, logGamma) - base
-				}
-				out[w] = uint32(s)
-				w++
+	w := 0
+	for i := 0; i < n; i++ {
+		for j, v := range m.Row(i) {
+			if j == i {
+				continue
 			}
+			s := 0
+			if v > sketch.MinIndexable {
+				s = 1 + sketch.Index(v, logGamma) - base
+			}
+			slot[w] = uint32(s)
+			w++
 		}
-	})
+	}
 	bounds := make([]int, slots+1)
 	for _, s := range slot {
 		bounds[s+1]++
@@ -172,11 +167,9 @@ func sortedValues(m *core.CostMatrix, slot []uint32, bounds []int) (vals []float
 		vals[next[s]] = m.At(i, j)
 		next[s]++
 	})
-	par.For(len(bounds)-1, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			slices.Sort(vals[bounds[s]:bounds[s+1]])
-		}
-	})
+	for s := 0; s+1 < len(bounds); s++ {
+		slices.Sort(vals[bounds[s]:bounds[s+1]])
+	}
 	if !slices.IsSorted(vals) {
 		slices.Sort(vals)
 		return vals, false
@@ -220,28 +213,24 @@ func (r *Rounded) groupByClass(m *core.CostMatrix, slotClass []int32) {
 	} else {
 		r.wide = make([]uint16, n*n)
 	}
-	// Rows write disjoint cells; assignIndex is a read-only search.
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			slot := r.pairs[i*(n-1) : (i+1)*(n-1)]
-			w := 0
-			for j, v := range m.Row(i) {
-				if j == i {
-					continue
-				}
-				c := int(slotClass[slot[w]])
-				w++
-				if c < 0 {
-					c = r.fit.assignIndex(v)
-				}
-				if r.ids != nil {
-					r.ids[i*n+j] = uint8(c)
-				} else {
-					r.wide[i*n+j] = uint16(c)
-				}
+	w := 0
+	for i := 0; i < n; i++ {
+		for j, v := range m.Row(i) {
+			if j == i {
+				continue
+			}
+			c := int(slotClass[r.pairs[w]])
+			w++
+			if c < 0 {
+				c = r.fit.assignIndex(v)
+			}
+			if r.ids != nil {
+				r.ids[i*n+j] = uint8(c)
+			} else {
+				r.wide[i*n+j] = uint16(c)
 			}
 		}
-	})
+	}
 	next := make([]int, len(centers)+1)
 	scatter(n, func(_, i, j int) { next[r.class(i*n+j)+1]++ })
 	for c := 1; c <= len(centers); c++ {
@@ -389,36 +378,29 @@ func RoundCostMatrixPairsResult(m *core.CostMatrix, k int) (*core.CostMatrix, []
 func PatchRoundedRows(src, prev *core.CostMatrix, r *Result, rows []int) *core.CostMatrix {
 	out := prev.Clone()
 	n := src.Size()
-	// Normalize to a duplicate-free list so chunks of it touch disjoint
-	// output rows; re-rounding the changed rows is then row-parallel.
-	rs := slices.Clone(rows)
-	slices.Sort(rs)
-	rs = slices.Compact(rs)
-	par.For(len(rs), func(lo, hi int) {
-		for _, i := range rs[lo:hi] {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				v := src.At(i, j)
-				if r != nil {
-					v = r.Assign(v)
-				}
-				out.Set(i, j, v)
+	for _, i := range rows {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
 			}
+			v := src.At(i, j)
+			if r != nil {
+				v = r.Assign(v)
+			}
+			out.Set(i, j, v)
 		}
-	})
+	}
 	return out
 }
 
 // PatchSortedPairs advances a cost-sorted pair list to a new matrix epoch
 // where only the given rows of m changed. A row change affects exactly the
-// pairs originating at that row, so the changed rows' pairs are rebuilt as
-// per-row sorted runs merged into one ascending run (O(n log n) per row plus
-// an O(changed*n*log changed) run merge), and that run is merged into the
-// output in a single fused pass over prevPairs that skips superseded pairs
-// as it goes — no intermediate kept-pair list is materialized, and unbroken
-// spans of kept pairs are copied in bulk rather than element-at-a-time.
+// pairs originating at that row, so the changed rows' pairs are rebuilt and
+// sorted into one ascending run (O(changed*n*log(changed*n))), and that run
+// is merged into the output in a single fused pass over prevPairs that
+// skips superseded pairs as it goes — no intermediate kept-pair list is
+// materialized, and unbroken spans of kept pairs are copied in bulk rather
+// than element-at-a-time.
 // Total O(n^2 + changed * n * log(changed * n)) with one output-sized
 // allocation, against the O(n^2 log n) full re-sort (and against the older
 // delta path's second output-sized intermediate). Ties between kept and
@@ -427,9 +409,8 @@ func PatchRoundedRows(src, prev *core.CostMatrix, r *Result, rows []int) *core.C
 // only require ascending cost). prevPairs is not modified.
 func PatchSortedPairs(m *core.CostMatrix, prevPairs []core.CostPair, rows []int) []core.CostPair {
 	n := m.Size()
-	// Normalize rows ascending and duplicate-free: run construction order
-	// (and therefore tie order among rebuilt pairs) must not depend on the
-	// caller's row order.
+	// Normalize rows duplicate-free: a repeated row must not rebuild its
+	// pairs twice.
 	rs := slices.Clone(rows)
 	slices.Sort(rs)
 	rs = slices.Compact(rs)
@@ -438,7 +419,7 @@ func PatchSortedPairs(m *core.CostMatrix, prevPairs []core.CostPair, rows []int)
 	for _, i := range rs {
 		changed[i] = true
 	}
-	fresh := freshSortedRuns(m, rs)
+	fresh := freshSortedPairs(m, rs)
 
 	out := make([]core.CostPair, 0, len(prevPairs))
 	i, j := 0, 0
@@ -465,34 +446,22 @@ func PatchSortedPairs(m *core.CostMatrix, prevPairs []core.CostPair, rows []int)
 	return append(out, fresh[j:]...)
 }
 
-// freshSortedRuns rebuilds the given (ascending, duplicate-free) rows' pairs
-// from m as one cost-ascending run: each row's n-1 pairs are materialized
-// into its own fixed-stride range and sorted independently — row-parallel —
-// then equal-length row runs are merged bottom-up, left run first on ties
-// (core.MergeSortedPairRuns, shared with the full-matrix SortedPairs build)
-// — so equal costs keep (row, To) order exactly as the previous full-list
-// stable sort produced.
-func freshSortedRuns(m *core.CostMatrix, rows []int) []core.CostPair {
+// freshSortedPairs rebuilds the given (duplicate-free) rows' pairs from m,
+// sorted by (cost, row, column): the order a stable cost sort of the rows'
+// pairs in row-major order gives.
+func freshSortedPairs(m *core.CostMatrix, rows []int) []core.CostPair {
 	n := m.Size()
 	if len(rows) == 0 || n < 2 {
 		return nil
 	}
-	per := n - 1
-	a := make([]core.CostPair, len(rows)*per)
-	par.For(len(rows), func(lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			i := rows[ri]
-			run := a[ri*per : (ri+1)*per]
-			row := m.Row(i)
-			w := 0
-			for j := 0; j < n; j++ {
-				if i != j {
-					run[w] = core.CostPair{From: int32(i), To: int32(j), Cost: row[j]}
-					w++
-				}
+	a := make([]core.CostPair, 0, len(rows)*(n-1))
+	for _, i := range rows {
+		for j, v := range m.Row(i) {
+			if i != j {
+				a = append(a, core.CostPair{From: int32(i), To: int32(j), Cost: v})
 			}
-			core.SortPairRun(run)
 		}
-	})
-	return core.MergeSortedPairRuns(a, per)
+	}
+	core.SortPairs(a)
+	return a
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"cloudia/internal/core"
@@ -168,6 +170,127 @@ func TestPatchSortedPairsAllRows(t *testing.T) {
 	for i := range got {
 		if got[i].Cost != want[i].Cost {
 			t.Fatalf("cost sequence differs at %d", i)
+		}
+	}
+}
+
+// TestPatchOnTiesMatchesFreshBuild patches a tie-heavy matrix with an
+// unsorted row list holding a duplicate. PatchRoundedRows must re-assign
+// exactly the changed rows, and PatchSortedPairs must give the kept pairs
+// in their previous order merged, kept first on cost ties, with the
+// changed rows' pairs freshly sorted by (cost, row, column).
+func TestPatchOnTiesMatchesFreshBuild(t *testing.T) {
+	const n, k = 24, 4
+	rng := rand.New(rand.NewSource(5))
+	vals := []float64{0.25, 0.5, 0.75, 1.5, 3}
+	tied := func(rows []int, m *core.CostMatrix) *core.CostMatrix {
+		out := m.Clone()
+		for _, i := range rows {
+			for j := 0; j < n; j++ {
+				if i != j {
+					out.Set(i, j, vals[rng.Intn(len(vals))])
+				}
+			}
+		}
+		return out
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	m0 := tied(all, core.NewCostMatrix(n))
+	rounded0, _, res, err := RoundCostMatrixPairsResult(m0, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs0 := m0.SortedPairs()
+	changed := []int{9, 2, 17, 2, 0}
+	m1 := tied(changed, m0)
+	isChanged := map[int]bool{0: true, 2: true, 9: true, 17: true}
+
+	gotM := PatchRoundedRows(m1, rounded0, res, changed)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want := rounded0.At(i, j)
+			if isChanged[i] && i != j {
+				want = res.Assign(m1.At(i, j))
+			}
+			if gotM.At(i, j) != want {
+				t.Fatalf("PatchRoundedRows(%d,%d) = %g, want %g", i, j, gotM.At(i, j), want)
+			}
+		}
+	}
+
+	var want []core.CostPair
+	for _, pr := range pairs0 {
+		if !isChanged[int(pr.From)] {
+			want = append(want, pr)
+		}
+	}
+	var fresh []core.CostPair
+	for _, pr := range m1.SortedPairs() {
+		if isChanged[int(pr.From)] {
+			fresh = append(fresh, pr)
+		}
+	}
+	want = append(want, fresh...)
+	slices.SortStableFunc(want, func(a, b core.CostPair) int {
+		switch {
+		case a.Cost < b.Cost:
+			return -1
+		case a.Cost > b.Cost:
+			return 1
+		}
+		return 0
+	})
+	if got := PatchSortedPairs(m1, pairs0, changed); !slices.Equal(got, want) {
+		t.Fatal("PatchSortedPairs diverges from the kept-first merge of a fresh sort")
+	}
+}
+
+// TestRoundingBitEqualAcrossWorkers builds the same rounded matrix, pair
+// list and k-means result from several concurrent callers and requires
+// every one bit-equal to a build made alone: the build runs on the calling
+// goroutine and reads its input only, so neither the number of callers nor
+// GOMAXPROCS can move a bit.
+func TestRoundingBitEqualAcrossWorkers(t *testing.T) {
+	const n, k = 30, 5
+	m := randMatrix(n, 17)
+	wantM, wantPairs, wantRes, err := RoundCostMatrixPairsResult(m, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		gotM := make([]*core.CostMatrix, workers)
+		gotPairs := make([][]core.CostPair, workers)
+		gotRes := make([]*Result, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				gotM[w], gotPairs[w], gotRes[w], errs[w] = RoundCostMatrixPairsResult(m, k)
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			if errs[w] != nil {
+				t.Fatal(errs[w])
+			}
+			if !slices.Equal(gotPairs[w], wantPairs) {
+				t.Fatalf("workers=%d caller %d: rounded pair list diverges from a lone build", workers, w)
+			}
+			if !slices.Equal(gotRes[w].Centers, wantRes.Centers) {
+				t.Fatalf("workers=%d caller %d: k-means centers diverge from a lone build", workers, w)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if gotM[w].At(i, j) != wantM.At(i, j) {
+						t.Fatalf("workers=%d caller %d: rounded matrix diverges at (%d,%d)", workers, w, i, j)
+					}
+				}
+			}
 		}
 	}
 }

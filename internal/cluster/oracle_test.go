@@ -9,7 +9,6 @@ import (
 	"cloudia/internal/cloud"
 	"cloudia/internal/cluster"
 	"cloudia/internal/core"
-	"cloudia/internal/par"
 	"cloudia/internal/sketch"
 	"cloudia/internal/solver"
 	"cloudia/internal/solver/solvertest"
@@ -35,13 +34,11 @@ func oracleRound(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, 
 		return nil, nil, nil, err
 	}
 	out := core.NewCostMatrix(m.Size())
-	par.For(len(pairs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := r.Assign(pairs[i].Cost)
-			out.Set(int(pairs[i].From), int(pairs[i].To), c)
-			pairs[i].Cost = c
-		}
-	})
+	for i := range pairs {
+		c := r.Assign(pairs[i].Cost)
+		out.Set(int(pairs[i].From), int(pairs[i].To), c)
+		pairs[i].Cost = c
+	}
 	return out, pairs, r, nil
 }
 
@@ -115,8 +112,8 @@ func checkAgainstOracle(t *testing.T, name string, m *core.CostMatrix, k int) {
 
 // TestRoundMatchesOracle checks the bucketed, class-grouped build against
 // the old global-sort build on solver test problems, on a 1000-instance
-// EC2-profile matrix, and on inputs with ties, zeros and values at or
-// below sketch.MinIndexable.
+// EC2-profile matrix, on a tie-heavy matrix, and on inputs with ties, zeros
+// and values at or below sketch.MinIndexable.
 func TestRoundMatchesOracle(t *testing.T) {
 	ks := []int{-1, 0, 1, 3, 5, 20}
 	mesh, err := core.Mesh2D(3, 4)
@@ -163,6 +160,20 @@ func TestRoundMatchesOracle(t *testing.T) {
 	}
 	for _, k := range ks {
 		checkAgainstOracle(t, "odd", odd, k)
+	}
+	// Tie-heavy: every cost one of five values, so the unclustered pair
+	// order rests on the (cost, row, column) tie-break throughout.
+	ties := core.NewCostMatrix(30)
+	tieVals := []float64{0.3, 0.7, 0.7000000000000001, 1.1, 2.9}
+	for i := 0; i < 30; i++ {
+		for j := 0; j < 30; j++ {
+			if i != j {
+				ties.Set(i, j, tieVals[rng.Intn(len(tieVals))])
+			}
+		}
+	}
+	for _, k := range ks {
+		checkAgainstOracle(t, "ties", ties, k)
 	}
 	flat := core.NewCostMatrix(5) // every off-diagonal cost 0
 	for _, k := range ks {

@@ -1,12 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-
-	"cloudia/internal/par"
 )
 
 // CostMatrix is the communication cost function CL : S x S -> R (Definition
@@ -52,41 +51,34 @@ func (m *CostMatrix) Row(i int) []float64 { return m.c[i*m.n : (i+1)*m.n] }
 // the transposed matrix equal path costs on the original. The transpose is
 // built in one pass over the flat backing — each source row is read
 // contiguously and scattered down one destination column — rather than by
-// n^2 At/Set calls. Source rows scatter into disjoint destination columns,
-// so row blocks run in parallel without changing a byte of the result.
+// n^2 At/Set calls.
 func (m *CostMatrix) Transposed() *CostMatrix {
 	n := m.n
 	t := NewCostMatrix(n)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.c[i*n : (i+1)*n]
-			col := t.c[i:]
-			for j, v := range row {
-				col[j*n] = v
-			}
+	for i := 0; i < n; i++ {
+		row := m.c[i*n : (i+1)*n]
+		col := t.c[i:]
+		for j, v := range row {
+			col[j*n] = v
 		}
-	})
+	}
 	return t
 }
 
 // OffDiagonal returns all off-diagonal entries in row-major order. This is
 // the "latency vector" used when comparing measurement schemes (Sect. 6.2.2).
-// Row i owns exactly the output range [i*(n-1), (i+1)*(n-1)), so extraction
-// is row-parallel with a bit-equal result.
 func (m *CostMatrix) OffDiagonal() []float64 {
 	n := m.n
 	if n < 2 {
 		return nil
 	}
 	out := make([]float64, n*(n-1))
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst := out[i*(n-1) : (i+1)*(n-1)]
-			row := m.c[i*n : (i+1)*n]
-			copy(dst[:i], row[:i])
-			copy(dst[i:], row[i+1:])
-		}
-	})
+	for i := 0; i < n; i++ {
+		dst := out[i*(n-1) : (i+1)*(n-1)]
+		row := m.c[i*n : (i+1)*n]
+		copy(dst[:i], row[:i])
+		copy(dst[i:], row[i+1:])
+	}
 	return out
 }
 
@@ -120,96 +112,38 @@ type CostPair struct {
 
 // SortedPairs returns every off-diagonal pair of the matrix sorted ascending
 // by cost. Ties keep row-major order, so the result is deterministic.
-//
-// The list is built as one sorted run per source row — rows fill and sort
-// disjoint output ranges in parallel — merged bottom-up with the left run
-// winning ties (MergeSortedPairRuns). Within a row the stable sort keeps To
-// order on ties and across rows the left-first merge keeps the lower row
-// first, so equal costs come out in exactly the row-major order the old
-// whole-list stable sort produced: the parallel build is bit-equal to it.
 func (m *CostMatrix) SortedPairs() []CostPair {
 	n := m.n
 	if n < 2 {
 		return nil
 	}
-	per := n - 1
-	a := make([]CostPair, n*per)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			run := a[i*per : (i+1)*per]
-			row := m.c[i*n : (i+1)*n]
-			w := 0
-			for j := 0; j < n; j++ {
-				if i != j {
-					run[w] = CostPair{From: int32(i), To: int32(j), Cost: row[j]}
-					w++
-				}
+	a := make([]CostPair, 0, n*(n-1))
+	for i := 0; i < n; i++ {
+		for j, v := range m.c[i*n : (i+1)*n] {
+			if i != j {
+				a = append(a, CostPair{From: int32(i), To: int32(j), Cost: v})
 			}
-			SortPairRun(run)
 		}
-	})
-	return MergeSortedPairRuns(a, per)
+	}
+	SortPairs(a)
+	return a
 }
 
-// SortPairRun stable-sorts one run of pairs ascending by cost in place; ties
-// keep their current order.
-func SortPairRun(run []CostPair) {
-	slices.SortStableFunc(run, func(a, b CostPair) int {
+// SortPairs sorts pairs in place ascending by (Cost, From, To). On a list of
+// distinct (From, To) pairs that is a total order, so the result does not
+// depend on the input order: ties come out in row-major order.
+func SortPairs(pairs []CostPair) {
+	slices.SortFunc(pairs, func(a, b CostPair) int {
 		switch {
 		case a.Cost < b.Cost:
 			return -1
 		case a.Cost > b.Cost:
 			return 1
+		case a.From != b.From:
+			return cmp.Compare(a.From, b.From)
 		}
-		return 0
+		return cmp.Compare(a.To, b.To)
 	})
-}
-
-// MergeSortedPairRuns merges consecutive equal-width sorted runs (the last
-// may be short) of a into one ascending list, bottom-up, left run first on
-// ties — the deterministic merge shared by SortedPairs and the cluster
-// package's epoch pair-list patching. Merges at one width write disjoint
-// output ranges, so each pass is chunk-parallel with a bit-equal result.
-// The contents of a are consumed as scratch; the returned slice is either a
-// or an equally sized buffer.
-func MergeSortedPairRuns(a []CostPair, width int) []CostPair {
-	if width <= 0 || len(a) <= width {
-		return a
-	}
-	b := make([]CostPair, len(a))
-	for ; width < len(a); width *= 2 {
-		span := 2 * width
-		chunks := (len(a) + span - 1) / span
-		src, dst := a, b
-		par.For(chunks, func(clo, chi int) {
-			for c := clo; c < chi; c++ {
-				lo := c * span
-				mid := min(lo+width, len(src))
-				hi := min(lo+span, len(src))
-				MergePairRuns(src[lo:mid], src[mid:hi], dst[lo:hi])
-			}
-		})
-		a, b = b, a
-	}
-	return a
-}
-
-// MergePairRuns merges two ascending runs into out (len(out) must equal
-// len(x)+len(y)), taking from x first on cost ties.
-func MergePairRuns(x, y, out []CostPair) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		if x[i].Cost <= y[j].Cost {
-			out[k] = x[i]
-			i++
-		} else {
-			out[k] = y[j]
-			j++
-		}
-		k++
-	}
-	copy(out[k:], x[i:])
-	copy(out[k+len(x)-i:], y[j:])
 }
 
 // MaxValue returns the largest off-diagonal cost, or 0 for matrices smaller

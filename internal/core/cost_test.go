@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -71,6 +72,93 @@ func TestOffDiagonalAndDistinct(t *testing.T) {
 	}
 	if m.MaxValue() != 3 {
 		t.Fatalf("MaxValue = %g, want 3", m.MaxValue())
+	}
+}
+
+// tieMatrix draws costs from only `distinct` values, so a large fraction of
+// pairs tie exactly and tie-order bugs cannot hide.
+func tieMatrix(t *testing.T, n, distinct int, seed int64) *CostMatrix {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]float64, distinct)
+	for i := range vals {
+		vals[i] = 0.1 + rng.Float64()
+	}
+	m := NewCostMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				m.Set(i, j, vals[rng.Intn(distinct)])
+			}
+		}
+	}
+	return m
+}
+
+// refSortedPairs is the plainest SortedPairs: materialize every
+// off-diagonal pair in row-major order and stable-sort the whole list by
+// cost.
+func refSortedPairs(m *CostMatrix) []CostPair {
+	n := m.Size()
+	out := make([]CostPair, 0, n*(n-1))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				out = append(out, CostPair{From: int32(i), To: int32(j), Cost: m.At(i, j)})
+			}
+		}
+	}
+	slices.SortStableFunc(out, func(a, b CostPair) int {
+		switch {
+		case a.Cost < b.Cost:
+			return -1
+		case a.Cost > b.Cost:
+			return 1
+		}
+		return 0
+	})
+	return out
+}
+
+// TestSortedPairsMatchesStableSort pins SortedPairs to a whole-list stable
+// sort on tie-heavy matrices, where any tie-order divergence shows, and
+// SortPairs to the same order from a shuffled input.
+func TestSortedPairsMatchesStableSort(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 40, 101} {
+		m := tieMatrix(t, n, 5, int64(n))
+		want := refSortedPairs(m)
+		got := m.SortedPairs()
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: SortedPairs diverges from the stable-sort reference", n)
+		}
+		rand.New(rand.NewSource(int64(n))).Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		SortPairs(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: SortPairs of a shuffled list diverges from the reference", n)
+		}
+	}
+}
+
+// TestTransposedAndOffDiagonal checks Transposed swaps every direction and
+// OffDiagonal lists the off-diagonal cells in row-major order.
+func TestTransposedAndOffDiagonal(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 9, 64} {
+		m := testMatrix(t, n, int64(n))
+		tr := m.Transposed()
+		var want []float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if tr.At(i, j) != m.At(j, i) {
+					t.Fatalf("n=%d: Transposed[%d,%d] = %g, want %g", n, i, j, tr.At(i, j), m.At(j, i))
+				}
+				if i != j {
+					want = append(want, m.At(i, j))
+				}
+			}
+		}
+		if got := m.OffDiagonal(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: OffDiagonal %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestBareGoroutineMeasureStreamExemption(t *testing.T) {
 }
 
 func TestBareGoroutineOutOfScope(t *testing.T) {
-	linttest.Run(t, lint.BareGoroutine, "testdata/baregoroutine/free", "cloudia/internal/par")
+	linttest.Run(t, lint.BareGoroutine, "testdata/baregoroutine/free", "cloudia/internal/bench")
 }
 
 func TestBareGoroutineExemptFileNameBoundToPackage(t *testing.T) {

@@ -7,21 +7,19 @@ import (
 )
 
 // BareGoroutine flags raw `go` statements and sync.WaitGroup fan-out in
-// the deterministic packages. All data parallelism there is supposed to
-// flow through internal/par's For combinator, whose bit-equality across
-// worker counts is pinned by dedicated test suites — an ad-hoc
-// goroutine with its own reduction is exactly the code that passes review
-// and then breaks fingerprint equality under a different GOMAXPROCS.
+// the deterministic packages. Their artifacts are built on the calling
+// goroutine, and an ad-hoc goroutine with its own reduction is exactly the
+// code that passes review and then breaks fingerprint equality under a
+// different GOMAXPROCS.
 //
 // Structured exceptions that are themselves the tested concurrency
 // plumbing are exempt by file: internal/serve's worker dispatch
-// (serve.go) and internal/measure's stream pump (stream.go).
-// internal/par is outside the deterministic scope entirely. Anything else
+// (serve.go) and internal/measure's stream pump (stream.go). Anything else
 // needs a //cloudia:nondet-ok <reason> explaining how its reduction stays
 // bit-equal (deterministic post-barrier selection, disjoint outputs, ...).
 var BareGoroutine = &Analyzer{
 	Name:  "baregoroutine",
-	Doc:   "flags raw go statements and sync.WaitGroup fan-out outside the par combinators",
+	Doc:   "flags raw go statements and sync.WaitGroup fan-out in the deterministic packages",
 	Scope: IsDeterministic,
 	Run:   runBareGoroutine,
 }
@@ -43,7 +41,7 @@ func runBareGoroutine(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Report(n.Go,
-					"raw go statement outside internal/par: route data parallelism through par.For (bit-equality tested across worker counts), or annotate with %s <why the reduction is deterministic>",
+					"raw go statement in a deterministic package: build on the calling goroutine, or annotate with %s <why the reduction is deterministic>",
 					SuppressionMarker)
 			case *ast.Ident:
 				if n.Name == "_" {
@@ -55,7 +53,7 @@ func runBareGoroutine(pass *Pass) {
 				}
 				if v, ok := obj.(*types.Var); ok && isWaitGroup(v.Type()) {
 					pass.Report(n.Pos(),
-						"sync.WaitGroup fan-out outside internal/par: use par.For, or annotate with %s <why the reduction is deterministic>",
+						"sync.WaitGroup fan-out in a deterministic package: build on the calling goroutine, or annotate with %s <why the reduction is deterministic>",
 						SuppressionMarker)
 				}
 			}

@@ -23,7 +23,7 @@ func TestIsDeterministic(t *testing.T) {
 		{"cloudia/internal/measure", true},
 		{"cloudia/internal/sketch", true},
 		{"cloudia/internal/cluster", true},
-		{"cloudia/internal/par", false},
+		{"cloudia/internal/bench", false},
 		{"cloudia/internal/workload", false},
 		{"cloudia/internal/servemetrics", false}, // prefix lookalike
 		{"cloudia/internal", false},

@@ -1,5 +1,5 @@
-// Fixture: cross-package guard. Loaded under cloudia/internal/par (or any
-// out-of-scope path): the combinator library itself spawns freely.
+// Fixture: cross-package guard. Loaded under cloudia/internal/bench (or any
+// out-of-scope path): packages outside the deterministic scope spawn freely.
 package free
 
 import "sync"

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"cloudia/internal/par"
 	"cloudia/internal/stats"
 )
 
@@ -105,94 +104,85 @@ func TestTailMatrixWithinBound(t *testing.T) {
 
 // TestStreamTailEpochs pins the streaming side: epochs carry p95/p99 tail
 // matrices and the mean+sd matrix, each with exact changed-row sets and
-// fingerprints; the final epoch's are bit-identical to the Result's
-// TailMatrix and MeanPlusStdMatrix; and the whole sequence is invariant
-// under the par worker count.
+// fingerprints; and the final epoch's are bit-identical to the Result's
+// TailMatrix and MeanPlusStdMatrix.
 func TestStreamTailEpochs(t *testing.T) {
 	dc, insts := testFleet(t, 10, 1701)
 	opts := Options{Scheme: Staged, DurationMS: 3000, Seed: 11, TailAlpha: DefaultTailAlpha}
 
 	type tailState struct {
-		pct     float64
-		fp      uint64
-		changed []int
-		vals    []float64
+		pct  float64
+		vals []float64
 	}
-	collect := func(workers int) ([][]tailState, *Result) {
-		defer par.SetWorkers(par.Workers())
-		par.SetWorkers(workers)
-		st, err := Stream(dc, insts, opts)
-		if err != nil {
-			t.Fatal(err)
+	st, err := Stream(dc, insts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epochs [][]tailState
+	var prev [][]float64
+	for ep := range st.Epochs {
+		if len(ep.Tails) != len(TailPercentiles) {
+			t.Fatalf("epoch %d: %d tails, want %d", ep.Index, len(ep.Tails), len(TailPercentiles))
 		}
-		var out [][]tailState
-		var prev [][]float64
-		for ep := range st.Epochs {
-			if len(ep.Tails) != len(TailPercentiles) {
-				t.Fatalf("epoch %d: %d tails, want %d", ep.Index, len(ep.Tails), len(TailPercentiles))
+		if ep.MeanPlusStd == nil {
+			t.Fatalf("epoch %d: no mean+sd matrix", ep.Index)
+		}
+		// The mean+sd matrix rides last, under Pct 0.
+		published := append(append([]TailMatrix(nil), ep.Tails...), *ep.MeanPlusStd)
+		want := append(append([]float64(nil), TailPercentiles...), 0)
+		var states []tailState
+		for x, tm := range published {
+			if tm.Pct != want[x] {
+				t.Fatalf("epoch %d matrix %d: pct %g, want %g", ep.Index, x, tm.Pct, want[x])
 			}
-			if ep.MeanPlusStd == nil {
-				t.Fatalf("epoch %d: no mean+sd matrix", ep.Index)
+			if tm.Fingerprint == 0 {
+				t.Fatalf("epoch %d p%g: zero fingerprint", ep.Index, tm.Pct)
 			}
-			// The mean+sd matrix rides last, under Pct 0.
-			published := append(append([]TailMatrix(nil), ep.Tails...), *ep.MeanPlusStd)
-			want := append(append([]float64(nil), TailPercentiles...), 0)
-			var states []tailState
-			for x, tm := range published {
-				if tm.Pct != want[x] {
-					t.Fatalf("epoch %d matrix %d: pct %g, want %g", ep.Index, x, tm.Pct, want[x])
+			if got := tm.Matrix.Fingerprint(); got != tm.Fingerprint {
+				t.Fatalf("epoch %d p%g: incremental fp %x != recomputed %x", ep.Index, tm.Pct, tm.Fingerprint, got)
+			}
+			n := tm.Matrix.Size()
+			flat := make([]float64, 0, n*n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					flat = append(flat, tm.Matrix.At(i, j))
 				}
-				if tm.Fingerprint == 0 {
-					t.Fatalf("epoch %d p%g: zero fingerprint", ep.Index, tm.Pct)
+			}
+			if prev == nil {
+				prev = make([][]float64, len(published))
+			}
+			// Changed-row contract: a row is listed iff it differs from
+			// the previous epoch's matrix for the same percentile.
+			if prev[x] != nil {
+				listed := make(map[int]bool, len(tm.ChangedRows))
+				for _, r := range tm.ChangedRows {
+					listed[r] = true
 				}
-				if got := tm.Matrix.Fingerprint(); got != tm.Fingerprint {
-					t.Fatalf("epoch %d p%g: incremental fp %x != recomputed %x", ep.Index, tm.Pct, tm.Fingerprint, got)
-				}
-				n := tm.Matrix.Size()
-				flat := make([]float64, 0, n*n)
 				for i := 0; i < n; i++ {
+					differs := false
 					for j := 0; j < n; j++ {
-						flat = append(flat, tm.Matrix.At(i, j))
-					}
-				}
-				if prev == nil {
-					prev = make([][]float64, len(published))
-				}
-				// Changed-row contract: a row is listed iff it differs from
-				// the previous epoch's matrix for the same percentile.
-				if prev[x] != nil {
-					listed := make(map[int]bool, len(tm.ChangedRows))
-					for _, r := range tm.ChangedRows {
-						listed[r] = true
-					}
-					for i := 0; i < n; i++ {
-						differs := false
-						for j := 0; j < n; j++ {
-							if flat[i*n+j] != prev[x][i*n+j] {
-								differs = true
-								break
-							}
-						}
-						if differs != listed[i] {
-							t.Fatalf("epoch %d p%g row %d: differs=%v listed=%v", ep.Index, tm.Pct, i, differs, listed[i])
+						if flat[i*n+j] != prev[x][i*n+j] {
+							differs = true
+							break
 						}
 					}
+					if differs != listed[i] {
+						t.Fatalf("epoch %d p%g row %d: differs=%v listed=%v", ep.Index, tm.Pct, i, differs, listed[i])
+					}
 				}
-				prev[x] = flat
-				states = append(states, tailState{pct: tm.Pct, fp: uint64(tm.Fingerprint), changed: tm.ChangedRows, vals: flat})
 			}
-			out = append(out, states)
+			prev[x] = flat
+			states = append(states, tailState{pct: tm.Pct, vals: flat})
 		}
-		return out, st.Wait()
+		epochs = append(epochs, states)
 	}
-
-	ref, res := collect(1)
-	if len(ref) < 2 {
-		t.Fatalf("only %d epochs", len(ref))
+	res := st.Wait()
+	if len(epochs) < 2 {
+		t.Fatalf("only %d epochs", len(epochs))
 	}
 
 	// The final epoch's matrices must be bit-identical to the Result's.
-	final := ref[len(ref)-1]
+	final := epochs[len(epochs)-1]
 	for _, ts := range final {
 		batch := res.MeanPlusStdMatrix()
 		if ts.pct > 0 {
@@ -206,34 +196,6 @@ func TestStreamTailEpochs(t *testing.T) {
 			for j := 0; j < n; j++ {
 				if ts.vals[i*n+j] != batch.At(i, j) {
 					t.Fatalf("final epoch p%g (%d,%d): %g != batch %g", ts.pct, i, j, ts.vals[i*n+j], batch.At(i, j))
-				}
-			}
-		}
-	}
-
-	for _, w := range []int{2, 5, 8} {
-		got, _ := collect(w)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d epochs, want %d", w, len(got), len(ref))
-		}
-		for e := range ref {
-			for x := range ref[e] {
-				a, b := ref[e][x], got[e][x]
-				if a.fp != b.fp {
-					t.Fatalf("workers=%d epoch %d p%g: fp %x != %x", w, e, a.pct, b.fp, a.fp)
-				}
-				if len(a.changed) != len(b.changed) {
-					t.Fatalf("workers=%d epoch %d p%g: changed rows differ", w, e, a.pct)
-				}
-				for i := range a.changed {
-					if a.changed[i] != b.changed[i] {
-						t.Fatalf("workers=%d epoch %d p%g: changed rows differ at %d", w, e, a.pct, i)
-					}
-				}
-				for i := range a.vals {
-					if a.vals[i] != b.vals[i] {
-						t.Fatalf("workers=%d epoch %d p%g: matrix bit-differs at flat index %d", w, e, a.pct, i)
-					}
 				}
 			}
 		}

@@ -191,16 +191,18 @@ func (c *Cache) Track(old, next core.Fingerprint) {
 type CacheStats struct {
 	// Hits counts shared artifacts a job (or a Rounded or CheapestRows
 	// call) read that another had built; Misses counts the rest.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts LRU capacity evictions; Superseded counts
 	// fingerprints retired by Track when their last holder moved on.
-	Evictions, Superseded int64
+	Evictions  int64 `json:"evictions"`
+	Superseded int64 `json:"superseded"`
 	// Matrices is the number of distinct matrix fingerprints currently
 	// held; Bytes is what their built artifacts hold
 	// (solver.MatrixPrep.Bytes), not counting the cost matrices, which
 	// their tenants own.
-	Matrices int
-	Bytes    int64
+	Matrices int   `json:"matrices"`
+	Bytes    int64 `json:"bytes"`
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -346,19 +346,38 @@ func TestHTTPStatsReportsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st struct {
-		Server struct {
-			Cache map[string]int64
+		Server  map[string]json.RawMessage
+		Tenants []struct {
+			Tenant string
+			WAL    map[string]int64
 		}
 	}
 	decodeBody(t, resp, &st)
-	want := d.Stats().Server.Cache
+	if _, ok := st.Server["steals"]; ok {
+		t.Error("/v1/stats server reports steals, which is always 0")
+	}
+	var cache map[string]int64
+	if err := json.Unmarshal(st.Server["cache"], &cache); err != nil {
+		t.Fatalf("/v1/stats server.cache: %v", err)
+	}
+	full := d.Stats()
+	want := full.Server.Cache
 	for name, v := range map[string]int64{
-		"Hits": want.Hits, "Misses": want.Misses, "Evictions": want.Evictions,
-		"Superseded": want.Superseded, "Matrices": int64(want.Matrices), "Bytes": want.Bytes,
+		"hits": want.Hits, "misses": want.Misses, "evictions": want.Evictions,
+		"superseded": want.Superseded, "matrices": int64(want.Matrices), "bytes": want.Bytes,
 	} {
-		got, ok := st.Server.Cache[name]
+		got, ok := cache[name]
 		if !ok || got != v {
 			t.Errorf("/v1/stats cache %s = %d (present %v), want %d", name, got, ok, v)
+		}
+	}
+	if len(st.Tenants) != len(full.Tenants) {
+		t.Fatalf("/v1/stats has %d tenants, want %d", len(st.Tenants), len(full.Tenants))
+	}
+	for i, tn := range st.Tenants {
+		got, ok := tn.WAL["appends"]
+		if v := full.Tenants[i].WAL.Appends; !ok || got != v || v == 0 {
+			t.Errorf("/v1/stats tenant %s wal.appends = %d (present %v), want %d > 0", tn.Tenant, got, ok, v)
 		}
 	}
 	// Both tenants posted the same matrix: one set, built once, read twice.

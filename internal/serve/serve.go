@@ -197,11 +197,14 @@ func (d *Daemon) run(t *task) (res *Result) {
 type Stats struct {
 	// Submitted counts admitted advises; Rejected counts ErrBusy refusals;
 	// Served and Failed partition completed advises.
-	Submitted, Rejected, Served, Failed int64
+	Submitted int64 `json:"submitted"`
+	Rejected  int64 `json:"rejected"`
+	Served    int64 `json:"served"`
+	Failed    int64 `json:"failed"`
 	// Steals is always 0: every worker pulls from one ready queue, so no
-	// dispatch crosses a shard. It stays only because existing stats
-	// readers still report it.
-	Steals int64
+	// dispatch crosses a shard. It stays, out of the JSON, only because
+	// cloudia-perf still reads it.
+	Steals int64 `json:"-"`
 	// Cache is the shared cache's snapshot.
-	Cache CacheStats
+	Cache CacheStats `json:"cache"`
 }

@@ -9,7 +9,6 @@ import (
 
 	"cloudia/internal/cluster"
 	"cloudia/internal/core"
-	"cloudia/internal/par"
 )
 
 // Prep is a problem's shared preprocessing cache. It holds the derived
@@ -281,11 +280,9 @@ func (m *MatrixPrep) cheapestRows() (rows [][]int32, built bool) {
 		rows := make([][]int32, n)
 		per := n - 1
 		flat := make([]int32, n*per)
-		par.For(n, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				rows[u] = cheapestRow(m.costs, u, flat[u*per:u*per:(u+1)*per])
-			}
-		})
+		for u := 0; u < n; u++ {
+			rows[u] = cheapestRow(m.costs, u, flat[u*per:u*per:(u+1)*per])
+		}
 		m.rows = rows
 		m.bytes.Add(4*int64(len(flat)) + 24*int64(n)) // plus a slice header per row
 	})
@@ -301,9 +298,8 @@ func (m *MatrixPrep) CheapestRows() [][]int32 {
 // CheapestRows returns, for every instance u, the other instances sorted
 // ascending by (cost from u, index) — the candidate rows consumed by the G1
 // greedy's cheapest-free cursors. One flat backing array serves all rows:
-// row u owns the fixed stride [u*(n-1), (u+1)*(n-1)), so rows fill and sort
-// in parallel while producing exactly the sequential build's bytes. Shared;
-// callers must not modify the rows.
+// row u owns the fixed stride [u*(n-1), (u+1)*(n-1)). Shared; callers must
+// not modify the rows.
 func (pp *Prep) CheapestRows() [][]int32 {
 	rows, built := pp.Matrix().cheapestRows()
 	pp.note(artifact{kind: artCheapestRows}, built)

@@ -79,8 +79,9 @@ func TestPrepRoundedMatchesDirect(t *testing.T) {
 }
 
 // TestPrepDegreeOrderAndRows checks the cheapest-link rows: every other
-// instance once, sorted by (cost, index). (The degree order it also checked
-// is MIP's own per-solve value now; internal/solver/mip tests it.)
+// instance once, sorted by (cost, index), and equal to each row built on
+// its own. (The degree order it also checked is MIP's own per-solve value
+// now; internal/solver/mip tests it.)
 func TestPrepDegreeOrderAndRows(t *testing.T) {
 	p := prepProblem(t, 14, 18, 9)
 	prep := p.Prep()
@@ -93,6 +94,9 @@ func TestPrepDegreeOrderAndRows(t *testing.T) {
 	for u := 0; u < n; u++ {
 		if len(rows[u]) != n-1 {
 			t.Fatalf("row %d has %d entries", u, len(rows[u]))
+		}
+		if want := cheapestRow(p.Costs, u, nil); !reflect.DeepEqual(rows[u], want) {
+			t.Fatalf("row %d = %v, built alone %v", u, rows[u], want)
 		}
 		seen := map[int32]bool{int32(u): true}
 		for i, v := range rows[u] {
@@ -322,4 +326,75 @@ func TestEpochProblemsConcurrentWithSolves(t *testing.T) {
 	}
 	wg.Wait()
 	readers.Wait()
+}
+
+// prepArtifacts is every artifact kind the Prep layer builds, copied out of
+// one problem. Each call gets a fresh problem so Prep memoization cannot
+// hide a rebuild.
+type prepArtifacts struct {
+	rounded0, rounded8 [][]float64
+	pairs0, pairs8     []core.CostPair
+	rows               [][]int32
+	off                []float64
+}
+
+func collectPrepArtifacts(p *Problem) (prepArtifacts, error) {
+	var a prepArtifacts
+	prep := p.Prep()
+	dump := func(m *core.CostMatrix) [][]float64 {
+		out := make([][]float64, m.Size())
+		for i := range out {
+			out[i] = append([]float64(nil), m.Row(i)...)
+		}
+		return out
+	}
+	m0, pairs0, err := prep.Rounded(0)
+	if err != nil {
+		return a, err
+	}
+	m8, pairs8, err := prep.Rounded(8)
+	if err != nil {
+		return a, err
+	}
+	a.rounded0, a.pairs0 = dump(m0), append([]core.CostPair(nil), pairs0...)
+	a.rounded8, a.pairs8 = dump(m8), append([]core.CostPair(nil), pairs8...)
+	a.rows = prep.CheapestRows()
+	a.off = prep.OffDiagonal()
+	return a, nil
+}
+
+// TestPrepArtifactsBitEqualAcrossWorkers pins every artifact kind the Prep
+// layer builds — rounded matrices, sorted pair lists, cheapest rows and
+// off-diagonal extraction — bit-identical whether one caller builds them
+// alone or several build them on fresh problems at once.
+func TestPrepArtifactsBitEqualAcrossWorkers(t *testing.T) {
+	want, err := collectPrepArtifacts(prepProblem(t, 14, 26, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		problems := make([]*Problem, workers)
+		for w := range problems {
+			problems[w] = prepProblem(t, 14, 26, 41)
+		}
+		got := make([]prepArtifacts, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w], errs[w] = collectPrepArtifacts(problems[w])
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			if errs[w] != nil {
+				t.Fatal(errs[w])
+			}
+			if !reflect.DeepEqual(got[w], want) {
+				t.Fatalf("workers=%d caller %d: Prep artifacts diverge from a lone build", workers, w)
+			}
+		}
+	}
 }

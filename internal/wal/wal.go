@@ -105,15 +105,18 @@ type Stats struct {
 	// Appends counts records appended this process lifetime; Syncs counts
 	// segment fsyncs (directory fsyncs are not counted); Rotations counts
 	// segment rotations; Compactions counts completed Compact calls.
-	Appends, Syncs, Rotations, Compactions int64
+	Appends     int64 `json:"appends"`
+	Syncs       int64 `json:"syncs"`
+	Rotations   int64 `json:"rotations"`
+	Compactions int64 `json:"compactions"`
 	// Segments is the number of live segment files; ActiveBytes the bytes
 	// written to the active segment.
-	Segments    int
-	ActiveBytes int64
+	Segments    int   `json:"segments"`
+	ActiveBytes int64 `json:"active_bytes"`
 	// RecoveredRecords is the number of records replayed at Open;
 	// TruncatedBytes is the size of the torn/corrupt tail Open discarded.
-	RecoveredRecords int64
-	TruncatedBytes   int64
+	RecoveredRecords int64 `json:"recovered_records"`
+	TruncatedBytes   int64 `json:"truncated_bytes"`
 }
 
 // Log is one open append-only log. Not safe for concurrent use; the serve
