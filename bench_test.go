@@ -477,9 +477,9 @@ func portfolio1000Problem(b testing.TB) *solver.Problem {
 // BenchmarkPortfolio1000 races the full advisor portfolio on the
 // 1000-instance problem under a 2-second wall-clock budget. Every op must
 // stay well inside a 10-second ceiling: the first op additionally pays the
-// one-time Prep artifacts (k-means over ~10^6 link costs, pair sort,
-// cheapest rows), which later ops — like repeated advisor calls on a live
-// problem — reuse from the shared cache.
+// one-time rounded set (k-means over ~10^6 link costs, class grouping),
+// which later ops — like repeated advisor calls on a live problem — reuse
+// from the shared cache.
 func BenchmarkPortfolio1000(b *testing.B) {
 	p := portfolio1000Problem(b)
 	b.ResetTimer()
@@ -956,31 +956,27 @@ func BenchmarkBehavioralSimTick(b *testing.B) {
 
 // BenchmarkColdPrep1000 measures the cold path on the 1000-instance tier:
 // the k=20 rounded set (the bucketed sort of ~10^6 link costs, k-means over
-// it, class ids and the class-grouped pair list), the cheapest-rows table,
-// and the off-diagonal extraction, built from scratch one after another as
-// a solve reads them. ns/op is one cold build; each starts from a
-// collected heap.
+// it, class ids and the class-grouped pair list), built from scratch. That
+// set is all the shared Prep holds, and all a served advise builds. ns/op
+// is one cold build; each starts from a collected heap.
 func BenchmarkColdPrep1000(b *testing.B) {
 	p := portfolio1000Problem(b)
-	buildAll := func() {
+	build := func() {
 		np, err := solver.NewProblem(p.Graph, p.Costs.Clone(), solver.LongestLink)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prep := np.Prep()
-		if _, err := prep.RoundedSet(20); err != nil {
+		if _, err := np.Prep().RoundedSet(20); err != nil {
 			b.Fatal(err)
 		}
-		prep.CheapestRows()
-		prep.OffDiagonal()
 	}
-	buildAll() // untimed warmup: allocator and page-cache first-touch
+	build() // untimed warmup: allocator and page-cache first-touch
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		buildAll()
+		build()
 	}
 }
 

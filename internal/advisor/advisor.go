@@ -213,26 +213,18 @@ func NewPortfolio(clusterK int, seed int64) *solver.Portfolio {
 	)
 }
 
-// WarmMatrixPrep builds in set the shared matrix artifacts the named solver
-// reads on a problem of the given objective, so that a solve over the same
-// content finds them built; name and clusterK resolve as SolveStream
-// resolves them. CP and the portfolio (through its CP member) read the
-// rounded set at their cluster count, on longest-link problems only; MIP
-// reads the set's float64 matrix and pair-list views, only when clustered,
-// searching the raw matrix otherwise; G1 reads the cheapest-link rows. No
-// other solver reads a matrix-set artifact. This is the one place that maps
-// a solver to what it reads from the set.
+// WarmMatrixPrep builds in set the rounded set the named solver reads on a
+// problem of the given objective, so that a solve over the same content
+// finds it built; name and clusterK resolve as SolveStream resolves them.
+// CP and the portfolio (through its CP member) round at their cluster
+// count on longest-link problems only, and MIP only when clustered; no
+// other solver reads the set. This is the one place that maps a solver to
+// the cluster count it rounds at.
 func WarmMatrixPrep(set *solver.MatrixPrep, name string, clusterK int, obj solver.Objective) error {
 	name, k := StreamSolver(name, clusterK)
-	switch {
-	case (name == "cp" || name == "portfolio") && obj == solver.LongestLink:
+	if ((name == "cp" || name == "portfolio") && obj == solver.LongestLink) || (name == "mip" && k > 0) {
 		_, err := set.RoundedSet(k)
 		return err
-	case name == "mip" && k > 0:
-		_, _, err := set.Rounded(k)
-		return err
-	case name == "g1":
-		set.CheapestRows()
 	}
 	return nil
 }

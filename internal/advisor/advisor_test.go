@@ -65,53 +65,60 @@ func TestNewSolverNames(t *testing.T) {
 	}
 }
 
-// TestWarmMatrixPrep: a warmed set holds the rounded matrix at the
-// solver's resolved cluster count exactly where the solver reads it, and
-// the cheapest-link rows only for G1; an unknown name warms nothing.
+// TestWarmMatrixPrep: a warmed set holds the rounded set at the solver's
+// resolved cluster count exactly where the solver reads it, and nothing
+// else: G1's rows are not a set artifact, and an unknown name warms
+// nothing.
 func TestWarmMatrixPrep(t *testing.T) {
 	p, _, err := solvertest.PlantedLL(2, 3, 3, 0.1, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name          string
-		clusterK      int
-		obj           solver.Objective
-		k             int
-		rounded, rows bool
+		name     string
+		clusterK int
+		obj      solver.Objective
+		k        int
+		rounded  bool
 	}{
-		{"cp", 0, solver.LongestLink, 20, true, false},
-		{"cp", 4, solver.LongestPath, 4, false, false},
-		{"portfolio", 5, solver.LongestLink, 5, true, false},
-		{"portfolio", 0, solver.LongestPath, 20, false, false},
-		{"", 0, solver.LongestLink, 20, true, false},
-		{"mip", 3, solver.LongestPath, 3, true, false},
-		{"mip", 0, solver.LongestLink, 0, false, false},
-		{"g1", 0, solver.LongestLink, 0, false, true},
-		{"g2", 0, solver.LongestLink, 0, false, false},
-		{"sa", 7, solver.LongestLink, 7, false, false},
-		{"nope", 0, solver.LongestLink, 0, false, false},
+		{"cp", 0, solver.LongestLink, 20, true},
+		{"cp", 4, solver.LongestPath, 4, false},
+		{"portfolio", 5, solver.LongestLink, 5, true},
+		{"portfolio", 0, solver.LongestPath, 20, false},
+		{"", 0, solver.LongestLink, 20, true},
+		{"mip", 3, solver.LongestPath, 3, true},
+		{"mip", 0, solver.LongestLink, 0, false},
+		{"g1", 0, solver.LongestLink, 0, false},
+		{"g2", 0, solver.LongestLink, 0, false},
+		{"sa", 7, solver.LongestLink, 7, false},
+		{"nope", 0, solver.LongestLink, 0, false},
 	} {
 		set := solver.NewMatrixPrep(p.Costs)
 		if err := WarmMatrixPrep(set, c.name, c.clusterK, c.obj); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		// A Prep reading the warmed set hits exactly what was built.
-		probe := func(read func(*solver.Prep)) bool {
-			q, err := solver.NewProblem(p.Graph, p.Costs, p.Objective)
+		// The warmed set holds that one rounded set and nothing else.
+		got := set.Bytes()
+		var want int64
+		if c.rounded {
+			r, err := set.RoundedSet(c.k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q.Prep().ShareMatrix(set)
-			read(q.Prep())
-			hits, _ := q.Prep().SharedReads()
-			return hits == 1
+			want = r.Bytes()
 		}
-		if got := probe(func(pp *solver.Prep) { pp.Rounded(c.k) }); got != c.rounded {
-			t.Errorf("%s k=%d %s: Rounded(%d) warm = %v, want %v", c.name, c.clusterK, c.obj, c.k, got, c.rounded)
+		if got != want {
+			t.Errorf("%s k=%d %s: warmed set holds %d bytes, want %d", c.name, c.clusterK, c.obj, got, want)
 		}
-		if got := probe(func(pp *solver.Prep) { pp.CheapestRows() }); got != c.rows {
-			t.Errorf("%s k=%d %s: CheapestRows warm = %v, want %v", c.name, c.clusterK, c.obj, got, c.rows)
+		// A Prep reading the warmed set hits exactly what was built.
+		q, err := solver.NewProblem(p.Graph, p.Costs, p.Objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Prep().ShareMatrix(set)
+		q.Prep().RoundedSet(c.k)
+		if hits, _ := q.Prep().SharedReads(); (hits == 1) != c.rounded {
+			t.Errorf("%s k=%d %s: RoundedSet(%d) warm = %v, want %v", c.name, c.clusterK, c.obj, c.k, hits == 1, c.rounded)
 		}
 	}
 }

@@ -93,12 +93,19 @@ func (r *RedeployReport) meanCost(f func(PeriodOutcome) float64) float64 {
 	return sum / float64(len(r.Periods))
 }
 
-// RunRedeploy executes the adaptive session against the provider. If any
-// step after allocation fails, every allocated instance is terminated before
-// returning, mirroring Advise.
+// RunRedeploy executes the adaptive session against the provider. Every
+// configuration field is checked before an instance is allocated, as
+// Advise checks its Config. If any step after allocation fails, every
+// allocated instance is terminated before returning, mirroring Advise.
 func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport, err error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("advisor: nil communication graph")
+	check := Config{
+		Graph:          cfg.Graph,
+		ObjectiveSpec:  ObjectiveSpec{Objective: cfg.Objective},
+		OverAllocation: cfg.OverAllocation,
+		SolverName:     cfg.SolverName,
+	}
+	if err := check.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.PeriodHours <= 0 || cfg.Periods <= 0 {
 		return nil, fmt.Errorf("advisor: non-positive period configuration")
@@ -108,9 +115,6 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 	}
 	if cfg.MinImprovement < 0 || cfg.MigrationCostPerNode < 0 {
 		return nil, fmt.Errorf("advisor: negative re-deployment thresholds")
-	}
-	if cfg.OverAllocation < 0 {
-		return nil, fmt.Errorf("advisor: negative over-allocation %g", cfg.OverAllocation)
 	}
 	total := OverAllocate(cfg.Graph.NumNodes(), cfg.OverAllocation)
 	instances, err := prov.RunInstances(total)

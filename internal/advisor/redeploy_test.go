@@ -42,6 +42,24 @@ func TestRedeployValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("negative migration cost accepted")
 	}
+	for _, bad := range []RedeployConfig{
+		{Graph: g, Objective: solver.LongestLink, PeriodHours: 1, Periods: 1, SolverName: "oracle"},
+		{Graph: g, Objective: "shortest-link", PeriodHours: 1, Periods: 1},
+		{Graph: g, Objective: solver.LongestLink, PeriodHours: 1, Periods: 1, OverAllocation: -1},
+	} {
+		if _, err := RunRedeploy(p, bad); err == nil {
+			t.Fatalf("solver %q, objective %q, over-allocation %g accepted", bad.SolverName, bad.Objective, bad.OverAllocation)
+		}
+	}
+	// No rejected configuration allocated or measured anything: the
+	// provider's next instance is still its first.
+	insts, err := p.RunInstances(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insts[0].ID != "i-00000000" {
+		t.Fatalf("rejected configurations allocated instances: next ID is %s", insts[0].ID)
+	}
 }
 
 func TestRedeployAdaptsToRegimeChanges(t *testing.T) {

@@ -346,9 +346,9 @@ func (r *Rounded) Bytes() int64 {
 
 // RoundCostMatrixPairs returns m rounded to the centers of a k-clustering of
 // its off-diagonal costs, plus every off-diagonal pair with its rounded cost,
-// ascending. It is Round's Matrix and CostPairs views, for consumers that
-// need the float64 forms (MIP, the figures); k <= 0 disables clustering and
-// returns m itself. Callers must not modify the result.
+// ascending. It is Round's Matrix and CostPairs views, the float64 forms
+// tests compare against; k <= 0 disables clustering and returns m itself.
+// Callers must not modify the result.
 func RoundCostMatrixPairs(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, error) {
 	out, pairs, _, err := RoundCostMatrixPairsResult(m, k)
 	return out, pairs, err

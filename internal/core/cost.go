@@ -103,8 +103,8 @@ func (m *CostMatrix) DistinctValues() []float64 {
 
 // CostPair is one ordered instance pair (From, To) tagged with its link cost.
 // Slices of CostPair sorted ascending by cost are the float64 pair-list view
-// of a rounded cost set (cluster.Rounded.CostPairs) that MIP and the figures
-// read; CP reads the set's class-grouped pair indices instead.
+// of a rounded cost set (cluster.Rounded.CostPairs), which no solver reads:
+// CP reads the set's class-grouped pair indices instead.
 type CostPair struct {
 	From, To int32
 	Cost     float64

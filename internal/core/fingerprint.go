@@ -5,11 +5,11 @@ import "math"
 // Fingerprint is a 64-bit content hash of a cost matrix: two matrices with
 // bitwise-equal sizes and values have equal fingerprints, and any value
 // change yields a different fingerprint with overwhelming probability. It is
-// the content-addressed cache key of the serving layer: preprocessing
-// artifacts (cluster-rounded cost sets, cheapest-link rows) are pure
-// functions of the matrix content, so problems from
-// different tenants whose measurements produced identical matrices can
-// share one artifact set keyed by fingerprint.
+// the content-addressed cache key of the serving layer: the shared
+// preprocessing, a cluster-rounded cost set per cluster count, is a pure
+// function of the matrix content, so
+// problems from different tenants whose measurements produced identical
+// matrices can share one set keyed by fingerprint.
 //
 // The zero value is reserved to mean "no fingerprint": the hash never
 // returns 0, so callers can use 0 as an absent marker (e.g. an Epoch whose

@@ -224,14 +224,19 @@ func (r *Result) globalMean() float64 {
 
 // MeanMatrix returns the estimated mean RTT per ordered pair. Unsampled
 // links fall back to the global mean estimate.
-func (r *Result) MeanMatrix() *core.CostMatrix {
-	return r.matrix(func(k int) float64 { return r.agg[k].Mean() })
-}
+func (r *Result) MeanMatrix() *core.CostMatrix { return r.matrix(r.mean) }
 
 // MeanPlusStdMatrix returns mean + standard deviation per link, the jitter-
 // sensitive metric of Sect. 3.2.
-func (r *Result) MeanPlusStdMatrix() *core.CostMatrix {
-	return r.matrix(func(k int) float64 { return r.agg[k].Mean() + r.agg[k].Std() })
+func (r *Result) MeanPlusStdMatrix() *core.CostMatrix { return r.matrix(r.meanPlusStd) }
+
+// mean, meanPlusStd and quantile are the per-link summaries of the flat
+// pair index k that the matrices publish.
+func (r *Result) mean(k int) float64        { return r.agg[k].Mean() }
+func (r *Result) meanPlusStd(k int) float64 { return r.agg[k].Mean() + r.agg[k].Std() }
+func (r *Result) quantile(pct float64) func(k int) float64 {
+	q := pct / 100
+	return func(k int) float64 { return r.tails[k].Quantile(q) }
 }
 
 // TailMatrix returns the pct-percentile RTT per link estimated from the
@@ -244,15 +249,22 @@ func (r *Result) TailMatrix(pct float64) (*core.CostMatrix, error) {
 	if r.tailAlpha <= 0 {
 		return nil, fmt.Errorf("measure: tail sketches disabled (Options.TailAlpha = 0)")
 	}
-	q := pct / 100
-	return r.matrix(func(k int) float64 { return r.tails[k].Quantile(q) }), nil
+	return r.matrix(r.quantile(pct)), nil
 }
 
 // matrix builds a cost matrix from a per-link summary f of the flat pair
 // index k, with the global-mean fallback on unsampled links.
 func (r *Result) matrix(f func(k int) float64) *core.CostMatrix {
 	m := core.NewCostMatrix(r.N)
-	fallback := r.globalMean()
+	r.each(r.globalMean(), f, m.Set)
+	return m
+}
+
+// each calls set with every off-diagonal link's cost: the summary f of its
+// flat pair index k, or fallback when the link has no sample. It is the one
+// per-cell rule of every matrix r publishes, whole (matrix) or folded into
+// a streaming epoch.
+func (r *Result) each(fallback float64, f func(k int) float64, set func(i, j int, v float64)) {
 	for i := 0; i < r.N; i++ {
 		for j := 0; j < r.N; j++ {
 			if i == j {
@@ -260,13 +272,12 @@ func (r *Result) matrix(f func(k int) float64) *core.CostMatrix {
 			}
 			k := i*r.N + j
 			if r.agg[k].N() == 0 {
-				m.Set(i, j, fallback)
+				set(i, j, fallback)
 				continue
 			}
-			m.Set(i, j, f(k))
+			set(i, j, f(k))
 		}
 	}
-	return m
 }
 
 // prepare validates opts and builds the simulator, result aggregate, and

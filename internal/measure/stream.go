@@ -187,14 +187,10 @@ func stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options, p
 		defer close(st.done)
 		defer close(ch)
 
-		fold := func(dst *core.MutableCostMatrix, src *core.CostMatrix) {
-			for i := 0; i < m.n; i++ {
-				for j := 0; j < m.n; j++ {
-					if i != j {
-						dst.Set(i, j, src.At(i, j))
-					}
-				}
-			}
+		// fold writes the per-link summary f of the running aggregates
+		// straight into dst, by the rule every Result matrix follows.
+		fold := func(dst *core.MutableCostMatrix, fallback float64, f func(k int) float64) {
+			m.res.each(fallback, f, func(i, j int, v float64) { dst.Set(i, j, v) })
 		}
 		// Each published matrix gets its own mutable matrix so its
 		// changed-row sets and fingerprint evolve independently. Set marks
@@ -211,16 +207,15 @@ func stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options, p
 			spread = core.NewMutableCostMatrix(m.n)
 		}
 		emit := func(at float64, final bool) {
-			fold(mean, m.res.MeanMatrix())
+			fallback := m.res.globalMean()
+			fold(mean, fallback, m.res.mean)
 			ep := PublishEpoch(mean, at, final, m.res.TotalSamples)
 			if spread != nil {
 				for x, pct := range TailPercentiles {
-					// Cannot fail: the sketches are on (o.TailAlpha > 0).
-					tm, _ := m.res.TailMatrix(pct)
-					fold(tails[x], tm)
+					fold(tails[x], fallback, m.res.quantile(pct))
 					ep.Tails = append(ep.Tails, PublishTail(tails[x], pct))
 				}
-				fold(spread, m.res.MeanPlusStdMatrix())
+				fold(spread, fallback, m.res.meanPlusStd)
 				msd := PublishTail(spread, 0)
 				ep.MeanPlusStd = &msd
 			}

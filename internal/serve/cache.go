@@ -8,24 +8,23 @@ import (
 	"cloudia/internal/solver"
 )
 
-// Cache is the content-addressed Prep artifact store shared by every worker.
-// The matrix-derived artifacts — cluster-K rounded sets (a class id per
-// instance pair and the pairs grouped by class, about 5 bytes per pair),
-// cheapest-link rows — are deterministic functions of the cost-matrix
-// content, so one solver.MatrixPrep per core.CostMatrix.Fingerprint serves
-// every problem, tenant and worker over that content. Two tenants whose
-// measurements produced identical matrices pay the dominant preprocessing
-// cost — a k-means over all m^2 link costs and the bucketed sort that feeds
-// it — exactly once between them.
+// Cache is the content-addressed store of the Prep rounded sets shared by
+// every worker. A cluster-K rounded set (a class id per instance pair and
+// the pairs grouped by class, about 5 bytes per pair) is a deterministic
+// function of the cost-matrix content, so one solver.MatrixPrep per
+// core.CostMatrix.Fingerprint serves every problem, tenant and worker over
+// that content. Two tenants whose measurements produced identical matrices
+// pay the dominant preprocessing cost — a k-means over all m^2 link costs
+// and the bucketed sort that feeds it — exactly once between them.
 //
 // The cache shares sets by reference and builds nothing itself: a job
-// installs the set before its solver runs, and each artifact is built on
+// installs the set before its solver runs, and each rounded set is built on
 // its first read. The sets' own sync.Onces make builds single-flight, so a
-// burst of jobs over a fresh matrix computes each artifact once while the
-// rest of the fleet blocks briefly and shares it.
+// burst of jobs over a fresh matrix rounds once while the rest of the fleet
+// blocks briefly and shares the result.
 //
 // Invalidation is content-addressed too: a changed matrix has a new
-// fingerprint, so stale artifacts can never be served for it. Retiring
+// fingerprint, so stale sets can never be served for it. Retiring
 // old content exists for memory, not correctness: Track counts the daemon
 // tenants currently on each fingerprint and drops a fingerprint's set once
 // the last of them moves on, so a tenant's replaced matrices do not wait
@@ -57,7 +56,8 @@ type cacheEntry struct {
 }
 
 // DefaultMaxMatrices bounds a serving cache that was not given an explicit
-// capacity. What a served advise builds is one rounded set, about 5 bytes
+// capacity. An entry holds nothing but rounded sets, one per cluster count
+// its advises round at, and a served advise rounds at one: about 5 bytes
 // per instance pair (5 MB at 1000 instances, 84 MB at the daemon's 4096
 // cap), so the default holds about 80 MB at 1000 instances; CacheStats.Bytes
 // reports the actual figure.
@@ -121,16 +121,16 @@ func (c *Cache) record(hits, misses int) {
 	c.misses.Add(int64(misses))
 }
 
-// read runs one artifact read on prep with fp's shared matrix set installed
-// and counts it: a hit when the read is prep's first of that artifact and
-// someone else built it.
-func (c *Cache) read(fp core.Fingerprint, prep *solver.Prep, read func() error) (bool, error) {
+// Rounded makes prep read fp's shared matrix set, unless it already reads
+// a set, and reads its cluster-k rounded set, counting a hit when the read
+// is prep's first at k and someone else built the set; a repeated read is
+// a miss. fp must be the fingerprint of prep's problem matrix.
+func (c *Cache) Rounded(fp core.Fingerprint, k int, prep *solver.Prep) (hit bool, err error) {
 	c.share(fp, prep)
 	before, _ := prep.SharedReads()
-	err := read()
+	_, err = prep.RoundedSet(k)
 	after, _ := prep.SharedReads()
-	hit := err == nil && after > before
-	if hit {
+	if hit = err == nil && after > before; hit {
 		c.record(1, 0)
 	} else {
 		c.record(0, 1)
@@ -138,25 +138,12 @@ func (c *Cache) read(fp core.Fingerprint, prep *solver.Prep, read func() error) 
 	return hit, err
 }
 
-// Rounded makes prep read fp's shared matrix set, unless it already reads
-// a set, and reads its cluster-k artifacts, reporting whether they came
-// from the cache; a repeated read is a miss. fp must be the fingerprint of
-// prep's problem matrix.
-func (c *Cache) Rounded(fp core.Fingerprint, k int, prep *solver.Prep) (hit bool, err error) {
-	return c.read(fp, prep, func() error {
-		_, err := prep.RoundedSet(k)
-		return err
-	})
-}
-
-// CheapestRows is Rounded's analogue for the G1 candidate rows, keyed by
-// fingerprint alone (the rows do not depend on a cluster count).
+// CheapestRows builds prep's G1 candidate rows. They are not a shared
+// artifact, so it counts nothing and never hits; cloudia-perf's probes
+// still call it.
 func (c *Cache) CheapestRows(fp core.Fingerprint, prep *solver.Prep) (hit bool) {
-	hit, _ = c.read(fp, prep, func() error {
-		prep.CheapestRows()
-		return nil
-	})
-	return hit
+	prep.CheapestRows()
+	return false
 }
 
 // Track records that one tenant matrix moved from content old to content
@@ -189,8 +176,8 @@ func (c *Cache) Track(old, next core.Fingerprint) {
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	// Hits counts shared artifacts a job (or a Rounded or CheapestRows
-	// call) read that another had built; Misses counts the rest.
+	// Hits counts rounded sets a job (or a Rounded call) read that
+	// another had built; Misses counts the rest.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Evictions counts LRU capacity evictions; Superseded counts
@@ -198,7 +185,7 @@ type CacheStats struct {
 	Evictions  int64 `json:"evictions"`
 	Superseded int64 `json:"superseded"`
 	// Matrices is the number of distinct matrix fingerprints currently
-	// held; Bytes is what their built artifacts hold
+	// held; Bytes is what their built rounded sets hold
 	// (solver.MatrixPrep.Bytes), not counting the cost matrices, which
 	// their tenants own.
 	Matrices int   `json:"matrices"`

@@ -20,7 +20,7 @@ func cacheTestProblem(t testing.TB, m *core.CostMatrix) *solver.Problem {
 	return p
 }
 
-// A cache hit must hand the adopter the donor's exact artifacts, and those
+// A cache hit must hand the adopter the donor's exact rounded set, and it
 // must be bit-identical to what the adopter would have computed.
 func TestCacheRoundedHitServesDonorArtifacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -49,11 +49,12 @@ func TestCacheRoundedHitServesDonorArtifacts(t *testing.T) {
 	if hit, err := c.Rounded(fp, 4, adopter.Prep()); hit || err != nil {
 		t.Fatalf("repeat hit=%v err=%v, want miss", hit, err)
 	}
-	dm, dPairs, _ := donor.Prep().Rounded(4)
-	am, aPairs, _ := adopter.Prep().Rounded(4)
-	if dm != am || !reflect.DeepEqual(dPairs, aPairs) {
-		t.Fatal("adopted artifacts are not the donor's")
+	dSet, _ := donor.Prep().RoundedSet(4)
+	aSet, _ := adopter.Prep().RoundedSet(4)
+	if dSet != aSet {
+		t.Fatal("adopted rounded set is not the donor's")
 	}
+	am, aPairs, _ := adopter.Prep().Rounded(4)
 	cold := cacheTestProblem(t, m.Clone())
 	cm, cPairs, _ := cold.Prep().Rounded(4)
 	for i := 0; i < m.Size(); i++ {
@@ -66,22 +67,26 @@ func TestCacheRoundedHitServesDonorArtifacts(t *testing.T) {
 	}
 }
 
+// The cheapest rows are not cached: CheapestRows never hits, counts
+// nothing and leaves the cache empty, and each Prep builds its own rows.
 func TestCacheCheapestRowsHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := testMatrix(rng, 10)
 	fp := m.Fingerprint()
 	c := NewCache(4)
 	donor := cacheTestProblem(t, m)
-	if hit := c.CheapestRows(fp, donor.Prep()); hit {
-		t.Fatal("first rows request reported a hit")
-	}
 	adopter := cacheTestProblem(t, m.Clone())
-	if hit := c.CheapestRows(fp, adopter.Prep()); !hit {
-		t.Fatal("second rows request missed")
+	for _, p := range []*solver.Problem{donor, adopter, adopter} {
+		if hit := c.CheapestRows(fp, p.Prep()); hit {
+			t.Fatal("a rows request reported a hit")
+		}
+	}
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Fatalf("rows requests changed the cache: %+v", st)
 	}
 	dr, ar := donor.Prep().CheapestRows(), adopter.Prep().CheapestRows()
-	if &dr[0][0] != &ar[0][0] {
-		t.Fatal("adopted rows are not shared with the donor")
+	if &dr[0][0] == &ar[0][0] || !reflect.DeepEqual(dr, ar) {
+		t.Fatal("the two Preps' rows are not equal, separate copies")
 	}
 }
 
@@ -159,7 +164,7 @@ func TestCacheTrackRetiresLastHolder(t *testing.T) {
 
 // 16 goroutines hammer concurrent lookups over a handful of fingerprints
 // while an invalidator races Track retirements and capacity evictions
-// against them. Run under -race; correctness assertion: every adopted artifact
+// against them. Run under -race; correctness assertion: every adopted set
 // matches a cold compute for its content.
 func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -173,7 +178,7 @@ func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 		m := testMatrix(rng, 10)
 		contents = append(contents, content{m: m, fp: m.Fingerprint()})
 	}
-	// Reference artifacts from cold computes.
+	// Reference pair lists from cold computes.
 	refPairs := make([][]core.CostPair, matrices)
 	for i, ct := range contents {
 		p := cacheTestProblem(t, ct.m.Clone())
@@ -223,7 +228,7 @@ func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(pairs, refPairs[idx]) {
-					t.Errorf("goroutine %d iter %d: adopted artifact diverged from cold compute", g, iter)
+					t.Errorf("goroutine %d iter %d: adopted set diverged from cold compute", g, iter)
 					return
 				}
 				c.CheapestRows(ct.fp, p.Prep())

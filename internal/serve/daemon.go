@@ -306,11 +306,11 @@ func rowDeltas(m *core.CostMatrix) []wal.RowDelta {
 	return rows
 }
 
-// reseedCache warms the shared cache with the recovered tenant's matrix
-// artifacts under its current fingerprint, keyed by the solver
-// configuration of its last advice — the configuration its next advise is
-// overwhelmingly likely to repeat. advisor.WarmMatrixPrep decides which
-// artifacts that solver reads.
+// reseedCache warms the shared cache with the recovered tenant's rounded
+// set under its current fingerprint, keyed by the solver configuration of
+// its last advice — the configuration its next advise is overwhelmingly
+// likely to repeat. advisor.WarmMatrixPrep decides the cluster count that
+// solver rounds at, if any.
 func (d *Daemon) reseedCache(sess *tenantSession) error {
 	adv := sess.lastAdvice
 	if adv == nil {
@@ -318,7 +318,7 @@ func (d *Daemon) reseedCache(sess *tenantSession) error {
 	}
 	// The matrix the next same-configuration advise searches is the one the
 	// last advice searched: percentile advice runs over the tail matrix, so
-	// its artifacts live under the tail fingerprint, not the mean's. State
+	// its sets live under the tail fingerprint, not the mean's. State
 	// that cannot serve the last advice's metric has nothing to warm.
 	m, err := sess.searched(advisor.ObjectiveSpec{Metric: advisor.Metric(adv.Metric)})
 	if err != nil {

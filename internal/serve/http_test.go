@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"cloudia/internal/cluster"
 	"cloudia/internal/graphio"
 )
 
@@ -383,5 +384,36 @@ func TestHTTPStatsReportsCache(t *testing.T) {
 	// Both tenants posted the same matrix: one set, built once, read twice.
 	if want.Matrices != 1 || want.Hits < 1 || want.Bytes <= 0 {
 		t.Fatalf("cache stats %+v: want one shared set with a hit and its bytes", want)
+	}
+}
+
+// The cache holds nothing but rounded sets: after a clustered MIP advise
+// and a G1 advise over one posted matrix, its bytes are the k = 20 set's
+// alone. MIP builds its float64 matrix per solve and G1 its rows, so
+// neither lands in the cache.
+func TestHTTPCacheHoldsOnlyRoundedSets(t *testing.T) {
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	const n = 8
+	postJSON(t, ts.Client(), ts.URL+"/v1/epoch", epochPayload(t, "acme", n)).Body.Close()
+	for _, req := range []map[string]any{
+		{"solver": "mip", "cluster_k": 20},
+		{"solver": "g1"},
+	} {
+		req["tenant"], req["graph"], req["budget_nodes"] = "acme", graphPayload(t, 2, 3), 2000
+		resp := postJSON(t, ts.Client(), ts.URL+"/v1/advise", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v advise status %d", req["solver"], resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	set, err := cluster.Round(testMatrix(rand.New(rand.NewSource(71)), n), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats().Server.Cache; st.Matrices != 1 || st.Bytes != set.Bytes() {
+		t.Fatalf("cache holds %d matrices, %d bytes; want 1 and the k=20 set's %d", st.Matrices, st.Bytes, set.Bytes())
 	}
 }

@@ -9,7 +9,7 @@
 // running the same tenant through the streaming path directly, whichever
 // worker ran it and whenever. What serving adds is sharing and isolation:
 // a content-addressed Prep cache (see Cache) hands every solve the shared
-// matrix artifact set for its content, by reference, so tenants with
+// rounded sets for its content, by reference, so tenants with
 // identical cost matrices — common when they measure the same datacenter
 // slice, or when a fleet of problems is re-advised against one published
 // matrix — split the dominant preprocessing cost across the whole fleet,
@@ -39,9 +39,9 @@ type Result struct {
 	// the same final epoch and configuration.
 	Outcome *advisor.StreamOutcome
 	Err     error
-	// CacheHits and CacheMisses count the shared Prep artifacts the
-	// advise's solve read, each once: a miss when the build ran inside this
-	// solve, a hit when another solve built it.
+	// CacheHits and CacheMisses count the shared rounded sets the
+	// advise's solve read, one per cluster count: a miss when the build ran
+	// inside this solve, a hit when another solve built it.
 	CacheHits, CacheMisses int
 	// Queued is how long the advise waited to be pulled by a worker; Ran is
 	// the solve wall-clock time.

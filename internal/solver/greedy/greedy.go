@@ -146,12 +146,10 @@ func newState(p *solver.Problem) *state {
 	return st
 }
 
-// ensureRows fetches the per-instance sorted candidate rows for G1 on first
-// use. The rows are memoized on the problem's Prep — sorting |S| rows of
-// |S|-1 candidates is the dominant cost of a G1 run, and repeated Solves
-// and problems sharing the matrix set share one copy — while the cursors
-// stay per-run, since they track which instances this construction has
-// used.
+// ensureRows builds the per-instance sorted candidate rows for G1 on first
+// use, once per solve: sorting |S| rows of |S|-1 candidates is the dominant
+// cost of a G1 run. The cursors track which instances this construction
+// has used.
 func (st *state) ensureRows() {
 	if st.rows != nil {
 		return

@@ -70,20 +70,17 @@ func (s *Solver) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result,
 func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	clock := solver.NewClockCtx(ctx, budget)
 
-	// The clustered matrix (with its cost-sorted pairs, the rounded set's
-	// float64 views) and the bootstrap
-	// incumbent come from the problem's shared preprocessing cache; the
-	// branching order and the transposed longest-path search are this
-	// solve's own.
+	// The rounded set and the bootstrap incumbent come from the problem's
+	// shared preprocessing cache; the set's float64 matrix, the branching
+	// order and the transposed longest-path search are this solve's own.
 	prep := p.Prep()
 	search := p.Costs
-	var pairs []core.CostPair // sorted by rounded cost; nil when unclustered
 	if s.ClusterK > 0 {
-		var err error
-		search, pairs, err = prep.Rounded(s.ClusterK)
+		set, err := prep.RoundedSet(s.ClusterK)
 		if err != nil {
 			return nil, err
 		}
+		search = set.Matrix()
 	}
 
 	// The paper seeds the incumbent with the best of 10 random deployments.
@@ -110,7 +107,6 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 	b := &bnb{
 		p:      p,
 		search: search,
-		pairs:  pairs,
 		clock:  clock,
 		res:    res,
 		used:   make([]bool, p.NumInstances()),
@@ -161,7 +157,6 @@ func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget sol
 type bnb struct {
 	p          *solver.Problem
 	search     *core.CostMatrix
-	pairs      []core.CostPair // search's pairs sorted by cost; nil when unclustered
 	clock      *solver.Clock
 	res        *solver.Result
 	order      []core.NodeID
@@ -349,18 +344,12 @@ func (b *bnb) prepareLP() {
 			}
 		}
 	}
-	// The cheapest off-diagonal link: the head of the cost-sorted pair
-	// list when clustering supplied one (transposition does not change the
-	// minimum), otherwise one scan.
+	// The cheapest off-diagonal link.
 	b.minCost = math.Inf(1)
-	if len(b.pairs) > 0 {
-		b.minCost = b.pairs[0].Cost
-	} else {
-		for i := 0; i < b.lpSearch.Size(); i++ {
-			for j := 0; j < b.lpSearch.Size(); j++ {
-				if i != j && b.lpSearch.At(i, j) < b.minCost {
-					b.minCost = b.lpSearch.At(i, j)
-				}
+	for i := 0; i < b.lpSearch.Size(); i++ {
+		for j := 0; j < b.lpSearch.Size(); j++ {
+			if i != j && b.lpSearch.At(i, j) < b.minCost {
+				b.minCost = b.lpSearch.At(i, j)
 			}
 		}
 	}

@@ -28,8 +28,8 @@ type ContextSolver interface {
 // longest-path problem) are skipped; members that prove optimality cancel
 // the rest through the shared context.
 //
-// Members share the problem's Prep cache: derived artifacts — rounded
-// cost sets, cheapest-link rows, bootstrap incumbents — are computed by whichever member asks first and reused by
+// Members share the problem's Prep cache: rounded cost sets and bootstrap
+// incumbents are computed by whichever member asks first and reused by
 // the rest (and by any later run on the same Problem), instead of each
 // member burning its budget recomputing them. The served member list is
 // advisor.NewPortfolio's.

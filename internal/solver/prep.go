@@ -11,41 +11,39 @@ import (
 	"cloudia/internal/core"
 )
 
-// Prep is a problem's shared preprocessing cache. It holds the derived
-// artifacts that solvers and repeated solver calls share — rounded cost
-// sets (CP) and their float64 matrix and pair-list views (clustered MIP),
-// per-instance cheapest-link rows (G1), the off-diagonal cost values and
-// bootstrap incumbents (CP, MIP, SA) — each computed at most once per
-// Problem and shared by every portfolio member. What only one solver
-// reads, like MIP's degree order and transposed search structures, that
-// solver builds per solve.
+// Prep is a problem's preprocessing cache. The one matrix-wide artifact
+// solvers share is the cost matrix rounded to the centers of a k-means
+// clustering (Sect. 6.3.1), which CP's threshold descent and clustered MIP
+// search: it is built at most once per Problem and cluster count, and
+// shared by every portfolio member. The bootstrap incumbents (CP, MIP, SA)
+// are memoized per Prep. What only one solver reads is not shared: that
+// solver builds it per solve (MIP's rounded float64 matrix, degree order
+// and transposes; G1's cheapest-link rows).
 //
-// The matrix-derived artifacts live in a MatrixPrep. A Prep builds its own
-// set lazily, on first read; a serving layer may instead install a set
-// shared with other problems over identical content (ShareMatrix), so one
-// tenant's k-means serves every tenant with the same matrix. Bootstrap
-// incumbents and warm starts stay per Prep.
+// The rounded sets live in a MatrixPrep. A Prep builds its own set lazily,
+// on first read; a serving layer may instead install a set shared with
+// other problems over identical content (ShareMatrix), so one tenant's
+// k-means serves every tenant with the same matrix. Bootstrap incumbents
+// and warm starts stay per Prep.
 //
-// Prep is safe for concurrent use. Distinct artifacts (and distinct
-// cluster-K values) are guarded by their own sync.Once, so racing portfolio
-// members computing different artifacts never serialize behind one lock,
-// while members demanding the same artifact block until the first
-// computation lands and then share it.
+// Prep is safe for concurrent use. Distinct cluster counts are guarded by
+// their own sync.Once, so racing portfolio members rounding at different
+// counts never serialize behind one lock, while members demanding the same
+// count block until the first build lands and then share it.
 //
-// Everything returned by Prep is shared and immutable: callers must not
-// modify returned matrices, slices, or pair lists. The only
-// exception is Bootstrap, which returns a fresh copy of the memoized
-// deployment because solvers mutate their incumbent in place.
+// The rounded sets are shared and immutable. Bootstrap returns a fresh
+// copy of the memoized deployment, because solvers mutate their incumbent
+// in place.
 type Prep struct {
 	p *Problem
 
 	matrixOnce sync.Once
 	matrix     *MatrixPrep
 
-	// reads records every matrix-set artifact read through this Prep, once
-	// each (see SharedReads).
+	// reads records every cluster count whose set was read through this
+	// Prep, once each (see SharedReads).
 	readMu sync.Mutex
-	reads  []artifactRead
+	reads  []roundedRead
 
 	bootMu sync.Mutex
 	boots  map[bootKey]*prepBoot
@@ -55,60 +53,33 @@ type Prep struct {
 	warmCost float64
 }
 
-// MatrixPrep holds the Prep artifacts that are deterministic functions of
-// the cost matrix's content alone: the rounded set per cluster count
-// (cluster.Rounded, about 5 bytes per instance pair when clustered), the
-// cheapest-link rows and the off-diagonal values. Every artifact is built
-// once, on first read, so problems sharing one MatrixPrep share each build,
-// including one in flight.
+// MatrixPrep holds the rounded sets of one cost matrix's content, one per
+// cluster count (cluster.Rounded, about 5 bytes per instance pair when
+// clustered). Each set is built once, on first read, so problems sharing
+// one MatrixPrep share each build, including one in flight.
 type MatrixPrep struct {
 	costs *core.CostMatrix
 
-	// bytes totals the artifacts built so far (see Bytes).
+	// bytes totals the sets built so far (see Bytes).
 	bytes atomic.Int64
 
 	mu      sync.Mutex
 	rounded map[int]*prepRounded
-
-	rowsOnce sync.Once
-	rows     [][]int32
-
-	offOnce sync.Once
-	offDiag []float64
 }
 
-// prepRounded memoizes one cluster-K's rounded set and, once some reader
-// asks for them, its float64 matrix and CostPair list views.
+// prepRounded memoizes one cluster count's rounded set.
 type prepRounded struct {
 	once sync.Once
 	set  *cluster.Rounded
 	err  error
-
-	viewOnce sync.Once
-	m        *core.CostMatrix
-	pairs    []core.CostPair
 }
 
-// artifact names one matrix-set artifact in a Prep's read record.
-type artifact struct {
-	kind artifactKind
-	k    int
-}
-
-// artifactRead records that a Prep read an artifact, and whether one of its
-// reads ran the build.
-type artifactRead struct {
-	artifact
+// roundedRead records that a Prep read the set at cluster count k, and
+// whether one of its reads ran the build.
+type roundedRead struct {
+	k     int
 	built bool
 }
-
-type artifactKind uint8
-
-const (
-	artRounded artifactKind = iota
-	artCheapestRows
-	artOffDiagonal
-)
 
 type bootKey struct {
 	samples int
@@ -128,8 +99,8 @@ func newPrep(p *Problem) *Prep {
 	}
 }
 
-// NewMatrixPrep returns an empty artifact set over costs; nothing is built
-// until first read.
+// NewMatrixPrep returns an empty set over costs; nothing is built until
+// first read.
 func NewMatrixPrep(costs *core.CostMatrix) *MatrixPrep {
 	return &MatrixPrep{costs: costs, rounded: make(map[int]*prepRounded)}
 }
@@ -151,7 +122,7 @@ func (pp *Prep) ShareMatrix(m *MatrixPrep) bool {
 	return shared
 }
 
-// SharedReads counts the distinct matrix-set artifacts read
+// SharedReads counts the distinct cluster counts whose rounded set was read
 // through this Prep: misses are those whose build ran inside one of its
 // reads, hits those another Prep sharing the set built (or was building).
 func (pp *Prep) SharedReads() (hits, misses int) {
@@ -167,21 +138,22 @@ func (pp *Prep) SharedReads() (hits, misses int) {
 	return hits, misses
 }
 
-func (pp *Prep) note(a artifact, built bool) {
+func (pp *Prep) note(k int, built bool) {
 	pp.readMu.Lock()
 	defer pp.readMu.Unlock()
 	for i := range pp.reads {
-		if pp.reads[i].artifact == a {
+		if pp.reads[i].k == k {
 			pp.reads[i].built = pp.reads[i].built || built
 			return
 		}
 	}
-	pp.reads = append(pp.reads, artifactRead{a, built})
+	pp.reads = append(pp.reads, roundedRead{k, built})
 }
 
-// round returns the memo cell for cluster count k >= 0, building its set on
-// first use; callers map every k <= 0 to the unclustered cell 0.
-func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
+// round returns the set for cluster count k, building it on first use, and
+// whether this call built it.
+func (m *MatrixPrep) round(k int) (set *cluster.Rounded, built bool, err error) {
+	k = max(k, 0)
 	m.mu.Lock()
 	e, ok := m.rounded[k]
 	if !ok {
@@ -195,62 +167,39 @@ func (m *MatrixPrep) round(k int) (e *prepRounded, built bool) {
 			m.bytes.Add(e.set.Bytes())
 		}
 	})
-	return e, built
-}
-
-// view returns the cell's float64 matrix and CostPair list, building them
-// on first use.
-func (m *MatrixPrep) view(e *prepRounded) (*core.CostMatrix, []core.CostPair, error) {
-	if e.err != nil {
-		return nil, nil, e.err
-	}
-	e.viewOnce.Do(func() {
-		e.m, e.pairs = e.set.Matrix(), e.set.CostPairs()
-		if e.m != m.costs {
-			m.bytes.Add(8 * int64(e.m.Size()) * int64(e.m.Size()))
-		}
-		m.bytes.Add(16 * int64(len(e.pairs))) // a CostPair is 16 bytes
-	})
-	return e.m, e.pairs, nil
+	return e.set, built, e.err
 }
 
 // RoundedSet is Prep.RoundedSet on the set itself.
 func (m *MatrixPrep) RoundedSet(k int) (*cluster.Rounded, error) {
-	e, _ := m.round(max(k, 0))
-	return e.set, e.err
+	set, _, err := m.round(k)
+	return set, err
 }
 
-// Rounded is Prep.Rounded on the set itself.
-func (m *MatrixPrep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
-	e, _ := m.round(max(k, 0))
-	return m.view(e)
-}
-
-// Bytes reports the memory held by the artifacts built so far, not
+// Bytes reports the memory held by the rounded sets built so far, not
 // counting the cost matrix they derive from.
 func (m *MatrixPrep) Bytes() int64 { return m.bytes.Load() }
 
 // RoundedSet returns the problem's cost matrix rounded to at most k clusters
 // (Sect. 6.3.1) as a compact, class-grouped set, memoized per k. k <= 0
-// disables clustering: the set searches the original matrix. CP reads this
-// form; the set is shared and immutable.
+// disables clustering: the set searches the original matrix. CP and
+// clustered MIP read this form; the set is shared and immutable.
 func (pp *Prep) RoundedSet(k int) (*cluster.Rounded, error) {
-	k = max(k, 0)
-	e, built := pp.Matrix().round(k)
-	pp.note(artifact{artRounded, k}, built)
-	return e.set, e.err
+	set, built, err := pp.Matrix().round(k)
+	pp.note(max(k, 0), built)
+	return set, err
 }
 
-// Rounded returns RoundedSet's float64 views: the rounded matrix (the
-// original one when k <= 0) and every instance pair ascending by rounded
-// cost, for consumers that need those forms (MIP, the figures). The views
-// are built on the first call per k and kept with the set; the served
-// portfolio never asks for them. Shared — callers must not modify them.
+// Rounded returns RoundedSet's float64 views, built afresh on every call:
+// the rounded matrix (the original one when k <= 0) and every instance
+// pair ascending by rounded cost. No solver reads them; cloudia-perf's
+// probes do.
 func (pp *Prep) Rounded(k int) (*core.CostMatrix, []core.CostPair, error) {
-	k = max(k, 0)
-	e, built := pp.Matrix().round(k)
-	pp.note(artifact{artRounded, k}, built)
-	return pp.Matrix().view(e)
+	set, err := pp.RoundedSet(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return set.Matrix(), set.CostPairs(), nil
 }
 
 // cheapestRow builds instance u's candidate row: the other instances sorted
@@ -273,53 +222,25 @@ func cheapestRow(m *core.CostMatrix, u int, row []int32) []int32 {
 	return row
 }
 
-func (m *MatrixPrep) cheapestRows() (rows [][]int32, built bool) {
-	m.rowsOnce.Do(func() {
-		built = true
-		n := m.costs.Size()
-		rows := make([][]int32, n)
-		per := n - 1
-		flat := make([]int32, n*per)
-		for u := 0; u < n; u++ {
-			rows[u] = cheapestRow(m.costs, u, flat[u*per:u*per:(u+1)*per])
-		}
-		m.rows = rows
-		m.bytes.Add(4*int64(len(flat)) + 24*int64(n)) // plus a slice header per row
-	})
-	return m.rows, built
-}
-
-// CheapestRows is Prep.CheapestRows on the set itself.
-func (m *MatrixPrep) CheapestRows() [][]int32 {
-	rows, _ := m.cheapestRows()
-	return rows
-}
-
-// CheapestRows returns, for every instance u, the other instances sorted
-// ascending by (cost from u, index) — the candidate rows consumed by the G1
-// greedy's cheapest-free cursors. One flat backing array serves all rows:
-// row u owns the fixed stride [u*(n-1), (u+1)*(n-1)). Shared; callers must
-// not modify the rows.
+// CheapestRows builds, for every instance u, the other instances sorted
+// ascending by (cost from u, index): the candidate rows of the G1 greedy's
+// cheapest-free cursors, built afresh on every call (G1 calls it once per
+// solve). One flat backing array serves all rows: row u owns the fixed
+// stride [u*(n-1), (u+1)*(n-1)).
 func (pp *Prep) CheapestRows() [][]int32 {
-	rows, built := pp.Matrix().cheapestRows()
-	pp.note(artifact{kind: artCheapestRows}, built)
+	n := pp.p.Costs.Size()
+	rows := make([][]int32, n)
+	per := n - 1
+	flat := make([]int32, n*per)
+	for u := 0; u < n; u++ {
+		rows[u] = cheapestRow(pp.p.Costs, u, flat[u*per:u*per:(u+1)*per])
+	}
 	return rows
 }
 
 // OffDiagonal returns the problem's off-diagonal cost values in row-major
-// order (the "latency vector" of Sect. 6.2.2), memoized. Shared; callers
-// must not modify it.
-func (pp *Prep) OffDiagonal() []float64 {
-	m := pp.Matrix()
-	built := false
-	m.offOnce.Do(func() {
-		built = true
-		m.offDiag = m.costs.OffDiagonal()
-		m.bytes.Add(8 * int64(len(m.offDiag)))
-	})
-	pp.note(artifact{kind: artOffDiagonal}, built)
-	return m.offDiag
-}
+// order (the "latency vector" of Sect. 6.2.2), built afresh on every call.
+func (pp *Prep) OffDiagonal() []float64 { return pp.p.Costs.OffDiagonal() }
 
 // WarmStart installs a warm incumbent for this problem epoch: every later
 // Bootstrap call returns the better of its seeded random draw and d

@@ -39,8 +39,9 @@ func prepProblem(t *testing.T, nodes, instances int, seed int64) *Problem {
 	return p
 }
 
-// TestPrepRoundedMatchesDirect pins Prep-served artifacts bit-identical to
-// the per-solver computations they replaced.
+// TestPrepRoundedMatchesDirect pins Prep-served rounded sets and their
+// float64 views bit-identical to the direct computation: the set is
+// memoized per k, the views are built afresh on every call.
 func TestPrepRoundedMatchesDirect(t *testing.T) {
 	p := prepProblem(t, 12, 20, 3)
 	prep := p.Prep()
@@ -64,10 +65,19 @@ func TestPrepRoundedMatchesDirect(t *testing.T) {
 		if !reflect.DeepEqual(pairs, wantPairs) {
 			t.Fatalf("Rounded(%d) pairs differ from RoundCostMatrixPairs", k)
 		}
-		// Memoization: identical pointers on a second call.
+		// The set is memoized: identical pointers on a second call.
+		set, err := prep.RoundedSet(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set2, _ := prep.RoundedSet(k); set2 != set {
+			t.Fatalf("RoundedSet(%d) not memoized", k)
+		}
+		// Its views are not: a second call builds a fresh, equal pair
+		// list (and, when clustered, a fresh matrix).
 		m2, pairs2, _ := prep.Rounded(k)
-		if m2 != m || (len(pairs) > 0 && &pairs2[0] != &pairs[0]) {
-			t.Fatalf("Rounded(%d) not memoized", k)
+		if (k > 0 && m2 == m) || &pairs2[0] == &pairs[0] || !reflect.DeepEqual(pairs2, pairs) {
+			t.Fatalf("Rounded(%d) views shared between calls", k)
 		}
 	}
 	if m0, _, _ := prep.Rounded(0); m0 != p.Costs {
@@ -143,16 +153,16 @@ func TestPrepOffDiagonalAndBootstrap(t *testing.T) {
 }
 
 // TestPrepConcurrentHammer drives one Problem's Prep from many goroutines —
-// identical and distinct cluster-K values, plus every other artifact — the
+// identical and distinct cluster-K values, plus the per-call builds — the
 // way racing portfolio members do. Run under -race (CI does), it also
-// verifies all callers observe the same memoized instances.
+// verifies all callers observe the same memoized sets.
 func TestPrepConcurrentHammer(t *testing.T) {
 	p := prepProblem(t, 12, 16, 13)
 	prep := p.Prep()
 
 	const workers = 16
 	ks := []int{0, 2, 5, 9}
-	mats := make([]*core.CostMatrix, workers)
+	sets := make([]*cluster.Rounded, workers)
 	boots := make([]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -162,13 +172,17 @@ func TestPrepConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				for _, k := range ks {
-					m, pairs, err := prep.Rounded(k)
-					if err != nil || m == nil || (m.Size() > 1 && len(pairs) == 0) {
+					set, err := prep.RoundedSet(k)
+					if err != nil || set == nil {
+						t.Errorf("RoundedSet(%d): set=%v err=%v", k, set, err)
+						return
+					}
+					if m, pairs, err := prep.Rounded(k); err != nil || m == nil || (m.Size() > 1 && len(pairs) == 0) {
 						t.Errorf("Rounded(%d): m=%v err=%v", k, m, err)
 						return
 					}
 					if k == ks[w%len(ks)] {
-						mats[w] = m
+						sets[w] = set
 					}
 				}
 				prep.CheapestRows()
@@ -178,11 +192,11 @@ func TestPrepConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Same-K callers must have received the same memoized matrix.
+	// Same-K callers must have received the same memoized set.
 	for w := 0; w < workers; w++ {
 		for w2 := w + 1; w2 < workers; w2++ {
-			if w%len(ks) == w2%len(ks) && mats[w] != mats[w2] {
-				t.Fatalf("workers %d and %d got different matrices for the same k", w, w2)
+			if w%len(ks) == w2%len(ks) && sets[w] != sets[w2] {
+				t.Fatalf("workers %d and %d got different sets for the same k", w, w2)
 			}
 			if w%4 == w2%4 && boots[w] != boots[w2] {
 				t.Fatalf("workers %d and %d got different bootstrap costs for the same seed", w, w2)
@@ -191,9 +205,9 @@ func TestPrepConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestPrepSolversShareProblem runs the portfolio members' access pattern:
-// concurrent CP-style and clustered-MIP-style artifact pulls against one
-// Problem while greedy and local searches read rows and bootstrap.
+// TestPrepSolversShareProblem runs the solvers' access pattern: concurrent
+// CP-style and clustered-MIP-style rounded-set reads against one Problem
+// while greedy and local searches build rows and bootstrap.
 func TestPrepSolversShareProblem(t *testing.T) {
 	p := prepProblem(t, 10, 15, 17)
 	var wg sync.WaitGroup
@@ -204,15 +218,18 @@ func TestPrepSolversShareProblem(t *testing.T) {
 			defer wg.Done()
 			prep := p.Prep()
 			switch i % 3 {
-			case 0: // CP: clustered pairs + bootstrap
-				if _, _, err := prep.Rounded(5); err != nil {
-					t.Errorf("Rounded: %v", err)
+			case 0: // CP: the rounded set + bootstrap
+				if _, err := prep.RoundedSet(5); err != nil {
+					t.Errorf("RoundedSet: %v", err)
 				}
 				prep.Bootstrap(10, 99)
-			case 1: // clustered MIP: rounded matrix and pairs + bootstrap
-				if _, _, err := prep.Rounded(5); err != nil {
-					t.Errorf("Rounded: %v", err)
+			case 1: // clustered MIP: the set's own float64 matrix + bootstrap
+				set, err := prep.RoundedSet(5)
+				if err != nil {
+					t.Errorf("RoundedSet: %v", err)
+					return
 				}
+				set.Matrix()
 				prep.Bootstrap(10, 99)
 			default: // greedy/local: rows + bootstrap
 				prep.CheapestRows()

@@ -162,9 +162,9 @@ func (p *Problem) Better(cand, incumbent core.Deployment, candCost, incumbentCos
 func (p *Problem) TopoOrder() []core.NodeID { return p.order }
 
 // Prep returns the problem's shared preprocessing cache, creating it on
-// first use. Safe for concurrent use; all artifacts are memoized per
-// problem, so every portfolio member and repeated solver call shares one
-// set of derived structures.
+// first use. Safe for concurrent use; its rounded sets and bootstrap
+// incumbents are memoized per problem, so every portfolio member and
+// repeated solver call shares them.
 func (p *Problem) Prep() *Prep {
 	p.prepOnce.Do(func() { p.prep = newPrep(p) })
 	return p.prep
