@@ -74,7 +74,11 @@ crash-test:
 # and every accepted graph round-trips through WriteGraph. FuzzAdviseRequest
 # posts whole advise bodies to a daemon holding one 6-instance tenant: no
 # panic, only documented statuses, every 200 reply a valid deployment of the
-# posted graph, and /healthz still answering. Their seed corpora
+# posted graph, and /healthz still answering. FuzzSketchSet decodes bytes
+# into per-link samples (raw float64 bits, edge values, narrow bands that
+# force dense counts) and checks a sketch.Set against one dense oracle
+# sketch per link, quantile bits and all, and against a Set fed the same
+# samples in reverse order. Their seed corpora
 # (testdata/fuzz/ in each package) also run in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochDecode$$' -fuzztime 20s ./internal/serve/
@@ -83,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 20s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s ./internal/graphio/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdviseRequest$$' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSketchSet$$' -fuzztime 20s ./internal/sketch/
 
 # perf-check vets and tests the cloudia-perf benchmark. It is a nested
 # module, so `go build ./...` at the root never compiles it; this target is

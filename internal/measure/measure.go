@@ -74,12 +74,13 @@ type Options struct {
 	ContentionScale      float64
 	ContentionSpikeProb  float64
 	ContentionSpikeScale float64
-	// TailAlpha, when positive, maintains a mergeable per-link quantile
-	// sketch (internal/sketch) with that relative-error bound alongside the
-	// mean aggregates, so TailMatrix and streaming epoch Tails can publish
-	// percentile matrices incrementally; epochs then also publish the
-	// mean+sd matrix (Epoch.MeanPlusStd). Zero disables sketches; negative
-	// is an error. DefaultTailAlpha is the conventional setting.
+	// TailAlpha, when positive, maintains a per-link quantile sketch (one
+	// sketch.Set over all ordered pairs) with that relative-error bound
+	// alongside the mean aggregates, so TailMatrix and streaming epoch Tails
+	// can publish percentile matrices incrementally; epochs then also
+	// publish the mean+sd matrix (Epoch.MeanPlusStd). Zero disables
+	// sketches; a value outside [sketch.MinAlpha, 1) is an error.
+	// DefaultTailAlpha is the conventional setting.
 	TailAlpha float64
 	// Background, when non-nil, injects application traffic during the
 	// measurement — the overlapped-execution mode of Sect. 2.2.2, where the
@@ -133,8 +134,8 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.TailAlpha < 0 {
 		return out, fmt.Errorf("measure: negative tail sketch alpha %g", out.TailAlpha)
 	}
-	if out.TailAlpha >= 1 {
-		return out, fmt.Errorf("measure: tail sketch alpha %g outside (0, 1)", out.TailAlpha)
+	if out.TailAlpha > 0 && (out.TailAlpha < sketch.MinAlpha || out.TailAlpha >= 1) {
+		return out, fmt.Errorf("measure: tail sketch alpha %g outside [%g, 1)", out.TailAlpha, sketch.MinAlpha)
 	}
 	return out, nil
 }
@@ -146,42 +147,42 @@ type Result struct {
 	DurationMS   float64
 	TotalSamples int64
 
-	agg []stats.Welford // per ordered pair, row-major
+	agg []stats.Moments // per ordered pair, row-major
 
-	// tailAlpha > 0 enables per-link quantile sketches, allocated lazily in
-	// tails on the first sample of each ordered pair.
-	tailAlpha float64
-	tails     []*sketch.Sketch
+	// tails, when non-nil, holds a quantile sketch per ordered pair, with
+	// the same flat pair index as agg.
+	tails *sketch.Set
 }
 
 func newResult(n int, scheme Scheme) *Result {
 	return &Result{
 		N:      n,
 		Scheme: scheme,
-		agg:    make([]stats.Welford, n*n),
+		agg:    make([]stats.Moments, n*n),
 	}
 }
 
 // setTailAlpha enables per-link quantile sketches for subsequent samples.
 func (r *Result) setTailAlpha(alpha float64) {
-	r.tailAlpha = alpha
 	if alpha > 0 {
-		r.tails = make([]*sketch.Sketch, r.N*r.N)
+		r.tails = sketch.NewSet(alpha, r.N*r.N)
 	}
 }
 
 // TailAlpha reports the relative-error bound of the per-link quantile
 // sketches, or 0 when sketches are disabled.
-func (r *Result) TailAlpha() float64 { return r.tailAlpha }
+func (r *Result) TailAlpha() float64 {
+	if r.tails == nil {
+		return 0
+	}
+	return r.tails.Alpha()
+}
 
 func (r *Result) record(i, j int, rtt float64) {
 	k := i*r.N + j
 	r.agg[k].Add(rtt)
-	if r.tailAlpha > 0 {
-		if r.tails[k] == nil {
-			r.tails[k] = sketch.New(r.tailAlpha)
-		}
-		r.tails[k].Add(rtt)
+	if r.tails != nil {
+		r.tails.Add(k, rtt)
 	}
 	r.TotalSamples++
 }
@@ -213,7 +214,7 @@ func (r *Result) MinSamples() int {
 // globalMean is the fallback cost for links that received no samples, so
 // that solvers do not mistake an unmeasured link for a free one.
 func (r *Result) globalMean() float64 {
-	var w stats.Welford
+	var w stats.Moments
 	for k := range r.agg {
 		if r.agg[k].N() > 0 {
 			w.Add(r.agg[k].Mean())
@@ -236,7 +237,7 @@ func (r *Result) mean(k int) float64        { return r.agg[k].Mean() }
 func (r *Result) meanPlusStd(k int) float64 { return r.agg[k].Mean() + r.agg[k].Std() }
 func (r *Result) quantile(pct float64) func(k int) float64 {
 	q := pct / 100
-	return func(k int) float64 { return r.tails[k].Quantile(q) }
+	return func(k int) float64 { return r.tails.Quantile(k, q) }
 }
 
 // TailMatrix returns the pct-percentile RTT per link estimated from the
@@ -246,7 +247,7 @@ func (r *Result) quantile(pct float64) func(k int) float64 {
 // against interpolated percentiles). Unsampled links fall back to the
 // global mean estimate. Requires Options.TailAlpha > 0 at measurement time.
 func (r *Result) TailMatrix(pct float64) (*core.CostMatrix, error) {
-	if r.tailAlpha <= 0 {
+	if r.tails == nil {
 		return nil, fmt.Errorf("measure: tail sketches disabled (Options.TailAlpha = 0)")
 	}
 	return r.matrix(r.quantile(pct)), nil

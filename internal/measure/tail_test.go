@@ -234,4 +234,7 @@ func TestTailAlphaValidation(t *testing.T) {
 	if _, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 100, TailAlpha: 1.5}); err == nil {
 		t.Fatal("TailAlpha >= 1 must be rejected")
 	}
+	if _, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 100, TailAlpha: 1e-9}); err == nil {
+		t.Fatal("TailAlpha below sketch.MinAlpha must be rejected")
+	}
 }

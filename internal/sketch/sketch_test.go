@@ -33,17 +33,18 @@ func randomSamples(r *rand.Rand, n int) []float64 {
 
 func TestQuantileWithinRelativeError(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
+	ns := []int{1, 2, 10, 1000, 20000}
 	for _, alpha := range []float64{0.005, 0.01, 0.05} {
-		for _, n := range []int{1, 2, 10, 1000, 20000} {
+		s := NewSet(alpha, len(ns))
+		for k, n := range ns {
 			xs := randomSamples(r, n)
-			s := New(alpha)
 			for _, v := range xs {
-				s.Add(v)
+				s.Add(k, v)
 			}
 			sorted := append([]float64(nil), xs...)
 			sort.Float64s(sorted)
 			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-				got := s.Quantile(q)
+				got := s.Quantile(k, q)
 				want := exactQuantile(sorted, q)
 				if want == 0 {
 					if got != 0 {
@@ -63,11 +64,11 @@ func TestQuantileWithinRelativeError(t *testing.T) {
 func TestRepresentativeBound(t *testing.T) {
 	// Every value must land in a bucket whose representative is within
 	// alpha of it — the invariant everything else rests on.
-	s := New(0.01)
+	s := NewSet(0.01, 1)
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50000; i++ {
 		v := math.Pow(10, -6+12*r.Float64())
-		rep := s.representative(Index(v, s.logGamma))
+		rep := s.representative(s.bucket(v))
 		if math.Abs(rep-v) > s.alpha*v*(1+1e-12) {
 			t.Fatalf("value %g: representative %g off by %g > alpha*v %g",
 				v, rep, math.Abs(rep-v), s.alpha*v)
@@ -75,140 +76,245 @@ func TestRepresentativeBound(t *testing.T) {
 	}
 }
 
-// TestAddOrderIndependent: a sketch's state is integer bucket counts, so
-// the same samples added in any order give a bit-identical sketch.
+// TestAddOrderIndependent: a link's state is a zero count and a multiset of
+// bucket indices, so the same samples added in any order, interleaved with
+// other links' samples in any way, give bit-identical links.
 func TestAddOrderIndependent(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	xs := randomSamples(r, 5000)
-	sequential := New(0.01)
-	for _, v := range xs {
-		sequential.Add(v)
+	type sample struct {
+		k int
+		v float64
 	}
+	// Link 0 stays sparse, link 1 goes dense, link 2 is mostly zeros.
+	var xs []sample
+	for _, v := range randomSamples(r, 12) {
+		xs = append(xs, sample{0, v})
+	}
+	for _, v := range randomSamples(r, 5000) {
+		xs = append(xs, sample{1, v})
+	}
+	for i := 0; i < 40; i++ {
+		xs = append(xs, sample{2, float64(i % 3)})
+	}
+	fill := func() *Set {
+		s := NewSet(0.01, 3)
+		for _, x := range xs {
+			s.Add(x.k, x.v)
+		}
+		return s
+	}
+	sequential := fill()
 	for trial := 0; trial < 3; trial++ {
 		r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		shuffled := New(0.01)
-		for _, v := range xs {
-			shuffled.Add(v)
-		}
-		if !shuffled.Equal(sequential) {
-			t.Fatalf("shuffle %d: sketch differs from the sequential one", trial)
-		}
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			if a, b := shuffled.Quantile(q), sequential.Quantile(q); a != b {
-				t.Fatalf("shuffle %d: Quantile(%g)=%g != sequential %g", trial, q, a, b)
+		shuffled := fill()
+		for k := 0; k < 3; k++ {
+			if !sameLink(shuffled, k, sequential, k) {
+				t.Fatalf("shuffle %d: link %d differs from the sequential one", trial, k)
+			}
+			for _, q := range []float64{0.5, 0.95, 0.99} {
+				if a, b := shuffled.Quantile(k, q), sequential.Quantile(k, q); a != b {
+					t.Fatalf("shuffle %d link %d: Quantile(%g)=%g != sequential %g", trial, k, q, a, b)
+				}
 			}
 		}
 	}
 }
 
 func TestZeroAndNegativeValues(t *testing.T) {
-	s := New(0.01)
-	s.Add(0)
-	s.Add(-3.5)
-	s.Add(math.NaN())
-	s.Add(1e-12)
-	if s.Count() != 4 {
-		t.Fatalf("count = %d, want 4", s.Count())
+	s := NewSet(0.01, 1)
+	s.Add(0, 0)
+	s.Add(0, -3.5)
+	s.Add(0, math.NaN())
+	s.Add(0, 1e-12)
+	s.Add(0, math.Inf(-1))
+	if s.Count(0) != 5 {
+		t.Fatalf("count = %d, want 5", s.Count(0))
 	}
 	for _, q := range []float64{0, 0.5, 1} {
-		if got := s.Quantile(q); got != 0 {
+		if got := s.Quantile(0, q); got != 0 {
 			t.Fatalf("Quantile(%g) = %g, want 0 for all-zero sketch", q, got)
 		}
 	}
 	// Mixed: zeros below, positives above.
-	s.Add(100)
-	s.Add(200)
-	if got := s.Quantile(0); got != 0 {
+	s.Add(0, 100)
+	s.Add(0, 200)
+	if got := s.Quantile(0, 0); got != 0 {
 		t.Fatalf("Quantile(0) = %g, want 0", got)
 	}
-	hi := s.Quantile(1)
+	hi := s.Quantile(0, 1)
 	if hi < 200*(1-0.01) || hi > 200*(1+0.01) {
 		t.Fatalf("Quantile(1) = %g, want ~200", hi)
 	}
 }
 
+// TestInfTopBucket: +Inf after finite samples is counted in a top bucket
+// whose representative is +Inf; it sizes nothing by its value.
+func TestInfTopBucket(t *testing.T) {
+	for _, n := range []int{3, 40} { // sparse and dense links
+		s, o := NewSet(0.01, 1), New(0.01)
+		for i := 0; i < n; i++ {
+			s.Add(0, 1+float64(i%5))
+			o.Add(1 + float64(i%5))
+		}
+		s.Add(0, math.Inf(1))
+		o.Add(math.Inf(1))
+		if got := s.Quantile(0, 1); !math.IsInf(got, 1) {
+			t.Fatalf("n=%d: Quantile(1) = %g, want +Inf", n, got)
+		}
+		if got := o.Quantile(1); !math.IsInf(got, 1) {
+			t.Fatalf("n=%d: oracle Quantile(1) = %g, want +Inf", n, got)
+		}
+		if a, b := s.Quantile(0, 0.5), o.Quantile(0.5); a != b {
+			t.Fatalf("n=%d: median %g, oracle %g", n, a, b)
+		}
+		if s.Count(0) != n+1 {
+			t.Fatalf("n=%d: count %d", n, s.Count(0))
+		}
+		if words := len(s.words(0)); words > n+1 {
+			t.Fatalf("n=%d: +Inf link holds %d words, more than its %d samples", n, words, n+1)
+		}
+	}
+	// The largest finite value is not +Inf.
+	s := NewSet(0.01, 1)
+	s.Add(0, math.MaxFloat64)
+	if s.bucket(math.MaxFloat64) == s.top {
+		t.Fatal("MaxFloat64 shares +Inf's bucket")
+	}
+}
+
 func TestEmptySketch(t *testing.T) {
-	s := New(0)
+	s := NewSet(0, 3)
 	if s.Alpha() != DefaultAlpha {
 		t.Fatalf("alpha = %g, want default %g", s.Alpha(), DefaultAlpha)
 	}
-	if s.Count() != 0 || s.Quantile(0.99) != 0 {
-		t.Fatalf("empty sketch: count=%d quantile=%g, want 0/0", s.Count(), s.Quantile(0.99))
+	for k := 0; k < 3; k++ {
+		if s.Count(k) != 0 || s.Quantile(k, 0.99) != 0 {
+			t.Fatalf("empty link %d: count=%d quantile=%g, want 0/0", k, s.Count(k), s.Quantile(k, 0.99))
+		}
 	}
-	o := New(0)
-	if !s.Equal(o) {
-		t.Fatal("two empty sketches must be equal")
+	if !sameLink(s, 0, NewSet(0, 1), 0) {
+		t.Fatal("two empty links must be equal")
 	}
 }
 
 func TestQuantileClamping(t *testing.T) {
-	s := New(0.01)
+	s := NewSet(0.01, 2)
 	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
+		s.Add(0, float64(i))
 	}
-	if got, want := s.Quantile(-0.5), s.Quantile(0); got != want {
-		t.Fatalf("Quantile(-0.5)=%g != Quantile(0)=%g", got, want)
+	for i := 1; i <= 200; i++ {
+		s.Add(1, float64(i%7+1)) // dense
 	}
-	if got, want := s.Quantile(2), s.Quantile(1); got != want {
-		t.Fatalf("Quantile(2)=%g != Quantile(1)=%g", got, want)
+	for k := 0; k < 2; k++ {
+		if got, want := s.Quantile(k, -0.5), s.Quantile(k, 0); got != want {
+			t.Fatalf("link %d: Quantile(-0.5)=%g != Quantile(0)=%g", k, got, want)
+		}
+		if got, want := s.Quantile(k, math.NaN()), s.Quantile(k, 0); got != want {
+			t.Fatalf("link %d: Quantile(NaN)=%g != Quantile(0)=%g", k, got, want)
+		}
+		if got, want := s.Quantile(k, 2), s.Quantile(k, 1); got != want {
+			t.Fatalf("link %d: Quantile(2)=%g != Quantile(1)=%g", k, got, want)
+		}
 	}
 }
 
 func TestEqualDistinguishesContent(t *testing.T) {
-	a, b := New(0.01), New(0.01)
-	a.Add(5)
-	if a.Equal(b) {
-		t.Fatal("sketches with different totals must differ")
+	s := NewSet(0.01, 2)
+	s.Add(0, 5)
+	if sameLink(s, 0, s, 1) {
+		t.Fatal("links with different totals must differ")
 	}
-	b.Add(5.001) // same bucket as 5 at alpha=0.01
-	if !a.Equal(b) {
+	s.Add(1, 5.001) // same bucket as 5 at alpha=0.01
+	if !sameLink(s, 0, s, 1) {
 		t.Fatal("same-bucket values must compare equal")
 	}
-	b.Add(500)
-	a.Add(5)
-	if a.Equal(b) {
+	s.Add(1, 500)
+	s.Add(0, 5)
+	if sameLink(s, 0, s, 1) {
 		t.Fatal("different bucket contents must differ")
 	}
-	c := New(0.05)
-	c.Add(5)
-	d := New(0.01)
-	d.Add(5)
-	if c.Equal(d) {
+	c, d := NewSet(0.05, 1), NewSet(0.01, 1)
+	c.Add(0, 5)
+	d.Add(0, 5)
+	if sameLink(c, 0, d, 0) {
 		t.Fatal("different alphas must differ")
-	}
-	var nilSketch *Sketch
-	if nilSketch.Equal(d) || d.Equal(nilSketch) {
-		t.Fatal("nil vs non-nil must differ")
-	}
-	if !nilSketch.Equal(nilSketch) {
-		t.Fatal("nil vs nil must be equal")
 	}
 }
 
 func TestNewInvalidAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("alpha >= 1 must panic")
-		}
-	}()
-	New(1.5)
+	for _, alpha := range []float64{1, 1.5, MinAlpha / 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("alpha %g must panic", alpha)
+				}
+			}()
+			NewSet(alpha, 1)
+		}()
+	}
+	// At the smallest alpha the +Inf bucket still fits an int32.
+	s := NewSet(MinAlpha, 1)
+	s.Add(0, math.Inf(1))
+	s.Add(0, MinIndexable*1.5)
+	if !math.IsInf(s.Quantile(0, 1), 1) || s.Quantile(0, 0) == 0 {
+		t.Fatalf("MinAlpha extremes: %g, %g", s.Quantile(0, 0), s.Quantile(0, 1))
+	}
 }
 
+// TestBumpGrowth drives one link through every layout change: sparse
+// growth in both directions, the switch to dense counts, dense widening in
+// both directions, and back to sparse when an outlier makes the run longer
+// than the samples.
 func TestBumpGrowth(t *testing.T) {
-	// Force growth in both directions and verify counts survive.
-	s := New(0.01)
-	s.Add(100)  // establishes the array
-	s.Add(1e-3) // grow downward
-	s.Add(1e5)  // grow upward
-	if s.Count() != 3 {
-		t.Fatalf("count = %d", s.Count())
+	s, o := NewSet(0.01, 3), New(0.01)
+	add := func(v float64) {
+		t.Helper()
+		s.Add(1, v)
+		o.Add(v)
+		s.Add(0, 7) // neighbours on both sides of the slab must not move
+		s.Add(2, 9)
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if a, b := s.Quantile(1, q), o.Quantile(q); a != b {
+				t.Fatalf("after %g: Quantile(%g) = %g, oracle %g", v, q, a, b)
+			}
+		}
 	}
-	lo := s.Quantile(0)
-	if lo < 1e-3*(1-0.01) || lo > 1e-3*(1+0.01) {
-		t.Fatalf("Quantile(0) = %g, want ~1e-3", lo)
+	dense := func() bool { w := s.words(1); return len(w) > 0 && w[0] == denseMark }
+	add(100)  // establishes the link
+	add(1e-3) // grow downward
+	add(1e5)  // grow upward
+	if dense() {
+		t.Fatal("3 samples over 1400 buckets went dense")
 	}
-	hi := s.Quantile(1)
-	if hi < 1e5*(1-0.01) || hi > 1e5*(1+0.01) {
-		t.Fatalf("Quantile(1) = %g, want ~1e5", hi)
+	for i := 0; i < 50; i++ {
+		add(100 * (1 + float64(i%4)/100))
+	}
+	if dense() {
+		t.Fatal("53 samples over 1400 buckets went dense")
+	}
+	s2, o2 := NewSet(0.01, 1), New(0.01)
+	for i := 0; i < 20; i++ {
+		s2.Add(0, 10+float64(i%3))
+		o2.Add(10 + float64(i%3))
+	}
+	if w := s2.words(0); w[0] != denseMark {
+		t.Fatal("20 samples in 3 buckets stayed sparse")
+	}
+	for _, v := range []float64{9, 14, 0, 8.5} { // widen down, up; zero
+		s2.Add(0, v)
+		o2.Add(v)
+	}
+	s2.Add(0, 1e4) // the run would outgrow the samples: back to sparse
+	o2.Add(1e4)
+	if w := s2.words(0); w[0] == denseMark || len(w) != 25 {
+		t.Fatalf("wide link kept %d words, dense=%v", len(w), w[0] == denseMark)
+	}
+	for _, q := range []float64{0, 0.04, 0.5, 0.99, 1} {
+		if a, b := s2.Quantile(0, q), o2.Quantile(q); a != b {
+			t.Fatalf("Quantile(%g) = %g, oracle %g", q, a, b)
+		}
+	}
+	if s.Count(0) != 53 || s.Count(1) != 53 || s2.Count(0) != 25 {
+		t.Fatalf("counts %d %d %d", s.Count(0), s.Count(1), s2.Count(0))
 	}
 }

@@ -14,14 +14,46 @@ import (
 // ErrEmpty is returned by aggregations that require at least one sample.
 var ErrEmpty = errors.New("stats: empty sample set")
 
-// Welford accumulates a running mean and variance using Welford's online
-// algorithm. The zero value is ready to use.
-type Welford struct {
+// Moments accumulates a running mean and variance using Welford's online
+// algorithm: the count, mean and sum of squared deviations, 24 bytes. The
+// zero value is ready to use.
+type Moments struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
+}
+
+// Add incorporates one observation.
+func (w *Moments) Add(x float64) {
+	w.n++
+	delta := x - w.mean
+	w.mean += delta / float64(w.n)
+	w.m2 += delta * (x - w.mean)
+}
+
+// N reports the number of observations added.
+func (w *Moments) N() int { return w.n }
+
+// Mean reports the running mean, or 0 if no observations were added.
+func (w *Moments) Mean() float64 { return w.mean }
+
+// Var reports the population variance, or 0 for fewer than two observations.
+func (w *Moments) Var() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n)
+}
+
+// Std reports the population standard deviation.
+func (w *Moments) Std() float64 { return math.Sqrt(w.Var()) }
+
+// Welford is Moments plus the running minimum and maximum. The zero value
+// is ready to use.
+type Welford struct {
+	Moments
+	min float64
+	max float64
 }
 
 // Add incorporates one observation.
@@ -36,28 +68,8 @@ func (w *Welford) Add(x float64) {
 			w.max = x
 		}
 	}
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.Moments.Add(x)
 }
-
-// N reports the number of observations added.
-func (w *Welford) N() int { return w.n }
-
-// Mean reports the running mean, or 0 if no observations were added.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var reports the population variance, or 0 for fewer than two observations.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std reports the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Min reports the smallest observation, or 0 if none were added.
 func (w *Welford) Min() float64 { return w.min }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -37,6 +38,25 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	w.Add(3)
 	if w.Mean() != 3 || w.Var() != 0 {
 		t.Fatalf("single-sample Welford mean=%g var=%g", w.Mean(), w.Var())
+	}
+}
+
+// TestMomentsMatchWelford: the moments without min/max are the same
+// arithmetic as Welford's, bit for bit, in 24 bytes.
+func TestMomentsMatchWelford(t *testing.T) {
+	var m Moments
+	var w Welford
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		x := r.ExpFloat64() * 0.3
+		m.Add(x)
+		w.Add(x)
+		if m != w.Moments {
+			t.Fatalf("after %d samples: moments %+v, Welford's %+v", i+1, m, w.Moments)
+		}
+	}
+	if size := unsafe.Sizeof(m); size != 24 {
+		t.Fatalf("Moments is %d bytes, want 24", size)
 	}
 }
 
