@@ -701,14 +701,14 @@ func BenchmarkStreamingP99Advise(b *testing.B) {
 // BenchmarkShardedServe measures what the serving layer's content-addressed
 // Prep cache buys a fleet: N tenants advising over one shared 1000-instance
 // matrix (the fleet-re-advising scenario — one published measurement, many
-// problems), served by the daemon's workers versus each tenant running the
-// unsharded streaming path sequentially. Every tenant posts the matrix as
+// problems), served by the daemon with N concurrent solves versus each
+// tenant running the unsharded streaming path sequentially. Every tenant posts the matrix as
 // one epoch and advises twice, so the daemon warm-starts the second advise
 // from the first's logged deployment. The solver is node-budgeted CP, so
 // both sides are deterministic and the served deployments must be
 // bit-equal to the unsharded ones — the speedup comes only from sharing
 // the one-time Prep artifacts (k-means over ~10^6 link costs + the pair
-// sort) across the fleet and from worker parallelism, never from
+// sort) across the fleet and from concurrent solves, never from
 // answering differently.
 //
 // Reported metrics (recorded in BENCH_PR5.json, before advises were one

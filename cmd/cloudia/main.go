@@ -64,7 +64,7 @@ func main() {
 		listen    = flag.String("listen", "", "run the durable serve daemon on this address (e.g. :8080)")
 		walDir    = flag.String("wal-dir", "cloudia-wal", "write-ahead log directory for -listen")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy for -listen: always, batch, none")
-		workers   = flag.Int("workers", 0, "solver worker goroutines for -listen (0 = default, 2)")
+		workers   = flag.Int("workers", 0, "concurrent solves for -listen: at most this many advises solve at once (0 = default, 2)")
 		pprofFlag = flag.Bool("pprof", false, "expose net/http/pprof on the -listen address under /debug/pprof/")
 	)
 	flag.Parse()
@@ -135,7 +135,7 @@ func validateFlags(cfg runConfig) error {
 		return fmt.Errorf("-pprof exposes profiles on the daemon address and needs -listen")
 	}
 	if cfg.workers != 0 && cfg.listen == "" {
-		return fmt.Errorf("-workers sizes the daemon's solver pool and needs -listen")
+		return fmt.Errorf("-workers bounds the daemon's concurrent solves and needs -listen")
 	}
 	return nil
 }

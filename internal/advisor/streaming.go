@@ -216,12 +216,7 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 		if err != nil {
 			return nil, err
 		}
-		var res *solver.Result
-		if cs, isCtx := sol.(solver.ContextSolver); isCtx {
-			res, err = cs.SolveContext(ctx, prob, cfg.RoundBudget)
-		} else {
-			res, err = sol.Solve(prob, cfg.RoundBudget)
-		}
+		res, err := sol.SolveContext(ctx, prob, cfg.RoundBudget)
 		if err != nil {
 			return nil, err
 		}

@@ -37,9 +37,9 @@ func TestBareGoroutineDeterministic(t *testing.T) {
 	linttest.Run(t, lint.BareGoroutine, "testdata/baregoroutine/det", "cloudia/internal/solver")
 }
 
-func TestBareGoroutineServeDispatchExemption(t *testing.T) {
-	// serve.go is exempt dispatch plumbing; other.go in the same package
-	// is not.
+func TestBareGoroutineServeNotExempt(t *testing.T) {
+	// internal/serve solves each advise on its caller's goroutine, so none
+	// of its files is exempt: serve.go is flagged like other.go.
 	linttest.Run(t, lint.BareGoroutine, "testdata/baregoroutine/serve", "cloudia/internal/serve")
 }
 

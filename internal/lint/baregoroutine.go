@@ -12,9 +12,10 @@ import (
 // code that passes review and then breaks fingerprint equality under a
 // different GOMAXPROCS.
 //
-// Structured exceptions that are themselves the tested concurrency
-// plumbing are exempt by file: internal/serve's worker dispatch
-// (serve.go) and internal/measure's stream pump (stream.go). Anything else
+// The one structured exception that is itself the tested concurrency
+// plumbing is exempt by file: internal/measure's stream pump (stream.go).
+// internal/serve has none: it solves each advise on its caller's
+// goroutine. Anything else
 // needs a //cloudia:nondet-ok <reason> explaining how its reduction stays
 // bit-equal (deterministic post-barrier selection, disjoint outputs, ...).
 var BareGoroutine = &Analyzer{
@@ -27,7 +28,6 @@ var BareGoroutine = &Analyzer{
 // bareGoroutineExemptFiles lists, per package, the files whose goroutine
 // plumbing is itself the tested concurrency layer.
 var bareGoroutineExemptFiles = map[string]map[string]bool{
-	"cloudia/internal/serve":   {"serve.go": true},
 	"cloudia/internal/measure": {"stream.go": true},
 }
 

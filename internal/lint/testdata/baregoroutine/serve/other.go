@@ -1,5 +1,4 @@
-// Fixture: the serve exemption is per-file, not per-package — a goroutine
-// in any other file of internal/serve is still flagged.
+// Fixture: a goroutine in any file of internal/serve is flagged.
 package serve
 
 func elsewhere(done chan struct{}) {

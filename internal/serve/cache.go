@@ -9,10 +9,10 @@ import (
 )
 
 // Cache is the content-addressed store of the Prep rounded sets shared by
-// every worker. A cluster-K rounded set (a class id per instance pair and
+// every solve. A cluster-K rounded set (a class id per instance pair and
 // the pairs grouped by class, about 5 bytes per pair) is a deterministic
 // function of the cost-matrix content, so one solver.MatrixPrep per
-// core.CostMatrix.Fingerprint serves every problem, tenant and worker over
+// core.CostMatrix.Fingerprint serves every problem, tenant and solve over
 // that content. Two tenants whose measurements produced identical matrices
 // pay the dominant preprocessing cost — a k-means over all m^2 link costs
 // and the bucketed sort that feeds it — exactly once between them.

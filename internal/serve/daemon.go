@@ -17,10 +17,10 @@ import (
 )
 
 // This file implements the durable serve daemon: the long-lived, crash-safe
-// owner of per-tenant state and of the workers that solve its advises
-// (serve.go, sched.go). State that must survive restarts — each tenant's
-// evolving cost matrix and its last served advice — lives in an
-// append-only WAL (internal/wal), written before the mutation is
+// owner of per-tenant state and of the scheduler that grants its advises
+// their solve slots (serve.go, sched.go). State that must survive restarts
+// — each tenant's evolving cost matrix and its last served advice — lives
+// in an append-only WAL (internal/wal), written before the mutation is
 // acknowledged. On restart, recovery replays every tenant's log, rebuilds
 // the MutableCostMatrix, verifies each epoch's fingerprint bit-for-bit
 // against the logged one, and re-seeds the content-addressed artifact cache
@@ -38,10 +38,10 @@ type DaemonConfig struct {
 	// Dir is the WAL root; each tenant's log lives in
 	// Dir/tenants/<hex(tenant)>. Required.
 	Dir string
-	// Workers is the number of worker goroutines; <= 0 selects 2. One
-	// tenant's advises run one at a time; distinct tenants' run
-	// concurrently, so Workers bounds the number of portfolio solves
-	// racing for the machine at once.
+	// Workers bounds the advises solved at once; <= 0 selects 2. Each
+	// solve runs on its Advise caller's goroutine. One tenant's advises run
+	// one at a time; distinct tenants' run concurrently, so Workers bounds
+	// the number of portfolio solves racing for the machine at once.
 	Workers int
 	// WAL configures each tenant's log (fsync policy, segment size).
 	WAL wal.Options
@@ -205,7 +205,7 @@ func (s *tenantSession) searched(spec advisor.ObjectiveSpec) (*tenantMatrix, err
 // there — replaying epochs into rebuilt matrices, verifying fingerprints
 // bit-for-bit, restoring each tenant's last advice as its warm-start
 // incumbent, and re-seeding the shared artifact cache — and only then
-// starts the workers. A fingerprint mismatch or mid-log corruption
+// admits advises. A fingerprint mismatch or mid-log corruption
 // fails the open: serving advice from silently divergent state is the one
 // thing a durable daemon must never do.
 func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
@@ -222,7 +222,7 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err := wal.MkdirAll(root); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	d := &Daemon{cfg: cfg, cache: NewCache(0), sched: newSched(cfg.Workers * queueDepth), tenants: map[string]*tenantSession{}}
+	d := &Daemon{cfg: cfg, cache: NewCache(0), sched: newSched(cfg.Workers*queueDepth, cfg.Workers), tenants: map[string]*tenantSession{}}
 
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -255,7 +255,6 @@ func OpenDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 	}
 
-	d.start()
 	return d, nil
 }
 
@@ -504,7 +503,7 @@ type AdviseRequest struct {
 	RoundBudget solver.Budget
 	Seed        int64
 	// Timeout, when positive, bounds the solve's wall clock from the moment
-	// a worker picks it up; zero leaves it bounded only by RoundBudget. On
+	// its slot is granted; zero leaves it bounded only by RoundBudget. On
 	// expiry the advise completes normally with its best-so-far incumbent
 	// and Outcome.Interrupted set — a deadline is degraded advice, not an
 	// error.
@@ -512,8 +511,9 @@ type AdviseRequest struct {
 	// NoWarmStart suppresses seeding the solve from the tenant's last
 	// logged advice.
 	NoWarmStart bool
-	// OnRound, when non-nil, streams each round as it completes (worker
-	// goroutine; the HTTP front end flushes one JSON line per round).
+	// OnRound, when non-nil, streams each round as it completes, on the
+	// goroutine that called Advise (the HTTP front end flushes one JSON
+	// line per round).
 	OnRound func(advisor.Round)
 }
 
@@ -539,7 +539,8 @@ func (req *AdviseRequest) validate() error {
 // Advise solves the request over the tenant's current matrix snapshot and,
 // on success, logs the served advice to the tenant's WAL — making it the
 // warm-start incumbent for the tenant's next advise, in this process
-// lifetime or any later one. Admission never blocks: a full admission
+// lifetime or any later one. The solve runs on the calling goroutine once
+// the scheduler grants it a slot. Admission never blocks: a full admission
 // queue refuses with ErrBusy, for the caller's retry policy.
 func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 	sess, err := d.enter(req.Tenant, false)
@@ -550,7 +551,7 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	t := &task{req: req, done: make(chan struct{})}
+	t := &task{req: req, granted: make(chan struct{})}
 	sess.mu.Lock()
 	m, err := sess.searched(req.ObjectiveSpec)
 	if err != nil {
@@ -573,16 +574,16 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 	sess.mu.Unlock()
 
 	// Build the graph's incidence caches up front (concurrent-safe; racing
-	// advises serialize behind one build) so workers never pay it mid-solve
-	// on a graph shared by several advises.
+	// advises serialize behind one build) so no solve pays it while holding
+	// a slot, on a graph shared by several advises.
 	req.Graph.EnsureIncidence()
 	if err := d.sched.submit(t); err != nil {
 		d.rejected.Add(1)
 		return nil, err
 	}
 	d.submitted.Add(1)
-	<-t.done
-	res := t.res
+	<-t.granted
+	res := d.run(t)
 	if res.Err == nil && res.Outcome != nil && res.Outcome.Deployment != nil {
 		rec := &wal.AdviceRecord{
 			Epoch:       epoch,
@@ -595,8 +596,8 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 			Cost:        res.Outcome.Cost,
 			Deployment:  res.Outcome.Deployment,
 		}
-		// The advice is logged here, on the caller's goroutine, so an fsync
-		// never holds a worker. The session lock holds advice logging and
+		// The advice is logged after run has freed the slot, so an fsync
+		// never holds one. The session lock holds advice logging and
 		// incumbent adoption together, so WAL order matches incumbent order
 		// and replay restores exactly the incumbent a living daemon would
 		// hold.
@@ -667,16 +668,14 @@ func (d *Daemon) Stats() DaemonStats {
 
 // Close refuses new Advise and AppendEpoch calls with ErrClosed, waits for
 // those in flight — their solves finish and their advice is logged — then
-// stops the workers and flushes and closes every tenant's WAL. This is the
-// SIGTERM path: drain first, sync last, so nothing acknowledged is lost.
+// flushes and closes every tenant's WAL. This is the SIGTERM path: drain
+// first, sync last, so nothing acknowledged is lost.
 // Safe to call once.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
 	d.closed = true
 	d.mu.Unlock()
 	d.calls.Wait()
-	d.sched.close()
-	d.workers.Wait()
 	var firstErr error
 	for _, s := range d.sessions() {
 		s.mu.Lock()

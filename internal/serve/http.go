@@ -164,9 +164,9 @@ func (d *Daemon) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	var flush func()
 	if jr.Stream {
 		// One JSON line per round, flushed as the solve produces it, then
-		// the final advice as the last line. OnRound runs on the worker
-		// goroutine, but strictly before Advise returns, so the writes
-		// never interleave with the final one.
+		// the final advice as the last line. OnRound runs on this
+		// handler's goroutine, inside Advise, so the writes never
+		// interleave with the final one.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
 		if f, ok := w.(http.Flusher); ok {

@@ -8,18 +8,19 @@ import (
 	"cloudia/internal/solver"
 )
 
-// This file implements the pull-based scheduler behind Daemon.Advise: one
-// fair ready queue with per-tenant accounting, pulled by the daemon's
-// worker goroutines.
+// This file implements the scheduler behind Daemon.Advise: one fair ready
+// queue with per-tenant accounting that grants a bounded number of solve
+// slots. An advise is solved on the goroutine that called Advise; the
+// scheduler only decides when that caller may start.
 //
-// The design is the iterator-composition/worker-pool shape of streaming
-// query executors: producers (Advise) only append work to per-tenant FIFO
-// queues; consumers (workers) lazily pull the next job when — and only
-// when — they have capacity, so no stage ever buffers or copies epochs
-// ahead of demand. Jobs flow as references the whole way down: an admitted
-// task holds the request and the tenant's snapshots by pointer, and
-// nothing between Advise and SolveStream clones a matrix or a Prep
-// artifact.
+// Producers (Advise) append work to per-tenant FIFO queues; whenever a slot
+// is free — at admission, or when a running solve finishes — the scheduler
+// grants it to the most-starved ready tenant's head task, and that task's
+// caller runs the solve. At most slots (DaemonConfig.Workers) solves run at
+// once, and no stage buffers or copies epochs ahead of demand. Jobs flow as
+// references the whole way down: an admitted task holds the request and the
+// tenant's snapshots by pointer, and nothing between Advise and
+// SolveStream clones a matrix or a Prep artifact.
 //
 // Fairness is stride-scheduling over declared budgets. Every tenant carries
 // a virtual time (vtime): dispatching one of its jobs charges the job's
@@ -31,20 +32,21 @@ import (
 // queue. A tenant going idle does not bank credit: on re-arrival its vtime
 // is raised to the scheduler's virtual clock (the vtime of the last
 // dispatch), the standard start-time rule that stops a returning tenant from
-// monopolizing the workers to "catch up".
+// monopolizing the slots to "catch up".
 //
-// Any free worker pops the head of the one queue. A worker keeps nothing
-// between jobs — a job reads only its own task and the shared Cache — so
-// which worker runs a job changes neither its deployment nor its cost.
+// A solve reads only its own task and the shared Cache, so which caller's
+// goroutine runs it, and when, changes neither its deployment nor its cost.
 type sched struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	tenants map[string]*tenantState
 	ready   readyHeap
 
 	// capacity bounds queued (admitted-but-undispatched tasks).
 	capacity int
+
+	// slots bounds running, the granted tasks not yet done.
+	slots, running int
 
 	// vclock is the vtime of the most recent dispatch; newly arriving idle
 	// tenants start at it (see above).
@@ -53,8 +55,7 @@ type sched struct {
 	// queued counts admitted-but-undispatched tasks across all tenants.
 	queued int
 
-	seq    int64 // admission counter, tie-break for equal vtimes
-	closed bool
+	seq int64 // admission counter, tie-break for equal vtimes
 }
 
 // tenantState is one tenant key's scheduling state. A tenant is on the
@@ -92,10 +93,8 @@ func (h *readyHeap) Pop() any {
 	return t
 }
 
-func newSched(capacity int) *sched {
-	s := &sched{tenants: make(map[string]*tenantState), capacity: capacity}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+func newSched(capacity, slots int) *sched {
+	return &sched{tenants: make(map[string]*tenantState), capacity: capacity, slots: slots}
 }
 
 // charge converts a job's declared budget into fairness units (ns-like).
@@ -111,7 +110,8 @@ func charge(b solver.Budget) float64 {
 }
 
 // submit performs admission control and enqueues the task, keyed by its
-// tenant, atomically. A capacity of zero admits without bound.
+// tenant, atomically, then grants any free slot. A capacity of zero admits
+// without bound.
 func (s *sched) submit(tk *task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,56 +135,49 @@ func (s *sched) submit(tk *task) error {
 	}
 	t.pending = append(t.pending, tk)
 	s.queued++
-	s.cond.Signal()
+	s.dispatch()
 	return nil
 }
 
-// next blocks until a tenant is ready and dispatches the head task of the
-// most-starved one (lowest vtime, then earliest admission). ok=false means
-// the scheduler is closed and nothing is ready.
-func (s *sched) next() (tk *task, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.ready.Len() == 0 {
-		if s.closed {
-			return nil, false
-		}
-		s.cond.Wait()
+// dispatch grants each free slot to the head task of the most-starved ready
+// tenant, waking that task's caller. s.mu must be held.
+func (s *sched) dispatch() {
+	for s.running < s.slots && s.ready.Len() > 0 {
+		close(s.pop().granted)
 	}
+}
+
+// pop takes the head task of the most-starved ready tenant (lowest vtime,
+// then earliest admission), charges its budget to the tenant, and counts it
+// as running. s.mu must be held and a tenant must be ready.
+func (s *sched) pop() *task {
 	t := heap.Pop(&s.ready).(*tenantState)
-	tk = t.pending[0]
+	tk := t.pending[0]
 	t.pending[0] = nil
 	t.pending = t.pending[1:]
 	t.running = true
 	s.queued--
+	s.running++
 	if t.vtime > s.vclock {
 		s.vclock = t.vtime
 	}
 	t.vtime += charge(tk.req.RoundBudget)
-	return tk, true
+	return tk
 }
 
-// done retires a dispatched task: the tenant's in-flight slot frees and its
-// next pending job (if any) re-enters the ready queue.
+// done retires a granted task: its slot frees, the tenant's next pending
+// job (if any) re-enters the ready queue, and the free slot is granted.
 func (s *sched) done(key string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running--
 	t := s.tenants[key]
 	t.running = false
 	if len(t.pending) > 0 {
 		t.seq = t.pending[0].seq
 		heap.Push(&s.ready, t)
-		s.cond.Signal()
 	}
-	s.mu.Unlock()
-}
-
-// close wakes every waiting worker to exit once the ready queue is empty.
-// The daemon closes it only after every admitted task has finished.
-func (s *sched) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.dispatch()
 }
 
 // queuedTasks reports the admitted-but-undispatched task count.

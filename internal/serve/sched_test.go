@@ -11,6 +11,19 @@ func schedJob(tenant string, nodes int64) *task {
 	return &task{req: AdviseRequest{Tenant: tenant, RoundBudget: solver.Budget{Nodes: nodes}}}
 }
 
+// next pops the head task of the most-starved ready tenant under the lock,
+// as a freed slot would. The tests build zero-slot schedulers, which grant
+// nothing by themselves, so next alone decides the dispatch order.
+// ok=false means no tenant is ready.
+func (s *sched) next() (tk *task, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ready.Len() == 0 {
+		return nil, false
+	}
+	return s.pop(), true
+}
+
 // drain dispatches and immediately retires count tasks, returning the
 // tenant order.
 func drain(t *testing.T, s *sched, count int) []string {
@@ -41,7 +54,7 @@ func mustSubmitN(t *testing.T, s *sched, tenant string, nodes int64, n int) {
 // tenant's first dispatch charges its vtime, every light tenant sorts in
 // front of the remaining backlog.
 func TestSchedHotTenantYieldsToLights(t *testing.T) {
-	s := newSched(0)
+	s := newSched(0, 0)
 	mustSubmitN(t, s, "hot", 1000, 4)
 	for _, l := range []string{"l1", "l2", "l3"} {
 		mustSubmitN(t, s, l, 1000, 1)
@@ -59,7 +72,7 @@ func TestSchedHotTenantYieldsToLights(t *testing.T) {
 // raised to the virtual clock, so it gets its fair share from now on, not a
 // burst of catch-up dispatches.
 func TestSchedIdleTenantBanksNoCredit(t *testing.T) {
-	s := newSched(0)
+	s := newSched(0, 0)
 	mustSubmitN(t, s, "a", 1000, 3)
 	drain(t, s, 3) // vclock advances to 2000 while b is idle
 	mustSubmitN(t, s, "b", 1000, 3)
@@ -78,15 +91,15 @@ func TestSchedIdleTenantBanksNoCredit(t *testing.T) {
 
 // Per-tenant execution is serialized: a tenant with a job in flight is not
 // ready, however deep its backlog, so one tenant can never occupy two
-// workers.
+// slots.
 func TestSchedSerializesTenant(t *testing.T) {
-	s := newSched(0)
+	s := newSched(0, 0)
 	mustSubmitN(t, s, "only", 1000, 3)
 	tk, ok := s.next()
 	if !ok {
 		t.Fatal("first dispatch failed")
 	}
-	// With "only" in flight, another worker must find nothing to pull.
+	// With "only" in flight, a free slot must find nothing to grant.
 	s.mu.Lock()
 	if n := s.ready.Len(); n != 0 {
 		s.mu.Unlock()
@@ -100,10 +113,10 @@ func TestSchedSerializesTenant(t *testing.T) {
 }
 
 // Every dispatch takes the globally most-starved ready tenant: with a at
-// vtime 5000 and b at 1000, the next free worker takes b, although a was
-// admitted first and is the tenant that worker last ran.
+// vtime 5000 and b at 1000, the next free slot goes to b, although a was
+// admitted first and finished first.
 func TestSchedStealPicksMostStarved(t *testing.T) {
-	s := newSched(0)
+	s := newSched(0, 0)
 	mustSubmitN(t, s, "a", 5000, 2)
 	mustSubmitN(t, s, "b", 1000, 2)
 	ta, _ := s.next() // a: vtime 0 -> 5000

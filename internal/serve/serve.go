@@ -2,12 +2,13 @@
 // hosting many concurrent advising problems instead of the
 // one-problem-at-a-time advisor the paper describes. The Daemon keeps each
 // tenant's measured cost matrices and last advice durable (daemon.go) and
-// runs its advises itself: each Advise enters a per-tenant FIFO queue
-// behind one fair ready queue; any free worker *pulls* the most-starved
-// ready tenant's next advise and solves its matrix snapshot as the one
-// final epoch of advisor.SolveStream, so served advice is bit-equal to
-// running the same tenant through the streaming path directly, whichever
-// worker ran it and whenever. What serving adds is sharing and isolation:
+// solves each advise on the goroutine that called Advise: the call enters a
+// per-tenant FIFO queue behind one fair ready queue, waits until a solve
+// slot is granted to it — the most-starved ready tenant's next advise gets
+// each free slot — and then solves its matrix snapshot as the one final
+// epoch of advisor.SolveStream, so served advice is bit-equal to running
+// the same tenant through the streaming path directly, whenever it ran.
+// What serving adds is sharing and isolation:
 // a content-addressed Prep cache (see Cache) hands every solve the shared
 // rounded sets for its content, by reference, so tenants with
 // identical cost matrices — common when they measure the same datacenter
@@ -43,8 +44,8 @@ type Result struct {
 	// advise's solve read, one per cluster count: a miss when the build ran
 	// inside this solve, a hit when another solve built it.
 	CacheHits, CacheMisses int
-	// Queued is how long the advise waited to be pulled by a worker; Ran is
-	// the solve wall-clock time.
+	// Queued is how long the advise waited from admission to its slot
+	// grant; Ran is the solve wall-clock time.
 	Queued, Ran time.Duration
 }
 
@@ -58,10 +59,10 @@ const queueDepth = 16
 var (
 	ErrBusy   = fmt.Errorf("serve: admission queue full")
 	ErrClosed = fmt.Errorf("serve: server closed")
-	// ErrJobPanicked marks a Result whose solve panicked: the worker
-	// recovered, released the tenant's in-flight slot, and kept serving —
-	// only the poisoned advise failed. The wrapped error carries the panic
-	// value and the captured stack.
+	// ErrJobPanicked marks a Result whose solve panicked: the daemon
+	// recovered, released the solve slot and the tenant's in-flight slot,
+	// and kept serving — only the poisoned advise failed. The wrapped error
+	// carries the panic value and the captured stack.
 	ErrJobPanicked = fmt.Errorf("serve: job panicked in the solver")
 )
 
@@ -80,17 +81,15 @@ type task struct {
 
 	enqueued time.Time
 	seq      int64
-	res      *Result
-	done     chan struct{} // closed once res is set
+	granted  chan struct{} // closed when the task is granted a solve slot
 }
 
 // Daemon serves advice over durable per-tenant state (daemon.go), solving
-// its advises on its own workers (below).
+// each advise on its caller's goroutine once the scheduler grants it a slot.
 type Daemon struct {
-	cfg     DaemonConfig
-	cache   *Cache
-	sched   *sched
-	workers sync.WaitGroup
+	cfg   DaemonConfig
+	cache *Cache
+	sched *sched
 
 	// mu guards tenants and closed. calls counts the Advise and
 	// AppendEpoch calls in flight; each is added under mu while the daemon
@@ -98,47 +97,19 @@ type Daemon struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantSession
 	closed  bool
-	calls   sync.WaitGroup
+	//cloudia:nondet-ok calls counts in-flight calls for Close to drain; it fans nothing out
+	calls sync.WaitGroup
 
 	submitted, rejected, served, failed atomic.Int64
 }
 
-// start launches the daemon's workers.
-func (d *Daemon) start() {
-	for i := 0; i < d.cfg.Workers; i++ {
-		d.workers.Add(1)
-		go d.worker()
-	}
-}
-
-// worker is one pull loop: take the fairest ready task, run it, retire it,
-// repeat.
-func (d *Daemon) worker() {
-	defer d.workers.Done()
-	for {
-		t, ok := d.sched.next()
-		if !ok {
-			return
-		}
-		res := d.run(t)
-		d.sched.done(t.req.Tenant)
-		if res.Err != nil {
-			d.failed.Add(1)
-		} else {
-			d.served.Add(1)
-		}
-		t.res = res
-		close(t.done)
-	}
-}
-
-// run solves one task: the streaming loop over its snapshot as the one
-// final epoch, with the problem's Prep pointed at the cache's shared set
-// for the snapshot's content. A panic anywhere in the solve — a poisoned
-// matrix, a faulty solver, a hostile callback — is recovered into
-// ErrJobPanicked on the task's own Result: the worker survives, and the
-// caller in worker() still retires the task so the tenant's in-flight slot
-// is released exactly as for a clean failure.
+// run solves a granted task: the streaming loop over its snapshot as the
+// one final epoch, with the problem's Prep pointed at the cache's shared
+// set for the snapshot's content. On return it frees the task's slot and
+// counts the advise served or failed. A panic anywhere in the solve — a
+// poisoned matrix, a faulty solver, a hostile callback — is recovered into
+// ErrJobPanicked on the task's own Result, and the slot is freed exactly as
+// for a clean failure.
 func (d *Daemon) run(t *task) (res *Result) {
 	req := &t.req
 	res = &Result{Tenant: req.Tenant, Queued: time.Since(t.enqueued)}
@@ -148,6 +119,12 @@ func (d *Daemon) run(t *task) (res *Result) {
 			res.Ran = time.Since(start)
 			res.Outcome = nil
 			res.Err = fmt.Errorf("%w: %v\n%s", ErrJobPanicked, r, debug.Stack())
+		}
+		d.sched.done(req.Tenant)
+		if res.Err != nil {
+			d.failed.Add(1)
+		} else {
+			d.served.Add(1)
 		}
 	}()
 
@@ -201,7 +178,7 @@ type Stats struct {
 	Rejected  int64 `json:"rejected"`
 	Served    int64 `json:"served"`
 	Failed    int64 `json:"failed"`
-	// Steals is always 0: every worker pulls from one ready queue, so no
+	// Steals is always 0: every slot is granted from one ready queue, so no
 	// dispatch crosses a shard. It stays, out of the JSON, only because
 	// cloudia-perf still reads it.
 	Steals int64 `json:"-"`

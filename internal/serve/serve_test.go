@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -94,10 +95,9 @@ func awaitAdmitted(t testing.TB, d *Daemon, n int64) {
 	}
 }
 
-// gatedAdvise returns a valid request whose worker parks in OnRound until
-// the test sends on (or closes) the returned gate: the way to hold a
-// worker, and to observe which advise is running, without racing the
-// solver.
+// gatedAdvise returns a valid request whose solve parks in OnRound until
+// the test sends on (or closes) the returned gate: the way to hold a solve
+// slot, and to observe which advise is running, without racing the solver.
 func gatedAdvise(g *core.Graph, tenant string, budget solver.Budget) (AdviseRequest, chan struct{}) {
 	gate := make(chan struct{})
 	return AdviseRequest{
@@ -387,6 +387,96 @@ func TestServeHotTenantCannotStarveLights(t *testing.T) {
 	want := []string{"hot", "light-a", "light-b", "light-c", "hot", "hot", "hot"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("completion order %v, want %v", order, want)
+	}
+}
+
+// Workers bounds the solves running at once: with two slots, two of three
+// tenants' advises enter their rounds and the third waits admitted until a
+// slot frees. A freed slot goes to the most-starved ready tenant, not to
+// the one admitted first, and a closed daemon leaves no goroutine behind.
+func TestServeWorkersBoundConcurrentSolves(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := testGraph(t, 2, 3)
+	m := testMatrix(rand.New(rand.NewSource(41)), 8)
+	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 2})
+	for _, tenant := range []string{"a", "b", "c"} {
+		postMatrix(t, d, tenant, m)
+	}
+
+	entered := make(chan string, 8)
+	gates := map[string][]chan struct{}{} // each tenant's unreleased gates, oldest first
+	release := func(tenant string) {
+		close(gates[tenant][0])
+		gates[tenant] = gates[tenant][1:]
+	}
+	var pending []*pendingAdvise
+	submit := func(tenant string, nodes int64) {
+		t.Helper()
+		req, gate := gatedAdvise(g, tenant, solver.Budget{Nodes: nodes})
+		park := req.OnRound
+		req.OnRound = func(r advisor.Round) {
+			entered <- tenant
+			park(r)
+		}
+		gates[tenant] = append(gates[tenant], gate)
+		pending = append(pending, adviseAsync(d, req))
+		awaitAdmitted(t, d, int64(len(pending)))
+	}
+	next := func() string {
+		t.Helper()
+		select {
+		case tenant := <-entered:
+			return tenant
+		case <-time.After(5 * time.Second):
+			t.Fatal("no advise entered its round")
+			return ""
+		}
+	}
+
+	// a charges 5000 per advise, b and c 1000.
+	submit("a", 5000)
+	submit("b", 1000)
+	submit("c", 1000)
+	if got := []string{next(), next()}; !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("first two advises to enter %v, want [a b]", got)
+	}
+	if q := d.sched.queuedTasks(); q != 1 || len(entered) != 0 {
+		t.Fatalf("with both slots held: %d queued, %d more entered; want 1 queued, none entered", q, len(entered))
+	}
+	release("a")
+	if got := next(); got != "c" {
+		t.Fatalf("freed slot went to %q, want the waiting c", got)
+	}
+
+	// b and c hold the slots. a (vtime 5000) is admitted before b's second
+	// advise (b at vtime 1000 once its first is done), so b's is the
+	// most-starved when b's slot frees.
+	submit("a", 5000)
+	submit("b", 1000)
+	release("b")
+	if got := next(); got != "b" {
+		t.Fatalf("freed slot went to %q, want most-starved b over a, admitted first", got)
+	}
+	release("c")
+	if got := next(); got != "a" {
+		t.Fatalf("last advise to enter was %q, want a", got)
+	}
+	release("a")
+	release("b")
+	for _, p := range pending {
+		if res := p.wait(t); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before OpenDaemon", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -37,7 +37,7 @@ func (s *Solver) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result,
 	return s.SolveContext(context.Background(), p, budget)
 }
 
-// SolveContext implements solver.ContextSolver.
+// SolveContext implements solver.Solver.
 func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	if budget.Unlimited() {
 		return nil, fmt.Errorf("anneal: requires a bounded budget")

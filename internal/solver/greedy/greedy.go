@@ -19,6 +19,7 @@
 package greedy
 
 import (
+	"context"
 	"math"
 
 	"cloudia/internal/core"
@@ -48,6 +49,13 @@ func (s *Solver) Name() string {
 		return "G1"
 	}
 	return "G2"
+}
+
+// SolveContext implements solver.Solver. Greedy construction is a single
+// pass that does not read ctx: it runs to completion under budget, exactly
+// as Solve.
+func (s *Solver) SolveContext(_ context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
+	return s.Solve(p, budget)
 }
 
 // Solve implements solver.Solver. Greedy construction is single-pass and

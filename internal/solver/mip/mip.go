@@ -65,7 +65,7 @@ func (s *Solver) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result,
 	return s.SolveContext(context.Background(), p, budget)
 }
 
-// SolveContext implements solver.ContextSolver: the search additionally
+// SolveContext implements solver.Solver: the search additionally
 // stops once ctx is cancelled, reporting the incumbent.
 func (s *Solver) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	clock := solver.NewClockCtx(ctx, budget)

@@ -8,15 +8,6 @@ import (
 	"sync"
 )
 
-// ContextSolver is a Solver that can additionally be cancelled early through
-// a context: its budget reads as exhausted once ctx is done. All solvers in
-// this repository implement it; third-party solvers that don't are still
-// usable in a Portfolio, they just run to their own budget.
-type ContextSolver interface {
-	Solver
-	SolveContext(ctx context.Context, p *Problem, budget Budget) (*Result, error)
-}
-
 // Portfolio runs member solvers concurrently on the same problem — one
 // goroutine per member — and returns the best result found. Every member
 // receives the full budget, so on a k-core machine a k-member portfolio
@@ -54,7 +45,7 @@ func (pf *Portfolio) Solve(p *Problem, budget Budget) (*Result, error) {
 	return pf.SolveContext(context.Background(), p, budget)
 }
 
-// SolveContext implements ContextSolver. The returned result carries the
+// SolveContext implements Solver. The returned result carries the
 // winner's deployment, cost, and trace; Nodes sums every member's expansions
 // and Optimal is set when any member proved optimality.
 func (pf *Portfolio) SolveContext(ctx context.Context, p *Problem, budget Budget) (*Result, error) {
@@ -96,13 +87,7 @@ func (pf *Portfolio) SolveContext(ctx context.Context, p *Problem, budget Budget
 					errs[i] = fmt.Errorf("solver: portfolio member %s panicked: %v\n%s", member.Name(), r, debug.Stack())
 				}
 			}()
-			var res *Result
-			var err error
-			if cs, ok := member.(ContextSolver); ok {
-				res, err = cs.SolveContext(ctx, p, budget)
-			} else {
-				res, err = member.Solve(p, budget)
-			}
+			res, err := member.SolveContext(ctx, p, budget)
 			if err != nil {
 				errs[i] = fmt.Errorf("solver: portfolio member %s: %w", member.Name(), err)
 				return

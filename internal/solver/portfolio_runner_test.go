@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,9 @@ type panicSolver struct{}
 func (panicSolver) Name() string { return "panicker" }
 func (panicSolver) Solve(*solver.Problem, solver.Budget) (*solver.Result, error) {
 	panic("injected solver fault")
+}
+func (s panicSolver) SolveContext(_ context.Context, p *solver.Problem, b solver.Budget) (*solver.Result, error) {
+	return s.Solve(p, b)
 }
 
 // TestPortfolioIsolatesPanickingMember: a member that panics loses only its

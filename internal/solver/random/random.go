@@ -39,7 +39,7 @@ func (s *R1) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result, err
 	return s.SolveContext(context.Background(), p, budget)
 }
 
-// SolveContext implements solver.ContextSolver.
+// SolveContext implements solver.Solver.
 func (s *R1) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	if s.Samples <= 0 {
 		return nil, fmt.Errorf("random: R1 needs positive sample count, got %d", s.Samples)
@@ -89,7 +89,7 @@ func (s *R2) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result, err
 	return s.SolveContext(context.Background(), p, budget)
 }
 
-// SolveContext implements solver.ContextSolver.
+// SolveContext implements solver.Solver.
 func (s *R2) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	if budget.Unlimited() {
 		return nil, fmt.Errorf("random: R2 requires a bounded budget")
@@ -141,7 +141,7 @@ func (s *Local) Solve(p *solver.Problem, budget solver.Budget) (*solver.Result, 
 	return s.SolveContext(context.Background(), p, budget)
 }
 
-// SolveContext implements solver.ContextSolver.
+// SolveContext implements solver.Solver.
 func (s *Local) SolveContext(ctx context.Context, p *solver.Problem, budget solver.Budget) (*solver.Result, error) {
 	if budget.Unlimited() {
 		return nil, fmt.Errorf("random: R2L requires a bounded budget")

@@ -221,6 +221,10 @@ type Solver interface {
 	// a random or identity deployment) and must never return an error for a
 	// well-formed problem.
 	Solve(p *Problem, budget Budget) (*Result, error)
+	// SolveContext is Solve that can additionally be cancelled early
+	// through ctx: a searching solver reads its budget as exhausted once
+	// ctx is done. A single-pass construction (greedy) may ignore ctx.
+	SolveContext(ctx context.Context, p *Problem, budget Budget) (*Result, error)
 }
 
 // Sampler draws uniformly random injective deployments without allocating:

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -131,6 +132,9 @@ func (f fixedSolver) Name() string { return f.name }
 func (f fixedSolver) Solve(p *Problem, _ Budget) (*Result, error) {
 	time.Sleep(f.wait)
 	return &Result{Deployment: f.d, Cost: p.Cost(f.d)}, nil
+}
+func (f fixedSolver) SolveContext(_ context.Context, p *Problem, b Budget) (*Result, error) {
+	return f.Solve(p, b)
 }
 
 // TestPortfolioTieBreakDeterministic pins the post-join winner selection:
