@@ -300,7 +300,8 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 
 	// Step 2: get measurements (Fig. 3, "Get Measurements") as matrix
 	// epochs. Every metric but the mean needs the spread statistics that
-	// come with the quantile sketches.
+	// come with the quantile sketches, and each epoch carries the one
+	// spread matrix the search reads.
 	var tailAlpha float64
 	if spec.Metric != MetricMean {
 		tailAlpha = measure.DefaultTailAlpha
@@ -311,16 +312,18 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 		Seed:            cfg.Seed,
 		SnapshotEveryMS: epochMS,
 		TailAlpha:       tailAlpha,
+		Spread:          spec.spread(),
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Step 3: search deployment (Fig. 3, "Search Deployment"), one round per
-	// epoch. The simulated measurement completes in real milliseconds, so
-	// its epochs are all pending by the time the loop starts; every epoch
-	// still gets a round, which preserves the per-epoch convergence
-	// trajectory a real deployment would see.
+	// epoch, while the measurement runs on: it publishes the next epoch
+	// while a round searches the last, and pauses when one epoch is
+	// pending. Every epoch gets a round, which preserves the per-epoch
+	// convergence trajectory a real deployment would see. A failed round
+	// stops the measurement before the run returns.
 	out, err := SolveStream(st.Epochs, StreamSolveConfig{
 		Graph:         cfg.Graph,
 		ObjectiveSpec: cfg.ObjectiveSpec,
@@ -329,6 +332,8 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 		RoundBudget:   roundBudget,
 		Seed:          cfg.Seed,
 	})
+	st.Stop()
+	measurement := st.Wait()
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +381,7 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 			TerminatedIDs: terminated,
 			DefaultCost:   out.Problem.Cost(core.Identity(n)),
 			TunedCost:     out.Cost,
-			Measurement:   st.Wait(),
+			Measurement:   measurement,
 			Search:        search,
 			SolverName:    solverName,
 		},

@@ -1,8 +1,10 @@
 package advisor
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudia/internal/cloud"
 	"cloudia/internal/core"
@@ -124,5 +126,43 @@ func TestAdviseCyclicGraphForLongestPathRejected(t *testing.T) {
 	// The failure happens after allocation; the advisor must clean up.
 	if p.LiveInstances() != 0 {
 		t.Fatalf("%d instances leaked after post-allocation failure", p.LiveInstances())
+	}
+}
+
+// A search that fails while the measurement still has most of its epochs
+// to publish stops the measurement: StreamingAdvise and RunRedeploy return
+// the error with every instance released, and no measurement goroutine is
+// left behind, blocked on an epoch nobody reads.
+func TestFailedSearchStopsMeasurement(t *testing.T) {
+	tree, err := core.TwoLevelAggregation(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tinyProvider(t)
+	before := runtime.NumGoroutine()
+	// CP refuses longest-path problems, so the first round fails.
+	_, err = StreamingAdvise(p, StreamingConfig{
+		Config: Config{Graph: tree, ObjectiveSpec: ObjectiveSpec{Objective: solver.LongestPath},
+			SolverName: "cp", MeasureDurationMS: 1e6, Seed: 3},
+		EpochMS: 100,
+	})
+	if err == nil || !strings.Contains(err.Error(), "unsupported objective") {
+		t.Fatalf("StreamingAdvise error = %v, want CP's unsupported objective", err)
+	}
+	if _, err := RunRedeploy(p, RedeployConfig{
+		Graph: tree, Objective: solver.LongestPath, SolverName: "cp",
+		MeasureDurationMS: 200, PeriodHours: 1, Periods: 1,
+	}); err == nil || !strings.Contains(err.Error(), "unsupported objective") {
+		t.Fatalf("RunRedeploy error = %v, want CP's unsupported objective", err)
+	}
+	if p.LiveInstances() != 0 {
+		t.Fatalf("%d instances leaked after failed searches", p.LiveInstances())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed searches, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -84,6 +84,20 @@ func (s ObjectiveSpec) TailPercentile() float64 {
 	return 0
 }
 
+// spread names the one spread matrix a search under the spec reads, for a
+// measurement that publishes only that one beside the mean.
+func (s ObjectiveSpec) spread() measure.Spread {
+	switch s.Metric {
+	case MetricP95:
+		return measure.SpreadP95
+	case MetricP99:
+		return measure.SpreadP99
+	case MetricMeanPlusStd:
+		return measure.SpreadMeanPlusStd
+	}
+	return measure.SpreadNone
+}
+
 // TieBreak reports whether the search should tie-break equal-cost
 // candidates on the mean matrix: on for percentile metrics unless
 // NoMeanTieBreak is set.

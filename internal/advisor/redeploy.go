@@ -157,6 +157,9 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 			RoundBudget:   budget,
 			Seed:          seed,
 		})
+		// A failed search reads no more epochs; Stop ends the measurement
+		// so that Wait returns.
+		st.Stop()
 		st.Wait()
 		if err != nil {
 			return nil, nil, err

@@ -77,7 +77,8 @@ type StreamOutcome struct {
 	FirstAdvice time.Duration
 	// Interrupted reports that cfg.Ctx expired before the stream closed:
 	// Deployment is the best incumbent found so far rather than the final
-	// epoch's, and any unconsumed epochs were left on the channel.
+	// epoch's, and any unconsumed epochs were left on the channel (a
+	// measure.Stream producer must then be stopped: Streamer.Stop).
 	Interrupted bool
 }
 

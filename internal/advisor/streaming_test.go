@@ -430,3 +430,43 @@ func TestSolveStreamDeadline(t *testing.T) {
 		t.Fatal("interrupt before the first epoch produced advice from nothing")
 	}
 }
+
+// TestStreamingAdvisePinned pins one small streaming run per metric: the
+// deployment, the tuned and default costs, and every round's cost and
+// winner. Each metric's rounds search the one matrix the run's epochs
+// carry for it, so a stream that publishes fewer matrices, or on a
+// bounded channel, must not move a single bit here.
+func TestStreamingAdvisePinned(t *testing.T) {
+	g := meshGraph(t, 3, 3)
+	for _, c := range []struct {
+		metric Metric
+		want   string
+	}{
+		{MetricMean, "[2 11 10 3 9 7 5 8 4] 0.5396945627871557 0.9409479683209055 | 1 0.5371716555285995 R2L | 2 0.5372623301455581  | 3 0.5389522093470511 R2L | 4 0.5396945627871557 SA"},
+		{MetricMeanPlusStd, "[9 5 8 7 4 1 10 2 3] 0.574439796693035 0.9704891901000727 | 1 0.5676729951525552 CP(k=20) | 2 0.5670318338286017 CP(k=20) | 3 0.5748297827337081 R2L | 4 0.574439796693035 "},
+		{MetricP95, "[7 9 8 1 4 5 11 2 3] 0.6004553448425233 0.9900000000000001 | 1 0.6004553448425233 CP(k=20) | 2 0.6004553448425233 CP(k=20) | 3 0.6004553448425233  | 4 0.6004553448425233 "},
+		{MetricP99, "[4 5 2 1 11 10 8 9 7] 0.6504672444653006 1.0724570570514858 | 1 0.6504672444653006 R2L | 2 0.6504672444653006 R2L | 3 0.6504672444653006 CP(k=20) | 4 0.6504672444653006 "},
+	} {
+		rep, err := StreamingAdvise(provider(t, 91), StreamingConfig{
+			Config: Config{
+				Graph:             g,
+				ObjectiveSpec:     ObjectiveSpec{Objective: solver.LongestLink, Metric: c.metric},
+				OverAllocation:    0.25,
+				MeasureDurationMS: 3000,
+				SolverBudget:      solver.Budget{Nodes: 40_000},
+				Seed:              13,
+			},
+			EpochMS: 750,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.metric, err)
+		}
+		got := fmt.Sprintf("%v %v %v", rep.Deployment, rep.TunedCost, rep.DefaultCost)
+		for _, r := range rep.Rounds {
+			got += fmt.Sprintf(" | %d %v %s", r.Epoch, r.Cost, r.Winner)
+		}
+		if got != c.want {
+			t.Errorf("%s: deployment, costs and rounds\n got %q\nwant %q", c.metric, got, c.want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 )
 
 // BareGoroutine flags raw `go` statements and sync.WaitGroup fan-out in
@@ -12,12 +11,11 @@ import (
 // code that passes review and then breaks fingerprint equality under a
 // different GOMAXPROCS.
 //
-// The one structured exception that is itself the tested concurrency
-// plumbing is exempt by file: internal/measure's stream pump (stream.go).
-// internal/serve has none: it solves each advise on its caller's
-// goroutine. Anything else
-// needs a //cloudia:nondet-ok <reason> explaining how its reduction stays
-// bit-equal (deterministic post-barrier selection, disjoint outputs, ...).
+// No file is exempt. internal/serve solves each advise on its caller's
+// goroutine, and internal/measure's one stream pump carries its reason in
+// place. Every spawn needs a //cloudia:nondet-ok <reason> explaining how its
+// reduction stays bit-equal (deterministic post-barrier selection,
+// disjoint outputs, a single goroutine running the work in order, ...).
 var BareGoroutine = &Analyzer{
 	Name:  "baregoroutine",
 	Doc:   "flags raw go statements and sync.WaitGroup fan-out in the deterministic packages",
@@ -25,18 +23,8 @@ var BareGoroutine = &Analyzer{
 	Run:   runBareGoroutine,
 }
 
-// bareGoroutineExemptFiles lists, per package, the files whose goroutine
-// plumbing is itself the tested concurrency layer.
-var bareGoroutineExemptFiles = map[string]map[string]bool{
-	"cloudia/internal/measure": {"stream.go": true},
-}
-
 func runBareGoroutine(pass *Pass) {
-	exempt := bareGoroutineExemptFiles[pass.Pkg.Path()]
 	for _, f := range pass.Files {
-		if exempt[filepath.Base(pass.Fset.Position(f.Pos()).Filename)] {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

@@ -78,10 +78,18 @@ type Options struct {
 	// sketch.Set over all ordered pairs) with that relative-error bound
 	// alongside the mean aggregates, so TailMatrix and streaming epoch Tails
 	// can publish percentile matrices incrementally; epochs then also
-	// publish the mean+sd matrix (Epoch.MeanPlusStd). Zero disables
-	// sketches; a value outside [sketch.MinAlpha, 1) is an error.
-	// DefaultTailAlpha is the conventional setting.
+	// carry the spread matrices Spread names. Zero disables sketches and
+	// every spread matrix; a value outside [sketch.MinAlpha, 1) is an
+	// error. DefaultTailAlpha is the conventional setting.
 	TailAlpha float64
+	// Spread names the spread matrices a sketch-enabled stream publishes
+	// with every epoch beside the mean: Epoch.Tails for SpreadP95 and
+	// SpreadP99, Epoch.MeanPlusStd for SpreadMeanPlusStd. A stream
+	// allocates and folds only the matrices it publishes, so a consumer
+	// that searches one metric names that one. Zero selects all three;
+	// SpreadNone publishes the mean alone. Ignored when TailAlpha is zero,
+	// and by Run, which publishes no spread matrix.
+	Spread Spread
 	// Background, when non-nil, injects application traffic during the
 	// measurement — the overlapped-execution mode of Sect. 2.2.2, where the
 	// tenant starts the application on the initial allocation instead of
@@ -89,6 +97,33 @@ type Options struct {
 	// application's messages, degrading measurement accuracy; the
 	// extension-overlap experiment quantifies the trade.
 	Background *BackgroundTraffic
+}
+
+// Spread is a set of the spread-sensitive matrices (Sect. 3.2) a
+// sketch-enabled stream publishes with each epoch (Options.Spread).
+type Spread uint8
+
+// The spread matrices an epoch can carry. SpreadNone names no matrix: it
+// only makes a set non-zero, so a set of SpreadNone alone publishes the
+// mean matrix and nothing else.
+const (
+	SpreadP95 Spread = 1 << iota
+	SpreadP99
+	SpreadMeanPlusStd
+	SpreadNone
+
+	spreadAll = SpreadP95 | SpreadP99 | SpreadMeanPlusStd
+)
+
+// tail reports whether s names the percentile matrix for pct.
+func (s Spread) tail(pct float64) bool {
+	switch pct {
+	case 95:
+		return s&SpreadP95 != 0
+	case 99:
+		return s&SpreadP99 != 0
+	}
+	return false
 }
 
 // BackgroundTraffic describes the application traffic overlapping a
@@ -136,6 +171,12 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.TailAlpha > 0 && (out.TailAlpha < sketch.MinAlpha || out.TailAlpha >= 1) {
 		return out, fmt.Errorf("measure: tail sketch alpha %g outside [%g, 1)", out.TailAlpha, sketch.MinAlpha)
+	}
+	if out.Spread&^(spreadAll|SpreadNone) != 0 {
+		return out, fmt.Errorf("measure: unknown spread matrices %#x", uint8(out.Spread))
+	}
+	if out.Spread == 0 {
+		out.Spread = spreadAll
 	}
 	return out, nil
 }
@@ -328,7 +369,7 @@ func prepare(dc *topology.Datacenter, instances []cloud.Instance, opts Options) 
 		}
 		var tick func()
 		tick = func() {
-			if sim.Now() >= o.DurationMS {
+			if m.done() {
 				return
 			}
 			for _, pr := range bg.Pairs {
@@ -343,9 +384,12 @@ func prepare(dc *topology.Datacenter, instances []cloud.Instance, opts Options) 
 }
 
 // Run executes one measurement over the given instances and returns the
-// aggregated result: Stream with a single final epoch, drained. At least
-// two instances are required.
+// aggregated result: Stream with a single final epoch, drained unread, so
+// the epoch carries no spread matrix whatever opts.Spread says; the
+// Result's own matrices cover every metric. At least two instances are
+// required.
 func Run(dc *topology.Datacenter, instances []cloud.Instance, opts Options) (*Result, error) {
+	opts.Spread = SpreadNone
 	st, err := stream(dc, instances, opts, opts.DurationMS)
 	if err != nil {
 		return nil, err
@@ -365,9 +409,24 @@ type runner struct {
 	// outstanding[i] counts instance i's own probes in flight; a reply
 	// issued while the replier has an outstanding probe contends with it.
 	outstanding []int
+	// stop is closed when the stream's consumer reads no more epochs
+	// (Streamer.Stop); nil for a measurement nobody stops.
+	stop <-chan struct{}
 }
 
-func (m *runner) done() bool { return m.sim.Now() >= m.opts.DurationMS }
+// done reports that the drivers must schedule no further probe: the
+// budget has expired or the consumer has stopped the stream.
+func (m *runner) done() bool { return m.sim.Now() >= m.opts.DurationMS || m.stopped() }
+
+// stopped reports whether the stream's consumer has called Stop.
+func (m *runner) stopped() bool {
+	select {
+	case <-m.stop:
+		return true
+	default:
+		return false
+	}
+}
 
 // start launches the configured scheme's drivers. prepare validated the
 // scheme, so the switch is exhaustive.
@@ -474,20 +533,22 @@ func (m *runner) runUncoordinated() {
 
 // runStaged drives the staged scheme: the coordinator (endpoint n) runs
 // circle-method tournament rounds; each stage probes floor(n/2) disjoint
-// pairs in parallel, Ks RTTs in each direction, then reports back.
+// pairs in parallel, Ks RTTs in each direction, then reports back. A
+// stage's pairs are computed from its round index when it starts.
 func (m *runner) runStaged() {
 	const ctrlBytes = 64
-	pairsByRound := circleRounds(m.n)
+	rounds := m.n + m.n%2 - 1
+	var pairs [][2]int
 	round := 0
 	var startStage func()
 	startStage = func() {
 		if m.done() {
 			return
 		}
-		pairs := pairsByRound[round%len(pairsByRound)]
+		pairs = stagePairs(pairs[:0], m.n, round%rounds)
 		// Alternate probe direction on odd sweeps so both ordered pairs get
 		// sampled.
-		flip := (round/len(pairsByRound))%2 == 1
+		flip := (round/rounds)%2 == 1
 		round++
 		remaining := len(pairs)
 		for _, pr := range pairs {
@@ -520,35 +581,28 @@ func (m *runner) runStaged() {
 	startStage()
 }
 
-// circleRounds returns the circle-method round-robin tournament schedule
-// over n players: a list of rounds, each a set of disjoint pairs, jointly
-// covering every unordered pair exactly once. For odd n one player sits out
-// each round.
-func circleRounds(n int) [][][2]int {
-	players := n
-	odd := n%2 == 1
-	if odd {
-		players++ // add a bye
-	}
-	rounds := make([][][2]int, 0, players-1)
-	ring := make([]int, players)
-	for i := range ring {
-		ring[i] = i
-	}
-	for r := 0; r < players-1; r++ {
-		var pairs [][2]int
-		for k := 0; k < players/2; k++ {
-			a, b := ring[k], ring[players-1-k]
-			if odd && (a == players-1 || b == players-1) {
-				continue // bye
-			}
-			pairs = append(pairs, [2]int{a, b})
+// stagePairs appends to dst round r of the circle-method round-robin
+// tournament over n players, for r in [0, p-1) where p is n rounded up to
+// even. The p-1 rounds are disjoint sets of pairs that jointly cover every
+// unordered pair exactly once. The players stand on a ring of p positions
+// and position k meets position p-1-k. Position 0 holds player 0 in every
+// round, and position i >= 1 holds player 1 + (i-1-r) mod (p-1): the ring
+// rotated r times. For odd n, player n is the bye and its partner sits the
+// round out.
+func stagePairs(dst [][2]int, n, r int) [][2]int {
+	p := n + n%2
+	at := func(i int) int {
+		if i == 0 {
+			return 0
 		}
-		rounds = append(rounds, pairs)
-		// Rotate all but the first element.
-		last := ring[players-1]
-		copy(ring[2:], ring[1:players-1])
-		ring[1] = last
+		return 1 + (i-1-r+p-1)%(p-1)
 	}
-	return rounds
+	for k := 0; k < p/2; k++ {
+		a, b := at(k), at(p-1-k)
+		if a == n || b == n {
+			continue // the bye
+		}
+		dst = append(dst, [2]int{a, b})
+	}
+	return dst
 }

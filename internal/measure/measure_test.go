@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"slices"
 	"testing"
 
 	"cloudia/internal/cloud"
@@ -70,6 +71,62 @@ func TestCircleRoundsCoverage(t *testing.T) {
 		for pr, c := range seen {
 			if c != 1 {
 				t.Fatalf("n=%d: pair %v covered %d times", n, pr, c)
+			}
+		}
+	}
+}
+
+// circleRounds is the oracle for stagePairs: the circle-method round-robin
+// tournament schedule over n players, built whole by rotating a ring — a
+// list of rounds, each a set of disjoint pairs, jointly covering every
+// unordered pair exactly once. For odd n one player sits out each round.
+func circleRounds(n int) [][][2]int {
+	players := n
+	odd := n%2 == 1
+	if odd {
+		players++ // add a bye
+	}
+	rounds := make([][][2]int, 0, players-1)
+	ring := make([]int, players)
+	for i := range ring {
+		ring[i] = i
+	}
+	for r := 0; r < players-1; r++ {
+		var pairs [][2]int
+		for k := 0; k < players/2; k++ {
+			a, b := ring[k], ring[players-1-k]
+			if odd && (a == players-1 || b == players-1) {
+				continue // bye
+			}
+			pairs = append(pairs, [2]int{a, b})
+		}
+		rounds = append(rounds, pairs)
+		// Rotate all but the first element.
+		last := ring[players-1]
+		copy(ring[2:], ring[1:players-1])
+		ring[1] = last
+	}
+	return rounds
+}
+
+// TestStagePairsMatchCircleRounds checks that the staged driver's
+// per-round schedule is the whole-tournament table, round by round and pair
+// by pair, so the probe order is unchanged.
+func TestStagePairsMatchCircleRounds(t *testing.T) {
+	ns := []int{330, 331}
+	for n := 2; n <= 64; n++ {
+		ns = append(ns, n)
+	}
+	var got [][2]int
+	for _, n := range ns {
+		want := circleRounds(n)
+		if rounds := n + n%2 - 1; len(want) != rounds {
+			t.Fatalf("n=%d: oracle has %d rounds, want %d", n, len(want), rounds)
+		}
+		for r, pairs := range want {
+			got = stagePairs(got[:0], n, r)
+			if !slices.Equal(got, pairs) {
+				t.Fatalf("n=%d round %d: stagePairs = %v, want %v", n, r, got, pairs)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"fmt"
+	"sync"
 
 	"cloudia/internal/cloud"
 	"cloudia/internal/core"
@@ -47,18 +48,19 @@ type Epoch struct {
 	// Tails holds the percentile matrices published alongside the mean,
 	// in ascending-percentile order (TailPercentiles). Present only when
 	// the producer maintains quantile sketches (Options.TailAlpha > 0, or
-	// a daemon tenant posting tail rows); empty otherwise.
+	// a daemon tenant posting tail rows), and then only the percentiles
+	// Options.Spread names; empty otherwise.
 	Tails []TailMatrix
 	// MeanPlusStd is the mean + standard deviation matrix (Sect. 3.2),
 	// published from the Welford aggregates beside Tails with the same
 	// invariants. Present only when the measurement keeps quantile
-	// sketches (Options.TailAlpha > 0); nil otherwise, and on every epoch
-	// posted to the daemon.
+	// sketches (Options.TailAlpha > 0) and Options.Spread names it; nil
+	// otherwise, and on every epoch posted to the daemon.
 	MeanPlusStd *TailMatrix
 }
 
 // TailPercentiles lists the percentile matrices a sketch-enabled streaming
-// measurement publishes with every epoch, ascending.
+// measurement can publish with every epoch, ascending.
 var TailPercentiles = []float64{95, 99}
 
 // TailMatrix is one spread-sensitive matrix published with an epoch: a
@@ -134,15 +136,27 @@ func PublishTail(mm *core.MutableCostMatrix, pct float64) TailMatrix {
 // order and is closed after the final epoch; Wait blocks until the
 // measurement completes and returns the full aggregate result.
 type Streamer struct {
-	// Epochs is buffered to hold every epoch of the run, so the measurement
-	// never blocks on a slow consumer: a consumer that falls behind (e.g. a
-	// solver round outliving an epoch period) simply finds several epochs
-	// pending and can skip to the newest.
+	// Epochs holds at most one pending epoch. The measurement pauses at
+	// the next epoch boundary until its consumer takes the pending one, so
+	// a consumer slower than the measurement bounds the run-ahead, and the
+	// snapshots it keeps alive, to one epoch. A consumer that stops reading
+	// before the channel closes must call Stop, or the measurement never
+	// finishes and Wait never returns.
 	Epochs <-chan Epoch
 
-	done chan struct{}
-	res  *Result
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
+	res      *Result
 }
+
+// Stop tells the measurement that its consumer reads no more epochs. After
+// it the stream publishes nothing, the scheme drivers schedule no further
+// probe, and Wait returns once the probes in flight have landed, with a
+// Result that covers only the probes made so far. Stop after the stream
+// has closed does nothing; it may be called more than once, from any
+// goroutine.
+func (s *Streamer) Stop() { s.stopOnce.Do(func() { close(s.stop) }) }
 
 // Wait blocks until the measurement completes and returns its aggregate
 // result.
@@ -160,7 +174,8 @@ func (s *Streamer) Wait() *Result {
 //
 // Epoch snapshots only read the sample aggregates — they never touch the
 // simulator or its RNG — so publishing them cannot perturb the measurement:
-// the final epoch and Wait's Result are bit-identical whatever the period.
+// the final epoch and Wait's Result are bit-identical whatever the period,
+// and whatever the pace of the consumer.
 func Stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options) (*Streamer, error) {
 	if opts.SnapshotEveryMS < 0 {
 		return nil, fmt.Errorf("measure: negative snapshot period %g", opts.SnapshotEveryMS)
@@ -180,9 +195,11 @@ func stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options, p
 		return nil, err
 	}
 
-	ch := make(chan Epoch, int(o.DurationMS/periodMS)+2)
-	st := &Streamer{Epochs: ch, done: make(chan struct{}), res: m.res}
+	ch := make(chan Epoch, 1)
+	st := &Streamer{Epochs: ch, stop: make(chan struct{}), done: make(chan struct{}), res: m.res}
+	m.stop = st.stop
 
+	//cloudia:nondet-ok the one pump goroutine runs the whole simulation in order; the consumer only reads the immutable snapshots it publishes
 	go func() {
 		defer close(st.done)
 		defer close(ch)
@@ -196,30 +213,44 @@ func stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options, p
 		// changed-row sets and fingerprint evolve independently. Set marks
 		// a row dirty only on a real value change, so the published
 		// changed-row set is exact even though every entry is re-folded.
+		// Only the spread matrices the options name are kept.
 		mean := core.NewMutableCostMatrix(m.n)
-		var tails []*core.MutableCostMatrix
+		type tail struct {
+			pct float64
+			mm  *core.MutableCostMatrix
+		}
+		var tails []tail
 		var spread *core.MutableCostMatrix
 		if o.TailAlpha > 0 {
-			tails = make([]*core.MutableCostMatrix, len(TailPercentiles))
-			for i := range tails {
-				tails[i] = core.NewMutableCostMatrix(m.n)
+			for _, pct := range TailPercentiles {
+				if o.Spread.tail(pct) {
+					tails = append(tails, tail{pct, core.NewMutableCostMatrix(m.n)})
+				}
 			}
-			spread = core.NewMutableCostMatrix(m.n)
+			if o.Spread&SpreadMeanPlusStd != 0 {
+				spread = core.NewMutableCostMatrix(m.n)
+			}
 		}
 		emit := func(at float64, final bool) {
+			if m.stopped() {
+				return
+			}
 			fallback := m.res.globalMean()
 			fold(mean, fallback, m.res.mean)
 			ep := PublishEpoch(mean, at, final, m.res.TotalSamples)
+			for _, t := range tails {
+				fold(t.mm, fallback, m.res.quantile(t.pct))
+				ep.Tails = append(ep.Tails, PublishTail(t.mm, t.pct))
+			}
 			if spread != nil {
-				for x, pct := range TailPercentiles {
-					fold(tails[x], fallback, m.res.quantile(pct))
-					ep.Tails = append(ep.Tails, PublishTail(tails[x], pct))
-				}
 				fold(spread, fallback, m.res.meanPlusStd)
 				msd := PublishTail(spread, 0)
 				ep.MeanPlusStd = &msd
 			}
-			ch <- ep
+			select {
+			case ch <- ep:
+			case <-st.stop:
+			}
 		}
 
 		for t := periodMS; t < o.DurationMS; t += periodMS {

@@ -2,7 +2,11 @@ package measure
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"cloudia/internal/core"
 )
@@ -146,5 +150,128 @@ func TestStreamValidatesSynchronously(t *testing.T) {
 	}
 	if _, err := Stream(dc, insts[:1], Options{Scheme: Staged, DurationMS: 10}); err == nil {
 		t.Fatal("single instance accepted")
+	}
+}
+
+// TestStreamSpreadSubset checks that a stream asked for one spread matrix
+// publishes that one alone, and that it and the mean match the default
+// stream's bit for bit: matrices, changed rows and fingerprints.
+func TestStreamSpreadSubset(t *testing.T) {
+	dc, insts := testFleet(t, 8, 31)
+	drain := func(spread Spread) []Epoch {
+		st, err := Stream(dc, insts, Options{Scheme: Staged, DurationMS: 1200, Seed: 7,
+			SnapshotEveryMS: 300, TailAlpha: DefaultTailAlpha, Spread: spread})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eps []Epoch
+		for ep := range st.Epochs {
+			eps = append(eps, ep)
+		}
+		st.Wait()
+		return eps
+	}
+	same := func(what string, a, b *core.CostMatrix) {
+		t.Helper()
+		if !slices.Equal(a.OffDiagonal(), b.OffDiagonal()) {
+			t.Fatalf("%s matrices differ", what)
+		}
+	}
+	all, p99 := drain(0), drain(SpreadP99)
+	if len(all) != len(p99) || len(all) != 4 {
+		t.Fatalf("%d and %d epochs, want 4 each", len(all), len(p99))
+	}
+	for i, ep := range p99 {
+		ctx := fmt.Sprintf("epoch %d", ep.Index)
+		if len(ep.Tails) != 1 || ep.Tails[0].Pct != 99 || ep.MeanPlusStd != nil {
+			t.Fatalf("%s: p99-only stream carries %d tails and mean+sd %v", ctx, len(ep.Tails), ep.MeanPlusStd != nil)
+		}
+		ref := all[i]
+		if len(ref.Tails) != 2 || ref.MeanPlusStd == nil {
+			t.Fatalf("%s: default stream carries %d tails and mean+sd %v", ctx, len(ref.Tails), ref.MeanPlusStd != nil)
+		}
+		same(ctx+" mean", ep.Matrix, ref.Matrix)
+		same(ctx+" p99", ep.Tails[0].Matrix, ref.Tail(99).Matrix)
+		if ep.Fingerprint != ref.Fingerprint || ep.Tails[0].Fingerprint != ref.Tail(99).Fingerprint {
+			t.Fatalf("%s: fingerprints differ", ctx)
+		}
+		if !slices.Equal(ep.ChangedRows, ref.ChangedRows) || !slices.Equal(ep.Tails[0].ChangedRows, ref.Tail(99).ChangedRows) {
+			t.Fatalf("%s: changed rows differ", ctx)
+		}
+		if ep.Samples != ref.Samples {
+			t.Fatalf("%s: %d samples, want %d", ctx, ep.Samples, ref.Samples)
+		}
+	}
+	for _, ep := range drain(SpreadNone) {
+		if ep.Tails != nil || ep.MeanPlusStd != nil {
+			t.Fatalf("epoch %d: SpreadNone stream carries spread matrices", ep.Index)
+		}
+	}
+	if _, err := Stream(dc, insts, Options{Scheme: Staged, DurationMS: 10, Spread: 1 << 7}); err == nil {
+		t.Fatal("unknown spread bit accepted")
+	}
+}
+
+// TestStreamStop checks the stop rule: a consumer that stops after the
+// first epoch of a long measurement, while the pump is parked on a full
+// Epochs, gets Wait back promptly, no goroutine is left behind, and the
+// stream holds at most one pending epoch.
+func TestStreamStop(t *testing.T) {
+	dc, insts := testFleet(t, 10, 33)
+	before := runtime.NumGoroutine()
+	st, err := Stream(dc, insts, Options{Scheme: Staged, DurationMS: 1e6, Seed: 3,
+		SnapshotEveryMS: 100, TailAlpha: DefaultTailAlpha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(st.Epochs); c > 1 {
+		t.Fatalf("Epochs holds up to %d pending epochs, want at most 1", c)
+	}
+	if ep := <-st.Epochs; ep.Index != 1 {
+		t.Fatalf("first epoch has index %d", ep.Index)
+	}
+	awaitPumpParked(t)
+	st.Stop()
+	st.Stop() // a second Stop is harmless
+	waited := make(chan *Result)
+	go func() { waited <- st.Wait() }()
+	select {
+	case res := <-waited:
+		if res.TotalSamples == 0 {
+			t.Fatal("stopped stream measured nothing")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait did not return after Stop")
+	}
+	for range st.Epochs {
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the stream", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitPumpParked polls the goroutine dump until a stream pump is parked
+// publishing an epoch that waits behind an unread one.
+func awaitPumpParked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			parked := strings.Contains(header, "[select") || strings.Contains(header, "[chan send")
+			if parked && strings.Contains(g, "measure.stream.func") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the stream pump never parked on a full Epochs")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

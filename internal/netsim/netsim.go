@@ -17,7 +17,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -69,22 +68,57 @@ type event struct {
 	fn  func()
 }
 
+// eventQueue is a binary min-heap of events in (at, seq) order. seq is
+// unique, so the order is total and the pop sequence is fixed by the
+// pushes alone.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a runs before b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+
+// push adds e to the heap.
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	e := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
 	return e
 }
 
@@ -134,7 +168,7 @@ func (s *Sim) At(t Time, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.queue, event{at: t, seq: s.seq, fn: fn})
+	s.queue.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run d milliseconds from now.
@@ -191,7 +225,7 @@ func (s *Sim) Send(src, dst int, sizeBytes int, delivered func(at Time)) {
 
 // Run processes events until the queue is empty.
 func (s *Sim) Run() {
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		s.step()
 	}
 }
@@ -199,7 +233,7 @@ func (s *Sim) Run() {
 // RunUntil processes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain queued.
 func (s *Sim) RunUntil(t Time) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
+	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.step()
 	}
 	if s.now < t {
@@ -208,10 +242,10 @@ func (s *Sim) RunUntil(t Time) {
 }
 
 func (s *Sim) step() {
-	e := heap.Pop(&s.queue).(event)
+	e := s.queue.pop()
 	s.now = e.at
 	e.fn()
 }
 
 // Pending reports the number of queued events.
-func (s *Sim) Pending() int { return s.queue.Len() }
+func (s *Sim) Pending() int { return len(s.queue) }

@@ -210,7 +210,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 			"tenant": "acme", "graph": graphPayload(t, 3, 3), "budget_nodes": 100,
 		}, http.StatusBadRequest, "bad_request", ""},
 		// The solver clock ignores a negative axis: such a budget bounds
-		// nothing and would pin a worker.
+		// nothing and would hold a solve slot forever.
 		{"advise negative node budget", "/v1/advise", map[string]any{
 			"tenant": "acme", "graph": graphPayload(t, 2, 2), "budget_nodes": -5,
 		}, http.StatusBadRequest, "bad_request", "serve: job requires a bounded round budget"},

@@ -12,9 +12,9 @@ import (
 )
 
 // TestWorkerPanicIsolation: an advise whose solve panics fails with
-// ErrJobPanicked (stack attached) while the worker survives, the tenant's
-// in-flight slot is released, and the daemon serves the next advise — same
-// tenant, same worker — normally.
+// ErrJobPanicked (stack attached) while the daemon survives, the tenant's
+// in-flight slot and the daemon's one solve slot are released, and the
+// daemon serves the next advise of the same tenant normally.
 func TestWorkerPanicIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := testGraph(t, 2, 3)
@@ -51,7 +51,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		t.Fatalf("%d tasks stuck in queues after panic", q)
 	}
 
-	// The same tenant's next advise must be served by the surviving worker.
+	// The same tenant's next advise must get the freed slot and be served.
 	clean := poisoned
 	clean.OnRound = nil
 	res2 := adviseOK(t, d, clean)

@@ -208,7 +208,7 @@ func TestServeCrossTenantCacheHits(t *testing.T) {
 	}
 }
 
-// Admission control: with its one worker parked, a daemon admits exactly
+// Admission control: with its one solve slot held, a daemon admits exactly
 // queueDepth more advises and refuses the next with ErrBusy, counting it as
 // rejected; the admitted advises still drain, and a closed daemon refuses
 // with ErrClosed.
@@ -217,8 +217,8 @@ func TestServeBackpressureAndBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := testMatrix(rng, 8)
 
-	// Park the single worker in an advise whose round we release, so the
-	// queue can be observed deterministically.
+	// Hold the single solve slot with an advise whose round we release, so
+	// the queue can be observed deterministically.
 	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
 	for _, tenant := range []string{"blocker", "quick", "quick-0", "quick-1", "quick-2"} {
@@ -230,12 +230,12 @@ func TestServeBackpressureAndBudget(t *testing.T) {
 		SolverName: "g1", RoundBudget: solver.Budget{Nodes: 1000},
 	}
 	pending := []*pendingAdvise{adviseAsync(d, blocker)}
-	// Wait until the worker pulled the blocker, freeing its queue slot.
+	// Wait until the blocker was granted the slot, freeing its queue slot.
 	awaitAdmitted(t, d, 1)
 	deadline := time.Now().Add(2 * time.Second)
 	for d.sched.queuedTasks() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the blocker")
+			t.Fatal("the blocker was never granted the solve slot")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -334,7 +334,7 @@ func TestServeSubmitValidation(t *testing.T) {
 	}
 }
 
-// End-to-end starvation check: with one worker, a hot tenant's 4-advise
+// End-to-end starvation check: with one solve slot, a hot tenant's 4-advise
 // backlog must yield to later-arriving light tenants after its first
 // dispatch. Each advise parks in OnRound on an unbuffered gate, so the
 // running advise is exactly the one whose gate send succeeds — observing
@@ -480,9 +480,10 @@ func TestServeWorkersBoundConcurrentSolves(t *testing.T) {
 	}
 }
 
-// Two workers pulling two tenants' interleaved backlogs from the one ready
-// queue must not change a single output bit: whichever worker runs an
-// advise, its deployment and cost equal the streaming path run directly.
+// Two solve slots granted from the one ready queue over two tenants'
+// interleaved backlogs must not change a single output bit: whichever order
+// the advises are granted in, each one's deployment and cost equal the
+// streaming path run directly.
 func TestServeWorkStealingBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := testGraph(t, 3, 4)
@@ -526,7 +527,7 @@ func TestServeWorkStealingBitEqual(t *testing.T) {
 }
 
 // 16 goroutines hammer admission over three shared matrices, a
-// 2-fingerprint cache (eviction), and 4 pulling workers at once;
+// 2-fingerprint cache (eviction), and 4 solve slots at once;
 // run under -race in CI, any ordering bug surfaces as a data race or a
 // failed advise, and every served result must be bit-equal to the
 // unsharded path over the same final epoch.
