@@ -53,9 +53,11 @@ test:
 # advise in flight, which must finish and log its advice before the logs
 # close; and its fail-closed paths run outside -race: a failed append rolls
 # the tenant back to its committed matrices, and a failed fsync or
-# compaction poisons the log.
+# compaction poisons the log. Two tenants of a measurement group post one
+# equal epoch and the second dies at each crashpoint of its append: after
+# the restart both serve bit-equal advice from one shared snapshot.
 crash-test:
-	$(GO) test -run 'TestCrash|TestDaemonCloseDrainsInFlight|TestDaemonAppendFailureRollsBack|TestDaemonFailedFsyncFailsClosed|TestDaemonFailedCompactionFailsClosed' -count=1 -v ./internal/serve/
+	$(GO) test -run 'TestCrash|TestDaemonCloseDrainsInFlight|TestDaemonAppendFailureRollsBack|TestDaemonFailedFsyncFailsClosed|TestDaemonFailedCompactionFailsClosed|TestDaemonGroupCrashSharesSnapshot' -count=1 -v ./internal/serve/
 
 # fuzz runs the decoders' fuzz targets, 20 s each. FuzzEpochDecode is
 # differential: every POST /v1/epoch body must be accepted or refused

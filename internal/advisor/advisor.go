@@ -299,11 +299,11 @@ func advise(prov *cloud.Provider, cfg StreamingConfig, final bool) (rep *Streami
 	}
 
 	// Step 2: get measurements (Fig. 3, "Get Measurements") as matrix
-	// epochs. Every metric but the mean needs the spread statistics that
-	// come with the quantile sketches, and each epoch carries the one
-	// spread matrix the search reads.
+	// epochs, each carrying the one spread matrix the search reads. Only
+	// the percentile metrics need per-link quantile sketches; mean+sd
+	// comes from the per-link moments the mean already keeps.
 	var tailAlpha float64
-	if spec.Metric != MetricMean {
+	if spec.TailPercentile() > 0 {
 		tailAlpha = measure.DefaultTailAlpha
 	}
 	st, err := measure.Stream(prov.Datacenter(), instances, measure.Options{

@@ -43,6 +43,24 @@ func (m *CostMatrix) Clone() *CostMatrix {
 	return out
 }
 
+// Identical reports whether o has m's size and, entry by entry, m's bit
+// patterns: a cost is its bit pattern, as Fingerprint hashes it, so -0 and
+// +0 differ. Matrices that share storage are identical without a scan.
+func (m *CostMatrix) Identical(o *CostMatrix) bool {
+	if m.n != o.n {
+		return false
+	}
+	if len(m.c) == 0 || &m.c[0] == &o.c[0] {
+		return true
+	}
+	for k, v := range m.c {
+		if math.Float64bits(v) != math.Float64bits(o.c[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Row returns the i-th row as a slice view. Callers must not modify it.
 func (m *CostMatrix) Row(i int) []float64 { return m.c[i*m.n : (i+1)*m.n] }
 
@@ -82,9 +100,10 @@ func (m *CostMatrix) OffDiagonal() []float64 {
 	return out
 }
 
-// DistinctValues returns the sorted distinct off-diagonal cost values. The CP
-// solver iterates over these thresholds (Sect. 4.2), so their count bounds
-// its iteration count.
+// DistinctValues returns the sorted distinct off-diagonal cost values: the
+// thresholds a threshold search over the raw costs would iterate (Sect.
+// 4.2). The CP solver does not call it; it iterates the cluster levels of
+// its rounded set (cluster.Rounded.Levels).
 func (m *CostMatrix) DistinctValues() []float64 {
 	out := m.OffDiagonal()
 	if len(out) == 0 {

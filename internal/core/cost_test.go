@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -38,6 +39,30 @@ func TestCostMatrixBasics(t *testing.T) {
 	c.Set(0, 1, 9)
 	if m.At(0, 1) != 2.5 {
 		t.Fatal("Clone shares backing storage")
+	}
+}
+
+// Identical compares bit patterns: -0 and +0 differ, and so do sizes.
+func TestCostMatrixIdentical(t *testing.T) {
+	m := testMatrix(t, 4, 1)
+	if !m.Identical(m) || !m.Identical(m.Clone()) {
+		t.Fatal("a matrix is not identical to itself or its clone")
+	}
+	neg := m.Clone()
+	neg.Set(2, 2, math.Copysign(0, -1))
+	if m.Identical(neg) || neg.Identical(m) {
+		t.Fatal("-0 on the diagonal compared identical to +0")
+	}
+	moved := m.Clone()
+	moved.Set(0, 1, math.Nextafter(m.At(0, 1), 2))
+	if m.Identical(moved) {
+		t.Fatal("a changed value compared identical")
+	}
+	if m.Identical(testMatrix(t, 3, 1)) || NewCostMatrix(0).Identical(NewCostMatrix(1)) {
+		t.Fatal("matrices of different sizes compared identical")
+	}
+	if !NewCostMatrix(0).Identical(NewCostMatrix(0)) {
+		t.Fatal("two empty matrices differ")
 	}
 }
 

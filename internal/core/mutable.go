@@ -119,6 +119,24 @@ func (m *MutableCostMatrix) Snapshot() (*CostMatrix, []int) {
 	return out, rows
 }
 
+// Adopt moves the matrix onto snap's storage, marked shared, so the next
+// changing Set copies it first, exactly as after a Snapshot. snap must hold
+// the matrix's current values bit for bit (CostMatrix.Identical): Adopt
+// refuses a size or content mismatch and leaves the matrix as it was. It
+// lets a holder of many equal matrices keep one copy of their content: a
+// snapshot published here is dropped for an equal one published elsewhere.
+// Values, dirty rows, fingerprint and epoch are unchanged.
+func (m *MutableCostMatrix) Adopt(snap *CostMatrix) error {
+	if snap.n != m.n {
+		return fmt.Errorf("core: adopting a %d x %d snapshot into a %d x %d matrix", snap.n, snap.n, m.n, m.n)
+	}
+	if !snap.Identical(&CostMatrix{n: m.n, c: m.c}) {
+		return fmt.Errorf("core: adopting a snapshot whose values differ from the matrix's")
+	}
+	m.c, m.shared = snap.c, true
+	return nil
+}
+
 // Revert undoes the most recent Snapshot when nothing has been Set since:
 // the matrix goes back to prev's storage (prev is the snapshot before it,
 // which stays shared), rows (the changed rows that Snapshot reported) are

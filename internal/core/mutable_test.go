@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -88,6 +89,48 @@ func TestMutableCostMatrixRevert(t *testing.T) {
 	}
 	if m.Epoch() != 1 {
 		t.Fatalf("epoch = %d after Revert, want 1", m.Epoch())
+	}
+}
+
+// Adopt moves the matrix onto an identical snapshot's storage, shared, and
+// refuses a snapshot of another size or other bits without changing
+// anything.
+func TestMutableCostMatrixAdopt(t *testing.T) {
+	m := NewMutableCostMatrix(3)
+	m.Set(0, 1, 2)
+	m.Set(2, 0, 4)
+	own, _ := m.Snapshot()
+	fp := m.Fingerprint()
+	other := own.Clone()
+
+	bigger := NewCostMatrix(4)
+	neg := own.Clone()
+	neg.Set(1, 1, math.Copysign(0, -1))
+	for name, bad := range map[string]*CostMatrix{"size": bigger, "-0": neg} {
+		if err := m.Adopt(bad); err == nil {
+			t.Fatalf("%s mismatch adopted", name)
+		}
+	}
+	if !own.Identical(other) || m.Fingerprint() != fp || m.Epoch() != 1 {
+		t.Fatal("a refused Adopt changed the matrix")
+	}
+
+	if err := m.Adopt(other); err != nil {
+		t.Fatal(err)
+	}
+	if m.Fingerprint() != fp || m.Epoch() != 1 || len(m.ChangedRows()) != 0 {
+		t.Fatal("Adopt changed the fingerprint, epoch or dirty rows")
+	}
+	if &m.c[0] != &other.c[0] {
+		t.Fatal("Adopt did not move the matrix onto the snapshot's storage")
+	}
+	// The adopted storage is shared: a changing Set copies it first.
+	m.Set(0, 1, 5)
+	if other.At(0, 1) != 2 || m.At(0, 1) != 5 {
+		t.Fatal("a Set after Adopt wrote through to the adopted snapshot")
+	}
+	if snap, rows := m.Snapshot(); !slices.Equal(rows, []int{0}) || snap.At(2, 0) != 4 {
+		t.Fatalf("snapshot after Adopt: rows %v", rows)
 	}
 }
 

@@ -77,18 +77,20 @@ type Options struct {
 	// TailAlpha, when positive, maintains a per-link quantile sketch (one
 	// sketch.Set over all ordered pairs) with that relative-error bound
 	// alongside the mean aggregates, so TailMatrix and streaming epoch Tails
-	// can publish percentile matrices incrementally; epochs then also
-	// carry the spread matrices Spread names. Zero disables sketches and
-	// every spread matrix; a value outside [sketch.MinAlpha, 1) is an
-	// error. DefaultTailAlpha is the conventional setting.
+	// can publish percentile matrices incrementally. Zero disables sketches
+	// and the percentile matrices; a value outside [sketch.MinAlpha, 1) is
+	// an error. DefaultTailAlpha is the conventional setting.
 	TailAlpha float64
-	// Spread names the spread matrices a sketch-enabled stream publishes
-	// with every epoch beside the mean: Epoch.Tails for SpreadP95 and
-	// SpreadP99, Epoch.MeanPlusStd for SpreadMeanPlusStd. A stream
-	// allocates and folds only the matrices it publishes, so a consumer
-	// that searches one metric names that one. Zero selects all three;
-	// SpreadNone publishes the mean alone. Ignored when TailAlpha is zero,
-	// and by Run, which publishes no spread matrix.
+	// Spread names the spread matrices a stream publishes with every epoch
+	// beside the mean: Epoch.Tails for SpreadP95 and SpreadP99, which need
+	// sketches (TailAlpha > 0) and are not published without them, and
+	// Epoch.MeanPlusStd for SpreadMeanPlusStd, which comes from the
+	// per-link moments alone and is published whatever TailAlpha is. A
+	// stream allocates and folds only the matrices it publishes, so a
+	// consumer that searches one metric names that one. Zero selects all
+	// three when TailAlpha is positive and the mean alone when it is zero;
+	// SpreadNone publishes the mean alone. Run ignores it: it publishes no
+	// spread matrix.
 	Spread Spread
 	// Background, when non-nil, injects application traffic during the
 	// measurement — the overlapped-execution mode of Sect. 2.2.2, where the
@@ -99,8 +101,8 @@ type Options struct {
 	Background *BackgroundTraffic
 }
 
-// Spread is a set of the spread-sensitive matrices (Sect. 3.2) a
-// sketch-enabled stream publishes with each epoch (Options.Spread).
+// Spread is a set of the spread-sensitive matrices (Sect. 3.2) a stream
+// publishes with each epoch (Options.Spread).
 type Spread uint8
 
 // The spread matrices an epoch can carry. SpreadNone names no matrix: it
@@ -176,7 +178,10 @@ func (o *Options) withDefaults() (Options, error) {
 		return out, fmt.Errorf("measure: unknown spread matrices %#x", uint8(out.Spread))
 	}
 	if out.Spread == 0 {
-		out.Spread = spreadAll
+		out.Spread = SpreadNone
+		if out.TailAlpha > 0 {
+			out.Spread = spreadAll
+		}
 	}
 	return out, nil
 }

@@ -53,9 +53,9 @@ type Epoch struct {
 	Tails []TailMatrix
 	// MeanPlusStd is the mean + standard deviation matrix (Sect. 3.2),
 	// published from the Welford aggregates beside Tails with the same
-	// invariants. Present only when the measurement keeps quantile
-	// sketches (Options.TailAlpha > 0) and Options.Spread names it; nil
-	// otherwise, and on every epoch posted to the daemon.
+	// invariants. Present only when Options.Spread names it, explicitly or
+	// as the zero Spread of a sketch-enabled stream; it needs no sketch.
+	// nil otherwise, and on every epoch posted to the daemon.
 	MeanPlusStd *TailMatrix
 }
 
@@ -227,9 +227,9 @@ func stream(dc *topology.Datacenter, instances []cloud.Instance, opts Options, p
 					tails = append(tails, tail{pct, core.NewMutableCostMatrix(m.n)})
 				}
 			}
-			if o.Spread&SpreadMeanPlusStd != 0 {
-				spread = core.NewMutableCostMatrix(m.n)
-			}
+		}
+		if o.Spread&SpreadMeanPlusStd != 0 {
+			spread = core.NewMutableCostMatrix(m.n)
 		}
 		emit := func(at float64, final bool) {
 			if m.stopped() {

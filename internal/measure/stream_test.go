@@ -212,6 +212,62 @@ func TestStreamSpreadSubset(t *testing.T) {
 	}
 }
 
+// TestStreamMeanPlusStdWithoutSketches: mean+sd comes from the per-link
+// moments, so a stream that names it keeps no quantile sketch, and its
+// epochs are bit-identical to a sketch-enabled stream's. The zero Spread
+// without sketches still publishes the mean alone.
+func TestStreamMeanPlusStdWithoutSketches(t *testing.T) {
+	dc, insts := testFleet(t, 8, 31)
+	drain := func(alpha float64, spread Spread) ([]Epoch, *Result) {
+		st, err := Stream(dc, insts, Options{Scheme: Staged, DurationMS: 1200, Seed: 7,
+			SnapshotEveryMS: 300, TailAlpha: alpha, Spread: spread})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eps []Epoch
+		for ep := range st.Epochs {
+			eps = append(eps, ep)
+		}
+		return eps, st.Wait()
+	}
+	lean, res := drain(0, SpreadMeanPlusStd)
+	ref, _ := drain(DefaultTailAlpha, SpreadMeanPlusStd)
+	if res.tails != nil || res.TailAlpha() != 0 {
+		t.Fatal("a mean+sd stream without TailAlpha keeps quantile sketches")
+	}
+	if len(lean) != len(ref) || len(lean) != 4 {
+		t.Fatalf("%d and %d epochs, want 4 each", len(lean), len(ref))
+	}
+	for i, ep := range lean {
+		want := ref[i]
+		ctx := fmt.Sprintf("epoch %d", ep.Index)
+		if ep.MeanPlusStd == nil || ep.Tails != nil || want.MeanPlusStd == nil {
+			t.Fatalf("%s: mean+sd %v, %d tails; want mean+sd alone", ctx, ep.MeanPlusStd != nil, len(ep.Tails))
+		}
+		if !ep.Matrix.Identical(want.Matrix) || !ep.MeanPlusStd.Matrix.Identical(want.MeanPlusStd.Matrix) {
+			t.Fatalf("%s: matrices differ from the sketch-enabled stream's", ctx)
+		}
+		if ep.Fingerprint != want.Fingerprint || ep.MeanPlusStd.Fingerprint != want.MeanPlusStd.Fingerprint {
+			t.Fatalf("%s: fingerprints differ", ctx)
+		}
+		if !slices.Equal(ep.ChangedRows, want.ChangedRows) || !slices.Equal(ep.MeanPlusStd.ChangedRows, want.MeanPlusStd.ChangedRows) {
+			t.Fatalf("%s: changed rows differ", ctx)
+		}
+		if ep.Samples != want.Samples || ep.Final != want.Final {
+			t.Fatalf("%s: samples %d final %v, want %d %v", ctx, ep.Samples, ep.Final, want.Samples, want.Final)
+		}
+	}
+	mean, _ := drain(0, 0)
+	for i, ep := range mean {
+		if ep.Tails != nil || ep.MeanPlusStd != nil {
+			t.Fatalf("epoch %d: the zero Spread without sketches carries spread matrices", ep.Index)
+		}
+		if !ep.Matrix.Identical(lean[i].Matrix) {
+			t.Fatalf("epoch %d: mean matrix differs", ep.Index)
+		}
+	}
+}
+
 // TestStreamStop checks the stop rule: a consumer that stops after the
 // first epoch of a long measurement, while the pump is parked on a full
 // Epochs, gets Wait back promptly, no goroutine is left behind, and the

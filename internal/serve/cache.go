@@ -31,6 +31,15 @@ import (
 // for LRU eviction, while content other tenants still share stays. Jobs
 // holding a retired set simply finish with it; the content key guarantees
 // it still matches their matrix.
+//
+// The tenant matrices themselves are content-addressed the same way: Track
+// keeps one canonical snapshot per distinct content that tenants hold and
+// hands it to every tenant that commits that content, so a measurement
+// group's equal matrices are held once, not once per tenant. Sharing
+// follows the bits, not the key: a snapshot is shared only with an
+// identical one (core.CostMatrix.Identical), so an equal fingerprint over
+// different values — a hash collision, or -0 against +0 under a forged
+// key — gets its own copy.
 type Cache struct {
 	// maxMatrices bounds the number of distinct fingerprints retained;
 	// beyond it the least-recently-used fingerprint's set is evicted.
@@ -38,10 +47,12 @@ type Cache struct {
 
 	mu       sync.Mutex
 	matrices map[core.Fingerprint]*cacheEntry
-	// holders counts, per matrix fingerprint, the tenant matrices (mean or
-	// tail) currently at that content; see Track.
-	holders map[core.Fingerprint]int
-	tick    int64
+	// held maps each fingerprint a tenant matrix (mean or tail) is at to
+	// the distinct contents tenants hold under it, each with its canonical
+	// snapshot; see Track. A fingerprint has one content unless its hash
+	// collides.
+	held map[core.Fingerprint][]*heldSnap
+	tick int64
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -53,6 +64,13 @@ type Cache struct {
 type cacheEntry struct {
 	lastUse int64
 	matrix  *solver.MatrixPrep
+}
+
+// heldSnap is one distinct tenant-matrix content: the canonical snapshot
+// every tenant matrix at that content holds, and how many do.
+type heldSnap struct {
+	snap    *core.CostMatrix
+	holders int
 }
 
 // DefaultMaxMatrices bounds a serving cache that was not given an explicit
@@ -72,7 +90,7 @@ func NewCache(maxMatrices int) *Cache {
 	return &Cache{
 		maxMatrices: maxMatrices,
 		matrices:    make(map[core.Fingerprint]*cacheEntry),
-		holders:     make(map[core.Fingerprint]int),
+		held:        make(map[core.Fingerprint][]*heldSnap),
 	}
 }
 
@@ -146,32 +164,75 @@ func (c *Cache) CheapestRows(fp core.Fingerprint, prep *solver.Prep) (hit bool) 
 	return false
 }
 
-// Track records that one tenant matrix moved from content old to content
-// next; 0 stands for no matrix, so Track(0, fp) registers a new holder.
-// When old loses its last holder, its artifacts are retired at once rather
-// than left for LRU eviction. Content another tenant still holds — a
-// measurement group sharing one matrix — stays cached until the last of
-// them moves on.
-func (c *Cache) Track(old, next core.Fingerprint) {
-	if old == next {
-		return
-	}
+// Track records that one tenant matrix moved from snapshot old, at
+// fingerprint oldFP, to snapshot next, at fingerprint fp, and returns the
+// snapshot the tenant holds from now on: the canonical one for next's
+// content, which is next itself unless another tenant matrix already holds
+// identical content. nil stands for no matrix on either side, so
+// Track(0, nil, fp, next) registers a new holder. old must be what an
+// earlier Track returned. When old's content loses its last holder, the
+// cache drops its snapshot, and when no content is left at oldFP, its
+// artifacts are retired at once rather than left for LRU eviction. Content
+// another tenant still holds — a measurement group sharing one matrix —
+// stays until the last of them moves on. Finding an equal content compares
+// next with the held snapshot at fp, an O(n^2) scan under the cache lock
+// unless the two share storage.
+func (c *Cache) Track(oldFP core.Fingerprint, old *core.CostMatrix, fp core.Fingerprint, next *core.CostMatrix) *core.CostMatrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if next != 0 {
-		c.holders[next]++
+	if next != nil {
+		next = c.hold(fp, next)
 	}
-	if old == 0 {
+	if old != nil {
+		c.release(oldFP, old)
+	}
+	return next
+}
+
+// hold counts one more holder of m's content at fp and returns the
+// content's canonical snapshot. c.mu must be held.
+func (c *Cache) hold(fp core.Fingerprint, m *core.CostMatrix) *core.CostMatrix {
+	for _, h := range c.held[fp] {
+		if h.snap.Identical(m) {
+			h.holders++
+			return h.snap
+		}
+	}
+	c.held[fp] = append(c.held[fp], &heldSnap{snap: m, holders: 1})
+	return m
+}
+
+// release drops one holder of the canonical snapshot m at fp, the snapshot
+// once it has none, and fp's artifacts once no content is held at fp. c.mu
+// must be held.
+func (c *Cache) release(fp core.Fingerprint, m *core.CostMatrix) {
+	hs := c.held[fp]
+	for i, h := range hs {
+		if h.snap == m {
+			if h.holders--; h.holders == 0 {
+				hs = append(hs[:i], hs[i+1:]...)
+			}
+			break
+		}
+	}
+	if len(hs) > 0 {
+		c.held[fp] = hs
 		return
 	}
-	if c.holders[old]--; c.holders[old] > 0 {
-		return
-	}
-	delete(c.holders, old)
-	if _, ok := c.matrices[old]; ok {
-		delete(c.matrices, old)
+	delete(c.held, fp)
+	if _, ok := c.matrices[fp]; ok {
+		delete(c.matrices, fp)
 		c.superseded.Add(1)
 	}
+}
+
+// clear drops every shared set and every held snapshot; the counters stay.
+// A closed daemon clears its cache so that it pins no matrix.
+func (c *Cache) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.matrices = make(map[core.Fingerprint]*cacheEntry)
+	c.held = make(map[core.Fingerprint][]*heldSnap)
 }
 
 // CacheStats is a point-in-time counter snapshot.
@@ -184,30 +245,43 @@ type CacheStats struct {
 	// fingerprints retired by Track when their last holder moved on.
 	Evictions  int64 `json:"evictions"`
 	Superseded int64 `json:"superseded"`
-	// Matrices is the number of distinct matrix fingerprints currently
-	// held; Bytes is what their built rounded sets hold
+	// Matrices is the number of distinct matrix fingerprints whose shared
+	// sets are held; Bytes is what their built rounded sets hold
 	// (solver.MatrixPrep.Bytes), not counting the cost matrices, which
-	// their tenants own.
+	// Snapshots counts.
 	Matrices int   `json:"matrices"`
 	Bytes    int64 `json:"bytes"`
+	// Snapshots is the number of distinct tenant-matrix contents held
+	// (Track), SnapshotBytes their cost values, 8 bytes per instance pair,
+	// each content counted once however many tenants hold it, and
+	// SnapshotHolders the number of tenant matrices (mean or tail) that
+	// hold them. SnapshotHolders over Snapshots is the sharing factor.
+	Snapshots       int   `json:"snapshots"`
+	SnapshotBytes   int64 `json:"snapshot_bytes"`
+	SnapshotHolders int   `json:"snapshot_holders"`
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	n := len(c.matrices)
-	var bytes int64
+	st := CacheStats{Matrices: len(c.matrices)}
 	//cloudia:nondet-ok a sum of integers is order-insensitive
 	for _, e := range c.matrices {
-		bytes += e.matrix.Bytes()
+		st.Bytes += e.matrix.Bytes()
+	}
+	//cloudia:nondet-ok sums of integers are order-insensitive
+	for _, hs := range c.held {
+		for _, h := range hs {
+			size := int64(h.snap.Size())
+			st.Snapshots++
+			st.SnapshotBytes += 8 * size * size
+			st.SnapshotHolders += h.holders
+		}
 	}
 	c.mu.Unlock()
-	return CacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Superseded: c.superseded.Load(),
-		Matrices:   n,
-		Bytes:      bytes,
-	}
+	st.Hits = c.hits.Load()
+	st.Misses = c.misses.Load()
+	st.Evictions = c.evictions.Load()
+	st.Superseded = c.superseded.Load()
+	return st
 }

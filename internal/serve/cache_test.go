@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -146,19 +147,63 @@ func TestCacheTrackRetiresLastHolder(t *testing.T) {
 	if _, err := c.Rounded(fp, 3, p.Prep()); err != nil {
 		t.Fatal(err)
 	}
-	c.Track(0, fp)    // tenant a arrives at fp
-	c.Track(0, fp)    // tenant b shares it
-	c.Track(fp, fp)   // same content: no-op
-	c.Track(fp, fp+3) // a moves on; b still holds fp
+	next := testMatrix(rng, 8)
+	nfp := next.Fingerprint()
+	a := c.Track(0, nil, fp, m)         // tenant a arrives at fp
+	b := c.Track(0, nil, fp, m.Clone()) // tenant b holds equal content
+	if b != a {
+		t.Fatal("equal content committed two snapshots")
+	}
+	a = c.Track(fp, a, fp, a)     // same content: the hold stays
+	a = c.Track(fp, a, nfp, next) // a moves on; b still holds fp
 	if st := c.Stats(); st.Superseded != 0 || st.Matrices != 1 {
 		t.Fatalf("fingerprint retired while a tenant still held it: %+v", st)
 	}
-	c.Track(fp, fp+3) // b moves on: last holder gone
+	b = c.Track(fp, b, nfp, next.Clone()) // b moves on: last holder gone
 	if st := c.Stats(); st.Superseded != 1 || st.Matrices != 0 {
 		t.Fatalf("last holder's move did not retire the fingerprint: %+v", st)
 	}
-	if len(c.holders) != 1 || c.holders[fp+3] != 2 {
-		t.Fatalf("holder counts = %v, want only fp+3 held twice", c.holders)
+	if b != next || a != next || len(c.held) != 1 || len(c.held[nfp]) != 1 || c.held[nfp][0].holders != 2 {
+		t.Fatalf("held = %v, want only next's content, held twice", c.held)
+	}
+}
+
+// Track shares a snapshot only with identical bits: under one fingerprint,
+// a matrix that differs — -0 against +0 on the diagonal, or another size —
+// keeps its own snapshot, each content is released on its own, and the
+// fingerprint's artifacts retire only when no content is left at it.
+func TestCacheTrackSharesOnlyIdenticalBits(t *testing.T) {
+	m := testMatrix(rand.New(rand.NewSource(8)), 9)
+	fp := m.Fingerprint() // forged below for the other contents
+	neg := m.Clone()
+	neg.Set(3, 3, math.Copysign(0, -1))
+	small := testMatrix(rand.New(rand.NewSource(8)), 8)
+	c := NewCache(4)
+	if _, err := c.Rounded(fp, 3, cacheTestProblem(t, m).Prep()); err != nil {
+		t.Fatal(err)
+	}
+	a := c.Track(0, nil, fp, m)
+	b := c.Track(0, nil, fp, neg)
+	s := c.Track(0, nil, fp, small)
+	if a != m || b != neg || s != small {
+		t.Fatal("an equal fingerprint over different bits shared a snapshot")
+	}
+	if b2 := c.Track(0, nil, fp, neg.Clone()); b2 != neg {
+		t.Fatal("identical -0 content did not share the -0 snapshot")
+	}
+	st := c.Stats()
+	if st.Snapshots != 3 || st.SnapshotHolders != 4 || st.SnapshotBytes != 8*(81+81+64) {
+		t.Fatalf("stats %+v: want 3 snapshots of %d bytes held 4 times", st, 8*(81+81+64))
+	}
+	c.Track(fp, a, 0, nil)
+	if st := c.Stats(); st.Snapshots != 2 || st.Superseded != 0 || st.Matrices != 1 {
+		t.Fatalf("after the +0 content's last holder left: %+v; want 2 snapshots and the set kept", st)
+	}
+	c.Track(fp, neg, 0, nil)
+	c.Track(fp, neg, 0, nil)
+	c.Track(fp, small, 0, nil)
+	if st := c.Stats(); st.Snapshots != 0 || st.SnapshotHolders != 0 || st.Superseded != 1 || st.Matrices != 0 || len(c.held) != 0 {
+		t.Fatalf("after every holder left: %+v, %d fingerprints held", st, len(c.held))
 	}
 }
 
@@ -203,8 +248,8 @@ func TestCacheConcurrentLookupsRacingInvalidation(t *testing.T) {
 			default:
 			}
 			ct := contents[i%matrices]
-			c.Track(0, ct.fp)
-			c.Track(ct.fp, ct.fp+1)
+			snap := c.Track(0, nil, ct.fp, ct.m)
+			c.Track(ct.fp, snap, 0, nil)
 			i++
 		}
 	}()
@@ -259,8 +304,8 @@ func TestCacheStatsBytes(t *testing.T) {
 	if st.Matrices != 1 || st.Bytes < 4_900_000 || st.Bytes > 5_100_000 {
 		t.Fatalf("one n=1000 k=20 set: %d matrices, %d bytes; want 1 and 4.9–5.1 MB", st.Matrices, st.Bytes)
 	}
-	c.Track(0, fp)
-	c.Track(fp, 0) // its last holder moves on: the set is retired
+	snap := c.Track(0, nil, fp, m)
+	c.Track(fp, snap, 0, nil) // its last holder moves on: the set is retired
 	if st := c.Stats(); st.Matrices != 0 || st.Bytes != 0 {
 		t.Fatalf("after retiring: %d matrices, %d bytes", st.Matrices, st.Bytes)
 	}

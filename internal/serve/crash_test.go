@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cloudia/internal/advisor"
@@ -240,4 +241,111 @@ func childCrashRun(dir, point string) {
 	// The armed crashpoint should have killed us several epochs ago.
 	fmt.Fprintf(os.Stderr, "crashpoint %q never fired\n", point)
 	os.Exit(1)
+}
+
+// TestDaemonGroupCrashSharesSnapshot kills the daemon at every WAL
+// crashpoint of a group's second tenant's append: two tenants post one
+// equal epoch, and the second dies mid-append. After the restart, and the
+// lost epoch re-posted if it was lost, the acks, fingerprints and advice of
+// both tenants are bit-equal to a daemon that never died, and the two share
+// one snapshot of each matrix after replay.
+func TestDaemonGroupCrashSharesSnapshot(t *testing.T) {
+	tenants := []string{"group-a", "group-b"}
+	m := crashBase()
+	type ack struct {
+		epoch int
+		fp    core.Fingerprint
+	}
+	post := func(d *Daemon, tenant string) ack {
+		t.Helper()
+		epoch, fp, err := d.AppendEpoch(tenant, crashN, crashRows(m, 1), &TailUpdate{Pct: 99, Rows: tailRowsOf(m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack{epoch, fp}
+	}
+
+	ref := openDaemon(t, crashConfig(t.TempDir()))
+	wantAck := post(ref, tenants[0])
+	if got := post(ref, tenants[1]); got != wantAck {
+		t.Fatalf("group acks differ: %+v != %+v", got, wantAck)
+	}
+	want := groupAdvise(t, ref, tenants[0])
+	sameAdvice(t, "reference group", groupAdvise(t, ref, tenants[1]), want)
+	ref.Close()
+
+	// The crashpoints the second tenant's append passes, in order.
+	var points []string
+	dry := openDaemon(t, crashConfig(t.TempDir()))
+	post(dry, tenants[0])
+	wal.SetCrashpointHook(func(name string) {
+		if !slices.Contains(points, name) {
+			points = append(points, name)
+		}
+	})
+	post(dry, tenants[1])
+	wal.SetCrashpointHook(nil)
+	dry.Close()
+	for _, p := range []string{"append.start", "append.framed", "append.synced"} {
+		if !slices.Contains(points, p) {
+			t.Fatalf("the second append passed crashpoints %v, missing %q", points, p)
+		}
+	}
+
+	for _, point := range points {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			d := openDaemon(t, crashConfig(dir))
+			if got := post(d, tenants[0]); got != wantAck {
+				t.Fatalf("first tenant ack %+v, want %+v", got, wantAck)
+			}
+			fired := false
+			wal.SetCrashpointHook(func(name string) {
+				if name == point && !fired {
+					fired = true
+					panic(crashSentinel{point})
+				}
+			})
+			defer wal.SetCrashpointHook(nil)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if s, ok := r.(crashSentinel); !ok || s.point != point {
+							panic(r)
+						}
+					}
+				}()
+				// Deliberately never Closed: the crash killed it.
+				post(d, tenants[1])
+			}()
+			if !fired {
+				t.Fatalf("crashpoint %q never fired", point)
+			}
+			wal.SetCrashpointHook(nil)
+
+			re := openDaemon(t, crashConfig(dir))
+			defer re.Close()
+			st := re.Stats()
+			recovered := map[string]ack{}
+			for _, tn := range st.Tenants {
+				recovered[tn.Tenant] = ack{tn.Epoch, tn.Fingerprint}
+			}
+			if recovered[tenants[0]] != wantAck {
+				t.Fatalf("first tenant recovered %+v, want %+v", recovered[tenants[0]], wantAck)
+			}
+			switch got := recovered[tenants[1]]; got {
+			case wantAck:
+			case ack{}:
+				if got := post(re, tenants[1]); got != wantAck {
+					t.Fatalf("re-posted ack %+v, want %+v", got, wantAck)
+				}
+			default:
+				t.Fatalf("second tenant recovered %+v, not a prefix of %+v", got, wantAck)
+			}
+			sharesSnapshots(t, re, tenants[0], tenants[1])
+			for _, tenant := range tenants {
+				sameAdvice(t, tenant+" after the crash", groupAdvise(t, re, tenant), want)
+			}
+		})
+	}
 }

@@ -26,9 +26,14 @@ import (
 // against the logged one, and re-seeds the content-addressed artifact cache
 // from the recovered matrices before any traffic is admitted — so a killed
 // and restarted daemon serves advice bit-equal to one that never died.
-// Snapshots are copy-on-write (core.MutableCostMatrix), so between epochs a
-// tenant holds one copy of each matrix: the committed snapshot and the
-// mutable matrix share it until the next epoch changes a value.
+// Snapshots are copy-on-write (core.MutableCostMatrix), and each distinct
+// matrix content is held once: a committed snapshot is the cache's
+// canonical one for its content (Cache.Track), shared by every tenant whose
+// matrix holds those exact bits, and each tenant's mutable matrix shares
+// its snapshot's storage until the next epoch changes a value. Between
+// epochs, a measurement group whose tenants post identical epochs holds one
+// copy of each of its matrices, not one per tenant. A closed daemon drops
+// its sessions and empties its cache, so it pins no matrix.
 
 // ErrUnknownTenant rejects an advise call for a tenant with no epochs.
 var ErrUnknownTenant = fmt.Errorf("serve: unknown tenant")
@@ -68,11 +73,12 @@ type tenantSession struct {
 
 // tenantMatrix is one of a tenant's matrices, a cache key with its own
 // fingerprint chain: the mutable matrix epochs fold into (nil until rows
-// are posted), the committed snapshot advises solve over, and, from publish
-// to commit or revert, the pending snapshot a WAL append decides on. The
-// snapshots share storage with the mutable matrix until a fold changes a
-// value, which moves the mutable matrix to its own copy; revert moves it
-// back onto the committed snapshot's storage.
+// are posted), the committed snapshot advises solve over — the cache's
+// canonical snapshot for its content, which other tenants may share — and,
+// from publish to commit or revert, the pending snapshot a WAL append
+// decides on. The snapshots share storage with the mutable matrix until a
+// fold changes a value, which moves the mutable matrix to its own copy;
+// commit and revert move it onto the committed snapshot's storage.
 type tenantMatrix struct {
 	pct     float64 // the percentile a tail estimates; 0 for the mean
 	mm      *core.MutableCostMatrix
@@ -118,14 +124,24 @@ func (m *tenantMatrix) publish() (core.Fingerprint, []wal.RowDelta) {
 	return m.mm.Fingerprint(), rows
 }
 
-// commit makes the pending snapshot, if any, the committed one and moves
-// the tenant's cache hold to its fingerprint (Cache.Track).
+// commit moves the tenant's cache hold to the pending snapshot, if any
+// (Cache.Track), and commits the canonical snapshot for its content. When
+// another tenant matrix already holds that content, the pending snapshot is
+// dropped and the mutable matrix moves onto the canonical storage, so the
+// content is held once.
 func (m *tenantMatrix) commit(cache *Cache) {
-	if m.next != nil {
-		fp := m.mm.Fingerprint() // the pending snapshot's: mm is unchanged since publish
-		cache.Track(m.fp, fp)
-		m.snap, m.fp, m.next, m.changed = m.next, fp, nil, nil
+	if m.next == nil {
+		return
 	}
+	fp := m.mm.Fingerprint() // the pending snapshot's: mm is unchanged since publish
+	snap := cache.Track(m.fp, m.snap, fp, m.next)
+	if snap != m.next {
+		if err := m.mm.Adopt(snap); err != nil {
+			// Track returns an identical snapshot or next itself.
+			panic(fmt.Sprintf("serve: canonical snapshot for %016x: %v", uint64(fp), err))
+		}
+	}
+	m.snap, m.fp, m.next, m.changed = snap, fp, nil, nil
 }
 
 // revert rolls the matrix back over a pending snapshot, if any, to the
@@ -669,7 +685,9 @@ func (d *Daemon) Stats() DaemonStats {
 // Close refuses new Advise and AppendEpoch calls with ErrClosed, waits for
 // those in flight — their solves finish and their advice is logged — then
 // flushes and closes every tenant's WAL. This is the SIGTERM path: drain
-// first, sync last, so nothing acknowledged is lost.
+// first, sync last, so nothing acknowledged is lost. Then it drops every
+// session and empties the cache, so a closed Daemon that is still
+// referenced pins no matrix; Stats still works and reports no tenants.
 // Safe to call once.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
@@ -684,5 +702,9 @@ func (d *Daemon) Close() error {
 		}
 		s.mu.Unlock()
 	}
+	d.mu.Lock()
+	d.tenants = nil
+	d.mu.Unlock()
+	d.cache.clear()
 	return firstErr
 }

@@ -326,7 +326,9 @@ func TestHTTPBodyLimits(t *testing.T) {
 }
 
 // TestHTTPStatsReportsCache checks that /v1/stats carries the shared
-// cache's counters, resident bytes included, next to the advise counters.
+// cache's counters, resident bytes included, next to the advise counters,
+// and the tenant-matrix snapshots it holds: each distinct content once,
+// with the number of tenant matrices sharing it.
 func TestHTTPStatsReportsCache(t *testing.T) {
 	d := openDaemon(t, DaemonConfig{Dir: t.TempDir(), Workers: 1})
 	defer d.Close()
@@ -366,6 +368,8 @@ func TestHTTPStatsReportsCache(t *testing.T) {
 	for name, v := range map[string]int64{
 		"hits": want.Hits, "misses": want.Misses, "evictions": want.Evictions,
 		"superseded": want.Superseded, "matrices": int64(want.Matrices), "bytes": want.Bytes,
+		"snapshots": int64(want.Snapshots), "snapshot_bytes": want.SnapshotBytes,
+		"snapshot_holders": int64(want.SnapshotHolders),
 	} {
 		got, ok := cache[name]
 		if !ok || got != v {
@@ -381,9 +385,13 @@ func TestHTTPStatsReportsCache(t *testing.T) {
 			t.Errorf("/v1/stats tenant %s wal.appends = %d (present %v), want %d > 0", tn.Tenant, got, ok, v)
 		}
 	}
-	// Both tenants posted the same matrix: one set, built once, read twice.
+	// Both tenants posted the same matrix: one set, built once, read twice,
+	// and one snapshot of the 8 × 8 matrix that both tenants hold.
 	if want.Matrices != 1 || want.Hits < 1 || want.Bytes <= 0 {
 		t.Fatalf("cache stats %+v: want one shared set with a hit and its bytes", want)
+	}
+	if want.Snapshots != 1 || want.SnapshotHolders != 2 || want.SnapshotBytes != 8*8*8 {
+		t.Fatalf("cache stats %+v: want one snapshot of 512 bytes held by both tenants", want)
 	}
 }
 

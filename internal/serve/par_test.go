@@ -103,8 +103,8 @@ func TestShareRaceHammer(t *testing.T) {
 					m2.Set(row, j, 0.2+rng.Float64())
 				}
 			}
-			cache.Track(0, m.Fingerprint())
-			cache.Track(m.Fingerprint(), m2.Fingerprint())
+			snap := cache.Track(0, nil, m.Fingerprint(), m)
+			cache.Track(m.Fingerprint(), snap, m2.Fingerprint(), m2)
 			if _, err := solve(m2, true); err != nil {
 				errs <- fmt.Errorf("worker %d %s after Track: %w", w, cfg.name, err)
 				return
