@@ -10,14 +10,14 @@ import (
 )
 
 // Rounded is a cost matrix rounded to the centers of a k-clustering of its
-// off-diagonal values (Sect. 6.3.1), held compactly and grouped for the CP
-// descent. Clustered (k > 0), each cell holds a one-byte class id, an index
-// into the fit's centers, and the off-diagonal cells are listed as uint32
-// indices i*n+j grouped by ascending class: about 5 bytes per pair. The
-// rounded float64 matrix and the cost-sorted CostPair list exist only as
-// views built on demand (Matrix, CostPairs). Unclustered (k <= 0), the
-// search matrix is the original one, shared without a copy, and the cells
-// are sorted by (cost, index).
+// off-diagonal values (Sect. 6.3.1), held compactly. Clustered (k > 0),
+// each cell holds a one-byte class id, an index into the fit's centers, and
+// nothing else per pair: about 1 byte per pair. The rounded float64
+// matrix, the cost-sorted CostPair list and the cells grouped by level
+// exist only as views built on demand (Matrix, CostPairs, LevelCells).
+// Unclustered (k <= 0), the search matrix is the original one, shared
+// without a copy, and the set keeps its cells sorted by (cost, index),
+// since that sort is the costly part of building it.
 //
 // Either way the cells form levels: runs of equal rounded cost, ascending.
 // CP's descent clears whole levels as its threshold drops, and the level
@@ -34,9 +34,9 @@ type Rounded struct {
 	ids  []uint8
 	wide []uint16
 
-	pairs  []uint32  // off-diagonal cells i*n+j, ascending by level
+	pairs  []uint32  // unclustered: off-diagonal cells i*n+j, ascending by (cost, index)
 	levels []float64 // ascending distinct rounded costs of the non-empty levels
-	starts []uint32  // level l's cells are pairs[starts[l]:starts[l+1]]
+	starts []uint32  // level l's cells are LevelCells' cells[starts[l]:starts[l+1]]
 }
 
 // Round rounds m's off-diagonal costs to the centers of a KMeans1D
@@ -48,7 +48,7 @@ type Rounded struct {
 // within each bucket, which yields exactly the ascending sequence a global
 // sort would, so the fit is the one KMeans1D gives on sorted input. Each
 // cell then takes its class id from Result.Assign's center choice, and the
-// cells are counting-sorted by class.
+// classes are counted into levels.
 func Round(m *core.CostMatrix, k int) (*Rounded, error) {
 	n := m.Size()
 	if n > 1<<16 {
@@ -59,13 +59,13 @@ func Round(m *core.CostMatrix, k int) (*Rounded, error) {
 		r.sortCells(m)
 		return r, nil
 	}
-	r := &Rounded{n: n, pairs: make([]uint32, n*(n-1))}
-	// The pair list doubles as the bucket build's per-value slot scratch.
-	bounds, err := bucketSlots(m, r.pairs)
+	r := &Rounded{n: n}
+	slot := make([]uint32, n*(n-1))
+	bounds, err := bucketSlots(m, slot)
 	if err != nil {
 		return nil, err
 	}
-	vals, bucketed := sortedValues(m, r.pairs, bounds)
+	vals, bucketed := sortedValues(m, slot, bounds)
 	if r.fit, err = KMeans1D(vals, k); err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func Round(m *core.CostMatrix, k int) (*Rounded, error) {
 			}
 		}
 	}
-	r.groupByClass(m, slotClass)
+	r.classify(m, slot, slotClass)
 	return r, nil
 }
 
@@ -137,20 +137,6 @@ func bucketSlots(m *core.CostMatrix, slot []uint32) ([]int, error) {
 	return bounds, nil
 }
 
-// scatter calls place(p, i, j) for every off-diagonal cell, p its
-// row-major position among them.
-func scatter(n int, place func(p, i, j int)) {
-	p := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if j != i {
-				place(p, i, j)
-				p++
-			}
-		}
-	}
-}
-
 // sortedValues returns m's off-diagonal values in ascending order, given
 // their bucket slots and the buckets' start offsets: a counting sort into
 // the buckets, then a sort within each. Buckets are ordered value ranges,
@@ -162,11 +148,16 @@ func sortedValues(m *core.CostMatrix, slot []uint32, bounds []int) (vals []float
 	n := m.Size()
 	vals = make([]float64, len(slot))
 	next := slices.Clone(bounds[:len(bounds)-1])
-	scatter(n, func(p, i, j int) {
-		s := slot[p]
-		vals[next[s]] = m.At(i, j)
-		next[s]++
-	})
+	p := 0
+	for i := 0; i < n; i++ {
+		for j, v := range m.Row(i) {
+			if j != i {
+				vals[next[slot[p]]] = v
+				next[slot[p]]++
+				p++
+			}
+		}
+	}
 	for s := 0; s+1 < len(bounds); s++ {
 		slices.Sort(vals[bounds[s]:bounds[s+1]])
 	}
@@ -200,30 +191,31 @@ func (r *Rounded) sortCells(m *core.CostMatrix) {
 	r.starts = append(r.starts, uint32(len(sorted)))
 }
 
-// groupByClass gives every cell its class id and counting-sorts the
-// off-diagonal cells by class into the pair list, ascending index within a
-// class. The pair list holds the cells' bucket slots on entry; slotClass
-// is the class of every value in a bucket, or -1 where Assign decides.
-// Empty classes make no level; adjacent classes with equal centers share
-// one.
-func (r *Rounded) groupByClass(m *core.CostMatrix, slotClass []int32) {
+// classify gives every cell its class id and counts the classes into
+// levels. slot holds the off-diagonal cells' bucket slots in row-major
+// order; slotClass is the class of every value in a bucket, or -1 where
+// Assign decides. Empty classes make no level; adjacent classes with equal
+// centers share one.
+func (r *Rounded) classify(m *core.CostMatrix, slot []uint32, slotClass []int32) {
 	n, centers := r.n, r.fit.Centers
 	if len(centers) <= 1<<8 {
 		r.ids = make([]uint8, n*n)
 	} else {
 		r.wide = make([]uint16, n*n)
 	}
+	count := make([]uint32, len(centers))
 	w := 0
 	for i := 0; i < n; i++ {
 		for j, v := range m.Row(i) {
 			if j == i {
 				continue
 			}
-			c := int(slotClass[r.pairs[w]])
+			c := int(slotClass[slot[w]])
 			w++
 			if c < 0 {
 				c = r.fit.assignIndex(v)
 			}
+			count[c]++
 			if r.ids != nil {
 				r.ids[i*n+j] = uint8(c)
 			} else {
@@ -231,28 +223,46 @@ func (r *Rounded) groupByClass(m *core.CostMatrix, slotClass []int32) {
 			}
 		}
 	}
-	next := make([]int, len(centers)+1)
-	scatter(n, func(_, i, j int) { next[r.class(i*n+j)+1]++ })
-	for c := 1; c <= len(centers); c++ {
-		next[c] += next[c-1]
-	}
-	for c, at := range next[:len(centers)] {
-		if at == next[c+1] {
+	at := uint32(0)
+	for c, cnt := range count {
+		if cnt == 0 {
 			continue // empty class
 		}
-		if l := len(r.levels); l > 0 && r.levels[l-1] == centers[c] {
-			continue // same value as the previous class: one level
-		}
-		r.levels = append(r.levels, centers[c])
-		r.starts = append(r.starts, uint32(at))
+		if l := len(r.levels); l == 0 || r.levels[l-1] != centers[c] {
+			r.levels = append(r.levels, centers[c])
+			r.starts = append(r.starts, at)
+		} // else the same value as the previous class: one level
+		at += cnt
 	}
-	r.starts = append(r.starts, uint32(len(r.pairs)))
-	scatter(n, func(_, i, j int) {
-		cell := i*n + j
-		c := r.class(cell)
-		r.pairs[next[c]] = uint32(cell)
-		next[c]++
-	})
+	r.starts = append(r.starts, at)
+}
+
+// classCells counting-sorts the off-diagonal cells of an n x n id matrix by
+// class into a fresh list, ascending by (class, index).
+func classCells[T uint8 | uint16](ids []T, n, classes int) []uint32 {
+	next := make([]uint32, classes)
+	for i := 0; i < n; i++ {
+		for j, c := range ids[i*n : (i+1)*n] {
+			if j != i {
+				next[c]++
+			}
+		}
+	}
+	at := uint32(0)
+	for c, cnt := range next {
+		next[c] = at
+		at += cnt
+	}
+	cells := make([]uint32, at)
+	for i := 0; i < n; i++ {
+		for j, c := range ids[i*n : (i+1)*n] {
+			if j != i {
+				cells[next[c]] = uint32(i*n + j)
+				next[c]++
+			}
+		}
+	}
+	return cells
 }
 
 // class returns a clustered cell's class id.
@@ -282,9 +292,22 @@ func (r *Rounded) At(i, j int) float64 {
 // CP threshold ladder. Shared; callers must not modify it.
 func (r *Rounded) Levels() []float64 { return r.levels }
 
-// LevelPairs returns level l's off-diagonal cells as indices i*n+j, in no
-// promised order. Shared; callers must not modify it.
-func (r *Rounded) LevelPairs(l int) []uint32 { return r.pairs[r.starts[l]:r.starts[l+1]] }
+// LevelCells returns every off-diagonal cell as an index i*n+j, grouped by
+// level: level l's cells are cells[starts[l]:starts[l+1]]. Clustered, the
+// list is counting-sorted from the class ids on every call, ascending by
+// (class, index), O(n^2), and belongs to the caller: 4 bytes per pair that
+// the set itself does not hold. Unclustered, it is the set's own list in
+// (cost, index) order. starts, and the unclustered list, are shared;
+// callers must not modify them.
+func (r *Rounded) LevelCells() (cells, starts []uint32) {
+	switch {
+	case r.raw != nil:
+		return r.pairs, r.starts
+	case r.ids != nil:
+		return classCells(r.ids, r.n, len(r.fit.Centers)), r.starts
+	}
+	return classCells(r.wide, r.n, len(r.fit.Centers)), r.starts
+}
 
 // LongestLink is core.LongestLink of d under the rounded matrix, computed
 // without building it.
@@ -314,27 +337,33 @@ func (r *Rounded) Matrix() *core.CostMatrix {
 		return r.raw
 	}
 	out := core.NewCostMatrix(r.n)
-	for _, cell := range r.pairs {
-		i, j := int(cell)/r.n, int(cell)%r.n
-		out.Set(i, j, r.At(i, j))
+	for i := 0; i < r.n; i++ {
+		for j := 0; j < r.n; j++ {
+			if j != i {
+				out.Set(i, j, r.At(i, j))
+			}
+		}
 	}
 	return out
 }
 
 // CostPairs returns a fresh list of every off-diagonal pair with its rounded
-// cost, ascending by cost: in level order, so unclustered it is
+// cost, ascending by cost: in LevelCells order, so unclustered it is
 // core.CostMatrix.SortedPairs's (cost, row, column) order, and clustered
 // ascending by (class, row, column).
 func (r *Rounded) CostPairs() []core.CostPair {
-	out := make([]core.CostPair, len(r.pairs))
-	for p, cell := range r.pairs {
+	cells, _ := r.LevelCells()
+	out := make([]core.CostPair, len(cells))
+	for p, cell := range cells {
 		i, j := int(cell)/r.n, int(cell)%r.n
 		out[p] = core.CostPair{From: int32(i), To: int32(j), Cost: r.At(i, j)}
 	}
 	return out
 }
 
-// Bytes reports the memory the set holds beyond a shared original matrix.
+// Bytes reports the memory the set holds beyond a shared original matrix:
+// clustered, a class id per cell (about 1 MB at n = 1000) plus the levels
+// and centers; unclustered, a uint32 per off-diagonal cell.
 func (r *Rounded) Bytes() int64 {
 	b := int64(len(r.ids)) + 2*int64(len(r.wide)) + 4*int64(len(r.pairs)) +
 		8*int64(len(r.levels)) + 4*int64(len(r.starts))

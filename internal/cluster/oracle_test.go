@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -83,10 +84,28 @@ func checkAgainstOracle(t *testing.T, name string, m *core.CostMatrix, k int) {
 		if !slices.Equal(set.CostPairs(), wantPairs) {
 			t.Fatalf("%s k=%d: unclustered pair order differs from the oracle's", name, k)
 		}
+	} else if slices.IsSorted(wantFit.Centers) && len(slices.Compact(slices.Clone(wantFit.Centers))) == len(wantFit.Centers) {
+		// Distinct centers: (class, row, column) order is (cost, row,
+		// column), a stable cost sort of the oracle's row-major pairs.
+		want := slices.Clone(wantPairs)
+		slices.SortStableFunc(want, func(a, b core.CostPair) int {
+			if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+				return c
+			}
+			return cmp.Compare(int(a.From)*n+int(a.To), int(b.From)*n+int(b.To))
+		})
+		if !slices.Equal(set.CostPairs(), want) {
+			t.Fatalf("%s k=%d: clustered pair order is not (class, row, column)", name, k)
+		}
 	}
 	// Class membership: the oracle's pairs of each rounded value, as a
-	// sorted cell list, against the set's level of that value.
+	// sorted cell list, against the set's level of that value in the
+	// level lists CP's descent reads.
 	levels := set.Levels()
+	cells, starts := set.LevelCells()
+	if len(starts) != len(levels)+1 || int(starts[len(levels)]) != len(cells) {
+		t.Fatalf("%s k=%d: %d level starts for %d levels and %d cells", name, k, len(starts), len(levels), len(cells))
+	}
 	var want []uint32
 	l := 0
 	for i, pr := range wantPairs {
@@ -97,7 +116,7 @@ func checkAgainstOracle(t *testing.T, name string, m *core.CostMatrix, k int) {
 		if l >= len(levels) || levels[l] != pr.Cost {
 			t.Fatalf("%s k=%d: level %d is missing or not %v", name, k, l, pr.Cost)
 		}
-		gotCells := slices.Clone(set.LevelPairs(l))
+		gotCells := slices.Clone(cells[starts[l]:starts[l+1]])
 		slices.Sort(gotCells)
 		slices.Sort(want)
 		if !slices.Equal(gotCells, want) {

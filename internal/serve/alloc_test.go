@@ -12,15 +12,16 @@ import (
 // adviseAllocBound caps what one portfolio advise on a fresh fingerprint
 // (allocGuardInstances instances, a 4x4 mesh, k = 20, allocGuardNodes
 // search nodes) may allocate. Measured on a 2-core x86-64 box, with and
-// without -race: 3.85 MB, of which the rounded set holds about 0.45 MB
-// (5 bytes per instance pair). The bound adds a 1 MB margin. Building the
-// set's float64 views on the served path (a rounded matrix and a CostPair
-// per pair, 2.15 MB at this size) would break it, as the old 24-byte build
-// did: 7.71 MB.
+// without -race: 1.95 MB, of which the rounded set holds about 0.09 MB
+// (1 byte per instance pair) and CP's per-solve level list 0.36 MB. The
+// bound adds a 1 MB margin. Building the set's float64 views on the
+// served path (a rounded matrix and a CostPair per pair, 2.15 MB at this
+// size) would break it, as would the old CP root filter's per-call
+// profile rows (3.85 MB in all) or the old 24-byte build (7.71 MB).
 const (
 	allocGuardInstances = 300
 	allocGuardNodes     = 20_000
-	adviseAllocBound    = 4_850_000
+	adviseAllocBound    = 2_950_000
 )
 
 // TestAdviseAllocationBound keeps the served path on the compact rounded

@@ -75,9 +75,9 @@ type heldSnap struct {
 
 // DefaultMaxMatrices bounds a serving cache that was not given an explicit
 // capacity. An entry holds nothing but rounded sets, one per cluster count
-// its advises round at, and a served advise rounds at one: about 5 bytes
-// per instance pair (5 MB at 1000 instances, 84 MB at the daemon's 4096
-// cap), so the default holds about 80 MB at 1000 instances; CacheStats.Bytes
+// its advises round at, and a served advise rounds at one: about 1 byte
+// per instance pair (1 MB at 1000 instances, 17 MB at the daemon's 4096
+// cap), so the default holds about 16 MB at 1000 instances; CacheStats.Bytes
 // reports the actual figure.
 const DefaultMaxMatrices = 16
 

@@ -11,11 +11,11 @@ import (
 	"cloudia/internal/solver"
 )
 
-// TestWorkerPanicIsolation: an advise whose solve panics fails with
+// TestSolvePanicIsolation: an advise whose solve panics fails with
 // ErrJobPanicked (stack attached) while the daemon survives, the tenant's
 // in-flight slot and the daemon's one solve slot are released, and the
 // daemon serves the next advise of the same tenant normally.
-func TestWorkerPanicIsolation(t *testing.T) {
+func TestSolvePanicIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := testGraph(t, 2, 3)
 	m := testMatrix(rng, 8)

@@ -484,7 +484,7 @@ func TestServeWorkersBoundConcurrentSolves(t *testing.T) {
 // interleaved backlogs must not change a single output bit: whichever order
 // the advises are granted in, each one's deployment and cost equal the
 // streaming path run directly.
-func TestServeWorkStealingBitEqual(t *testing.T) {
+func TestServeSolveSlotsBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := testGraph(t, 3, 4)
 	shared := testMatrix(rng, 16)

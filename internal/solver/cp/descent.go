@@ -1,6 +1,8 @@
 package cp
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"cloudia/internal/cluster"
@@ -13,7 +15,7 @@ import (
 // monotonicity of the descent: thresholds only decrease, so the threshold
 // graph G_c' is a subgraph of G_c and the root domains only shrink. Instead
 // of rebuilding m^2 adjacency bits per weight class at every iteration, the
-// rounded set groups the instance pairs into levels of equal cost, and a
+// descent lists the instance pairs grouped into levels of equal cost, and a
 // per-class cursor walks the levels down on each tightening, clearing
 // exactly the bits for pairs whose cost falls in (c', c]. Clearing a bit
 // commutes, so the order of pairs within a level is immaterial. Instance
@@ -36,8 +38,14 @@ type descent struct {
 	// the old full scan selected.
 	pickOrder []int32
 
-	set    *cluster.Rounded // the instance pairs, grouped into ascending cost levels
-	cursor []int            // per class: levels [0, cursor[ci]) are present in adj
+	// The instance pairs as cells i*m+j grouped into ascending cost levels
+	// (cluster.Rounded.LevelCells): level l is cells[starts[l]:starts[l+1]].
+	// A clustered set holds only class ids, so the descent counting-sorts
+	// its own list once, O(m^2), and frees it with itself.
+	levels []float64
+	cells  []uint32
+	starts []uint32
+	cursor []int // per class: levels [0, cursor[ci]) are present in adj
 
 	adjOut []bitsetRow // [class]: adjacency rows, adjOut[ci].row(j) = out-neighbours of j
 	adjIn  []bitsetRow
@@ -58,14 +66,24 @@ type descent struct {
 	valOrder []int32
 	rootVals []int32 // scratch: current root variable's candidates, in order
 
-	// Degree-filter profiles. Node profiles depend only on the communication
-	// graph and are computed once; instance profiles are rebuilt per
-	// tightening into reused rows, sorted by a shared counting buffer —
-	// profile entries are threshold-graph degrees in [0, 2m), and the
-	// comparison sorts here used to eat ~20% of a whole threshold descent.
-	nodeProfile [][]int32
-	instProfile [][]int32
-	countBuf    []int32
+	// Degree-filter state. Nodes with equal requirements (out-degree,
+	// in-degree, neighbour-degree profile sorted descending) form one
+	// group, tested once per instance. An instance's profile is the
+	// threshold-graph degrees of its out- and in-neighbours in class 0, and
+	// its length is instOut+instIn; the filter compares at most profLen
+	// entries of it, profLen the longest node profile, so each refilter
+	// keeps only each instance's top profLen entries, in one m x profLen
+	// slab. No node profile entry exceeds profCap, so entries are kept
+	// capped at it, which decides no comparison differently and lets the
+	// collection stop once an instance holds profLen capped entries. All
+	// scratch is preallocated: refilter allocates nothing.
+	groups  []reqGroup
+	profLen int
+	profCap int32
+	instTop []int32 // [j*profLen, (j+1)*profLen): instance j's top profile entries, descending
+	nbrDeg  []int32 // scratch: instOut+instIn per instance in class 0
+	live    bitset  // scratch: instances in some root domain
+	fail    bitset  // scratch: instances the current group rejects
 
 	eng *engine
 }
@@ -90,9 +108,10 @@ func newDescent(p *solver.Problem, set *cluster.Rounded, degFilter bool) *descen
 	n, m := p.NumNodes(), p.NumInstances()
 	d := &descent{
 		g: g, n: n, m: m, wpd: wordsPerSet(m),
-		set:       set,
+		levels:    set.Levels(),
 		degFilter: degFilter,
 	}
+	d.cells, d.starts = set.LevelCells()
 
 	d.weights = []float64{1}
 	if g.Weighted() {
@@ -134,7 +153,7 @@ func newDescent(p *solver.Problem, set *cluster.Rounded, degFilter bool) *descen
 	d.outDeg = make([][]int32, nc)
 	d.inDeg = make([][]int32, nc)
 	for ci := 0; ci < nc; ci++ {
-		d.cursor[ci] = len(set.Levels())
+		d.cursor[ci] = len(d.levels)
 		d.adjOut[ci] = newBitsetRow(m, d.wpd)
 		d.adjIn[ci] = newBitsetRow(m, d.wpd)
 		d.outDeg[ci] = make([]int32, m)
@@ -163,20 +182,11 @@ func newDescent(p *solver.Problem, set *cluster.Rounded, degFilter bool) *descen
 	d.rootVals = make([]int32, 0, m)
 
 	if degFilter {
-		d.nodeProfile = make([][]int32, n)
-		for i := 0; i < n; i++ {
-			var prof []int32
-			for _, w := range g.Out(i) {
-				prof = append(prof, int32(g.Degree(w)))
-			}
-			for _, w := range g.In(i) {
-				prof = append(prof, int32(g.Degree(w)))
-			}
-			sortDesc(prof)
-			d.nodeProfile[i] = prof
-		}
-		d.instProfile = make([][]int32, m)
-		d.countBuf = make([]int32, 2*m)
+		d.groupNodes()
+		d.instTop = make([]int32, m*d.profLen)
+		d.nbrDeg = make([]int32, m)
+		d.live = newBitset(m)
+		d.fail = newBitset(m)
 	}
 
 	d.eng = newEngine(d)
@@ -192,7 +202,7 @@ func newDescent(p *solver.Problem, set *cluster.Rounded, degFilter bool) *descen
 // rebuilding the adjacency from scratch.
 func (d *descent) tighten(c float64) {
 	cleared := false
-	levels := d.set.Levels()
+	levels := d.levels
 	m := uint32(d.m)
 	for ci, w := range d.weights {
 		limit := c / w
@@ -202,7 +212,7 @@ func (d *descent) tighten(c float64) {
 		for cur > 0 && levels[cur-1] > limit {
 			cur--
 			cleared = true // levels are never empty
-			for _, cell := range d.set.LevelPairs(cur) {
+			for _, cell := range d.cells[d.starts[cur]:d.starts[cur+1]] {
 				from, to := cell/m, cell%m
 				adjOut.row(int(from)).clear(int(to))
 				adjIn.row(int(to)).clear(int(from))
@@ -233,36 +243,140 @@ func (d *descent) refreshValueOrder() {
 	})
 }
 
+// reqGroup is the nodes sharing one degree-filter requirement: an instance
+// can host them only with at least needOut out- and needIn in-neighbours
+// and a profile that dominates profile.
+type reqGroup struct {
+	needOut, needIn int32
+	profile         []int32 // neighbours' graph degrees, descending
+	nodes           []int32
+}
+
+// groupNodes builds the degree filter's requirement groups, in order of
+// requirement, profLen, the longest node profile, and profCap, its largest
+// entry.
+func (d *descent) groupNodes() {
+	g := d.g
+	reqs := make([]reqGroup, d.n)
+	for v := range reqs {
+		r := &reqs[v]
+		r.needOut, r.needIn = int32(g.OutDegree(v)), int32(g.InDegree(v))
+		r.profile = make([]int32, 0, g.Degree(v))
+		for _, w := range g.Out(v) {
+			r.profile = append(r.profile, int32(g.Degree(w)))
+		}
+		for _, w := range g.In(v) {
+			r.profile = append(r.profile, int32(g.Degree(w)))
+		}
+		slices.SortFunc(r.profile, func(a, b int32) int { return cmp.Compare(b, a) })
+		r.nodes = []int32{int32(v)}
+		d.profLen = max(d.profLen, len(r.profile))
+		if len(r.profile) > 0 {
+			d.profCap = max(d.profCap, r.profile[0])
+		}
+	}
+	byReq := func(a, b *reqGroup) int {
+		if c := cmp.Compare(a.needOut, b.needOut); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.needIn, b.needIn); c != 0 {
+			return c
+		}
+		return slices.Compare(a.profile, b.profile)
+	}
+	slices.SortStableFunc(reqs, func(a, b reqGroup) int { return byReq(&a, &b) })
+	for i := range reqs {
+		if k := len(d.groups) - 1; k >= 0 && byReq(&d.groups[k], &reqs[i]) == 0 {
+			d.groups[k].nodes = append(d.groups[k].nodes, reqs[i].nodes[0])
+			continue
+		}
+		d.groups = append(d.groups, reqs[i])
+	}
+}
+
 // refilter re-runs the root-level degree/neighbourhood compatibility filter
 // of Zampelli et al. [70] against the current threshold graph. The filter is
 // monotone in the threshold (degrees and profiles only shrink as c drops),
-// so it is sound to test only the instances still in each root domain.
+// so it is sound to test only the instances still in each root domain, and
+// only those instances' profiles are collected.
 func (d *descent) refilter() {
 	instOut, instIn := d.outDeg[0], d.inDeg[0]
-	for j := 0; j < d.m; j++ {
-		prof := d.instProfile[j][:0]
-		collect := func(k int) bool {
-			prof = append(prof, instOut[k]+instIn[k])
-			return true
+	for j := range d.nbrDeg {
+		d.nbrDeg[j] = instOut[j] + instIn[j]
+	}
+	live := d.live.words
+	clear(live)
+	for _, dom := range d.root {
+		for wi, w := range dom.words {
+			live[wi] |= w
 		}
-		d.adjOut[0].row(j).forEach(collect)
-		d.adjIn[0].row(j).forEach(collect)
-		d.sortProfileDesc(prof)
-		d.instProfile[j] = prof
 	}
-	for i := 0; i < d.n; i++ {
-		needOut := int32(d.g.OutDegree(i))
-		needIn := int32(d.g.InDegree(i))
-		dom := d.root[i]
-		dom.forEach(func(j int) bool {
-			if instOut[j] < needOut || instIn[j] < needIn ||
-				!dominates(d.instProfile[j], d.nodeProfile[i]) {
-				dom.clear(j)
-				d.rootSize[i]--
+	for wi, w := range live {
+		for ; w != 0; w &= w - 1 {
+			j := wi<<6 + bits.TrailingZeros64(w)
+			top := d.instTop[j*d.profLen : (j+1)*d.profLen]
+			kept := d.collectTop(top, d.adjOut[0].row(j), 0)
+			d.collectTop(top, d.adjIn[0].row(j), kept)
+		}
+	}
+	fail := d.fail.words
+	for gi := range d.groups {
+		gr := &d.groups[gi]
+		clear(fail)
+		for wi := range live {
+			w := uint64(0)
+			for _, v := range gr.nodes {
+				w |= d.root[v].words[wi]
 			}
-			return true
-		})
+			for ; w != 0; w &= w - 1 {
+				j := wi<<6 + bits.TrailingZeros64(w)
+				// A node's profile has needOut+needIn entries, so passing
+				// the degree tests means instance j's profile, of length
+				// instOut+instIn, is at least as long.
+				if instOut[j] < gr.needOut || instIn[j] < gr.needIn ||
+					!dominates(d.instTop[j*d.profLen:], gr.profile) {
+					fail[wi] |= 1 << (uint(j) & 63)
+				}
+			}
+		}
+		for _, v := range gr.nodes {
+			dom := d.root[v].words
+			for wi, f := range fail {
+				cut := dom[wi] & f
+				dom[wi] &^= cut
+				d.rootSize[v] -= int32(bits.OnesCount64(cut))
+			}
+		}
 	}
+}
+
+// collectTop merges the class-0 degrees of row's members, capped at
+// profCap, into top, which holds its first kept entries sorted descending,
+// keeping the len(top) largest; it returns how many entries top now holds.
+// It stops early once top is full of capped entries, which no later entry
+// can displace.
+func (d *descent) collectTop(top []int32, row bitset, kept int) int {
+	for wi, w := range row.words {
+		for ; w != 0; w &= w - 1 {
+			if kept == len(top) && (kept == 0 || top[kept-1] == d.profCap) {
+				return kept
+			}
+			v := min(d.nbrDeg[wi<<6+bits.TrailingZeros64(w)], d.profCap)
+			if kept == len(top) {
+				if v <= top[kept-1] {
+					continue
+				}
+				kept-- // v displaces the least entry
+			}
+			p := kept
+			for ; p > 0 && top[p-1] < v; p-- {
+				top[p] = top[p-1]
+			}
+			top[p] = v
+			kept++
+		}
+	}
+	return kept
 }
 
 func (d *descent) anyRootEmpty() bool {
@@ -326,35 +440,12 @@ func (d *descent) feasible(c float64, clock *solver.Clock) (ok bool, dep core.De
 	return false, nil, !d.eng.limitHit
 }
 
-// sortDesc sorts a profile descending in place.
-func sortDesc(p []int32) {
-	slices.SortFunc(p, func(a, b int32) int { return int(b - a) })
-}
-
-// sortProfileDesc counting-sorts a degree profile descending: entries are
-// threshold-graph degrees in [0, 2m), so bucketing beats a comparison sort
-// for the per-tightening instance-profile rebuilds. The shared buffer is
-// zeroed as it drains, keeping each call O(len(p) + len(countBuf)).
-func (d *descent) sortProfileDesc(p []int32) {
-	buf := d.countBuf
-	for _, v := range p {
-		buf[v]++
-	}
-	idx := 0
-	for v := len(buf) - 1; v >= 0; v-- {
-		for c := buf[v]; c > 0; c-- {
-			p[idx] = int32(v)
-			idx++
-		}
-		buf[v] = 0
-	}
-}
-
 // dominates reports whether the instance profile can host the node profile:
-// elementwise a[k] >= b[k] over b's length (both sorted descending).
+// elementwise a[k] >= b[k] over b's length (both sorted descending). The
+// caller has checked that a's full profile is at least as long as b's.
 func dominates(a, b []int32) bool {
-	if len(a) < len(b) {
-		return false
+	if len(b) == 0 || a[len(b)-1] >= b[0] {
+		return true // a's least compared entry covers b's largest
 	}
 	for k := range b {
 		if a[k] < b[k] {
