@@ -30,12 +30,7 @@ BENCH_ALLOWLIST ?= BENCH_ALLOWLIST
 COVER_OUT ?= coverprofile
 COVER_FLOORS ?= cloudia/internal/advisor=90 cloudia/internal/measure=90 cloudia/internal/solver=90 cloudia/internal/serve=90 cloudia/internal/wal=90 cloudia/internal/sketch=90 cloudia/internal/lint=90 cloudia/internal/cluster=90 cloudia/internal/netsim=90 cloudia/internal/solver/cp=90
 
-# The determinism vettool (see internal/lint and README "Determinism
-# lint"). Built locally so `go vet -vettool` gets an absolute path — the
-# go command re-execs the tool from package directories.
-VETTOOL ?= bin/cloudia-vet
-
-.PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test fuzz lint lint-fix perf-check
+.PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test fuzz lint perf-check
 
 build:
 	$(GO) build ./...
@@ -135,22 +130,14 @@ cover:
 	@cat /tmp/cloudia-cover.out
 	scripts/coverfloor.sh /tmp/cloudia-cover.out $(COVER_FLOORS)
 
-# lint builds the determinism vettool and runs the analyzer suite
-# (maprange, baregoroutine, wallclock, walrecord) over the whole repo via
-# the go command's vet-unit protocol. Gating in CI: any unsuppressed
-# finding in a deterministic package fails the build. The build is cheap —
-# the go build cache makes rebuilds near-instant.
+# lint runs the determinism analyzer suite (maprange, baregoroutine,
+# wallclock, walrecord; see internal/lint and README "Determinism lint")
+# over the whole repo. Gating in CI: any unsuppressed finding in a
+# deterministic package fails the build, and each finding is printed with
+# a ready-to-paste //cloudia:nondet-ok suppression template so the site can
+# be deliberately fixed or annotated.
 lint:
-	$(GO) build -o $(VETTOOL) ./cmd/cloudia-vet
-	$(GO) vet -vettool=$(abspath $(VETTOOL)) ./...
-
-# lint-fix is the triage convenience: standalone mode prints every finding
-# with its file:line plus a ready-to-paste //cloudia:nondet-ok suppression
-# template, so each site can be deliberately fixed or annotated. Never
-# gating (the leading dash): it is a report, not a check.
-lint-fix:
-	$(GO) build -o $(VETTOOL) ./cmd/cloudia-vet
-	-$(abspath $(VETTOOL)) -hints ./...
+	$(GO) run ./cmd/cloudia-vet ./...
 
 # fmt-check fails when any file needs gofmt, listing the offenders.
 fmt-check:

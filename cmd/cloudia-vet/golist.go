@@ -10,12 +10,12 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"strings"
 
 	"cloudia/internal/lint"
 )
 
-// listedPackage is the slice of `go list -json` output the standalone
-// driver needs.
+// listedPackage is the slice of `go list -json` output the driver needs.
 type listedPackage struct {
 	ImportPath string
 	Export     string
@@ -26,20 +26,17 @@ type listedPackage struct {
 	Module     *struct{ GoVersion string }
 }
 
-// standalone resolves the given package patterns with `go list -export`,
-// runs the suite over the in-scope matches, and prints findings to
-// stdout. With -hints each finding is followed by a ready-to-paste
-// suppression template — the `make lint-fix` flow for deciding whether a
-// site should be fixed or annotated.
-func standalone(args []string) int {
+// run resolves the given package patterns with `go list -export`, runs
+// the suite over the in-scope matches, and prints each finding to stdout
+// with a suppression template under it, so each site can be deliberately
+// fixed or annotated. It returns the process exit code.
+func run(args []string) int {
 	fs := flag.NewFlagSet("cloudia-vet", flag.ContinueOnError)
-	hints := fs.Bool("hints", false, "print a //cloudia:nondet-ok template under each finding")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: cloudia-vet [-hints] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: cloudia-vet [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
-		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -95,10 +92,8 @@ func standalone(args []string) int {
 		for _, d := range diags {
 			found++
 			fmt.Println(d)
-			if *hints {
-				fmt.Printf("\tto suppress, put this on the line above %s:%d:\n\t%s <why this cannot break bit-equality>\n",
-					d.Pos.Filename, d.Pos.Line, lint.SuppressionMarker)
-			}
+			fmt.Printf("\tto suppress, put this on the line above %s:%d:\n\t%s <why this cannot break bit-equality>\n",
+				d.Pos.Filename, d.Pos.Line, lint.SuppressionMarker)
 		}
 	}
 	if found > 0 {
@@ -106,6 +101,21 @@ func standalone(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// inScope reports whether any analyzer in the suite would run on the
+// package: everything else (out-of-scope packages, test variants like
+// "pkg [pkg.test]") is skipped.
+func inScope(importPath string) bool {
+	if strings.ContainsAny(importPath, " []") {
+		return false
+	}
+	for _, a := range analyzers {
+		if a.Scope == nil || a.Scope(importPath) {
+			return true
+		}
+	}
+	return false
 }
 
 // goList shells out to the go command for package resolution — the one

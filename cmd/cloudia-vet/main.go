@@ -1,68 +1,28 @@
-// Command cloudia-vet is the repo's determinism vettool: it runs the
+// Command cloudia-vet is the repo's determinism lint: it runs the
 // internal/lint analyzer suite (maprange, baregoroutine, wallclock,
 // walrecord) over the deterministic packages, enforcing the bit-equality
 // invariants the test suites pin — at build time, on every package.
 //
-// Two modes:
+//	go run ./cmd/cloudia-vet [packages]
 //
-//	go vet -vettool=$(pwd)/bin/cloudia-vet ./...
-//
-// speaks the go command's vet-unit protocol (the same JSON-config
-// handshake x/tools' unitchecker implements): the go command hands the
-// tool one config per package with file lists and export data, and the
-// tool writes diagnostics to stderr, exiting non-zero when any survive
-// suppression. This is what `make lint` and CI run.
-//
-//	bin/cloudia-vet [-hints] ./...
-//
-// is the standalone mode: it resolves packages itself via `go list
-// -export` and prints findings directly. With -hints each finding is
-// followed by a ready-to-paste //cloudia:nondet-ok suppression template
-// (`make lint-fix`).
+// resolves the package patterns (default ./...) with `go list -export`,
+// type-checks each in-scope package against its dependencies' export
+// data, and prints every finding with its file:line followed by a
+// ready-to-paste //cloudia:nondet-ok suppression template. It exits
+// non-zero when any finding survives suppression. This is what `make
+// lint` and CI run.
 package main
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cloudia/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) == 1 && args[0] == "-V=full":
-		printVersion()
-	case len(args) == 1 && args[0] == "-flags":
-		// The go command asks which analyzer flags the tool supports; the
-		// suite is not configurable, so: none.
-		fmt.Println("[]")
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(unitcheck(args[0]))
-	default:
-		os.Exit(standalone(args))
-	}
+	os.Exit(run(os.Args[1:]))
 }
 
-// printVersion answers the go command's -V=full tool-identity handshake.
-// The build ID must change whenever the binary does — the go command keys
-// its vet result cache on it — so it is a hash of the executable itself.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%x\n", name, h.Sum(nil)[:16])
-}
-
-// analyzers is the gating suite. Kept in one place so both modes and the
+// analyzers is the gating suite. Kept in one place so the run and the
 // -help output agree.
 var analyzers = lint.All()

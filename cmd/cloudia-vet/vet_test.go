@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,15 +9,32 @@ import (
 	"testing"
 )
 
-// buildVet compiles the vettool once per test binary into a temp dir.
-func buildVet(t *testing.T) string {
-	t.Helper()
-	tool := filepath.Join(t.TempDir(), "cloudia-vet")
-	cmd := exec.Command("go", "build", "-o", tool, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building cloudia-vet: %v\n%s", err, out)
+// tool is the cloudia-vet binary, built once for the whole test binary by
+// TestMain.
+var tool string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "cloudia-vet-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return tool
+	tool = filepath.Join(dir, "cloudia-vet")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building cloudia-vet: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// runVet runs the tool over every package of the module in dir.
+func runVet(dir string) ([]byte, error) {
+	cmd := exec.Command(tool, "./...")
+	cmd.Dir = dir
+	return cmd.CombinedOutput()
 }
 
 // seedModule writes a throwaway module named cloudia so package paths land
@@ -63,76 +81,31 @@ func Order(keys []string) int {
 `
 
 // TestGoVetFailsOnSeededMapRange is the acceptance demonstration: a map
-// range seeded into a deterministic package makes `go vet -vettool` fail
-// with a maprange diagnostic.
+// range seeded into a deterministic package makes cloudia-vet exit
+// non-zero with a maprange diagnostic and a suppression template under it.
 func TestGoVetFailsOnSeededMapRange(t *testing.T) {
-	tool := buildVet(t)
-	dir := seedModule(t, violatingSrc)
-
-	cmd := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
+	out, err := runVet(seedModule(t, violatingSrc))
 	if err == nil {
-		t.Fatalf("go vet passed on a seeded map-range violation:\n%s", out)
+		t.Fatalf("cloudia-vet passed on a seeded map-range violation:\n%s", out)
 	}
-	if !strings.Contains(string(out), "maprange") || !strings.Contains(string(out), "range over map m") {
-		t.Fatalf("expected a maprange diagnostic, got:\n%s", out)
-	}
-}
-
-func TestGoVetPassesOnCleanModule(t *testing.T) {
-	tool := buildVet(t)
-	dir := seedModule(t, cleanSrc)
-
-	cmd := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet failed on a clean module: %v\n%s", err, out)
-	}
-}
-
-func TestGoVetPassesWithReasonedSuppression(t *testing.T) {
-	tool := buildVet(t)
-	dir := seedModule(t, strings.Replace(violatingSrc,
-		"\tfor k := range m {",
-		"\t//cloudia:nondet-ok fixture: callers sort the returned keys\n\tfor k := range m {", 1))
-
-	cmd := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet failed despite a reasoned suppression: %v\n%s", err, out)
-	}
-}
-
-// TestStandaloneHints covers the `make lint-fix` flow: direct invocation
-// resolves packages itself and prints a suppression template per finding.
-func TestStandaloneHints(t *testing.T) {
-	tool := buildVet(t)
-	dir := seedModule(t, violatingSrc)
-
-	cmd := exec.Command(tool, "-hints", "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("standalone mode passed on a violation:\n%s", out)
-	}
-	for _, want := range []string{"maprange", "//cloudia:nondet-ok", "1 finding(s)"} {
+	for _, want := range []string{"maprange", "range over map m", "to suppress, put this on the line above", "//cloudia:nondet-ok <why", "1 finding(s)"} {
 		if !strings.Contains(string(out), want) {
-			t.Errorf("standalone -hints output missing %q:\n%s", want, out)
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestVersionHandshake(t *testing.T) {
-	tool := buildVet(t)
-	out, err := exec.Command(tool, "-V=full").CombinedOutput()
-	if err != nil {
-		t.Fatal(err)
+func TestGoVetPassesOnCleanModule(t *testing.T) {
+	if out, err := runVet(seedModule(t, cleanSrc)); err != nil {
+		t.Fatalf("cloudia-vet failed on a clean module: %v\n%s", err, out)
 	}
-	fields := strings.Fields(string(out))
-	// The go command requires "<name> version ..." with a trailing
-	// buildID= for devel tools (cmd/go/internal/work.Builder.toolID).
-	if len(fields) < 3 || fields[1] != "version" || !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Fatalf("-V=full output %q does not satisfy the go command's handshake", out)
+}
+
+func TestGoVetPassesWithReasonedSuppression(t *testing.T) {
+	out, err := runVet(seedModule(t, strings.Replace(violatingSrc,
+		"\tfor k := range m {",
+		"\t//cloudia:nondet-ok fixture: callers sort the returned keys\n\tfor k := range m {", 1)))
+	if err != nil {
+		t.Fatalf("cloudia-vet failed despite a reasoned suppression: %v\n%s", err, out)
 	}
 }

@@ -10,7 +10,6 @@ package cloud
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cloudia/internal/core"
 	"cloudia/internal/topology"
@@ -194,13 +193,4 @@ func DistinctRacks(dc *topology.Datacenter, instances []Instance) int {
 		racks[dc.Rack(inst.Host)] = struct{}{}
 	}
 	return len(racks)
-}
-
-// SortByID returns a copy of instances sorted by instance ID, the canonical
-// presentation order in provider consoles. Allocation order is preserved in
-// the original slice.
-func SortByID(instances []Instance) []Instance {
-	out := append([]Instance(nil), instances...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

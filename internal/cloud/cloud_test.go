@@ -188,16 +188,5 @@ func TestDeterministicAllocation(t *testing.T) {
 	}
 }
 
-func TestSortByID(t *testing.T) {
-	insts := []Instance{{ID: "i-2"}, {ID: "i-0"}, {ID: "i-1"}}
-	sorted := SortByID(insts)
-	if sorted[0].ID != "i-0" || sorted[2].ID != "i-2" {
-		t.Fatalf("sorted = %v", sorted)
-	}
-	if insts[0].ID != "i-2" {
-		t.Fatal("SortByID mutated input")
-	}
-}
-
 // randSource returns a deterministic rand for latency sampling in tests.
 func randSource() *rand.Rand { return rand.New(rand.NewSource(99)) }

@@ -373,20 +373,13 @@ func (r *Rounded) Bytes() int64 {
 	return b
 }
 
-// RoundCostMatrixPairs returns m rounded to the centers of a k-clustering of
-// its off-diagonal costs, plus every off-diagonal pair with its rounded cost,
-// ascending. It is Round's Matrix and CostPairs views, the float64 forms
-// tests compare against; k <= 0 disables clustering and returns m itself.
-// Callers must not modify the result.
-func RoundCostMatrixPairs(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, error) {
-	out, pairs, _, err := RoundCostMatrixPairsResult(m, k)
-	return out, pairs, err
-}
-
-// RoundCostMatrixPairsResult is RoundCostMatrixPairs exposing the underlying
-// clustering as well, so PatchRoundedRows can later re-assign changed values
-// to the fitted centers without re-running k-means. The Result is nil when
-// clustering is disabled (k <= 0 or a sub-2x2 matrix).
+// RoundCostMatrixPairsResult returns m rounded to the centers of a
+// k-clustering of its off-diagonal costs, every off-diagonal pair with its
+// rounded cost ascending, and the clustering itself, so PatchRoundedRows can
+// later re-assign changed values to the fitted centers without re-running
+// k-means. These are Round's Matrix and CostPairs views; k <= 0 disables
+// clustering and returns m itself. The Result is nil when clustering is
+// disabled (k <= 0 or a sub-2x2 matrix). Callers must not modify the result.
 func RoundCostMatrixPairsResult(m *core.CostMatrix, k int) (*core.CostMatrix, []core.CostPair, *Result, error) {
 	r, err := Round(m, k)
 	if err != nil {

@@ -442,11 +442,12 @@ func TestRoundCostMatrix(t *testing.T) {
 	m.Set(2, 0, 5.2)
 	m.Set(1, 2, 1.05)
 	m.Set(2, 1, 5.1)
-	out, pairs, err := RoundCostMatrixPairs(m, 2)
+	r, err := Round(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv := out.DistinctValues()
+	out, pairs := r.Matrix(), r.CostPairs()
+	dv := slices.Compact(slices.Sorted(slices.Values(out.OffDiagonal())))
 	if len(dv) != 2 {
 		t.Fatalf("distinct after rounding = %v, want 2 values", dv)
 	}
@@ -469,10 +470,11 @@ func TestRoundCostMatrixDisabled(t *testing.T) {
 	m := core.NewCostMatrix(2)
 	m.Set(0, 1, 3)
 	m.Set(1, 0, 4)
-	out, _, err := RoundCostMatrixPairs(m, 0)
+	r, err := Round(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := r.Matrix()
 	if out.At(0, 1) != 3 || out.At(1, 0) != 4 {
 		t.Fatal("k<=0 should pass values through unchanged")
 	}

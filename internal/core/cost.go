@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // CostMatrix is the communication cost function CL : S x S -> R (Definition
@@ -100,26 +99,6 @@ func (m *CostMatrix) OffDiagonal() []float64 {
 	return out
 }
 
-// DistinctValues returns the sorted distinct off-diagonal cost values: the
-// thresholds a threshold search over the raw costs would iterate (Sect.
-// 4.2). The CP solver does not call it; it iterates the cluster levels of
-// its rounded set (cluster.Rounded.Levels).
-func (m *CostMatrix) DistinctValues() []float64 {
-	out := m.OffDiagonal()
-	if len(out) == 0 {
-		return nil
-	}
-	sort.Float64s(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
 // CostPair is one ordered instance pair (From, To) tagged with its link cost.
 // Slices of CostPair sorted ascending by cost are the float64 pair-list view
 // of a rounded cost set (cluster.Rounded.CostPairs), which no solver reads:
@@ -163,20 +142,6 @@ func SortPairs(pairs []CostPair) {
 		}
 		return cmp.Compare(a.To, b.To)
 	})
-}
-
-// MaxValue returns the largest off-diagonal cost, or 0 for matrices smaller
-// than 2x2.
-func (m *CostMatrix) MaxValue() float64 {
-	max := 0.0
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if i != j && m.At(i, j) > max {
-				max = m.At(i, j)
-			}
-		}
-	}
-	return max
 }
 
 // Validate checks that the matrix has a zero diagonal and no negative or

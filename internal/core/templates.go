@@ -163,23 +163,6 @@ func RandomDAG(n int, p float64, rng *rand.Rand) (*Graph, error) {
 	return g, nil
 }
 
-// Clique returns the complete directed graph over n nodes (both directions
-// for every pair).
-func Clique(n int) (*Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: invalid clique size %d", n)
-	}
-	g := NewGraph(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if err := g.AddBiEdge(i, j); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return g, nil
-}
-
 // TwoLevelAggregation returns the two-level aggregation tree used by the
 // paper's top-k query workload: one root, mid intermediate aggregators, and
 // leaves leaf nodes distributed round-robin under the aggregators. Edges

@@ -1,15 +1,12 @@
-// Package graphio serializes communication graphs and cost matrices to and
-// from JSON, the interchange format of the cloudia CLI. The graph format is
+// Package graphio serializes communication graphs to and from JSON, the
+// interchange format of the cloudia CLI (-graph) and of POST /v1/advise.
+// The graph format is
 //
 //	{
 //	  "nodes": 4,
 //	  "edges": [[0,1], [1,2], [2,3]],
 //	  "weights": {"0-1": 4.0}            // optional, defaults to 1
 //	}
-//
-// and the cost-matrix format is
-//
-//	{"size": 3, "costs": [[0,0.5,0.6],[0.5,0,0.7],[0.6,0.7,0]]}
 package graphio
 
 import (
@@ -110,48 +107,4 @@ func parseEdgeKey(key string) (from, to int, err error) {
 		return 0, 0, fmt.Errorf("graphio: bad weight key %q: %v", key, err)
 	}
 	return from, to, nil
-}
-
-// matrixJSON is the wire form of a cost matrix.
-type matrixJSON struct {
-	Size  int         `json:"size"`
-	Costs [][]float64 `json:"costs"`
-}
-
-// WriteCostMatrix encodes m as JSON.
-func WriteCostMatrix(w io.Writer, m *core.CostMatrix) error {
-	out := matrixJSON{Size: m.Size()}
-	for i := 0; i < m.Size(); i++ {
-		row := make([]float64, m.Size())
-		copy(row, m.Row(i))
-		out.Costs = append(out.Costs, row)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// ReadCostMatrix decodes and validates a cost matrix from JSON.
-func ReadCostMatrix(r io.Reader) (*core.CostMatrix, error) {
-	var in matrixJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("graphio: %w", err)
-	}
-	if in.Size < 0 || len(in.Costs) != in.Size {
-		return nil, fmt.Errorf("graphio: matrix has %d rows, want %d", len(in.Costs), in.Size)
-	}
-	m := core.NewCostMatrix(in.Size)
-	for i, row := range in.Costs {
-		if len(row) != in.Size {
-			return nil, fmt.Errorf("graphio: row %d has %d entries, want %d", i, len(row), in.Size)
-		}
-		for j, v := range row {
-			m.Set(i, j, v)
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("graphio: %w", err)
-	}
-	return m, nil
 }

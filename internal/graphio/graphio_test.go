@@ -77,49 +77,6 @@ func TestReadGraphMinimal(t *testing.T) {
 	}
 }
 
-func TestMatrixRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := core.NewCostMatrix(5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if i != j {
-				m.Set(i, j, rng.Float64())
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteCostMatrix(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCostMatrix(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if got.At(i, j) != m.At(i, j) {
-				t.Fatalf("(%d,%d): %g != %g", i, j, got.At(i, j), m.At(i, j))
-			}
-		}
-	}
-}
-
-func TestReadCostMatrixErrors(t *testing.T) {
-	cases := []string{
-		`{"size": 2, "costs": [[0,1]]}`,
-		`{"size": 2, "costs": [[0,1],[1]]}`,
-		`{"size": 2, "costs": [[1,1],[1,0]]}`, // nonzero diagonal
-		`{"size": 2, "costs": [[0,-1],[1,0]]}`,
-		`{"size": -1, "costs": []}`,
-		`garbage`,
-	}
-	for _, c := range cases {
-		if _, err := ReadCostMatrix(strings.NewReader(c)); err == nil {
-			t.Errorf("accepted invalid matrix: %s", c)
-		}
-	}
-}
-
 // Property: any random weighted DAG round-trips losslessly.
 func TestGraphRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {

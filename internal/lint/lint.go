@@ -6,8 +6,7 @@
 // restarts, and dispatch orders — and a single stray `range` over a map or
 // an ad-hoc goroutine spawn can silently break that. The analyzers here
 // turn those invariants from test-suite folklore into build-time checks,
-// run over the whole repo by `cmd/cloudia-vet` via `go vet -vettool` (see
-// `make lint`).
+// run over the whole repo by `cmd/cloudia-vet` (see `make lint`).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is built on the standard library

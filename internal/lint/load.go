@@ -14,9 +14,9 @@ import (
 )
 
 // Unit is one package's worth of lint input: file names on disk plus the
-// importer that resolves its dependencies. Both drivers (the vet-protocol
-// unitchecker in cmd/cloudia-vet and the test harness) reduce their input
-// to a Unit and call Check.
+// importer that resolves its dependencies. The driver, cmd/cloudia-vet,
+// and the test harness (linttest) reduce their input to a Unit and call
+// Check.
 type Unit struct {
 	// ImportPath is the package's import path, used for analyzer scoping.
 	ImportPath string
@@ -69,9 +69,9 @@ func Check(u Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // sourceImporter type-checks dependencies from source via GOROOT. It backs
 // the test harness, where fixture packages import only the standard
-// library; the vet driver instead reads the export data the go command
-// hands it. One shared instance amortizes the stdlib type-checking across
-// fixtures.
+// library; cmd/cloudia-vet instead reads the export data `go list
+// -export` names. One shared instance amortizes the stdlib type-checking
+// across fixtures.
 var (
 	sourceImporterOnce sync.Once
 	sourceImporterInst types.Importer

@@ -11,8 +11,8 @@
 //     (single-threaded event loop, hypervisor scheduling), inflating and
 //     noising some links' estimates.
 //   - Staged: a coordinator runs stages of pairwise-disjoint probes (circle
-//     method tournament), Ks consecutive RTTs per pair per stage. Parallel
-//     like uncoordinated, interference-free like token passing.
+//     method tournament), stageRTTs consecutive RTTs per pair per stage.
+//     Parallel like uncoordinated, interference-free like token passing.
 //
 // The schemes run over the netsim discrete-event simulator, so a "5 minute"
 // measurement completes in real milliseconds.
@@ -35,6 +35,14 @@ import (
 // every metric but the mean.
 const DefaultTailAlpha = sketch.DefaultAlpha
 
+// probeBytes is the probe payload size; the paper uses 1 KB to match
+// application workloads.
+const probeBytes = 1024
+
+// stageRTTs is the number of consecutive RTTs per pair within one stage of
+// the staged scheme (Sect. 5, optimization).
+const stageRTTs = 10
+
 // Scheme selects a measurement strategy.
 type Scheme string
 
@@ -48,14 +56,8 @@ const (
 // Options configures a measurement run.
 type Options struct {
 	Scheme Scheme
-	// MessageBytes is the probe payload size; the paper uses 1 KB to match
-	// application workloads. Zero selects 1024.
-	MessageBytes int
 	// DurationMS is the virtual-time measurement budget. Required.
 	DurationMS float64
-	// Ks is the number of consecutive RTTs per pair within one stage of the
-	// staged scheme (Sect. 5, optimization). Zero selects 10.
-	Ks int
 	// Seed drives all randomness (probe jitter, destination shuffles).
 	Seed int64
 	// StartHours anchors the measurement at an absolute datacenter time,
@@ -146,18 +148,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.DurationMS <= 0 {
 		return out, fmt.Errorf("measure: non-positive duration %g", out.DurationMS)
-	}
-	if out.MessageBytes == 0 {
-		out.MessageBytes = 1024
-	}
-	if out.MessageBytes < 0 {
-		return out, fmt.Errorf("measure: negative message size")
-	}
-	if out.Ks == 0 {
-		out.Ks = 10
-	}
-	if out.Ks < 0 {
-		return out, fmt.Errorf("measure: negative Ks")
 	}
 	if out.ContentionScale == 0 {
 		out.ContentionScale = 0.15
@@ -451,7 +441,7 @@ func (m *runner) start() {
 func (m *runner) probe(i, j int, record bool, next func()) {
 	start := m.sim.Now()
 	m.outstanding[i]++
-	m.sim.Send(i, j, m.opts.MessageBytes, func(netsim.Time) {
+	m.sim.Send(i, j, probeBytes, func(netsim.Time) {
 		// j received the entire probe; reply after any contention delay.
 		delay := 0.0
 		if m.outstanding[j] > 0 {
@@ -461,7 +451,7 @@ func (m *runner) probe(i, j int, record bool, next func()) {
 			}
 		}
 		m.sim.After(delay, func() {
-			m.sim.Send(j, i, m.opts.MessageBytes, func(at netsim.Time) {
+			m.sim.Send(j, i, probeBytes, func(at netsim.Time) {
 				m.outstanding[i]--
 				if record {
 					m.res.record(i, j, at-start)
@@ -538,7 +528,7 @@ func (m *runner) runUncoordinated() {
 
 // runStaged drives the staged scheme: the coordinator (endpoint n) runs
 // circle-method tournament rounds; each stage probes floor(n/2) disjoint
-// pairs in parallel, Ks RTTs in each direction, then reports back. A
+// pairs in parallel, stageRTTs RTTs in each direction, then reports back. A
 // stage's pairs are computed from its round index when it starts.
 func (m *runner) runStaged() {
 	const ctrlBytes = 64
@@ -566,7 +556,7 @@ func (m *runner) runStaged() {
 				k := 0
 				var seq func()
 				seq = func() {
-					if k < m.opts.Ks && !m.done() {
+					if k < stageRTTs && !m.done() {
 						k++
 						m.probe(a, b, true, seq)
 						return

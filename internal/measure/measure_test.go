@@ -35,9 +35,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Run(dc, insts, Options{Scheme: Token}); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	if _, err := Run(dc, insts, Options{Scheme: Token, DurationMS: 10, MessageBytes: -1}); err == nil {
-		t.Fatal("negative message size accepted")
-	}
 	if _, err := Run(dc, insts[:1], Options{Scheme: Token, DurationMS: 10}); err == nil {
 		t.Fatal("single instance accepted")
 	}
@@ -150,7 +147,7 @@ func TestTokenPassingSerial(t *testing.T) {
 
 func TestStagedCoversAllLinksOverTime(t *testing.T) {
 	dc, insts := testFleet(t, 6, 4)
-	res, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 3000, Seed: 5, Ks: 3})
+	res, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestUncoordinatedParallelThroughput(t *testing.T) {
 
 func TestMeanEstimatesApproachGroundTruth(t *testing.T) {
 	dc, insts := testFleet(t, 8, 8)
-	res, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 5000, Seed: 9, Ks: 5})
+	res, err := Run(dc, insts, Options{Scheme: Staged, DurationMS: 5000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

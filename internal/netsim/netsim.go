@@ -148,18 +148,11 @@ func New(n int, lat LatencyFunc, seed int64, cfg Config) (*Sim, error) {
 	}, nil
 }
 
-// NumEndpoints reports the number of endpoints.
-func (s *Sim) NumEndpoints() int { return len(s.nics) }
-
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
 // MessagesSent reports the total number of messages sent so far.
 func (s *Sim) MessagesSent() int64 { return s.nsent }
-
-// RNG exposes the simulator's RNG so components sharing the simulation can
-// draw correlated randomness deterministically.
-func (s *Sim) RNG() *rand.Rand { return s.rng }
 
 // At schedules fn to run at virtual time t. Scheduling in the past runs the
 // event at the current time (events never travel backwards).

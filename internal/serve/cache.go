@@ -9,9 +9,9 @@ import (
 )
 
 // Cache is the content-addressed store of the Prep rounded sets shared by
-// every solve. A cluster-K rounded set (a class id per instance pair and
-// the pairs grouped by class, about 5 bytes per pair) is a deterministic
-// function of the cost-matrix content, so one solver.MatrixPrep per
+// every solve. A cluster-K rounded set (a one-byte class id per instance
+// pair, about 1 byte per pair) is a deterministic function of the
+// cost-matrix content, so one solver.MatrixPrep per
 // core.CostMatrix.Fingerprint serves every problem, tenant and solve over
 // that content. Two tenants whose measurements produced identical matrices
 // pay the dominant preprocessing cost — a k-means over all m^2 link costs

@@ -54,7 +54,7 @@ type Prep struct {
 }
 
 // MatrixPrep holds the rounded sets of one cost matrix's content, one per
-// cluster count (cluster.Rounded, about 5 bytes per instance pair when
+// cluster count (cluster.Rounded, about 1 byte per instance pair when
 // clustered). Each set is built once, on first read, so problems sharing
 // one MatrixPrep share each build, including one in flight.
 type MatrixPrep struct {

@@ -51,10 +51,11 @@ func TestPrepRoundedMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Rounded(%d): %v", k, err)
 		}
-		wantM, wantPairs, err := cluster.RoundCostMatrixPairs(p.Costs, k)
+		want, err := cluster.Round(p.Costs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantM, wantPairs := want.Matrix(), want.CostPairs()
 		for i := 0; i < m.Size(); i++ {
 			for j := 0; j < m.Size(); j++ {
 				if m.At(i, j) != wantM.At(i, j) {
@@ -63,7 +64,7 @@ func TestPrepRoundedMatchesDirect(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(pairs, wantPairs) {
-			t.Fatalf("Rounded(%d) pairs differ from RoundCostMatrixPairs", k)
+			t.Fatalf("Rounded(%d) pairs differ from Round's CostPairs", k)
 		}
 		// The set is memoized: identical pointers on a second call.
 		set, err := prep.RoundedSet(k)
