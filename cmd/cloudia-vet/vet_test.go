@@ -109,3 +109,26 @@ func TestGoVetPassesWithReasonedSuppression(t *testing.T) {
 		t.Fatalf("cloudia-vet failed despite a reasoned suppression: %v\n%s", err, out)
 	}
 }
+
+// TestStandaloneHints checks that, with no flag, every finding is followed
+// by its own suppression template naming that finding's line.
+func TestStandaloneHints(t *testing.T) {
+	src := strings.Replace(violatingSrc, "\treturn keys",
+		"\tfor k := range m {\n\t\tkeys = append(keys, k)\n\t}\n\treturn keys", 1)
+	out, err := runVet(seedModule(t, src))
+	if err == nil {
+		t.Fatalf("cloudia-vet passed on two map-range violations:\n%s", out)
+	}
+	s := string(out)
+	if got := strings.Count(s, "[maprange]"); got != 2 {
+		t.Errorf("got %d maprange diagnostics, want 2:\n%s", got, s)
+	}
+	if got := strings.Count(s, "//cloudia:nondet-ok <why this cannot break bit-equality>"); got != 2 {
+		t.Errorf("got %d suppression templates, want one per finding (2):\n%s", got, s)
+	}
+	for _, want := range []string{"put this on the line above", "solver.go:5:", "solver.go:8:", "2 finding(s)"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
+	}
+}
