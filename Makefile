@@ -28,7 +28,7 @@ BENCH_ALLOWLIST ?= BENCH_ALLOWLIST
 
 # Per-package statement-coverage floors enforced by `make cover` (and CI).
 COVER_OUT ?= coverprofile
-COVER_FLOORS ?= cloudia/internal/advisor=90 cloudia/internal/measure=90 cloudia/internal/solver=90 cloudia/internal/serve=90 cloudia/internal/wal=90 cloudia/internal/sketch=90 cloudia/internal/lint=90 cloudia/internal/cluster=90 cloudia/internal/netsim=90 cloudia/internal/solver/cp=90
+COVER_FLOORS ?= cloudia/internal/advisor=90 cloudia/internal/measure=90 cloudia/internal/solver=90 cloudia/internal/serve=90 cloudia/internal/wal=90 cloudia/internal/sketch=90 cloudia/internal/lint=90 cloudia/internal/cluster=90 cloudia/internal/netsim=90 cloudia/internal/solver/cp=90 cloudia/internal/core=85 cloudia/internal/graphio=90
 
 .PHONY: build vet test bench bench-smoke bench-diff cover fmt-check crash-test fuzz lint perf-check
 

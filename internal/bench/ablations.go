@@ -12,8 +12,9 @@ import (
 	"cloudia/internal/topology"
 )
 
-// Ablations for the design choices DESIGN.md calls out. These are not paper
-// figures; they isolate the mechanisms behind them.
+// Ablations for cloudia's design choices: CP's root degree filter, the
+// simulator's contention model, simulated annealing, and the clustering k.
+// These are not paper figures; they isolate the mechanisms behind them.
 
 func init() {
 	register("ablation-degreefilter", AblationDegreeFilter)

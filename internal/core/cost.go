@@ -216,7 +216,7 @@ func LongestLink(d Deployment, g *Graph, m *CostMatrix) float64 {
 		return worst
 	}
 	for k, e := range g.Edges() {
-		c := g.edgeWeight(k) * m.c[d[e.From]*n+d[e.To]]
+		c := g.EdgeWeight(k) * m.c[d[e.From]*n+d[e.To]]
 		if c > worst {
 			worst = c
 		}
@@ -242,15 +242,17 @@ func longestPathInOrder(d Deployment, g *Graph, m *CostMatrix, order []NodeID) f
 	dist := make([]float64, g.NumNodes())
 	best := 0.0
 	weighted := g.Weighted()
+	a := g.adjacency() // read once, not through Out's per-call check
 	for _, v := range order {
 		dv := dist[v]
 		if dv > best {
 			best = dv
 		}
-		for k, w := range g.Out(v) {
+		for j := a.outOff[v]; j < a.outOff[v+1]; j++ {
+			w := a.outNbr[j]
 			c := dv + m.c[d[v]*n+d[w]]
 			if weighted {
-				c = dv + g.outWeight(v, k)*m.c[d[v]*n+d[w]]
+				c = dv + g.w[a.outEid[j]]*m.c[d[v]*n+d[w]]
 			}
 			if c > dist[w] {
 				dist[w] = c

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -23,44 +24,50 @@ type Edge struct {
 }
 
 // Graph is a directed communication graph G = (V, E) over application nodes
-// 0..n-1. Edges carry no weights; the paper leaves weighted graphs to future
-// work and so do we (see DESIGN.md).
+// 0..n-1, optionally weighted (see weights.go). The edge list is the graph:
+// an index maps each edge to its position in the list, weights are a slice
+// aligned with it, and every per-node list is read from one adjacency view
+// derived from the list on first use.
 type Graph struct {
 	n     int
-	out   [][]NodeID
-	in    [][]NodeID
 	edges []Edge
-	has   map[Edge]bool
+	index map[Edge]int32 // edge -> its position in edges
+	w     []float64      // weight per edges position; nil while every weight is 1
 
-	// Edge weights (see weights.go). nil/empty means all weights are 1.
-	weights map[Edge]float64
-	edgeW   []float64   // cache: weight per Edges() index
-	outW    [][]float64 // cache: weight per out-adjacency slot
+	// viewOnce guards the lazy build of view, so goroutines sharing a
+	// finished graph (the multi-tenant serving layer submits many jobs over
+	// one graph) can all read it safely; AddEdge drops a built view and
+	// resets the Once. Graph construction itself stays single-goroutine.
+	viewOnce sync.Once
+	view     *adjacency
+}
 
-	// Incidence caches (see buildIncidence): per-node lists of edge indices,
-	// used by the delta evaluators to touch only O(deg) edges per move.
-	// incOnce guards the lazy build, so goroutines sharing a finished graph
-	// (the multi-tenant serving layer submits many jobs over one graph) can
-	// all call EnsureIncidence safely; AddEdge swaps in a fresh Once when it
-	// invalidates the caches. Graph construction itself stays single-
-	// goroutine.
-	incOnce  *sync.Once
-	incident [][]int32 // edges with either endpoint == v
-	inIdx    [][]int32 // edges with To == v
+// adjacency is the per-node view of a graph's edge list in compressed sparse
+// row form. Node v's out-neighbours are outNbr[outOff[v]:outOff[v+1]], with
+// the edges' positions in the edge list at the same slots of outEid; in-lists
+// are laid out the same way. The edges with v as either endpoint are
+// inc[outOff[v]+inOff[v] : outOff[v+1]+inOff[v+1]]. Every list holds its
+// edges in edge-list order.
+type adjacency struct {
+	outOff, inOff      []int32 // n+1 offsets each
+	outEid, inEid, inc []int32
+	outNbr, inNbr      []NodeID
 }
 
 // NewGraph returns an empty communication graph over n application nodes.
 // It panics if n is negative.
-func NewGraph(n int) *Graph {
+func NewGraph(n int) *Graph { return newGraph(n, 0) }
+
+// newGraph is NewGraph with room for edgeHint edges, for builders that know
+// their edge count.
+func newGraph(n, edgeHint int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("core: negative node count %d", n))
 	}
 	return &Graph{
-		n:       n,
-		out:     make([][]NodeID, n),
-		in:      make([][]NodeID, n),
-		has:     make(map[Edge]bool),
-		incOnce: new(sync.Once),
+		n:     n,
+		edges: make([]Edge, 0, edgeHint),
+		index: make(map[Edge]int32, edgeHint),
 	}
 }
 
@@ -80,61 +87,85 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 		return fmt.Errorf("core: self-loop at node %d", from)
 	}
 	e := Edge{from, to}
-	if g.has[e] {
+	k := len(g.edges)
+	g.index[e] = int32(k)
+	if len(g.index) == k {
+		// A duplicate: the assignment moved its position, so put it back.
+		g.index[e] = int32(slices.Index(g.edges, e))
 		return fmt.Errorf("core: duplicate edge (%d,%d)", from, to)
 	}
-	g.has[e] = true
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
 	g.edges = append(g.edges, e)
-	g.incident, g.inIdx = nil, nil // invalidate incidence caches
-	g.incOnce = new(sync.Once)
-	if len(g.weights) > 0 {
-		// Keep the weight caches aligned with the new edge.
-		g.rebuildWeightCaches()
+	if g.w != nil {
+		g.w = append(g.w, 1)
+	}
+	if g.view != nil {
+		g.view, g.viewOnce = nil, sync.Once{}
 	}
 	return nil
 }
 
-// EnsureIncidence builds the per-node incidence caches if they are stale.
-// Safe to call concurrently with itself on a finished graph — goroutines
-// racing the first call serialize behind one build and then share it (the
-// serving layer submits many concurrent jobs over one graph). It is still
-// not safe to call concurrently with AddEdge: graph construction is
-// single-goroutine, as everywhere else in core.
-func (g *Graph) EnsureIncidence() {
-	g.incOnce.Do(g.buildIncidence)
+// EnsureIncidence builds the adjacency view that Out, In, the degrees,
+// IncidentEdgeIDs and InEdgeIDs read, if it is not built yet. On a finished
+// graph it is safe to call concurrently with itself and those readers:
+// racing first calls serialize behind one build and then share it. It is
+// not safe to call concurrently with AddEdge.
+func (g *Graph) EnsureIncidence() { g.adjacency() }
+
+func (g *Graph) adjacency() *adjacency {
+	g.viewOnce.Do(g.buildView)
+	return g.view
 }
 
-func (g *Graph) buildIncidence() {
-	incident := make([][]int32, g.n)
-	inIdx := make([][]int32, g.n)
-	for k, e := range g.edges {
-		incident[e.From] = append(incident[e.From], int32(k))
-		incident[e.To] = append(incident[e.To], int32(k))
-		inIdx[e.To] = append(inIdx[e.To], int32(k))
+// buildView derives the adjacency view from the edge list with a stable
+// counting sort: it counts each node's out- and in-edges, sums the counts so
+// each offset ends its node's list, then fills the lists from the last edge
+// back, walking each offset down to its list's start.
+func (g *Graph) buildView() {
+	n, m := g.n, len(g.edges)
+	ids, nbr := make([]int32, 2*(n+1)+4*m), make([]NodeID, 2*m)
+	take := func(k int) (s []int32) { s, ids = ids[:k:k], ids[k:]; return s }
+	a := &adjacency{outOff: take(n + 1), inOff: take(n + 1), outEid: take(m), inEid: take(m),
+		inc: take(2 * m), outNbr: nbr[:m:m], inNbr: nbr[m:]}
+	for _, e := range g.edges {
+		a.outOff[e.From]++
+		a.inOff[e.To]++
 	}
-	g.inIdx = inIdx
-	g.incident = incident
+	for v := 1; v < n; v++ {
+		a.outOff[v] += a.outOff[v-1]
+		a.inOff[v] += a.inOff[v-1]
+	}
+	a.outOff[n], a.inOff[n] = int32(m), int32(m)
+	for k := m - 1; k >= 0; k-- {
+		e := g.edges[k]
+		a.outOff[e.From]--
+		a.inOff[e.To]--
+		i, j := a.outOff[e.From], a.inOff[e.To]
+		a.outNbr[i], a.outEid[i] = e.To, int32(k)
+		a.inNbr[j], a.inEid[j] = e.From, int32(k)
+		// A node's incident list starts at its out offset plus its in
+		// offset, and it has as many slots left to fill as out and in
+		// slots together.
+		a.inc[i+a.inOff[e.From]] = int32(k)
+		a.inc[a.outOff[e.To]+j] = int32(k)
+	}
+	g.view = a
 }
 
 // IncidentEdgeIDs returns the indices (into Edges()) of every edge with v as
-// either endpoint. Callers must not modify the returned slice.
+// either endpoint, in edge-list order. Callers must not modify the returned
+// slice.
 func (g *Graph) IncidentEdgeIDs(v NodeID) []int32 {
-	g.EnsureIncidence()
-	return g.incident[v]
+	a := g.adjacency()
+	lo, hi := a.outOff[v]+a.inOff[v], a.outOff[v+1]+a.inOff[v+1]
+	return a.inc[lo:hi:hi]
 }
 
-// InEdgeIDs returns the indices (into Edges()) of every edge into v. Callers
-// must not modify the returned slice.
+// InEdgeIDs returns the indices (into Edges()) of every edge into v, in
+// edge-list order. Callers must not modify the returned slice.
 func (g *Graph) InEdgeIDs(v NodeID) []int32 {
-	g.EnsureIncidence()
-	return g.inIdx[v]
+	a := g.adjacency()
+	return a.inEid[a.inOff[v]:a.inOff[v+1]:a.inOff[v+1]]
 }
-
-// EdgeWeight reports the weight of the k-th edge in Edges() order (1 for
-// unweighted graphs), without a map lookup.
-func (g *Graph) EdgeWeight(k int) float64 { return g.edgeWeight(k) }
 
 // AddBiEdge inserts both (a,b) and (b,a). It is a convenience for mesh-like
 // templates where communication is symmetric.
@@ -146,79 +177,58 @@ func (g *Graph) AddBiEdge(a, b NodeID) error {
 }
 
 // HasEdge reports whether the directed edge (from, to) is present.
-func (g *Graph) HasEdge(from, to NodeID) bool { return g.has[Edge{from, to}] }
+func (g *Graph) HasEdge(from, to NodeID) bool {
+	_, ok := g.index[Edge{from, to}]
+	return ok
+}
 
 // Edges returns the edge list in insertion order. Callers must not modify
 // the returned slice.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// Out returns the out-neighbours of node v. Callers must not modify the
-// returned slice.
-func (g *Graph) Out(v NodeID) []NodeID { return g.out[v] }
-
-// In returns the in-neighbours of node v. Callers must not modify the
-// returned slice.
-func (g *Graph) In(v NodeID) []NodeID { return g.in[v] }
-
-// OutDegree reports len(Out(v)).
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
-
-// InDegree reports len(In(v)).
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
-
-// Degree reports the total degree of v (in + out).
-func (g *Graph) Degree(v NodeID) int { return len(g.in[v]) + len(g.out[v]) }
-
-// Clone returns a deep copy of the graph, including edge weights.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for _, e := range g.edges {
-		// Edges were validated on insertion; re-adding cannot fail.
-		if err := c.AddEdge(e.From, e.To); err != nil {
-			panic("core: clone of valid graph failed: " + err.Error())
-		}
-	}
-	// Weights are copied in edge-list order, not weight-map order, so a
-	// clone's internal layout is reproducible run to run (maprange), and
-	// the caches are rebuilt once.
-	if len(g.weights) > 0 {
-		c.weights = make(map[Edge]float64, len(g.weights))
-		for _, e := range g.edges {
-			if w, ok := g.weights[e]; ok {
-				c.weights[e] = w
-			}
-		}
-		c.rebuildWeightCaches()
-	}
-	return c
+// Out returns the out-neighbours of node v in edge-list order. Callers must
+// not modify the returned slice.
+func (g *Graph) Out(v NodeID) []NodeID {
+	a := g.adjacency()
+	return a.outNbr[a.outOff[v]:a.outOff[v+1]:a.outOff[v+1]]
 }
 
+// In returns the in-neighbours of node v in edge-list order. Callers must
+// not modify the returned slice.
+func (g *Graph) In(v NodeID) []NodeID {
+	a := g.adjacency()
+	return a.inNbr[a.inOff[v]:a.inOff[v+1]:a.inOff[v+1]]
+}
+
+// OutDegree reports len(Out(v)).
+func (g *Graph) OutDegree(v NodeID) int { return len(g.Out(v)) }
+
+// InDegree reports len(In(v)).
+func (g *Graph) InDegree(v NodeID) int { return len(g.In(v)) }
+
+// Degree reports the total degree of v (in + out).
+func (g *Graph) Degree(v NodeID) int { return len(g.IncidentEdgeIDs(v)) }
+
+// Clone returns a deep copy of the graph, including edge weights.
+func (g *Graph) Clone() *Graph { return g.copyEdges(false) }
+
 // Transposed returns the graph with every edge reversed, carrying edge
-// weights along. The reverse of a valid edge set is valid, so the transpose
-// is assembled directly against the adjacency structures in a single pass
-// over the edge list — weights are attached as each reversed edge is
-// inserted, with one weight-cache rebuild at the end, instead of a second
-// edge iteration of SetWeight calls that each rebuild the caches.
-func (g *Graph) Transposed() *Graph {
-	t := NewGraph(g.n)
-	t.edges = make([]Edge, 0, len(g.edges))
+// weights along.
+func (g *Graph) Transposed() *Graph { return g.copyEdges(true) }
+
+// copyEdges returns a copy of g, with every edge reversed if flip. Its k-th
+// edge is g's k-th edge, so the weights copy across unchanged.
+func (g *Graph) copyEdges(flip bool) *Graph {
+	c := newGraph(g.n, len(g.edges))
 	for k, e := range g.edges {
-		te := Edge{From: e.To, To: e.From}
-		t.has[te] = true
-		t.out[te.From] = append(t.out[te.From], te.To)
-		t.in[te.To] = append(t.in[te.To], te.From)
-		t.edges = append(t.edges, te)
-		if w := g.edgeWeight(k); w != 1 {
-			if t.weights == nil {
-				t.weights = make(map[Edge]float64, len(g.weights))
-			}
-			t.weights[te] = w
+		if flip {
+			e = Edge{From: e.To, To: e.From}
 		}
+		c.index[e] = int32(k)
+		c.edges = append(c.edges, e)
 	}
-	if t.weights != nil {
-		t.rebuildWeightCaches()
-	}
-	return t
+	c.w = slices.Clone(g.w)
+	return c
 }
 
 // ErrCyclic is returned when a DAG-only operation is applied to a graph that
@@ -228,25 +238,22 @@ var ErrCyclic = errors.New("core: communication graph contains a directed cycle"
 // TopoOrder returns a topological order of the graph's nodes, or ErrCyclic if
 // the graph has a directed cycle. Nodes with no edges appear in the order too.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
-	indeg := make([]int, g.n)
+	a := g.adjacency()
+	indeg := make([]int32, g.n)
+	order := make([]NodeID, 0, g.n)
 	for v := 0; v < g.n; v++ {
-		indeg[v] = len(g.in[v])
-	}
-	queue := make([]NodeID, 0, g.n)
-	for v := 0; v < g.n; v++ {
+		indeg[v] = a.inOff[v+1] - a.inOff[v]
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			order = append(order, v)
 		}
 	}
-	order := make([]NodeID, 0, g.n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.out[v] {
+	// order doubles as the FIFO queue of ready nodes.
+	for head := 0; head < len(order); head++ {
+		v := order[head]
+		for _, w := range a.outNbr[a.outOff[v]:a.outOff[v+1]] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}
@@ -262,29 +269,43 @@ func (g *Graph) IsDAG() bool {
 	return err == nil
 }
 
-// Validate checks internal consistency of the graph structure. It is used by
-// tests and by code paths that deserialize graphs from user input.
+// Validate checks internal consistency of the graph structure: every edge
+// is in range, distinct and indexed at its position, weights are aligned
+// and positive, and the adjacency view agrees with the edge list. It is
+// used by tests and by code paths that deserialize graphs from user input.
 func (g *Graph) Validate() error {
 	if g.n < 0 {
 		return fmt.Errorf("core: negative node count %d", g.n)
 	}
-	if len(g.out) != g.n || len(g.in) != g.n {
-		return errors.New("core: adjacency size mismatch")
+	if len(g.index) != len(g.edges) || (g.w != nil && len(g.w) != len(g.edges)) {
+		return errors.New("core: edge index or weights misaligned with the edge list")
 	}
-	count := 0
-	for v := 0; v < g.n; v++ {
-		for _, w := range g.out[v] {
-			if w < 0 || w >= g.n {
-				return fmt.Errorf("core: out-neighbour %d of %d out of range", w, v)
-			}
-			if !g.has[Edge{v, w}] {
-				return fmt.Errorf("core: adjacency edge (%d,%d) missing from edge set", v, w)
-			}
-			count++
+	for k, e := range g.edges {
+		if e.From < 0 || e.From >= g.n || e.To < 0 || e.To >= g.n || e.From == e.To {
+			return fmt.Errorf("core: invalid edge (%d,%d)", e.From, e.To)
+		}
+		if i, ok := g.index[e]; !ok || int(i) != k {
+			return fmt.Errorf("core: edge (%d,%d) missing from the edge index", e.From, e.To)
+		}
+		if !(g.EdgeWeight(k) > 0) {
+			return fmt.Errorf("core: non-positive weight on edge (%d,%d)", e.From, e.To)
 		}
 	}
-	if count != len(g.edges) {
-		return fmt.Errorf("core: edge count mismatch: adjacency %d vs list %d", count, len(g.edges))
+	a := g.adjacency()
+	for v := 0; v < g.n; v++ {
+		for j := a.outOff[v]; j < a.outOff[v+1]; j++ {
+			if g.edges[a.outEid[j]] != (Edge{v, a.outNbr[j]}) {
+				return fmt.Errorf("core: adjacency edge (%d,%d) missing from edge list", v, a.outNbr[j])
+			}
+		}
+		for j := a.inOff[v]; j < a.inOff[v+1]; j++ {
+			if g.edges[a.inEid[j]] != (Edge{a.inNbr[j], v}) {
+				return fmt.Errorf("core: adjacency edge (%d,%d) missing from edge list", a.inNbr[j], v)
+			}
+		}
+	}
+	if int(a.outOff[g.n]) != len(g.edges) || int(a.inOff[g.n]) != len(g.edges) {
+		return fmt.Errorf("core: edge count mismatch: adjacency %d vs list %d", a.outOff[g.n], len(g.edges))
 	}
 	return nil
 }

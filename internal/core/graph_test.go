@@ -128,11 +128,23 @@ func TestTopoOrderIsolatedNodes(t *testing.T) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	g := NewGraph(3)
-	mustEdge(t, g, 0, 1)
-	g.out[0] = append(g.out[0], 2) // corrupt adjacency without edge set
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate accepted corrupted adjacency")
+	corruptions := []struct {
+		name    string
+		corrupt func(g *Graph)
+	}{
+		{"adjacency", func(g *Graph) { g.adjacency().outNbr[0] = 2 }},
+		{"index", func(g *Graph) { g.index[Edge{0, 1}] = 1 }},
+		{"edge range", func(g *Graph) { g.edges[1] = Edge{1, 3} }},
+		{"weights", func(g *Graph) { g.w = []float64{1} }},
+	}
+	for _, c := range corruptions {
+		g := NewGraph(3)
+		mustEdge(t, g, 0, 1)
+		mustEdge(t, g, 1, 2)
+		c.corrupt(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted a corrupted %s", c.name)
+		}
 	}
 }
 
@@ -201,7 +213,7 @@ func TestIncidenceCaches(t *testing.T) {
 	if got := g.InEdgeIDs(0); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("InEdgeIDs(0) = %v, want [2]", got)
 	}
-	// AddEdge must invalidate the caches.
+	// AddEdge must drop the built view.
 	if err := g.AddEdge(3, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +278,34 @@ func TestEnsureIncidenceConcurrent(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("incidence cache not rebuilt after AddEdge")
+		t.Fatal("adjacency view not rebuilt after AddEdge")
+	}
+}
+
+// buildMeshView is the cold build the CLI's streaming run times: a 15 x 20
+// mesh and its adjacency view, which the first Out builds.
+func buildMeshView() *Graph {
+	g, err := Mesh2D(15, 20)
+	if err != nil {
+		panic(err)
+	}
+	g.Out(0)
+	return g
+}
+
+// Building a graph allocates a fixed handful of objects, not one or more
+// per node or per edge: the 300-node, 1,130-edge mesh and its view take 11.
+func TestGraphBuildAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, func() { buildMeshView() }); allocs > 20 {
+		t.Fatalf("Mesh2D(15, 20) and its view allocate %v objects, want at most 20", allocs)
+	}
+}
+
+var graphSink *Graph
+
+func BenchmarkGraphBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = buildMeshView()
 	}
 }

@@ -18,7 +18,7 @@ func Mesh2D(rows, cols int) (*Graph, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("core: invalid mesh dimensions %dx%d", rows, cols)
 	}
-	g := NewGraph(rows * cols)
+	g := newGraph(rows*cols, 2*(rows*(cols-1)+(rows-1)*cols))
 	id := func(r, c int) NodeID { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -43,7 +43,7 @@ func Mesh3D(x, y, z int) (*Graph, error) {
 	if x <= 0 || y <= 0 || z <= 0 {
 		return nil, fmt.Errorf("core: invalid mesh dimensions %dx%dx%d", x, y, z)
 	}
-	g := NewGraph(x * y * z)
+	g := newGraph(x*y*z, 2*((x-1)*y*z+x*(y-1)*z+x*y*(z-1)))
 	id := func(i, j, k int) NodeID { return (i*y+j)*z + k }
 	for i := 0; i < x; i++ {
 		for j := 0; j < y; j++ {
@@ -85,7 +85,7 @@ func AggregationTree(fanout, depth int) (*Graph, error) {
 		levelSize *= fanout
 		total += levelSize
 	}
-	g := NewGraph(total)
+	g := newGraph(total, total-1)
 	// Nodes are numbered level by level: root 0, then its children, etc.
 	next := 1
 	frontier := []NodeID{0}
@@ -114,7 +114,7 @@ func Bipartite(frontends, storage int) (*Graph, error) {
 	if frontends <= 0 || storage <= 0 {
 		return nil, fmt.Errorf("core: invalid bipartite sizes f=%d s=%d", frontends, storage)
 	}
-	g := NewGraph(frontends + storage)
+	g := newGraph(frontends+storage, 2*frontends*storage)
 	for f := 0; f < frontends; f++ {
 		for s := 0; s < storage; s++ {
 			if err := g.AddBiEdge(f, frontends+s); err != nil {
@@ -130,7 +130,7 @@ func Ring(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("core: ring needs >= 3 nodes, got %d", n)
 	}
-	g := NewGraph(n)
+	g := newGraph(n, n)
 	for v := 0; v < n; v++ {
 		if err := g.AddEdge(v, (v+1)%n); err != nil {
 			return nil, err
@@ -172,7 +172,7 @@ func TwoLevelAggregation(mid, leaves int) (*Graph, error) {
 	if mid <= 0 || leaves < mid {
 		return nil, fmt.Errorf("core: invalid two-level tree mid=%d leaves=%d", mid, leaves)
 	}
-	g := NewGraph(1 + mid + leaves)
+	g := newGraph(1+mid+leaves, mid+leaves)
 	for m := 0; m < mid; m++ {
 		if err := g.AddEdge(1+m, 0); err != nil {
 			return nil, err

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Weighted communication graphs are the paper's first listed piece of future
 // work ("we plan to extend our formulation to support weighted communication
@@ -29,10 +32,10 @@ type EdgeWeight struct {
 }
 
 // SetWeights assigns every listed weight as SetWeight would, in list order
-// (a later entry for the same edge wins), but rebuilds the weight caches
-// once: weighting all E edges costs O(E), not one O(E) rebuild per edge.
-// The whole list is validated first, so on error the graph is unchanged and
-// the first bad entry is the one reported.
+// (a later entry for the same edge wins). Each entry costs O(1), plus one
+// O(E) scan per call when an entry resets a weight to 1, so weighting all E
+// edges costs O(E). The whole list is validated first, so on error the
+// graph is unchanged and the first bad entry is the one reported.
 func (g *Graph) SetWeights(ws []EdgeWeight) error {
 	for _, ew := range ws {
 		if !(ew.W > 0) {
@@ -42,44 +45,43 @@ func (g *Graph) SetWeights(ws []EdgeWeight) error {
 			return fmt.Errorf("core: weight on missing edge (%d,%d)", ew.From, ew.To)
 		}
 	}
-	if len(ws) == 0 {
-		return nil
-	}
-	if g.weights == nil {
-		g.weights = make(map[Edge]float64, len(ws))
-	}
+	reset := false
 	for _, ew := range ws {
-		if ew.W == 1 {
-			delete(g.weights, Edge{ew.From, ew.To})
-		} else {
-			g.weights[Edge{ew.From, ew.To}] = ew.W
+		if g.w == nil && ew.W != 1 {
+			g.w = slices.Repeat([]float64{1}, len(g.edges))
+		}
+		if g.w != nil {
+			g.w[g.index[Edge{ew.From, ew.To}]] = ew.W
+			reset = reset || ew.W == 1
 		}
 	}
-	g.rebuildWeightCaches()
+	if reset && !slices.ContainsFunc(g.w, func(w float64) bool { return w != 1 }) {
+		g.w = nil // every weight is 1 again
+	}
 	return nil
 }
 
 // Weight reports the weight of edge (from, to), defaulting to 1. The result
 // for a missing edge is also 1; callers interrogate HasEdge separately.
 func (g *Graph) Weight(from, to NodeID) float64 {
-	if w, ok := g.weights[Edge{from, to}]; ok {
-		return w
+	if k, ok := g.index[Edge{from, to}]; ok {
+		return g.EdgeWeight(int(k))
 	}
 	return 1
 }
 
 // Weighted reports whether any edge carries a weight other than 1.
-func (g *Graph) Weighted() bool { return len(g.weights) > 0 }
+func (g *Graph) Weighted() bool { return g.w != nil }
 
 // DistinctWeights returns the distinct edge weights present, including 1
-// when any edge is unweighted. Used by the CP solver to build one threshold
-// adjacency per weight class.
+// when any edge is unweighted, in order of first appearance in the edge
+// list. Used by the CP solver to build one threshold adjacency per weight
+// class.
 func (g *Graph) DistinctWeights() []float64 {
 	seen := map[float64]bool{}
 	var out []float64
-	for _, e := range g.edges {
-		w := g.Weight(e.From, e.To)
-		if !seen[w] {
+	for k := range g.edges {
+		if w := g.EdgeWeight(k); !seen[w] {
 			seen[w] = true
 			out = append(out, w)
 		}
@@ -87,44 +89,11 @@ func (g *Graph) DistinctWeights() []float64 {
 	return out
 }
 
-// edgeWeightSlices caches weights aligned with the edge list and out
-// adjacency, so the hot cost evaluations avoid map lookups.
-func (g *Graph) rebuildWeightCaches() {
-	if len(g.weights) == 0 {
-		// Empty caches read as all-ones; AddEdge keeps non-empty ones
-		// aligned only while some weight is set.
-		g.edgeW, g.outW = nil, nil
-		return
-	}
-	g.edgeW = g.edgeW[:0]
-	for _, e := range g.edges {
-		g.edgeW = append(g.edgeW, g.Weight(e.From, e.To))
-	}
-	if g.outW == nil {
-		g.outW = make([][]float64, g.n)
-	}
-	for v := 0; v < g.n; v++ {
-		g.outW[v] = g.outW[v][:0]
-		for _, w := range g.out[v] {
-			g.outW[v] = append(g.outW[v], g.Weight(v, w))
-		}
-	}
-}
-
-// edgeWeight returns the cached weight of the k-th edge in Edges() order,
-// treating an empty cache as all-ones.
-func (g *Graph) edgeWeight(k int) float64 {
-	if len(g.edgeW) == 0 {
+// EdgeWeight reports the weight of the k-th edge in Edges() order (1 for
+// unweighted graphs), without a map lookup.
+func (g *Graph) EdgeWeight(k int) float64 {
+	if g.w == nil {
 		return 1
 	}
-	return g.edgeW[k]
-}
-
-// outWeight returns the cached weight of the k-th out-edge of v, treating an
-// empty cache as all-ones.
-func (g *Graph) outWeight(v NodeID, k int) float64 {
-	if len(g.outW) == 0 || len(g.outW[v]) == 0 {
-		return 1
-	}
-	return g.outW[v][k]
+	return g.w[k]
 }

@@ -53,7 +53,7 @@ func TestSetWeightOneClearsWeighting(t *testing.T) {
 	if g.Weighted() {
 		t.Fatal("still weighted after resetting to 1")
 	}
-	// The cleared caches read as all-ones, so a later edge cannot index
+	// The cleared weights read as all-ones, so a later edge cannot index
 	// past them.
 	g2 := NewGraph(3)
 	mustEdge(t, g2, 0, 1)
@@ -173,7 +173,7 @@ func TestAddEdgeAfterWeightsKeepsCaches(t *testing.T) {
 	if err := g.SetWeight(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	mustEdge(t, g, 1, 2) // must not desync edgeW cache
+	mustEdge(t, g, 1, 2) // must keep the weight slice aligned
 	mustEdge(t, g, 2, 3)
 	m := NewCostMatrix(4)
 	m.Set(0, 1, 1)
@@ -231,4 +231,51 @@ func approx(a, b float64) bool {
 		diff = -diff
 	}
 	return diff <= 1e-9*(1+b)
+}
+
+// An edge-by-edge build of a weighted graph is linear: AddEdge appends one
+// weight slot, so a weight set early costs nothing per later edge.
+func TestWeightedBuildIsLinear(t *testing.T) {
+	const n, extra = 100, 4000
+	g, o := NewGraph(n), newOracle(n)
+	mustEdge(t, g, 0, 1)
+	_ = o.addEdge(0, 1)
+	ws := []EdgeWeight{{From: 0, To: 1, W: 2.5}}
+	if err := g.SetWeights(ws); err != nil {
+		t.Fatal(err)
+	}
+	_ = o.setWeights(ws)
+	var pairs []Edge
+	for d := 1; len(pairs) < extra; d++ {
+		for v := 0; v < n && len(pairs) < extra; v++ {
+			if e := (Edge{v, (v + d) % n}); e != (Edge{0, 1}) {
+				pairs = append(pairs, e)
+			}
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(extra-1, func() {
+		e := pairs[next]
+		next++
+		if err := g.AddEdge(e.From, e.To); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if next != extra || g.NumEdges() != extra+1 {
+		t.Fatalf("added %d edges, graph holds %d", next, g.NumEdges())
+	}
+	if allocs > 0.5 {
+		t.Fatalf("AddEdge on a weighted graph allocates %v objects per edge, want amortized growth only", allocs)
+	}
+	for k, e := range pairs {
+		_ = o.addEdge(e.From, e.To)
+		if k%7 == 0 {
+			ws := []EdgeWeight{{From: e.From, To: e.To, W: float64(2 + k%5)}}
+			if err := g.SetWeights(ws); err != nil {
+				t.Fatal(err)
+			}
+			_ = o.setWeights(ws)
+		}
+	}
+	checkOracle(t, g, o)
 }

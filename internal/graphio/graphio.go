@@ -68,8 +68,8 @@ func ReadGraph(r io.Reader, maxNodes int) (*core.Graph, error) {
 		}
 	}
 	// Sorted keys make the reported error the same on every run when a
-	// document has several bad ones; one SetWeights call rebuilds the
-	// weight caches once for the whole document.
+	// document has several bad ones; one SetWeights call stores them all,
+	// each in O(1).
 	keys := make([]string, 0, len(in.Weights))
 	for key := range in.Weights {
 		keys = append(keys, key)

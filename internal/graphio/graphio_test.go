@@ -182,7 +182,9 @@ const fuzzMaxNodes = 4096
 // FuzzReadGraph feeds arbitrary documents to ReadGraph. It must never panic
 // and never accept more than fuzzMaxNodes nodes, and every document it
 // accepts must survive WriteGraph → ReadGraph with the same edges in the
-// same order and the same weights. The seed corpus in
+// same order and the same weights. Every accepted graph also passes
+// Validate, and its per-node lists agree with its edge list (checkView).
+// The seed corpus in
 // testdata/fuzz/FuzzReadGraph holds plain and weighted graphs and one
 // document per refusal ReadGraph makes; run `make fuzz` to explore beyond
 // it.
@@ -195,6 +197,10 @@ func FuzzReadGraph(f *testing.F) {
 		if g.NumNodes() > fuzzMaxNodes {
 			t.Fatalf("accepted %d nodes over the bound of %d", g.NumNodes(), fuzzMaxNodes)
 		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph fails Validate: %v", err)
+		}
+		checkView(t, g)
 		var buf bytes.Buffer
 		if err := WriteGraph(&buf, g); err != nil {
 			t.Fatal(err)
@@ -213,4 +219,39 @@ func FuzzReadGraph(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkView fails t unless Out, In, InEdgeIDs and IncidentEdgeIDs hold each
+// edge of g exactly once in every list that should hold it, in edge-list
+// order: walking the edges in order, edge k must be the next unread slot of
+// its tail's out list and incident list and of its head's in lists and
+// incident list, and every list must be read to its end.
+func checkView(t *testing.T, g *core.Graph) {
+	t.Helper()
+	n := g.NumNodes()
+	outAt, inAt, incAt := make([]int, n), make([]int, n), make([]int, n)
+	for k, e := range g.Edges() {
+		out, in, inIDs := g.Out(e.From), g.In(e.To), g.InEdgeIDs(e.To)
+		if outAt[e.From] >= len(out) || out[outAt[e.From]] != e.To {
+			t.Fatalf("edge %d %v: Out(%d) = %v, slot %d", k, e, e.From, out, outAt[e.From])
+		}
+		if inAt[e.To] >= len(in) || in[inAt[e.To]] != e.From || len(inIDs) != len(in) || inIDs[inAt[e.To]] != int32(k) {
+			t.Fatalf("edge %d %v: In(%d) = %v, InEdgeIDs = %v, slot %d", k, e, e.To, in, inIDs, inAt[e.To])
+		}
+		outAt[e.From]++
+		inAt[e.To]++
+		for _, v := range []int{e.From, e.To} {
+			inc := g.IncidentEdgeIDs(v)
+			if incAt[v] >= len(inc) || inc[incAt[v]] != int32(k) {
+				t.Fatalf("edge %d %v: IncidentEdgeIDs(%d) = %v, slot %d", k, e, v, inc, incAt[v])
+			}
+			incAt[v]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		if outAt[v] != len(g.Out(v)) || inAt[v] != len(g.In(v)) || incAt[v] != len(g.IncidentEdgeIDs(v)) {
+			t.Fatalf("node %d: lists hold %d/%d/%d edges, edge list %d/%d/%d",
+				v, len(g.Out(v)), len(g.In(v)), len(g.IncidentEdgeIDs(v)), outAt[v], inAt[v], incAt[v])
+		}
+	}
 }

@@ -589,7 +589,7 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 	}
 	sess.mu.Unlock()
 
-	// Build the graph's incidence caches up front (concurrent-safe; racing
+	// Build the graph's adjacency view up front (concurrent-safe; racing
 	// advises serialize behind one build) so no solve pays it while holding
 	// a slot, on a graph shared by several advises.
 	req.Graph.EnsureIncidence()

@@ -63,9 +63,9 @@ func NewProblem(g *core.Graph, m *core.CostMatrix, obj Objective) (*Problem, err
 	if g.NumNodes() > m.Size() {
 		return nil, fmt.Errorf("solver: %d nodes exceed %d instances", g.NumNodes(), m.Size())
 	}
-	// Build the incidence caches up front: the delta evaluators and the
-	// parallel solvers read them from multiple goroutines, so the lazy
-	// build must not race.
+	// Build the graph's adjacency view up front: the delta evaluators and
+	// the parallel solvers read it from multiple goroutines, and no solve
+	// should pay its build.
 	g.EnsureIncidence()
 	p := &Problem{Graph: g, Costs: m, Objective: obj}
 	switch obj {
